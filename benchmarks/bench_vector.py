@@ -1,19 +1,11 @@
 """BENCH — vector engine versus the scalar compiled kernel.
 
 The acceptance benchmark for :mod:`repro.kernels.vector`: the same
-compiled automata execute the same work twice, once with the vector
+compiled automata simulate the same traces twice, once with the vector
 engine disabled (the scalar kernel) and once enabled, interleaved in
-one process so CPU-clock drift cancels.  Three workloads:
-
-* **trace** — E3-scale whole-cache simulation (2048 sets, 1M accesses)
-  where all sets advance lock-step; the headline ≥ 3x acceptance gate
-  (measured ~5-10x) lives here;
-* **batch** — an oracle-style ``count_misses_batch`` of thousands of
-  ``(setup, probe)`` queries; the vector path sums hit columns in numpy
-  and never materializes per-access outcomes;
-* **sequence batch** — ``sequence_hits_batch``, which *does* pay to
-  materialize every outcome as Python bools and so bounds the batch
-  speedup from below.
+one process so CPU-clock drift cancels.  The workload is E3-scale
+whole-cache simulation (2048 sets, 1M accesses) where all sets advance
+lock-step; the ≥ 3x acceptance gate (measured ~5-10x) lives here.
 
 Results are bit-compared cell for cell before any timing claim, land in
 ``benchmarks/results/bench_vector.txt``, and the acceptance run writes
@@ -37,9 +29,6 @@ import pytest
 from repro.cache import CacheConfig
 from repro.kernels import (
     clear_compile_cache,
-    compile_policy,
-    count_misses_batch,
-    sequence_hits_batch,
     try_simulate_trace,
     vector,
     vector_disabled,
@@ -47,7 +36,6 @@ from repro.kernels import (
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.result import ExperimentResult
-from repro.policies import make_policy
 from repro.util.tables import format_table
 from repro.workloads.trace import Trace
 
@@ -66,12 +54,6 @@ TRACE_POLICIES = ["plru", "lru"]
 SMOKE_CONFIG = CacheConfig("L2", 256 * 1024, 8)
 SMOKE_ACCESSES = 300_000
 
-#: Oracle-style batch: chunks of queries sharing a setup (the shape
-#: candidate identification and inference verification produce).
-BATCH_QUERIES = 4096
-BATCH_CHUNK = 64
-BATCH_PROBE = 40
-
 
 def _skip_if_tracing():
     tracer = obs_trace.ACTIVE
@@ -84,17 +66,6 @@ def _random_trace(name, accesses, lines, seed):
     return Trace(
         name, tuple(rng.randrange(lines) * 64 for _ in range(accesses))
     )
-
-
-def _batch_queries(seed=0):
-    rng = random.Random(seed)
-    queries = []
-    for _ in range(BATCH_QUERIES // BATCH_CHUNK):
-        setup = [rng.randrange(16) for _ in range(24)]
-        for _ in range(BATCH_CHUNK):
-            probe = [rng.randrange(16) for _ in range(BATCH_PROBE)]
-            queries.append((setup, probe))
-    return queries
 
 
 def _best(fn, repeats):
@@ -135,20 +106,11 @@ def _trace_rows(config, accesses, policies, seed):
 
 
 def test_bench_vector_speedup(save_result):
-    """Acceptance: lock-step traces >= 3x; batches reported alongside."""
+    """Acceptance: lock-step traces >= 3x."""
     _skip_if_tracing()
     clear_compile_cache()
 
     trace_rows = _trace_rows(TRACE_CONFIG, TRACE_ACCESSES, TRACE_POLICIES, seed=1)
-
-    compiled = compile_policy(make_policy("plru", 8))
-    queries = _batch_queries()
-    count_scalar, count_vector, count_speedup = _ab(
-        lambda: count_misses_batch(compiled, queries)
-    )
-    seq_scalar, seq_vector, seq_speedup = _ab(
-        lambda: sequence_hits_batch(compiled, queries)
-    )
 
     rows = [
         [
@@ -158,43 +120,18 @@ def test_bench_vector_speedup(save_result):
             f"{row['speedup']:.2f}x",
         ]
         for policy, row in trace_rows.items()
-    ] + [
-        ["batch/count_misses", f"{count_scalar:.3f}", f"{count_vector:.3f}",
-         f"{count_speedup:.2f}x"],
-        ["batch/sequence_hits", f"{seq_scalar:.3f}", f"{seq_vector:.3f}",
-         f"{seq_speedup:.2f}x"],
     ]
     table = format_table(
         ["workload", "scalar s", "vector s", "speedup"],
         rows,
-        title=(
-            f"BENCH vector: {TRACE_CONFIG.describe()} x {TRACE_ACCESSES} accesses; "
-            f"{BATCH_QUERIES}-query batches"
-        ),
+        title=f"BENCH vector: {TRACE_CONFIG.describe()} x {TRACE_ACCESSES} accesses",
     )
 
-    data = {
-        "trace": trace_rows,
-        "batch": {
-            "count_misses": {
-                "scalar_seconds": count_scalar,
-                "vector_seconds": count_vector,
-                "speedup": count_speedup,
-            },
-            "sequence_hits": {
-                "scalar_seconds": seq_scalar,
-                "vector_seconds": seq_vector,
-                "speedup": seq_speedup,
-            },
-        },
-    }
+    data = {"trace": trace_rows}
     params = {
         "trace_config": TRACE_CONFIG.describe(),
         "trace_accesses": TRACE_ACCESSES,
         "trace_policies": TRACE_POLICIES,
-        "batch_queries": BATCH_QUERIES,
-        "batch_chunk": BATCH_CHUNK,
-        "batch_probe": BATCH_PROBE,
         "seed": 1,
     }
     save_result("bench_vector", table, data=data, params=params)
@@ -214,12 +151,6 @@ def test_bench_vector_speedup(save_result):
             f"vector trace speedup for {policy} is {row['speedup']:.2f}x, "
             f"below the 3x acceptance bar"
         )
-    # The batch paths shuttle Python lists across the numpy boundary, so
-    # their ceiling is lower; this floor guards "vector actually engaged
-    # and won", the 3x bar is the trace's.
-    assert count_speedup >= 1.3, (
-        f"vector count_misses_batch only {count_speedup:.2f}x over scalar"
-    )
 
 
 def test_bench_vector_smoke(save_result):

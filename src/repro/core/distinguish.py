@@ -28,6 +28,9 @@ from repro import kernels
 
 PolicyFactoryFn = Callable[[], ReplacementPolicy]
 
+#: Probes the randomized search simulates per batched engine call.
+SEARCH_CHUNK = 256
+
 
 def established_set(policy: ReplacementPolicy, thrash_factor: int = 2) -> CacheSet:
     """Return a set in the policy's established state.
@@ -209,11 +212,10 @@ def random_distinguishing_sequence(
     # per chunk.  The returned sequence is the first diverging probe in
     # generation order — identical to the probe-at-a-time search, and
     # (because the rng feeds nothing but probe generation) independent
-    # of the chunk size, so the vector engine gets wider batches.
-    chunk_size = 256 if kernels.vector_allowed() else 32
+    # of the chunk size.
     produced = 0
     while produced < tries:
-        count = min(chunk_size, tries - produced)
+        count = min(SEARCH_CHUNK, tries - produced)
         produced += count
         probes = [
             [rng.choice(pool) for _ in range(length)] for _ in range(count)

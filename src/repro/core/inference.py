@@ -346,8 +346,8 @@ class PermutationInference:
 
         All verification sequences are generated first (same rng, same
         draw order as generating them one at a time — the rng feeds
-        nothing else) and predicted in one batch, so the vector engine
-        can run every sequence as a lane of a single kernel call.
+        nothing else) and predicted in one batch, one kernel call for
+        every sequence.
         Predictions are kernel work, not oracle cost, so the oracle's
         ``measurements``/``accesses`` accounting is unchanged by them.
 
@@ -479,7 +479,7 @@ class PermutationInference:
 
         Every probe starts from the same established state, so the batch
         maps onto :func:`~repro.kernels.sequence_hits_preloaded_batch`
-        (one vector-engine call when numpy is available).  Per-probe
+        (one kernel call for the whole batch).  Per-probe
         results are bit-identical to :meth:`_predict_cumulative`.
         """
         preload = [establishment[ways - 1 - p] for p in range(ways)]

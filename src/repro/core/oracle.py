@@ -14,7 +14,7 @@ a distinct memory block mapping to the probed cache set.
 **The protocol.**  :class:`OracleProtocol` is the single oracle surface:
 the canonical entry point is the *batched* :meth:`~OracleProtocol.query`
 (``requests -> miss counts``), which lets implementations answer a whole
-batch in one kernel/vector engine call or one measurement-DB pass.
+batch in one kernel engine call or one measurement-DB pass.
 :meth:`~OracleProtocol.provenance` names what is being measured — the
 stable identity that keys the persistent measurement database
 (:mod:`repro.measuredb`); oracles whose answers are not a pure function

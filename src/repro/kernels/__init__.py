@@ -8,6 +8,16 @@ address traces as table lookups (:mod:`repro.kernels.engine`), producing
 **bit-identical** miss counts, eviction orders and
 :class:`~repro.cache.stats.CacheStats`.
 
+One engine per simulation shape:
+
+* single-set queries, one at a time or in batches, run on the scalar
+  engine, which expands an automaton lazily; a prefix-redundant batch
+  goes through the :mod:`repro.kernels.trie` planner, which executes
+  each shared access prefix once;
+* whole-cache traces run all sets lock-step on the numpy engine
+  (:mod:`repro.kernels.vector`) when numpy is installed, and on the
+  scalar trace loop otherwise.
+
 Routing rules (:func:`kernel_allowed`, enforced by the callers in
 :mod:`repro.core.oracle`, :mod:`repro.core.inference`,
 :mod:`repro.core.distinguish`, :mod:`repro.eval.missratio` and
@@ -71,7 +81,6 @@ from repro.kernels.trie import (
 from repro.kernels.vector import (
     numpy_available,
     set_vector_enabled,
-    vector_allowed,
     vector_disabled,
     vector_enabled,
 )
@@ -106,7 +115,6 @@ __all__ = [
     "set_kernel_enabled",
     "kernel_disabled",
     "numpy_available",
-    "vector_allowed",
     "vector_enabled",
     "set_vector_enabled",
     "vector_disabled",

@@ -8,11 +8,18 @@ Two granularities, matching the two shapes of simulation in the library:
   sequences against one compiled set, reproducing exactly what
   :class:`~repro.cache.set.CacheSet` driven through ``access()`` would
   do (cold fills go to ascending ways, full-set misses evict the
-  policy's victim).
+  policy's victim).  The batch entry points
+  (:func:`count_misses_batch`, :func:`sequence_hits_batch`,
+  :func:`sequence_hits_preloaded_batch`) answer many queries in one
+  call on the same scalar loop: the :mod:`repro.kernels.trie` planner
+  when its gates pass, otherwise :func:`_run_batch` with post-setup
+  snapshot reuse, or one run per probe.  All of them expand the
+  automaton lazily, only as far as the queries reach.
 
 * **whole cache, address traces** — the evaluation substrate.
   :func:`simulate_trace_kernel` runs a trace against ``num_sets``
-  independent automaton instances sharing one transition table;
+  independent automaton instances sharing one transition table (all
+  sets lock-step in :mod:`repro.kernels.vector` when numpy is present);
   :func:`simulate_trace_direct` covers non-compilable (randomized /
   set-dueling) policies with the real policy objects driven by an
   inlined loop that skips the interpreter's per-access dataclass and
@@ -224,17 +231,12 @@ def sequence_hits_preloaded_batch(
     verification round, which predicts the outcome of many candidate
     sequences against one conflict set.  Bit-identical to per-probe
     :func:`sequence_hits_preloaded` calls; one metrics flush covers the
-    batch, and the vector engine takes it when numpy is available.
+    batch.
     """
     if len(tags) != compiled.ways:
         raise KernelUnsupported(
             f"preload needs {compiled.ways} tags, got {len(tags)}"
         )
-    result = vector.preloaded_outcomes(compiled, tags, probes)
-    if result is not None:
-        outcomes, accesses, total_hits = result
-        _note_kernel_call("batch", accesses, total_hits, accesses - total_hits)
-        return [tuple(hits) for hits in outcomes]
     out: list[tuple[bool, ...]] = []
     accesses = 0
     total_hits = 0
@@ -301,34 +303,6 @@ def _run_batch(
     return outcomes, executed, executed_hits, reused
 
 
-def _batch_outcomes(
-    compiled: CompiledPolicy,
-    queries: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> list[list[bool]]:
-    """Run a batch — vectorized when possible — and flush its counters.
-
-    The vector engine's accounting tuple is definitionally identical to
-    the scalar batch's (same chunking-by-consecutive-setup rule), so the
-    ``kernel.*`` counters do not depend on which engine ran; only the
-    ``kernel.vector.*`` namespace reveals the difference.  The trie
-    planner takes the batch first when its gates pass — its *results*
-    are still bit-identical, but it executes strictly fewer accesses
-    (the skipped ones are reported as ``kernel.trie.reused_accesses``;
-    see OBSERVABILITY.md for the relaxed parity contract).
-    """
-    planned = trie.plan_outcomes(compiled, queries)
-    if planned is not None:
-        outcomes, executed, executed_hits = planned
-        _note_kernel_call("batch", executed, executed_hits, executed - executed_hits)
-        return outcomes
-    result = vector.batch_outcomes(compiled, queries)
-    if result is None:
-        result = _run_batch(compiled, queries)
-    outcomes, executed, executed_hits, reused = result
-    _flush_batch(executed, executed_hits, reused)
-    return outcomes
-
-
 def _flush_batch(executed: int, executed_hits: int, reused: int) -> None:
     _note_kernel_call("batch", executed, executed_hits, executed - executed_hits)
     if reused:
@@ -342,25 +316,19 @@ def count_misses_batch(
     """Probe miss counts of many ``(setup, probe)`` queries, in order.
 
     One metrics flush covers the whole batch; the counts themselves are
-    bit-identical to per-query :func:`count_misses_kernel` calls.  On
-    the vector path the per-access outcomes are summed per lane in
-    numpy and never materialize as Python lists.  A prefix-redundant
-    batch is taken by the trie planner first (:mod:`repro.kernels.trie`),
-    which executes each shared ``setup ‖ probe`` prefix exactly once.
+    bit-identical to per-query :func:`count_misses_kernel` calls.  A
+    prefix-redundant batch is taken by the trie planner first
+    (:mod:`repro.kernels.trie`), which executes each shared ``setup ‖
+    probe`` prefix exactly once.
     """
     planned = trie.plan_miss_counts(compiled, queries)
     if planned is not None:
         counts, executed, executed_hits = planned
-        _note_kernel_call("batch", executed, executed_hits, executed - executed_hits)
+        _flush_batch(executed, executed_hits, 0)
         return counts
-    result = vector.batch_miss_counts(compiled, queries)
-    if result is None:
-        outcomes, executed, executed_hits, reused = _run_batch(compiled, queries)
-        counts = [len(hits) - sum(hits) for hits in outcomes]
-    else:
-        counts, executed, executed_hits, reused = result
+    outcomes, executed, executed_hits, reused = _run_batch(compiled, queries)
     _flush_batch(executed, executed_hits, reused)
-    return counts
+    return [len(hits) - sum(hits) for hits in outcomes]
 
 
 def sequence_hits_batch(
@@ -370,9 +338,19 @@ def sequence_hits_batch(
     """Per-access outcomes of many ``(setup, probe)`` queries, in order.
 
     Bit-identical to per-query :func:`sequence_hits` calls; one metrics
-    flush covers the batch.
+    flush covers the batch.  As in :func:`count_misses_batch`, the trie
+    planner takes the batch first when its gates pass; it executes
+    strictly fewer accesses (the skipped ones are reported as
+    ``kernel.trie.reused_accesses``; see OBSERVABILITY.md for the
+    relaxed parity contract).
     """
-    outcomes = _batch_outcomes(compiled, queries)
+    planned = trie.plan_outcomes(compiled, queries)
+    if planned is not None:
+        outcomes, executed, executed_hits = planned
+        _flush_batch(executed, executed_hits, 0)
+    else:
+        outcomes, executed, executed_hits, reused = _run_batch(compiled, queries)
+        _flush_batch(executed, executed_hits, reused)
     return [tuple(hits) for hits in outcomes]
 
 

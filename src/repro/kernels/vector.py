@@ -1,33 +1,23 @@
-"""Vectorized multi-lane execution of compiled policy automata.
+"""Vectorized whole-trace simulation of compiled policy automata.
 
-The scalar engine (:mod:`repro.kernels.engine`) steps one set, one query
-at a time: a Python loop per access.  But the paper's pipelines are
-embarrassingly data-parallel — a distinguishing search replays hundreds
-of probes against the same automaton, a bulk oracle batch measures
-thousands of independent ``(setup, probe)`` queries, and a whole-cache
-trace is just ``num_sets`` independent automata that never interact.
-This module represents the state of many such *lanes* as flat numpy
-vectors and advances all of them with one fancy-indexed gather per
-access step::
+A whole-cache trace is just ``num_sets`` independent automata that never
+interact.  This module represents the state of every set as a *lane* of
+flat numpy vectors and advances all of them with one fancy-indexed
+gather per access step::
 
-    states[hit] = hit_next[states[hit] * ways + ways_hit]
+    states = fused_next[states * span + event]
 
-Three entry points, each mirroring (and bit-identical to) a scalar one:
-
-* :func:`batch_outcomes` — many ``(setup, probe)`` queries through one
-  automaton (behind ``count_misses_batch`` / ``sequence_hits_batch``);
-* :func:`preloaded_outcomes` — many probes from one preloaded set
-  (behind ``sequence_hits_preloaded_batch``);
-* :func:`simulate_trace_lockstep` — a whole address trace, partitioned
-  per set and run with all ``num_sets`` automata advancing lock-step
-  (behind ``simulate_trace_kernel`` / ``try_simulate_trace``).
+:func:`simulate_trace_lockstep` partitions a trace per set and runs all
+``num_sets`` automata lock-step, bit-identical to the scalar trace
+engine and the interpreter (behind ``simulate_trace_kernel`` /
+``try_simulate_trace``).  Single-set query batches do not come here:
+they run on the scalar kernel (:mod:`repro.kernels.engine` and the
+:mod:`repro.kernels.trie` planner), which expands an automaton lazily,
+only as far as the queries reach.
 
 The stepper's layout is chosen so per-step Python/numpy dispatch
 overhead amortizes over as many lanes as possible:
 
-* *every* query of a batch becomes a lane of **one** stepper call
-  (queries sharing a setup start from the same snapshot — the vector
-  analogue of the scalar batch's snapshot reuse);
 * lanes are sorted by sequence length, longest first, so the active
   lanes always form a prefix and each step operates on a contiguous
   view that shrinks as lanes retire — no per-step boolean masking;
@@ -36,7 +26,7 @@ overhead amortizes over as many lanes as possible:
 
 Ground rules:
 
-* **numpy is optional.**  When it is absent every entry point returns
+* **numpy is optional.**  When it is absent the entry point returns
   ``None`` and callers keep the scalar engine; nothing in the library
   imports numpy unconditionally.
 * **Only complete automata run vectorized.**  The stepper has no lazy
@@ -52,9 +42,7 @@ Ground rules:
 from __future__ import annotations
 
 import weakref
-from collections.abc import Sequence
 from contextlib import contextmanager
-from itertools import chain
 
 from repro.errors import KernelUnsupported
 from repro.obs import metrics as obs_metrics
@@ -67,11 +55,8 @@ except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
 __all__ = [
     "VectorTables",
     "available",
-    "batch_miss_counts",
-    "batch_outcomes",
     "ensure_tables",
     "numpy_available",
-    "preloaded_outcomes",
     "set_vector_enabled",
     "simulate_trace_lockstep",
     "vector_allowed",
@@ -79,11 +64,8 @@ __all__ = [
     "vector_enabled",
 ]
 
-#: Below this many lanes a batch stays scalar: per-step numpy dispatch
-#: overhead (~µs) would dominate the handful of lanes.
-MIN_LANES = 64
-
-#: Whole-trace lock-step needs enough sets to fill the lanes.
+#: Whole-trace lock-step needs enough sets to fill the lanes; below
+#: this, per-step numpy dispatch overhead (~µs) would dominate.
 MIN_TRACE_LANES = 64
 
 #: Refuse lane matrices beyond this many cells (a pathologically skewed
@@ -247,16 +229,15 @@ def ensure_tables(compiled) -> VectorTables | None:
 
 # -- the lock-step stepper ---------------------------------------------------
 
-def _run_lanes(tables, states, tags, filled, blocks, lengths, hits_out=None):
+def _run_lanes(tables, states, tags, filled, blocks, lengths):
     """Advance every lane over its block column, one access step at a time.
 
     Lanes MUST be ordered by non-increasing ``lengths`` so the active
     lanes are always a prefix; ``blocks`` is column-major (shape
     ``(width, Q)``, padded with -1) so each step reads one contiguous
-    row, and ``hits_out`` (optional) has the same layout.  ``states`` /
-    ``filled`` are int32 ``(Q,)`` vectors, ``tags`` an int64 ``(Q,
-    ways)`` matrix (-1 = invalid way); all are mutated in place.
-    Returns ``(total_hits, total_evictions)``.
+    row.  ``states`` / ``filled`` are int32 ``(Q,)`` vectors, ``tags``
+    an int64 ``(Q, ways)`` matrix (-1 = invalid way); all are mutated in
+    place.  Returns ``(total_hits, total_evictions)``.
 
     Each step mirrors the scalar engine's per-access rules exactly: a
     matching tag is a hit at that way, a miss in a partly-filled lane
@@ -304,51 +285,12 @@ def _run_lanes(tables, states, tags, filled, blocks, lengths, hits_out=None):
         if miss_rows.size:
             t[miss_rows, fused_way[index[miss_rows]]] = b[miss_rows]
             f += miss & (f < ways)
-        if hits_out is not None:
-            hits_out[column, :active] = hit
         total_hits += int(np.count_nonzero(hit))
     # Every miss either cold-filled a way (visible as filled growth) or
     # evicted; no per-step counting needed.
     cold_fills = int(filled.sum()) - filled_before
     evictions = (total - total_hits) - cold_fills
     return total_hits, evictions
-
-
-def _scalar_run(tables, blocks) -> tuple[int, dict, int]:
-    """Walk one sequence over the numpy tables in plain Python.
-
-    Used for chunk setups: each runs once and its snapshot seeds every
-    lane of the chunk.  Returns ``(state, way_of, hits)`` — the same
-    snapshot the scalar engine's ``_run_blocks`` maintains (``tag_of``
-    is recoverable from ``way_of`` since these runs never invalidate).
-    """
-    ways = tables.ways
-    hit_next = tables.hit_next
-    fill_next = tables.fill_next
-    miss_victim = tables.miss_victim
-    miss_next = tables.miss_next
-    way_of: dict = {}
-    tag_of = [-1] * ways
-    state = 0
-    hits = 0
-    for block in blocks:
-        way = way_of.get(block)
-        if way is not None:
-            state = int(hit_next[state * ways + way])
-            hits += 1
-            continue
-        filled = len(way_of)
-        if filled < ways:
-            way_of[block] = filled
-            tag_of[filled] = block
-            state = int(fill_next[state * ways + filled])
-        else:
-            victim = int(miss_victim[state])
-            del way_of[tag_of[victim]]
-            tag_of[victim] = block
-            way_of[block] = victim
-            state = int(miss_next[state])
-    return state, way_of, hits
 
 
 def _note_vector_call(lanes: int, accesses: int) -> None:
@@ -360,233 +302,6 @@ def _note_vector_call(lanes: int, accesses: int) -> None:
 
 def _note_fallback() -> None:
     obs_metrics.DEFAULT.incr("kernel.vector.fallbacks")
-
-
-def _lane_matrix(probes: Sequence[Sequence[int]], order, lengths):
-    """Column-major padded lane matrix for probes taken in ``order``.
-
-    Returns ``(blocks, lengths_sorted, step, lane)`` where ``step`` /
-    ``lane`` map each flattened access (lanes concatenated in order) to
-    its matrix cell — the same index pair extracts per-lane outcomes
-    from a ``hits_out`` matrix in one gather.  Returns None when any
-    block id falls outside the int64 lane range ``[0, _MAX_BLOCK)``
-    (-1 is the padding sentinel, so negatives must stay scalar).
-    """
-    np = _np
-    count = len(probes)
-    lengths_sorted = lengths[order]
-    width = int(lengths_sorted[0]) if count else 0
-    blocks = np.full((width, count), -1, dtype=np.int64)
-    total = int(lengths.sum())
-    if not total:
-        empty = np.empty(0, dtype=np.int64)
-        return blocks, lengths_sorted, empty, empty
-    ordered = (probes[index] for index in order.tolist())
-    try:
-        flat = np.fromiter(chain.from_iterable(ordered), dtype=np.int64, count=total)
-    except (OverflowError, ValueError):
-        return None
-    if int(flat.max()) >= _MAX_BLOCK or int(flat.min()) < 0:
-        return None
-    if int(lengths_sorted[-1]) == width:
-        # Uniform probe length (the common distinguish/verify shape):
-        # the lane matrix is just the flat array transposed — no
-        # scatter — and outcomes un-flatten by row, signalled by the
-        # None step map.
-        blocks = np.ascontiguousarray(flat.reshape(count, width).T)
-        return blocks, lengths_sorted, None, None
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(lengths_sorted, out=offsets[1:])
-    step = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], lengths_sorted)
-    lane = np.repeat(np.arange(count, dtype=np.int64), lengths_sorted)
-    blocks[step, lane] = flat
-    return blocks, lengths_sorted, step, lane
-
-
-def _split_outcomes(hits_out, lengths_sorted, step, lane, order):
-    """Un-sort a ``hits_out`` matrix into per-query tuples of bools."""
-    outcomes: list = [None] * len(order)
-    if step is None:  # uniform lengths: one lane per matrix column
-        width = hits_out.shape[0]
-        flat = hits_out.T.reshape(-1).tolist()
-        for lane_index, query_index in enumerate(order.tolist()):
-            position = lane_index * width
-            outcomes[query_index] = tuple(flat[position : position + width])
-        return outcomes
-    flat = hits_out[step, lane].tolist()
-    position = 0
-    for lane_index, query_index in enumerate(order.tolist()):
-        length = int(lengths_sorted[lane_index])
-        outcomes[query_index] = tuple(flat[position : position + length])
-        position += length
-    return outcomes
-
-
-# -- batched (setup, probe) queries ------------------------------------------
-
-def batch_outcomes(compiled, queries):
-    """Vectorized analogue of the scalar engine's ``_run_batch``.
-
-    Returns ``(outcomes, executed, executed_hits, reused)`` — the same
-    accounting tuple, with identical values (outcomes as tuples) — or
-    ``None`` when the batch must stay scalar (numpy absent/disabled,
-    automaton not fully expandable, too few lanes, or block ids outside
-    the int64 lane range).  Queries are chunked by *consecutive equal
-    setups* exactly like the scalar path; every chunk's setup runs once
-    (in Python, over the numpy tables) and its snapshot seeds that
-    chunk's lanes, after which ALL lanes advance in one stepper call.
-    """
-    run = _batch_run(compiled, queries)
-    if run is None:
-        return None
-    hits_out, lengths_sorted, step, lane, order, accounting = run
-    outcomes = _split_outcomes(hits_out, lengths_sorted, step, lane, order)
-    return (outcomes, *accounting)
-
-
-def batch_miss_counts(compiled, queries):
-    """Per-query probe *miss counts* — the oracle path, list-free.
-
-    Same contract and accounting as :func:`batch_outcomes`, but the
-    per-access outcomes never materialize as Python objects: each lane's
-    hit column is summed in numpy.  Returns ``(counts, executed,
-    executed_hits, reused)`` or ``None`` for scalar fallback.
-    """
-    run = _batch_run(compiled, queries)
-    if run is None:
-        return None
-    hits_out, lengths_sorted, _, _, order, accounting = run
-    lane_misses = (lengths_sorted - hits_out.sum(axis=0, dtype=_np.int64)).tolist()
-    counts: list = [None] * len(order)
-    for lane_index, query_index in enumerate(order.tolist()):
-        counts[query_index] = lane_misses[lane_index]
-    return (counts, *accounting)
-
-
-def _batch_run(compiled, queries):
-    if not vector_allowed() or len(queries) < MIN_LANES:
-        return None
-    tables = ensure_tables(compiled)
-    if tables is None:
-        if available() and vector_enabled():
-            _note_fallback()
-        return None
-    np = _np
-    ways = tables.ways
-    count = len(queries)
-
-    # Chunk by consecutive equal setups (the scalar batch's reuse rule);
-    # chunks cover contiguous query ranges by construction.  Callers
-    # typically pass the *same* setup object for a whole chunk, so an
-    # identity check skips most of the tuple building.
-    chunk_bounds: list[int] = []  # start index of each chunk
-    chunk_setups: list[tuple[int, ...]] = []
-    prev_obj = None
-    prev_setup: tuple[int, ...] | None = None
-    for index, (setup, _) in enumerate(queries):
-        if prev_setup is not None and setup is prev_obj:
-            continue
-        setup_key = tuple(setup)
-        if prev_setup is None or setup_key != prev_setup:
-            chunk_bounds.append(index)
-            chunk_setups.append(setup_key)
-            prev_setup = setup_key
-        prev_obj = setup
-    chunk_bounds.append(count)
-
-    # Replay each chunk's setup once; seed its lane range from the snapshot.
-    states = np.zeros(count, dtype=np.int32)
-    tags = np.full((count, ways), -1, dtype=np.int64)
-    filled = np.zeros(count, dtype=np.int32)
-    executed = 0
-    executed_hits = 0
-    reused = 0
-    for chunk, setup_key in enumerate(chunk_setups):
-        if any(block < 0 or block >= _MAX_BLOCK for block in setup_key):
-            _note_fallback()
-            return None  # id outside the lane range: whole batch stays scalar
-        start, end = chunk_bounds[chunk], chunk_bounds[chunk + 1]
-        state, way_of, setup_hits = _scalar_run(tables, setup_key)
-        executed += len(setup_key)
-        executed_hits += setup_hits
-        reused += len(setup_key) * (end - start - 1)
-        if state:
-            states[start:end] = state
-        if way_of:
-            row = np.full(ways, -1, dtype=np.int64)
-            for tag, way in way_of.items():
-                row[way] = tag
-            tags[start:end] = row
-            filled[start:end] = len(way_of)
-
-    # Sort lanes longest-probe-first so the stepper's active set is a
-    # shrinking prefix, run, then un-sort the outcomes.
-    probes = [probe for _, probe in queries]
-    lengths = np.fromiter((len(p) for p in probes), dtype=np.int64, count=count)
-    order = np.argsort(-lengths, kind="stable")
-    layout = _lane_matrix(probes, order, lengths)
-    if layout is None:
-        _note_fallback()
-        return None
-    blocks, lengths_sorted, step, lane = layout
-    hits_out = np.zeros(blocks.shape, dtype=bool)
-    total_hits, _ = _run_lanes(
-        tables,
-        states[order],
-        tags[order],
-        filled[order],
-        blocks,
-        lengths_sorted,
-        hits_out,
-    )
-    executed += int(lengths.sum())
-    executed_hits += total_hits
-    _note_vector_call(count, executed)
-    accounting = (executed, executed_hits, reused)
-    return hits_out, lengths_sorted, step, lane, order, accounting
-
-
-# -- batched preloaded probes ------------------------------------------------
-
-def preloaded_outcomes(compiled, tags_list, probes):
-    """Vectorized ``sequence_hits_preloaded`` over many probes.
-
-    Every lane starts from the same preloaded full set in the reset
-    state (``tags_list[w]`` resident in way ``w``).  Returns
-    ``(outcomes, accesses, hits)`` or ``None`` for scalar fallback.
-    """
-    if not vector_allowed() or len(probes) < MIN_LANES:
-        return None
-    tables = ensure_tables(compiled)
-    if tables is None:
-        if available() and vector_enabled():
-            _note_fallback()
-        return None
-    np = _np
-    ways = tables.ways
-    if len(tags_list) != ways:
-        return None  # let the scalar path raise its KernelUnsupported
-    if any(tag < 0 or tag >= _MAX_BLOCK for tag in tags_list):
-        return None
-    count = len(probes)
-    lengths = np.fromiter((len(p) for p in probes), dtype=np.int64, count=count)
-    order = np.argsort(-lengths, kind="stable")
-    layout = _lane_matrix(probes, order, lengths)
-    if layout is None:
-        _note_fallback()
-        return None
-    blocks, lengths_sorted, step, lane = layout
-    states = np.zeros(count, dtype=np.int32)
-    tags = np.tile(np.asarray(tags_list, dtype=np.int64), (count, 1))
-    filled = np.full(count, ways, dtype=np.int32)
-    hits_out = np.zeros(blocks.shape, dtype=bool)
-    total_hits, _ = _run_lanes(
-        tables, states, tags, filled, blocks, lengths_sorted, hits_out
-    )
-    outcomes = _split_outcomes(hits_out, lengths_sorted, step, lane, order)
-    accesses = int(lengths.sum())
-    _note_vector_call(count, accesses)
-    return outcomes, accesses, total_hits
 
 
 # -- whole-trace lock-step ---------------------------------------------------

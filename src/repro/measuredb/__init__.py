@@ -35,8 +35,6 @@ from repro.measuredb.db import (
 from repro.measuredb.service import (
     OracleService,
     ResponseCache,
-    adopt_scope_rows,
-    preload_scopes,
     reset_services,
     shared_response_cache,
     shared_service,
@@ -50,7 +48,6 @@ __all__ = [
     "MeasurementDBOracle",
     "OracleService",
     "ResponseCache",
-    "adopt_scope_rows",
     "close_db",
     "db_dir",
     "db_disabled",
@@ -58,7 +55,6 @@ __all__ = [
     "db_path",
     "get_db",
     "hits_cache_enabled",
-    "preload_scopes",
     "request_digest",
     "reset",
     "response_cache_for",

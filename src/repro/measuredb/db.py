@@ -23,15 +23,21 @@ Discipline mirrors :mod:`repro.kernels.store`:
   worker processes share one database.  Row batches are written in one
   transaction, so a killed writer loses at most its in-flight batch —
   committed rows are never torn.
+* **Contention** — processes opening a fresh file at once race to
+  switch it to WAL and create the schema; sqlite can report the loser
+  ``database is locked`` without waiting out the busy timeout, so the
+  first open is retried with a bounded doubling backoff.
 * **Corruption** — any :class:`sqlite3.DatabaseError` that is not a
   transient operational error means *recompute*: the database (and its
   ``-wal``/``-shm`` companions) is unlinked and reopened once; if that
   fails too the store degrades to a pass-through (lookups miss, writes
   are dropped).  It never raises into an oracle.
-* **Observability** — ``db.write`` / ``db.evict`` / ``db.corrupt``
-  counters land in :data:`repro.obs.metrics.DEFAULT` (the service layer
-  adds ``db.hit`` / ``db.miss`` / ``db.preload``), and through it the
-  run ledgers.
+* **Observability** — ``db.write`` / ``db.dropped`` / ``db.evict`` /
+  ``db.corrupt`` counters land in :data:`repro.obs.metrics.DEFAULT`
+  (the service layer adds ``db.hit`` / ``db.miss`` / ``db.preload``),
+  and through it the run ledgers.  Every row a write could not store
+  counts as ``db.dropped``; only an explicitly disabled DB drops
+  silently.
 
 Connections are per-process: a :class:`MeasurementDB` carried into a
 forked worker notices the pid change and reopens its handle, because
@@ -44,6 +50,7 @@ import contextlib
 import hashlib
 import os
 import sqlite3
+import time
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
@@ -73,6 +80,11 @@ DB_FILENAME = f"measurements-v{SCHEMA_VERSION}.sqlite"
 #: How long a writer waits on a locked database before giving up and
 #: dropping its batch (writes are an optimization, never a requirement).
 BUSY_TIMEOUT_SECONDS = 10.0
+
+#: A first open that finds the file locked is retried this many times,
+#: sleeping OPEN_RETRY_SECONDS, then twice that, and so on (~0.6 s).
+OPEN_RETRIES = 6
+OPEN_RETRY_SECONDS = 0.01
 
 #: sqlite's default variable limit is 999; chunk IN() lookups below it.
 _IN_CHUNK = 400
@@ -189,8 +201,30 @@ class MeasurementDB:
 
     # -- connection lifecycle ------------------------------------------------
     def _open(self) -> sqlite3.Connection:
+        """Open and initialise the file, retrying while it is locked."""
+        delay = OPEN_RETRY_SECONDS
+        for _ in range(OPEN_RETRIES):
+            try:
+                return self._open_once()
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc):
+                    raise  # unwritable, not contended: retrying cannot help
+            time.sleep(delay)
+            delay *= 2
+        return self._open_once()
+
+    def _open_once(self) -> sqlite3.Connection:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(str(self.path), timeout=BUSY_TIMEOUT_SECONDS)
+        try:
+            self._init_schema(conn)
+        except sqlite3.Error:
+            conn.close()
+            raise
+        return conn
+
+    @staticmethod
+    def _init_schema(conn: sqlite3.Connection) -> None:
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_SECONDS * 1000)}")
@@ -216,10 +250,8 @@ class MeasurementDB:
         if row is None or row[0] != str(SCHEMA_VERSION):
             # The file name embeds the version, so a mismatch means the
             # file was tampered with; rebuild it like any corruption.
-            conn.close()
             raise sqlite3.DatabaseError("measurement DB schema mismatch")
         conn.commit()
-        return conn
 
     def _connection(self) -> sqlite3.Connection | None:
         """The live connection, or None (disabled / dead / unopenable)."""
@@ -325,14 +357,15 @@ class MeasurementDB:
         ``misses``/``hits`` the new row leaves as NULL, so the miss-count
         and hit-vector paths fill in the same row instead of clobbering
         each other.  Returns the number of rows written (0 when the
-        write was dropped).
+        write was dropped, counted as ``db.dropped`` unless the DB is
+        disabled).
         """
-        conn = self._connection()
-        if conn is None:
-            return 0
         rows = list(rows)
         if not rows:
             return 0
+        conn = self._connection()
+        if conn is None:
+            return self._dropped(len(rows)) if db_enabled() else 0
         try:
             with conn:
                 conn.executemany(
@@ -345,12 +378,18 @@ class MeasurementDB:
                     [(scope, *row) for row in rows],
                 )
         except sqlite3.OperationalError:
-            return 0  # locked beyond the busy timeout: drop the batch
+            return self._dropped(len(rows))  # locked beyond the busy timeout
         except sqlite3.DatabaseError:
             self._handle_corrupt()
-            return 0
+            return self._dropped(len(rows))
         obs_metrics.DEFAULT.incr("db.write", len(rows))
         return len(rows)
+
+    @staticmethod
+    def _dropped(count: int) -> int:
+        """Count ``count`` rows a write could not store; returns 0."""
+        obs_metrics.DEFAULT.incr("db.dropped", count)
+        return 0
 
     # -- maintenance ---------------------------------------------------------
     def stats(self) -> dict:

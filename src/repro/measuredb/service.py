@@ -13,7 +13,7 @@ one *scope* of the measurement database:
   requests already in the memo are served directly (``db.hit``), and
   only the distinct unresolved remainder is delegated — in one batched
   :meth:`~repro.core.oracle.OracleProtocol.query` call, which for a
-  simulated oracle is one kernel/vector engine invocation
+  simulated oracle is one kernel engine invocation
   (``db.miss`` counts these).
 * **Write-back** — freshly measured results are written to the DB in
   one transaction, so every other process sharing the database (and
@@ -42,8 +42,6 @@ from repro.measuredb import db as _db
 __all__ = [
     "OracleService",
     "ResponseCache",
-    "adopt_scope_rows",
-    "preload_scopes",
     "reset_services",
     "shared_service",
 ]
@@ -76,34 +74,6 @@ def reset_services() -> None:
     _RESPONSE_CACHES.clear()
 
 
-def preload_scopes(scopes: Sequence[str]) -> dict[str, dict[bytes, int]]:
-    """Warm the shared services for ``scopes``; return their memos.
-
-    The runner calls this in the parent — overlapped with in-flight
-    worker compute — and broadcasts the returned snapshot (scope ->
-    digest memo) over shared memory so every worker adopts the rows
-    instead of re-reading sqlite.  ``db.preload`` counts here, once,
-    exactly as a serial run would.
-    """
-    snapshot: dict[str, dict[bytes, int]] = {}
-    for scope in scopes:
-        service = shared_service(scope)
-        service.preload()
-        snapshot[scope] = dict(service._memo)
-    return snapshot
-
-
-def adopt_scope_rows(snapshot: dict[str, dict[bytes, int]]) -> None:
-    """Merge a broadcast memo snapshot into this process's services.
-
-    Counter-silent by design: the broadcasting parent already counted
-    the ``db.preload``, and parallel/serial counter parity requires the
-    adopting workers not to count it again.
-    """
-    for scope, rows in snapshot.items():
-        shared_service(scope).adopt_rows(rows)
-
-
 class OracleService:
     """Batched, coalescing measurement broker for one scope."""
 
@@ -128,29 +98,6 @@ class OracleService:
                 loaded += 1
         if loaded:
             obs_metrics.DEFAULT.incr("db.preload", loaded)
-
-    def preload(self) -> int:
-        """Warm the memo from the database now; returns the memo size.
-
-        Idempotent.  The runner uses this to pull a scope's rows while
-        worker chunks are already in flight, instead of every worker
-        paying the first-query ``SELECT`` itself.
-        """
-        self._ensure_preloaded()
-        return len(self._memo)
-
-    def adopt_rows(self, rows: dict[bytes, int]) -> None:
-        """Merge a peer's memo snapshot; marks the scope preloaded.
-
-        Silent on the ``db.*`` counters: the broadcasting parent already
-        counted the preload, and a worker re-counting it would break the
-        runner's parallel == serial counter parity.  Rows written to the
-        database after the snapshot are simply re-measured (and written
-        back) by whoever needs them — correctness never depends on the
-        snapshot being complete.
-        """
-        self._memo.update(rows)
-        self._preloaded = True
 
     def query(self, requests: Sequence[Request], inner) -> list[int]:
         """Answer ``requests`` in order; delegate the unknown to ``inner``.

@@ -351,6 +351,7 @@ KEY_COUNTERS = (
     "db.hit",
     "db.miss",
     "db.write",
+    "db.dropped",
     "kernel.calls",
     "kernel.accesses",
     "kernel.compile.hit",

@@ -21,10 +21,7 @@ chunked scheduling while guaranteeing that the result list is
 Scheduling is adaptive: the first wave uses small probe chunks, then
 chunk sizes follow an EWMA of observed per-cell seconds targeting
 :data:`TARGET_CHUNK_SECONDS` per chunk, capped so the tail of a grid
-still spreads over every worker (stragglers stay bounded).  Measurement
-DB scope preloading (``preload_scopes=``) runs in the parent *while the
-first wave is in flight* and is broadcast to workers over shared
-memory, so neither the parent nor any worker blocks on sqlite.
+still spreads over every worker (stragglers stay bounded).
 
 Failures degrade, never abort: a chunk whose worker dies is retried on
 the surviving workers (the dead one is restarted individually — the
@@ -54,8 +51,6 @@ warm/cold split is process-local.
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import pickle
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -146,7 +141,6 @@ def _run_chunk(fn, indexed_tasks, capture=None):
 
     restore_measuredb = _apply_measuredb_spec(capture.get("measuredb"))
     restore_kernel = _apply_kernel_spec(capture.get("kernel"))
-    _adopt_scope_rows(capture.get("scope_rows"))
     local = obs_metrics.Metrics()
     tracer = None
     if capture.get("trace"):
@@ -244,37 +238,6 @@ def _apply_kernel_spec(spec) -> Callable[[], None]:
     return restore
 
 
-#: Digests of scope-row broadcasts this worker has already adopted.
-_ADOPTED_SCOPES: set[str] = set()
-
-
-def _adopt_scope_rows(spec) -> None:
-    """Merge a broadcast measurement-DB memo snapshot into this worker.
-
-    ``spec`` is either an shm handle ``(segment name, size, digest)`` or
-    an inline snapshot dict (the pickle fallback).  Adoption is silent
-    on the ``db.*`` counters and idempotent; a missing segment simply
-    leaves the worker to preload from sqlite on first query.
-    """
-    if spec is None:
-        return
-    from repro import measuredb
-
-    if isinstance(spec, tuple):
-        name, size, digest = spec
-        if digest in _ADOPTED_SCOPES:
-            return
-        from repro.runner import shm as runner_shm
-
-        payload = runner_shm.read_blob(name, size, unlink=False)
-        if payload is None:
-            return
-        measuredb.adopt_scope_rows(pickle.loads(payload))
-        _ADOPTED_SCOPES.add(digest)
-    else:
-        measuredb.adopt_scope_rows(spec)
-
-
 class _AdaptiveChunker:
     """Chunk sizing from observed cell timings (probe -> EWMA -> cap).
 
@@ -333,9 +296,6 @@ class ExperimentRunner:
         reuse_pool: use the process-wide persistent pool (the default);
             ``False`` spawns a private pool per ``map()`` call, which is
             the old per-round behaviour the benchmarks use as baseline.
-        preload_scopes: measurement-DB scopes to preload in the parent,
-            overlapped with the first in-flight chunks and broadcast to
-            workers over shared memory.
 
     Every completed cell is also appended to :attr:`timings`, which the
     benchmarks use for their throughput tables.
@@ -350,7 +310,6 @@ class ExperimentRunner:
         trace_shard_dir: str | Path | None = None,
         start_method: str | None = None,
         reuse_pool: bool = True,
-        preload_scopes: Sequence[str] | None = None,
     ) -> None:
         self.jobs = jobs
         self.chunk_size = chunk_size
@@ -359,7 +318,6 @@ class ExperimentRunner:
         self.trace_shard_dir = trace_shard_dir
         self.start_method = start_method
         self.reuse_pool = reuse_pool
-        self.preload_scopes = list(preload_scopes) if preload_scopes else []
         self.timings: list[CellTiming] = []
 
     @property
@@ -420,7 +378,6 @@ class ExperimentRunner:
                     jobs=self.jobs if self.parallel else 1,
                 )
             if not self.parallel or len(tasks) <= 1:
-                self._preload_parent_scopes()
                 return self._run_serially(fn, indexed, labels, source="serial")
 
             results: dict[int, object] = {}
@@ -490,38 +447,6 @@ class ExperimentRunner:
                 spec["shard_dir"] = str(shard_dir)
         return spec
 
-    def _preload_parent_scopes(self) -> None:
-        """Serial-path scope preload (parity with the parallel path)."""
-        if not self.preload_scopes:
-            return
-        from repro import measuredb
-
-        measuredb.preload_scopes(self.preload_scopes)
-
-    def _broadcast_scope_rows(self, capture: dict) -> None:
-        """Preload scopes in the parent and broadcast the memos.
-
-        Called once per ``map()`` *after* the first chunk wave is in
-        flight, so the sqlite read overlaps worker compute.  Chunks
-        submitted afterwards carry the shm handle (or the inline
-        snapshot when shm is unavailable); earlier chunks just preload
-        lazily like before — correctness never depends on the overlap.
-        """
-        from repro import measuredb
-        from repro.runner import shm as runner_shm
-
-        snapshot = measuredb.preload_scopes(self.preload_scopes)
-        if not any(snapshot.values()):
-            return
-        payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.blake2s(payload, digest_size=16).hexdigest()
-        shared = runner_shm.share_blob(f"scopes:{digest}", payload)
-        if shared is not None:
-            name, size = shared
-            capture["scope_rows"] = (name, size, digest)
-        else:
-            capture["scope_rows"] = snapshot
-
     def _merge_metric_shards(self, metric_shards: dict[int, dict]) -> None:
         """Merge worker metric snapshots in deterministic cell order."""
         for first in sorted(metric_shards):
@@ -569,7 +494,6 @@ class ExperimentRunner:
         retry: deque = deque()
         fallback: list[list] = []
         attempts: dict[int, int] = {}
-        preload_pending = bool(self.preload_scopes)
 
         def give_up(chunk: list) -> None:
             self._note_chunk_retry(chunk)
@@ -603,11 +527,6 @@ class ExperimentRunner:
                         # as a chunk retry, like any failed chunk).
                         self._note_chunk_retry(chunk)
                         fallback.append(chunk)
-                if preload_pending:
-                    # First wave is in flight: overlap the sqlite read
-                    # with worker compute, then broadcast the rows.
-                    preload_pending = False
-                    self._broadcast_scope_rows(capture)
                 if not pool.busy_count():
                     if queue or retry:
                         continue

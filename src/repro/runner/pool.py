@@ -23,7 +23,8 @@ Design points:
   pickles to ≥ :data:`RESULT_SHM_MIN_BYTES` writes the payload to a
   fresh shm segment and sends only the handle; the parent reads and
   unlinks it.  Failures fall back to inline pickle bytes and count
-  ``runner.shm.fallbacks``.
+  ``runner.shm.fallbacks``.  Workers share the parent's resource tracker,
+  so every segment is registered and unlinked exactly once.
 * **Lifecycle metrics.**  ``runner.pool.spawned`` / ``.reused`` /
   ``.restarted`` flow into the ledger's KEY_COUNTERS, so a warm bench
   run can assert it spawned at most one pool.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import atexit
 import itertools
 import pickle
-from multiprocessing import connection, get_context
+from multiprocessing import connection, get_context, resource_tracker
 from multiprocessing import get_start_method as _default_start_method
 
 from repro.obs import metrics as obs_metrics
@@ -129,6 +130,12 @@ class WorkerPool:
         self.closed = False
         self._ctx = get_context(self.start_method)
         self._job_ids = itertools.count()
+        if self.start_method == "fork":
+            # A forked worker shares the parent's resource tracker only
+            # if it runs before the fork.  Otherwise the worker's first
+            # shm attach starts a private tracker, which unlinks the
+            # parent's segments a second time when the worker exits.
+            resource_tracker.ensure_running()
         self._workers: list[_Worker] = [self._spawn() for _ in range(self.jobs)]
 
     # -- lifecycle ---------------------------------------------------------
@@ -249,7 +256,7 @@ class WorkerPool:
             tag, body = data[:1], data[1:]
             if tag == _TAG_SHM:
                 name, size = pickle.loads(body)
-                payload = runner_shm.read_blob(name, size, unlink=True)
+                payload = runner_shm.read_blob(name, size)
                 if payload is None:  # pragma: no cover - segment vanished
                     worker.job = None
                     outcomes.append(("failed", meta, "shm result segment lost"))

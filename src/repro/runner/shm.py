@@ -9,12 +9,9 @@ for the vector engine, and keeps the attachment for the life of the
 process — so a pool that runs ten experiment rounds over the same
 workload suite ships each trace's addresses exactly once.
 
-The same blob plane carries two more payload kinds:
-
-* preloaded measurement-DB scope rows, broadcast by the runner so every
-  worker adopts the parent's warm memo instead of re-reading sqlite;
-* oversized chunk *results*, which workers write to a fresh segment and
-  return by handle instead of pushing megabytes through a pipe.
+The same blob plane carries oversized chunk *results*, which workers
+write to a fresh segment and return by handle instead of pushing
+megabytes through a pipe.
 
 Everything degrades gracefully: when shared memory is unavailable,
 disabled (:func:`set_shm_enabled`), or a payload will not pack, callers
@@ -108,11 +105,10 @@ def create_blob(payload: bytes):
     return segment
 
 
-def read_blob(name: str, size: int, unlink: bool = True) -> bytes | None:
-    """Read ``size`` bytes from segment ``name``; None if it is gone.
+def read_blob(name: str, size: int) -> bytes | None:
+    """Read and unlink segment ``name`` (``size`` bytes); None if gone.
 
-    ``unlink=True`` consumes the segment (one-shot result transport);
-    ``unlink=False`` leaves it for other readers (broadcasts).
+    The one-shot result transport: the reader consumes the segment.
     """
     from multiprocessing import shared_memory
 
@@ -124,14 +120,13 @@ def read_blob(name: str, size: int, unlink: bool = True) -> bytes | None:
         return bytes(segment.buf[:size])
     finally:
         segment.close()
-        if unlink:
-            with contextlib.suppress(Exception):
-                segment.unlink()
+        with contextlib.suppress(Exception):
+            segment.unlink()
 
 
 # -- parent-side broadcast registry ------------------------------------------
 #: key -> (SharedMemory, payload size).  Keys are content digests, so a
-#: re-broadcast of the same trace or scope snapshot reuses the segment.
+#: re-broadcast of the same trace reuses the segment.
 _BROADCASTS: dict[str, tuple[object, int]] = {}
 
 

@@ -3,25 +3,26 @@
 Covers the runner's PR-8 surface: pool lifecycle (lazy spawn, reuse
 across ``map()`` calls, per-worker restart on death, ``shutdown_pool``),
 the shared-memory transport plane (trace broadcasts, large result
-segments, graceful pickle fallback), adaptive chunking determinism, the
-measurement-DB scope preload/adopt path, and hypothesis property tests
-asserting parallel == serial under pool reuse and both start methods.
+segments, graceful pickle fallback), adaptive chunking determinism, and
+hypothesis property tests asserting parallel == serial under pool reuse
+and both start methods.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import measuredb
+import repro
 from repro.cache import CacheConfig
-from repro.core.oracle import SimulatedSetOracle
 from repro.obs import metrics as obs_metrics
-from repro.policies import make_policy
 from repro.runner import (
     ExperimentRunner,
     SharedTrace,
@@ -94,16 +95,6 @@ def _describe_trace(cell):
         tuple(trace.addresses[:4]),
         None if array is None else int(array[0]),
     )
-
-
-_SCOPE = "test|runner-pool-preload"
-
-
-def _query_scope(task):
-    setup, probe = task
-    service = measuredb.shared_service(_SCOPE)
-    inner = SimulatedSetOracle(make_policy("lru", 4))
-    return service.query([(setup, probe)], inner)[0]
 
 
 @pytest.fixture(autouse=True)
@@ -183,7 +174,43 @@ class TestPoolLifecycle:
         assert _runner_counters()["runner.pool.restarted"] >= 2
 
 
+#: Two grid rounds on two pools; the first pool is forked before the
+#: first shm broadcast exists, the second after.
+_POOL_ROUNDS_SCRIPT = """
+from repro.cache import CacheConfig
+from repro.eval import miss_ratio_matrix
+from repro.runner import clear_memo, get_pool, shutdown_pool
+from repro.workloads import workload_suite
+
+config = CacheConfig("L2", 8 * 1024, 8)
+suite = workload_suite(cache_lines=config.num_sets * config.ways, seed=0)
+traces = [trace for trace in suite if len(trace) >= 2048][:2]
+get_pool(2)
+for round_ in range(2):
+    if round_:
+        shutdown_pool()
+        get_pool(2)
+    clear_memo()
+    miss_ratio_matrix(traces, config, ["lru", "fifo"], jobs=2)
+"""
+
+
 class TestSharedMemoryTransport:
+    def test_pool_rounds_leave_no_resource_tracker_warnings(self, tmp_path):
+        """Workers share the parent's resource tracker, so no broadcast
+        segment is reported leaked or unlinked twice at exit."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (src, env.get("PYTHONPATH")) if path
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _POOL_ROUNDS_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "resource_tracker" not in done.stderr, done.stderr
+
     def test_share_trace_roundtrips_through_pickle(self):
         trace = _big_traces()[0]
         assert len(trace) >= runner_shm.MIN_TRACE_ADDRESSES
@@ -323,81 +350,3 @@ class TestStartMethods:
         counters = obs_metrics.DEFAULT.snapshot()["counters"]
         assert counters["test.pool.calls"] == len(tasks)
         assert counters["runner.cells.parallel"] == len(tasks)
-
-
-class TestScopePreload:
-    def test_adopt_rows_serves_silently(self):
-        service = measuredb.OracleService(_SCOPE)
-        digest = measuredb.request_digest((1, 2), (3,))
-        service.adopt_rows({digest: 7})
-        inner = SimulatedSetOracle(make_policy("lru", 4))
-        assert service.query([((1, 2), (3,))], inner)[0] == 7
-        counters = obs_metrics.DEFAULT.snapshot()["counters"]
-        assert counters.get("db.hit", 0) == 1
-        assert counters.get("db.miss", 0) == 0
-        assert "db.preload" not in counters
-
-    def test_preload_scopes_snapshot_matches_db(self, tmp_path):
-        measuredb.set_db_dir(tmp_path)
-        measuredb.set_db_enabled(True)
-        try:
-            requests = [((), (lane,)) for lane in range(6)]
-            expected = [_query_scope(request) for request in requests]
-            measuredb.reset()
-            snapshot = measuredb.preload_scopes([_SCOPE])
-            assert len(snapshot[_SCOPE]) == len(requests)
-            # Adopting the snapshot into a fresh process answers without
-            # touching the database again.
-            measuredb.reset()
-            obs_metrics.DEFAULT.reset()
-            measuredb.adopt_scope_rows(snapshot)
-            assert [_query_scope(request) for request in requests] == expected
-            counters = obs_metrics.DEFAULT.snapshot()["counters"]
-            assert counters.get("db.miss", 0) == 0
-            assert "db.preload" not in counters
-        finally:
-            measuredb.set_db_dir(None)
-            measuredb.set_db_enabled(False)
-            measuredb.reset()
-
-    def test_runner_preload_broadcast_keeps_workers_off_the_db(self, tmp_path):
-        measuredb.set_db_dir(tmp_path)
-        measuredb.set_db_enabled(True)
-        try:
-            requests = [((), tuple(range(lane + 1))) for lane in range(8)]
-            expected = [_query_scope(request) for request in requests]
-            # A "new run" over the same database: memos gone, rows kept.
-            measuredb.reset()
-            obs_metrics.DEFAULT.reset()
-            runner = ExperimentRunner(
-                jobs=2, chunk_size=1, preload_scopes=[_SCOPE]
-            )
-            assert runner.map(_query_scope, requests) == expected
-            counters = obs_metrics.DEFAULT.snapshot()["counters"]
-            # Every answer came from a memo (parent preload broadcast or
-            # a worker's own warm start) — nothing was re-measured.
-            assert counters.get("db.miss", 0) == 0
-            assert counters.get("db.hit", 0) == len(requests)
-            assert counters.get("db.preload", 0) >= len(requests)
-        finally:
-            measuredb.set_db_dir(None)
-            measuredb.set_db_enabled(False)
-            measuredb.reset()
-
-    def test_serial_path_preloads_for_parity(self, tmp_path):
-        measuredb.set_db_dir(tmp_path)
-        measuredb.set_db_enabled(True)
-        try:
-            requests = [((), (lane,)) for lane in range(4)]
-            expected = [_query_scope(request) for request in requests]
-            measuredb.reset()
-            obs_metrics.DEFAULT.reset()
-            runner = ExperimentRunner(preload_scopes=[_SCOPE])
-            assert runner.map(_query_scope, requests) == expected
-            counters = obs_metrics.DEFAULT.snapshot()["counters"]
-            assert counters.get("db.preload", 0) == len(requests)
-            assert counters.get("db.miss", 0) == 0
-        finally:
-            measuredb.set_db_dir(None)
-            measuredb.set_db_enabled(False)
-            measuredb.reset()
