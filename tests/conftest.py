@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.cache import CacheConfig
@@ -19,6 +21,24 @@ DETERMINISTIC_POW2_ONLY = ["plru"]
 
 #: Randomized policies (no state_key, need an rng).
 RANDOMIZED = ["random", "bip", "dip", "brrip", "drrip"]
+
+#: Settings of the vector engine's process-wide switch, named by the
+#: engine it selects for whole-trace lock-step.  Single-set batches run
+#: on the scalar kernel under both; tests parametrised over these pin it.
+VECTOR_SWITCH = ["scalar", "vector"]
+
+
+@contextmanager
+def vector_switch(setting: str):
+    """Run the body with the vector switch off (``"scalar"``) or on (``"vector"``)."""
+    from repro.kernels import vector
+
+    previous = vector.vector_enabled()
+    vector.set_vector_enabled(setting == "vector")
+    try:
+        yield
+    finally:
+        vector.set_vector_enabled(previous)
 
 
 @pytest.fixture(autouse=True)
