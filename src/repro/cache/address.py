@@ -31,33 +31,40 @@ class AddressCodec:
         self.config = config
         self._offset_bits = config.offset_bits
         self._index_bits = config.index_bits
+        self._set_mask = (1 << config.index_bits) - 1
+        self._tag_shift = config.offset_bits + config.index_bits
         self._hashed = config.index_hash != "bits"
 
     def _hash_index(self, line_number: int) -> int:
         # XOR all index-width chunks of the line number together: the
         # simplest stand-in for sliced LLC addressing, preserving its key
         # property that equal low index bits no longer imply equal sets.
-        folded = 0
-        remaining = line_number
         if self._index_bits == 0:
             return 0
+        folded = 0
+        remaining = line_number
         while remaining:
-            folded ^= remaining & ((1 << self._index_bits) - 1)
+            folded ^= remaining & self._set_mask
             remaining >>= self._index_bits
         return folded
 
-    def decompose(self, address: int) -> DecomposedAddress:
-        """Split ``address`` into (tag, set index, offset)."""
+    def locate(self, address: int) -> tuple[int, int]:
+        """Return ``(set index, tag)`` of ``address``: the hot-path split.
+
+        :meth:`decompose` without the offset and the result object; a
+        cache walk needs nothing else.
+        """
         if address < 0:
             raise ValueError(f"addresses must be non-negative, got {address}")
-        offset = extract_bits(address, 0, self._offset_bits)
         if self._hashed:
             line_number = address >> self._offset_bits
-            return DecomposedAddress(
-                tag=line_number, set_index=self._hash_index(line_number), offset=offset
-            )
-        set_index = extract_bits(address, self._offset_bits, self._index_bits)
-        tag = address >> (self._offset_bits + self._index_bits)
+            return self._hash_index(line_number), line_number
+        return (address >> self._offset_bits) & self._set_mask, address >> self._tag_shift
+
+    def decompose(self, address: int) -> DecomposedAddress:
+        """Split ``address`` into (tag, set index, offset)."""
+        set_index, tag = self.locate(address)
+        offset = extract_bits(address, 0, self._offset_bits)
         return DecomposedAddress(tag=tag, set_index=set_index, offset=offset)
 
     def compose(self, tag: int, set_index: int, offset: int = 0) -> int:

@@ -30,6 +30,14 @@ class Cache:
     same cache line.  The replacement policy is specified by name or
     :class:`~repro.policies.PolicyFactory` and instantiated per set, with
     a cache-global shared context for set-dueling policies.
+
+    Attributes:
+        sets: the :class:`~repro.cache.set.CacheSet` of each set index.
+            Read-only from outside this class: the cache records which
+            sets it fills so that :meth:`flush` resets only those, and a
+            set changed directly (``sets[i].access(...)``,
+            ``sets[i].preload(...)``) bypasses that record and would keep
+            its state across a flush.
     """
 
     def __init__(
@@ -40,6 +48,8 @@ class Cache:
     ) -> None:
         self.config = config
         self.codec = AddressCodec(config)
+        #: ``locate(address) -> (set index, tag)``, the codec's split.
+        self.locate = self.codec.locate
         if isinstance(policy, str):
             policy = PolicyFactory(policy)
         self.policy_factory = policy
@@ -49,6 +59,10 @@ class Cache:
             CacheSet(config.ways, policy.build(config.ways, index, self.shared, self._rng))
             for index in range(config.num_sets)
         ]
+        # Indices of the sets filled since the last flush.  Only a fill
+        # makes a set leave its reset state (hits and invalidations need
+        # a resident line), so every other set is still in it.
+        self._filled: set[int] = set()
         self.stats = CacheStats()
 
     @property
@@ -59,24 +73,24 @@ class Cache:
     # -- access path -------------------------------------------------------
     def access(self, address: int, write: bool = False) -> CacheAccessResult:
         """Access ``address``; fill on miss; update statistics."""
-        decomposed = self.codec.decompose(address)
-        cache_set = self.sets[decomposed.set_index]
-        result = cache_set.access(decomposed.tag, write=write)
+        set_index, tag = self.locate(address)
+        result = self.sets[set_index].access(tag, write=write)
         self.stats.accesses += 1
         evicted_address: int | None = None
         if result.hit:
             self.stats.hits += 1
         else:
+            self._filled.add(set_index)
             self.stats.misses += 1
             self.stats.fills += 1
             if result.evicted_tag is not None:
                 self.stats.evictions += 1
                 if result.evicted_dirty:
                     self.stats.writebacks += 1
-                evicted_address = self.codec.compose(result.evicted_tag, decomposed.set_index)
+                evicted_address = self.codec.compose(result.evicted_tag, set_index)
         return CacheAccessResult(
             hit=result.hit,
-            set_index=decomposed.set_index,
+            set_index=set_index,
             way=result.way,
             evicted_address=evicted_address,
             evicted_dirty=result.evicted_dirty,
@@ -90,50 +104,65 @@ class Cache:
         Non-demand accesses (prefetches) update replacement state but not
         the demand counters, mirroring ``MEM_LOAD_RETIRED``-style events.
         """
-        decomposed = self.codec.decompose(address)
-        way = self.sets[decomposed.set_index].touch_tag(decomposed.tag, write=write)
+        set_index, tag = self.locate(address)
+        return self.touch_at(set_index, tag, write, demand)
+
+    def touch_at(self, set_index: int, tag: int, write: bool = False, demand: bool = True) -> bool:
+        """:meth:`lookup_touch` of a line already located by :meth:`locate`."""
+        hit = self.sets[set_index].touch_tag(tag, write=write) is not None
         if demand:
-            self.stats.accesses += 1
-        if way is None:
-            if demand:
-                self.stats.misses += 1
-            return False
-        if demand:
-            self.stats.hits += 1
-        return True
+            stats = self.stats
+            stats.accesses += 1
+            if hit:
+                stats.hits += 1
+            else:
+                stats.misses += 1
+        return hit
 
     def mark_dirty(self, address: int) -> bool:
         """Absorb a writeback from an upper level; True if line present."""
-        decomposed = self.codec.decompose(address)
-        return self.sets[decomposed.set_index].mark_dirty(decomposed.tag)
+        set_index, tag = self.locate(address)
+        return self.sets[set_index].mark_dirty(tag)
 
     def fill(self, address: int, write: bool = False, demand: bool = True) -> CacheAccessResult:
         """Install a line known to be absent (hierarchy fill path)."""
-        decomposed = self.codec.decompose(address)
-        cache_set = self.sets[decomposed.set_index]
-        result = cache_set.fill(decomposed.tag, write=write)
-        if demand:
-            self.stats.fills += 1
+        set_index, tag = self.locate(address)
+        way, evicted_tag, evicted_dirty = self.fill_at(set_index, tag, write, demand)
         evicted_address: int | None = None
-        if result.evicted_tag is not None:
-            if demand:
-                self.stats.evictions += 1
-                if result.evicted_dirty:
-                    self.stats.writebacks += 1
-            evicted_address = self.codec.compose(result.evicted_tag, decomposed.set_index)
+        if evicted_tag is not None:
+            evicted_address = self.codec.compose(evicted_tag, set_index)
         return CacheAccessResult(
             hit=False,
-            set_index=decomposed.set_index,
-            way=result.way,
+            set_index=set_index,
+            way=way,
             evicted_address=evicted_address,
-            evicted_dirty=result.evicted_dirty,
+            evicted_dirty=evicted_dirty,
         )
+
+    def fill_at(
+        self, set_index: int, tag: int, write: bool = False, demand: bool = True
+    ) -> tuple[int, int | None, bool]:
+        """:meth:`fill` of a located line, without the result object.
+
+        Returns ``(way, evicted tag or None, evicted dirty)``; the caller
+        composes the victim's address only if it has a use for it.
+        """
+        way, evicted_tag, evicted_dirty = self.sets[set_index].fill_way(tag, write)
+        self._filled.add(set_index)
+        if demand:
+            stats = self.stats
+            stats.fills += 1
+            if evicted_tag is not None:
+                stats.evictions += 1
+                if evicted_dirty:
+                    stats.writebacks += 1
+        return way, evicted_tag, evicted_dirty
 
     # -- non-disturbing queries ---------------------------------------------
     def probe(self, address: int) -> bool:
         """Return True if ``address`` is resident; no state change."""
-        decomposed = self.codec.decompose(address)
-        return self.sets[decomposed.set_index].lookup(decomposed.tag) is not None
+        set_index, tag = self.locate(address)
+        return self.sets[set_index].lookup(tag) is not None
 
     def resident_addresses(self) -> set[int]:
         """Return the line addresses of every resident line (test helper)."""
@@ -146,17 +175,27 @@ class Cache:
     # -- maintenance ---------------------------------------------------------
     def invalidate(self, address: int) -> bool:
         """Drop a line (back-invalidation path); True if it was present."""
-        decomposed = self.codec.decompose(address)
-        removed = self.sets[decomposed.set_index].invalidate(decomposed.tag)
+        set_index, tag = self.locate(address)
+        removed = self.sets[set_index].invalidate(tag)
         if removed:
             self.stats.invalidations += 1
         return removed
 
-    def flush(self) -> None:
-        """Invalidate all lines, reset replacement state; keep statistics."""
-        for cache_set in self.sets:
-            cache_set.flush()
+    def flush(self) -> int:
+        """Invalidate all lines, reset replacement state; keep statistics.
+
+        Resets the sets filled since the last flush, every other set
+        being in its reset state already, plus the shared context (a
+        duel's PSEL).  No policy's ``reset`` draws randomness, so this is
+        the same as resetting every set.  Returns how many sets it reset.
+        """
+        sets = self.sets
+        for set_index in self._filled:
+            sets[set_index].flush()
+        reset = len(self._filled)
+        self._filled = set()
         self.shared.reset()
+        return reset
 
     def reset(self) -> None:
         """Flush and zero statistics."""

@@ -29,7 +29,7 @@ to memory).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cache.cache import Cache
 from repro.cache.config import CacheConfig
@@ -39,8 +39,7 @@ from repro.policies import PolicyFactory
 from repro.util.rng import SeededRng
 
 
-@dataclass(frozen=True)
-class HierarchyAccessResult:
+class HierarchyAccessResult(NamedTuple):
     """What one access did at every level."""
 
     address: int
@@ -79,6 +78,17 @@ class CacheHierarchy:
         self.stats = HierarchyStats(
             levels={cache.name: cache.stats for cache in self.levels}
         )
+        inclusion = [cache.config.inclusion for cache in self.levels]
+        self._exclusive = [mode == "exclusive" for mode in inclusion]
+        self._inclusive = [mode == "inclusive" for mode in inclusion]
+        self._exclusive_below = self._exclusive[1:] + [False]
+        # The walk stops at the first hit, so the hit index alone fixes
+        # (hit level, level hits); index len(levels) is a memory access.
+        names = self.level_names
+        self._outcomes = [
+            (name, tuple((upper, upper == name) for upper in names[: index + 1]))
+            for index, name in enumerate(names)
+        ] + [(None, tuple((name, False) for name in names))]
 
     @property
     def level_names(self) -> list[str]:
@@ -102,59 +112,74 @@ class CacheHierarchy:
         exactly like a load, but no demand counter changes — hardware
         ``MEM_LOAD_RETIRED``-style events count retired demand loads only.
         """
-        walk: list[tuple[str, bool]] = []
-        hit_index: int | None = None
-        for index, cache in enumerate(self.levels):
-            hit = cache.lookup_touch(address, write=write and index == 0, demand=demand)
-            walk.append((cache.name, hit))
-            if hit:
+        levels = self.levels
+        # Each level's (set index, tag), located once and reused by the
+        # lookup, the presence check and the fill.
+        located: list[tuple[int, int]] = []
+        hit_index = len(levels)
+        for index, cache in enumerate(levels):
+            set_index, tag = place = cache.locate(address)
+            located.append(place)
+            if cache.touch_at(set_index, tag, write and index == 0, demand):
                 hit_index = index
                 break
-        if hit_index is None:
+        if hit_index == len(levels):
             if demand:
                 self.stats.memory_accesses += 1
-            top_fill_source = len(self.levels)
-        else:
-            top_fill_source = hit_index
-            hit_cache = self.levels[hit_index]
-            if hit_cache.config.inclusion == "exclusive" and hit_index > 0:
-                # Exclusive hit: the line migrates upward.
-                hit_cache.invalidate(address)
-        self._fill_upwards(address, top_fill_source, write=write, demand=demand)
-        hit_level = self.levels[hit_index].name if hit_index is not None else None
-        return HierarchyAccessResult(
-            address=address, hit_level=hit_level, level_hits=tuple(walk)
-        )
+        elif self._exclusive[hit_index]:
+            # Exclusive hit: the line migrates upward.
+            levels[hit_index].invalidate(address)
+        self._fill_upwards(located, hit_index, write=write, demand=demand)
+        hit_level, level_hits = self._outcomes[hit_index]
+        return HierarchyAccessResult(address, hit_level, level_hits)
 
     def _fill_upwards(
-        self, address: int, source_index: int, write: bool, demand: bool = True
+        self,
+        located: list[tuple[int, int]],
+        source_index: int,
+        write: bool,
+        demand: bool = True,
     ) -> None:
-        """Fill the line into levels above ``source_index`` (exclusive skip)."""
+        """Fill the line into levels above ``source_index`` (exclusive skip).
+
+        ``located[i]`` is the line's (set index, tag) in level ``i``.
+        """
+        levels = self.levels
         for index in range(source_index - 1, -1, -1):
-            cache = self.levels[index]
-            if index > 0 and cache.config.inclusion == "exclusive":
+            if self._exclusive[index]:
                 continue  # populated by victims only
-            if cache.probe(address):
+            cache = levels[index]
+            set_index, tag = located[index]
+            if cache.sets[set_index].lookup(tag) is not None:
                 continue  # already present (e.g. refilled via back path)
-            result = cache.fill(address, write=write and index == 0, demand=demand)
-            if result.evicted_address is not None:
-                self._handle_victim(index, result.evicted_address, result.evicted_dirty)
-            if cache.config.inclusion == "inclusive" and result.evicted_address is not None:
-                self._back_invalidate(index, result.evicted_address)
+            _, evicted_tag, dirty = cache.fill_at(
+                set_index, tag, write and index == 0, demand
+            )
+            if evicted_tag is None:
+                continue
+            # A clean victim above a non-exclusive level just leaves; its
+            # address is needed only to back-invalidate it above an
+            # inclusive level.
+            routed = dirty or self._exclusive_below[index]
+            if routed or self._inclusive[index]:
+                victim = cache.codec.compose(evicted_tag, set_index)
+                if routed:
+                    self._handle_victim(index, victim, dirty)
+                if self._inclusive[index]:
+                    self._back_invalidate(index, victim)
 
     def _handle_victim(self, level_index: int, victim: int, dirty: bool) -> None:
         """Route a victim evicted from ``level_index`` downwards."""
         next_index = level_index + 1
-        if next_index < len(self.levels):
+        if self._exclusive_below[level_index]:
             next_cache = self.levels[next_index]
-            if next_cache.config.inclusion == "exclusive":
-                if not next_cache.probe(victim):
-                    result = next_cache.fill(victim, write=dirty)
-                    if result.evicted_address is not None:
-                        self._handle_victim(next_index, result.evicted_address, result.evicted_dirty)
-                elif dirty:
-                    next_cache.mark_dirty(victim)
-                return
+            if not next_cache.probe(victim):
+                result = next_cache.fill(victim, write=dirty)
+                if result.evicted_address is not None:
+                    self._handle_victim(next_index, result.evicted_address, result.evicted_dirty)
+            elif dirty:
+                next_cache.mark_dirty(victim)
+            return
         if dirty:
             self._writeback(next_index, victim)
 
@@ -171,10 +196,9 @@ class CacheHierarchy:
             self.levels[index].invalidate(address)
 
     # -- maintenance ----------------------------------------------------------
-    def flush(self) -> None:
-        """Flush every level (statistics are kept)."""
-        for cache in self.levels:
-            cache.flush()
+    def flush(self) -> int:
+        """Flush every level (statistics are kept); return the sets reset."""
+        return sum(cache.flush() for cache in self.levels)
 
     def reset(self) -> None:
         """Flush every level and zero all statistics."""

@@ -47,6 +47,10 @@ class CacheSet:
         """Return the tag in each way (None = invalid)."""
         return list(self._tags)
 
+    def dirty_bits(self) -> list[bool]:
+        """Return the dirty bit of each way (False for an invalid way)."""
+        return list(self._dirty)
+
     def resident_tags(self) -> set[int]:
         """Return the set of valid tags."""
         return set(self._way_of)
@@ -64,7 +68,7 @@ class CacheSet:
         walk needs: lower levels are only filled along the chosen fill
         path, not implicitly by the lookup.
         """
-        way = self.lookup(tag)
+        way = self._way_of.get(tag)
         tracer = obs_trace.ACTIVE
         if way is None:
             if tracer is not None and tracer.wants_cache:
@@ -105,20 +109,34 @@ class CacheSet:
 
     def fill(self, tag: int, write: bool = False) -> SetAccessResult:
         """Install ``tag`` without a prior lookup (miss path)."""
-        if self.lookup(tag) is not None:
+        way, evicted_tag, evicted_dirty = self.fill_way(tag, write)
+        return SetAccessResult(
+            hit=False, way=way, evicted_tag=evicted_tag, evicted_dirty=evicted_dirty
+        )
+
+    def fill_way(self, tag: int, write: bool = False) -> tuple[int, int | None, bool]:
+        """:meth:`fill` without the result object.
+
+        Returns ``(way, evicted tag or None, evicted dirty)``; the
+        hierarchy walk fills through here.  A set with an invalid way
+        fills the lowest one; only a full set asks the policy for a victim.
+        """
+        way_of = self._way_of
+        if tag in way_of:
             raise SimulationError(f"fill of tag {tag} that is already resident")
+        tags = self._tags
         evicted_tag: int | None = None
         evicted_dirty = False
-        way = self._first_invalid_way()
-        if way is None:
+        if len(way_of) == self.ways:
             way = self.policy.evict()
-            evicted_tag = self._tags[way]
+            evicted_tag = tags[way]
             evicted_dirty = self._dirty[way]
-            if evicted_tag is not None:
-                del self._way_of[evicted_tag]
-        self._tags[way] = tag
+            del way_of[evicted_tag]
+        else:
+            way = tags.index(None)
+        tags[way] = tag
         self._dirty[way] = write
-        self._way_of[tag] = way
+        way_of[tag] = way
         self.policy.fill(way)
         tracer = obs_trace.ACTIVE
         if tracer is not None and tracer.wants_cache:
@@ -127,9 +145,7 @@ class CacheSet:
                     "cache.evict", tag=evicted_tag, way=way, dirty=evicted_dirty
                 )
             tracer.emit("cache.fill", tag=tag, way=way)
-        return SetAccessResult(
-            hit=False, way=way, evicted_tag=evicted_tag, evicted_dirty=evicted_dirty
-        )
+        return way, evicted_tag, evicted_dirty
 
     def invalidate(self, tag: int) -> bool:
         """Drop ``tag`` if present; replacement bits are left untouched.
@@ -184,9 +200,3 @@ class CacheSet:
         if policy_key is None:
             return None
         return (tuple(self._tags), policy_key)
-
-    def _first_invalid_way(self) -> int | None:
-        for way, tag in enumerate(self._tags):
-            if tag is None:
-                return way
-        return None

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import CacheHierarchy
+from repro.errors import MeasurementError
 from repro.hardware.catalog import ProcessorSpec
 from repro.hardware.counters import CounterBank
 from repro.hardware.memory import VirtualBuffer, VirtualMemory
+from repro.obs import metrics as obs_metrics
 from repro.policies import PolicyFactory
 from repro.util.rng import SeededRng
 
@@ -87,15 +89,18 @@ class HardwarePlatform:
         if noise.prefetch_rate > 0.0 and self._noise_rng.random() < noise.prefetch_rate:
             try:
                 neighbour = self.memory.translate(virtual + self.level_configs[0].line_size)
-            except Exception:  # next line crosses into unmapped space
+            except MeasurementError:  # next line crosses into unmapped space
                 return
             # Prefetches disturb cache state but are not demand loads, so
             # they do not move the MEM_LOAD_RETIRED-style counters.
             self.hierarchy.access(neighbour, demand=False)
 
     def wbinvd(self) -> None:
-        """Flush the whole hierarchy (privileged, as from a kernel module)."""
-        self.hierarchy.flush()
+        """Flush the whole hierarchy (privileged, as from a kernel module).
+
+        Counts the sets it actually reset as ``hw.flush.sets``.
+        """
+        obs_metrics.DEFAULT.incr("hw.flush.sets", self.hierarchy.flush())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         levels = ", ".join(config.describe() for config in self.level_configs)

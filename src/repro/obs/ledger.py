@@ -352,6 +352,7 @@ KEY_COUNTERS = (
     "db.miss",
     "db.write",
     "db.dropped",
+    "hw.flush.sets",
     "kernel.calls",
     "kernel.accesses",
     "kernel.compile.hit",

@@ -95,6 +95,15 @@ class TestMaintenance:
         assert cache.probe(0x100) is False
         assert cache.stats.accesses == 1
 
+    def test_flush_resets_the_sets_filled_since_the_last_flush(self):
+        cache = small_cache()
+        cache.access(0x100)
+        cache.access(0x140)
+        cache.access(0x100)
+        assert cache.flush() == 2
+        assert cache.flush() == 0
+        assert all(s.contents() == [None] * s.ways for s in cache.sets)
+
     def test_reset_clears_stats(self):
         cache = small_cache()
         cache.access(0x100)

@@ -1,16 +1,23 @@
 """Tests for the simulated platform, counters and noise."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cache import CacheConfig
+from repro.core.evictionsets import PlatformEvictionTester, find_eviction_set
 from repro.errors import MeasurementError
 from repro.hardware import (
     HardwarePlatform,
+    HardwareSetOracle,
     LevelSpec,
     NoiseModel,
     ProcessorSpec,
     get_processor,
 )
+from repro.obs import metrics as obs_metrics
+from repro.util.rng import SeededRng
 
 
 def tiny_processor(noise=NoiseModel()):
@@ -107,6 +114,28 @@ class TestNoise:
         platform.load(buffer.base + 64)
         assert platform.counters.delta("L1", "hit", before) == 1
 
+    def test_prefetch_past_the_last_mapped_page_is_a_no_op(self):
+        platform = HardwarePlatform(tiny_processor(NoiseModel(prefetch_rate=1.0)))
+        buffer = platform.allocate(1 << 16)
+        last_line = buffer.base + buffer.size - 64
+        platform.load(last_line)  # the neighbour lies in unmapped space
+        assert platform.loads_performed == 1
+        assert platform.counters.read("L1", "access") == 1
+
+    def test_prefetch_propagates_errors_other_than_unmapped(self, monkeypatch):
+        platform = HardwarePlatform(tiny_processor(NoiseModel(prefetch_rate=1.0)))
+        buffer = platform.allocate(1 << 16)
+        translate = platform.memory.translate
+
+        def failing_neighbour(virtual):
+            if virtual != buffer.base:
+                raise RuntimeError("page walk failed")
+            return translate(virtual)
+
+        monkeypatch.setattr(platform.memory, "translate", failing_neighbour)
+        with pytest.raises(RuntimeError, match="page walk"):
+            platform.load(buffer.base)
+
     def test_noise_model_validation(self):
         from repro.errors import ConfigurationError
 
@@ -118,6 +147,29 @@ class TestNoise:
     def test_silent_property(self):
         assert NoiseModel().silent
         assert not NoiseModel(counter_noise_rate=0.01).silent
+
+
+class TestFlushAccounting:
+    def test_wbinvd_counts_only_the_sets_a_measurement_filled(self):
+        platform = HardwarePlatform(get_processor("haswell-adaptive-like"))
+        levels = platform.hierarchy.levels
+        assert sum(cache.config.num_sets for cache in levels) == 8768
+        oracle = HardwareSetOracle(platform, "L1")
+        blocks = list(range(12))
+        oracle.count_misses(blocks, blocks)
+        occupied = sum(
+            1
+            for cache in levels
+            for cache_set in cache.sets
+            if any(tag is not None for tag in cache_set.contents())
+        )
+        before = obs_metrics.DEFAULT.counter("hw.flush.sets")
+        platform.wbinvd()
+        flushed = obs_metrics.DEFAULT.counter("hw.flush.sets") - before
+        # Each of the 12 lines fills at most one set per level.
+        assert 0 < occupied <= flushed <= len(blocks) * len(levels)
+        platform.wbinvd()
+        assert obs_metrics.DEFAULT.counter("hw.flush.sets") - before == flushed
 
 
 class TestCatalog:
@@ -188,3 +240,81 @@ class TestBackgroundNoise:
         config = InferenceConfig(verify_sequences=8, verify_length=40, verify_window=4)
         finding = reverse_engineer(oracle, inference_config=config)
         assert finding.policy_name == "plru"
+
+
+# -- measurement fingerprint ---------------------------------------------------
+
+#: Digests of every answer the hardware path gives on the fixed streams
+#: below.  Any change to the simulated hardware (flush, walk, fill, victim
+#: routing, noise RNG draw order) that alters a single answer moves one.
+MEASUREMENT_FINGERPRINT = {
+    "quiet": "7243bf6dc242563fec392271",
+    "noisy": "94c636b1b576bc26c3e2d56e",
+    "evictions": "0402d7db05953861fa269809",
+}
+
+
+def _digest(payload) -> str:
+    data = json.dumps(payload, separators=(",", ":")).encode()
+    return hashlib.blake2s(data, digest_size=12).hexdigest()
+
+
+def _fingerprint_processor(noise=NoiseModel()):
+    return ProcessorSpec(
+        name="fingerprint",
+        description="test-only: small 3-level hierarchy with an inclusive DIP L3",
+        levels=(
+            LevelSpec(CacheConfig("L1", 1024, 2), "plru"),
+            LevelSpec(CacheConfig("L2", 4096, 4), "lru"),
+            LevelSpec(CacheConfig("L3", 16 * 1024, 8, inclusion="inclusive"), "dip"),
+        ),
+        noise=noise,
+    )
+
+
+def _oracle_stream(noise) -> list:
+    """Answers of a seeded ``count_misses`` stream probed at L2 and at L3."""
+    platform = HardwarePlatform(_fingerprint_processor(noise), seed=3)
+    rng = SeededRng(11)
+    answers = []
+    for level in ("L2", "L3"):
+        oracle = HardwareSetOracle(platform, level, max_blocks=32)
+        blocks = 2 * oracle.ways
+        for _ in range(40):
+            setup = [rng.randrange(blocks) for _ in range(rng.randint(0, 3 * oracle.ways))]
+            probe = [rng.randrange(blocks) for _ in range(rng.randint(1, oracle.ways))]
+            answers.append(oracle.count_misses(setup, probe))
+    answers.append(platform.loads_performed)
+    answers.append(sorted(platform.counters.snapshot().items()))
+    return answers
+
+
+def _eviction_stream() -> list:
+    """``evicts`` answers and one minimal eviction set on a hashed LLC."""
+    spec = ProcessorSpec(
+        name="fingerprint-llc",
+        description="test-only: 8 KiB 4-way xor-folded LLC",
+        levels=(LevelSpec(CacheConfig("LLC", 8 * 1024, 4, index_hash="xor-fold"), "lru"),),
+    )
+    platform = HardwarePlatform(spec, seed=5)
+    buffer = platform.allocate(1 << 21)
+    pool = [buffer.base + k * 64 for k in range(256)]
+    tester = PlatformEvictionTester(platform, "LLC")
+    rng = SeededRng(7)
+    answers = []
+    for _ in range(60):
+        victim = rng.choice(pool)
+        answers.append(tester.evicts(rng.sample(pool, rng.randint(64, 192)), victim))
+    answers.append(find_eviction_set(tester, pool[0], pool[1:], target_size=4))
+    answers.append(platform.loads_performed)
+    answers.append(sorted(platform.counters.snapshot().items()))
+    return answers
+
+
+def test_measurement_fingerprint():
+    noisy = NoiseModel(counter_noise_rate=0.05, background_rate=0.05, prefetch_rate=0.05)
+    assert {
+        "quiet": _digest(_oracle_stream(NoiseModel())),
+        "noisy": _digest(_oracle_stream(noisy)),
+        "evictions": _digest(_eviction_stream()),
+    } == MEASUREMENT_FINGERPRINT

@@ -1,4 +1,4 @@
-"""Property-based tests for hierarchy inclusion invariants."""
+"""Property-based tests for hierarchy inclusion invariants and flushing."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,3 +67,70 @@ def test_hit_level_matches_walk(trace):
             assert hits == []
         else:
             assert hits == [result.hit_level]
+
+
+deterministic_policies = st.sampled_from(["lru", "fifo", "plru", "bitplru", "nru", "srrip"])
+index_hashes = st.sampled_from(["bits", "xor-fold"])
+lower_inclusions = st.sampled_from(["nine", "inclusive", "exclusive"])
+
+
+@st.composite
+def hierarchy_specs(draw):
+    """1-3 levels: any lower-level inclusion, any index function."""
+    geometries = [("L1", 512, 2), ("L2", 2048, 4), ("L3", 8192, 8)]
+    configs = [
+        CacheConfig(
+            name,
+            size,
+            ways,
+            inclusion="nine" if name == "L1" else draw(lower_inclusions),
+            index_hash=draw(index_hashes),
+        )
+        for name, size, ways in geometries[: draw(st.integers(1, 3))]
+    ]
+    return configs, [draw(deterministic_policies) for _ in configs]
+
+
+@given(spec=hierarchy_specs(), first=traces, second=traces)
+@settings(max_examples=80, deadline=None)
+def test_flush_is_a_power_on_reset(spec, first, second):
+    """After flush() every set is empty, clean and in its fresh policy
+    state, and a later stream behaves exactly as on a new hierarchy."""
+    configs, policies = spec
+    hierarchy = CacheHierarchy(configs, policies)
+    for address, write in first:
+        hierarchy.access(address, write=write)
+    hierarchy.flush()
+    fresh = CacheHierarchy(configs, policies)
+    for cache, new in zip(hierarchy.levels, fresh.levels):
+        for cache_set, new_set in zip(cache.sets, new.sets):
+            assert cache_set.contents() == [None] * cache_set.ways
+            assert not any(cache_set.dirty_bits())
+            assert cache_set.policy.state_key() == new_set.policy.state_key()
+    before = [cache.stats.snapshot() for cache in hierarchy.levels]
+    memory_before = hierarchy.stats.memory_accesses
+    flushed = [hierarchy.access(address, write=write) for address, write in second]
+    assert flushed == [fresh.access(address, write=write) for address, write in second]
+    for cache, earlier, new in zip(hierarchy.levels, before, fresh.levels):
+        assert cache.stats.delta(earlier) == new.stats
+    assert hierarchy.stats.memory_accesses - memory_before == fresh.stats.memory_accesses
+
+
+def test_flush_resets_dip_psel_and_empties_every_set():
+    hierarchy = CacheHierarchy(
+        [CacheConfig("L1", 512, 2), CacheConfig("L2", 64 * 1024, 8, inclusion="inclusive")],
+        ["lru", "dip"],
+    )
+    l2 = hierarchy.level("L2")
+    controller = l2.shared.controller
+    assert controller.is_primary_leader(0)
+    # Twelve lines cycling through L2 set 0, a leader set: every miss
+    # after the first eight evicts there and moves PSEL.
+    for _ in range(5):
+        for line in range(12):
+            hierarchy.access(line * l2.config.way_size)
+    assert controller.psel != controller.psel_mid
+    hierarchy.flush()
+    assert controller.psel == controller.psel_mid
+    for cache in hierarchy.levels:
+        assert all(s.contents() == [None] * s.ways for s in cache.sets)
