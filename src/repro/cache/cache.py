@@ -8,6 +8,7 @@ from repro.cache.address import AddressCodec
 from repro.cache.config import CacheConfig
 from repro.cache.set import CacheSet
 from repro.cache.stats import CacheStats
+from repro.errors import SimulationError
 from repro.policies import PolicyFactory
 from repro.util.rng import SeededRng
 
@@ -37,7 +38,8 @@ class Cache:
             sets it fills so that :meth:`flush` resets only those, and a
             set changed directly (``sets[i].access(...)``,
             ``sets[i].preload(...)``) bypasses that record and would keep
-            its state across a flush.
+            its state across a flush.  :meth:`restore` installs new set
+            objects, so keep an index rather than a set.
     """
 
     def __init__(
@@ -64,6 +66,8 @@ class Cache:
         # a resident line), so every other set is still in it.
         self._filled: set[int] = set()
         self.stats = CacheStats()
+        # The statistics at the last flush, the base of a checkpoint's deltas.
+        self._stats_at_flush = CacheStats()
 
     @property
     def name(self) -> str:
@@ -195,12 +199,46 @@ class Cache:
         reset = len(self._filled)
         self._filled = set()
         self.shared.reset()
+        self._stats_at_flush = self.stats.snapshot()
         return reset
+
+    def checkpoint(self) -> tuple[dict[int, CacheSet], CacheStats]:
+        """The state the accesses since the last flush built.
+
+        Clones of the sets filled since then (every other set is still in
+        its reset state) and what those accesses added to the statistics.
+        A checkpoint records no randomness and no cache-global state, so
+        :meth:`restore` reproduces the accesses only under a policy that
+        draws no randomness (``PolicyFactory.deterministic``).
+        """
+        sets = self.sets
+        return (
+            {set_index: sets[set_index].clone() for set_index in self._filled},
+            self.stats.delta(self._stats_at_flush),
+        )
+
+    def restore(self, checkpoint: tuple[dict[int, CacheSet], CacheStats]) -> None:
+        """Rebuild a :meth:`checkpoint` on a cache flushed since its last fill.
+
+        Installs clones of the recorded sets and advances the statistics
+        by the recorded deltas: the cache ends up as if it had replayed
+        the accesses, and the checkpoint stays reusable.
+        """
+        if self._filled:
+            raise SimulationError(
+                f"{self.name}: restore needs a cache flushed since its last fill"
+            )
+        filled, added = checkpoint
+        sets = self.sets
+        for set_index, cache_set in filled.items():
+            sets[set_index] = cache_set.clone()
+        self._filled = set(filled)
+        self.stats.advance(added)
 
     def reset(self) -> None:
         """Flush and zero statistics."""
-        self.flush()
         self.stats.reset()
+        self.flush()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Cache {self.config.describe()} policy={self.policy_factory.name}>"

@@ -89,6 +89,8 @@ class CacheHierarchy:
             (name, tuple((upper, upper == name) for upper in names[: index + 1]))
             for index, name in enumerate(names)
         ] + [(None, tuple((name, False) for name in names))]
+        # Memory accesses at the last flush, the base of a checkpoint's delta.
+        self._memory_at_flush = 0
 
     @property
     def level_names(self) -> list[str]:
@@ -198,13 +200,36 @@ class CacheHierarchy:
     # -- maintenance ----------------------------------------------------------
     def flush(self) -> int:
         """Flush every level (statistics are kept); return the sets reset."""
+        self._memory_at_flush = self.stats.memory_accesses
         return sum(cache.flush() for cache in self.levels)
+
+    def checkpoint(self) -> tuple[tuple, int]:
+        """The state the accesses since the last flush built.
+
+        Every level's :meth:`Cache.checkpoint` plus the memory accesses
+        since the flush.  Only as faithful as the levels' checkpoints:
+        every level's policy must draw no randomness.
+        """
+        return (
+            tuple(cache.checkpoint() for cache in self.levels),
+            self.stats.memory_accesses - self._memory_at_flush,
+        )
+
+    def restore(self, checkpoint: tuple[tuple, int]) -> None:
+        """Rebuild a :meth:`checkpoint` right after a flush.
+
+        Every level installs its sets and advances its statistics, and
+        the memory-access counter advances by the recorded delta.
+        """
+        levels, memory_accesses = checkpoint
+        for cache, state in zip(self.levels, levels):
+            cache.restore(state)
+        self.stats.memory_accesses += memory_accesses
 
     def reset(self) -> None:
         """Flush every level and zero all statistics."""
-        for cache in self.levels:
-            cache.reset()
-        self.stats.memory_accesses = 0
+        self.stats.reset()
+        self.flush()
 
     def check_inclusion_invariants(self) -> list[str]:
         """Return a list of inclusion violations (empty = consistent).

@@ -65,6 +65,16 @@ class CacheStats:
             writebacks=self.writebacks - earlier.writebacks,
         )
 
+    def advance(self, delta: "CacheStats") -> None:
+        """Add the counts of ``delta`` (a :meth:`delta` result) in place."""
+        self.accesses += delta.accesses
+        self.hits += delta.hits
+        self.misses += delta.misses
+        self.evictions += delta.evictions
+        self.fills += delta.fills
+        self.invalidations += delta.invalidations
+        self.writebacks += delta.writebacks
+
 
 @dataclass
 class HierarchyStats:

@@ -94,7 +94,8 @@ def find_eviction_set(
         size = -(-len(working) // group_count)
         groups = [working[i : i + size] for i in range(0, len(working), size)]
         for group in groups:
-            without = [address for address in working if address not in set(group)]
+            dropped = set(group)
+            without = [address for address in working if address not in dropped]
             if without and tester.evicts(without, victim):
                 working = without
                 break

@@ -23,12 +23,19 @@ run unchanged against simulated hardware.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Sequence
 
 from repro.core.oracle import MissCountOracle
 from repro.errors import MeasurementError
 from repro.hardware.platform import HardwarePlatform
+from repro.obs import metrics as obs_metrics
 from repro.util.bits import extract_bits
+
+#: Setup checkpoints an oracle keeps on a replayable platform.  Inference
+#: issues setups that extend, shorten or repeat the last few, so a handful
+#: of the most recently used ones covers them.
+SETUP_CHECKPOINTS = 8
 
 
 class MeasurementHarness:
@@ -137,6 +144,15 @@ class HardwareSetOracle(MissCountOracle):
     measurement flushes the hierarchy (``wbinvd``), warms the conflict
     pool, runs the setup sequence, then counts the probed level's miss
     delta across the probe sequence.
+
+    On a :attr:`~repro.hardware.platform.HardwarePlatform.replayable`
+    platform the oracle checkpoints the platform at the end of every
+    setup, keeping the :data:`SETUP_CHECKPOINTS` most recently used.  A
+    measurement whose setup starts with a checkpointed one restores the
+    longest such prefix after the flush, in place of the warm-up and the
+    prefix's loads, and runs only the rest; every answer, counter and
+    load count is the same as without it.  The skipped logical accesses
+    are counted as ``hw.setup_reused``.
     """
 
     def __init__(
@@ -166,20 +182,23 @@ class HardwareSetOracle(MissCountOracle):
         self._pool = harness.find_set_addresses(level, set_index, max_blocks)
         self._conflicts = harness.conflict_pool(level, self._pool[0])
         self._block_to_address: dict[int, int] = {}
+        # Platform checkpoints by setup, least recently used first.
+        self._checkpoints: OrderedDict[tuple[int, ...], object] = OrderedDict()
         self.measurements = 0
         self.accesses = 0
 
     def provenance(self) -> str | None:
-        """Identity for the measurement DB — zero-noise platforms only.
+        """Identity for the measurement DB — replayable platforms only.
 
-        With any noise rate active, repeated identical measurements may
-        legitimately disagree (the whole reason :class:`VotingOracle`
-        exists), so there is no reproducible value to persist and the
-        oracle reports no provenance.  A noise-free platform is a pure
-        function of ``(spec, seed, level, set)`` and caches cleanly.
+        With any noise rate active, or a level whose policy draws
+        randomness (DIP's bimodal insertion, random replacement),
+        repeated identical measurements may legitimately disagree (the
+        whole reason :class:`VotingOracle` exists), so there is no
+        reproducible value to persist and the oracle reports no
+        provenance.  A replayable platform is a pure function of
+        ``(spec, seed, level, set)`` and caches cleanly.
         """
-        noise = self.platform.spec.noise
-        if noise.counter_noise_rate or noise.background_rate or noise.prefetch_rate:
+        if not self.platform.replayable:
             return None
         return (
             f"hw|{self.platform.spec.name}|{self.level}"
@@ -203,18 +222,45 @@ class HardwareSetOracle(MissCountOracle):
         for conflict in self._conflicts:
             self.platform.load(conflict)
 
+    def _restore_longest_prefix(self, setup: tuple[int, ...]) -> int | None:
+        """Restore the longest checkpointed prefix of ``setup``; its length.
+
+        None when no checkpoint is a prefix of ``setup``.
+        """
+        best = max(
+            (key for key in self._checkpoints if setup[: len(key)] == key),
+            key=len,
+            default=None,
+        )
+        if best is None:
+            return None
+        self._checkpoints.move_to_end(best)
+        self.platform.restore(self._checkpoints[best])
+        if best:
+            obs_metrics.DEFAULT.incr("hw.setup_reused", len(best))
+        return len(best)
+
     def count_misses(self, setup: Sequence[int], probe: Sequence[int]) -> int:
-        self.platform.wbinvd()
-        # Warm the conflict pool so its probe-phase accesses hit the
-        # probed level and do not pollute the miss counter.
-        for _ in range(2):
-            for conflict in self._conflicts:
-                self.platform.load(conflict)
-        for block in setup:
+        platform = self.platform
+        platform.wbinvd()
+        setup = tuple(setup)
+        done = self._restore_longest_prefix(setup)
+        if done is None:
+            # Warm the conflict pool so its probe-phase accesses hit the
+            # probed level and do not pollute the miss counter.
+            for _ in range(2):
+                for conflict in self._conflicts:
+                    platform.load(conflict)
+            done = 0
+        for block in setup[done:]:
             self._wrapped_load(block)
-        before = self.platform.counters.snapshot()
+        if platform.replayable and setup not in self._checkpoints:
+            self._checkpoints[setup] = platform.checkpoint()
+            if len(self._checkpoints) > SETUP_CHECKPOINTS:
+                self._checkpoints.popitem(last=False)
+        before = platform.counters.snapshot()
         for block in probe:
             self._wrapped_load(block)
-        misses = self.platform.counters.delta(self.level, "miss", before)
+        misses = platform.counters.delta(self.level, "miss", before)
         self._note_measurement(len(setup), len(probe), misses)
         return misses

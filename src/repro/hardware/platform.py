@@ -12,11 +12,15 @@ API mirrors what the paper's tooling had:
 * :attr:`HardwarePlatform.counters` — read performance counters;
 * :meth:`HardwarePlatform.wbinvd` — privileged whole-hierarchy flush
   (the kernel-module luxury; the harness uses it to make measurements
-  independent, the same role thrashing plays in user-space-only setups).
+  independent, the same role thrashing plays in user-space-only setups);
+* :meth:`HardwarePlatform.checkpoint` / :meth:`HardwarePlatform.restore`
+  — on a *replayable* platform, record what the loads since the last
+  ``wbinvd`` did and replay it after a later one without re-issuing
+  them (a simulator's shortcut with no counterpart on real hardware).
 
 Nothing else is exposed: replacement state, tags, and the ground-truth
-policies are deliberately unreachable from this API, so the inference
-code cannot cheat.
+policies are deliberately unreachable from this API (a checkpoint is
+opaque), so the inference code cannot cheat.
 """
 
 from __future__ import annotations
@@ -49,6 +53,13 @@ class HardwarePlatform:
         )
         self.counters = CounterBank(self.hierarchy)
         self.loads_performed = 0
+        self._loads_at_flush = 0
+        #: True when a load's effect is a pure function of the cache state:
+        #: no noise and no level whose policy draws randomness.  Only then
+        #: can :meth:`restore` stand in for the loads it skips.
+        self.replayable = spec.noise.silent and all(
+            policy.deterministic for policy in policies
+        )
 
     # -- experimenter API ----------------------------------------------------
     @property
@@ -100,7 +111,39 @@ class HardwarePlatform:
 
         Counts the sets it actually reset as ``hw.flush.sets``.
         """
+        self._loads_at_flush = self.loads_performed
         obs_metrics.DEFAULT.incr("hw.flush.sets", self.hierarchy.flush())
+
+    def checkpoint(self) -> object:
+        """Record, opaquely, what the loads since the last :meth:`wbinvd` did.
+
+        Raises:
+            MeasurementError: on a platform that is not :attr:`replayable`.
+        """
+        self._require_replayable("checkpoint")
+        return self.hierarchy.checkpoint(), self.loads_performed - self._loads_at_flush
+
+    def restore(self, checkpoint: object) -> None:
+        """Right after a :meth:`wbinvd`, replay a :meth:`checkpoint`'s loads.
+
+        The caches take the recorded state, and the counters and
+        :attr:`loads_performed` advance as far as the loads moved them,
+        so nothing observable tells a restore from the loads themselves.
+
+        Raises:
+            MeasurementError: on a platform that is not :attr:`replayable`.
+        """
+        self._require_replayable("restore")
+        state, loads = checkpoint
+        self.hierarchy.restore(state)
+        self.loads_performed += loads
+
+    def _require_replayable(self, operation: str) -> None:
+        if not self.replayable:
+            raise MeasurementError(
+                f"{operation} needs a replayable platform; {self.spec.name} has "
+                "noise or a randomized policy, so skipped loads would change answers"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         levels = ", ".join(config.describe() for config in self.level_configs)

@@ -353,6 +353,7 @@ KEY_COUNTERS = (
     "db.write",
     "db.dropped",
     "hw.flush.sets",
+    "hw.setup_reused",
     "kernel.calls",
     "kernel.accesses",
     "kernel.compile.hit",

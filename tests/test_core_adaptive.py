@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache import CacheConfig
 from repro.core import SimulatedSetOracle
 from repro.core.adaptive import (
     AdaptivityReport,
@@ -9,6 +10,7 @@ from repro.core.adaptive import (
     SetClassification,
     detect_nondeterminism,
 )
+from repro.hardware import HardwarePlatform, HardwareSetOracle, LevelSpec, ProcessorSpec
 from repro.policies import BipPolicy, LruPolicy, PlruPolicy, make_policy
 from repro.util.rng import SeededRng
 
@@ -26,6 +28,22 @@ class TestDetectNondeterminism:
     def test_bip_flagged(self):
         oracle = SimulatedSetOracle(BipPolicy(4, rng=SeededRng(0)))
         assert detect_nondeterminism(oracle, ways=4) is True
+
+    def test_dip_l3_flagged_through_the_hardware_path(self):
+        # A DIP level makes the platform non-replayable: every repeat is
+        # simulated afresh, so the bimodal insertion's draws show.
+        spec = ProcessorSpec(
+            name="dip-l3",
+            description="test-only: PLRU L1, LRU L2, inclusive DIP L3",
+            levels=(
+                LevelSpec(CacheConfig("L1", 1024, 2), "plru"),
+                LevelSpec(CacheConfig("L2", 4096, 4), "lru"),
+                LevelSpec(CacheConfig("L3", 16 * 1024, 8, inclusion="inclusive"), "dip"),
+            ),
+        )
+        oracle = HardwareSetOracle(HardwarePlatform(spec), "L3", max_blocks=64)
+        assert not oracle.platform.replayable
+        assert detect_nondeterminism(oracle, ways=oracle.ways) is True
 
 
 class TestReport:

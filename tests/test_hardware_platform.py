@@ -4,10 +4,13 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import CacheConfig
+from repro.core import VotingOracle
 from repro.core.evictionsets import PlatformEvictionTester, find_eviction_set
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, SimulationError
 from repro.hardware import (
     HardwarePlatform,
     HardwareSetOracle,
@@ -16,6 +19,7 @@ from repro.hardware import (
     ProcessorSpec,
     get_processor,
 )
+from repro.hardware.harness import MeasurementHarness
 from repro.obs import metrics as obs_metrics
 from repro.util.rng import SeededRng
 
@@ -172,6 +176,129 @@ class TestFlushAccounting:
         assert obs_metrics.DEFAULT.counter("hw.flush.sets") - before == flushed
 
 
+def _setup_reused(spec, level: str) -> int:
+    """``hw.setup_reused`` over setups that extend and repeat one another."""
+    platform = HardwarePlatform(spec, seed=2)
+    oracle = HardwareSetOracle(platform, level, max_blocks=32)
+    before = obs_metrics.DEFAULT.counter("hw.setup_reused")
+    setup = list(range(oracle.ways))
+    for extra in (0, 2, 2, 1, 3):
+        oracle.count_misses(setup + list(range(100, 100 + extra)), [0, 100])
+    return obs_metrics.DEFAULT.counter("hw.setup_reused") - before
+
+
+class TestSetupCheckpoints:
+    def test_replayable_means_silent_and_deterministic(self):
+        assert HardwarePlatform(_deterministic_processor()).replayable
+        assert HardwarePlatform(get_processor("sandybridge-like")).replayable
+        noisy = tiny_processor(NoiseModel(counter_noise_rate=0.01))
+        assert not HardwarePlatform(noisy).replayable
+        # DIP's bimodal insertion draws randomness on fills.
+        assert not HardwarePlatform(get_processor("haswell-adaptive-like")).replayable
+
+    def test_provenance_only_on_replayable_platforms(self):
+        haswell = HardwarePlatform(get_processor("haswell-adaptive-like"))
+        assert HardwareSetOracle(haswell, "L1").provenance() is None
+        sandybridge = HardwarePlatform(get_processor("sandybridge-like"))
+        assert HardwareSetOracle(sandybridge, "L1").provenance() is not None
+
+    @pytest.mark.parametrize("kind", ["noisy", "dip"])
+    def test_checkpoint_refused_without_replay(self, kind):
+        if kind == "noisy":
+            spec = tiny_processor(NoiseModel(background_rate=0.01))
+        else:
+            spec = _fingerprint_processor()
+        platform = HardwarePlatform(spec)
+        with pytest.raises(MeasurementError, match="replayable"):
+            platform.checkpoint()
+        with pytest.raises(MeasurementError, match="replayable"):
+            platform.restore(object())
+
+    def test_restore_replays_loads_after_a_flush_only(self):
+        platform = HardwarePlatform(tiny_processor())
+        buffer = platform.allocate(1 << 16)
+        platform.wbinvd()
+        platform.load(buffer.base)
+        checkpoint = platform.checkpoint()
+        with pytest.raises(SimulationError, match="flushed"):
+            platform.restore(checkpoint)
+        for _ in range(2):
+            platform.wbinvd()
+            platform.restore(checkpoint)
+        assert platform.loads_performed == 3
+        assert platform.counters.read("L1", "miss") == 3
+        before = platform.counters.snapshot()
+        platform.load(buffer.base)
+        assert platform.counters.delta("L1", "hit", before) == 1
+
+    def test_setup_reuse_only_on_replayable_platforms(self):
+        assert _setup_reused(_deterministic_processor(), "L2") > 0
+        noisy = tiny_processor(NoiseModel(counter_noise_rate=0.05))
+        assert _setup_reused(noisy, "L2") == 0
+        assert _setup_reused(_fingerprint_processor(), "L2") == 0
+
+
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(("fresh", "extend", "shorten", "repeat")),
+        st.lists(st.integers(0, 15), max_size=12),
+        st.lists(st.integers(0, 15), min_size=1, max_size=8),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.sampled_from(("L1", "L2", "L3")), steps=_STEPS)
+def test_long_lived_oracle_matches_from_scratch_measurements(level, steps):
+    """After every measurement, answers, loads and counters equal those of
+    wbinvd, warm-up, setup and probe issued load by load on a twin."""
+    spec = _deterministic_processor()
+    platform = HardwarePlatform(spec, seed=1)
+    oracle = HardwareSetOracle(platform, level, max_blocks=16)
+    twin = HardwarePlatform(spec, seed=1)
+    harness = MeasurementHarness(
+        twin, buffer_size=(16 + 4) * twin.level_config(level).way_size
+    )
+    pool = harness.find_set_addresses(level, oracle.set_index, 16)
+    conflicts = harness.conflict_pool(level, pool[0])
+    addresses: dict[int, int] = {}
+
+    def wrapped_load(block):
+        if block not in addresses:
+            addresses[block] = pool[len(addresses)]
+        twin.load(addresses[block])
+        for conflict in conflicts:
+            twin.load(conflict)
+
+    def from_scratch(setup, probe):
+        twin.wbinvd()
+        for _ in range(2):
+            for conflict in conflicts:
+                twin.load(conflict)
+        for block in setup:
+            wrapped_load(block)
+        before = twin.counters.snapshot()
+        for block in probe:
+            wrapped_load(block)
+        return twin.counters.delta(level, "miss", before)
+
+    setup: list[int] = []
+    for move, blocks, probe in steps:
+        if move == "fresh":
+            setup = blocks
+        elif move == "extend":
+            setup = setup + blocks
+        elif move == "shorten":
+            setup = setup[: len(blocks)]
+        assert oracle.count_misses(setup, probe) == from_scratch(setup, probe)
+        assert platform.loads_performed == twin.loads_performed
+        assert platform.counters.snapshot() == twin.counters.snapshot()
+        # Fills, evictions, invalidations and memory traffic too.
+        assert platform.hierarchy.stats == twin.hierarchy.stats
+
+
 class TestCatalog:
     def test_all_processors_boot(self):
         from repro.hardware import PROCESSORS
@@ -246,11 +373,15 @@ class TestBackgroundNoise:
 
 #: Digests of every answer the hardware path gives on the fixed streams
 #: below.  Any change to the simulated hardware (flush, walk, fill, victim
-#: routing, noise RNG draw order) that alters a single answer moves one.
+#: routing, noise RNG draw order, setup checkpoints) that alters a single
+#: answer moves one.  "quiet" and "noisy" run on a platform with a DIP
+#: L3, which is not replayable; "deterministic" is the replayable side,
+#: where setups are restored from checkpoints.
 MEASUREMENT_FINGERPRINT = {
     "quiet": "7243bf6dc242563fec392271",
     "noisy": "94c636b1b576bc26c3e2d56e",
     "evictions": "0402d7db05953861fa269809",
+    "deterministic": "55baf7714932f47c22907b30",
 }
 
 
@@ -289,6 +420,57 @@ def _oracle_stream(noise) -> list:
     return answers
 
 
+def _deterministic_processor():
+    return ProcessorSpec(
+        name="fingerprint-deterministic",
+        description="test-only: small 3-level deterministic hierarchy, inclusive L3",
+        levels=(
+            LevelSpec(CacheConfig("L1", 1024, 2), "plru"),
+            LevelSpec(CacheConfig("L2", 4096, 4), "fifo"),
+            LevelSpec(
+                CacheConfig("L3", 16 * 1024, 8, inclusion="inclusive"), "qlru_h11_m1"
+            ),
+        ),
+    )
+
+
+def _deterministic_stream() -> list:
+    """Answers, loads and counters after every measurement of a stream
+    whose setups extend, shorten and repeat earlier ones, probed at L2 and
+    L3, plus a voting pass that measures twelve of its requests again,
+    three times each."""
+    platform = HardwarePlatform(_deterministic_processor(), seed=3)
+    rng = SeededRng(13)
+    answers = []
+
+    def measured(answer):
+        answers.append(answer)
+        answers.append(platform.loads_performed)
+        answers.append(sorted(platform.counters.snapshot().items()))
+
+    for level in ("L2", "L3"):
+        oracle = HardwareSetOracle(platform, level, max_blocks=32)
+        ways = oracle.ways
+        blocks = 2 * ways
+        setup: list[int] = []
+        requests = []
+        for _ in range(48):
+            move = rng.randrange(4)
+            if move == 0:  # a fresh setup
+                setup = [rng.randrange(blocks) for _ in range(rng.randint(0, 3 * ways))]
+            elif move == 1:  # extend the previous one
+                setup = setup + [rng.randrange(blocks) for _ in range(rng.randint(1, ways))]
+            elif move == 2:  # shorten it
+                setup = setup[: rng.randint(0, len(setup))]
+            probe = [rng.randrange(blocks) for _ in range(rng.randint(1, ways))]
+            requests.append((list(setup), probe))
+            measured(oracle.count_misses(setup, probe))
+        voting = VotingOracle(oracle, repetitions=3, aggregate="min")
+        for request in rng.sample(requests, 12):
+            measured(voting.query([request])[0])
+    return answers
+
+
 def _eviction_stream() -> list:
     """``evicts`` answers and one minimal eviction set on a hashed LLC."""
     spec = ProcessorSpec(
@@ -317,4 +499,5 @@ def test_measurement_fingerprint():
         "quiet": _digest(_oracle_stream(NoiseModel())),
         "noisy": _digest(_oracle_stream(noisy)),
         "evictions": _digest(_eviction_stream()),
+        "deterministic": _digest(_deterministic_stream()),
     } == MEASUREMENT_FINGERPRINT
