@@ -4,8 +4,9 @@ The acceptance benchmark for :mod:`repro.kernels.store`: every
 deterministic E3 policy is resolved at 8 ways twice against a fresh
 store directory — once cold (BFS compile + ``expand_all`` + persist) and
 once warm (memory caches dropped, automaton deserialized from disk).
-The warm pass must be at least 5x faster in total, and every warm
-resolution must be a disk load (``kernel.compile.miss == 0``).  Results
+The warm pass must be at least 5x faster in total, every warm
+resolution must be a disk load (``kernel.compile.miss == 0``), and every
+loaded automaton's four tables must equal the BFS-built one's.  Results
 land in ``benchmarks/results/bench_compile_cache.txt`` with metrics and
 ledger sidecars, plus the ``BENCH_compile_cache.json`` trajectory point
 (an ExperimentResult envelope, validated in CI by
@@ -53,6 +54,8 @@ def test_bench_compile_cache_cold_vs_warm(save_result, tmp_path):
         obs_metrics.DEFAULT.reset()
         cold_report, cold_seconds = _resolve_all(POLICIES)
         cold_counters = obs_metrics.DEFAULT.snapshot()["counters"]
+        # The BFS-built automata, kept past the warm pass's cache clear.
+        cold_automata = [compiled_for_factory(name, (), WAYS) for name in POLICIES]
 
         obs_metrics.DEFAULT.reset()
         warm_report, warm_seconds = _resolve_all(POLICIES)
@@ -62,11 +65,18 @@ def test_bench_compile_cache_cold_vs_warm(save_result, tmp_path):
         # must agree with their BFS-built originals state for state.
         assert warm_counters.get("kernel.compile.miss", 0) == 0
         assert warm_counters.get("kernel.compile.load", 0) == len(POLICIES)
-        for name, cold, warm in zip(POLICIES, cold_report, warm_report):
+        for name, cold, warm, original in zip(
+            POLICIES, cold_report, warm_report, cold_automata
+        ):
             assert cold["status"] == "persisted", (name, cold)
             assert warm["states"] == cold["states"], name
             compiled = compiled_for_factory(name, (), WAYS)
             assert compiled is not None and compiled.frozen
+            assert not original.frozen, name
+            for table in store.TABLE_NAMES:
+                assert getattr(compiled, table) == getattr(original, table), (
+                    name, table,
+                )
     finally:
         store.set_cache_dir(None)
         clear_compile_cache()

@@ -12,25 +12,28 @@ over per-set replacement states.  The observable events are
 :func:`compile_policy` enumerates reachable states by breadth-first
 search from the reset state and interns them as dense integer ids, so
 whole access sequences become flat list lookups instead of object method
-dispatch.  Enumeration is *lazy*: a ``(state, event)`` transition is
-computed (clone, apply event, intern the successor) the first time the
+dispatch.  A state *is* its interned ``state_key()``: the automaton keeps
+the keys and one scratch policy, and a ``(state, event)`` transition is
+computed by loading the source key into the scratch policy
+(``load_state``), applying the event and interning the successor's key.
+Enumeration is *lazy*: a transition is computed the first time the
 simulation engine needs it and memoized in the flat tables forever after,
 so compiling never costs more than the states a workload actually visits.
 :meth:`CompiledPolicy.expand_all` forces the classic eager BFS when the
-full automaton is wanted (tests, state-space reports).
+full automaton is wanted (tests, state-space reports, the artifact store).
 
 Policies outside the automaton class — randomized (``state_key() is
-None``) or adaptive ones whose behaviour depends on cache-global shared
-state — raise :class:`~repro.errors.KernelUnsupported`, as does blowing
-the ``budget`` on reachable states; callers fall back to the interpreted
-simulator, which the kernel is bit-identical to by construction.
+None``), adaptive ones whose behaviour depends on cache-global shared
+state, or ones without ``load_state`` — raise
+:class:`~repro.errors.KernelUnsupported`, as does blowing the ``budget``
+on reachable states; callers fall back to the interpreted simulator,
+which the kernel is bit-identical to by construction.
 """
 
 from __future__ import annotations
 
 import time
 import weakref
-from collections import deque
 
 from repro.errors import KernelUnsupported
 from repro.policies import (
@@ -60,6 +63,21 @@ __all__ = [
 DEFAULT_BUDGET = 150_000
 
 
+def _loads_own_keys(cls: type) -> bool:
+    """True when ``cls`` defines ``load_state`` where (or below where) it
+    defines ``state_key``.
+
+    The base class's ``load_state`` only raises, and a subclass that
+    redefines ``state_key`` to cover more state than its parent would
+    load only the parent's part of each key through an inherited one.
+    """
+
+    def owner(name: str) -> type:
+        return next(klass for klass in cls.__mro__ if name in vars(klass))
+
+    return issubclass(owner("load_state"), owner("state_key"))
+
+
 class CompiledPolicy:
     """Flat transition tables of one deterministic policy at one ways count.
 
@@ -79,7 +97,8 @@ class CompiledPolicy:
         "miss_victim",
         "miss_next",
         "_ids",
-        "_policies",
+        "_keys",
+        "_scratch",
         "_num_states",
         "vector_tables",
     )
@@ -90,18 +109,26 @@ class CompiledPolicy:
                 f"policy {type(prototype).__name__} is randomized; "
                 "the compiled kernel only covers deterministic automata"
             )
-        root = prototype.clone()
-        root.reset()
-        key = root.state_key()
+        scratch = prototype.clone()
+        scratch.reset()
+        key = scratch.state_key()
         if key is None:
             raise KernelUnsupported(
                 f"policy {type(prototype).__name__} exposes no state_key; "
                 "cannot enumerate its automaton"
             )
+        if not _loads_own_keys(type(scratch)):
+            raise KernelUnsupported(
+                f"policy {type(prototype).__name__} has no load_state for "
+                "its state_key; cannot enumerate its automaton"
+            )
         self.ways = prototype.ways
         self.budget = budget
         self._ids: dict = {key: 0}
-        self._policies: list[ReplacementPolicy] = [root]
+        #: ``_keys[state]`` is the state's ``state_key()``; the scratch
+        #: policy is loaded from it to expand the state's transitions.
+        self._keys: list = [key]
+        self._scratch: ReplacementPolicy | None = scratch
         self._num_states = 1
         ways = self.ways
         self.hit_next: list[int] = [-1] * ways
@@ -122,11 +149,11 @@ class CompiledPolicy:
     def frozen(self) -> bool:
         """True for automata rebuilt from serialized tables.
 
-        A frozen automaton carries no policy objects, so it cannot expand
+        A frozen automaton carries no scratch policy, so it cannot expand
         further — which is fine, because only *complete* automata (every
         transition filled in) are ever serialized.
         """
-        return not self._policies
+        return self._scratch is None
 
     def is_complete(self) -> bool:
         """True when every interned state's transitions are expanded."""
@@ -159,15 +186,16 @@ class CompiledPolicy:
     ) -> "CompiledPolicy":
         """Rebuild a complete automaton from its serialized flat tables.
 
-        The result is *frozen*: it has no policy objects to expand new
-        states from, and never needs any — completeness means the engine
+        The result is *frozen*: it has no scratch policy to expand new
+        states with, and never needs one — completeness means the engine
         never sees a ``-1`` entry.
         """
         compiled = cls.__new__(cls)
         compiled.ways = ways
         compiled.budget = budget
         compiled._ids = {}
-        compiled._policies = []
+        compiled._keys = []
+        compiled._scratch = None
         compiled._num_states = num_states
         compiled.vector_tables = None
         # Plain lists: exactly what the BFS path builds, so the engine's
@@ -197,26 +225,26 @@ class CompiledPolicy:
         compiled.ways = ways
         compiled.budget = budget
         compiled._ids = {}
-        compiled._policies = []
+        compiled._keys = []
+        compiled._scratch = None
         compiled._num_states = num_states
         compiled.vector_tables = None
         compiled._buffers = dict(buffers)
         compiled._keep_alive = keep_alive
         return compiled
 
-    def _intern(self, policy: ReplacementPolicy) -> int:
-        key = policy.state_key()
+    def _intern(self, key) -> int:
         sid = self._ids.get(key)
         if sid is not None:
             return sid
         if self._num_states >= self.budget:
             raise KernelUnsupported(
-                f"policy {type(policy).__name__} exceeds the kernel state "
-                f"budget of {self.budget} reachable states"
+                f"policy {type(self._scratch).__name__} exceeds the kernel "
+                f"state budget of {self.budget} reachable states"
             )
         sid = self._num_states
         self._ids[key] = sid
-        self._policies.append(policy)
+        self._keys.append(key)
         self._num_states += 1
         ways = self.ways
         self.hit_next.extend([-1] * ways)
@@ -225,30 +253,31 @@ class CompiledPolicy:
         self.miss_next.append(-1)
         return sid
 
-    # -- lazy expansion (called by the engine on a -1 table entry) --------
-    def expand_hit(self, state: int, way: int) -> int:
-        """Expand and memoize the ``hit@way`` transition of ``state``."""
-        if not self._policies:
+    def _load(self, state: int) -> ReplacementPolicy:
+        """The scratch policy, put into ``state``."""
+        scratch = self._scratch
+        if scratch is None:
             raise KernelUnsupported(
                 "frozen automaton hit an unexpanded transition; the "
                 "serialized artifact was not complete"
             )
-        successor = self._policies[state].clone()
-        successor.touch(way)
-        next_state = self._intern(successor)
+        scratch.load_state(self._keys[state])
+        return scratch
+
+    # -- lazy expansion (called by the engine on a -1 table entry) --------
+    def expand_hit(self, state: int, way: int) -> int:
+        """Expand and memoize the ``hit@way`` transition of ``state``."""
+        scratch = self._load(state)
+        scratch.touch(way)
+        next_state = self._intern(scratch.state_key())
         self.hit_next[state * self.ways + way] = next_state
         return next_state
 
     def expand_fill(self, state: int, way: int) -> int:
         """Expand and memoize the cold ``fill@way`` transition of ``state``."""
-        if not self._policies:
-            raise KernelUnsupported(
-                "frozen automaton hit an unexpanded transition; the "
-                "serialized artifact was not complete"
-            )
-        successor = self._policies[state].clone()
-        successor.fill(way)
-        next_state = self._intern(successor)
+        scratch = self._load(state)
+        scratch.fill(way)
+        next_state = self._intern(scratch.state_key())
         self.fill_next[state * self.ways + way] = next_state
         return next_state
 
@@ -259,15 +288,10 @@ class CompiledPolicy:
         is chosen by ``evict`` (which may mutate state, e.g. RRIP aging)
         and the incoming block is then filled into the victim way.
         """
-        if not self._policies:
-            raise KernelUnsupported(
-                "frozen automaton hit an unexpanded transition; the "
-                "serialized artifact was not complete"
-            )
-        successor = self._policies[state].clone()
-        victim = successor.evict()
-        successor.fill(victim)
-        next_state = self._intern(successor)
+        scratch = self._load(state)
+        victim = scratch.evict()
+        scratch.fill(victim)
+        next_state = self._intern(scratch.state_key())
         self.miss_victim[state] = victim
         self.miss_next[state] = next_state
         return victim, next_state
@@ -276,30 +300,60 @@ class CompiledPolicy:
     def expand_all(self) -> int:
         """Classic eager BFS: close the automaton under every event.
 
-        Returns the total state count.  Raises
+        States are interned in discovery order, so walking ids upwards
+        *is* the BFS queue.  The loop inlines ``expand_*`` (same events,
+        same order) for speed.  Returns the total state count.  Raises
         :class:`~repro.errors.KernelUnsupported` if the reachable space
         exceeds the budget.
         """
-        if not self._policies:  # frozen: complete by construction
+        scratch = self._scratch
+        if scratch is None:  # frozen: complete by construction
             return self._num_states
         ways = self.ways
-        queue = deque(range(len(self._policies)))
-        while queue:
-            state = queue.popleft()
-            frontier_before = len(self._policies)
+        keys = self._keys
+        known = self._ids.get
+        intern = self._intern
+        hit_next, fill_next = self.hit_next, self.fill_next
+        miss_victim, miss_next = self.miss_victim, self.miss_next
+        load, state_key = scratch.load_state, scratch.state_key
+        touch, fill, evict = scratch.touch, scratch.fill, scratch.evict
+        state = 0
+        while state < self._num_states:
+            key = keys[state]
+            base = state * ways
             for way in range(ways):
-                if self.hit_next[state * ways + way] < 0:
-                    self.expand_hit(state, way)
-                if self.fill_next[state * ways + way] < 0:
-                    self.expand_fill(state, way)
-            if self.miss_victim[state] < 0:
-                self.expand_miss(state)
-            queue.extend(range(frontier_before, len(self._policies)))
+                if hit_next[base + way] < 0:
+                    load(key)
+                    touch(way)
+                    successor = state_key()
+                    next_state = known(successor)
+                    if next_state is None:
+                        next_state = intern(successor)
+                    hit_next[base + way] = next_state
+                if fill_next[base + way] < 0:
+                    load(key)
+                    fill(way)
+                    successor = state_key()
+                    next_state = known(successor)
+                    if next_state is None:
+                        next_state = intern(successor)
+                    fill_next[base + way] = next_state
+            if miss_victim[state] < 0:
+                load(key)
+                victim = evict()
+                fill(victim)
+                successor = state_key()
+                next_state = known(successor)
+                if next_state is None:
+                    next_state = intern(successor)
+                miss_next[state] = next_state
+                miss_victim[state] = victim
+            state += 1
         return self._num_states
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         origin = (
-            type(self._policies[0]).__name__ if self._policies else "frozen"
+            type(self._scratch).__name__ if self._scratch is not None else "frozen"
         )
         return (
             f"<CompiledPolicy {origin} "

@@ -1,12 +1,12 @@
 """On-disk artifact store for compiled policy automata.
 
 BFS-compiling an automaton is the kernel's dominant fixed cost — full
-8-way LRU interns 40 320 states of pure-Python cloning — and the
-in-memory caches in :mod:`repro.kernels.automaton` are per-process, so
-every CLI invocation, bench, and ``--jobs N`` worker used to pay it
-again.  This module persists *complete* automata (every transition
-expanded) to a repo-local ``.repro-cache/`` directory so the cost is
-paid once per machine instead of once per process:
+8-way LRU interns 40 320 states and steps a policy through 17 events
+from each — and the in-memory caches in :mod:`repro.kernels.automaton`
+are per-process, so every CLI invocation, bench, and ``--jobs N`` worker
+used to pay it again.  This module persists *complete* automata (every
+transition expanded) to a repo-local ``.repro-cache/`` directory so the
+cost is paid once per machine instead of once per process:
 
 * **Keys** — :class:`StoreKey` canonicalizes ``(kind, identity, ways,
   budget, schema_version)`` into a stable string; the file name is a
@@ -22,7 +22,10 @@ paid once per machine instead of once per process:
   blake2s payload checksum, and that every transition is in range for a
   complete automaton.  Anything wrong means *recompile*: the corrupt
   file is unlinked and ``None`` returned; the store never raises into
-  the kernel's compile path.
+  the kernel's compile path.  Every such failure — a corrupt or
+  unreadable artifact, a save that could not write — counts as
+  ``kernel.store.errors``; a missing artifact or another key's file
+  does not.
 
 The store is consulted by ``compiled_for_factory`` / ``compiled_for_spec``
 (memory -> disk -> BFS) and populated at explicit warm points — the
@@ -233,6 +236,7 @@ def save(key: StoreKey, compiled) -> bool:
     the frozen automaton :func:`load` rebuilds).  A policy that blows
     its budget, a read-only cache directory, or a disabled store all
     return False; persistence is an optimization, never a requirement.
+    A write that fails counts as ``kernel.store.errors``.
     """
     if not _ENABLED:
         return False
@@ -274,6 +278,7 @@ def save(key: StoreKey, compiled) -> bool:
                 os.unlink(tmp_name)
             raise
     except OSError:
+        obs_metrics.DEFAULT.incr("kernel.store.errors")
         return False
     _PERSISTED.add(key.canonical)
     return True
@@ -286,6 +291,8 @@ def load(key: StoreKey):
     mismatch, bad checksum, out-of-range transitions — degrades to
     "recompile": corrupt files are unlinked, stale ones left for their
     own schema, and None is returned.  Never raises into the caller.
+    A corrupt artifact and an open that fails for any reason but a
+    missing file each count as ``kernel.store.errors``.
 
     Two read modes.  With mmap enabled (the default) the file is mapped
     read-only and the automaton's tables become zero-copy views over the
@@ -317,10 +324,14 @@ def load(key: StoreKey):
                     obs_metrics.DEFAULT.incr("kernel.mmap.fallbacks")
                     mapped = None
             blob = memoryview(mapped) if mapped is not None else handle.read()
+    except FileNotFoundError:
+        return None
     except OSError:
+        obs_metrics.DEFAULT.incr("kernel.store.errors")
         return None
 
     def corrupt():
+        obs_metrics.DEFAULT.incr("kernel.store.errors")
         try:
             current = os.stat(path)
         except OSError:

@@ -359,6 +359,7 @@ KEY_COUNTERS = (
     "kernel.compile.hit",
     "kernel.compile.load",
     "kernel.compile.miss",
+    "kernel.store.errors",
     "kernel.trie.plans",
     "kernel.trie.reused_accesses",
     "runner.chunk_retries",

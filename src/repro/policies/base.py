@@ -19,6 +19,12 @@ Determinism contract: policies that do not draw randomness must expose
 their full state through :meth:`ReplacementPolicy.state_key` so that the
 predictability analyses in :mod:`repro.eval.predictability` can enumerate
 the reachable state space.  Randomized policies return ``None`` there.
+:meth:`ReplacementPolicy.load_state` is the inverse: it puts a policy into
+the state a key describes, so ``p.load_state(q.state_key())`` makes ``p``
+behave exactly like ``q`` from then on.  The compiled kernel
+(:mod:`repro.kernels.automaton`) enumerates a policy's automaton through
+one scratch instance and these two methods alone; a policy without
+``load_state`` runs on the interpreter.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Hashable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, KernelUnsupported
 from repro.util.rng import SeededRng
 
 
@@ -83,6 +89,16 @@ class ReplacementPolicy(ABC):
     @abstractmethod
     def state_key(self) -> Hashable | None:
         """Hashable canonical state, or None for randomized policies."""
+
+    def load_state(self, key: Hashable) -> None:
+        """Enter the state ``key`` (a :meth:`state_key` of this class) names.
+
+        The default raises :class:`~repro.errors.KernelUnsupported`, which
+        keeps a policy that does not implement it on the interpreter.
+        """
+        raise KernelUnsupported(
+            f"policy {type(self).__name__} cannot load a state key"
+        )
 
     @abstractmethod
     def clone(self) -> "ReplacementPolicy":

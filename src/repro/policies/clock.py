@@ -56,6 +56,10 @@ class ClockPolicy(ReplacementPolicy):
     def state_key(self) -> Hashable:
         return (tuple(self._referenced), self._hand)
 
+    def load_state(self, key: Hashable) -> None:
+        referenced, self._hand = key
+        self._referenced = list(referenced)
+
     def clone(self) -> "ClockPolicy":
         copy = ClockPolicy(self.ways)
         copy._referenced = list(self._referenced)

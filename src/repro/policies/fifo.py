@@ -42,6 +42,9 @@ class FifoPolicy(ReplacementPolicy):
     def state_key(self) -> Hashable:
         return tuple(self._queue)
 
+    def load_state(self, key: Hashable) -> None:
+        self._queue = list(key)
+
     def clone(self) -> "FifoPolicy":
         copy = FifoPolicy(self.ways)
         copy._queue = list(self._queue)

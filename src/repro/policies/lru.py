@@ -54,6 +54,9 @@ class LruPolicy(ReplacementPolicy):
     def state_key(self) -> Hashable:
         return tuple(self._stack)
 
+    def load_state(self, key: Hashable) -> None:
+        self._stack = list(key)
+
     def clone(self) -> "LruPolicy":
         copy = LruPolicy(self.ways)
         copy._stack = list(self._stack)

@@ -54,6 +54,9 @@ class BitPlruPolicy(ReplacementPolicy):
     def state_key(self) -> Hashable:
         return tuple(self._bits)
 
+    def load_state(self, key: Hashable) -> None:
+        self._bits = list(key)
+
     def clone(self) -> "BitPlruPolicy":
         copy = BitPlruPolicy(self.ways)
         copy._bits = list(self._bits)
@@ -91,6 +94,9 @@ class NruPolicy(ReplacementPolicy):
 
     def state_key(self) -> Hashable:
         return tuple(self._bits)
+
+    def load_state(self, key: Hashable) -> None:
+        self._bits = list(key)
 
     def clone(self) -> "NruPolicy":
         copy = NruPolicy(self.ways)

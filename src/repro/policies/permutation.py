@@ -223,6 +223,11 @@ class PermutationPolicy(ReplacementPolicy):
     def state_key(self) -> Hashable:
         return tuple(self._order)
 
+    def load_state(self, key: Hashable) -> None:
+        self._order = list(key)
+        for position, way in enumerate(key):
+            self._position[way] = position
+
     def clone(self) -> "PermutationPolicy":
         copy = PermutationPolicy(self.ways, self.spec)
         copy._order = list(self._order)

@@ -76,6 +76,9 @@ class PlruPolicy(ReplacementPolicy):
     def state_key(self) -> Hashable:
         return tuple(self._bits)
 
+    def load_state(self, key: Hashable) -> None:
+        self._bits = list(key)
+
     def clone(self) -> "PlruPolicy":
         copy = PlruPolicy(self.ways)
         copy._bits = list(self._bits)

@@ -106,6 +106,9 @@ class QlruPolicy(ReplacementPolicy):
     def state_key(self) -> Hashable:
         return tuple(self._ages)
 
+    def load_state(self, key: Hashable) -> None:
+        self._ages = list(key)
+
     def clone(self) -> "QlruPolicy":
         copy = QlruPolicy(
             self.ways,

@@ -68,6 +68,9 @@ class SrripPolicy(ReplacementPolicy):
     def state_key(self) -> Hashable:
         return tuple(self._rrpv)
 
+    def load_state(self, key: Hashable) -> None:
+        self._rrpv = list(key)
+
     def clone(self) -> "SrripPolicy":
         copy = type(self)(self.ways, rrpv_bits=self.rrpv_bits)
         copy._rrpv = list(self._rrpv)

@@ -77,6 +77,11 @@ class SlruPolicy(ReplacementPolicy):
     def state_key(self) -> Hashable:
         return (tuple(self._probationary), tuple(self._protected))
 
+    def load_state(self, key: Hashable) -> None:
+        probationary, protected = key
+        self._probationary = list(probationary)
+        self._protected = list(protected)
+
     def clone(self) -> "SlruPolicy":
         copy = SlruPolicy(self.ways, protected_ways=self.protected_ways)
         copy._probationary = list(self._probationary)

@@ -109,13 +109,26 @@ class TestRoundTrip:
 
 
 class TestCorruptionFallback:
+    """Every failure degrades to a recompile; the real ones are counted.
+
+    A corrupt or unreadable artifact and a save that cannot write each
+    add one ``kernel.store.errors``; a missing file or another key's
+    artifact is normal operation and adds none.
+    """
+
     def _saved_key(self):
         key = store.factory_key("fifo", (), WAYS)
         assert store.save(key, compiled_for_factory("fifo", (), WAYS))
+        obs_metrics.DEFAULT.reset()
         return key
 
+    def _errors(self):
+        return _counters().get("kernel.store.errors", 0)
+
     def test_missing_file_returns_none(self):
+        obs_metrics.DEFAULT.reset()
         assert store.load(store.factory_key("lru", (), WAYS)) is None
+        assert self._errors() == 0
 
     def test_truncated_file_recompiles(self):
         key = self._saved_key()
@@ -123,6 +136,7 @@ class TestCorruptionFallback:
         path.write_bytes(path.read_bytes()[:-7])
         assert store.load(key) is None
         assert not path.exists()  # corrupt entries are unlinked
+        assert self._errors() == 1
         assert compiled_for_factory("fifo", (), WAYS) is not None
 
     def test_flipped_payload_byte_fails_checksum(self):
@@ -133,12 +147,14 @@ class TestCorruptionFallback:
         path.write_bytes(bytes(blob))
         assert store.load(key) is None
         assert not path.exists()
+        assert self._errors() == 1
 
     def test_bad_magic_recompiles(self):
         key = self._saved_key()
         path = store.artifact_path(key)
         path.write_bytes(b"garbage" + path.read_bytes())
         assert store.load(key) is None
+        assert self._errors() == 1
 
     def test_garbage_header_recompiles(self):
         key = self._saved_key()
@@ -146,6 +162,31 @@ class TestCorruptionFallback:
         blob = path.read_bytes()
         path.write_bytes(store.MAGIC + struct.pack(">I", 10) + blob[len(store.MAGIC) + 4 :])
         assert store.load(key) is None
+        assert self._errors() == 1
+
+    def test_unreadable_artifact_counts_an_error(self):
+        key = self._saved_key()
+        path = store.artifact_path(key)
+        path.unlink()
+        path.mkdir()  # opening a directory fails with more than "missing"
+        assert store.load(key) is None
+        assert self._errors() == 1
+
+    def test_unwritable_directory_counts_an_error(self, tmp_path):
+        # A regular file where the directory should be: creating the
+        # store directory fails for every user, root included.
+        compiled = compiled_for_factory("fifo", (), WAYS)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        store.set_cache_dir(blocker / "repro-cache")
+        obs_metrics.DEFAULT.reset()
+        key = store.factory_key("fifo", (), WAYS)
+        assert not store.save(key, compiled)
+        assert self._errors() == 1
+        # Reading through the same blocked path is a failed open too,
+        # not a missing artifact.
+        assert store.load(key) is None
+        assert self._errors() == 2
 
     def test_schema_bump_ignores_old_artifact(self, monkeypatch):
         key = self._saved_key()
@@ -169,6 +210,7 @@ class TestCorruptionFallback:
         path.rename(store.artifact_path(other))
         assert store.load(other) is None
         assert store.artifact_path(other).exists()
+        assert self._errors() == 0
 
 
 class TestStoreConsultation:

@@ -1,10 +1,14 @@
 """Unit tests for the compiled policy-automaton kernel (repro.kernels)."""
 
+import hashlib
+from array import array
+
 import pytest
 
 from repro.cache import Cache, CacheConfig
 from repro.cache.set import CacheSet
 from repro.core import SimulatedSetOracle
+from repro.core.permutation import derive_spec_from_policy
 from repro.errors import KernelUnsupported
 from repro.kernels import (
     DEFAULT_BUDGET,
@@ -28,9 +32,17 @@ from repro.kernels import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
-from repro.policies import LruPolicy, RandomPolicy, lru_spec, make_policy
+from repro.policies import (
+    LruPolicy,
+    PlruPolicy,
+    RandomPolicy,
+    ReplacementPolicy,
+    lru_spec,
+    make_policy,
+)
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
+from tests.conftest import all_deterministic_policies
 
 
 @pytest.fixture(autouse=True)
@@ -89,6 +101,130 @@ class TestCompilePolicy:
     def test_default_budget_bounds_lazy_growth(self):
         compiled = compile_policy(LruPolicy(4))
         assert compiled.budget == DEFAULT_BUDGET
+
+
+def _fingerprint_cases():
+    for ways in (2, 4):
+        for name, policy in all_deterministic_policies(ways):
+            yield f"{name}@{ways}", policy
+    for name in ("plru", "bitplru", "nru", "clock", "lru"):
+        yield f"{name}@8", make_policy(name, 8)
+    yield "derived-plru@4", derive_spec_from_policy(PlruPolicy(4))
+
+
+def test_expanded_automaton_fingerprint():
+    """State ids and tables are pinned, lazy-then-eager expansion included.
+
+    Each automaton first expands a few cold fills of the reset state out
+    of BFS order (as a running engine would), then closes under
+    ``expand_all()``.  The digest covers the state count and all four
+    tables of every case, so any change to how states are discovered,
+    numbered or stepped shows up here; the store's artifacts are these
+    tables byte for byte.
+    """
+    digest = hashlib.sha256()
+    for label, target in _fingerprint_cases():
+        compiled = compile_policy(target)
+        for way in range(min(3, compiled.ways)):
+            compiled.expand_fill(0, way)
+        compiled.expand_all()
+        digest.update(f"{label}:{compiled.num_states};".encode())
+        for table in (
+            compiled.hit_next,
+            compiled.fill_next,
+            compiled.miss_victim,
+            compiled.miss_next,
+        ):
+            digest.update(array("i", table).tobytes())
+    assert digest.hexdigest() == (
+        "49edfe952bf37534bdffced6b28547e6acbf4ef344197db2f6053876f6e2129c"
+    )
+
+
+class _RoundRobin(ReplacementPolicy):
+    """Deterministic, with a state key but no ``load_state``."""
+
+    NAME = "test-round-robin"
+
+    def __init__(self, ways):
+        super().__init__(ways)
+        self._hand = 0
+
+    def touch(self, way):
+        self._check_way(way)
+
+    def evict(self):
+        return self._hand
+
+    def fill(self, way):
+        self._check_way(way)
+        if way == self._hand:
+            self._hand = (self._hand + 1) % self.ways
+
+    def reset(self):
+        self._hand = 0
+
+    def state_key(self):
+        return self._hand
+
+    def clone(self):
+        copy = _RoundRobin(self.ways)
+        copy._hand = self._hand
+        return copy
+
+
+class _AlternatingLru(LruPolicy):
+    """LRU that inserts every other fill at the LRU end.
+
+    Its key adds the fill parity to the stack, so the ``load_state`` it
+    inherits from :class:`LruPolicy` would restore only half of it.
+    """
+
+    NAME = "test-alternating-lru"
+
+    def __init__(self, ways):
+        super().__init__(ways)
+        self._odd = False
+
+    def fill(self, way):
+        self._check_way(way)
+        self._stack.remove(way)
+        if self._odd:
+            self._stack.append(way)
+        else:
+            self._stack.insert(0, way)
+        self._odd = not self._odd
+
+    def reset(self):
+        super().reset()
+        self._odd = False
+
+    def state_key(self):
+        return (tuple(self._stack), self._odd)
+
+    def clone(self):
+        copy = _AlternatingLru(self.ways)
+        copy._stack = list(self._stack)
+        copy._odd = self._odd
+        return copy
+
+
+@pytest.mark.parametrize("policy_class", [_RoundRobin, _AlternatingLru])
+def test_policy_without_own_load_state_runs_on_interpreter(policy_class):
+    obs_metrics.DEFAULT.reset()
+    assert compiled_for(policy_class(4)) is None
+    counters = obs_metrics.DEFAULT.snapshot()["counters"]
+    assert counters.get("kernel.compile.unsupported") == 1
+    assert counters.get("kernel.compile.miss", 0) == 0
+
+    requests = [
+        (list(range(4)), [5, 0, 6, 1, 2, 7]),
+        ([3, 1, 4, 1, 5], [9, 2, 6, 5, 3, 5, 8]),
+        ([], [0, 1, 2, 3, 4, 0, 1, 5, 2, 6]),
+    ]
+    answers = SimulatedSetOracle(policy_class(4)).query(requests)
+    with kernel_disabled():
+        assert SimulatedSetOracle(policy_class(4)).query(requests) == answers
 
 
 class TestCompileCaches:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.set import CacheSet
+from repro.core.permutation import derive_spec_from_policy
 from repro.policies import lru_spec, make_policy
 from tests.conftest import all_deterministic_policies
 
@@ -100,3 +101,57 @@ def test_lru_inclusion_property(tags):
         small.access(tag)
         large.access(tag)
         assert small.resident_tags() <= large.resident_tags()
+
+
+#: Every deterministic policy, plus the permutation policy on two specs.
+LOADABLE = {name: (name, {}) for name, _ in all_deterministic_policies(WAYS)}
+LOADABLE["permutation-lru"] = ("permutation", {"spec": lru_spec(WAYS)})
+LOADABLE["permutation-plru"] = (
+    "permutation",
+    {"spec": derive_spec_from_policy(make_policy("plru", WAYS))},
+)
+
+policy_events = st.lists(
+    st.tuples(
+        st.sampled_from(["touch", "fill", "evict"]),
+        st.integers(min_value=0, max_value=WAYS - 1),
+    ),
+    max_size=40,
+)
+
+
+def _step(policy, event):
+    kind, way = event
+    if kind == "evict":
+        return policy.evict()
+    getattr(policy, kind)(way)
+    return None
+
+
+@given(
+    label=st.sampled_from(sorted(LOADABLE)),
+    history=policy_events,
+    other=policy_events,
+    continuation=policy_events,
+)
+@settings(max_examples=300, deadline=None)
+def test_load_state_round_trips(label, history, other, continuation):
+    """``load_state(state_key())`` reproduces a policy exactly.
+
+    A second instance, first driven somewhere else, loads the key of the
+    first; from then on both must agree on every key and every victim.
+    This is all the compiled kernel relies on to expand an automaton
+    through one scratch policy.
+    """
+    name, params = LOADABLE[label]
+    source = make_policy(name, WAYS, **params)
+    loaded = make_policy(name, WAYS, **params)
+    for event in history:
+        _step(source, event)
+    for event in other:
+        _step(loaded, event)
+    loaded.load_state(source.state_key())
+    assert loaded.state_key() == source.state_key()
+    for event in continuation:
+        assert _step(loaded, event) == _step(source, event)
+        assert loaded.state_key() == source.state_key()
