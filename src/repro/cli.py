@@ -52,9 +52,7 @@ from repro.hardware import (
 from repro.kernels import (
     kernel_enabled,
     set_kernel_enabled,
-    set_trie_enabled,
     set_vector_enabled,
-    trie_enabled,
     vector_enabled,
 )
 from repro.obs import (
@@ -325,11 +323,6 @@ def _add_kernel_options(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--no-vector", dest="vector", action="store_false", default=True,
         help="keep the scalar kernel engines even when numpy is available",
-    )
-    command.add_argument(
-        "--no-trie", dest="trie", action="store_false", default=True,
-        help="disable the prefix-trie batch query planner "
-        "(keep the plain batched engines)",
     )
 
 
@@ -855,8 +848,6 @@ def _run_with_observability(args: argparse.Namespace) -> int:
     set_kernel_enabled(getattr(args, "kernel", kernel_before))
     vector_before = vector_enabled()
     set_vector_enabled(getattr(args, "vector", vector_before))
-    trie_before = trie_enabled()
-    set_trie_enabled(getattr(args, "trie", trie_before))
     cache_dir = getattr(args, "cache_dir", None)
     cache_dir_before = None
     if cache_dir is not None:
@@ -927,7 +918,6 @@ def _run_with_observability(args: argparse.Namespace) -> int:
             runner_core.remove_map_hook(maps.append)
         set_kernel_enabled(kernel_before)
         set_vector_enabled(vector_before)
-        set_trie_enabled(trie_before)
         if cache_dir is not None:
             from repro import measuredb
             from repro.kernels import store

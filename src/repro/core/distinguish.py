@@ -67,27 +67,6 @@ def response(policy: ReplacementPolicy, probe: Sequence[int], thrash_factor: int
     return tuple(cache_set.access(block).hit for block in probe)
 
 
-_measuredb = None
-
-
-def _hits_cache(policy: ReplacementPolicy, thrash_factor: int):
-    """The persistent hit-vector cache for ``policy``, if opted in.
-
-    Opt-in via :func:`repro.measuredb.set_hits_cache_enabled`; policies
-    without provenance (randomized, unregistered) get None and keep
-    re-simulating.  The import is deferred and memoized so the disabled
-    path costs one attribute read.
-    """
-    global _measuredb
-    if _measuredb is None:
-        from repro import measuredb
-
-        _measuredb = measuredb
-    if not _measuredb.hits_cache_enabled():
-        return None
-    return _measuredb.response_cache_for(policy, thrash_factor)
-
-
 def responses(
     policy: ReplacementPolicy,
     probes: Sequence[Sequence[int]],
@@ -99,34 +78,8 @@ def responses(
     whole list runs through one automaton in a single engine call, with
     the shared establishment setup replayed from a snapshot instead of
     re-simulated per probe.  Bit-identical to mapping :func:`response`.
-
-    With the measurement DB's hit-vector cache opted in
-    (:func:`repro.measuredb.set_hits_cache_enabled`) and a provenanced
-    policy, previously computed vectors are served from the database and
-    only the unresolved probes are simulated (and written back).
     """
     probes = list(probes)
-    cache = _hits_cache(policy, thrash_factor)
-    if cache is not None:
-        found, missing = cache.lookup(probes)
-        if not missing:
-            return [vector for vector in found if vector is not None]
-        computed = _responses_simulated(
-            policy, [probes[index] for index in missing], thrash_factor
-        )
-        cache.store([probes[index] for index in missing], computed)
-        for index, vector in zip(missing, computed):
-            found[index] = vector
-        return found
-    return _responses_simulated(policy, probes, thrash_factor)
-
-
-def _responses_simulated(
-    policy: ReplacementPolicy,
-    probes: Sequence[Sequence[int]],
-    thrash_factor: int = 2,
-) -> list[tuple[bool, ...]]:
-    """Simulate every probe's response (kernel batch when allowed)."""
     if kernels.kernel_allowed():
         compiled = kernels.compiled_for(policy)
         if compiled is not None:

@@ -353,18 +353,16 @@ class PermutationInference:
 
         Measurements: against a *deterministic* oracle (``provenance()``
         is not None) every verification window is issued as one
-        :meth:`~repro.core.oracle.OracleProtocol.query` batch — the
-        windows replay nested prefixes of each other, exactly the shape
-        the prefix-trie planner collapses — in the same request order as
-        the sequential loop, with identical results and identical
-        measurement cost when verification *passes* (the overwhelmingly
-        common case; every window is measured either way).  On a
-        *failing* verification the batch measures every window where
-        the loop stopped at the first mismatch, trading a few extra
-        measurements on a cold negative for the batched fast path on
-        every positive.  Noisy oracles (provenance None) keep the
-        sequential first-mismatch loop so a failure costs as little
-        hardware time as before.
+        :meth:`~repro.core.oracle.OracleProtocol.query` batch, in the
+        same request order as the sequential loop, with identical
+        results and identical measurement cost when verification
+        *passes* (the overwhelmingly common case; every window is
+        measured either way).  On a *failing* verification the batch
+        measures every window where the loop stopped at the first
+        mismatch, trading a few extra measurements on a cold negative
+        for the batched fast path on every positive.  Noisy oracles
+        (provenance None) keep the sequential first-mismatch loop so a
+        failure costs as little hardware time as before.
         """
         rng = random.Random(self.config.seed)
         establishment = self._establishment(ways)

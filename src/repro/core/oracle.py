@@ -245,8 +245,7 @@ class SimulatedSetOracle(MissCountOracle):
         measured once and fanned back out, since a deterministic set
         answers them identically — and the unique requests run through
         one automaton in a single engine call
-        (:func:`repro.kernels.count_misses_batch`, where the trie
-        planner additionally collapses shared prefixes).  Measurement
+        (:func:`repro.kernels.count_misses_batch`).  Measurement
         results and per-measurement cost accounting (``measurements``,
         ``accesses``, ``oracle.*`` metrics and events) are bit-identical
         to looping over :meth:`count_misses` — every *logical*
@@ -519,10 +518,8 @@ class CachingOracle(MissCountOracle):
         deduplicated misses are dispatched through the inner oracle's
         own :meth:`~OracleProtocol.query` — for a
         :class:`SimulatedSetOracle` that is one batched kernel call for
-        the whole list, where the prefix-trie planner
-        (:mod:`repro.kernels.trie`) executes shared prefixes once.
-        Results and hit/miss accounting are bit-identical to looping
-        over :meth:`count_misses`.
+        the whole list.  Results and hit/miss accounting are
+        bit-identical to looping over :meth:`count_misses`.
         """
         keys = [self.memo_key(setup, probe) for setup, probe in requests]
         pending: set[tuple] = set()

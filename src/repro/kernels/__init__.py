@@ -11,9 +11,8 @@ address traces as table lookups (:mod:`repro.kernels.engine`), producing
 One engine per simulation shape:
 
 * single-set queries, one at a time or in batches, run on the scalar
-  engine, which expands an automaton lazily; a prefix-redundant batch
-  goes through the :mod:`repro.kernels.trie` planner, which executes
-  each shared access prefix once;
+  engine, which expands an automaton lazily; a batch replays each
+  run of consecutive equal setups from one post-setup snapshot;
 * whole-cache traces run all sets lock-step on the numpy engine
   (:mod:`repro.kernels.vector`) when numpy is installed, and on the
   scalar trace loop otherwise.
@@ -71,13 +70,7 @@ from repro.kernels.engine import (
     simulate_trace_kernel,
     try_simulate_trace,
 )
-from repro.kernels import store, trie, vector
-from repro.kernels.trie import (
-    set_trie_enabled,
-    trie_allowed,
-    trie_disabled,
-    trie_enabled,
-)
+from repro.kernels import store, vector
 from repro.kernels.vector import (
     numpy_available,
     set_vector_enabled,
@@ -118,11 +111,7 @@ __all__ = [
     "vector_enabled",
     "set_vector_enabled",
     "vector_disabled",
-    "trie",
-    "trie_allowed",
     "trie_enabled",
-    "set_trie_enabled",
-    "trie_disabled",
 ]
 
 #: Process-wide switch.  Worker processes forked by the runner inherit
@@ -167,3 +156,13 @@ def kernel_disabled():
         yield
     finally:
         _ENABLED = previous
+
+
+def trie_enabled() -> bool:
+    """Always False: there is no prefix-trie batch planner.
+
+    Kept only because the repository benchmark (``perfbench/bench.py``)
+    stamps this value into its environment record; it goes when that
+    stamp does.
+    """
+    return False

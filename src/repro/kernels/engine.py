@@ -11,8 +11,7 @@ Two granularities, matching the two shapes of simulation in the library:
   policy's victim).  The batch entry points
   (:func:`count_misses_batch`, :func:`sequence_hits_batch`,
   :func:`sequence_hits_preloaded_batch`) answer many queries in one
-  call on the same scalar loop: the :mod:`repro.kernels.trie` planner
-  when its gates pass, otherwise :func:`_run_batch` with post-setup
+  call on the same scalar loop: :func:`_run_batch` with post-setup
   snapshot reuse, or one run per probe.  All of them expand the
   automaton lazily, only as far as the queries reach.
 
@@ -52,7 +51,7 @@ from repro.cache.config import CacheConfig
 from repro.cache.set import SetAccessResult
 from repro.cache.stats import CacheStats
 from repro.errors import KernelUnsupported
-from repro.kernels import automaton, trie, vector
+from repro.kernels import automaton, vector
 from repro.kernels.automaton import CompiledPolicy, compiled_for_factory
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -257,19 +256,18 @@ def sequence_hits_preloaded_batch(
 def _run_batch(
     compiled: CompiledPolicy,
     queries: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> tuple[list[list[bool]], int, int, int]:
+) -> list[list[bool]]:
     """Run many ``(setup, probe)`` queries through one automaton.
 
-    Returns ``(outcomes, executed, executed_hits, reused)``: the
-    per-query hit lists, the number of accesses actually executed, how
-    many of those hit, and the number of setup accesses *skipped* via
-    snapshot reuse.  Each query is an independent fresh-set run
-    (bit-identical to calling
+    Returns the per-query probe hit lists.  Each query is an
+    independent fresh-set run (bit-identical to calling
     :func:`count_misses_kernel`/:func:`sequence_hits` per query), but
     consecutive queries sharing a setup — the dominant shape in
     inference and distinguishing searches — replay the post-setup
     snapshot instead of re-running the setup, which is where the batch
-    win on top of amortized call overhead comes from.
+    win on top of amortized call overhead comes from.  One metrics
+    flush covers the executed accesses; the skipped setup accesses are
+    counted as ``kernel.setup_reused``.
     """
     ways = compiled.ways
     outcomes: list[list[bool]] = []
@@ -300,13 +298,10 @@ def _run_batch(
         executed += len(hits)
         executed_hits += sum(hits)
         outcomes.append(hits)
-    return outcomes, executed, executed_hits, reused
-
-
-def _flush_batch(executed: int, executed_hits: int, reused: int) -> None:
     _note_kernel_call("batch", executed, executed_hits, executed - executed_hits)
     if reused:
         obs_metrics.DEFAULT.incr("kernel.setup_reused", reused)
+    return outcomes
 
 
 def count_misses_batch(
@@ -316,19 +311,9 @@ def count_misses_batch(
     """Probe miss counts of many ``(setup, probe)`` queries, in order.
 
     One metrics flush covers the whole batch; the counts themselves are
-    bit-identical to per-query :func:`count_misses_kernel` calls.  A
-    prefix-redundant batch is taken by the trie planner first
-    (:mod:`repro.kernels.trie`), which executes each shared ``setup ‖
-    probe`` prefix exactly once.
+    bit-identical to per-query :func:`count_misses_kernel` calls.
     """
-    planned = trie.plan_miss_counts(compiled, queries)
-    if planned is not None:
-        counts, executed, executed_hits = planned
-        _flush_batch(executed, executed_hits, 0)
-        return counts
-    outcomes, executed, executed_hits, reused = _run_batch(compiled, queries)
-    _flush_batch(executed, executed_hits, reused)
-    return [len(hits) - sum(hits) for hits in outcomes]
+    return [len(hits) - sum(hits) for hits in _run_batch(compiled, queries)]
 
 
 def sequence_hits_batch(
@@ -338,20 +323,9 @@ def sequence_hits_batch(
     """Per-access outcomes of many ``(setup, probe)`` queries, in order.
 
     Bit-identical to per-query :func:`sequence_hits` calls; one metrics
-    flush covers the batch.  As in :func:`count_misses_batch`, the trie
-    planner takes the batch first when its gates pass; it executes
-    strictly fewer accesses (the skipped ones are reported as
-    ``kernel.trie.reused_accesses``; see OBSERVABILITY.md for the
-    relaxed parity contract).
+    flush covers the batch.
     """
-    planned = trie.plan_outcomes(compiled, queries)
-    if planned is not None:
-        outcomes, executed, executed_hits = planned
-        _flush_batch(executed, executed_hits, 0)
-    else:
-        outcomes, executed, executed_hits, reused = _run_batch(compiled, queries)
-        _flush_batch(executed, executed_hits, reused)
-    return [tuple(hits) for hits in outcomes]
+    return [tuple(hits) for hits in _run_batch(compiled, queries)]
 
 
 def sequence_hits(

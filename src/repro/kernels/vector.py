@@ -11,9 +11,8 @@ gather per access step::
 ``num_sets`` automata lock-step, bit-identical to the scalar trace
 engine and the interpreter (behind ``simulate_trace_kernel`` /
 ``try_simulate_trace``).  Single-set query batches do not come here:
-they run on the scalar kernel (:mod:`repro.kernels.engine` and the
-:mod:`repro.kernels.trie` planner), which expands an automaton lazily,
-only as far as the queries reach.
+they run on the scalar kernel (:mod:`repro.kernels.engine`), which
+expands an automaton lazily, only as far as the queries reach.
 
 The stepper's layout is chosen so per-step Python/numpy dispatch
 overhead amortizes over as many lanes as possible:

@@ -3,13 +3,15 @@
 The measurement database is the on-disk sibling of the in-memory
 :class:`~repro.core.oracle.CachingOracle`: it maps
 
-    ``(scope, request digest) -> miss count / per-access hit vector``
+    ``(scope, request digest) -> miss count``
 
 where *scope* is an oracle provenance string (policy identity +
 associativity, hardware spec + level + seed, ...) and the digest keys
-one ``(setup, probe)`` measurement.  Rows survive across processes and
-across ``--jobs N`` workers, so repeated inference grids hit the DB
-instead of re-simulating.
+one ``(setup, probe)`` measurement.  Each row also has a ``hits``
+column (a per-access hit vector), which the library writes as NULL and
+keeps only so existing database files stay valid.  Rows survive across
+processes and across ``--jobs N`` workers, so repeated inference grids
+hit the DB instead of re-simulating.
 
 Discipline mirrors :mod:`repro.kernels.store`:
 
@@ -353,12 +355,13 @@ class MeasurementDB:
         """Write ``(digest, setup_len, probe_len, misses, hits)`` rows.
 
         One transaction for the whole batch (all-or-nothing under a
-        mid-write kill).  A re-written row keeps whichever of
-        ``misses``/``hits`` the new row leaves as NULL, so the miss-count
-        and hit-vector paths fill in the same row instead of clobbering
-        each other.  Returns the number of rows written (0 when the
-        write was dropped, counted as ``db.dropped`` unless the DB is
-        disabled).
+        mid-write kill).  The library stores miss counts only and
+        writes ``hits`` as NULL; the column and the row shape stay so
+        existing database files remain valid.  A re-written row keeps
+        whichever of ``misses``/``hits`` the new row leaves as NULL, so
+        a hit vector already in an older file is not clobbered.
+        Returns the number of rows written (0 when the write was
+        dropped, counted as ``db.dropped`` unless the DB is disabled).
         """
         rows = list(rows)
         if not rows:

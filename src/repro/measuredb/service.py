@@ -24,12 +24,8 @@ so two clients reverse-engineering the same policy coalesce their
 queries through one memo — the "many clients, one measurement
 substrate" shape.  Cross-process sharing goes through the database
 itself: WAL mode lets ``--jobs N`` workers read and write one file
-concurrently.
-
-:class:`ResponseCache` is the hit-vector sibling, backing
-:func:`repro.core.distinguish.responses` when opted in: it persists the
-full per-access hit/miss vector (one byte per access) in the same row
-schema, keyed by probe under a per-policy scope.
+concurrently.  Only miss counts are stored; every row's ``hits``
+column is written as NULL.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from repro.measuredb import db as _db
 
 __all__ = [
     "OracleService",
-    "ResponseCache",
     "reset_services",
     "shared_service",
 ]
@@ -49,7 +44,6 @@ __all__ = [
 Request = tuple[Sequence[int], Sequence[int]]
 
 _SERVICES: dict[str, "OracleService"] = {}
-_RESPONSE_CACHES: dict[str, "ResponseCache"] = {}
 
 
 def shared_service(scope: str) -> "OracleService":
@@ -60,18 +54,9 @@ def shared_service(scope: str) -> "OracleService":
     return service
 
 
-def shared_response_cache(scope: str) -> "ResponseCache":
-    """The process-wide response cache for ``scope``."""
-    cache = _RESPONSE_CACHES.get(scope)
-    if cache is None:
-        cache = _RESPONSE_CACHES[scope] = ResponseCache(scope)
-    return cache
-
-
 def reset_services() -> None:
     """Drop all shared services and their memos (tests, dir changes)."""
     _SERVICES.clear()
-    _RESPONSE_CACHES.clear()
 
 
 class OracleService:
@@ -133,72 +118,3 @@ class OracleService:
             if _db.db_enabled():
                 _db.get_db().put_many(self.scope, writes)
         return [self._memo[digest] for digest in digests]
-
-
-class ResponseCache:
-    """Persistent per-probe hit-vector cache (distinguish/identify).
-
-    Rows live under a dedicated scope; the hit vector is stored as one
-    byte per access (``b"\\x01"`` hit, ``b"\\x00"`` miss) in the ``hits``
-    column, with ``misses`` kept consistent so miss-count consumers of
-    the same row see the same measurement.
-    """
-
-    def __init__(self, scope: str) -> None:
-        self.scope = scope
-        self._memo: dict[bytes, tuple[bool, ...]] = {}
-        self._preloaded = False
-
-    def _ensure_preloaded(self) -> None:
-        if self._preloaded:
-            return
-        self._preloaded = True
-        if not _db.db_enabled():
-            return
-        rows = _db.get_db().load_scope(self.scope)
-        loaded = 0
-        for digest, (_misses, hits) in rows.items():
-            if hits is not None:
-                self._memo[digest] = tuple(byte == 1 for byte in bytes(hits))
-                loaded += 1
-        if loaded:
-            obs_metrics.DEFAULT.incr("db.preload", loaded)
-
-    def lookup(
-        self, probes: Sequence[Sequence[int]]
-    ) -> tuple[list[tuple[bool, ...] | None], list[int]]:
-        """Cached vectors per probe plus the indices still unresolved."""
-        self._ensure_preloaded()
-        found: list[tuple[bool, ...] | None] = []
-        missing: list[int] = []
-        hits = 0
-        for index, probe in enumerate(probes):
-            digest = _db.request_digest((), probe)
-            vector = self._memo.get(digest)
-            if vector is None:
-                missing.append(index)
-            else:
-                hits += 1
-            found.append(vector)
-        metrics = obs_metrics.DEFAULT
-        if hits:
-            metrics.incr("db.hit", hits)
-        if missing:
-            metrics.incr("db.miss", len(missing))
-        return found, missing
-
-    def store(
-        self,
-        probes: Sequence[Sequence[int]],
-        vectors: Sequence[tuple[bool, ...]],
-    ) -> None:
-        """Memoize and persist freshly computed hit vectors."""
-        writes = []
-        for probe, vector in zip(probes, vectors):
-            digest = _db.request_digest((), probe)
-            self._memo[digest] = tuple(vector)
-            blob = bytes(1 if hit else 0 for hit in vector)
-            misses = sum(1 for hit in vector if not hit)
-            writes.append((digest, 0, len(vector), misses, blob))
-        if writes and _db.db_enabled():
-            _db.get_db().put_many(self.scope, writes)

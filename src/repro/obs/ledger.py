@@ -360,8 +360,6 @@ KEY_COUNTERS = (
     "kernel.compile.load",
     "kernel.compile.miss",
     "kernel.store.errors",
-    "kernel.trie.plans",
-    "kernel.trie.reused_accesses",
     "runner.chunk_retries",
     "runner.pool.spawned",
     "runner.pool.reused",

@@ -184,19 +184,13 @@ def _apply_measuredb_spec(spec) -> Callable[[], None]:
         return lambda: None
     from repro import measuredb
 
-    previous = (
-        measuredb.db_dir(),
-        measuredb.db_enabled(),
-        measuredb.hits_cache_enabled(),
-    )
+    previous = (measuredb.db_dir(), measuredb.db_enabled())
     measuredb.set_db_dir(spec["dir"])
     measuredb.set_db_enabled(spec["enabled"])
-    measuredb.set_hits_cache_enabled(spec.get("hits", False))
 
     def restore() -> None:
         measuredb.set_db_dir(previous[0])
         measuredb.set_db_enabled(previous[1])
-        measuredb.set_hits_cache_enabled(previous[2])
 
     return restore
 
@@ -429,7 +423,6 @@ class ExperimentRunner:
         spec["measuredb"] = {
             "dir": str(measuredb.db_dir()),
             "enabled": measuredb.db_enabled(),
-            "hits": measuredb.hits_cache_enabled(),
         }
         spec["kernel"] = {
             "enabled": kernels.kernel_enabled(),

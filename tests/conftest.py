@@ -58,14 +58,12 @@ def _isolated_automaton_store(tmp_path_factory):
 
     store.set_cache_dir(tmp_path_factory.mktemp("repro-cache"))
     measuredb.set_db_dir(None)
-    measuredb.set_hits_cache_enabled(False)
     measuredb.reset()
     history.set_history_dir(None)
     history.reset()
     yield
     store.set_cache_dir(None)
     measuredb.set_db_dir(None)
-    measuredb.set_hits_cache_enabled(False)
     measuredb.reset()
     history.set_history_dir(None)
     history.reset()

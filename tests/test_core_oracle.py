@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import CachingOracle, SimulatedSetOracle, VotingOracle
 from repro.errors import MeasurementError
+from repro.obs import metrics as obs_metrics
 from repro.policies import LruPolicy
 
 
@@ -32,6 +33,23 @@ class TestSimulatedSetOracle:
     def test_ways_exposure(self):
         assert SimulatedSetOracle(LruPolicy(4)).ways == 4
         assert SimulatedSetOracle(LruPolicy(4), expose_ways=False).ways is None
+
+    def test_query_dedup_preserves_accounting(self):
+        """Duplicate requests are measured once by the kernel, yet oracle.*
+        counters (and the oracle's own cost fields) stay per-request."""
+        requests = [([1, 2], [1, 3])] * 6 + [([], [4])] * 3
+        oracle = SimulatedSetOracle(LruPolicy(4))
+        obs_metrics.DEFAULT.reset()
+        counts = oracle.query(requests)
+        counters = obs_metrics.DEFAULT.snapshot()["counters"]
+        assert counters["oracle.measurements"] == len(requests)
+        assert counters["oracle.accesses"] == sum(
+            len(setup) + len(probe) for setup, probe in requests
+        )
+        assert oracle.measurements == len(requests)
+        assert counts == [
+            oracle.count_misses(setup, probe) for setup, probe in requests
+        ]
 
 
 class _FlakyOracle(SimulatedSetOracle):

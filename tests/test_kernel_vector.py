@@ -18,6 +18,8 @@ Four concerns:
   and the scalar engines carry on, bit-identically.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from repro.core.oracle import CachingOracle, SimulatedSetOracle
 from repro.kernels import (
     clear_compile_cache,
     compile_policy,
+    compiled_for,
     count_misses_batch,
     count_misses_kernel,
     kernel_disabled,
@@ -36,7 +39,6 @@ from repro.kernels import (
     sequence_hits_preloaded,
     sequence_hits_preloaded_batch,
     store,
-    trie_disabled,
     try_simulate_trace,
     vector,
     vector_disabled,
@@ -85,13 +87,11 @@ def build(name, ways=WAYS):
 @given(name=policy_names, queries=query_lists)
 @settings(max_examples=80, deadline=None)
 def test_batch_outcomes_bit_identical(name, queries):
-    """Batches == per-query scalar runs, with or without the planner."""
+    """Batches == per-query scalar runs."""
     compiled = compile_policy(build(name))
     expected = [
         sequence_hits(compiled, setup, probe) for setup, probe in queries
     ]
-    with trie_disabled():
-        assert sequence_hits_batch(compiled, queries) == expected
     assert sequence_hits_batch(compiled, queries) == expected
 
 
@@ -132,6 +132,26 @@ def test_batch_falls_back_on_huge_ids():
     queries = [([big], [big, 1]) for _ in range(4)]
     expected = [sequence_hits(compiled, s, p) for s, p in queries]
     assert sequence_hits_batch(compiled, queries) == expected
+
+
+def test_batch_never_forces_full_expansion():
+    """A wide batch on a large automaton stays lazy: no expand_all().
+
+    Expanding every reachable qlru state costs far more than the states
+    a batch reaches, so the batched engine may not build full tables (a
+    non-None ``vector_tables``) on the way.
+    """
+    rng = random.Random(0)
+    setup = [10_000 + i for i in range(16)] + list(range(8))
+    queries = [
+        (setup, [rng.randrange(16) for _ in range(8)]) for _ in range(256)
+    ]
+    compiled = compiled_for(make_policy("qlru_h00_m2", 8))
+    batched = sequence_hits_batch(compiled, queries)
+    assert compiled.vector_tables is None
+    assert batched == [
+        sequence_hits(compiled, setup, probe) for setup, probe in queries
+    ]
 
 
 @given(name=policy_names, probes=st.lists(blocks, min_size=1, max_size=19))
@@ -230,10 +250,8 @@ def _counters():
 def test_batch_counters_reconcile_with_per_query(switch, tiny_lanes):
     """accesses = hits + misses per mode; batch == per-query modulo reuse.
 
-    This pins the *batched engines'* accounting, so the trie planner —
-    which has its own, further-relaxed reconciliation (see
-    tests/test_kernel_trie.py) — is held off.  The batch runs on the
-    scalar kernel even with the vector switch on and its lane gate open.
+    The batch runs on the scalar kernel even with the vector switch on
+    and its lane gate open.
     """
     compiled = compile_policy(LruPolicy(WAYS))
 
@@ -244,7 +262,7 @@ def test_batch_counters_reconcile_with_per_query(switch, tiny_lanes):
     assert "kernel.setup_reused" not in single
 
     obs_metrics.DEFAULT.reset()
-    with vector_switch(switch), trie_disabled():
+    with vector_switch(switch):
         batched = count_misses_batch(compiled, QUERIES)
     batch = _counters()
     assert batched == per_query

@@ -4,8 +4,8 @@ Three layers under test (see ``repro.measuredb``):
 
 * :class:`MeasurementDB` — WAL sqlite store: round trips, upserts,
   corruption fallback, disabled mode, maintenance;
-* :class:`OracleService` / :class:`ResponseCache` — preloading,
-  batching, in-flight coalescing, write-back, ``db.*`` counters;
+* :class:`OracleService` — preloading, batching, in-flight
+  coalescing, write-back, ``db.*`` counters;
 * :class:`MeasurementDBOracle` — provenance gating and the logical
   cost accounting that keeps cold and warm inference results
   bit-identical.
@@ -96,8 +96,9 @@ class TestMeasurementDB:
         assert set(database.load_scope(SCOPE)) == set(digests)
 
     def test_upsert_fills_without_clobbering(self, tmp_path):
-        # A miss-count write and a hit-vector write to the same row must
-        # merge, not erase each other's column.
+        # Writes to the same row merge, not erase each other's column:
+        # a hit vector in an older database file survives a miss-count
+        # write (the library itself writes hits as NULL).
         database = mdb.MeasurementDB(tmp_path / mdb.DB_FILENAME)
         digest = mdb.request_digest((), [0, 1])
         database.put_many(SCOPE, [(digest, 0, 2, 2, None)])
@@ -319,50 +320,6 @@ class TestMeasurementDBOracle:
         assert counters.get("db.miss", 0) == 0
         assert counters.get("oracle.measurements", 0) == 0  # no real measurement
         assert counters["db.hit"] == warm.measurements
-
-
-class TestHitVectorCache:
-    def test_responses_served_from_db_when_opted_in(self):
-        from repro.core import distinguish
-
-        policy = make_policy("lru", 4)
-        probes = [[0, 1, 2, 3], [4, 0, 1, 2], [0, 0, 1, 1]]
-        plain = distinguish.responses(policy, probes)
-
-        measuredb.set_hits_cache_enabled(True)
-        cold = distinguish.responses(policy, probes)
-        assert cold == plain
-        assert _counters()["db.write"] == len(probes)
-
-        measuredb.reset()  # fresh process: memos gone, rows persist
-        obs_metrics.DEFAULT.reset()
-        warm = distinguish.responses(make_policy("lru", 4), probes)
-        assert warm == plain
-        counters = _counters()
-        assert counters.get("db.miss", 0) == 0
-        assert counters["db.hit"] == len(probes)
-
-    def test_partial_hits_compute_only_the_missing(self):
-        from repro.core import distinguish
-
-        policy = make_policy("lru", 4)
-        measuredb.set_hits_cache_enabled(True)
-        distinguish.responses(policy, [[0, 1, 2, 3]])
-        obs_metrics.DEFAULT.reset()
-        both = distinguish.responses(policy, [[0, 1, 2, 3], [9, 9, 9, 9]])
-        assert both == distinguish.responses(make_policy("lru", 4),
-                                             [[0, 1, 2, 3], [9, 9, 9, 9]])
-        counters = _counters()
-        assert counters["db.miss"] == 1
-        assert counters["db.hit"] >= 1
-
-    def test_randomized_policy_never_cached(self):
-        from repro.core import distinguish
-
-        measuredb.set_hits_cache_enabled(True)
-        policy = make_policy("random", 4, rng=SeededRng(0))
-        distinguish.responses(policy, [[0, 1, 2, 3]])
-        assert _counters().get("db.write", 0) == 0
 
 
 # -- concurrency: module-level workers (fork context) ------------------------

@@ -190,55 +190,3 @@ class TestFormatting:
         assert "jobs=4" in described
         assert "kernel=True" in described
         assert "vector=False" in described
-
-
-class TestTrieGrouping:
-    """Planner engagement participates in the baseline grouping key."""
-
-    def test_param_is_authoritative(self):
-        # A CLI run that recorded --no-trie groups as False even when a
-        # (stale) counter claims engagement.
-        assert obs_regress._trie_flag({"trie": False}, {"kernel.trie.plans": 3}) is False
-        assert obs_regress._trie_flag({"trie": True}, None) is True
-
-    def test_counters_are_the_fallback_evidence(self):
-        assert obs_regress._trie_flag(None, {"kernel.trie.plans": 2}) is True
-        # No engagement evidence: pre-planner rows and gate-declined runs
-        # both executed the plain batched engines, so they group together.
-        assert obs_regress._trie_flag({}, {"kernel.trie.plans": 0}) is None
-        assert obs_regress._trie_flag(None, None) is None
-
-    def test_groups_are_isolated_by_trie(self, db):
-        record_series(db, [1.0, 1.0], params={"seed": 0, "trie": True})
-        record_series(db, [5.0, 5.0], params={"seed": 0, "trie": False})
-        verdicts = obs_regress.check_history(db=db)
-        assert {verdict.key.trie for verdict in verdicts} == {True, False}
-        assert all(verdict.status == "ok" for verdict in verdicts)
-
-    def test_fallback_spike_is_regression_checked(self, db):
-        # Batches newly declining the planner (gates drifting shut) is a
-        # cost regression even before wall time moves.
-        for index, fallbacks in enumerate([10.0, 10.0, 10.0, 100.0]):
-            db.record_ledger(
-                make_ledger(
-                    wall=1.0 + index * 0.001,
-                    created=f"2026-08-{index + 1:02d}T00:00:00Z",
-                    counters={
-                        "kernel.trie.plans": 4.0,
-                        "kernel.trie.fallbacks": fallbacks,
-                    },
-                )
-            )
-        by_metric = {
-            verdict.metric: verdict
-            for verdict in obs_regress.check_history(db=db)
-        }
-        assert by_metric["kernel.trie.fallbacks"].status == "fail"
-        assert by_metric["kernel.trie.fallbacks"].key.trie is True
-        assert by_metric["wall_seconds"].status == "ok"
-
-    def test_describe_mentions_trie(self):
-        key = obs_regress.BaselineKey(
-            name="e3", jobs=4, kernel=True, vector=True, trie=True
-        )
-        assert "trie=True" in key.describe()
