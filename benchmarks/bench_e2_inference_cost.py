@@ -5,20 +5,12 @@ of permutation inference grows polynomially with the associativity
 (position tables are A x A, each entry needing up to A survival probes);
 this benchmark regenerates the measurement and access counts and checks
 the growth stays polynomial (roughly cubic for the linear strategy).
-
-Set ``REPRO_MEASURE_DB=1`` to route every cell's oracle through the
-persistent measurement DB (:func:`repro.measuredb.wrap_if_enabled`):
-the reported measurement/access counts are bit-identical (the DB
-oracle's cost accounting is logical), but a rerun against a kept
-``REPRO_CACHE_DIR`` serves from the database — ``repro-cache report
---diff`` on the two ledgers then shows the oracle wall time collapse.
+Every cell measures against a fresh simulated oracle; the persistent
+measurement DB is exercised by ``bench_measuredb.py`` and ``infer --db``.
 """
-
-import os
 
 import pytest
 
-from repro import measuredb
 from repro.core import InferenceConfig, PermutationInference, SimulatedSetOracle
 from repro.policies import make_policy
 from repro.runner import ExperimentRunner
@@ -33,8 +25,6 @@ def _cost_cell(task: tuple[str, int]) -> list[object]:
     """One (policy, ways) inference-cost measurement (runner cell)."""
     policy_name, ways = task
     oracle = SimulatedSetOracle(make_policy(policy_name, ways))
-    if os.environ.get("REPRO_MEASURE_DB"):
-        oracle = measuredb.wrap_if_enabled(oracle)
     result = PermutationInference(
         oracle, config=InferenceConfig(verify_sequences=10)
     ).infer()

@@ -22,10 +22,11 @@ structured events to a JSONL file) and ``--metrics FILE`` (write an
 ExperimentResult metrics sidecar plus a ``*.ledger.json`` run manifest
 next to it); see OBSERVABILITY.md.  ``--metrics`` composes with the
 compiled kernel — only ``--trace`` (which wants per-access events)
-routes simulation through the interpreter.  ``--cache-dir DIR`` points
-*both* persistent stores (compiled automata and the measurement DB) at
-one directory; ``infer --db`` persists measurements so a warm rerun
-reports ``db.miss == 0`` in its ledger.
+routes simulation through the interpreter.  ``--cache-dir DIR`` (spelled
+``--dir`` on ``cache``/``db``/``history``/``dash``) points every
+persistent store — compiled automata, the measurement DB and the run
+history — at one directory; ``infer --db`` persists measurements so a
+warm rerun reports ``db.miss == 0`` in its ledger.
 """
 
 from __future__ import annotations
@@ -326,86 +327,77 @@ def _add_kernel_options(command: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cache_options(command: argparse.ArgumentParser) -> None:
-    """Attach the shared persistent-store directory option."""
+def _add_cache_options(
+    command: argparse.ArgumentParser, flag: str = "--cache-dir"
+) -> None:
+    """Attach the one persistent-store directory option."""
     command.add_argument(
-        "--cache-dir", metavar="DIR", default=None, dest="cache_dir",
-        help="directory for both persistent stores — compiled automata "
-        "and the measurement DB (default: $REPRO_CACHE_DIR or "
-        "./.repro-cache)",
+        flag, metavar="DIR", default=None, dest="cache_dir",
+        help="directory of every persistent store — compiled automata, "
+        "the measurement DB and the run history (default: "
+        "$REPRO_CACHE_DIR or ./.repro-cache)",
     )
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.kernels import store
 
-    previous_dir = None if args.dir is None else store.cache_dir()
-    if args.dir is not None:
-        store.set_cache_dir(args.dir)
-    try:
-        if args.action == "stats":
-            info = store.stats()
-            rows = [
-                [
-                    entry["file"],
-                    entry["schema"],
-                    "yes" if entry["current"] else "stale",
-                    entry["bytes"],
-                ]
-                for entry in info["artifacts"]
-            ]
-            print(
-                format_table(
-                    ["artifact", "schema", "current", "bytes"],
-                    rows,
-                    title=f"automaton store @ {info['dir']}",
-                )
-            )
-            print(
-                f"entries: {info['entries']} ({info['stale_entries']} stale), "
-                f"total {info['total_bytes']} bytes, "
-                f"schema v{info['schema_version']}, "
-                f"{'enabled' if info['enabled'] else 'disabled'}"
-            )
-            from repro.kernels import numpy_available
-
-            print(
-                "loading: "
-                f"mmap {'on' if store.mmap_enabled() else 'off'}, "
-                f"numpy {'available (vector engine)' if numpy_available() else 'absent (scalar only)'}"
-            )
-            return 0
-        if args.action == "clear":
-            removed = store.clear(stale_only=args.stale_only)
-            which = "stale " if args.stale_only else ""
-            print(f"removed {removed} {which}artifact(s) from {store.cache_dir()}")
-            return 0
-        # warm: resolve + persist each policy's automaton.
-        names = args.policies.split(",") if args.policies else available()
-        report = store.warm((name, (), args.ways) for name in names)
+    if args.action == "stats":
+        info = store.stats()
         rows = [
             [
-                entry["policy"],
-                entry["ways"],
-                entry["status"],
-                entry["states"],
-                f"{entry['seconds']:.3f}",
+                entry["file"],
+                entry["schema"],
+                "yes" if entry["current"] else "stale",
+                entry["bytes"],
             ]
-            for entry in report
+            for entry in info["artifacts"]
         ]
         print(
             format_table(
-                ["policy", "ways", "status", "states", "seconds"],
+                ["artifact", "schema", "current", "bytes"],
                 rows,
-                title=f"cache warm @ {store.cache_dir()}",
+                title=f"automaton store @ {info['dir']}",
             )
         )
-        persisted = sum(1 for entry in report if entry["status"] == "persisted")
-        print(f"persisted {persisted}/{len(report)} automata")
+        print(
+            f"entries: {info['entries']} ({info['stale_entries']} stale), "
+            f"total {info['total_bytes']} bytes, "
+            f"schema v{info['schema_version']}"
+        )
+        from repro.kernels import numpy_available
+
+        print("numpy", "available (vector engine)" if numpy_available()
+              else "absent (scalar only)")
         return 0
-    finally:
-        if args.dir is not None:
-            store.set_cache_dir(previous_dir)
+    if args.action == "clear":
+        removed = store.clear(stale_only=args.stale_only)
+        which = "stale " if args.stale_only else ""
+        print(f"removed {removed} {which}artifact(s) from {store.cache_dir()}")
+        return 0
+    # warm: resolve + persist each policy's automaton.
+    names = args.policies.split(",") if args.policies else available()
+    report = store.warm((name, (), args.ways) for name in names)
+    rows = [
+        [
+            entry["policy"],
+            entry["ways"],
+            entry["status"],
+            entry["states"],
+            f"{entry['seconds']:.3f}",
+        ]
+        for entry in report
+    ]
+    print(
+        format_table(
+            ["policy", "ways", "status", "states", "seconds"],
+            rows,
+            title=f"cache warm @ {store.cache_dir()}",
+        )
+    )
+    persisted = sum(1 for entry in report if entry["status"] == "persisted")
+    print(f"persisted {persisted}/{len(report)} automata")
+    return 0
 
 
 def _cmd_db(args: argparse.Namespace) -> int:
@@ -413,50 +405,41 @@ def _cmd_db(args: argparse.Namespace) -> int:
 
     from repro import measuredb
 
-    previous_dir = None if args.dir is None else measuredb.db_dir()
-    if args.dir is not None:
-        measuredb.set_db_dir(args.dir)
-        measuredb.reset()
-    try:
-        if args.action == "stats":
-            info = measuredb.stats()
-            rows = [[entry["scope"], entry["rows"]] for entry in info["scopes"]]
-            print(
-                format_table(
-                    ["scope", "rows"],
-                    rows,
-                    title=f"measurement DB @ {info['path']}",
-                )
+    if args.action == "stats":
+        info = measuredb.stats()
+        rows = [[entry["scope"], entry["rows"]] for entry in info["scopes"]]
+        print(
+            format_table(
+                ["scope", "rows"],
+                rows,
+                title=f"measurement DB @ {info['path']}",
             )
-            print(
-                f"rows: {info['total_rows']} in {len(info['scopes'])} scope(s), "
-                f"total {info['total_bytes']} bytes, "
-                f"schema v{info['schema_version']}, "
-                f"{'enabled' if info['enabled'] else 'disabled'}"
-            )
-            return 0
-        if args.action == "clear":
-            removed = measuredb.clear(args.scope)
-            which = f"scope {args.scope!r}" if args.scope else "all scopes"
-            print(f"removed {removed} row(s) ({which}) from {measuredb.db_path()}")
-            return 0
-        # export: JSON-lines rows, to stdout or --output.
-        rows_iter = measuredb.export_rows(args.scope)
-        if args.output:
-            count = 0
-            with open(args.output, "w", encoding="utf-8") as sink:
-                for row in rows_iter:
-                    sink.write(json.dumps(row) + "\n")
-                    count += 1
-            print(f"exported {count} row(s) to {args.output}")
-        else:
-            for row in rows_iter:
-                print(json.dumps(row))
+        )
+        print(
+            f"rows: {info['total_rows']} in {len(info['scopes'])} scope(s), "
+            f"total {info['total_bytes']} bytes, "
+            f"schema v{info['schema_version']}, "
+            f"{'enabled' if info['enabled'] else 'disabled'}"
+        )
         return 0
-    finally:
-        if args.dir is not None:
-            measuredb.set_db_dir(previous_dir)
-            measuredb.reset()
+    if args.action == "clear":
+        removed = measuredb.clear(args.scope)
+        which = f"scope {args.scope!r}" if args.scope else "all scopes"
+        print(f"removed {removed} row(s) ({which}) from {measuredb.db_path()}")
+        return 0
+    # export: JSON-lines rows, to stdout or --output.
+    rows_iter = measuredb.export_rows(args.scope)
+    if args.output:
+        count = 0
+        with open(args.output, "w", encoding="utf-8") as sink:
+            for row in rows_iter:
+                sink.write(json.dumps(row) + "\n")
+                count += 1
+        print(f"exported {count} row(s) to {args.output}")
+    else:
+        for row in rows_iter:
+            print(json.dumps(row))
+    return 0
 
 
 def _cmd_history(args: argparse.Namespace) -> int:
@@ -464,104 +447,83 @@ def _cmd_history(args: argparse.Namespace) -> int:
     from repro.obs import history as obs_history
     from repro.obs import regress as obs_regress
 
-    previous_dir = None
-    if args.dir is not None:
-        previous_dir = obs_history.history_dir()
-        obs_history.set_history_dir(args.dir)
-    try:
-        if args.action == "ingest":
-            report = obs_history.ingest_paths(args.paths)
-            for path, status in report["files"]:
-                print(f"{status:9s} {path}")
-            for path, reason in report["errors"]:
-                print(f"error: {path}: {reason}", file=sys.stderr)
-            print(
-                f"ingested {report['recorded']} new, "
-                f"{report['duplicates']} duplicate(s), "
-                f"{len(report['errors'])} error(s) "
-                f"into {obs_history.history_path()}"
-            )
-            return 0 if not report["errors"] else 1
-        if args.action == "check":
-            defaults = {
-                "window": obs_regress.DEFAULT_WINDOW,
-                "min_samples": obs_regress.DEFAULT_MIN_SAMPLES,
-                "wall_threshold": obs_regress.DEFAULT_WALL_THRESHOLD,
-                "counter_threshold": obs_regress.DEFAULT_COUNTER_THRESHOLD,
-            }
-            knobs = {
-                name: getattr(args, name) if getattr(args, name) is not None
-                else value
-                for name, value in defaults.items()
-            }
-            verdicts = obs_regress.check_history(
-                experiments=args.experiment or None,
-                baseline_ref=args.baseline,
-                **knobs,
-            )
-            print(obs_regress.format_verdicts(verdicts))
-            failed = sum(1 for verdict in verdicts if verdict.status == "fail")
-            skipped = sum(1 for verdict in verdicts if verdict.status == "skip")
-            print(
-                f"checked {len(verdicts)} metric(s): "
-                f"{failed} regression(s), {skipped} skipped"
-            )
-            if failed and args.warn_only:
-                print("warn-only: regressions reported, exit suppressed",
-                      file=sys.stderr)
-                return 0
-            return 1 if failed else 0
-        if args.action == "stats":
-            info = obs_history.stats()
-            rows = [
-                [entry["name"], entry["runs"], entry["first"], entry["latest"]]
-                for entry in info["experiments"]
-            ]
-            print(format_table(
-                ["experiment", "runs", "first", "latest"],
-                rows,
-                title=f"run history @ {info['path']}",
-            ))
-            print(
-                f"runs: {info['total_runs']} across "
-                f"{len(info['experiments'])} experiment(s), "
-                f"{info['total_bench_points']} bench point(s), "
-                f"total {info['total_bytes']} bytes, "
-                f"schema v{info['schema_version']}, "
-                f"{'enabled' if info['enabled'] else 'disabled'}"
-            )
+    if args.action == "ingest":
+        report = obs_history.ingest_paths(args.paths)
+        for path, status in report["files"]:
+            print(f"{status:9s} {path}")
+        for path, reason in report["errors"]:
+            print(f"error: {path}: {reason}", file=sys.stderr)
+        print(
+            f"ingested {report['recorded']} new, "
+            f"{report['duplicates']} duplicate(s), "
+            f"{len(report['errors'])} error(s) "
+            f"into {obs_history.history_path()}"
+        )
+        return 0 if not report["errors"] else 1
+    if args.action == "check":
+        defaults = {
+            "window": obs_regress.DEFAULT_WINDOW,
+            "min_samples": obs_regress.DEFAULT_MIN_SAMPLES,
+            "wall_threshold": obs_regress.DEFAULT_WALL_THRESHOLD,
+            "counter_threshold": obs_regress.DEFAULT_COUNTER_THRESHOLD,
+        }
+        knobs = {
+            name: getattr(args, name) if getattr(args, name) is not None
+            else value
+            for name, value in defaults.items()
+        }
+        verdicts = obs_regress.check_history(
+            experiments=args.experiment or None,
+            baseline_ref=args.baseline,
+            **knobs,
+        )
+        print(obs_regress.format_verdicts(verdicts))
+        failed = sum(1 for verdict in verdicts if verdict.status == "fail")
+        skipped = sum(1 for verdict in verdicts if verdict.status == "skip")
+        print(
+            f"checked {len(verdicts)} metric(s): "
+            f"{failed} regression(s), {skipped} skipped"
+        )
+        if failed and args.warn_only:
+            print("warn-only: regressions reported, exit suppressed",
+                  file=sys.stderr)
             return 0
-        # clear
-        removed = obs_history.clear()
-        print(f"removed {removed} row(s) from {obs_history.history_path()}")
+        return 1 if failed else 0
+    if args.action == "stats":
+        info = obs_history.stats()
+        rows = [
+            [entry["name"], entry["runs"], entry["first"], entry["latest"]]
+            for entry in info["experiments"]
+        ]
+        print(format_table(
+            ["experiment", "runs", "first", "latest"],
+            rows,
+            title=f"run history @ {info['path']}",
+        ))
+        print(
+            f"runs: {info['total_runs']} across "
+            f"{len(info['experiments'])} experiment(s), "
+            f"{info['total_bench_points']} bench point(s), "
+            f"total {info['total_bytes']} bytes, "
+            f"schema v{info['schema_version']}, "
+            f"{'enabled' if info['enabled'] else 'disabled'}"
+        )
         return 0
-    finally:
-        if args.dir is not None:
-            obs_history.set_history_dir(previous_dir)
-            obs_history.reset()
+    # clear
+    removed = obs_history.clear()
+    print(f"removed {removed} row(s) from {obs_history.history_path()}")
+    return 0
 
 
 def _cmd_dash(args: argparse.Namespace) -> int:
     """Render the static HTML observability dashboard."""
     from repro.obs import dash as obs_dash
-    from repro.obs import history as obs_history
 
-    previous_dir = None
-    if args.dir is not None:
-        previous_dir = obs_history.history_dir()
-        obs_history.set_history_dir(args.dir)
-    try:
-        results_dir = args.results
-        if results_dir is None:
-            default = Path("benchmarks") / "results"
-            results_dir = default if default.is_dir() else None
-        report = obs_dash.render_dashboard(
-            args.output, results_dir=results_dir
-        )
-    finally:
-        if args.dir is not None:
-            obs_history.set_history_dir(previous_dir)
-            obs_history.reset()
+    results_dir = args.results
+    if results_dir is None:
+        default = Path("benchmarks") / "results"
+        results_dir = default if default.is_dir() else None
+    report = obs_dash.render_dashboard(args.output, results_dir=results_dir)
     print(
         f"dashboard: {len(report['pages'])} page(s) -> {args.output} "
         f"({report['runs']} run(s), {report['experiments']} experiment(s), "
@@ -687,9 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument("action", choices=("stats", "warm", "clear"),
                        help="inspect, populate, or empty the artifact store")
-    cache.add_argument("--dir", default=None,
-                       help="store directory (default: $REPRO_CACHE_DIR or "
-                       "./.repro-cache)")
+    _add_cache_options(cache, "--dir")
     cache.add_argument("--policies", default=None,
                        help="warm: comma-separated names (default: every "
                        "registry policy; unsupported ones are reported)")
@@ -706,9 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     db.add_argument("action", choices=("stats", "clear", "export"),
                     help="inspect, empty, or dump the measurement store")
-    db.add_argument("--dir", default=None,
-                    help="database directory (default: shared with the "
-                    "automaton store: $REPRO_CACHE_DIR or ./.repro-cache)")
+    _add_cache_options(db, "--dir")
     db.add_argument("--scope", default=None,
                     help="restrict clear/export to one provenance scope")
     db.add_argument("--output", default=None, metavar="FILE",
@@ -737,9 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Example: repro-cache history ingest benchmarks/results/ "
         "&& repro-cache history check",
     )
-    history.add_argument("--dir", default=None,
-                         help="history directory (default: shared with the "
-                         "automaton store: $REPRO_CACHE_DIR or ./.repro-cache)")
+    _add_cache_options(history, "--dir")
     history_sub = history.add_subparsers(dest="action", required=True)
     ingest = history_sub.add_parser(
         "ingest",
@@ -788,9 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     dash.add_argument("--results", default=None, metavar="DIR",
                       help="results directory for *.trace.jsonl flame views "
                       "(default: benchmarks/results/ when present)")
-    dash.add_argument("--dir", default=None,
-                      help="history directory (default: shared with the "
-                      "automaton store)")
+    _add_cache_options(dash, "--dir")
 
     return parser
 
@@ -851,9 +805,8 @@ def _run_with_observability(args: argparse.Namespace) -> int:
     cache_dir = getattr(args, "cache_dir", None)
     cache_dir_before = None
     if cache_dir is not None:
-        # One switch moves all three persistent stores: the measurement
-        # DB's and history DB's directories follow the automaton store's
-        # unless overridden.
+        # One directory holds all three persistent stores: the
+        # measurement DB and the run history live beside the automata.
         from repro import measuredb
         from repro.kernels import store
 
@@ -921,9 +874,11 @@ def _run_with_observability(args: argparse.Namespace) -> int:
         if cache_dir is not None:
             from repro import measuredb
             from repro.kernels import store
+            from repro.obs import history as obs_history
 
             store.set_cache_dir(cache_dir_before)
             measuredb.reset()
+            obs_history.reset()
     return status
 
 

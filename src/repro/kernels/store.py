@@ -58,12 +58,6 @@ __all__ = [
     "spec_key",
     "cache_dir",
     "set_cache_dir",
-    "store_enabled",
-    "set_store_enabled",
-    "store_disabled",
-    "mmap_enabled",
-    "set_mmap_enabled",
-    "mmap_disabled",
     "artifact_path",
     "save",
     "load",
@@ -94,7 +88,6 @@ ENV_VAR = "REPRO_CACHE_DIR"
 DEFAULT_DIRNAME = ".repro-cache"
 
 _CACHE_DIR: Path | None = None
-_ENABLED = True
 
 #: Keys already persisted (or found on disk) this session, so warm
 #: points skip the fsync + checksum work on re-runs.  Cleared by
@@ -145,7 +138,7 @@ def spec_key(spec, budget: int | None = None) -> StoreKey:
     return StoreKey(kind="spec", label="permutation-spec", canonical=canonical)
 
 
-# -- directory / enablement --------------------------------------------------
+# -- directory ---------------------------------------------------------------
 def cache_dir() -> Path:
     """The artifact directory: explicit > $REPRO_CACHE_DIR > ./.repro-cache."""
     if _CACHE_DIR is not None:
@@ -161,61 +154,6 @@ def set_cache_dir(path: str | os.PathLike | None) -> None:
     global _CACHE_DIR
     _CACHE_DIR = Path(path) if path is not None else None
     _PERSISTED.clear()
-
-
-def store_enabled() -> bool:
-    """True when the on-disk store may be read or written."""
-    return _ENABLED
-
-
-def set_store_enabled(enabled: bool) -> None:
-    """Globally enable or disable the on-disk store (memory caches stay)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-@contextlib.contextmanager
-def store_disabled():
-    """Temporarily bypass the disk store (cold-path benchmarks, tests)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
-#: mmap mode: ``None`` = auto (map artifacts zero-copy), ``True``/``False``
-#: force.  Mapped loads share the OS page cache across ``--jobs N``
-#: workers instead of each holding a private deserialized copy; scalar
-#: tables still materialize to plain lists, but lazily, on first touch.
-_MMAP: bool | None = None
-
-
-def mmap_enabled() -> bool:
-    """True when :func:`load` should map artifacts instead of reading them."""
-    if _MMAP is not None:
-        return _MMAP
-    return True
-
-
-def set_mmap_enabled(enabled: bool | None) -> None:
-    """Force mmap loading on/off; ``None`` restores the auto rule."""
-    global _MMAP
-    _MMAP = enabled if enabled is None else bool(enabled)
-
-
-@contextlib.contextmanager
-def mmap_disabled():
-    """Temporarily force buffered (copying) artifact reads."""
-    global _MMAP
-    previous = _MMAP
-    _MMAP = False
-    try:
-        yield
-    finally:
-        _MMAP = previous
 
 
 def _schema_dir() -> Path:
@@ -234,12 +172,10 @@ def save(key: StoreKey, compiled) -> bool:
     The automaton is closed with ``expand_all()`` first — only complete
     tables round-trip (a ``-1`` placeholder could never be expanded by
     the frozen automaton :func:`load` rebuilds).  A policy that blows
-    its budget, a read-only cache directory, or a disabled store all
-    return False; persistence is an optimization, never a requirement.
-    A write that fails counts as ``kernel.store.errors``.
+    its budget or a read-only cache directory returns False;
+    persistence is an optimization, never a requirement.  A write that
+    fails counts as ``kernel.store.errors``.
     """
-    if not _ENABLED:
-        return False
     try:
         compiled.expand_all()
     except KernelUnsupported:
@@ -294,13 +230,13 @@ def load(key: StoreKey):
     A corrupt artifact and an open that fails for any reason but a
     missing file each count as ``kernel.store.errors``.
 
-    Two read modes.  With mmap enabled (the default) the file is mapped
-    read-only and the automaton's tables become zero-copy views over the
-    mapping — concurrent ``--jobs N`` workers then share one page-cache
-    copy of the bytes instead of each deserializing a private one, and
-    the vector engine's numpy tables alias the mapping directly.
-    Otherwise the bytes are read and copied into ``array('i')`` tables
-    as before.
+    The file is mapped read-only and the automaton's tables become
+    zero-copy views over the mapping — concurrent ``--jobs N`` workers
+    then share one page-cache copy of the bytes instead of each
+    deserializing a private one, and the vector engine's numpy tables
+    alias the mapping directly.  When the OS refuses the mapping
+    (counted as ``kernel.mmap.fallbacks``), the bytes are read and
+    copied into ``array('i')`` tables instead.
 
     Concurrency: the unlink of a corrupt artifact only happens when the
     file on disk is still *the exact file we read* (same inode, size and
@@ -308,8 +244,6 @@ def load(key: StoreKey):
     opened it — recompiling covers us either way, and deleting their
     fresh replacement would re-introduce the race this guard closes.
     """
-    if not _ENABLED:
-        return None
     from repro.kernels.automaton import CompiledPolicy
 
     path = artifact_path(key)
@@ -317,7 +251,7 @@ def load(key: StoreKey):
     try:
         with open(path, "rb") as handle:
             read_stat = os.fstat(handle.fileno())
-            if mmap_enabled() and read_stat.st_size > 0:
+            if read_stat.st_size > 0:
                 try:
                     mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
                 except (OSError, ValueError):
@@ -440,8 +374,6 @@ def _tables_in_range(buffers: dict, num_states: int, ways: int) -> bool:
 
 def ensure_persisted(key: StoreKey, compiled) -> bool:
     """Persist ``compiled`` under ``key`` unless already done this session."""
-    if not _ENABLED:
-        return False
     if key.canonical in _PERSISTED and artifact_path(key).exists():
         return True
     return save(key, compiled)
@@ -535,7 +467,6 @@ def stats() -> dict:
     return {
         "dir": str(root),
         "schema_version": SCHEMA_VERSION,
-        "enabled": _ENABLED,
         "entries": len(entries),
         "stale_entries": stale,
         "total_bytes": sum(entry["bytes"] for entry in entries),

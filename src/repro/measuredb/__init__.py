@@ -22,14 +22,9 @@ from repro.measuredb.db import (
     SCHEMA_VERSION,
     MeasurementDB,
     close_db,
-    db_dir,
-    db_disabled,
-    db_enabled,
     db_path,
     get_db,
     request_digest,
-    set_db_dir,
-    set_db_enabled,
 )
 from repro.measuredb.service import OracleService, reset_services, shared_service
 from repro.measuredb.oracle import MeasurementDBOracle, wrap_if_enabled
@@ -41,15 +36,10 @@ __all__ = [
     "MeasurementDBOracle",
     "OracleService",
     "close_db",
-    "db_dir",
-    "db_disabled",
-    "db_enabled",
     "db_path",
     "get_db",
     "request_digest",
     "reset",
-    "set_db_dir",
-    "set_db_enabled",
     "shared_service",
     "stats",
     "clear",
@@ -79,7 +69,7 @@ def reset() -> None:
     """Close the DB handle and drop all in-process service memos.
 
     The reset point for tests and directory changes: the next query
-    reopens the database at the current :func:`db_dir` and re-preloads.
+    reopens the database at the current :func:`db_path` and re-preloads.
     """
     close_db()
     reset_services()

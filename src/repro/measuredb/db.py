@@ -15,11 +15,11 @@ hit the DB instead of re-simulating.
 
 Discipline mirrors :mod:`repro.kernels.store`:
 
-* **Location** — :func:`db_dir` defaults to the automaton store's
-  directory (explicit override > ``$REPRO_CACHE_DIR`` >
-  ``./.repro-cache``), so one ``--cache-dir`` governs both stores.  The
-  file name embeds :data:`SCHEMA_VERSION`; bumping it orphans old
-  databases (they are simply never opened again), never misreads them.
+* **Location** — the database (:func:`db_path`) lives in the automaton
+  store's directory, :func:`repro.kernels.store.cache_dir`, so one
+  ``--cache-dir`` governs both stores.  The file name embeds
+  :data:`SCHEMA_VERSION`; bumping it orphans old databases (they are
+  simply never opened again), never misreads them.
 * **Durability** — WAL journal mode with ``synchronous=NORMAL``: writers
   append to the log and readers never block them, which is what lets N
   worker processes share one database.  Row batches are written in one
@@ -38,8 +38,7 @@ Discipline mirrors :mod:`repro.kernels.store`:
   ``db.corrupt`` counters land in :data:`repro.obs.metrics.DEFAULT`
   (the service layer adds ``db.hit`` / ``db.miss`` / ``db.preload``),
   and through it the run ledgers.  Every row a write could not store
-  counts as ``db.dropped``; only an explicitly disabled DB drops
-  silently.
+  counts as ``db.dropped``.
 
 Connections are per-process: a :class:`MeasurementDB` carried into a
 forked worker notices the pid change and reopens its handle, because
@@ -63,12 +62,7 @@ __all__ = [
     "DB_FILENAME",
     "MeasurementDB",
     "request_digest",
-    "db_dir",
-    "set_db_dir",
     "db_path",
-    "db_enabled",
-    "set_db_enabled",
-    "db_disabled",
     "get_db",
     "close_db",
 ]
@@ -91,8 +85,6 @@ OPEN_RETRY_SECONDS = 0.01
 #: sqlite's default variable limit is 999; chunk IN() lookups below it.
 _IN_CHUNK = 400
 
-_DB_DIR: Path | None = None
-_ENABLED = True
 _DB: "MeasurementDB | None" = None
 
 
@@ -108,59 +100,17 @@ def request_digest(setup: Sequence[int], probe: Sequence[int]) -> bytes:
     return hashlib.blake2s(payload, digest_size=16).digest()
 
 
-# -- directory / enablement --------------------------------------------------
-def db_dir() -> Path:
-    """The database directory.
-
-    Defaults to the automaton store's directory (explicit override >
-    ``$REPRO_CACHE_DIR`` > ``./.repro-cache``), so both persistent
-    artifact stores live together and one ``--cache-dir`` governs both.
-    """
-    if _DB_DIR is not None:
-        return _DB_DIR
-    from repro.kernels import store
-
-    return store.cache_dir()
-
-
-def set_db_dir(path: str | os.PathLike | None) -> None:
-    """Override the database directory (None restores the shared rule)."""
-    global _DB_DIR
-    _DB_DIR = Path(path) if path is not None else None
-
-
 def db_path() -> Path:
     """Where the current schema's database lives (existing or not)."""
-    return db_dir() / DB_FILENAME
+    from repro.kernels import store
 
-
-def db_enabled() -> bool:
-    """True when the measurement DB may be read or written."""
-    return _ENABLED
-
-
-def set_db_enabled(enabled: bool) -> None:
-    """Globally enable or disable the measurement DB."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-@contextlib.contextmanager
-def db_disabled():
-    """Temporarily bypass the measurement DB (cold benchmarks, tests)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
+    return store.cache_dir() / DB_FILENAME
 
 
 def get_db() -> "MeasurementDB":
     """The shared per-process database handle for the current directory.
 
-    Re-resolved on every call: if :func:`db_dir` changed (a test moved
+    Re-resolved on every call: if :func:`db_path` changed (a test moved
     the cache dir, the CLI passed ``--cache-dir``), the stale handle is
     closed and a fresh one opened at the new path.
     """
@@ -256,8 +206,8 @@ class MeasurementDB:
         conn.commit()
 
     def _connection(self) -> sqlite3.Connection | None:
-        """The live connection, or None (disabled / dead / unopenable)."""
-        if self._dead or not db_enabled():
+        """The live connection, or None (dead / unopenable)."""
+        if self._dead:
             return None
         if self._conn is not None and self._pid != os.getpid():
             # Forked child: the parent's connection must not be used (or
@@ -361,14 +311,14 @@ class MeasurementDB:
         whichever of ``misses``/``hits`` the new row leaves as NULL, so
         a hit vector already in an older file is not clobbered.
         Returns the number of rows written (0 when the write was
-        dropped, counted as ``db.dropped`` unless the DB is disabled).
+        dropped, counted as ``db.dropped``).
         """
         rows = list(rows)
         if not rows:
             return 0
         conn = self._connection()
         if conn is None:
-            return self._dropped(len(rows)) if db_enabled() else 0
+            return self._dropped(len(rows))
         try:
             with conn:
                 conn.executemany(
@@ -419,7 +369,7 @@ class MeasurementDB:
             "path": str(self.path),
             "exists": self.path.exists(),
             "schema_version": SCHEMA_VERSION,
-            "enabled": db_enabled() and not self._dead,
+            "enabled": not self._dead,
             "scopes": scopes,
             "total_rows": total,
             "total_bytes": size,

@@ -29,7 +29,6 @@ from collections.abc import Sequence
 
 from repro.core.oracle import MissCountOracle, OracleProtocol
 from repro.errors import MeasurementError
-from repro.measuredb import db as _db
 from repro.measuredb.service import OracleService, shared_service
 
 __all__ = ["MeasurementDBOracle", "wrap_if_enabled"]
@@ -87,14 +86,12 @@ class MeasurementDBOracle(MissCountOracle):
 
 
 def wrap_if_enabled(oracle: OracleProtocol) -> OracleProtocol:
-    """Wrap ``oracle`` in a :class:`MeasurementDBOracle` when possible.
+    """Wrap every oracle that reports provenance in a :class:`MeasurementDBOracle`.
 
-    Returns ``oracle`` unchanged when the measurement DB is disabled or
-    the oracle has no provenance (non-deterministic), so call sites can
-    opt in unconditionally:  ``oracle = wrap_if_enabled(oracle)``.
+    Returns ``oracle`` unchanged when it has no provenance
+    (non-deterministic), so call sites can opt in unconditionally:
+    ``oracle = wrap_if_enabled(oracle)``.
     """
-    if not _db.db_enabled():
-        return oracle
     if oracle.provenance() is None:
         return oracle
     return MeasurementDBOracle(oracle)

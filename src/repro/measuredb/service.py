@@ -73,8 +73,6 @@ class OracleService:
         if self._preloaded:
             return
         self._preloaded = True
-        if not _db.db_enabled():
-            return
         rows = _db.get_db().load_scope(self.scope)
         loaded = 0
         for digest, (misses, _hits) in rows.items():
@@ -115,6 +113,5 @@ class OracleService:
             for (setup, probe, digest), misses in zip(pending, measured):
                 self._memo[digest] = misses
                 writes.append((digest, len(setup), len(probe), misses, None))
-            if _db.db_enabled():
-                _db.get_db().put_many(self.scope, writes)
+            _db.get_db().put_many(self.scope, writes)
         return [self._memo[digest] for digest in digests]

@@ -37,11 +37,11 @@ re-ingesting a directory records nothing twice.
 
 Discipline mirrors :mod:`repro.measuredb.db`:
 
-* **Location** — :func:`history_dir` defaults to the automaton store's
-  directory (explicit override > ``$REPRO_CACHE_DIR`` >
-  ``./.repro-cache``), so one ``--cache-dir`` governs all three
-  persistent stores.  The file name embeds :data:`SCHEMA_VERSION`;
-  bumping it orphans old databases, never misreads them.
+* **Location** — the database (:func:`history_path`) lives in the
+  automaton store's directory, :func:`repro.kernels.store.cache_dir`,
+  so one ``--cache-dir`` governs all three persistent stores.  The file name
+  embeds :data:`SCHEMA_VERSION`; bumping it orphans old databases, never
+  misreads them.
 * **Durability** — WAL journal mode, ``synchronous=NORMAL``, one
   transaction per recorded run.
 * **Corruption** — a corrupt database is unlinked and reopened once;
@@ -73,16 +73,11 @@ __all__ = [
     "HistoryDB",
     "close_history",
     "get_history",
-    "history_dir",
-    "history_disabled",
-    "history_enabled",
     "history_path",
     "ingest_paths",
     "record_bench_point",
     "record_ledger",
     "reset",
-    "set_history_dir",
-    "set_history_enabled",
 ]
 
 #: Bump on any change to the tables or the fingerprint rule.  The
@@ -94,58 +89,14 @@ HISTORY_FILENAME = f"history-v{SCHEMA_VERSION}.sqlite"
 #: How long a writer waits on a locked database before dropping its row.
 BUSY_TIMEOUT_SECONDS = 10.0
 
-_HISTORY_DIR: Path | None = None
-_ENABLED = True
 _DB: "HistoryDB | None" = None
-
-
-# -- directory / enablement --------------------------------------------------
-def history_dir() -> Path:
-    """The history database directory.
-
-    Defaults to the automaton store's directory (explicit override >
-    ``$REPRO_CACHE_DIR`` > ``./.repro-cache``), so all three persistent
-    stores live together and one ``--cache-dir`` governs them all.
-    """
-    if _HISTORY_DIR is not None:
-        return _HISTORY_DIR
-    from repro.kernels import store
-
-    return store.cache_dir()
-
-
-def set_history_dir(path: str | os.PathLike | None) -> None:
-    """Override the history directory (None restores the shared rule)."""
-    global _HISTORY_DIR
-    _HISTORY_DIR = Path(path) if path is not None else None
 
 
 def history_path() -> Path:
     """Where the current schema's history database lives."""
-    return history_dir() / HISTORY_FILENAME
+    from repro.kernels import store
 
-
-def history_enabled() -> bool:
-    """True when run history may be recorded or queried."""
-    return _ENABLED
-
-
-def set_history_enabled(enabled: bool) -> None:
-    """Globally enable or disable the run-history store."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-@contextlib.contextmanager
-def history_disabled():
-    """Temporarily bypass the history store (benchmarks, tests)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
+    return store.cache_dir() / HISTORY_FILENAME
 
 
 def get_history() -> "HistoryDB":
@@ -267,7 +218,7 @@ class HistoryDB:
         ``create=False`` (read paths) returns None instead of creating
         a database file that does not exist yet.
         """
-        if self._dead or not history_enabled():
+        if self._dead:
             return None
         if self._conn is not None and self._pid != os.getpid():
             # Forked child: never reuse (or close) the parent's handle.
@@ -323,9 +274,9 @@ class HistoryDB:
     ) -> int | None:
         """Insert one run ledger; returns the run id, or None.
 
-        None means the row was not recorded: history disabled, the
-        database unavailable, or (the common case) the exact same ledger
-        content already present — recording is idempotent.  ``maps`` is
+        None means the row was not recorded: the database unavailable,
+        or (the common case) the exact same ledger content already
+        present — recording is idempotent.  ``maps`` is
         an optional list of runner map records (see
         :func:`repro.runner.core.add_map_hook`) attached to the run row
         for the dashboard's per-run breakdown.
@@ -564,7 +515,7 @@ class HistoryDB:
             "path": str(self.path),
             "exists": self.path.exists(),
             "schema_version": SCHEMA_VERSION,
-            "enabled": history_enabled() and not self._dead,
+            "enabled": not self._dead,
             "experiments": experiments,
             "total_runs": total_runs,
             "total_bench_points": total_points,
@@ -597,15 +548,11 @@ def record_ledger(
     maps: list | None = None,
 ) -> int | None:
     """Record one ledger into the shared history database."""
-    if not history_enabled():
-        return None
     return get_history().record_ledger(ledger, source=source, maps=maps)
 
 
 def record_bench_point(payload: dict, source: str | None = None) -> int | None:
     """Record one BENCH trajectory point into the shared history database."""
-    if not history_enabled():
-        return None
     return get_history().record_bench_point(payload, source=source)
 
 

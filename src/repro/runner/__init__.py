@@ -25,13 +25,7 @@ from repro.runner.core import (
     remove_map_hook,
 )
 from repro.runner.pool import WorkerPool, get_pool, pool_stats, shutdown_pool
-from repro.runner.shm import (
-    SharedTrace,
-    set_shm_enabled,
-    share_trace,
-    shm_disabled,
-    shm_enabled,
-)
+from repro.runner.shm import SharedTrace, share_trace
 
 __all__ = [
     "CellResult",
@@ -50,10 +44,7 @@ __all__ = [
     "memo_size",
     "pool_stats",
     "run_sim_cells",
-    "set_shm_enabled",
     "share_trace",
-    "shm_disabled",
-    "shm_enabled",
     "shutdown_pool",
     "simulate_cell",
     "trace_fingerprint",

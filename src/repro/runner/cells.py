@@ -176,7 +176,7 @@ def _share_cell_traces(cells: Sequence[SimCell]) -> list[SimCell]:
     """
     from repro.runner import shm as runner_shm
 
-    if not runner_shm.shm_enabled():
+    if not runner_shm.shm_available():
         return list(cells)
     shared_of: dict[int, Trace | None] = {}
     out = []

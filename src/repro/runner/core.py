@@ -55,7 +55,6 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
@@ -126,10 +125,10 @@ def _run_chunk(fn, indexed_tasks, capture=None):
     across chunks without any process-dependent state.
 
     Persistent workers outlive any parent-side context manager, so the
-    spec also pins the measurement-DB and kernel/store switches for the
-    duration of the chunk (and restores them after): a worker spawned
-    during one test or experiment must not leak its settings into the
-    next.
+    spec also pins the kernel and vector switches and the cache
+    directory (and with it the measurement DB) for the duration of the
+    chunk, and restores them after: a worker spawned during one test or
+    experiment must not leak its settings into the next.
     """
     if capture is None:
         rows = []
@@ -139,7 +138,6 @@ def _run_chunk(fn, indexed_tasks, capture=None):
             rows.append((index, value, time.perf_counter() - start))
         return rows, None, None
 
-    restore_measuredb = _apply_measuredb_spec(capture.get("measuredb"))
     restore_kernel = _apply_kernel_spec(capture.get("kernel"))
     local = obs_metrics.Metrics()
     tracer = None
@@ -161,47 +159,20 @@ def _run_chunk(fn, indexed_tasks, capture=None):
         obs_metrics.DEFAULT = previous_metrics
         obs_trace.ACTIVE = previous_tracer
         restore_kernel()
-        restore_measuredb()
     events = tracer.events if tracer is not None else None
-    shard_dir = capture.get("shard_dir")
-    if events and shard_dir:
-        shard_path = Path(shard_dir) / f"shard-{first:06d}.jsonl"
-        with obs_trace.JsonlWriter(shard_path) as writer:
-            for event in events:
-                writer(event)
     return rows, local.snapshot(), events
 
 
-def _apply_measuredb_spec(spec) -> Callable[[], None]:
-    """Point this process's measurement DB at the parent's; returns undo.
-
-    Start-method-proof: a forked worker inherits the parent's overrides
-    already, but a spawned one starts from defaults, and either way the
-    explicit directory in the spec is what makes every worker share the
-    *same* database file (WAL mode handles the concurrent writers).
-    """
-    if spec is None:
-        return lambda: None
-    from repro import measuredb
-
-    previous = (measuredb.db_dir(), measuredb.db_enabled())
-    measuredb.set_db_dir(spec["dir"])
-    measuredb.set_db_enabled(spec["enabled"])
-
-    def restore() -> None:
-        measuredb.set_db_dir(previous[0])
-        measuredb.set_db_enabled(previous[1])
-
-    return restore
-
-
 def _apply_kernel_spec(spec) -> Callable[[], None]:
-    """Pin this process's kernel/store switches to the parent's; undo.
+    """Pin this process's switches and cache directory to the parent's; undo.
 
-    A persistent worker may have been spawned under a different store
+    A persistent worker may have been spawned under a different cache
     directory (tests isolate per-test) or while the kernel was disabled
     (reference benchmarks), so each chunk carries the parent's current
-    switches instead of trusting fork-time state.
+    settings instead of trusting fork-time state.  The measurement DB
+    lives in the cache directory, so pinning it also makes every worker
+    share the parent's database file (WAL mode handles the concurrent
+    writers).
     """
     if spec is None:
         return lambda: None
@@ -212,7 +183,6 @@ def _apply_kernel_spec(spec) -> Callable[[], None]:
         kernels.kernel_enabled(),
         kernels.vector_enabled(),
         str(store.cache_dir()),
-        store.store_enabled(),
     )
     kernels.set_kernel_enabled(spec["enabled"])
     kernels.set_vector_enabled(spec["vector"])
@@ -220,14 +190,12 @@ def _apply_kernel_spec(spec) -> Callable[[], None]:
         # set_cache_dir drops the persisted-artifact memo, so only
         # re-point when the directory actually changed.
         store.set_cache_dir(spec["store_dir"])
-    store.set_store_enabled(spec["store_enabled"])
 
     def restore() -> None:
         kernels.set_kernel_enabled(previous[0])
         kernels.set_vector_enabled(previous[1])
         if str(store.cache_dir()) != previous[2]:
             store.set_cache_dir(previous[2])
-        store.set_store_enabled(previous[3])
 
     return restore
 
@@ -280,10 +248,6 @@ class ExperimentRunner:
             surviving workers before the serial fallback runs it in the
             parent.
         progress: optional per-cell :data:`ProgressHook`.
-        trace_shard_dir: when set and a tracer is active, each worker
-            chunk also writes its events to a per-chunk JSONL shard
-            (``shard-<first-cell-index>.jsonl``) in this directory, for
-            post-mortems of runs that die before the parent merge.
         start_method: multiprocessing start method for the pool
             (``"fork"``/``"spawn"``/``"forkserver"``; default: the
             platform's).
@@ -301,7 +265,6 @@ class ExperimentRunner:
         chunk_size: int | None = None,
         retries: int = 1,
         progress: ProgressHook | None = None,
-        trace_shard_dir: str | Path | None = None,
         start_method: str | None = None,
         reuse_pool: bool = True,
     ) -> None:
@@ -309,7 +272,6 @@ class ExperimentRunner:
         self.chunk_size = chunk_size
         self.retries = retries
         self.progress = progress
-        self.trace_shard_dir = trace_shard_dir
         self.start_method = start_method
         self.reuse_pool = reuse_pool
         self.timings: list[CellTiming] = []
@@ -409,35 +371,25 @@ class ExperimentRunner:
 
         The spec is pickled with every chunk; it carries the parent's
         span path (so worker spans nest under ``runner.map``), the
-        measurement-DB and kernel/store switches (persistent workers
-        outlive any parent-side context), and, when a tracer is
-        installed, its include filter and the optional shard directory.
-        Metrics capture is unconditional — merging a worker's store into
-        the parent's is what keeps ``--jobs N`` counters identical to a
-        serial run.
+        kernel and vector switches and the cache directory (persistent
+        workers outlive any parent-side context), and, when a tracer is
+        installed, its include filter.  Metrics capture is unconditional
+        — merging a worker's store into the parent's is what keeps
+        ``--jobs N`` counters identical to a serial run.
         """
-        from repro import kernels, measuredb
+        from repro import kernels
         from repro.kernels import store
 
         spec: dict = {"span_parent": obs_spans.current_span()}
-        spec["measuredb"] = {
-            "dir": str(measuredb.db_dir()),
-            "enabled": measuredb.db_enabled(),
-        }
         spec["kernel"] = {
             "enabled": kernels.kernel_enabled(),
             "vector": kernels.vector_enabled(),
             "store_dir": str(store.cache_dir()),
-            "store_enabled": store.store_enabled(),
         }
         tracer = obs_trace.ACTIVE
         if tracer is not None:
             spec["trace"] = True
             spec["include"] = tracer.include
-            if self.trace_shard_dir is not None:
-                shard_dir = Path(self.trace_shard_dir)
-                shard_dir.mkdir(parents=True, exist_ok=True)
-                spec["shard_dir"] = str(shard_dir)
         return spec
 
     def _merge_metric_shards(self, metric_shards: dict[int, dict]) -> None:

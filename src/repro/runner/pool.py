@@ -62,7 +62,7 @@ _TAG_FALLBACK = b"F"
 def _send_result(result_send, outcome) -> None:
     """Worker side: ship ``outcome`` inline or through a shm segment."""
     payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) >= RESULT_SHM_MIN_BYTES and runner_shm.shm_enabled():
+    if len(payload) >= RESULT_SHM_MIN_BYTES and runner_shm.shm_available():
         segment = runner_shm.create_blob(payload)
         if segment is not None:
             try:

@@ -13,9 +13,10 @@ The same blob plane carries oversized chunk *results*, which workers
 write to a fresh segment and return by handle instead of pushing
 megabytes through a pipe.
 
-Everything degrades gracefully: when shared memory is unavailable,
-disabled (:func:`set_shm_enabled`), or a payload will not pack, callers
-fall back to plain pickling and count ``runner.shm.fallbacks``.
+Everything degrades gracefully: when shared memory is unavailable, a
+segment cannot be created, or a payload will not pack, callers fall
+back to plain pickling (counting ``runner.shm.fallbacks`` for the last
+two).
 Segments broadcast by the parent are unlinked when the owning pool shuts
 down (:func:`release_broadcasts`); already-attached workers keep their
 mappings — POSIX keeps an unlinked segment alive until the last close.
@@ -27,7 +28,6 @@ import atexit
 import contextlib
 import hashlib
 from array import array
-from collections.abc import Iterator
 
 from repro.obs import metrics as obs_metrics
 from repro.workloads.trace import Trace
@@ -38,19 +38,14 @@ __all__ = [
     "create_blob",
     "read_blob",
     "release_broadcasts",
-    "set_shm_enabled",
     "share_blob",
     "share_trace",
     "shm_available",
-    "shm_disabled",
-    "shm_enabled",
 ]
 
 #: Traces shorter than this are pickled inline — the handle indirection
 #: only pays for itself once the address payload dwarfs the task pickle.
 MIN_TRACE_ADDRESSES = 2048
-
-_ENABLED = True
 
 
 def shm_available() -> bool:
@@ -62,29 +57,6 @@ def shm_available() -> bool:
     return True
 
 
-def shm_enabled() -> bool:
-    """True when the shared-memory transport may be used."""
-    return _ENABLED and shm_available()
-
-
-def set_shm_enabled(enabled: bool) -> None:
-    """Globally enable or disable the shared-memory transport."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-@contextlib.contextmanager
-def shm_disabled() -> Iterator[None]:
-    """Temporarily force the pickle transport (tests, benchmarks)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
 # -- low-level blob plane ----------------------------------------------------
 def create_blob(payload: bytes):
     """Copy ``payload`` into a fresh shm segment; None on any failure.
@@ -93,7 +65,7 @@ def create_blob(payload: bytes):
     ``close()`` after handing the name over (the receiver unlinks);
     broadcasters keep it registered until :func:`release_broadcasts`.
     """
-    if not shm_enabled():
+    if not shm_available():
         return None
     from multiprocessing import shared_memory
 
@@ -135,16 +107,15 @@ def share_blob(key: str, payload: bytes) -> tuple[str, int] | None:
 
     Subsequent calls with the same key return the existing segment.
     Counts ``runner.shm.broadcasts`` / ``runner.shm.bytes`` on creation;
-    returns None (counting ``runner.shm.fallbacks``) when shm is off or
-    segment creation fails.
+    returns None (counting ``runner.shm.fallbacks``) when segment
+    creation fails.
     """
     entry = _BROADCASTS.get(key)
     if entry is not None:
         return entry[0].name, entry[1]
     segment = create_blob(payload)
     if segment is None:
-        if shm_enabled():
-            obs_metrics.DEFAULT.incr("runner.shm.fallbacks")
+        obs_metrics.DEFAULT.incr("runner.shm.fallbacks")
         return None
     _BROADCASTS[key] = (segment, len(payload))
     obs_metrics.DEFAULT.incr("runner.shm.broadcasts")
@@ -246,7 +217,7 @@ def share_trace(trace: Trace) -> SharedTrace | None:
     shm is unavailable, the addresses exceed 64 bits, or the broadcast
     fails — every case degrades to the ordinary pickle transport.
     """
-    if not shm_enabled() or len(trace) < MIN_TRACE_ADDRESSES:
+    if not shm_available() or len(trace) < MIN_TRACE_ADDRESSES:
         return None
     if isinstance(trace, SharedTrace):
         return trace

@@ -45,8 +45,8 @@ def vector_switch(setting: str):
 def _isolated_automaton_store(tmp_path_factory):
     """Route the on-disk stores to a per-test temp directory.
 
-    The automaton store (and with it the measurement DB and run-history
-    DB, whose directories follow the store's) defaults to a repo-local
+    The cache directory (holding the automaton store, the measurement
+    DB and the run-history DB) defaults to a repo-local
     ``.repro-cache/``; tests must neither read a developer's warm cache
     (hiding cold-path bugs) nor litter the working tree.  Each store's
     handle and memos are dropped on both sides so no state crosses
@@ -57,15 +57,11 @@ def _isolated_automaton_store(tmp_path_factory):
     from repro.obs import history
 
     store.set_cache_dir(tmp_path_factory.mktemp("repro-cache"))
-    measuredb.set_db_dir(None)
     measuredb.reset()
-    history.set_history_dir(None)
     history.reset()
     yield
     store.set_cache_dir(None)
-    measuredb.set_db_dir(None)
     measuredb.reset()
-    history.set_history_dir(None)
     history.reset()
 
 

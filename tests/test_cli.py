@@ -316,12 +316,33 @@ class TestDbCommand:
         assert main(["db", "stats", "--dir", str(tmp_path / "nope")]) == 0
         assert "rows: 0 in 0 scope(s)" in capsys.readouterr().out
 
-    def test_db_dir_override_is_restored(self, tmp_path):
-        from repro import measuredb
+    @pytest.mark.parametrize(
+        "argv, landed, printed",
+        [
+            (["cache", "warm", "--policies", "lru", "--ways", "2"],
+             "v1/lru-*.autom", "persisted 1/1"),
+            (["db", "stats"], "measurements-v1.sqlite", "rows: 0 "),
+            (["history", "stats"], "history-v1.sqlite", "runs: 1 "),
+            (["dash", "-o", "{tmp}/dash"], "history-v1.sqlite", "(1 run(s)"),
+        ],
+        ids=["cache", "db", "history", "dash"],
+    )
+    def test_db_dir_override_is_restored(self, tmp_path, capsys, argv, landed, printed):
+        from tests.test_obs_history import make_ledger
+        from repro.kernels import store
+        from repro.obs import history as obs_history
 
-        before = measuredb.db_dir()
-        assert main(["db", "stats", "--dir", str(tmp_path / "elsewhere")]) == 0
-        assert measuredb.db_dir() == before
+        elsewhere = tmp_path / "elsewhere"
+        seeded = obs_history.HistoryDB(elsewhere / obs_history.HISTORY_FILENAME)
+        seeded.record_ledger(make_ledger())
+        seeded.close()
+        before = store.cache_dir()
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        # --dir belongs to the subcommand itself, ahead of any action.
+        assert main(argv[:1] + ["--dir", str(elsewhere)] + argv[1:]) == 0
+        assert printed in capsys.readouterr().out
+        assert list(elsewhere.glob(landed))
+        assert store.cache_dir() == before
 
     def test_db_action_required(self):
         with pytest.raises(SystemExit):
@@ -529,6 +550,7 @@ class TestHistoryAutoRecord:
 
     def test_report_against_history_flags_regression(self, tmp_path, capsys):
         from tests.test_obs_history import make_ledger
+        from repro.kernels import store
         from repro.obs import history as obs_history
 
         hist_dir = tmp_path / "hist"
@@ -539,12 +561,8 @@ class TestHistoryAutoRecord:
             make_ledger(wall=3.0, created="2026-08-09T00:00:00Z"),
             tmp_path / "slow.ledger.json",
         )
-        obs_history.set_history_dir(hist_dir)
-        try:
-            assert main(["report", "--against-history", str(slow)]) == 1
-        finally:
-            obs_history.set_history_dir(None)
-            obs_history.reset()
+        store.set_cache_dir(hist_dir)
+        assert main(["report", "--against-history", str(slow)]) == 1
         out = capsys.readouterr().out
         assert "vs history" in out
         assert "FAIL" in out

@@ -270,17 +270,6 @@ class TestStoreConsultation:
         assert counters["kernel.compile.unsupported"] == 1
         assert counters.get("kernel.compile.miss", 0) == 0
 
-    def test_store_disabled_bypasses_disk(self):
-        key = store.factory_key("lru", (), WAYS)
-        assert store.save(key, compiled_for_factory("lru", (), WAYS))
-        clear_compile_cache()
-        obs_metrics.DEFAULT.reset()
-        with store.store_disabled():
-            assert not store.store_enabled()
-            compiled = compiled_for_factory("lru", (), WAYS)
-        assert compiled is not None and not compiled.frozen
-        assert _counters()["kernel.compile.miss"] == 1
-
     def test_ensure_persisted_memoizes(self):
         key = store.factory_key("lru", (), WAYS)
         compiled = compiled_for_factory("lru", (), WAYS)

@@ -348,11 +348,17 @@ def _persist_lru(store_dir):
     return key, compiled
 
 
-def test_mmap_load_equals_buffered_load(store_dir):
+def _refuse_mmap(*args, **kwargs):
+    raise OSError("mapping refused")
+
+
+def test_mmap_load_equals_buffered_load(store_dir, monkeypatch):
     key, original = _persist_lru(store_dir)
     mapped = store.load(key)
-    with store.mmap_disabled():
-        buffered = store.load(key)
+    obs_metrics.DEFAULT.reset()
+    monkeypatch.setattr(store.mmap, "mmap", _refuse_mmap)
+    buffered = store.load(key)
+    assert _counters()["kernel.mmap.fallbacks"] == 1
     assert mapped is not None and buffered is not None
     assert list(mapped.hit_next) == list(buffered.hit_next) == original.hit_next
     assert list(mapped.miss_victim) == list(buffered.miss_victim)
@@ -365,17 +371,20 @@ def test_mmap_load_equals_buffered_load(store_dir):
     )
 
 
-def test_mmap_load_counters(store_dir):
+def test_mmap_load_counters(store_dir, monkeypatch):
     key, _ = _persist_lru(store_dir)
     obs_metrics.DEFAULT.reset()
     assert store.load(key) is not None
     counters = _counters()
     assert counters["kernel.mmap.loads"] == 1
     assert counters["kernel.mmap.bytes"] == store.artifact_path(key).stat().st_size
+    assert "kernel.mmap.fallbacks" not in counters
     obs_metrics.DEFAULT.reset()
-    with store.mmap_disabled():
-        assert store.load(key) is not None
-    assert "kernel.mmap.loads" not in _counters()
+    monkeypatch.setattr(store.mmap, "mmap", _refuse_mmap)
+    assert store.load(key) is not None
+    counters = _counters()
+    assert counters["kernel.mmap.fallbacks"] == 1
+    assert "kernel.mmap.loads" not in counters
 
 
 @numpy_only

@@ -3,7 +3,7 @@
 Three layers under test (see ``repro.measuredb``):
 
 * :class:`MeasurementDB` — WAL sqlite store: round trips, upserts,
-  corruption fallback, disabled mode, maintenance;
+  corruption fallback, maintenance;
 * :class:`OracleService` — preloading, batching, in-flight
   coalescing, write-back, ``db.*`` counters;
 * :class:`MeasurementDBOracle` — provenance gating and the logical
@@ -30,7 +30,7 @@ from repro.errors import MeasurementError
 from repro.measuredb import db as mdb
 from repro.obs import metrics as obs_metrics
 from repro.policies import make_policy
-from repro.runner import ExperimentRunner
+from repro.runner import ExperimentRunner, get_pool
 from repro.util.rng import SeededRng
 
 SCOPE = "sim|policy:lru|()|ways=4"
@@ -65,19 +65,14 @@ class TestDirectoryRules:
         from repro.kernels import store
 
         store.set_cache_dir(tmp_path / "shared")
-        assert mdb.db_dir() == tmp_path / "shared"
-        assert mdb.db_path().name == mdb.DB_FILENAME
-
-    def test_explicit_override_wins(self, tmp_path):
-        mdb.set_db_dir(tmp_path / "explicit")
-        assert mdb.db_dir() == tmp_path / "explicit"
-        mdb.set_db_dir(None)
-        assert mdb.db_dir() != tmp_path / "explicit"
+        assert mdb.db_path() == tmp_path / "shared" / mdb.DB_FILENAME
 
     def test_get_db_tracks_directory_changes(self, tmp_path):
-        mdb.set_db_dir(tmp_path / "one")
+        from repro.kernels import store
+
+        store.set_cache_dir(tmp_path / "one")
         first = mdb.get_db()
-        mdb.set_db_dir(tmp_path / "two")
+        store.set_cache_dir(tmp_path / "two")
         second = mdb.get_db()
         assert first is not second
         assert second.path.parent == tmp_path / "two"
@@ -133,13 +128,6 @@ class TestMeasurementDB:
         assert info["schema_version"] == mdb.SCHEMA_VERSION
         assert info["enabled"] is True
         assert info["total_bytes"] > 0
-
-    def test_disabled_mode_is_pass_through(self, tmp_path):
-        database = mdb.MeasurementDB(tmp_path / mdb.DB_FILENAME)
-        with mdb.db_disabled():
-            assert database.put_many(SCOPE, [_row([], [0], 1)]) == 0
-            assert database.get_many(SCOPE, [mdb.request_digest([], [0])]) == {}
-        assert not (tmp_path / mdb.DB_FILENAME).exists()
 
     def test_corrupt_file_recovers_once(self, tmp_path):
         path = tmp_path / mdb.DB_FILENAME
@@ -277,12 +265,6 @@ class TestMeasurementDBOracle:
         noisy = SimulatedSetOracle(make_policy("random", 4, rng=SeededRng(0)))
         assert measuredb.wrap_if_enabled(noisy) is noisy
 
-        mdb.set_db_enabled(False)
-        try:
-            assert measuredb.wrap_if_enabled(deterministic) is deterministic
-        finally:
-            mdb.set_db_enabled(True)
-
     def test_logical_cost_advances_even_on_db_hits(self):
         oracle = measuredb.wrap_if_enabled(SimulatedSetOracle(make_policy("lru", 4)))
         oracle.query([([], [0, 1, 2]), ([], [0, 1, 2])])
@@ -390,11 +372,16 @@ class TestConcurrency:
         assert committed[0] in reopened.load_scope(SCOPE)
         assert _counters().get("db.corrupt", 0) == 0
 
-    def test_parallel_jobs_match_serial_and_warm_the_db(self):
+    def test_parallel_jobs_match_serial_and_warm_the_db(self, tmp_path):
+        from repro.kernels import store
+
         tasks = [("lru", 4), ("fifo", 4), ("plru", 4), ("lru", 8)]
         serial = [_infer_cell(task) for task in tasks]
         measuredb.reset()
-        mdb.get_db().clear()
+        # Workers started under another cache directory still write to
+        # the parent's database: every chunk pins the directory.
+        get_pool(2)
+        store.set_cache_dir(tmp_path / "moved")
         obs_metrics.DEFAULT.reset()
 
         parallel = ExperimentRunner(jobs=2).map(_infer_cell, tasks)

@@ -46,17 +46,9 @@ class TestLocation:
     def test_follows_the_automaton_store_directory(self, tmp_path):
         from repro.kernels import store
 
-        assert obs_history.history_dir() == store.cache_dir()
-        assert obs_history.history_path().name == (
-            f"history-v{obs_history.SCHEMA_VERSION}.sqlite"
+        assert obs_history.history_path() == (
+            store.cache_dir() / f"history-v{obs_history.SCHEMA_VERSION}.sqlite"
         )
-
-    def test_explicit_override_wins(self, tmp_path):
-        obs_history.set_history_dir(tmp_path / "elsewhere")
-        try:
-            assert obs_history.history_dir() == tmp_path / "elsewhere"
-        finally:
-            obs_history.set_history_dir(None)
 
     def test_read_paths_never_create_the_file(self, db):
         assert db.runs() == []
@@ -114,11 +106,6 @@ class TestRecordLedger:
         db.record_ledger(make_ledger(), maps=maps)
         (run,) = db.runs()
         assert run["maps"] == maps
-
-    def test_disabled_records_nothing(self, db):
-        with obs_history.history_disabled():
-            assert db.record_ledger(make_ledger()) is None
-        assert not db.path.exists()
 
 
 class TestBenchPoints:

@@ -290,32 +290,6 @@ class TestObservabilityMerge:
         assert all(e["id"].startswith(map_span["id"] + ".w") for e in cell_spans)
         assert len({e["id"] for e in cell_spans}) == len(cell_spans)
 
-    def test_trace_shard_dir_keeps_per_chunk_files(self, tmp_path):
-        obs_metrics.DEFAULT.reset()
-        obs_spans.reset()
-        clear_memo()
-        cells = self._cells()
-        with obs_trace.tracing(include=("runner.", "span.")) as tracer:
-            runner = ExperimentRunner(
-                jobs=3, chunk_size=2, trace_shard_dir=tmp_path / "shards"
-            )
-            runner.map(simulate_cell, cells, labels=[c.label for c in cells])
-        shards = sorted((tmp_path / "shards").glob("shard-*.jsonl"))
-        assert shards, "no shard files written"
-        shard_events = [
-            event for shard in shards for event in obs_trace.read_jsonl(shard)
-        ]
-        # runner.cell is recorded parent-side; the shards hold the
-        # worker-side view of the same work — one "cell" span per cell.
-        def cell_spans(events):
-            return [
-                e for e in events
-                if e["kind"] == "span.start" and e["span"] == "cell"
-            ]
-
-        assert len(cell_spans(shard_events)) == len(cells)
-        assert len(cell_spans(tracer.events)) == len(cells)
-
     def test_fallback_path_still_counts_every_cell(self):
         obs_metrics.DEFAULT.reset()
         runner = ExperimentRunner(jobs=2, chunk_size=1, retries=1)

@@ -31,7 +31,6 @@ from repro.runner import (
     pool_stats,
     run_sim_cells,
     share_trace,
-    shm_disabled,
     shutdown_pool,
 )
 from repro.runner import pool as runner_pool
@@ -84,6 +83,11 @@ def _die_on_seven(task):
 
 def _payload(task):
     return bytes(task)
+
+
+def _no_segment(payload):
+    """A ``create_blob`` whose segment creation always fails."""
+    return None
 
 
 def _describe_trace(cell):
@@ -236,13 +240,18 @@ class TestSharedMemoryTransport:
         assert share_trace(sequential_scan(64)) is None
         assert "runner.shm.broadcasts" not in _runner_counters()
 
-    def test_shm_disabled_falls_back_to_plain_pickle(self):
+    def test_failed_segment_falls_back_to_plain_pickle(self, monkeypatch):
+        # Segments are keyed by content: an earlier test's broadcast of
+        # the same trace would be reused and the fallback never run.
+        runner_shm.release_broadcasts()
+        monkeypatch.setattr(runner_shm, "create_blob", _no_segment)
         trace = _big_traces()[0]
-        with shm_disabled():
-            assert share_trace(trace) is None
-            cells = [SimCell.make(trace, CONFIG, policy) for policy in ("lru", "fifo")]
-            assert _share_cell_traces(cells) == cells
-        assert "runner.shm.broadcasts" not in _runner_counters()
+        assert share_trace(trace) is None
+        cells = [SimCell.make(trace, CONFIG, policy) for policy in ("lru", "fifo")]
+        assert _share_cell_traces(cells) == cells
+        counters = _runner_counters()
+        assert "runner.shm.broadcasts" not in counters
+        assert counters["runner.shm.fallbacks"] == 2
 
     def test_workers_see_shared_traces_with_zero_copy_arrays(self):
         traces = _big_traces()
@@ -258,7 +267,7 @@ class TestSharedMemoryTransport:
             if first is not None:
                 assert first == trace.addresses[0]
 
-    def test_shared_and_plain_cells_simulate_identically(self):
+    def test_shared_and_plain_cells_simulate_identically(self, monkeypatch):
         traces = _big_traces()
         cells = [
             SimCell.make(trace, CONFIG, policy, seed=3)
@@ -267,10 +276,13 @@ class TestSharedMemoryTransport:
         ]
         serial = run_sim_cells(cells, jobs=0, memoize=False)
         clear_memo()
-        with shm_disabled():
+        runner_shm.release_broadcasts()
+        with monkeypatch.context() as patch:
+            patch.setattr(runner_shm, "create_blob", _no_segment)
             plain = run_sim_cells(
                 cells, runner=ExperimentRunner(jobs=2), memoize=False
             )
+        assert _runner_counters()["runner.shm.fallbacks"] == len(traces)
         clear_memo()
         shared = run_sim_cells(cells, runner=ExperimentRunner(jobs=2), memoize=False)
         assert plain == serial
