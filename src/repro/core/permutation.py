@@ -8,10 +8,12 @@ paper's formalism rests on:
   arbitrary deterministic policy *implementation* (e.g. tree-PLRU) by
   white-box simulation, or report that the policy is not a (standard-miss)
   permutation policy;
+* :func:`equivalent` — decide observational equivalence exactly by
+  comparing miss-cycle normal forms; inferred policies are named with it;
 * :func:`specs_equivalent` — decide observational equivalence of two
   specs by an exhaustive product-state search;
-* :func:`canonical_form` — a canonical representative under position
-  relabeling, used to compare and name inferred policies.
+* :func:`canonical_form` — the lexicographically smallest representative
+  under position relabeling.
 
 "Standard miss" means the miss behaviour assumed by the paper's
 measurement algorithms: the block in the last position is evicted, the
@@ -178,8 +180,7 @@ def specs_equivalent(first: PermutationSpec, second: PermutationSpec, max_states
     evictions must agree everywhere.
 
     Raises:
-        MemoryError-like ValueError when the search exceeds ``max_states``
-        (callers should fall back to :func:`conjugate_equivalent`).
+        MemoryError-like ValueError when the search exceeds ``max_states``.
     """
     if first.ways != second.ways:
         return False
@@ -190,7 +191,7 @@ def specs_equivalent(first: PermutationSpec, second: PermutationSpec, max_states
         cache_set = CacheSet(ways, PermutationPolicy(ways, spec))
         # Thrash with throwaway blocks, then establish with 0..A-1, so the
         # comparison starts from steady state (cold-fill arrangements are
-        # representation dependent; see _random_trace_equivalent).
+        # representation dependent).
         for block in range(ways):
             cache_set.access(1000 + block)
         for block in range(ways):
@@ -224,65 +225,52 @@ def specs_equivalent(first: PermutationSpec, second: PermutationSpec, max_states
     return True
 
 
-def equivalent(first: PermutationSpec, second: PermutationSpec) -> bool:
-    """Decide equivalence with the best method for the associativity.
+def _cycle_normal_form(spec: PermutationSpec) -> PermutationSpec | None:
+    """Relabel ``spec`` so that its miss permutation becomes the standard one.
 
-    Up to 5 ways the exhaustive product search is used (complete).  Above
-    that, position-relabeling conjugation is tried (sound), backed by a
-    long randomized trace comparison: conjugation failures combined with
-    identical random-trace behaviour are vanishingly unlikely for the
-    specs this library produces, but the randomized check alone is what
-    makes the answer "False" trustworthy.
+    When the miss permutation is one cycle through all A positions,
+    exactly one relabeling fixing the eviction position A-1 does this: the
+    position a miss inserts at becomes 0, and the position reached from
+    A-1 by applying ``miss_perm`` k times becomes k-1.  Returns None when
+    the miss permutation is not such a cycle.
+    """
+    ways = spec.ways
+    relabel = [ways - 1] * ways
+    position = spec.miss_perm[ways - 1]
+    for label in range(ways - 1):
+        if position == ways - 1:
+            return None
+        relabel[position] = label
+        position = spec.miss_perm[position]
+    return spec.conjugate(relabel)
+
+
+def equivalent(first: PermutationSpec, second: PermutationSpec) -> bool:
+    """Decide observational equivalence of two specs exactly.
+
+    Two specs whose miss permutations are each one cycle through all
+    positions (as for every spec inference and :func:`derive_spec_from_policy`
+    produce) are equivalent exactly when their miss-cycle normal forms are
+    equal: relabeling preserves behaviour, and a hit at position ``i``
+    followed by misses tells apart two standard-miss specs that differ in
+    ``hit_perms[i]``.  Any other pair goes to :func:`specs_equivalent`,
+    which raises its ``ValueError`` when the search outgrows its state
+    budget, as it can at large associativities.
     """
     if first.ways != second.ways:
         return False
-    if first.ways <= 5:
-        return specs_equivalent(first, second)
-    if first.ways <= 8 and conjugate_equivalent(first, second):
-        return True
-    return _random_trace_equivalent(first, second)
-
-
-def _random_trace_equivalent(
-    first: PermutationSpec, second: PermutationSpec, accesses: int = 20_000, seed: int = 7
-) -> bool:
-    """Compare two specs on a long random trace from aligned start states."""
-    import random
-
-    rng = random.Random(seed)
-    ways = first.ways
-    set_a = CacheSet(ways, PermutationPolicy(ways, first))
-    set_b = CacheSet(ways, PermutationPolicy(ways, second))
-    # Cold-fill with throwaway blocks, then establish with blocks 0..A-1:
-    # A misses on a full set leave both specs in aligned states when their
-    # miss permutation is the standard one (always true for inferred and
-    # derived specs), whereas cold-fill arrangements are representation
-    # dependent and must not influence the comparison.
-    for block in range(ways):
-        set_a.access(1000 + block)
-        set_b.access(1000 + block)
-    for block in range(ways):
-        set_a.access(block)
-        set_b.access(block)
-    next_fresh = ways
-    window = ways + 3
-    for _ in range(accesses):
-        if rng.random() < 0.3:
-            block = next_fresh
-            next_fresh += 1
-        else:
-            block = max(next_fresh - 1 - rng.randrange(window), 0)
-        if set_a.access(block).hit != set_b.access(block).hit:
-            return False
-    return True
+    first_form = _cycle_normal_form(first)
+    second_form = _cycle_normal_form(second)
+    if first_form is not None and second_form is not None:
+        return first_form == second_form
+    return specs_equivalent(first, second)
 
 
 def conjugate_equivalent(first: PermutationSpec, second: PermutationSpec) -> bool:
     """Sufficient equivalence check: is one spec a position relabeling of
     the other?
 
-    Sound but not complete; used for associativities where the exhaustive
-    search is too large.
+    Sound but not complete.
     """
     if first.ways != second.ways:
         return False

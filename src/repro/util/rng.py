@@ -10,6 +10,7 @@ adding draws in one component does not perturb another.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from collections.abc import Sequence
@@ -38,7 +39,11 @@ class SeededRng:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self._random = random.Random(seed)
+
+    @functools.cached_property
+    def _random(self) -> random.Random:
+        # Seeded on the first draw: many forked streams are never drawn from.
+        return random.Random(self.seed)
 
     def fork(self, label: str) -> "SeededRng":
         """Derive an independent child stream identified by ``label``.

@@ -18,10 +18,19 @@ def permutations_of(size):
 
 
 @st.composite
-def random_specs(draw, ways=4):
-    """Random standard-miss specs (the class inference targets)."""
+def random_specs(draw, ways=4, cycle_miss=False):
+    """Random standard-miss specs (the class inference targets).
+
+    With ``cycle_miss`` the miss permutation is instead a random cycle
+    through all positions, the class ``equivalent`` decides by normal form.
+    """
     hits = tuple(tuple(draw(permutations_of(ways))) for _ in range(ways))
-    return PermutationSpec(ways, hits, standard_miss_perm(ways))
+    miss = standard_miss_perm(ways)
+    if cycle_miss:
+        order = draw(permutations_of(ways))
+        successor = {order[i]: order[(i + 1) % ways] for i in range(ways)}
+        miss = tuple(successor[position] for position in range(ways))
+    return PermutationSpec(ways, hits, miss)
 
 
 @st.composite
@@ -57,6 +66,31 @@ def test_equivalence_reflexive(spec):
 @settings(max_examples=25, deadline=None)
 def test_equivalence_symmetric(first, second):
     assert specs_equivalent(first, second) == specs_equivalent(second, first)
+
+
+@st.composite
+def spec_pairs(draw):
+    """A random spec and a random spec, a conjugate of it, or a conjugate
+    with one hit permutation replaced, at 2-4 ways."""
+    ways = draw(st.integers(min_value=2, max_value=4))
+    first = draw(random_specs(ways, cycle_miss=draw(st.booleans())))
+    kind = draw(st.sampled_from(["random", "conjugate", "perturbed"]))
+    if kind == "random":
+        return first, draw(random_specs(ways, cycle_miss=draw(st.booleans())))
+    second = first.conjugate(draw(eviction_fixing_relabels(ways)))
+    if kind == "perturbed":
+        hits = list(second.hit_perms)
+        index = draw(st.integers(min_value=0, max_value=ways - 1))
+        hits[index] = tuple(draw(permutations_of(ways)))
+        second = PermutationSpec(ways, tuple(hits), second.miss_perm)
+    return first, second
+
+
+@given(pair=spec_pairs())
+@settings(max_examples=40, deadline=None)
+def test_equivalent_agrees_with_the_exhaustive_search(pair):
+    first, second = pair
+    assert equivalent(first, second) == specs_equivalent(first, second)
 
 
 @given(spec=random_specs())

@@ -1,5 +1,8 @@
 """Tests for repro.util.rng."""
 
+import copy
+import pickle
+
 from repro.util.rng import SeededRng
 
 
@@ -17,6 +20,14 @@ class TestDeterminism:
         a = [SeededRng(1).random() for _ in range(10)]
         b = [SeededRng(2).random() for _ in range(10)]
         assert a != b
+
+    def test_copies_made_before_the_first_draw_match_a_fresh_stream(self):
+        pickled = pickle.loads(pickle.dumps(SeededRng(11)))
+        copied = copy.deepcopy(SeededRng(11))
+        fresh = SeededRng(11)
+        draws = [[stream.random() for _ in range(100)] for stream in (pickled, copied, fresh)]
+        assert draws[0] == draws[2]
+        assert draws[1] == draws[2]
 
 
 class TestFork:
