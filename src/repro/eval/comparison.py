@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.distinguish import established_set
+from repro.core.distinguish import response
 from repro.policies import ReplacementPolicy
 from repro.runner import ExperimentRunner
 
@@ -39,15 +39,16 @@ class AgreementMatrix:
 
 
 def _replay_stream(task: tuple[ReplacementPolicy, list[int]]) -> list[bool]:
-    """Replay one access stream against one policy's established set.
+    """Hit/miss outcome of one access stream from one policy's established set.
 
     Module-level so the experiment runner can ship it to worker
-    processes; :func:`established_set` clones and resets the policy, so
-    replays are pure functions of (policy state, stream).
+    processes.  :func:`~repro.core.distinguish.response` replays the
+    thrash and establishment setup, then the stream, on the compiled
+    kernel when the policy compiles and on a reset clone's interpreted
+    set otherwise, so replays are pure functions of (policy, stream).
     """
     policy, stream = task
-    cache_set = established_set(policy)
-    return [cache_set.access(block).hit for block in stream]
+    return list(response(policy, stream))
 
 
 def agreement_matrix(

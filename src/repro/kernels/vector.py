@@ -353,10 +353,11 @@ def simulate_trace_lockstep(trace, config, compiled):
 
 #: One-slot memo for the last trace's lock-step layout.  The layout
 #: (block matrix + per-lane lengths) depends only on the trace and the
-#: cache geometry — not the policy — and evaluation loops simulate the
-#: same trace under many policies back to back.  Keyed by trace
-#: *identity* (a weak reference, traces are immutable) so it can never
-#: serve stale data for a different trace.
+#: cache geometry — not the policy — and
+#: :func:`repro.runner.cells.run_sim_cells` runs one trace's cells back
+#: to back, so a grid builds one layout per trace and geometry.  Keyed
+#: by trace *identity* (a weak reference, traces are immutable) so it
+#: can never serve stale data for a different trace.
 _TRACE_LAYOUT: tuple | None = None
 
 

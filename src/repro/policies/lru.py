@@ -124,9 +124,15 @@ class DipSharedContext(SharedContext):
 class DipPolicy(ReplacementPolicy):
     """Dynamic insertion policy: set dueling between LRU and BIP.
 
-    A standalone instance (no shared context) acts as a follower of a
-    private controller, which makes it behave like LRU until misses steer
-    it; embedded in a cache, leader sets are chosen by the controller.
+    LRU and BIP differ only in where a fill lands, so one recency stack
+    serves both: a hit moves the way to the front, the victim is the
+    back, and a fill goes to the front when the set runs LRU or BIP's
+    ``epsilon`` draw says so, to the back otherwise.  BIP's stream is
+    drawn only on fills that BIP decides, and a clone shares it.
+
+    A standalone instance (no shared context) gets a private one-set
+    controller, in which set 0 leads for LRU; embedded in a cache,
+    leader sets are chosen by the cache's controller.
     """
 
     NAME = "dip"
@@ -145,48 +151,37 @@ class DipPolicy(ReplacementPolicy):
             shared = DipSharedContext(num_sets=1, rng=rng)
         self._shared = shared
         self._set_index = set_index
-        self._lru = LruPolicy(ways)
-        self._bip = BipPolicy(ways, rng=shared.rng.fork(f"bip-{set_index}"), epsilon=epsilon)
         self.epsilon = epsilon
+        self._rng = shared.rng.fork(f"bip-{set_index}")
+        # _stack[0] is the most recently used way, _stack[-1] the victim.
+        self._stack = list(range(ways))
 
     @classmethod
     def create_shared(cls, num_sets: int, rng: SeededRng | None = None) -> DipSharedContext:
         return DipSharedContext(num_sets, rng)
 
-    def _active(self) -> LruPolicy:
-        if self._shared.controller.use_primary(self._set_index):
-            return self._lru
-        return self._bip
-
     def touch(self, way: int) -> None:
-        # Both component stacks track recency identically on hits so that
-        # switching the winner mid-run keeps a coherent state.
-        self._lru.touch(way)
-        self._bip.touch(way)
+        self._check_way(way)
+        self._stack.remove(way)
+        self._stack.insert(0, way)
 
     def evict(self) -> int:
         self._shared.controller.record_miss(self._set_index)
-        return self._active().evict()
+        return self._stack[-1]
 
     def fill(self, way: int) -> None:
-        if self._active() is self._lru:
-            self._lru.fill(way)
-            # Mirror the placement into the BIP stack deterministically so
-            # the two stacks hold the same set of ways.
-            self._bip._stack.remove(way)
-            self._bip._stack.insert(0, way)
+        self._check_way(way)
+        self._stack.remove(way)
+        if (
+            self._shared.controller.use_primary(self._set_index)
+            or self._rng.random() < self.epsilon
+        ):
+            self._stack.insert(0, way)
         else:
-            self._bip.fill(way)
-            mru_inserted = self._bip._stack[0] == way
-            self._lru._stack.remove(way)
-            if mru_inserted:
-                self._lru._stack.insert(0, way)
-            else:
-                self._lru._stack.append(way)
+            self._stack.append(way)
 
     def reset(self) -> None:
-        self._lru.reset()
-        self._bip.reset()
+        self._stack = list(range(self.ways))
 
     def state_key(self) -> None:
         return None
@@ -198,6 +193,6 @@ class DipPolicy(ReplacementPolicy):
             set_index=self._set_index,
             epsilon=self.epsilon,
         )
-        copy._lru = self._lru.clone()
-        copy._bip = self._bip.clone()
+        copy._rng = self._rng
+        copy._stack = list(self._stack)
         return copy

@@ -214,40 +214,39 @@ def run_sim_cells(
     Already-memoized cells are served from the cache (and reported to
     the runner's progress hook with source ``"memo"``); the rest go
     through ``runner.map`` — serial by default, parallel when the runner
-    or ``jobs`` says so.  Duplicate cells within one call run once.
+    or ``jobs`` says so.  When memoizing, duplicate cells within one
+    call run once.  The cells that run are grouped by trace, so the
+    vector engine's one-slot layout memo serves every policy of a trace
+    and a pool gets one trace's cells together.
     """
     from repro.runner.core import ExperimentRunner
 
     if runner is None:
         runner = ExperimentRunner(jobs=jobs)
     cells = list(cells)
-    if not memoize:
-        labels = [cell.label for cell in cells]
-        if runner.parallel and cells:
-            _prewarm_automata(cells)
-            cells = _share_cell_traces(cells)
-        return runner.map(simulate_cell, cells, labels=labels)
     results: dict[int, CellResult] = {}
-    fresh: list[SimCell] = []
-    fresh_keys: list[tuple] = []
-    waiters: dict[tuple, list[int]] = {}
+    waiters: dict[object, list[int]] = {}
     for index, cell in enumerate(cells):
-        key = cell.memo_key()
-        if key in _MEMO:
+        key = cell.memo_key() if memoize else index
+        if memoize and key in _MEMO:
             results[index] = _MEMO[key]
             runner.record(index, cell.label, 0.0, "memo")
         else:
-            if key not in waiters:
-                fresh.append(cell)
-                fresh_keys.append(key)
             waiters.setdefault(key, []).append(index)
+    # Traces in first-seen order; the sort is stable within a trace.
+    rank: dict[int, int] = {}
+    for indices in waiters.values():
+        rank.setdefault(id(cells[indices[0]].trace), len(rank))
+    keys = sorted(waiters, key=lambda key: rank[id(cells[waiters[key][0]].trace)])
+    fresh = [cells[waiters[key][0]] for key in keys]
     fresh_labels = [cell.label for cell in fresh]
     if runner.parallel and fresh:
         _prewarm_automata(fresh)
         fresh = _share_cell_traces(fresh)
     computed = runner.map(simulate_cell, fresh, labels=fresh_labels)
-    for key, result in zip(fresh_keys, computed):
-        _MEMO[key] = result
+    for key, result in zip(keys, computed):
+        if memoize:
+            _MEMO[key] = result
         for index in waiters[key]:
             results[index] = result
     return [results[index] for index in range(len(cells))]

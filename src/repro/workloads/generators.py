@@ -9,6 +9,8 @@ multiple generators can be laid out in disjoint address regions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.errors import ConfigurationError
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
@@ -74,17 +76,11 @@ def zipf(
     for weight in weights:
         running += weight / total
         cumulative.append(running)
-    lines = []
-    for _ in range(length):
-        point = rng.random()
-        low, high = 0, num_lines - 1
-        while low < high:
-            mid = (low + high) // 2
-            if cumulative[mid] < point:
-                low = mid + 1
-            else:
-                high = mid
-        lines.append(low)
+    # The first line whose cumulative weight reaches the draw; rounding
+    # can leave the total just below 1, so clamp to the last line (line
+    # 0 when there are no lines).
+    last = max(num_lines - 1, 0)
+    lines = [min(bisect_left(cumulative, rng.random()), last) for _ in range(length)]
     return _lines_to_trace(f"zipf-{num_lines}-a{alpha:g}", lines, line_size, base)
 
 

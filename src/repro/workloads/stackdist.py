@@ -10,6 +10,7 @@ locality profile — our replacement for proprietary benchmark traces.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 
@@ -99,27 +100,29 @@ class StackDistanceModel:
         self._rng = SeededRng(seed)
 
     def _draw(self) -> int:
-        point = self._rng.random()
-        for choice, cut in zip(self._choices, self._cumulative):
-            if point <= cut:
-                return choice
-        return self._choices[-1]
+        # The first choice whose cumulative weight reaches the draw, or
+        # the last one when rounding leaves the total just below 1.
+        index = bisect_left(self._cumulative, self._rng.random())
+        return self._choices[min(index, len(self._choices) - 1)]
 
     def generate(self, length: int, name: str = "stackdist", line_size: int = 64) -> Trace:
-        """Generate a trace of ``length`` accesses."""
+        """Generate a trace of ``length`` accesses.
+
+        The LRU stack holds every line drawn so far with the most recent
+        one last, so the line at depth ``d`` is ``stack[-1 - d]`` and an
+        access moves only the ``d`` lines above it.  A new line is
+        numbered ``len(stack)``.
+        """
         if length < 1:
             raise ConfigurationError("length must be >= 1")
         stack: list[int] = []
-        next_line = 0
         lines: list[int] = []
         for _ in range(length):
             distance = self._draw()
             if distance == INFINITE or distance >= len(stack):
-                line = next_line
-                next_line += 1
+                line = len(stack)
             else:
-                line = stack[distance]
-                del stack[distance]
-            stack.insert(0, line)
+                line = stack.pop(-1 - distance)
+            stack.append(line)
             lines.append(line)
         return Trace(name=name, addresses=tuple(line * line_size for line in lines))

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.eval import agreement_matrix
-from repro.policies import FifoPolicy, LruPolicy, PlruPolicy, make_policy
+from repro.kernels import kernel_disabled
+from repro.obs import metrics as obs_metrics
+from repro.policies import FifoPolicy, LruPolicy, PlruPolicy, get, make_policy
 
 
 class TestAgreementMatrix:
@@ -46,3 +48,24 @@ class TestAgreementMatrix:
     def test_mixed_ways_rejected(self):
         with pytest.raises(ValueError):
             agreement_matrix({"a": LruPolicy(2), "b": LruPolicy(4)})
+
+
+class TestKernelReplay:
+    """Replays run on the compiled kernel where a policy compiles."""
+
+    NAMES = ("lru", "plru", "srrip", "random")
+
+    def _matrix(self, seed):
+        # Fresh policy objects per matrix: random's stream is in its rng.
+        policies = {name: get(name, 4) for name in self.NAMES}
+        return agreement_matrix(policies, accesses=3000, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_interpreter(self, seed):
+        obs_metrics.DEFAULT.reset()
+        compiled = self._matrix(seed)
+        # One engine call per deterministic policy; random interprets.
+        assert obs_metrics.DEFAULT.counter("kernel.calls") == 3
+        with kernel_disabled():
+            interpreted = self._matrix(seed)
+        assert compiled == interpreted

@@ -20,7 +20,14 @@ from repro.runner import (
     trace_fingerprint,
 )
 from repro.util.rng import derive_seed
-from repro.workloads import Trace, cyclic_loop, sequential_scan, workload_suite
+from repro.workloads import (
+    Trace,
+    cyclic_loop,
+    random_uniform,
+    sequential_scan,
+    workload_suite,
+)
+from tests.conftest import vector_switch
 
 _PARENT_PID = os.getpid()
 
@@ -154,6 +161,63 @@ class TestSimCells:
         assert simulate_cell(cell).stats == simulate_trace(
             trace, self.CONFIG, "plru", seed=5
         )
+
+
+class TestTraceMajorOrder:
+    """Fresh cells run one trace at a time; results keep cell order."""
+
+    CONFIG = CacheConfig("L1", 64 * 4 * 64, 4)  # 64 sets: vector lanes
+    POLICIES = ("lru", "plru", "fifo")
+
+    def _grid(self):
+        traces = [
+            cyclic_loop(300, 3),
+            sequential_scan(500, passes=2),
+            random_uniform(400, 1500, seed=2),
+        ]
+        cells = [
+            SimCell.make(trace, self.CONFIG, policy, seed=1)
+            for policy in self.POLICIES
+            for trace in traces
+        ]
+        return traces, cells
+
+    def test_fresh_cells_run_grouped_by_trace(self):
+        traces, cells = self._grid()
+        runner = ExperimentRunner()
+        run_sim_cells(cells, runner=runner)
+        assert [t.label for t in runner.timings] == [
+            cell.label for trace in traces for cell in cells if cell.trace is trace
+        ]
+
+    @pytest.mark.parametrize("memoize", [True, False])
+    def test_results_come_back_in_cell_order(self, memoize):
+        _traces, cells = self._grid()
+        expected = [simulate_cell(cell) for cell in cells]
+        if memoize:
+            run_sim_cells(cells[::2])  # memo hits between fresh cells
+        assert run_sim_cells(cells, memoize=memoize) == expected
+
+    def test_a_grid_builds_one_layout_per_trace(self, monkeypatch):
+        from repro.kernels import vector
+
+        if not vector.available():
+            pytest.skip("numpy not installed")
+        built = []
+        build = vector._build_trace_layout
+
+        def counting_build(trace, config):
+            built.append(trace.name)
+            return build(trace, config)
+
+        monkeypatch.setattr(vector, "_build_trace_layout", counting_build)
+        monkeypatch.setattr(vector, "_TRACE_LAYOUT", None)
+        traces, cells = self._grid()
+        with vector_switch("vector"):
+            obs_metrics.DEFAULT.reset()
+            run_sim_cells(cells)
+            assert obs_metrics.DEFAULT.counter("kernel.vector.calls") == len(cells)
+        assert built == [trace.name for trace in traces]
 
 
 class TestParallelBitIdentical:
