@@ -34,6 +34,10 @@ class AddressCodec:
         self._set_mask = (1 << config.index_bits) - 1
         self._tag_shift = config.offset_bits + config.index_bits
         self._hashed = config.index_hash != "bits"
+        #: ``locate(address) -> (set index, tag)``: the hot-path split,
+        #: :meth:`decompose` without the offset and the result object (a
+        #: cache walk needs nothing else), bound to the index function.
+        self.locate = self._locate_hashed if self._hashed else self._locate_bits
 
     def _hash_index(self, line_number: int) -> int:
         # XOR all index-width chunks of the line number together: the
@@ -48,18 +52,16 @@ class AddressCodec:
             remaining >>= self._index_bits
         return folded
 
-    def locate(self, address: int) -> tuple[int, int]:
-        """Return ``(set index, tag)`` of ``address``: the hot-path split.
-
-        :meth:`decompose` without the offset and the result object; a
-        cache walk needs nothing else.
-        """
+    def _locate_bits(self, address: int) -> tuple[int, int]:
         if address < 0:
             raise ValueError(f"addresses must be non-negative, got {address}")
-        if self._hashed:
-            line_number = address >> self._offset_bits
-            return self._hash_index(line_number), line_number
         return (address >> self._offset_bits) & self._set_mask, address >> self._tag_shift
+
+    def _locate_hashed(self, address: int) -> tuple[int, int]:
+        if address < 0:
+            raise ValueError(f"addresses must be non-negative, got {address}")
+        line_number = address >> self._offset_bits
+        return self._hash_index(line_number), line_number
 
     def decompose(self, address: int) -> DecomposedAddress:
         """Split ``address`` into (tag, set index, offset)."""

@@ -34,12 +34,18 @@ class Cache:
 
     Attributes:
         sets: the :class:`~repro.cache.set.CacheSet` of each set index.
-            Read-only from outside this class: the cache records which
-            sets it fills so that :meth:`flush` resets only those, and a
-            set changed directly (``sets[i].access(...)``,
-            ``sets[i].preload(...)``) bypasses that record and would keep
-            its state across a flush.  :meth:`restore` installs new set
-            objects, so keep an index rather than a set.
+            Read-only from outside this class and the hierarchy walk:
+            the cache records which sets are filled so that :meth:`flush`
+            resets only those, and a set changed directly
+            (``sets[i].access(...)``, ``sets[i].preload(...)``) bypasses
+            that record and would keep its state across a flush.
+            :meth:`restore` installs new set objects, so keep an index
+            rather than a set.
+        filled: indices of the sets filled since the last flush.  Only a
+            fill makes a set leave its reset state (hits and
+            invalidations need a resident line), so every other set is
+            still in it.  The hierarchy walk, which fills ``sets[i]``
+            through :meth:`CacheSet.fill_way`, adds ``i`` here itself.
     """
 
     def __init__(
@@ -61,10 +67,7 @@ class Cache:
             CacheSet(config.ways, policy.build(config.ways, index, self.shared, self._rng))
             for index in range(config.num_sets)
         ]
-        # Indices of the sets filled since the last flush.  Only a fill
-        # makes a set leave its reset state (hits and invalidations need
-        # a resident line), so every other set is still in it.
-        self._filled: set[int] = set()
+        self.filled: set[int] = set()
         self.stats = CacheStats()
         # The statistics at the last flush, the base of a checkpoint's deltas.
         self._stats_at_flush = CacheStats()
@@ -84,7 +87,7 @@ class Cache:
         if result.hit:
             self.stats.hits += 1
         else:
-            self._filled.add(set_index)
+            self.filled.add(set_index)
             self.stats.misses += 1
             self.stats.fills += 1
             if result.evicted_tag is not None:
@@ -103,17 +106,14 @@ class Cache:
     def lookup_touch(self, address: int, write: bool = False, demand: bool = True) -> bool:
         """Hit path only: touch and count, but never fill on a miss.
 
-        Used by :class:`~repro.cache.hierarchy.CacheHierarchy`, which
-        decides separately which levels the line is filled into.
-        Non-demand accesses (prefetches) update replacement state but not
-        the demand counters, mirroring ``MEM_LOAD_RETIRED``-style events.
+        One level's step of a hierarchy walk, which
+        :class:`~repro.cache.hierarchy.CacheHierarchy` runs inline before
+        it decides which levels the line is filled into.  Non-demand
+        accesses (prefetches) update replacement state but not the demand
+        counters, mirroring ``MEM_LOAD_RETIRED``-style events.
         """
         set_index, tag = self.locate(address)
-        return self.touch_at(set_index, tag, write, demand)
-
-    def touch_at(self, set_index: int, tag: int, write: bool = False, demand: bool = True) -> bool:
-        """:meth:`lookup_touch` of a line already located by :meth:`locate`."""
-        hit = self.sets[set_index].touch_tag(tag, write=write) is not None
+        hit = self.sets[set_index].touch_tag(tag, write) is not None
         if demand:
             stats = self.stats
             stats.accesses += 1
@@ -131,7 +131,15 @@ class Cache:
     def fill(self, address: int, write: bool = False, demand: bool = True) -> CacheAccessResult:
         """Install a line known to be absent (hierarchy fill path)."""
         set_index, tag = self.locate(address)
-        way, evicted_tag, evicted_dirty = self.fill_at(set_index, tag, write, demand)
+        way, evicted_tag, evicted_dirty = self.sets[set_index].fill_way(tag, write)
+        self.filled.add(set_index)
+        if demand:
+            stats = self.stats
+            stats.fills += 1
+            if evicted_tag is not None:
+                stats.evictions += 1
+                if evicted_dirty:
+                    stats.writebacks += 1
         evicted_address: int | None = None
         if evicted_tag is not None:
             evicted_address = self.codec.compose(evicted_tag, set_index)
@@ -142,25 +150,6 @@ class Cache:
             evicted_address=evicted_address,
             evicted_dirty=evicted_dirty,
         )
-
-    def fill_at(
-        self, set_index: int, tag: int, write: bool = False, demand: bool = True
-    ) -> tuple[int, int | None, bool]:
-        """:meth:`fill` of a located line, without the result object.
-
-        Returns ``(way, evicted tag or None, evicted dirty)``; the caller
-        composes the victim's address only if it has a use for it.
-        """
-        way, evicted_tag, evicted_dirty = self.sets[set_index].fill_way(tag, write)
-        self._filled.add(set_index)
-        if demand:
-            stats = self.stats
-            stats.fills += 1
-            if evicted_tag is not None:
-                stats.evictions += 1
-                if evicted_dirty:
-                    stats.writebacks += 1
-        return way, evicted_tag, evicted_dirty
 
     # -- non-disturbing queries ---------------------------------------------
     def probe(self, address: int) -> bool:
@@ -194,10 +183,10 @@ class Cache:
         the same as resetting every set.  Returns how many sets it reset.
         """
         sets = self.sets
-        for set_index in self._filled:
+        for set_index in self.filled:
             sets[set_index].flush()
-        reset = len(self._filled)
-        self._filled = set()
+        reset = len(self.filled)
+        self.filled = set()
         self.shared.reset()
         self._stats_at_flush = self.stats.snapshot()
         return reset
@@ -213,7 +202,7 @@ class Cache:
         """
         sets = self.sets
         return (
-            {set_index: sets[set_index].clone() for set_index in self._filled},
+            {set_index: sets[set_index].clone() for set_index in self.filled},
             self.stats.delta(self._stats_at_flush),
         )
 
@@ -224,7 +213,7 @@ class Cache:
         by the recorded deltas: the cache ends up as if it had replayed
         the accesses, and the checkpoint stays reusable.
         """
-        if self._filled:
+        if self.filled:
             raise SimulationError(
                 f"{self.name}: restore needs a cache flushed since its last fill"
             )
@@ -232,7 +221,7 @@ class Cache:
         sets = self.sets
         for set_index, cache_set in filled.items():
             sets[set_index] = cache_set.clone()
-        self._filled = set(filled)
+        self.filled = set(filled)
         self.stats.advance(added)
 
     def reset(self) -> None:

@@ -40,9 +40,13 @@ from repro.util.rng import SeededRng
 
 
 class HierarchyAccessResult(NamedTuple):
-    """What one access did at every level."""
+    """What one access did at every level.
 
-    address: int
+    The walk stops at the first hit, so the hit level alone fixes the
+    result: a hierarchy builds one per outcome and every access returns
+    one of those.
+    """
+
     hit_level: str | None  # level name, or None for a memory access
     level_hits: tuple[tuple[str, bool], ...]  # (level name, hit) in walk order
 
@@ -82,13 +86,15 @@ class CacheHierarchy:
         self._exclusive = [mode == "exclusive" for mode in inclusion]
         self._inclusive = [mode == "inclusive" for mode in inclusion]
         self._exclusive_below = self._exclusive[1:] + [False]
-        # The walk stops at the first hit, so the hit index alone fixes
-        # (hit level, level hits); index len(levels) is a memory access.
+        # The result of a hit at each level index; index len(levels) is a
+        # memory access.
         names = self.level_names
-        self._outcomes = [
-            (name, tuple((upper, upper == name) for upper in names[: index + 1]))
+        self._results = [
+            HierarchyAccessResult(
+                name, tuple((upper, upper == name) for upper in names[: index + 1])
+            )
             for index, name in enumerate(names)
-        ] + [(None, tuple((name, False) for name in names))]
+        ] + [HierarchyAccessResult(None, tuple((name, False) for name in names))]
         # Memory accesses at the last flush, the base of a checkpoint's delta.
         self._memory_at_flush = 0
 
@@ -113,62 +119,67 @@ class CacheHierarchy:
         Prefetchers pass ``demand=False``: the access moves cache state
         exactly like a load, but no demand counter changes — hardware
         ``MEM_LOAD_RETIRED``-style events count retired demand loads only.
+
+        The walk touches and fills each level's sets directly and keeps
+        the level's statistics and filled-set record itself.
         """
         levels = self.levels
-        # Each level's (set index, tag), located once and reused by the
-        # lookup, the presence check and the fill.
+        # The (set index, tag) of each level missed, located once and
+        # reused by the fill.
         located: list[tuple[int, int]] = []
-        hit_index = len(levels)
         for index, cache in enumerate(levels):
             set_index, tag = place = cache.locate(address)
-            located.append(place)
-            if cache.touch_at(set_index, tag, write and index == 0, demand):
-                hit_index = index
+            if cache.sets[set_index].touch_tag(tag, write and index == 0) is not None:
+                if demand:
+                    stats = cache.stats
+                    stats.accesses += 1
+                    stats.hits += 1
+                if self._exclusive[index]:
+                    # Exclusive hit: the line migrates upward.
+                    cache.invalidate(address)
                 break
-        if hit_index == len(levels):
+            if demand:
+                stats = cache.stats
+                stats.accesses += 1
+                stats.misses += 1
+            located.append(place)
+        else:
+            index = len(levels)
             if demand:
                 self.stats.memory_accesses += 1
-        elif self._exclusive[hit_index]:
-            # Exclusive hit: the line migrates upward.
-            levels[hit_index].invalidate(address)
-        self._fill_upwards(located, hit_index, write=write, demand=demand)
-        hit_level, level_hits = self._outcomes[hit_index]
-        return HierarchyAccessResult(address, hit_level, level_hits)
-
-    def _fill_upwards(
-        self,
-        located: list[tuple[int, int]],
-        source_index: int,
-        write: bool,
-        demand: bool = True,
-    ) -> None:
-        """Fill the line into levels above ``source_index`` (exclusive skip).
-
-        ``located[i]`` is the line's (set index, tag) in level ``i``.
-        """
-        levels = self.levels
-        for index in range(source_index - 1, -1, -1):
-            if self._exclusive[index]:
+        # Fill the levels above the hit, lowest first.  None of them
+        # gained the line since the walk missed it there: fills and
+        # victims only move lines downwards.
+        exclusive = self._exclusive
+        for upper in range(index - 1, -1, -1):
+            if exclusive[upper]:
                 continue  # populated by victims only
-            cache = levels[index]
-            set_index, tag = located[index]
-            if cache.sets[set_index].lookup(tag) is not None:
-                continue  # already present (e.g. refilled via back path)
-            _, evicted_tag, dirty = cache.fill_at(
-                set_index, tag, write and index == 0, demand
+            cache = levels[upper]
+            set_index, tag = located[upper]
+            _, evicted_tag, dirty = cache.sets[set_index].fill_way(
+                tag, write and upper == 0
             )
+            cache.filled.add(set_index)
+            if demand:
+                stats = cache.stats
+                stats.fills += 1
+                if evicted_tag is not None:
+                    stats.evictions += 1
+                    if dirty:
+                        stats.writebacks += 1
             if evicted_tag is None:
                 continue
             # A clean victim above a non-exclusive level just leaves; its
             # address is needed only to back-invalidate it above an
             # inclusive level.
-            routed = dirty or self._exclusive_below[index]
-            if routed or self._inclusive[index]:
+            routed = dirty or self._exclusive_below[upper]
+            if routed or self._inclusive[upper]:
                 victim = cache.codec.compose(evicted_tag, set_index)
                 if routed:
-                    self._handle_victim(index, victim, dirty)
-                if self._inclusive[index]:
-                    self._back_invalidate(index, victim)
+                    self._handle_victim(upper, victim, dirty)
+                if self._inclusive[upper]:
+                    self._back_invalidate(upper, victim)
+        return self._results[index]
 
     def _handle_victim(self, level_index: int, victim: int, dirty: bool) -> None:
         """Route a victim evicted from ``level_index`` downwards."""

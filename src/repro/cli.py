@@ -456,10 +456,11 @@ def _cmd_history(args: argparse.Namespace) -> int:
         print(
             f"ingested {report['recorded']} new, "
             f"{report['duplicates']} duplicate(s), "
+            f"{report['dropped']} dropped, "
             f"{len(report['errors'])} error(s) "
             f"into {obs_history.history_path()}"
         )
-        return 0 if not report["errors"] else 1
+        return 0 if not report["errors"] and not report["dropped"] else 1
     if args.action == "check":
         defaults = {
             "window": obs_regress.DEFAULT_WINDOW,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, MeasurementError
-from repro.util.bits import is_power_of_two
+from repro.util.bits import ilog2, is_power_of_two
 from repro.util.rng import SeededRng
 
 HUGE_PAGE_SIZE = 2 * 1024 * 1024
@@ -53,6 +53,8 @@ class VirtualMemory:
         if physical_size % page_size != 0:
             raise ConfigurationError("physical_size must be a multiple of page_size")
         self.page_size = page_size
+        self._page_shift = ilog2(page_size)
+        self._offset_mask = page_size - 1
         self.physical_size = physical_size
         self._rng = rng if rng is not None else SeededRng(0)
         self._next_virtual = page_size  # keep 0 unmapped, like a real process
@@ -110,8 +112,7 @@ class VirtualMemory:
 
     def translate(self, virtual: int) -> int:
         """Translate a virtual address to its physical address."""
-        page = virtual // self.page_size
-        if page not in self._page_table:
+        frame = self._page_table.get(virtual >> self._page_shift)
+        if frame is None:
             raise MeasurementError(f"access to unmapped virtual address {virtual:#x}")
-        frame = self._page_table[page]
-        return frame * self.page_size + (virtual % self.page_size)
+        return (frame << self._page_shift) | (virtual & self._offset_mask)

@@ -54,10 +54,12 @@ class HardwarePlatform:
         self.counters = CounterBank(self.hierarchy)
         self.loads_performed = 0
         self._loads_at_flush = 0
+        # A silent noise model draws nothing, so a load skips its block.
+        self._silent = spec.noise.silent
         #: True when a load's effect is a pure function of the cache state:
         #: no noise and no level whose policy draws randomness.  Only then
         #: can :meth:`restore` stand in for the loads it skips.
-        self.replayable = spec.noise.silent and all(
+        self.replayable = self._silent and all(
             policy.deterministic for policy in policies
         )
 
@@ -81,9 +83,10 @@ class HardwarePlatform:
 
     def load(self, virtual: int) -> None:
         """Perform one load; updates caches, counters and noise."""
-        physical = self.memory.translate(virtual)
-        self.hierarchy.access(physical)
+        self.hierarchy.access(self.memory.translate(virtual))
         self.loads_performed += 1
+        if self._silent:
+            return
         noise = self.spec.noise
         if noise.counter_noise_rate > 0.0:
             for level_name in self.hierarchy.level_names:

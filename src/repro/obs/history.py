@@ -48,8 +48,10 @@ Discipline mirrors :mod:`repro.measuredb.db`:
   a second failure marks the handle dead and every later operation is a
   cheap no-op.  History recording never fails the run it documents.
 * **Observability** — ``history.record`` / ``history.duplicate`` /
-  ``history.corrupt`` counters land in
-  :data:`repro.obs.metrics.DEFAULT`.
+  ``history.dropped`` / ``history.corrupt`` counters land in
+  :data:`repro.obs.metrics.DEFAULT`.  Every row a write could not store
+  (database unavailable, locked beyond the busy timeout or corrupt)
+  counts as ``history.dropped``.
 """
 
 from __future__ import annotations
@@ -148,6 +150,8 @@ class HistoryDB:
         self._pid: int | None = None
         self._recovered = False
         self._dead = False
+        #: Rows this handle could not store (each also ``history.dropped``).
+        self.dropped = 0
 
     # -- connection lifecycle ------------------------------------------------
     def _open(self) -> sqlite3.Connection:
@@ -258,6 +262,11 @@ class HistoryDB:
         self._pid = os.getpid()
         return self._conn
 
+    def _drop(self) -> None:
+        """Count one row a write could not store."""
+        self.dropped += 1
+        obs_metrics.DEFAULT.incr("history.dropped")
+
     def close(self) -> None:
         """Close the underlying connection (reopened lazily if reused)."""
         if self._conn is not None and self._pid == os.getpid():
@@ -274,15 +283,18 @@ class HistoryDB:
     ) -> int | None:
         """Insert one run ledger; returns the run id, or None.
 
-        None means the row was not recorded: the database unavailable,
-        or (the common case) the exact same ledger content already
-        present — recording is idempotent.  ``maps`` is
+        None means the row was not recorded: (the common case) the
+        exact same ledger content already present — recording is
+        idempotent, counted as ``history.duplicate`` — or a database that
+        could not take the row, counted as ``history.dropped`` and in
+        :attr:`dropped`.  ``maps`` is
         an optional list of runner map records (see
         :func:`repro.runner.core.add_map_hook`) attached to the run row
         for the dashboard's per-run breakdown.
         """
         conn = self._connection()
         if conn is None:
+            self._drop()
             return None
         payload = ledger.to_dict()
         fingerprint = _fingerprint(payload)
@@ -330,9 +342,11 @@ class HistoryDB:
                     ],
                 )
         except sqlite3.OperationalError:
+            self._drop()  # locked beyond the busy timeout
             return None
         except sqlite3.DatabaseError:
             self._handle_corrupt()
+            self._drop()
             return None
         obs_metrics.DEFAULT.incr("history.record")
         return run_id
@@ -347,6 +361,7 @@ class HistoryDB:
         obs_result.validate_result(payload)
         conn = self._connection()
         if conn is None:
+            self._drop()
             return None
         fingerprint = _fingerprint(payload)
         try:
@@ -369,9 +384,11 @@ class HistoryDB:
                     return None
                 point_id = cursor.lastrowid
         except sqlite3.OperationalError:
+            self._drop()  # locked beyond the busy timeout
             return None
         except sqlite3.DatabaseError:
             self._handle_corrupt()
+            self._drop()
             return None
         obs_metrics.DEFAULT.incr("history.record")
         return point_id
@@ -567,10 +584,11 @@ def ingest_paths(paths: Iterable[str | Path]) -> dict:
     ``BENCH_*.json``; explicit file arguments are classified by name the
     same way.  Returns a report dict::
 
-        {"recorded": N, "duplicates": N, "errors": [(path, reason), ...],
-         "files": [(path, status), ...]}
+        {"recorded": N, "duplicates": N, "dropped": N,
+         "errors": [(path, reason), ...], "files": [(path, status), ...]}
 
-    where status is ``recorded``, ``duplicate`` or ``error``.  Unreadable
+    where status is ``recorded``, ``duplicate``, ``dropped`` (the
+    database could not take the row) or ``error``.  Unreadable
     or schema-invalid files are reported, never raised — backfill must
     survive a results directory with half-written artifacts in it.
     """
@@ -584,20 +602,27 @@ def ingest_paths(paths: Iterable[str | Path]) -> dict:
             )
         else:
             expanded.append(path)
-    report: dict = {"recorded": 0, "duplicates": 0, "errors": [], "files": []}
+    report: dict = {
+        "recorded": 0, "duplicates": 0, "dropped": 0, "errors": [], "files": [],
+    }
+    db = get_history()
     for path in expanded:
+        dropped = db.dropped
         try:
             if _is_bench_point(path):
                 payload = json.loads(path.read_text(encoding="utf-8"))
-                row_id = record_bench_point(payload, source=str(path))
+                row_id = db.record_bench_point(payload, source=str(path))
             else:
                 ledger = obs_ledger.read_ledger(path)
-                row_id = record_ledger(ledger, source=str(path))
+                row_id = db.record_ledger(ledger, source=str(path))
         except (OSError, ValueError, ReproError, ResultSchemaError) as error:
             report["errors"].append((str(path), str(error)))
             report["files"].append((str(path), "error"))
             continue
-        if row_id is None:
+        if row_id is None and db.dropped > dropped:
+            report["dropped"] += 1
+            report["files"].append((str(path), "dropped"))
+        elif row_id is None:
             report["duplicates"] += 1
             report["files"].append((str(path), "duplicate"))
         else:

@@ -352,6 +352,7 @@ KEY_COUNTERS = (
     "db.miss",
     "db.write",
     "db.dropped",
+    "history.dropped",
     "hw.flush.sets",
     "hw.setup_reused",
     "kernel.calls",

@@ -106,6 +106,11 @@ class ReplacementPolicy(ABC):
 
     # -- helpers ----------------------------------------------------------
     def _check_way(self, way: int) -> None:
+        """Raise ``ValueError`` unless ``way`` names a way of this set.
+
+        The hot ``touch``/``fill`` paths test the range inline and call
+        this only to raise.
+        """
         if not 0 <= way < self.ways:
             raise ValueError(f"way {way} out of range for {self.ways}-way set")
 

@@ -26,13 +26,15 @@ class FifoPolicy(ReplacementPolicy):
         self._queue = list(range(ways))
 
     def touch(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
 
     def evict(self) -> int:
         return self._queue[0]
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._queue.remove(way)
         self._queue.append(way)
 

@@ -36,7 +36,8 @@ class LruPolicy(ReplacementPolicy):
         self._stack = list(range(ways))
 
     def touch(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._stack.remove(way)
         self._stack.insert(0, way)
 
@@ -44,7 +45,8 @@ class LruPolicy(ReplacementPolicy):
         return self._stack[-1]
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._stack.remove(way)
         self._stack.insert(0, way)
 
@@ -70,7 +72,8 @@ class LipPolicy(LruPolicy):
     NAME = "lip"
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._stack.remove(way)
         self._stack.append(way)
 
@@ -93,7 +96,8 @@ class BipPolicy(LruPolicy):
         self.epsilon = epsilon
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._stack.remove(way)
         if self._rng.random() < self.epsilon:
             self._stack.insert(0, way)
@@ -128,7 +132,8 @@ class DipPolicy(ReplacementPolicy):
     serves both: a hit moves the way to the front, the victim is the
     back, and a fill goes to the front when the set runs LRU or BIP's
     ``epsilon`` draw says so, to the back otherwise.  BIP's stream is
-    drawn only on fills that BIP decides, and a clone shares it.
+    drawn only on fills that BIP decides, and a clone shares it.  It is
+    forked on the first draw: most sets of a large cache never draw.
 
     A standalone instance (no shared context) gets a private one-set
     controller, in which set 0 leads for LRU; embedded in a cache,
@@ -152,16 +157,22 @@ class DipPolicy(ReplacementPolicy):
         self._shared = shared
         self._set_index = set_index
         self.epsilon = epsilon
-        self._rng = shared.rng.fork(f"bip-{set_index}")
+        self._rng: SeededRng | None = None  # see _fork_bip
         # _stack[0] is the most recently used way, _stack[-1] the victim.
         self._stack = list(range(ways))
+
+    def _fork_bip(self) -> SeededRng:
+        """Fork BIP's stream from the shared context; return it."""
+        self._rng = self._shared.rng.fork(f"bip-{self._set_index}")
+        return self._rng
 
     @classmethod
     def create_shared(cls, num_sets: int, rng: SeededRng | None = None) -> DipSharedContext:
         return DipSharedContext(num_sets, rng)
 
     def touch(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._stack.remove(way)
         self._stack.insert(0, way)
 
@@ -170,11 +181,12 @@ class DipPolicy(ReplacementPolicy):
         return self._stack[-1]
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._stack.remove(way)
         if (
             self._shared.controller.use_primary(self._set_index)
-            or self._rng.random() < self.epsilon
+            or (self._rng or self._fork_bip()).random() < self.epsilon
         ):
             self._stack.insert(0, way)
         else:
@@ -193,6 +205,6 @@ class DipPolicy(ReplacementPolicy):
             set_index=self._set_index,
             epsilon=self.epsilon,
         )
-        copy._rng = self._rng
+        copy._rng = self._rng or self._fork_bip()
         copy._stack = list(self._stack)
         return copy

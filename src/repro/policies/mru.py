@@ -35,7 +35,8 @@ class BitPlruPolicy(ReplacementPolicy):
             self._bits[way] = 1
 
     def touch(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._mark(way)
 
     def evict(self) -> int:
@@ -45,7 +46,8 @@ class BitPlruPolicy(ReplacementPolicy):
         raise AssertionError("bit-PLRU invariant violated: no zero bit")
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._mark(way)
 
     def reset(self) -> None:
@@ -74,7 +76,8 @@ class NruPolicy(ReplacementPolicy):
         self._bits = [0] * ways
 
     def touch(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._bits[way] = 1
 
     def evict(self) -> int:
@@ -86,7 +89,8 @@ class NruPolicy(ReplacementPolicy):
         return 0
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._bits[way] = 1
 
     def reset(self) -> None:

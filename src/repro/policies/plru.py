@@ -17,12 +17,33 @@ the test suite.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Hashable
 
 from repro.errors import ConfigurationError
 from repro.policies.base import ReplacementPolicy
 from repro.policies.registry import register
 from repro.util.bits import ilog2, is_power_of_two
+
+
+@functools.cache
+def _away_bits(ways: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each way, the ``(node, bit)`` pairs that point its path away.
+
+    The nodes are those on the root-to-leaf path of the way, and each bit
+    points into the subtree the path does not continue into.
+    """
+    levels = ilog2(ways)
+    assignments = []
+    for way in range(ways):
+        pairs = []
+        node = 0
+        for level in range(levels - 1, -1, -1):
+            direction = (way >> level) & 1
+            pairs.append((node, 1 - direction))
+            node = 2 * node + 1 + direction
+        assignments.append(tuple(pairs))
+    return tuple(assignments)
 
 
 @register(tags=("default-eval", "default-predictability"))
@@ -37,28 +58,14 @@ class PlruPolicy(ReplacementPolicy):
             raise ConfigurationError(f"tree PLRU requires power-of-two ways, got {ways}")
         self._levels = ilog2(ways)
         self._bits = [0] * (ways - 1)
-
-    def _path_nodes(self, way: int) -> list[tuple[int, int]]:
-        """Return (node, direction) pairs on the root-to-leaf path of ``way``.
-
-        ``direction`` is 0 if the path continues into the left child and 1
-        for the right child.
-        """
-        nodes = []
-        node = 0
-        for level in range(self._levels - 1, -1, -1):
-            direction = (way >> level) & 1
-            nodes.append((node, direction))
-            node = 2 * node + 1 + direction
-        return nodes
-
-    def _point_away(self, way: int) -> None:
-        for node, direction in self._path_nodes(way):
-            self._bits[node] = 1 - direction
+        self._away = _away_bits(ways)
 
     def touch(self, way: int) -> None:
-        self._check_way(way)
-        self._point_away(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
+        bits = self._bits
+        for node, bit in self._away[way]:
+            bits[node] = bit
 
     def evict(self) -> int:
         node = 0
@@ -66,9 +73,8 @@ class PlruPolicy(ReplacementPolicy):
             node = 2 * node + 1 + self._bits[node]
         return node - (self.ways - 1)
 
-    def fill(self, way: int) -> None:
-        self._check_way(way)
-        self._point_away(way)
+    # A fill points the tree away from its way exactly as a hit does.
+    fill = touch
 
     def reset(self) -> None:
         self._bits = [0] * (self.ways - 1)

@@ -77,7 +77,8 @@ class QlruPolicy(ReplacementPolicy):
         return f"qlru_{hit}_m{self.insert_age}_{victim}_{aging}"
 
     def touch(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._ages[way] = self.hit_map[self._ages[way]]
 
     def _age_until_max(self) -> None:
@@ -97,7 +98,8 @@ class QlruPolicy(ReplacementPolicy):
         return candidates[-1]
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._ages[way] = self.insert_age
 
     def reset(self) -> None:

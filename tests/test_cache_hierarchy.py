@@ -1,5 +1,9 @@
 """Tests for multi-level hierarchies."""
 
+import dataclasses
+import hashlib
+import random
+
 import pytest
 
 from repro.cache import CacheConfig, CacheHierarchy
@@ -209,3 +213,76 @@ class TestHashedLastLevel:
             hierarchy.access(address)
         assert not hierarchy.level("L2").probe(victim)
         assert not hierarchy.level("L1").probe(victim)
+
+
+# The walk pinned to recorded results: an inclusive pair, a stack with an
+# exclusive middle level and a single hashed level, driven by loads,
+# stores and non-demand accesses across a checkpoint, a restore and a
+# flush.  Each digest covers every access's outcome and each level's
+# final statistics and contents.
+RECORDED_WALKS = {
+    "nine-inclusive": "47d0e58d8aed3a6e441e8df92e0b7d2b6617b59a8a9eacd100c1320ad728e907",
+    "nine-exclusive-inclusive": "a20afe1aadd1e2150a016e588d845ebb3d4aab5e3fba462231cb57fe7ab822d8",
+    "xor-fold": "9cb64458c6aa88b728dbf80d9dec1a0ab6ba76bfc7bb31e93ccf0ef2b52b694e",
+}
+
+
+def _recorded_hierarchy(name):
+    if name == "nine-inclusive":
+        return CacheHierarchy(
+            [
+                CacheConfig("L1", 512, 2),
+                CacheConfig("L2", 2048, 4, inclusion="inclusive"),
+            ],
+            ["plru", "lru"],
+        )
+    if name == "nine-exclusive-inclusive":
+        return CacheHierarchy(
+            [
+                CacheConfig("L1", 512, 2),
+                CacheConfig("L2", 1024, 4, inclusion="exclusive"),
+                CacheConfig("L3", 4096, 8, inclusion="inclusive"),
+            ],
+            ["lru", "fifo", "plru"],
+        )
+    return CacheHierarchy(
+        [CacheConfig("LLC", 4096, 4, index_hash="xor-fold")], ["lru"]
+    )
+
+
+def _walk_digest(hierarchy, seed):
+    rng = random.Random(seed)
+    hasher = hashlib.sha256()
+
+    def run(count):
+        for _ in range(count):
+            # Windows of 1, 4 and 64 KiB, so that every level hits and
+            # lines that hit above age out of an inclusive level below.
+            span = 1 << rng.choice((10, 10, 12, 12, 16))
+            address = rng.randrange(span) & ~0x3F
+            write = rng.random() < 0.25
+            demand = rng.random() >= 0.15
+            result = hierarchy.access(address, write=write, demand=demand)
+            hasher.update(repr((result.hit_level, result.level_hits)).encode())
+
+    run(400)
+    checkpoint = hierarchy.checkpoint()
+    run(200)
+    hierarchy.flush()
+    hierarchy.restore(checkpoint)
+    run(400)
+    hierarchy.flush()
+    run(200)
+    for cache in hierarchy.levels:
+        hasher.update(repr((
+            cache.name,
+            dataclasses.astuple(cache.stats),
+            sorted(cache.resident_addresses()),
+        )).encode())
+    hasher.update(repr(hierarchy.stats.memory_accesses).encode())
+    return hasher.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_WALKS))
+def test_walk_matches_the_recording(name):
+    assert _walk_digest(_recorded_hierarchy(name), seed=11) == RECORDED_WALKS[name]

@@ -7,6 +7,7 @@ walker's tolerance of broken inputs.
 """
 
 import json
+import sqlite3
 
 import pytest
 
@@ -186,6 +187,28 @@ class TestIngestPaths:
         )
         assert report["recorded"] == 0
         assert len(report["errors"]) == 3
+
+    def test_refused_writes_count_as_dropped(self, tmp_path, db, monkeypatch):
+        monkeypatch.setattr(obs_history, "get_history", lambda: db)
+        results = tmp_path / "results"
+        results.mkdir()
+        obs_ledger.write_ledger(make_ledger(), results / "e_test.ledger.json")
+        (results / "BENCH_kernel.json").write_text(
+            json.dumps(TestBenchPoints.PAYLOAD)
+        )
+
+        def locked():
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(db, "_open", locked)
+        obs_metrics.DEFAULT.reset()
+        report = obs_history.ingest_paths([results])
+        assert (report["recorded"], report["duplicates"], report["dropped"]) == (0, 0, 2)
+        assert {status for _, status in report["files"]} == {"dropped"}
+        counters = obs_metrics.DEFAULT.snapshot()["counters"]
+        assert counters["history.dropped"] == 2
+        assert "history.duplicate" not in counters
+        assert db.dropped == 2
 
     def test_clear_removes_everything(self, db, monkeypatch):
         monkeypatch.setattr(obs_history, "get_history", lambda: db)

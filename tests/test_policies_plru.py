@@ -41,6 +41,21 @@ class TestTreeBehaviour:
         policy.touch(0)
         # After touching way 0, the victim must be in the right subtree.
         assert policy.evict() in (2, 3)
+        for ways in (16, 32, 64):
+            policy = PlruPolicy(ways)
+            for way in range(ways):
+                policy.touch(way)
+                bits = policy.state_key()
+                # Walk the way's root-to-leaf path in heap order: every
+                # node on it points into the subtree the path leaves.
+                node, low, size = 0, 0, ways
+                while size > 1:
+                    size //= 2
+                    direction = int(way >= low + size)
+                    assert bits[node] == 1 - direction, (ways, way, node)
+                    node = 2 * node + 1 + direction
+                    low += direction * size
+                assert (policy.evict() < ways // 2) != (way < ways // 2)
 
     def test_fill_sequence_cycles_subtrees(self):
         policy = PlruPolicy(4)

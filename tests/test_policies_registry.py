@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.permutation import derive_spec_from_policy
 from repro.errors import ConfigurationError, UnknownPolicyError
 from repro.policies import (
     LruPolicy,
@@ -132,3 +133,19 @@ class TestPolicyFactory:
         factory = PolicyFactory("srrip", rrpv_bits=3)
         policy = factory.build(4)
         assert policy.rrpv_max == 7
+
+
+class TestWayBounds:
+    """Every policy rejects a way outside its set, on hits and on fills."""
+
+    @pytest.mark.parametrize("ways", [4, 8])
+    @pytest.mark.parametrize("name", available())
+    def test_out_of_range_way_rejected(self, name, ways):
+        params = {}
+        if name == "permutation":
+            params["spec"] = derive_spec_from_policy(LruPolicy(ways))
+        policy = get(name, ways, **params)
+        for way in (-1, ways):
+            for event in (policy.touch, policy.fill):
+                with pytest.raises(ValueError):
+                    event(way)
