@@ -7,10 +7,8 @@ once warm (memory caches dropped, automaton deserialized from disk).
 The warm pass must be at least 5x faster in total, every warm
 resolution must be a disk load (``kernel.compile.miss == 0``), and every
 loaded automaton's four tables must equal the BFS-built one's.  Results
-land in ``benchmarks/results/bench_compile_cache.txt`` with metrics and
-ledger sidecars, plus the ``BENCH_compile_cache.json`` trajectory point
-(an ExperimentResult envelope, validated in CI by
-``python -m repro.obs.result``).
+land in ``benchmarks/results/bench_compile_cache.txt`` and the
+``bench_compile_cache.ledger.json`` run record.
 
 The store directory is a per-run temp dir so the cold pass is genuinely
 cold regardless of any populated repo-local ``.repro-cache/``.
@@ -18,17 +16,13 @@ cold regardless of any populated repo-local ``.repro-cache/``.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.kernels import clear_compile_cache, compiled_for_factory
 from repro.kernels import store
 from repro.obs import metrics as obs_metrics
-from repro.obs.result import ExperimentResult
 from repro.util.tables import format_table
 
-RESULTS_DIR = Path(__file__).parent / "results"
 
 #: The deterministic (compilable) slice of the E3 policy set.
 POLICIES = ["lru", "fifo", "plru", "bitplru", "nru", "srrip", "lip"]
@@ -124,16 +118,6 @@ def test_bench_compile_cache_cold_vs_warm(save_result, tmp_path):
     }
     params = {"policies": POLICIES, "ways": WAYS}
     save_result("bench_compile_cache", table, data=data, params=params)
-
-    point = ExperimentResult(
-        name="bench_compile_cache",
-        params=json.loads(json.dumps(params, default=str)),
-        data=json.loads(json.dumps(data, default=str)),
-        metrics=obs_metrics.DEFAULT.snapshot(),
-    )
-    trajectory = RESULTS_DIR / "BENCH_compile_cache.json"
-    trajectory.write_text(point.to_json(indent=2) + "\n")
-    print(f"[trajectory point saved to {trajectory}]")
 
     assert speedup >= 5.0, (
         f"warm store only {speedup:.1f}x faster than cold compilation "

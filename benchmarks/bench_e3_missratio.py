@@ -15,6 +15,7 @@ in ``benchmarks/results/e3_runner_speedup.txt``.
 
 import os
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -47,7 +48,13 @@ def test_e3_missratio_matrix(benchmark, save_result, jobs):
     save_result(
         "e3_missratio",
         table,
-        data=matrix.to_experiment_result().data,
+        data={
+            "config": {
+                key: getattr(CONFIG, key)
+                for key in ("name", "size", "ways", "line_size", "inclusion", "index_hash")
+            },
+            "cells": [asdict(cell) for cell in matrix.cells],
+        },
         params={"policies": POLICIES, "config": CONFIG.describe(), "seed": 0},
     )
 

@@ -6,10 +6,8 @@ once with the kernel disabled (interpreted :class:`repro.cache.Cache`)
 and once enabled (compiled automata, direct mode for the randomized /
 set-dueling policies).  The matrices must be identical cell for cell and
 the kernel run at least 5x faster; both numbers land in
-``benchmarks/results/bench_kernel.txt`` and the
-``benchmarks/results/BENCH_kernel.json`` trajectory point (an
-ExperimentResult envelope, validated in CI by
-``python -m repro.obs.result``).
+``benchmarks/results/bench_kernel.txt`` and the ``data`` of the
+``bench_kernel.ledger.json`` run record.
 
 A second, much smaller grid provides the CI perf smoke check with a
 deliberately loose bar (>= 1.5x) so runner noise cannot fail the build.
@@ -23,23 +21,18 @@ be nothing to compare.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.cache import CacheConfig
 from repro.eval import miss_ratio_matrix
 from repro.kernels import clear_compile_cache, compiled_for_factory, kernel_disabled
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.result import ExperimentResult
 from repro.runner import clear_memo
 from repro.util.tables import format_table
 from repro.workloads import workload_suite
 
-RESULTS_DIR = Path(__file__).parent / "results"
 
 # The E3 grid (kept in sync with bench_e3_missratio).
 POLICIES = ["lru", "fifo", "plru", "bitplru", "nru", "srrip", "lip", "dip", "random"]
@@ -120,18 +113,6 @@ def test_bench_kernel_e3_speedup(save_result):
     }
     params = {"policies": POLICIES, "config": CONFIG.describe(), "seed": 0}
     save_result("bench_kernel", table, data=data, params=params)
-
-    # The BENCH_kernel.json trajectory point: same envelope format as the
-    # metrics sidecars, fixed name so successive runs can be compared.
-    point = ExperimentResult(
-        name="bench_kernel",
-        params=json.loads(json.dumps(params, default=str)),
-        data=json.loads(json.dumps(data, default=str)),
-        metrics=obs_metrics.DEFAULT.snapshot(),
-    )
-    trajectory = RESULTS_DIR / "BENCH_kernel.json"
-    trajectory.write_text(point.to_json(indent=2) + "\n")
-    print(f"[trajectory point saved to {trajectory}]")
 
     assert interpreted == compiled, "kernel grid diverged from the interpreter"
     assert speedup >= 5.0, (

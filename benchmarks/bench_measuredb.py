@@ -20,26 +20,22 @@ Acceptance, per ISSUE/ROADMAP:
 The compiled-automaton caches are pre-warmed *before* the cold timing,
 so the measured speedup is the measurement DB's own, not a replay of
 the compile-cache win (``bench_compile_cache`` owns that one).  Results
-land in ``benchmarks/results/bench_measuredb.txt`` with metrics and
-ledger sidecars, plus the ``BENCH_measuredb.json`` trajectory point.
+land in ``benchmarks/results/bench_measuredb.txt`` and the
+``bench_measuredb.ledger.json`` run record.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro import kernels, measuredb
 from repro.core.inference import PermutationInference
 from repro.core.oracle import SimulatedSetOracle, VotingOracle
 from repro.kernels import store
 from repro.obs import metrics as obs_metrics
-from repro.obs.result import ExperimentResult
 from repro.policies import make_policy
 from repro.util.tables import format_table
 
-RESULTS_DIR = Path(__file__).parent / "results"
 
 POLICIES = ["lru", "fifo", "plru"]
 WAYS = [4, 8, 16]
@@ -157,16 +153,6 @@ def test_bench_measuredb_cold_vs_warm(save_result, tmp_path):
     }
     params = {"policies": POLICIES, "ways": WAYS, "repetitions": REPETITIONS}
     save_result("bench_measuredb", table, data=data, params=params)
-
-    point = ExperimentResult(
-        name="bench_measuredb",
-        params=json.loads(json.dumps(params, default=str)),
-        data=json.loads(json.dumps(data, default=str)),
-        metrics=obs_metrics.DEFAULT.snapshot(),
-    )
-    trajectory = RESULTS_DIR / "BENCH_measuredb.json"
-    trajectory.write_text(point.to_json(indent=2) + "\n")
-    print(f"[trajectory point saved to {trajectory}]")
 
     assert speedup >= 5.0, (
         f"warm measurement DB only {speedup:.1f}x faster than cold "

@@ -19,19 +19,16 @@ Acceptance, per ISSUE/ROADMAP:
   rounds-1 reuses);
 * the persistent leg is at least 2x faster overall.
 
-Results land in ``benchmarks/results/bench_runner.txt`` with metrics
-and ledger sidecars, plus the ``BENCH_runner.json`` trajectory point.
+Results land in ``benchmarks/results/bench_runner.txt`` and the
+``bench_runner.ledger.json`` run record.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.cache import CacheConfig
 from repro.obs import metrics as obs_metrics
-from repro.obs.result import ExperimentResult
 from repro.runner import (
     ExperimentRunner,
     SimCell,
@@ -42,7 +39,6 @@ from repro.runner import (
 from repro.util.tables import format_table
 from repro.workloads import workload_suite
 
-RESULTS_DIR = Path(__file__).parent / "results"
 
 # One policy over the full workload suite: enough compute for honest
 # timings, small enough that per-round pool startup (what this bench
@@ -164,16 +160,6 @@ def test_bench_runner_persistent_pool(save_result):
         "jobs": JOBS,
     }
     save_result("bench_runner", table, data=data, params=params)
-
-    point = ExperimentResult(
-        name="bench_runner",
-        params=json.loads(json.dumps(params, default=str)),
-        data=json.loads(json.dumps(data, default=str)),
-        metrics=obs_metrics.DEFAULT.snapshot(),
-    )
-    trajectory = RESULTS_DIR / "BENCH_runner.json"
-    trajectory.write_text(point.to_json(indent=2) + "\n")
-    print(f"[trajectory point saved to {trajectory}]")
 
     assert speedup >= 2.0, (
         f"persistent pool only {speedup:.1f}x faster than per-round pools "

@@ -7,11 +7,9 @@ one process so CPU-clock drift cancels.  The workload is E3-scale
 whole-cache simulation (2048 sets, 1M accesses) where all sets advance
 lock-step; the ≥ 3x acceptance gate (measured ~5-10x) lives here.
 
-Results are bit-compared cell for cell before any timing claim, land in
-``benchmarks/results/bench_vector.txt``, and the acceptance run writes
-the ``benchmarks/results/BENCH_vector.json`` trajectory point (an
-ExperimentResult envelope, validated in CI by
-``python -m repro.obs.result``).
+Results are bit-compared cell for cell before any timing claim and land
+in ``benchmarks/results/bench_vector.txt`` and the ``data`` of the
+``bench_vector.ledger.json`` run record.
 
 Everything here skips without numpy — the no-numpy CI leg proves the
 scalar fallback instead (see tests/test_kernel_vector.py).
@@ -19,10 +17,8 @@ scalar fallback instead (see tests/test_kernel_vector.py).
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -33,13 +29,10 @@ from repro.kernels import (
     vector,
     vector_disabled,
 )
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.result import ExperimentResult
 from repro.util.tables import format_table
 from repro.workloads.trace import Trace
 
-RESULTS_DIR = Path(__file__).parent / "results"
 
 pytestmark = pytest.mark.skipif(
     not vector.available(), reason="numpy not installed (vector engine absent)"
@@ -135,16 +128,6 @@ def test_bench_vector_speedup(save_result):
         "seed": 1,
     }
     save_result("bench_vector", table, data=data, params=params)
-
-    point = ExperimentResult(
-        name="bench_vector",
-        params=json.loads(json.dumps(params, default=str)),
-        data=json.loads(json.dumps(data, default=str)),
-        metrics=obs_metrics.DEFAULT.snapshot(),
-    )
-    trajectory = RESULTS_DIR / "BENCH_vector.json"
-    trajectory.write_text(point.to_json(indent=2) + "\n")
-    print(f"[trajectory point saved to {trajectory}]")
 
     for policy, row in trace_rows.items():
         assert row["speedup"] >= 3.0, (

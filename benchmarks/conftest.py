@@ -1,15 +1,14 @@
 """Shared infrastructure for the experiment benchmarks.
 
 Every benchmark regenerates one of the paper's tables or figures
-(reconstructed as experiments E1-E8; see DESIGN.md).  Besides the
+(reconstructed as experiments E1-E12; see DESIGN.md).  Besides the
 pytest-benchmark timing, each writes its rows to
-``benchmarks/results/<experiment>.txt`` so the numbers survive the run
-and can be pasted into EXPERIMENTS.md, plus a
-``<experiment>.metrics.json`` sidecar: an ExperimentResult envelope
-(see OBSERVABILITY.md) carrying the experiment's structured data and a
-snapshot of the run's metrics, and a ``<experiment>.ledger.json`` run
-manifest (git revision, environment, counters, artifact digests) that
-``repro-cache report`` can summarize and diff across runs.
+``benchmarks/results/<experiment>.txt`` so the numbers can be pasted
+into EXPERIMENTS.md, and its one run record,
+``<experiment>.ledger.json`` (see OBSERVABILITY.md): the experiment's
+structured ``data`` next to its git revision, environment, wall time,
+counters and observations, which ``repro-cache report`` can summarize
+and diff across runs.
 
 Pass ``--obs-trace`` to additionally record structured events
 (``runner.*``, ``span.*``, ``kernel.*``, ``oracle.*``, ``infer.*``,
@@ -21,7 +20,6 @@ the compiled kernel) and write them to
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -32,7 +30,6 @@ from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
-from repro.obs.result import ExperimentResult
 from repro.kernels import kernel_enabled
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -72,8 +69,8 @@ def jobs(request) -> int:
 def _observe(request):
     """Reset metrics and span state per test; trace under --obs-trace.
 
-    Each benchmark therefore sees only its own counters in the metrics
-    sidecar — nothing bleeds across benches — and the tracer's events
+    Each benchmark therefore sees only its own counters in its ledger —
+    nothing bleeds across benches — and the tracer's events
     are available to ``save_result`` through
     :data:`repro.obs.trace.ACTIVE`.  The wall clock recorded here feeds
     the run ledger.
@@ -90,14 +87,13 @@ def _observe(request):
 
 @pytest.fixture(scope="session")
 def save_result(request):
-    """Persist an experiment table plus its sidecar and run ledger.
+    """Persist an experiment table and its run ledger.
 
-    ``data`` and ``params`` feed the ``<name>.metrics.json`` envelope;
-    anything JSON-unfriendly inside them is stringified.  When a tracer
-    is active its events are drained to ``<name>.trace.jsonl``.  Every
-    save also writes a ``<name>.ledger.json`` manifest so two runs of
-    the same experiment can be compared with ``repro-cache report
-    --diff``.
+    ``data`` and ``params`` go into ``<name>.ledger.json`` next to the
+    run's metrics snapshot; anything JSON-unfriendly inside them is
+    stringified.  When a tracer is active its events are drained to
+    ``<name>.trace.jsonl``.  Two runs of the same experiment can be
+    compared with ``repro-cache report --diff``.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
 
@@ -105,16 +101,6 @@ def save_result(request):
         params = params or {}
         path = RESULTS_DIR / f"{name}.txt"
         path.write_text(text + "\n")
-        snapshot = obs_metrics.DEFAULT.snapshot()
-        result = ExperimentResult(
-            name=name,
-            params=json.loads(json.dumps(params, default=str)),
-            data=json.loads(json.dumps(data if data is not None else {}, default=str)),
-            metrics=snapshot,
-        )
-        sidecar = RESULTS_DIR / f"{name}.metrics.json"
-        sidecar.write_text(result.to_json(indent=2) + "\n")
-        trace_path = None
         tracer = obs_trace.ACTIVE
         if tracer is not None and tracer.events:
             trace_path = obs_trace.write_jsonl(
@@ -131,11 +117,11 @@ def save_result(request):
             seed=params.get("seed"),
             jobs=int(jobs) if isinstance(jobs, (int, float, str)) and str(jobs).isdigit() else None,
             kernel=kernel_enabled(),
-            counters=snapshot.get("counters", {}),
-            artifacts=[p for p in (path, sidecar, trace_path) if p is not None],
+            metrics=obs_metrics.DEFAULT.snapshot(),
+            data=data if data is not None else {},
         )
         ledger_path = obs_ledger.write_ledger(
-            ledger, obs_ledger.ledger_path_for(sidecar)
+            ledger, RESULTS_DIR / f"{name}.ledger.json"
         )
         # Auto-record into the run-history database so `repro-cache
         # history check` and the dashboard see every bench run without a
@@ -147,7 +133,6 @@ def save_result(request):
         history_note = (
             f"; history run {recorded}" if recorded is not None else ""
         )
-        print(f"\n{text}\n[saved to {path}; metrics sidecar {sidecar}; "
-              f"ledger {ledger_path}{history_note}]")
+        print(f"\n{text}\n[saved to {path}; ledger {ledger_path}{history_note}]")
 
     return _save

@@ -23,7 +23,7 @@ Package map:
 * :mod:`repro.workloads` — trace generators and app models;
 * :mod:`repro.eval` — performance and predictability evaluation;
 * :mod:`repro.runner` — deterministic parallel experiment runner;
-* :mod:`repro.obs` — tracing, metrics and the ExperimentResult protocol.
+* :mod:`repro.obs` — tracing, metrics and the run ledger.
 """
 
 from repro.cache import Cache, CacheConfig, CacheHierarchy
@@ -55,7 +55,7 @@ from repro.hardware import (
     get_processor,
 )
 from repro.errors import ResultSchemaError
-from repro.obs import ExperimentResult, Metrics, Tracer, tracing, validate_result
+from repro.obs import Metrics, RunLedger, Tracer, tracing, validate_ledger
 from repro.policies import (
     PermutationPolicy,
     PermutationSpec,
@@ -99,11 +99,11 @@ __all__ = [
     "get",
     "make_policy",
     "register",
-    "ExperimentResult",
     "Metrics",
+    "RunLedger",
     "Tracer",
     "tracing",
-    "validate_result",
+    "validate_ledger",
     "Trace",
     "APP_MODELS",
     "workload_suite",

@@ -18,12 +18,12 @@ Subcommands mirror the library's two halves:
 * ``dash`` — render the static HTML observability dashboard.
 
 The measurement-driving subcommands accept ``--trace FILE`` (stream
-structured events to a JSONL file) and ``--metrics FILE`` (write an
-ExperimentResult metrics sidecar plus a ``*.ledger.json`` run manifest
-next to it); see OBSERVABILITY.md.  ``--metrics`` composes with the
-compiled kernel — only ``--trace`` (which wants per-access events)
-routes simulation through the interpreter.  ``--cache-dir DIR`` (spelled
-``--dir`` on ``cache``/``db``/``history``/``dash``) points every
+structured events to a JSONL file) and ``--metrics FILE`` (write the
+run's ledger, its one run record, to FILE); see OBSERVABILITY.md.
+``--metrics`` composes with the compiled kernel — only ``--trace``
+(which wants per-access events) routes simulation through the
+interpreter.  ``--cache-dir DIR`` (spelled ``--dir`` on
+``cache``/``db``/``history``/``dash``) points every
 persistent store — compiled automata, the measurement DB and the run
 history — at one directory; ``infer --db`` persists measurements so a
 warm rerun reports ``db.miss == 0`` in its ledger.
@@ -58,7 +58,6 @@ from repro.kernels import (
 )
 from repro.obs import (
     DEFAULT,
-    ExperimentResult,
     JsonlWriter,
     Tracer,
     filter_events,
@@ -257,7 +256,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    """Summarize or diff run ledgers written next to metrics sidecars."""
+    """Summarize or diff run ledgers."""
     ledgers = []
     for path in args.files:
         # Every malformed input degrades to a one-line error + exit 2
@@ -306,7 +305,7 @@ def _add_obs_options(command: argparse.ArgumentParser) -> None:
     )
     command.add_argument(
         "--metrics", metavar="FILE", default=None, dest="metrics_file",
-        help="write an ExperimentResult metrics sidecar (JSON)",
+        help="write the run's ledger (JSON) to FILE",
     )
 
 
@@ -504,7 +503,6 @@ def _cmd_history(args: argparse.Namespace) -> int:
         print(
             f"runs: {info['total_runs']} across "
             f"{len(info['experiments'])} experiment(s), "
-            f"{info['total_bench_points']} bench point(s), "
             f"total {info['total_bytes']} bytes, "
             f"schema v{info['schema_version']}, "
             f"{'enabled' if info['enabled'] else 'disabled'}"
@@ -528,7 +526,6 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     print(
         f"dashboard: {len(report['pages'])} page(s) -> {args.output} "
         f"({report['runs']} run(s), {report['experiments']} experiment(s), "
-        f"{report['bench_points']} bench point(s), "
         f"{report['flagged']} flagged group(s))"
     )
     print(f"open {Path(args.output) / 'index.html'}")
@@ -700,12 +697,12 @@ def build_parser() -> argparse.ArgumentParser:
     history_sub = history.add_subparsers(dest="action", required=True)
     ingest = history_sub.add_parser(
         "ingest",
-        help="backfill history from ledgers and BENCH_*.json files",
-        description="Directories are scanned for *.ledger.json and "
-        "BENCH_*.json; re-ingesting is idempotent (content fingerprints).",
+        help="backfill history from run ledgers",
+        description="Directories are scanned for *.ledger.json; "
+        "re-ingesting is idempotent (content fingerprints).",
     )
     ingest.add_argument("paths", nargs="+",
-                        help="ledger/BENCH files or directories of them")
+                        help="ledger files or directories of them")
     check = history_sub.add_parser(
         "check",
         help="regression-check the latest run of every baseline group",
@@ -737,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dash",
         help="render the static HTML observability dashboard",
         description="Example: repro-cache dash -o dash/ — renders a fleet "
-        "summary, per-experiment trend pages, bench-trajectory sparklines "
+        "summary, per-experiment trend pages with data-series sparklines "
         "and span flame views from the run-history database.",
     )
     dash.add_argument("-o", "--output", default="dash",
@@ -766,17 +763,17 @@ _COMMANDS = {
     "dash": _cmd_dash,
 }
 
-#: Namespace attributes that belong in a metrics sidecar's params block.
-_SIDECAR_PARAM_TYPES = (str, int, float, bool, type(None))
+#: Namespace attributes that belong in a ledger's params block.
+_LEDGER_PARAM_TYPES = (str, int, float, bool, type(None))
 
 
-def _sidecar_params(args: argparse.Namespace) -> dict:
-    """The scalar subcommand arguments, for sidecar/ledger params blocks."""
+def _ledger_params(args: argparse.Namespace) -> dict:
+    """The scalar subcommand arguments, for the ledger's params block."""
     return {
         key: value
         for key, value in sorted(vars(args).items())
         if key not in ("command", "trace_file", "metrics_file")
-        and isinstance(value, _SIDECAR_PARAM_TYPES)
+        and isinstance(value, _LEDGER_PARAM_TYPES)
     }
 
 
@@ -789,12 +786,11 @@ def _run_with_observability(args: argparse.Namespace) -> int:
 
     Only ``--trace`` installs a tracer; with ``--metrics`` alone the
     compiled kernel stays eligible (its counters flush into the metrics
-    store directly), so ``--metrics`` composes with ``--kernel``.  When a
-    metrics sidecar is written, a ``*.ledger.json`` run manifest lands
-    next to it for ``repro-cache report``, and the ledger is auto-
-    recorded into the run-history database (with the runner's per-map
-    breakdowns attached).  Without ``--metrics`` no history code runs at
-    all — no sqlite file is created.
+    store directly), so ``--metrics`` composes with ``--kernel``.  The
+    ``--metrics`` file is the run's ledger, for ``repro-cache report``,
+    and the ledger is auto-recorded into the run-history database (with
+    the runner's per-map breakdowns attached).  Without ``--metrics`` no
+    history code runs at all — no sqlite file is created.
     """
     trace_file = getattr(args, "trace_file", None)
     metrics_file = getattr(args, "metrics_file", None)
@@ -834,32 +830,20 @@ def _run_with_observability(args: argparse.Namespace) -> int:
             status = command(args)
         wall_seconds = time.perf_counter() - start
         if metrics_file is not None:
-            # Sidecar + ledger are written (and history recorded) while
-            # the --cache-dir override is still in force, so the history
-            # row lands in the same directory tree as the other stores.
-            result = ExperimentResult(
-                name=f"cli-{args.command}",
-                params=_sidecar_params(args),
-                data={"exit_status": status},
-                metrics=DEFAULT.snapshot(),
-            )
-            Path(metrics_file).write_text(result.to_json(indent=2) + "\n")
+            # The ledger is written (and history recorded) while the
+            # --cache-dir override is still in force, so the history row
+            # lands in the same directory tree as the other stores.
             ledger = obs_ledger.build_ledger(
                 name=f"cli-{args.command}",
-                params=_sidecar_params(args),
+                params=_ledger_params(args),
                 wall_seconds=wall_seconds,
                 seed=getattr(args, "seed", None),
                 jobs=getattr(args, "jobs", None),
                 kernel=getattr(args, "kernel", None),
-                counters=DEFAULT.snapshot().get("counters", {}),
-                artifacts=[
-                    path for path in (metrics_file, trace_file)
-                    if path is not None
-                ],
+                metrics=DEFAULT.snapshot(),
+                data={"exit_status": status},
             )
-            obs_ledger.write_ledger(
-                ledger, obs_ledger.ledger_path_for(metrics_file)
-            )
+            obs_ledger.write_ledger(ledger, metrics_file)
             from repro.obs import history as obs_history
 
             obs_history.record_ledger(

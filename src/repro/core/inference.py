@@ -38,7 +38,6 @@ from repro.core.permutation import standard_miss_perm
 from repro.errors import InferenceError, KernelUnsupported
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.result import ExperimentResult
 from repro.policies import PermutationPolicy, PermutationSpec
 from repro.cache.set import CacheSet
 from repro import kernels
@@ -109,57 +108,6 @@ class InferenceResult:
     def succeeded(self) -> bool:
         """True when a verified spec was produced."""
         return self.spec is not None and self.verified
-
-    # -- unified result protocol ------------------------------------------
-    def to_experiment_result(
-        self,
-        name: str = "permutation-inference",
-        params: dict | None = None,
-        metrics: dict | None = None,
-    ) -> ExperimentResult:
-        """Package this outcome as a schema-versioned ExperimentResult."""
-        spec_data = None
-        if self.spec is not None:
-            spec_data = {
-                "hit_perms": [list(perm) for perm in self.spec.hit_perms],
-                "miss_perm": list(self.spec.miss_perm),
-            }
-        return ExperimentResult(
-            name=name,
-            params=dict(params or {}),
-            data={
-                "ways": self.ways,
-                "spec": spec_data,
-                "verified": self.verified,
-                "succeeded": self.succeeded,
-                "measurements": self.measurements,
-                "accesses": self.accesses,
-                "failure_reason": self.failure_reason,
-                "position_tables": [list(table) for table in self.position_tables],
-            },
-            metrics=dict(metrics or {}),
-        )
-
-    @classmethod
-    def from_experiment_result(cls, result: ExperimentResult) -> "InferenceResult":
-        """Rebuild an InferenceResult from its ExperimentResult form."""
-        data = result.data
-        spec = None
-        if data.get("spec") is not None:
-            spec = PermutationSpec(
-                data["ways"],
-                tuple(tuple(perm) for perm in data["spec"]["hit_perms"]),
-                tuple(data["spec"]["miss_perm"]),
-            )
-        return cls(
-            ways=data["ways"],
-            spec=spec,
-            verified=data["verified"],
-            measurements=data["measurements"],
-            accesses=data["accesses"],
-            failure_reason=data.get("failure_reason"),
-            position_tables=[list(table) for table in data.get("position_tables", [])],
-        )
 
 
 class PermutationInference:

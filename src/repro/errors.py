@@ -67,8 +67,8 @@ class TraceFormatError(ReproError):
 
 
 class ResultSchemaError(ReproError):
-    """An experiment result payload violates the documented schema.
+    """A run ledger violates the documented schema.
 
-    Raised by :func:`repro.obs.result.validate_result` with a
+    Raised by :func:`repro.obs.ledger.validate_ledger` with a
     field-level message; see OBSERVABILITY.md for the schema.
     """

@@ -20,7 +20,6 @@ from functools import cached_property
 
 from repro.cache import Cache, CacheConfig, CacheStats
 from repro.kernels import try_simulate_trace
-from repro.obs.result import ExperimentResult
 from repro.policies import PolicyFactory
 from repro.runner import ExperimentRunner, SimCell, run_sim_cells
 from repro.util.rng import SeededRng
@@ -152,47 +151,6 @@ class MissRatioMatrix:
                     )
                 )
         return MissRatioMatrix(config=self.config, cells=tuple(cells))
-
-    # -- unified result protocol ------------------------------------------
-    def to_experiment_result(
-        self,
-        name: str = "miss-ratio-matrix",
-        params: dict | None = None,
-        metrics: dict | None = None,
-    ) -> ExperimentResult:
-        """Package the matrix as a schema-versioned ExperimentResult."""
-        return ExperimentResult(
-            name=name,
-            params=dict(params or {}),
-            data={
-                "config": {
-                    "name": self.config.name,
-                    "size": self.config.size,
-                    "ways": self.config.ways,
-                    "line_size": self.config.line_size,
-                    "inclusion": self.config.inclusion,
-                    "index_hash": self.config.index_hash,
-                },
-                "cells": [
-                    {
-                        "policy": cell.policy,
-                        "trace": cell.trace,
-                        "miss_ratio": cell.miss_ratio,
-                        "misses": cell.misses,
-                        "accesses": cell.accesses,
-                    }
-                    for cell in self.cells
-                ],
-            },
-            metrics=dict(metrics or {}),
-        )
-
-    @classmethod
-    def from_experiment_result(cls, result: ExperimentResult) -> "MissRatioMatrix":
-        """Rebuild a matrix from its ExperimentResult form."""
-        config = CacheConfig(**result.data["config"])
-        cells = tuple(MissRatioCell(**cell) for cell in result.data["cells"])
-        return cls(config=config, cells=cells)
 
 
 def miss_ratio_matrix(

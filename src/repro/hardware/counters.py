@@ -15,12 +15,17 @@ from repro.errors import MeasurementError
 
 EVENTS = ("access", "hit", "miss")
 
+#: The :class:`~repro.cache.stats.CacheStats` attribute behind each event.
+_ATTRIBUTES = {"access": "accesses", "hit": "hits", "miss": "misses"}
+
 
 class CounterBank:
     """Monotone per-level event counters over a hierarchy."""
 
     def __init__(self, hierarchy: CacheHierarchy) -> None:
-        self._hierarchy = hierarchy
+        # Level name -> the level's live statistics: the hierarchy resets
+        # and advances these objects in place, so a read is one lookup.
+        self._stats = hierarchy.stats.levels
         # Spurious event counts injected by the platform's noise model.
         self._spurious: dict[tuple[str, str], int] = {}
 
@@ -31,24 +36,19 @@ class CounterBank:
 
     def read(self, level: str, event: str) -> int:
         """Current value of the ``event`` counter of cache ``level``."""
-        if event not in EVENTS:
+        attribute = _ATTRIBUTES.get(event)
+        if attribute is None:
             raise MeasurementError(f"unknown event {event!r}; known: {EVENTS}")
-        try:
-            stats = self._hierarchy.level(level).stats
-        except KeyError as exc:
-            raise MeasurementError(str(exc)) from exc
-        true_value = {
-            "access": stats.accesses,
-            "hit": stats.hits,
-            "miss": stats.misses,
-        }[event]
-        return true_value + self._spurious.get((level, event), 0)
+        stats = self._stats.get(level)
+        if stats is None:
+            raise MeasurementError(f"no cache level named {level!r}")
+        return getattr(stats, attribute) + self._spurious.get((level, event), 0)
 
     def snapshot(self) -> dict[tuple[str, str], int]:
         """Sample every counter at once."""
         return {
             (level, event): self.read(level, event)
-            for level in self._hierarchy.level_names
+            for level in self._stats
             for event in EVENTS
         }
 

@@ -52,6 +52,9 @@ class HardwarePlatform:
             [level.config for level in spec.levels], policies, rng=rng.fork("caches")
         )
         self.counters = CounterBank(self.hierarchy)
+        # Read on every noisy load, so fixed at boot.
+        self._level_names = tuple(self.hierarchy.level_names)
+        self._line_size = self.hierarchy.levels[0].config.line_size
         self.loads_performed = 0
         self._loads_at_flush = 0
         # A silent noise model draws nothing, so a load skips its block.
@@ -89,7 +92,7 @@ class HardwarePlatform:
             return
         noise = self.spec.noise
         if noise.counter_noise_rate > 0.0:
-            for level_name in self.hierarchy.level_names:
+            for level_name in self._level_names:
                 if self._noise_rng.random() < noise.counter_noise_rate:
                     self.counters.inject_spurious(level_name, "miss")
         if noise.background_rate > 0.0 and self._noise_rng.random() < noise.background_rate:
@@ -97,12 +100,11 @@ class HardwarePlatform:
             # physical window, issued as a demand access of another agent
             # (it moves replacement state but not *our* retired-load
             # counters, which are per-logical-core on real hardware).
-            line_size = self.level_configs[0].line_size
-            background = self._noise_rng.randrange(1 << 24) * line_size
+            background = self._noise_rng.randrange(1 << 24) * self._line_size
             self.hierarchy.access(background, demand=False)
         if noise.prefetch_rate > 0.0 and self._noise_rng.random() < noise.prefetch_rate:
             try:
-                neighbour = self.memory.translate(virtual + self.level_configs[0].line_size)
+                neighbour = self.memory.translate(virtual + self._line_size)
             except MeasurementError:  # next line crosses into unmapped space
                 return
             # Prefetches disturb cache state but are not demand loads, so

@@ -1,15 +1,14 @@
-"""Observability: structured events, metrics and the result protocol.
+"""Observability: structured events, metrics and the run record.
 
 The paper's method is measurement, and ``repro.obs`` makes the
 reproduction's own measurement loops observable the same way nanoBench
 and CacheQuery are: every hot layer emits structured events through a
 zero-cost-when-disabled :class:`~repro.obs.trace.Tracer`, cheap counters
 and timers aggregate into the module-wide :data:`~repro.obs.metrics.DEFAULT`
-:class:`~repro.obs.metrics.Metrics` store, and every experiment surfaces
-its outcome as a schema-versioned
-:class:`~repro.obs.result.ExperimentResult`.
+:class:`~repro.obs.metrics.Metrics` store, and every run leaves one
+schema-versioned :class:`~repro.obs.ledger.RunLedger`.
 
-Five layers:
+Four layers describe one run:
 
 * :mod:`repro.obs.trace` — the event bus.  ``install(Tracer(...))`` (or
   the ``tracing(...)`` context manager) turns on event emission from
@@ -28,27 +27,25 @@ Five layers:
   decorator) emitting ``span.start``/``span.end`` events and feeding the
   metrics timers; span context propagates into runner worker processes
   so a cell's spans nest under the run that scheduled it.
-* :mod:`repro.obs.result` — the unified experiment result protocol
-  (:class:`~repro.obs.result.ExperimentResult`) shared by inference
-  results, miss-ratio matrices, the CLI and the E1-E12 benchmarks.
-* :mod:`repro.obs.ledger` — schema-versioned ``*.ledger.json`` run
-  manifests (git SHA, params, seeds, environment, wall time, artifact
-  digests, counter snapshot) written next to every sidecar and compared
-  by the ``repro-cache report`` subcommand.
+* :mod:`repro.obs.ledger` — the schema-versioned ``*.ledger.json`` run
+  record (the experiment's ``data``, git SHA, params, seeds,
+  environment, wall time, counters and observations) that the CLI's
+  ``--metrics`` and every benchmark write, compared by the
+  ``repro-cache report`` subcommand.
 
-Three more layers build the *across-run* plane on top of those five:
+Three more layers build the *across-run* plane on top of those four:
 
 * :mod:`repro.obs.history` — the WAL-mode sqlite run-history store
-  (``history-v<schema>.sqlite``) that every ledger and ``BENCH_*.json``
-  trajectory point can be recorded into (auto-recorded by the CLI under
-  ``--metrics``, backfilled by ``repro-cache history ingest``);
+  (``history-v<schema>.sqlite``) that every ledger is recorded into
+  (auto-recorded by the CLI under ``--metrics`` and by the benchmarks,
+  backfilled by ``repro-cache history ingest``);
 * :mod:`repro.obs.regress` — the perf-regression detector (median + MAD
   baselines per experiment group) behind ``repro-cache history check``;
 * :mod:`repro.obs.dash` — the static HTML dashboard renderer behind
   ``repro-cache dash``.
 
-The event schema, result protocol, ledger schema and run-history plane
-are documented in OBSERVABILITY.md.
+The event schema, ledger schema and run-history plane are documented in
+OBSERVABILITY.md.
 """
 
 from repro.obs.ledger import (
@@ -57,18 +54,11 @@ from repro.obs.ledger import (
     build_ledger,
     diff_ledgers,
     format_ledger,
-    ledger_path_for,
     read_ledger,
     validate_ledger,
     write_ledger,
 )
 from repro.obs.metrics import DEFAULT, Metrics, MetricSummary
-from repro.obs.result import (
-    SCHEMA_VERSION,
-    ExperimentResult,
-    validate_result,
-    validate_result_file,
-)
 from repro.obs.spans import adopt, current_span, span, traced
 from repro.obs.trace import (
     JsonlWriter,
@@ -86,18 +76,13 @@ __all__ = [
     "DEFAULT",
     "Metrics",
     "MetricSummary",
-    "SCHEMA_VERSION",
     "LEDGER_SCHEMA_VERSION",
-    "ExperimentResult",
     "RunLedger",
     "build_ledger",
     "diff_ledgers",
     "format_ledger",
-    "ledger_path_for",
     "read_ledger",
     "validate_ledger",
-    "validate_result",
-    "validate_result_file",
     "write_ledger",
     "JsonlWriter",
     "Tracer",

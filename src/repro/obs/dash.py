@@ -7,14 +7,12 @@ templating — in the AnICA ``html_report.py`` idiom:
 
 * ``index.html`` — the fleet summary: stat tiles, one row per
   experiment with a wall-time sparkline and its latest regression
-  verdict, the bench trajectory overview, and links to every detail
-  page;
+  verdict, and links to every detail page;
 * ``exp-<name>.html`` — per-experiment trend pages: a wall-time trend
-  chart over every recorded run, key-counter sparklines, and the full
-  run table (git sha, jobs, kernel, wall time, verdict) linking each
-  run's provenance;
-* ``bench.html`` — ``BENCH_*.json`` trajectory sparklines (speedup and
-  seconds series per acceptance benchmark);
+  chart over every recorded run, key-counter sparklines, sparklines of
+  the top-level numeric ``data`` series (an acceptance bench's speedups
+  and seconds), and the full run table (git sha, jobs, kernel, wall
+  time, verdict) linking each run's provenance;
 * ``flame-<name>.html`` — span-tree flame views parsed from the
   ``*.trace.jsonl`` event shards in the results directory (span.start /
   span.end pairs nest by id, widths proportional to seconds).
@@ -342,17 +340,17 @@ def _flame_page(name: str, path: Path) -> str | None:
 
 
 # -- page renderers ----------------------------------------------------------
-def _numeric_series(points: list[dict]) -> dict[str, list[float]]:
-    """Top-level numeric fields shared across bench trajectory points."""
+def _numeric_series(runs: list[dict]) -> dict[str, list[float]]:
+    """The top-level numeric fields of the runs' ``data``, in run order."""
     series: dict[str, list[float]] = {}
-    for point in points:
-        data = point.get("data")
+    for run in runs:
+        data = run.get("data")
         if not isinstance(data, dict):
             continue
         for key, value in data.items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 series.setdefault(key, []).append(float(value))
-    return {key: values for key, values in series.items() if len(values) >= 1}
+    return series
 
 
 def _experiment_page(
@@ -387,6 +385,18 @@ def _experiment_page(
                 f'<td class="num">{values[-1]:g}</td></tr>'
             )
         body.append("</table>")
+    series = _numeric_series(ordered)
+    if series:
+        body.append("<h2>data series</h2><table><tr><th>series</th>"
+                    "<th>trend</th><th class=\"num\">latest</th></tr>")
+        for key in sorted(series):
+            values = series[key]
+            body.append(
+                f"<tr><td><code>{_esc(key)}</code></td>"
+                f"<td>{_sparkline(values)}</td>"
+                f'<td class="num">{values[-1]:.4g}</td></tr>'
+            )
+        body.append("</table>")
     body.append("<h2>runs</h2>")
     body.append(
         "<table><tr><th>created</th><th>git</th><th class=\"num\">jobs</th>"
@@ -417,32 +427,6 @@ def _experiment_page(
     return _page(f"experiment · {name}", "".join(body), crumb="exp")
 
 
-def _bench_page(points_by_bench: dict[str, list[dict]]) -> str:
-    body = [
-        '<p class="sub">acceptance-benchmark trajectory points '
-        "(<code>BENCH_*.json</code>), one sparkline per numeric series — "
-        "speedups should hold, seconds should not climb</p>"
-    ]
-    for bench in sorted(points_by_bench):
-        points = points_by_bench[bench]
-        series = _numeric_series(points)
-        body.append(f"<h2>{_esc(bench)} — {len(points)} point(s)</h2>")
-        if not series:
-            body.append('<p class="sub">no scalar series in this bench\'s data</p>')
-            continue
-        body.append("<table><tr><th>series</th><th>trend</th>"
-                    "<th class=\"num\">latest</th></tr>")
-        for key in sorted(series):
-            values = series[key]
-            body.append(
-                f"<tr><td><code>{_esc(key)}</code></td>"
-                f"<td>{_sparkline(values)}</td>"
-                f'<td class="num">{values[-1]:.4g}</td></tr>'
-            )
-        body.append("</table>")
-    return _page("bench trajectories", "".join(body), crumb="bench")
-
-
 def render_dashboard(
     out_dir: str | Path,
     db: "obs_history.HistoryDB | None" = None,
@@ -452,7 +436,7 @@ def render_dashboard(
     """Render the full static dashboard into ``out_dir``.
 
     Returns ``{"pages": [paths], "runs": N, "experiments": N,
-    "bench_points": N, "flagged": N}``.  ``results_dir`` (optional)
+    "flagged": N}``.  ``results_dir`` (optional)
     contributes ``*.trace.jsonl`` files for the flame pages.
     """
     db = db or obs_history.get_history()
@@ -475,10 +459,6 @@ def render_dashboard(
     runs_by_name: dict[str, list[dict]] = {}
     for run in runs:
         runs_by_name.setdefault(run["name"], []).append(run)
-    bench_points = db.bench_points()
-    points_by_bench: dict[str, list[dict]] = {}
-    for point in bench_points:
-        points_by_bench.setdefault(point["bench"], []).append(point)
 
     pages: list[Path] = []
 
@@ -499,12 +479,6 @@ def render_dashboard(
         )
         pages.append(path)
 
-    # Bench trajectory page.
-    if points_by_bench:
-        path = out / "bench.html"
-        path.write_text(_bench_page(points_by_bench), encoding="utf-8")
-        pages.append(path)
-
     # Flame pages from trace shards.
     flame_links: dict[str, str] = {}
     if results_dir is not None:
@@ -523,14 +497,12 @@ def render_dashboard(
     flagged_groups = sum(1 for status in group_status.values() if status == "fail")
     body = [
         '<p class="sub">across-run observability for the reproduction: '
-        "run history, perf-regression verdicts, bench trajectories and "
-        "span flame views</p>"
+        "run history, perf-regression verdicts and span flame views</p>"
     ]
     body.append('<div class="tiles">')
     for value, label in (
         (len(runs), "recorded runs"),
         (len(runs_by_name), "experiments"),
-        (len(bench_points), "bench points"),
         (flagged_groups, "flagged groups"),
     ):
         body.append(
@@ -578,24 +550,6 @@ def render_dashboard(
             "any CLI command with <code>--metrics</code></p>"
         )
 
-    if points_by_bench:
-        body.append("<h2>bench trajectories</h2>")
-        body.append(
-            "<table><tr><th>bench</th><th class=\"num\">points</th>"
-            "<th>speedup trend</th><th class=\"num\">latest speedup</th></tr>"
-        )
-        for bench in sorted(points_by_bench):
-            series = _numeric_series(points_by_bench[bench])
-            speedups = series.get("speedup", [])
-            body.append(
-                f'<tr><td><a href="bench.html">{_esc(bench)}</a></td>'
-                f'<td class="num">{len(points_by_bench[bench])}</td>'
-                f"<td>{_sparkline(speedups)}</td>"
-                f'<td class="num">'
-                f"{f'{speedups[-1]:.2f}x' if speedups else '-'}</td></tr>"
-            )
-        body.append("</table>")
-
     if flame_links:
         body.append("<h2>span flame views</h2><ul>")
         for name in sorted(flame_links):
@@ -613,6 +567,5 @@ def render_dashboard(
         "pages": [str(path) for path in pages],
         "runs": len(runs),
         "experiments": len(runs_by_name),
-        "bench_points": len(bench_points),
         "flagged": flagged_groups,
     }

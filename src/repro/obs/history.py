@@ -1,22 +1,16 @@
 """Run-history database: every run, queryable, forever.
 
-PRs 2/4 made single runs observable — metrics sidecars, span traces and
-schema-versioned ``*.ledger.json`` manifests — but each run was an
-island: ``report --diff`` compares exactly two ledgers by hand and the
-``BENCH_*.json`` performance trajectory was unmonitored.  This module is
-the across-run plane: a WAL-mode sqlite **run-history store**
-(``history-v<schema>.sqlite``, beside the automaton store and the
-measurement DB) that ingests
-
-* run ledgers (:class:`~repro.obs.ledger.RunLedger`) — one ``runs`` row
-  keyed by experiment name, git sha and timestamp, plus one ``counters``
-  row per counter, and
-* ``BENCH_*.json`` trajectory points (ExperimentResult envelopes from
-  the acceptance benchmarks) — one ``bench_points`` row per point,
-
-and answers the questions single ledgers cannot: *how has E3's wall time
-moved over the last ten runs?  which commit did the query budget jump
-at?  is the kernel speedup trajectory flat?*  The regression detector
+A run ledger (:class:`~repro.obs.ledger.RunLedger`) makes one run
+observable, but each run is an island: ``report --diff`` compares
+exactly two ledgers by hand.  This module is the across-run plane: a
+WAL-mode sqlite **run-history store** (``history-v<schema>.sqlite``,
+beside the automaton store and the measurement DB) that ingests run
+ledgers — one ``runs`` row per ledger, keyed by experiment name, git
+sha and timestamp and carrying the ledger's ``data``, plus one
+``counters`` row per counter — and answers the questions single ledgers
+cannot: *how has E3's wall time moved over the last ten runs?  which
+commit did the query budget jump at?  is the kernel speedup trajectory
+flat?*  The regression detector
 (:mod:`repro.obs.regress`) and the HTML dashboard
 (:mod:`repro.obs.dash`) are pure consumers of this store.
 
@@ -27,9 +21,8 @@ Rows arrive three ways:
   no sqlite file is created), and the benchmark ``save_result`` fixture
   records every bench ledger;
 * **backfilled** — ``repro-cache history ingest benchmarks/results/``
-  walks a results directory and ingests every ledger and BENCH file it
-  finds;
-* **programmatically** — :func:`record_ledger` / :func:`record_bench_point`.
+  walks a results directory and ingests every ledger it finds;
+* **programmatically** — :func:`record_ledger`.
 
 Ingestion is idempotent: every row carries a content fingerprint
 (blake2s of the canonical JSON) with a UNIQUE constraint, so
@@ -48,10 +41,13 @@ Discipline mirrors :mod:`repro.measuredb.db`:
   a second failure marks the handle dead and every later operation is a
   cheap no-op.  History recording never fails the run it documents.
 * **Observability** — ``history.record`` / ``history.duplicate`` /
-  ``history.dropped`` / ``history.corrupt`` counters land in
-  :data:`repro.obs.metrics.DEFAULT`.  Every row a write could not store
-  (database unavailable, locked beyond the busy timeout or corrupt)
-  counts as ``history.dropped``.
+  ``history.dropped`` / ``history.read_errors`` / ``history.corrupt``
+  counters land in :data:`repro.obs.metrics.DEFAULT`.  Every row a write
+  could not store (database unavailable, locked beyond the busy timeout
+  or corrupt) counts as ``history.dropped``; every read a sqlite error
+  cut short, on open or on the query, counts as ``history.read_errors``.
+  A database file that does not exist yet is no error: reads of it
+  answer nothing and count nothing.
 """
 
 from __future__ import annotations
@@ -77,14 +73,13 @@ __all__ = [
     "get_history",
     "history_path",
     "ingest_paths",
-    "record_bench_point",
     "record_ledger",
     "reset",
 ]
 
 #: Bump on any change to the tables or the fingerprint rule.  The
 #: version is part of the file name, so old databases become invisible.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 HISTORY_FILENAME = f"history-v{SCHEMA_VERSION}.sqlite"
 
@@ -180,7 +175,8 @@ class HistoryDB:
             " params TEXT NOT NULL,"
             " env TEXT NOT NULL,"
             " maps TEXT,"
-            " source TEXT"
+            " source TEXT,"
+            " data TEXT"
             ")"
         )
         conn.execute(
@@ -193,17 +189,6 @@ class HistoryDB:
             " value REAL NOT NULL,"
             " PRIMARY KEY (run_id, name)"
             ") WITHOUT ROWID"
-        )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS bench_points ("
-            " id INTEGER PRIMARY KEY,"
-            " fingerprint TEXT NOT NULL UNIQUE,"
-            " bench TEXT NOT NULL,"
-            " ingested TEXT NOT NULL,"
-            " params TEXT NOT NULL,"
-            " data TEXT NOT NULL,"
-            " source TEXT"
-            ")"
         )
         conn.execute(
             "INSERT OR IGNORE INTO meta (key, value) VALUES ('schema', ?)",
@@ -267,6 +252,18 @@ class HistoryDB:
         self.dropped += 1
         obs_metrics.DEFAULT.incr("history.dropped")
 
+    def _reader(self) -> sqlite3.Connection | None:
+        """The connection for a read path, or None.
+
+        A database file that does not exist yet is not an error: the read
+        answers nothing and counts nothing.  One that exists but cannot be
+        opened, or a dead handle, counts as ``history.read_errors``.
+        """
+        conn = self._connection(create=False)
+        if conn is None and (self._dead or self.path.exists()):
+            obs_metrics.DEFAULT.incr("history.read_errors")
+        return conn
+
     def close(self) -> None:
         """Close the underlying connection (reopened lazily if reused)."""
         if self._conn is not None and self._pid == os.getpid():
@@ -307,8 +304,8 @@ class HistoryDB:
                     "INSERT OR IGNORE INTO runs"
                     " (fingerprint, name, created, ingested, wall_seconds,"
                     "  git_sha, git_dirty, seed, jobs, kernel, vector,"
-                    "  params, env, maps, source)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    "  params, env, maps, source, data)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     (
                         fingerprint,
                         ledger.name,
@@ -325,6 +322,7 @@ class HistoryDB:
                         json.dumps(ledger.env, sort_keys=True, default=str),
                         None if maps is None else json.dumps(maps, default=str),
                         source,
+                        json.dumps(ledger.data, default=str),
                     ),
                 )
                 if cursor.rowcount == 0:
@@ -351,48 +349,6 @@ class HistoryDB:
         obs_metrics.DEFAULT.incr("history.record")
         return run_id
 
-    def record_bench_point(self, payload: dict, source: str | None = None) -> int | None:
-        """Insert one BENCH_*.json trajectory point (an ExperimentResult).
-
-        Same idempotency and failure contract as :meth:`record_ledger`.
-        """
-        from repro.obs import result as obs_result
-
-        obs_result.validate_result(payload)
-        conn = self._connection()
-        if conn is None:
-            self._drop()
-            return None
-        fingerprint = _fingerprint(payload)
-        try:
-            with conn:
-                cursor = conn.execute(
-                    "INSERT OR IGNORE INTO bench_points"
-                    " (fingerprint, bench, ingested, params, data, source)"
-                    " VALUES (?, ?, ?, ?, ?, ?)",
-                    (
-                        fingerprint,
-                        payload["name"],
-                        _now(),
-                        json.dumps(payload.get("params") or {}, sort_keys=True, default=str),
-                        json.dumps(payload.get("data"), default=str),
-                        source,
-                    ),
-                )
-                if cursor.rowcount == 0:
-                    obs_metrics.DEFAULT.incr("history.duplicate")
-                    return None
-                point_id = cursor.lastrowid
-        except sqlite3.OperationalError:
-            self._drop()  # locked beyond the busy timeout
-            return None
-        except sqlite3.DatabaseError:
-            self._handle_corrupt()
-            self._drop()
-            return None
-        obs_metrics.DEFAULT.incr("history.record")
-        return point_id
-
     # -- read plane ----------------------------------------------------------
     def runs(
         self,
@@ -401,13 +357,13 @@ class HistoryDB:
         with_counters: bool = False,
     ) -> list[dict]:
         """Run rows, newest first, optionally restricted to one experiment."""
-        conn = self._connection(create=False)
+        conn = self._reader()
         if conn is None:
             return []
         query = (
             "SELECT id, name, created, ingested, wall_seconds, git_sha,"
-            " git_dirty, seed, jobs, kernel, vector, params, env, maps, source"
-            " FROM runs"
+            " git_dirty, seed, jobs, kernel, vector, params, env, maps, source,"
+            " data FROM runs"
         )
         args: tuple = ()
         if name is not None:
@@ -419,8 +375,10 @@ class HistoryDB:
         try:
             rows = conn.execute(query, args).fetchall()
         except sqlite3.OperationalError:
+            obs_metrics.DEFAULT.incr("history.read_errors")
             return []
         except sqlite3.DatabaseError:
+            obs_metrics.DEFAULT.incr("history.read_errors")
             self._handle_corrupt()
             return []
         runs = [self._run_row(row) for row in rows]
@@ -432,7 +390,7 @@ class HistoryDB:
     @staticmethod
     def _run_row(row: tuple) -> dict:
         (run_id, name, created, ingested, wall_seconds, git_sha, git_dirty,
-         seed, jobs, kernel, vector, params, env, maps, source) = row
+         seed, jobs, kernel, vector, params, env, maps, source, data) = row
         return {
             "id": run_id,
             "name": name,
@@ -449,11 +407,12 @@ class HistoryDB:
             "env": json.loads(env) if env else {},
             "maps": json.loads(maps) if maps else None,
             "source": source,
+            "data": json.loads(data) if data is not None else None,
         }
 
     def counters_for(self, run_id: int) -> dict[str, float]:
         """All counters recorded for one run."""
-        conn = self._connection(create=False)
+        conn = self._reader()
         if conn is None:
             return {}
         try:
@@ -461,12 +420,13 @@ class HistoryDB:
                 "SELECT name, value FROM counters WHERE run_id = ?", (run_id,)
             ).fetchall()
         except sqlite3.Error:
+            obs_metrics.DEFAULT.incr("history.read_errors")
             return {}
         return {name: value for name, value in rows}
 
     def experiments(self) -> list[dict]:
         """Distinct experiment names with run counts and latest timestamps."""
-        conn = self._connection(create=False)
+        conn = self._reader()
         if conn is None:
             return []
         try:
@@ -475,55 +435,16 @@ class HistoryDB:
                 " FROM runs GROUP BY name ORDER BY name"
             ).fetchall()
         except sqlite3.Error:
+            obs_metrics.DEFAULT.incr("history.read_errors")
             return []
         return [
             {"name": name, "runs": count, "first": first, "latest": latest}
             for name, count, first, latest in rows
         ]
 
-    def bench_points(self, bench: str | None = None) -> list[dict]:
-        """Bench trajectory points in ingestion order (oldest first)."""
-        conn = self._connection(create=False)
-        if conn is None:
-            return []
-        query = (
-            "SELECT id, bench, ingested, params, data, source FROM bench_points"
-        )
-        args: tuple = ()
-        if bench is not None:
-            query += " WHERE bench = ?"
-            args = (bench,)
-        query += " ORDER BY id"
-        try:
-            rows = conn.execute(query, args).fetchall()
-        except sqlite3.Error:
-            return []
-        return [
-            {
-                "id": point_id,
-                "bench": name,
-                "ingested": ingested,
-                "params": json.loads(params) if params else {},
-                "data": json.loads(data) if data else None,
-                "source": source,
-            }
-            for point_id, name, ingested, params, data, source in rows
-        ]
-
     def stats(self) -> dict:
-        """Inventory: file size, run/bench counts, per-experiment totals."""
-        conn = self._connection(create=False)
-        experiments: list[dict] = []
-        total_runs = 0
-        total_points = 0
-        if conn is not None:
-            try:
-                experiments = self.experiments()
-                total_runs = sum(entry["runs"] for entry in experiments)
-                row = conn.execute("SELECT COUNT(*) FROM bench_points").fetchone()
-                total_points = row[0] if row else 0
-            except sqlite3.Error:
-                experiments, total_runs, total_points = [], 0, 0
+        """Inventory: file size, run counts, per-experiment totals."""
+        experiments = self.experiments()
         size = 0
         for suffix in ("", "-wal"):
             with contextlib.suppress(OSError):
@@ -534,26 +455,22 @@ class HistoryDB:
             "schema_version": SCHEMA_VERSION,
             "enabled": not self._dead,
             "experiments": experiments,
-            "total_runs": total_runs,
-            "total_bench_points": total_points,
+            "total_runs": sum(entry["runs"] for entry in experiments),
             "total_bytes": size,
         }
 
     def clear(self) -> int:
-        """Delete every run and bench point; returns rows removed."""
-        conn = self._connection(create=False)
+        """Delete every run; returns rows removed."""
+        conn = self._reader()
         if conn is None:
             return 0
         try:
             with conn:
                 removed = conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
-                removed += conn.execute(
-                    "SELECT COUNT(*) FROM bench_points"
-                ).fetchone()[0]
                 conn.execute("DELETE FROM counters")
                 conn.execute("DELETE FROM runs")
-                conn.execute("DELETE FROM bench_points")
         except sqlite3.Error:
+            obs_metrics.DEFAULT.incr("history.read_errors")
             return 0
         return removed
 
@@ -568,21 +485,12 @@ def record_ledger(
     return get_history().record_ledger(ledger, source=source, maps=maps)
 
 
-def record_bench_point(payload: dict, source: str | None = None) -> int | None:
-    """Record one BENCH trajectory point into the shared history database."""
-    return get_history().record_bench_point(payload, source=source)
-
-
-def _is_bench_point(path: Path) -> bool:
-    return path.name.startswith("BENCH_") and path.name.endswith(".json")
-
-
 def ingest_paths(paths: Iterable[str | Path]) -> dict:
     """Backfill history from files and directories.
 
-    Directories are scanned (non-recursively) for ``*.ledger.json`` and
-    ``BENCH_*.json``; explicit file arguments are classified by name the
-    same way.  Returns a report dict::
+    Directories are scanned (non-recursively) for ``*.ledger.json``;
+    explicit file arguments are read as ledgers whatever their name.
+    Returns a report dict::
 
         {"recorded": N, "duplicates": N, "dropped": N,
          "errors": [(path, reason), ...], "files": [(path, status), ...]}
@@ -597,9 +505,6 @@ def ingest_paths(paths: Iterable[str | Path]) -> dict:
         path = Path(raw)
         if path.is_dir():
             expanded.extend(sorted(path.glob("*.ledger.json")))
-            expanded.extend(
-                sorted(p for p in path.glob("BENCH_*.json") if _is_bench_point(p))
-            )
         else:
             expanded.append(path)
     report: dict = {
@@ -609,12 +514,8 @@ def ingest_paths(paths: Iterable[str | Path]) -> dict:
     for path in expanded:
         dropped = db.dropped
         try:
-            if _is_bench_point(path):
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                row_id = db.record_bench_point(payload, source=str(path))
-            else:
-                ledger = obs_ledger.read_ledger(path)
-                row_id = db.record_ledger(ledger, source=str(path))
+            ledger = obs_ledger.read_ledger(path)
+            row_id = db.record_ledger(ledger, source=str(path))
         except (OSError, ValueError, ReproError, ResultSchemaError) as error:
             report["errors"].append((str(path), str(error)))
             report["files"].append((str(path), "error"))

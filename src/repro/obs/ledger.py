@@ -1,14 +1,16 @@
-"""Run ledgers: schema-versioned provenance manifests for experiments.
+"""Run ledgers: the one schema-versioned record every run leaves.
 
 Reproducing a measurement paper means being able to answer, for any
 number in any table, *which code, inputs and environment produced it*.
-A :class:`RunLedger` is a small JSON manifest written next to every
-metrics sidecar (CLI ``--metrics`` runs and all E1-E12 benchmarks):
+A :class:`RunLedger` is that answer and the number itself: the JSON
+record every run writes (CLI ``--metrics`` runs, all E1-E12 benchmarks
+and the acceptance benches), carrying the experiment's table next to
+its provenance and cost:
 
 .. code-block:: json
 
     {
-      "ledger_schema_version": 1,
+      "ledger_schema_version": 2,
       "name": "e3_missratio",
       "created": "2026-02-11T09:30:12Z",
       "wall_seconds": 12.7,
@@ -19,34 +21,32 @@ metrics sidecar (CLI ``--metrics`` runs and all E1-E12 benchmarks):
       "git": {"sha": "b557c57...", "dirty": false},
       "env": {"python": "3.11.9", "platform": "Linux-...", "cpu_count": 8},
       "counters": {"oracle.measurements": 1234, "kernel.calls": 99},
-      "artifacts": [{"path": "e3_missratio.metrics.json",
-                     "sha256": "...", "bytes": 4112}]
+      "observations": {"runner.cell_seconds": {"count": 81, "total": 0.9}},
+      "data": {"config": {...}, "cells": [...]}
     }
 
 Field contract (checked by :func:`validate_ledger`):
 
 * ``ledger_schema_version`` — integer, currently
-  :data:`LEDGER_SCHEMA_VERSION`;
+  :data:`LEDGER_SCHEMA_VERSION`; any other version is rejected;
 * ``name`` — non-empty string; ``created`` — UTC timestamp string;
-* ``wall_seconds`` — number; ``params`` / ``env`` / ``counters`` — JSON
-  objects; ``git`` — object or null;
+* ``wall_seconds`` — number; ``params`` / ``env`` / ``counters`` /
+  ``observations`` — JSON objects; ``git`` — object or null;
 * ``seed`` / ``jobs`` — integer or null; ``kernel`` — boolean or null;
-* ``artifacts`` — list of ``{"path", "sha256", "bytes"}`` records, the
-  content digests of the files the run produced.
+* ``data`` — the experiment's payload, any JSON value.
 
-``counters`` carries the run's :class:`~repro.obs.metrics.Metrics`
-counter snapshot, so two ledgers can be *diffed* — wall time, query
-budget (``oracle.measurements`` / ``oracle.accesses``), kernel usage —
-without re-opening the larger sidecars.  The ``repro-cache report``
+``counters`` and ``observations`` are the run's
+:meth:`~repro.obs.metrics.Metrics.snapshot`, so two ledgers can be
+*diffed* — wall time, query budget (``oracle.measurements`` /
+``oracle.accesses``), kernel usage — and the ``repro-cache report``
 subcommand renders exactly that comparison.
 
 ``python -m repro.obs.ledger FILE...`` validates ledger files (used by
-CI, same exit convention as ``python -m repro.obs.result``).
+CI): exit 0 when all are valid, 1 on an invalid file, 2 on no argument.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform as _platform
@@ -65,32 +65,16 @@ __all__ = [
     "build_ledger",
     "collect_env",
     "diff_ledgers",
-    "file_digest",
     "format_ledger",
     "git_revision",
-    "ledger_path_for",
     "read_ledger",
     "validate_ledger",
-    "verify_artifacts",
     "write_ledger",
     "main",
 ]
 
 #: Current version of the ledger manifest schema.
-LEDGER_SCHEMA_VERSION = 1
-
-
-def ledger_path_for(artifact: str | Path) -> Path:
-    """The ledger path paired with an artifact path.
-
-    ``x.metrics.json`` maps to ``x.ledger.json``; anything else gets
-    ``.ledger.json`` appended, so the pairing is invertible by eye.
-    """
-    artifact = Path(artifact)
-    name = artifact.name
-    if name.endswith(".metrics.json"):
-        return artifact.with_name(name[: -len(".metrics.json")] + ".ledger.json")
-    return artifact.with_name(name + ".ledger.json")
+LEDGER_SCHEMA_VERSION = 2
 
 
 def git_revision(cwd: str | Path | None = None) -> dict | None:
@@ -125,15 +109,6 @@ def collect_env() -> dict:
     }
 
 
-def file_digest(path: str | Path) -> dict:
-    """Artifact record for one produced file: path name, sha256, size."""
-    path = Path(path)
-    hasher = hashlib.sha256()
-    data = path.read_bytes()
-    hasher.update(data)
-    return {"path": path.name, "sha256": hasher.hexdigest(), "bytes": len(data)}
-
-
 def validate_ledger(payload: object) -> dict:
     """Check ``payload`` against the ledger schema; return it on success.
 
@@ -144,24 +119,27 @@ def validate_ledger(payload: object) -> dict:
         raise ResultSchemaError(
             f"ledger must be a JSON object, got {type(payload).__name__}"
         )
+    # The version goes first: a ledger of another version is named as
+    # such, not as a list of the fields this version added.
+    if "ledger_schema_version" in payload:
+        version = payload["ledger_schema_version"]
+        if not isinstance(version, int) or isinstance(version, bool):
+            raise ResultSchemaError(
+                f"ledger_schema_version must be an integer, got {version!r}"
+            )
+        if version != LEDGER_SCHEMA_VERSION:
+            raise ResultSchemaError(
+                f"unsupported ledger_schema_version {version} "
+                f"(supported: {LEDGER_SCHEMA_VERSION})"
+            )
     required = (
         "ledger_schema_version", "name", "created", "wall_seconds",
         "params", "seed", "jobs", "kernel", "git", "env", "counters",
-        "artifacts",
+        "observations", "data",
     )
     missing = [key for key in required if key not in payload]
     if missing:
         raise ResultSchemaError(f"ledger is missing fields: {', '.join(missing)}")
-    version = payload["ledger_schema_version"]
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise ResultSchemaError(
-            f"ledger_schema_version must be an integer, got {version!r}"
-        )
-    if version != LEDGER_SCHEMA_VERSION:
-        raise ResultSchemaError(
-            f"unsupported ledger_schema_version {version} "
-            f"(supported: {LEDGER_SCHEMA_VERSION})"
-        )
     if not isinstance(payload["name"], str) or not payload["name"]:
         raise ResultSchemaError(
             f"name must be a non-empty string, got {payload['name']!r}"
@@ -172,7 +150,7 @@ def validate_ledger(payload: object) -> dict:
         payload["wall_seconds"], bool
     ):
         raise ResultSchemaError("wall_seconds must be a number")
-    for key in ("params", "env", "counters"):
+    for key in ("params", "env", "counters", "observations"):
         if not isinstance(payload[key], dict):
             raise ResultSchemaError(
                 f"{key} must be an object, got {type(payload[key]).__name__}"
@@ -185,20 +163,12 @@ def validate_ledger(payload: object) -> dict:
             raise ResultSchemaError(f"{key} must be an integer or null")
     if payload["kernel"] is not None and not isinstance(payload["kernel"], bool):
         raise ResultSchemaError("kernel must be a boolean or null")
-    artifacts = payload["artifacts"]
-    if not isinstance(artifacts, list):
-        raise ResultSchemaError("artifacts must be a list")
-    for record in artifacts:
-        if not isinstance(record, dict) or not {"path", "sha256", "bytes"} <= set(record):
-            raise ResultSchemaError(
-                "each artifact needs path/sha256/bytes, got " f"{record!r}"
-            )
     return payload
 
 
 @dataclass(frozen=True)
 class RunLedger:
-    """One run's provenance manifest (see the module docstring)."""
+    """One run's record (see the module docstring)."""
 
     name: str
     created: str
@@ -210,7 +180,8 @@ class RunLedger:
     git: dict | None = None
     env: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
-    artifacts: list = field(default_factory=list)
+    observations: dict = field(default_factory=dict)
+    data: object = None
     ledger_schema_version: int = LEDGER_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
@@ -227,7 +198,8 @@ class RunLedger:
             "git": self.git,
             "env": self.env,
             "counters": self.counters,
-            "artifacts": self.artifacts,
+            "observations": self.observations,
+            "data": self.data,
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -249,7 +221,8 @@ class RunLedger:
             git=payload["git"],
             env=payload["env"],
             counters=payload["counters"],
-            artifacts=payload["artifacts"],
+            observations=payload["observations"],
+            data=payload["data"],
             ledger_schema_version=payload["ledger_schema_version"],
         )
 
@@ -270,29 +243,36 @@ def build_ledger(
     seed: int | None = None,
     jobs: int | None = None,
     kernel: bool | None = None,
-    counters: dict | None = None,
-    artifacts: list | tuple = (),
+    metrics: dict | None = None,
+    data: object = None,
     cwd: str | Path | None = None,
 ) -> RunLedger:
     """Assemble a ledger for a run that just finished.
 
-    ``artifacts`` is a list of file paths the run produced; each is
-    digested.  ``params`` is passed through ``json`` round-tripping so
-    non-JSON values degrade to strings instead of failing the write.
+    ``metrics`` is the run's :meth:`~repro.obs.metrics.Metrics.snapshot`
+    (its counters and observations).  ``params`` and ``data`` are passed
+    through ``json`` round-tripping so non-JSON values degrade to
+    strings instead of failing the write.
     """
+    metrics = metrics or {}
     return RunLedger(
         name=name,
         created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         wall_seconds=wall_seconds,
-        params=json.loads(json.dumps(params or {}, default=str)),
+        params=_jsonable(params or {}),
         seed=seed,
         jobs=jobs,
         kernel=kernel,
         git=git_revision(cwd),
         env=collect_env(),
-        counters=dict(counters or {}),
-        artifacts=[file_digest(path) for path in artifacts if Path(path).exists()],
+        counters=dict(metrics.get("counters", {})),
+        observations=dict(metrics.get("observations", {})),
+        data=_jsonable(data),
     )
+
+
+def _jsonable(value: object) -> object:
+    return json.loads(json.dumps(value, default=str))
 
 
 def write_ledger(ledger: RunLedger, path: str | Path) -> Path:
@@ -305,39 +285,6 @@ def write_ledger(ledger: RunLedger, path: str | Path) -> Path:
 def read_ledger(path: str | Path) -> RunLedger:
     """Load and validate one ledger file."""
     return RunLedger.from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def verify_artifacts(
-    ledger: RunLedger, base_dir: str | Path = "."
-) -> list[tuple[str, str]]:
-    """Check the ledger's artifact digests against the files on disk.
-
-    Returns ``(path, problem)`` pairs — ``missing`` for an artifact file
-    that no longer exists, ``digest mismatch ...`` / ``size mismatch
-    ...`` for one whose content changed since the ledger was written.
-    An empty list means every recorded artifact still matches.
-    """
-    problems: list[tuple[str, str]] = []
-    base = Path(base_dir)
-    for record in ledger.artifacts:
-        path = base / record["path"]
-        if not path.exists():
-            problems.append((record["path"], "missing"))
-            continue
-        actual = file_digest(path)
-        if actual["sha256"] != record["sha256"]:
-            problems.append(
-                (record["path"],
-                 f"digest mismatch (recorded {str(record['sha256'])[:12]}, "
-                 f"actual {actual['sha256'][:12]})")
-            )
-        elif actual["bytes"] != record["bytes"]:
-            problems.append(
-                (record["path"],
-                 f"size mismatch (recorded {record['bytes']}, "
-                 f"actual {actual['bytes']})")
-            )
-    return problems
 
 
 # -- reporting ---------------------------------------------------------------
@@ -353,6 +300,7 @@ KEY_COUNTERS = (
     "db.write",
     "db.dropped",
     "history.dropped",
+    "history.read_errors",
     "hw.flush.sets",
     "hw.setup_reused",
     "kernel.calls",
@@ -395,11 +343,6 @@ def format_ledger(ledger: RunLedger) -> str:
     for name in KEY_COUNTERS:
         if name in ledger.counters:
             rows.append([name, ledger.counters[name]])
-    for record in ledger.artifacts:
-        rows.append(
-            [f"artifact {record['path']}",
-             f"{record['bytes']} bytes sha256:{str(record['sha256'])[:12]}"]
-        )
     return format_table(["field", "value"], rows, title=f"ledger {ledger.name}")
 
 
@@ -445,19 +388,10 @@ def diff_ledgers(a: RunLedger, b: RunLedger) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Validate ledger files given on the command line (CI entry point).
-
-    ``--verify`` additionally checks each ledger's artifact digests
-    against the files next to it (see :func:`verify_artifacts`).
-    """
+    """Validate ledger files given on the command line (CI entry point)."""
     paths = list(sys.argv[1:] if argv is None else argv)
-    verify = "--verify" in paths
-    paths = [path for path in paths if path != "--verify"]
     if not paths:
-        print(
-            "usage: python -m repro.obs.ledger [--verify] FILE [FILE ...]",
-            file=sys.stderr,
-        )
+        print("usage: python -m repro.obs.ledger FILE [FILE ...]", file=sys.stderr)
         return 2
     status = 0
     for path in paths:
@@ -467,18 +401,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{path}: INVALID: {error}", file=sys.stderr)
             status = 1
             continue
-        problems = (
-            verify_artifacts(ledger, Path(path).parent) if verify else []
+        print(
+            f"{path}: ok (name={ledger.name}, "
+            f"ledger_schema_version={ledger.ledger_schema_version})"
         )
-        if problems:
-            for name, problem in problems:
-                print(f"{path}: ARTIFACT {name}: {problem}", file=sys.stderr)
-            status = 1
-        else:
-            print(
-                f"{path}: ok (name={ledger.name}, "
-                f"ledger_schema_version={ledger.ledger_schema_version})"
-            )
     return status
 
 

@@ -16,9 +16,9 @@ unconditionally because their event rate is per *measurement* or per
 a tracer is installed (see :mod:`repro.obs.trace`), which keeps the
 simulation hot path free of metric bookkeeping.
 
-Snapshots (:meth:`Metrics.snapshot`) are plain JSON-able dictionaries and
-slot directly into the ``metrics`` field of an
-:class:`~repro.obs.result.ExperimentResult`.
+Snapshots (:meth:`Metrics.snapshot`) are plain JSON-able dictionaries;
+their ``counters`` and ``observations`` become the fields of the same
+names in a run's :class:`~repro.obs.ledger.RunLedger`.
 """
 
 from __future__ import annotations
@@ -150,10 +150,10 @@ class Metrics:
     def reset(self) -> None:
         """Drop every counter and summary.
 
-        Entry points that produce metrics sidecars (the CLI dispatcher,
-        the benchmark harness) reset the module-wide :data:`DEFAULT`
-        store at the start of each invocation so one run's counters never
-        contaminate the next run's sidecar.
+        Entry points that write run ledgers (the CLI dispatcher, the
+        benchmark harness) reset the module-wide :data:`DEFAULT` store at
+        the start of each invocation so one run's counters never
+        contaminate the next run's ledger.
         """
         self._counters.clear()
         self._summaries.clear()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import ledger as obs_ledger
-from repro.obs import read_jsonl, validate_result_file
+from repro.obs import read_jsonl
 
 
 class TestParser:
@@ -89,7 +89,7 @@ class TestQueryCommand:
 class TestObservability:
     def test_query_writes_trace_and_metrics(self, tmp_path, capsys):
         trace_file = tmp_path / "run.jsonl"
-        metrics_file = tmp_path / "run.metrics.json"
+        metrics_file = tmp_path / "run.ledger.json"
         code = main(
             ["query", "--policy", "lru", "--ways", "2",
              "--trace", str(trace_file), "--metrics", str(metrics_file),
@@ -99,20 +99,20 @@ class TestObservability:
         assert capsys.readouterr().out.strip() == "a=hit"
         events = read_jsonl(trace_file)
         assert any(e["kind"] == "oracle.query" for e in events)
-        result = validate_result_file(metrics_file)
-        assert result.name == "cli-query"
-        assert result.params["policy"] == "lru"
-        assert result.metrics["counters"]["oracle.measurements"] >= 1
+        ledger = obs_ledger.read_ledger(metrics_file)
+        assert ledger.name == "cli-query"
+        assert ledger.params["policy"] == "lru"
+        assert ledger.counters["oracle.measurements"] >= 1
+        assert ledger.data == {"exit_status": 0}
 
     def test_evaluate_metrics_sidecar_validates(self, tmp_path, capsys):
-        metrics_file = tmp_path / "eval.metrics.json"
+        metrics_file = tmp_path / "eval.ledger.json"
         code = main(
             ["evaluate", "--policies", "lru,fifo", "--size", "4096",
              "--ways", "4", "--metrics", str(metrics_file)]
         )
         assert code == 0
-        result = validate_result_file(metrics_file)
-        counters = result.metrics["counters"]
+        counters = obs_ledger.read_ledger(metrics_file).counters
         cells = sum(
             count for name, count in counters.items()
             if name.startswith("runner.cells.")
@@ -165,25 +165,25 @@ class TestObservability:
         from repro.runner import clear_memo
 
         clear_memo()  # memoized cells would bypass the kernel entirely
-        metrics_file = tmp_path / "eval.metrics.json"
+        metrics_file = tmp_path / "eval.ledger.json"
         code = main(
             ["evaluate", "--policies", "lru", "--size", "4096",
              "--ways", "4", "--metrics", str(metrics_file)]
         )
         assert code == 0
-        counters = validate_result_file(metrics_file).metrics["counters"]
+        counters = obs_ledger.read_ledger(metrics_file).counters
         assert counters.get("kernel.calls", 0) > 0
 
     def test_metrics_scoped_per_invocation(self, tmp_path, capsys):
         """Back-to-back commands in one process must not bleed counters."""
-        first = tmp_path / "a.metrics.json"
-        second = tmp_path / "b.metrics.json"
+        first = tmp_path / "a.ledger.json"
+        second = tmp_path / "b.ledger.json"
         argv = ["query", "--policy", "lru", "--ways", "2", "a b a?"]
         assert main(argv + ["--metrics", str(first)]) == 0
         assert main(argv + ["--metrics", str(second)]) == 0
         capsys.readouterr()
-        counters_a = validate_result_file(first).metrics["counters"]
-        counters_b = validate_result_file(second).metrics["counters"]
+        counters_a = obs_ledger.read_ledger(first).counters
+        counters_b = obs_ledger.read_ledger(second).counters
         assert counters_a == counters_b
 
 
@@ -230,7 +230,8 @@ class TestCacheCommand:
 
 class TestLedgerAndReport:
     def _run_with_metrics(self, tmp_path, name="run"):
-        metrics_file = tmp_path / f"{name}.metrics.json"
+        """Run one query with ``--metrics``; return the file it wrote."""
+        metrics_file = tmp_path / f"{name}.ledger.json"
         assert main(
             ["query", "--policy", "lru", "--ways", "2",
              "--metrics", str(metrics_file), "a b a?"]
@@ -238,28 +239,27 @@ class TestLedgerAndReport:
         return metrics_file
 
     def test_metrics_sidecar_brings_a_ledger(self, tmp_path, capsys):
+        # The --metrics file is the run's ledger, and the only file
+        # the run leaves.
         metrics_file = self._run_with_metrics(tmp_path)
-        ledger_path = obs_ledger.ledger_path_for(metrics_file)
-        assert ledger_path.exists()
-        ledger = obs_ledger.read_ledger(ledger_path)
+        assert [path.name for path in tmp_path.iterdir()] == [metrics_file.name]
+        ledger = obs_ledger.read_ledger(metrics_file)
         assert ledger.name == "cli-query"
         assert ledger.wall_seconds >= 0
         assert ledger.counters.get("oracle.measurements", 0) >= 1
-        artifact_names = [a["path"] for a in ledger.artifacts]
-        assert metrics_file.name in artifact_names
+        assert "oracle.probe_misses" in ledger.observations
 
     def test_report_renders_a_single_ledger(self, tmp_path, capsys):
-        metrics_file = self._run_with_metrics(tmp_path)
+        ledger_path = self._run_with_metrics(tmp_path)
         capsys.readouterr()
-        ledger_path = obs_ledger.ledger_path_for(metrics_file)
         assert main(["report", str(ledger_path)]) == 0
         out = capsys.readouterr().out
         assert "cli-query" in out
         assert "oracle.measurements" in out
 
     def test_report_diff_renders_both_runs(self, tmp_path, capsys):
-        a = obs_ledger.ledger_path_for(self._run_with_metrics(tmp_path, "a"))
-        b = obs_ledger.ledger_path_for(self._run_with_metrics(tmp_path, "b"))
+        a = self._run_with_metrics(tmp_path, "a")
+        b = self._run_with_metrics(tmp_path, "b")
         capsys.readouterr()
         assert main(["report", "--diff", str(a), str(b)]) == 0
         out = capsys.readouterr().out
@@ -267,7 +267,7 @@ class TestLedgerAndReport:
         assert "oracle.measurements" in out
 
     def test_report_diff_needs_exactly_two(self, tmp_path, capsys):
-        path = obs_ledger.ledger_path_for(self._run_with_metrics(tmp_path))
+        path = self._run_with_metrics(tmp_path)
         capsys.readouterr()
         assert main(["report", "--diff", str(path)]) == 2
         assert "error" in capsys.readouterr().err
@@ -322,8 +322,8 @@ class TestDbCommand:
             (["cache", "warm", "--policies", "lru", "--ways", "2"],
              "v1/lru-*.autom", "persisted 1/1"),
             (["db", "stats"], "measurements-v1.sqlite", "rows: 0 "),
-            (["history", "stats"], "history-v1.sqlite", "runs: 1 "),
-            (["dash", "-o", "{tmp}/dash"], "history-v1.sqlite", "(1 run(s)"),
+            (["history", "stats"], "history-v2.sqlite", "runs: 1 "),
+            (["dash", "-o", "{tmp}/dash"], "history-v2.sqlite", "(1 run(s)"),
         ],
         ids=["cache", "db", "history", "dash"],
     )
@@ -352,8 +352,8 @@ class TestDbCommand:
 class TestInferWithDb:
     def test_warm_rerun_hits_only_the_db(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "stores")
-        cold_metrics = tmp_path / "cold.metrics.json"
-        warm_metrics = tmp_path / "warm.metrics.json"
+        cold_metrics = tmp_path / "cold.ledger.json"
+        warm_metrics = tmp_path / "warm.ledger.json"
         base = ["infer", "--processor", "atom-d525-like", "--level", "L1",
                 "--check", "--db", "--cache-dir", cache_dir]
         assert main(base + ["--metrics", str(cold_metrics)]) == 0
@@ -362,8 +362,8 @@ class TestInferWithDb:
         warm_out = capsys.readouterr().out
         # Identical finding AND identical logical cost line.
         assert warm_out == cold_out
-        cold = obs_ledger.read_ledger(obs_ledger.ledger_path_for(cold_metrics))
-        warm = obs_ledger.read_ledger(obs_ledger.ledger_path_for(warm_metrics))
+        cold = obs_ledger.read_ledger(cold_metrics)
+        warm = obs_ledger.read_ledger(warm_metrics)
         assert cold.counters.get("db.miss", 0) > 0
         assert cold.counters.get("db.write", 0) == cold.counters["db.miss"]
         assert warm.counters.get("db.miss", 0) == 0
@@ -508,7 +508,7 @@ class TestHistoryAutoRecord:
         from repro.obs import history as obs_history
 
         cache_dir = tmp_path / "stores"
-        metrics_file = tmp_path / "q.metrics.json"
+        metrics_file = tmp_path / "q.ledger.json"
         assert main(["query", "--policy", "lru", "--ways", "2",
                      "--cache-dir", str(cache_dir),
                      "--metrics", str(metrics_file), "a b a?"]) == 0
@@ -534,7 +534,7 @@ class TestHistoryAutoRecord:
         from repro.obs import history as obs_history
 
         cache_dir = tmp_path / "stores"
-        metrics_file = tmp_path / "e.metrics.json"
+        metrics_file = tmp_path / "e.ledger.json"
         assert main(["evaluate", "--policies", "lru,fifo",
                      "--size", "1024", "--ways", "2",
                      "--cache-dir", str(cache_dir),

@@ -3,9 +3,10 @@
 The renderer is stdlib-only and file-based, so the tests drive it from
 a throwaway history database and assert on the written pages: the fleet
 index links every experiment, trend pages exist per experiment, flagged
-runs carry an explicit REGRESSED label (text, not color alone), bench
-sparklines render, flame pages parse span trees from trace JSONL, and
-every page is well-formed enough to tag-balance.
+runs carry an explicit REGRESSED label (text, not color alone), the
+runs' numeric data series render as sparklines, flame pages parse span
+trees from trace JSONL, and every page is well-formed enough to
+tag-balance.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from repro.obs import dash as obs_dash
 from repro.obs import history as obs_history
-from tests.test_obs_history import TestBenchPoints, make_ledger
+from tests.test_obs_history import make_ledger
 from tests.test_obs_regress import record_series
 
 VOID_TAGS = {
@@ -52,7 +53,7 @@ def assert_well_formed(path):
 
 @pytest.fixture
 def db(tmp_path):
-    handle = obs_history.HistoryDB(tmp_path / "history-v1.sqlite")
+    handle = obs_history.HistoryDB(tmp_path / "history-v2.sqlite")
     yield handle
     handle.close()
 
@@ -99,19 +100,27 @@ class TestRenderDashboard:
             tmp_path / "dash" / "exp-e3_missratio.html"
         ).read_text()
 
-    def test_bench_page_renders_series_sparklines(self, tmp_path, db):
-        db.record_bench_point(dict(TestBenchPoints.PAYLOAD))
-        second = dict(TestBenchPoints.PAYLOAD)
-        second["data"] = {"speedup": 13.0, "interp_seconds": 4.8}
-        db.record_bench_point(second)
-        obs_dash.render_dashboard(tmp_path / "dash", db=db)
-        bench = tmp_path / "dash" / "bench.html"
-        assert bench.exists()
-        text = bench.read_text()
-        assert "bench_kernel" in text
-        assert "speedup" in text
-        assert "<svg" in text
-        assert_well_formed(bench)
+    def test_experiment_page_renders_data_series(self, tmp_path, db):
+        db.record_ledger(make_ledger(
+            name="bench_kernel", created="2026-08-01T00:00:00Z",
+            data={"speedup": 12.5, "interp_seconds": 5.0, "rows": [[1]]},
+        ))
+        db.record_ledger(make_ledger(
+            name="bench_kernel", created="2026-08-02T00:00:00Z",
+            data={"speedup": 13.0, "interp_seconds": 4.8, "identical": True},
+        ))
+        report = obs_dash.render_dashboard(tmp_path / "dash", db=db)
+        assert not (tmp_path / "dash" / "bench.html").exists()
+        page = tmp_path / "dash" / "exp-bench_kernel.html"
+        text = page.read_text()
+        series = text.split("<h2>data series</h2>")[1].split("</table>")[0]
+        # Only the top-level numbers are series; the latest value shows.
+        assert "<code>speedup</code>" in series and ">13</td>" in series
+        assert "<code>interp_seconds</code>" in series
+        assert "rows" not in series and "identical" not in series
+        assert series.count("<svg") == 2
+        assert_well_formed(page)
+        assert str(page) in report["pages"]
 
     def test_flame_pages_from_trace_jsonl(self, tmp_path, db):
         record_series(db, [1.0], name="e3_missratio")
@@ -153,9 +162,8 @@ class TestRenderDashboard:
     def test_every_page_is_well_formed(self, tmp_path, db):
         record_series(db, [1.0, 1.0, 3.0], name="e3_missratio")
         record_series(db, [2.0], name="e8_agreement")
-        db.record_bench_point(dict(TestBenchPoints.PAYLOAD))
         report = obs_dash.render_dashboard(tmp_path / "dash", db=db)
-        assert len(report["pages"]) >= 4
+        assert len(report["pages"]) >= 3
         for page in report["pages"]:
             assert_well_formed(tmp_path / "dash" / page.split("/")[-1])
 

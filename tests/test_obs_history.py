@@ -1,12 +1,13 @@
 """Tests for repro.obs.history: the run-history database.
 
 Covers the store discipline (WAL file beside the automaton store,
-read-paths-never-create, corrupt-unlink recovery), idempotent
-fingerprinted ingestion of ledgers and BENCH points, and the backfill
-walker's tolerance of broken inputs.
+read-paths-never-create, corrupt-unlink recovery, counted read errors),
+idempotent fingerprinted ingestion of ledgers, and the backfill walker's
+tolerance of broken inputs.
 """
 
 import json
+import os
 import sqlite3
 
 import pytest
@@ -30,7 +31,7 @@ def make_ledger(name="e_test", wall=1.0, created="2026-08-07T00:00:00Z",
         env={"python": "3.12"},
         counters=counters if counters is not None
         else {"oracle.measurements": 100.0, "kernel.accesses": 5000.0},
-        artifacts=[],
+        data={"rows": [["lru", 1]], "speedup": 2.5},
     )
     base.update(overrides)
     return obs_ledger.RunLedger(**base)
@@ -38,7 +39,7 @@ def make_ledger(name="e_test", wall=1.0, created="2026-08-07T00:00:00Z",
 
 @pytest.fixture
 def db(tmp_path):
-    handle = obs_history.HistoryDB(tmp_path / "history-v1.sqlite")
+    handle = obs_history.HistoryDB(tmp_path / "history-v2.sqlite")
     yield handle
     handle.close()
 
@@ -52,11 +53,15 @@ class TestLocation:
         )
 
     def test_read_paths_never_create_the_file(self, db):
+        # A missing file is not a read error either.
+        obs_metrics.DEFAULT.reset()
         assert db.runs() == []
         assert db.stats()["total_runs"] == 0
         assert db.experiments() == []
-        assert db.bench_points() == []
+        assert db.counters_for(1) == {}
+        assert db.clear() == 0
         assert not db.path.exists()
+        assert "history.read_errors" not in obs_metrics.DEFAULT.snapshot()["counters"]
 
     def test_first_record_creates_the_file(self, db):
         assert db.record_ledger(make_ledger()) is not None
@@ -76,6 +81,7 @@ class TestRecordLedger:
         assert run["vector"] is True
         assert run["source"] == "unit"
         assert run["counters"]["oracle.measurements"] == 100.0
+        assert run["data"] == {"rows": [["lru", 1]], "speedup": 2.5}
 
     def test_reingest_is_idempotent(self, db):
         ledger = make_ledger()
@@ -109,37 +115,64 @@ class TestRecordLedger:
         assert run["maps"] == maps
 
 
-class TestBenchPoints:
-    PAYLOAD = {
-        "schema_version": 1,
-        "name": "bench_kernel",
-        "created": "2026-08-07T00:00:00Z",
-        "params": {"reps": 3},
-        "data": {"speedup": 12.5, "interp_seconds": 5.0},
-        "metrics": {},
-    }
+class _FailingConnection:
+    """A connection whose every statement fails as a locked database does."""
 
-    def test_record_and_query(self, db):
-        assert db.record_bench_point(dict(self.PAYLOAD)) is not None
-        (point,) = db.bench_points(bench="bench_kernel")
-        assert point["data"]["speedup"] == 12.5
+    def execute(self, *args, **kwargs):
+        raise sqlite3.OperationalError("database is locked")
 
-    def test_idempotent(self, db):
-        db.record_bench_point(dict(self.PAYLOAD))
-        assert db.record_bench_point(dict(self.PAYLOAD)) is None
-        assert len(db.bench_points()) == 1
+    def __enter__(self):
+        return self
 
-    def test_invalid_envelope_raises_before_touching_db(self, db):
-        from repro.errors import ResultSchemaError
+    def __exit__(self, *exc):
+        return False
 
-        with pytest.raises(ResultSchemaError):
-            db.record_bench_point({"name": "x"})
-        assert not db.path.exists()
+    def close(self):
+        pass
+
+
+class TestReadErrors:
+    """Every read a sqlite error cuts short counts ``history.read_errors``."""
+
+    @pytest.fixture
+    def failing(self, db):
+        db.record_ledger(make_ledger())
+        db.close()
+        db._conn = _FailingConnection()
+        db._pid = os.getpid()
+        obs_metrics.DEFAULT.reset()
+        return db
+
+    @pytest.mark.parametrize("read, empty", [
+        (lambda db: db.runs(), []),
+        (lambda db: db.counters_for(1), {}),
+        (lambda db: db.experiments(), []),
+        (lambda db: db.stats()["total_runs"], 0),
+        (lambda db: db.clear(), 0),
+    ], ids=["runs", "counters_for", "experiments", "stats", "clear"])
+    def test_failed_query_is_counted(self, failing, read, empty):
+        assert read(failing) == empty
+        counters = obs_metrics.DEFAULT.snapshot()["counters"]
+        assert counters["history.read_errors"] == 1
+
+    def test_failed_open_is_counted(self, db, monkeypatch):
+        db.record_ledger(make_ledger())
+        db.close()
+
+        def locked():
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(db, "_open", locked)
+        obs_metrics.DEFAULT.reset()
+        assert db.runs() == []
+        assert db.experiments() == []
+        counters = obs_metrics.DEFAULT.snapshot()["counters"]
+        assert counters["history.read_errors"] == 2
 
 
 class TestCorruption:
     def test_corrupt_file_recovered_once(self, tmp_path):
-        path = tmp_path / "history-v1.sqlite"
+        path = tmp_path / "history-v2.sqlite"
         path.write_bytes(b"this is not sqlite at all" * 40)
         db = obs_history.HistoryDB(path)
         obs_metrics.DEFAULT.reset()
@@ -153,7 +186,6 @@ class TestCorruption:
         info = db.stats()
         assert info["exists"] is False
         assert info["total_runs"] == 0
-        assert info["total_bench_points"] == 0
 
 
 class TestIngestPaths:
@@ -164,10 +196,11 @@ class TestIngestPaths:
         obs_ledger.write_ledger(
             make_ledger(), results / "e_test.ledger.json"
         )
-        (results / "BENCH_kernel.json").write_text(
-            json.dumps(TestBenchPoints.PAYLOAD)
+        obs_ledger.write_ledger(
+            make_ledger(name="bench_kernel"), results / "bench_kernel.ledger.json"
         )
         (results / "ignored.txt").write_text("not ingested")
+        (results / "ignored.json").write_text("{}")
         report = obs_history.ingest_paths([results])
         assert report["recorded"] == 2
         assert report["errors"] == []
@@ -181,20 +214,24 @@ class TestIngestPaths:
         results = tmp_path / "results"
         results.mkdir()
         (results / "trunc.ledger.json").write_text('{"half')
-        (results / "BENCH_bad.json").write_text('{"name": "x"}')
+        v1 = make_ledger().to_dict()
+        v1["ledger_schema_version"] = 1
+        (results / "v1.ledger.json").write_text(json.dumps(v1))
         report = obs_history.ingest_paths(
             [results, results / "absent.ledger.json"]
         )
         assert report["recorded"] == 0
         assert len(report["errors"]) == 3
+        assert any("ledger_schema_version 1" in reason
+                   for _, reason in report["errors"])
 
     def test_refused_writes_count_as_dropped(self, tmp_path, db, monkeypatch):
         monkeypatch.setattr(obs_history, "get_history", lambda: db)
         results = tmp_path / "results"
         results.mkdir()
         obs_ledger.write_ledger(make_ledger(), results / "e_test.ledger.json")
-        (results / "BENCH_kernel.json").write_text(
-            json.dumps(TestBenchPoints.PAYLOAD)
+        obs_ledger.write_ledger(
+            make_ledger(name="bench_kernel"), results / "bench_kernel.ledger.json"
         )
 
         def locked():
@@ -213,7 +250,6 @@ class TestIngestPaths:
     def test_clear_removes_everything(self, db, monkeypatch):
         monkeypatch.setattr(obs_history, "get_history", lambda: db)
         db.record_ledger(make_ledger())
-        db.record_bench_point(dict(TestBenchPoints.PAYLOAD))
+        db.record_ledger(make_ledger(name="other"))
         assert obs_history.clear() == 2
         assert db.runs() == []
-        assert db.bench_points() == []

@@ -1,4 +1,5 @@
-"""Tests for repro.obs.ledger: schema, round trips, reporting, diffing."""
+"""Tests for repro.obs.ledger: schema, round trips, reporting, diffing,
+and the committed benchmark results, which are one ledger each."""
 
 import json
 from pathlib import Path
@@ -13,7 +14,6 @@ from repro.obs.ledger import (
     build_ledger,
     diff_ledgers,
     format_ledger,
-    ledger_path_for,
     read_ledger,
     validate_ledger,
     write_ledger,
@@ -32,22 +32,16 @@ def make_ledger(**overrides):
         git={"sha": "abc123", "dirty": False},
         env={"python": "3.11.7"},
         counters={"oracle.measurements": 10, "kernel.calls": 3},
-        artifacts=[{"path": "x.txt", "sha256": "00", "bytes": 1}],
+        observations={"runner.cell_seconds": {"count": 2, "total": 0.5}},
+        data={"rows": [["lru", 0.25]], "speedup": 3.5},
     )
     base.update(overrides)
     return RunLedger(**base)
 
 
-class TestPaths:
-    def test_metrics_sidecar_maps_to_ledger(self):
-        assert ledger_path_for("out/e3.metrics.json").name == "e3.ledger.json"
-
-    def test_other_artifacts_get_suffix_appended(self):
-        assert ledger_path_for("out/e3.txt").name == "e3.txt.ledger.json"
-
-
 class TestSchema:
     def test_round_trip(self):
+        # make_ledger carries data and observations, so they round-trip too.
         ledger = make_ledger()
         back = RunLedger.from_json(ledger.to_json())
         assert back == ledger
@@ -58,7 +52,7 @@ class TestSchema:
     @pytest.mark.parametrize("field", [
         "ledger_schema_version", "name", "created", "wall_seconds",
         "params", "seed", "jobs", "kernel", "git", "env", "counters",
-        "artifacts",
+        "observations", "data",
     ])
     def test_missing_field_rejected(self, field):
         payload = make_ledger().to_dict()
@@ -76,17 +70,34 @@ class TestSchema:
         with pytest.raises(ResultSchemaError, match="JSON"):
             RunLedger.from_json("{nope")
 
-    def test_bad_artifact_record_rejected(self):
+    def test_v1_ledger_rejected_naming_its_version(self):
+        # A v1 ledger had artifact digests and neither data nor
+        # observations; it is refused by its version, not read.
         payload = make_ledger().to_dict()
-        payload["artifacts"] = [{"path": "x"}]
-        with pytest.raises(ResultSchemaError, match="artifact"):
+        del payload["data"], payload["observations"]
+        payload["ledger_schema_version"] = 1
+        payload["artifacts"] = []
+        with pytest.raises(ResultSchemaError, match="ledger_schema_version 1"):
             validate_ledger(payload)
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", ""), ("created", 0), ("wall_seconds", "1"), ("params", []),
+        ("seed", 1.5), ("jobs", True), ("kernel", "yes"), ("git", "abc"),
+        ("counters", []), ("observations", []),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        payload = make_ledger().to_dict()
+        payload[field] = value
+        with pytest.raises(ResultSchemaError, match=field):
+            validate_ledger(payload)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ResultSchemaError, match="object"):
+            validate_ledger([1, 2])
 
 
 class TestBuild:
-    def test_build_digests_existing_artifacts(self, tmp_path):
-        artifact = tmp_path / "table.txt"
-        artifact.write_text("hello\n")
+    def test_build_splits_the_metrics_snapshot(self):
         ledger = build_ledger(
             name="built",
             params={"seed": 3},
@@ -94,12 +105,17 @@ class TestBuild:
             seed=3,
             jobs=0,
             kernel=True,
-            counters={"oracle.measurements": 1},
-            artifacts=[artifact, tmp_path / "missing.txt"],
+            metrics={
+                "counters": {"oracle.measurements": 1},
+                "observations": {"span.seconds.cell": {"count": 1}},
+            },
+            data={"rows": [(1, 2)], "when": object()},
         )
-        assert [a["path"] for a in ledger.artifacts] == ["table.txt"]
-        assert ledger.artifacts[0]["bytes"] == 6
-        assert len(ledger.artifacts[0]["sha256"]) == 64
+        assert ledger.counters == {"oracle.measurements": 1}
+        assert ledger.observations == {"span.seconds.cell": {"count": 1}}
+        # data is stored as JSON would read it back.
+        assert ledger.data["rows"] == [[1, 2]]
+        assert isinstance(ledger.data["when"], str)
         validate_ledger(ledger.to_dict())
 
     def test_build_stringifies_unjsonable_params(self):
@@ -165,33 +181,6 @@ class TestEdgeCases:
             RunLedger.from_json('{"name": "half')
 
 
-class TestVerifyArtifacts:
-    def _written(self, tmp_path):
-        artifact = tmp_path / "table.txt"
-        artifact.write_text("rows\n")
-        ledger = build_ledger(name="v", artifacts=[artifact])
-        return artifact, ledger
-
-    def test_intact_artifacts_verify_clean(self, tmp_path):
-        _, ledger = self._written(tmp_path)
-        assert obs_ledger.verify_artifacts(ledger, tmp_path) == []
-
-    def test_digest_mismatch_detected(self, tmp_path):
-        artifact, ledger = self._written(tmp_path)
-        artifact.write_text("rows\ntampered\n")
-        problems = obs_ledger.verify_artifacts(ledger, tmp_path)
-        assert len(problems) == 1
-        assert problems[0][0] == "table.txt"
-        assert "digest mismatch" in problems[0][1]
-
-    def test_missing_artifact_flagged(self, tmp_path):
-        artifact, ledger = self._written(tmp_path)
-        artifact.unlink()
-        assert obs_ledger.verify_artifacts(ledger, tmp_path) == [
-            ("table.txt", "missing")
-        ]
-
-
 class TestValidatorCli:
     def test_valid_file_exits_zero(self, tmp_path, capsys):
         path = write_ledger(make_ledger(), tmp_path / "ok.ledger.json")
@@ -205,16 +194,6 @@ class TestValidatorCli:
 
     def test_no_arguments_exits_two(self, capsys):
         assert obs_ledger.main([]) == 2
-
-    def test_verify_flag_catches_tampered_artifact(self, tmp_path, capsys):
-        artifact = tmp_path / "table.txt"
-        artifact.write_text("rows\n")
-        ledger = build_ledger(name="v", artifacts=[artifact])
-        path = write_ledger(ledger, tmp_path / "v.ledger.json")
-        assert obs_ledger.main(["--verify", str(path)]) == 0
-        artifact.write_text("tampered\n")
-        assert obs_ledger.main(["--verify", str(path)]) == 1
-        assert "digest mismatch" in capsys.readouterr().err
 
     def test_module_round_trip(self, tmp_path):
         # A ledger written by the library validates through the module
@@ -234,3 +213,18 @@ class TestValidatorCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "ok" in proc.stdout
+
+
+class TestCommittedResults:
+    """The committed benchmark results are one v2 ledger per run."""
+
+    RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+    def test_every_result_file_is_a_ledger_with_data(self):
+        paths = sorted(self.RESULTS.glob("*.json"))
+        assert paths
+        for path in paths:
+            ledger = read_ledger(path)
+            assert ledger.ledger_schema_version == LEDGER_SCHEMA_VERSION == 2
+            assert path.name == f"{ledger.name}.ledger.json", path.name
+            assert ledger.data is not None, path.name
