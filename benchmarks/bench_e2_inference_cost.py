@@ -5,8 +5,7 @@ of permutation inference grows polynomially with the associativity
 (position tables are A x A, each entry needing up to A survival probes);
 this benchmark regenerates the measurement and access counts and checks
 the growth stays polynomial (roughly cubic for the linear strategy).
-Every cell measures against a fresh simulated oracle; the persistent
-measurement DB is exercised by ``bench_measuredb.py`` and ``infer --db``.
+Every cell measures against a fresh simulated oracle.
 """
 
 import pytest

@@ -10,7 +10,6 @@ Subcommands mirror the library's two halves:
 * ``query`` — run one CacheQuery-notation access sequence;
 * ``trace`` — replay/filter a JSONL trace file written by ``--trace``;
 * ``cache`` — inspect/warm/clear the on-disk automaton store;
-* ``db`` — inspect/clear/export the persistent measurement database;
 * ``report`` — summarize or diff ``*.ledger.json`` run manifests;
 * ``history`` — ingest/check/inspect the run-history database
   (``history ingest benchmarks/results/`` backfills, ``history check``
@@ -23,10 +22,8 @@ run's ledger, its one run record, to FILE); see OBSERVABILITY.md.
 ``--metrics`` composes with the compiled kernel — only ``--trace``
 (which wants per-access events) routes simulation through the
 interpreter.  ``--cache-dir DIR`` (spelled ``--dir`` on
-``cache``/``db``/``history``/``dash``) points every
-persistent store — compiled automata, the measurement DB and the run
-history — at one directory; ``infer --db`` persists measurements so a
-warm rerun reports ``db.miss == 0`` in its ledger.
+``cache``/``history``/``dash``) points both persistent stores — compiled
+automata and the run history — at one directory.
 """
 
 from __future__ import annotations
@@ -104,17 +101,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     oracle = HardwareSetOracle(platform, args.level)
     if args.repetitions > 1:
         oracle = VotingOracle(oracle, repetitions=args.repetitions)
-    if args.db:
-        from repro import measuredb
-
-        wrapped = measuredb.wrap_if_enabled(oracle)
-        if wrapped is oracle:
-            print(
-                "note: oracle reports no provenance (noisy platform?); "
-                "measurement DB not used",
-                file=sys.stderr,
-            )
-        oracle = wrapped
     finding = reverse_engineer(oracle)
     print(f"processor : {spec.name}")
     print(f"level     : {args.level} ({platform.level_config(args.level).describe()})")
@@ -332,9 +318,8 @@ def _add_cache_options(
     """Attach the one persistent-store directory option."""
     command.add_argument(
         flag, metavar="DIR", default=None, dest="cache_dir",
-        help="directory of every persistent store — compiled automata, "
-        "the measurement DB and the run history (default: "
-        "$REPRO_CACHE_DIR or ./.repro-cache)",
+        help="directory of both persistent stores — compiled automata "
+        "and the run history (default: $REPRO_CACHE_DIR or ./.repro-cache)",
     )
 
 
@@ -396,48 +381,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     )
     persisted = sum(1 for entry in report if entry["status"] == "persisted")
     print(f"persisted {persisted}/{len(report)} automata")
-    return 0
-
-
-def _cmd_db(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import measuredb
-
-    if args.action == "stats":
-        info = measuredb.stats()
-        rows = [[entry["scope"], entry["rows"]] for entry in info["scopes"]]
-        print(
-            format_table(
-                ["scope", "rows"],
-                rows,
-                title=f"measurement DB @ {info['path']}",
-            )
-        )
-        print(
-            f"rows: {info['total_rows']} in {len(info['scopes'])} scope(s), "
-            f"total {info['total_bytes']} bytes, "
-            f"schema v{info['schema_version']}, "
-            f"{'enabled' if info['enabled'] else 'disabled'}"
-        )
-        return 0
-    if args.action == "clear":
-        removed = measuredb.clear(args.scope)
-        which = f"scope {args.scope!r}" if args.scope else "all scopes"
-        print(f"removed {removed} row(s) ({which}) from {measuredb.db_path()}")
-        return 0
-    # export: JSON-lines rows, to stdout or --output.
-    rows_iter = measuredb.export_rows(args.scope)
-    if args.output:
-        count = 0
-        with open(args.output, "w", encoding="utf-8") as sink:
-            for row in rows_iter:
-                sink.write(json.dumps(row) + "\n")
-                count += 1
-        print(f"exported {count} row(s) to {args.output}")
-    else:
-        for row in rows_iter:
-            print(json.dumps(row))
     return 0
 
 
@@ -553,9 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--seed", type=int, default=0)
     infer.add_argument("--check", action="store_true",
                        help="compare against the catalog ground truth")
-    infer.add_argument("--db", action="store_true",
-                       help="persist measurements in the measurement DB; a "
-                       "warm rerun reports db.miss == 0 in its ledger")
     _add_obs_options(infer)
     _add_kernel_options(infer)
     _add_cache_options(infer)
@@ -656,20 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--stale-only", action="store_true",
                        help="clear: only artifacts from other schema versions")
 
-    db = sub.add_parser(
-        "db",
-        help="manage the persistent measurement database",
-        description="Example: repro-cache db stats, then repro-cache db "
-        "export --scope 'sim|policy:lru|()|ways=4' --output rows.jsonl",
-    )
-    db.add_argument("action", choices=("stats", "clear", "export"),
-                    help="inspect, empty, or dump the measurement store")
-    _add_cache_options(db, "--dir")
-    db.add_argument("--scope", default=None,
-                    help="restrict clear/export to one provenance scope")
-    db.add_argument("--output", default=None, metavar="FILE",
-                    help="export: write JSON lines here instead of stdout")
-
     report = sub.add_parser(
         "report",
         help="summarize or diff *.ledger.json run manifests",
@@ -757,7 +683,6 @@ _COMMANDS = {
     "query": _cmd_query,
     "trace": _cmd_trace,
     "cache": _cmd_cache,
-    "db": _cmd_db,
     "report": _cmd_report,
     "history": _cmd_history,
     "dash": _cmd_dash,
@@ -802,14 +727,12 @@ def _run_with_observability(args: argparse.Namespace) -> int:
     cache_dir = getattr(args, "cache_dir", None)
     cache_dir_before = None
     if cache_dir is not None:
-        # One directory holds all three persistent stores: the
-        # measurement DB and the run history live beside the automata.
-        from repro import measuredb
+        # One directory holds both persistent stores: the run history
+        # lives beside the automata.
         from repro.kernels import store
 
         cache_dir_before = store.cache_dir()
         store.set_cache_dir(cache_dir)
-        measuredb.reset()
     DEFAULT.reset()
     obs_spans.reset()
     maps: list[dict] = []
@@ -857,12 +780,10 @@ def _run_with_observability(args: argparse.Namespace) -> int:
         set_kernel_enabled(kernel_before)
         set_vector_enabled(vector_before)
         if cache_dir is not None:
-            from repro import measuredb
             from repro.kernels import store
             from repro.obs import history as obs_history
 
             store.set_cache_dir(cache_dir_before)
-            measuredb.reset()
             obs_history.reset()
     return status
 

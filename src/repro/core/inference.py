@@ -119,11 +119,8 @@ class PermutationInference:
     evict, whether to keep scanning) depends on the previous answer, so
     there is no batch to form and the early exits are what the paper's
     cost model counts.  Batching lives below the oracle (the kernel's
-    batched engines, the measurement DB's preloaded memo), not here.
-    Wrap the oracle in :class:`repro.measuredb.MeasurementDBOracle` to
-    persist the measurements; its logical cost accounting keeps the
-    resulting :class:`InferenceResult` bit-identical between cold and
-    DB-served runs.
+    batched engines), not here; the one exception is verification
+    (:meth:`_verify`), whose windows are fixed up front.
     """
 
     def __init__(

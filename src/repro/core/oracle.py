@@ -14,19 +14,18 @@ a distinct memory block mapping to the probed cache set.
 **The protocol.**  :class:`OracleProtocol` is the single oracle surface:
 the canonical entry point is the *batched* :meth:`~OracleProtocol.query`
 (``requests -> miss counts``), which lets implementations answer a whole
-batch in one kernel engine call or one measurement-DB pass.
-:meth:`~OracleProtocol.provenance` names what is being measured — the
-stable identity that keys the persistent measurement database
-(:mod:`repro.measuredb`); oracles whose answers are not a pure function
-of the request (randomized policies, noisy hardware) return ``None``
-and are thereby refused persistence.
+batch in one kernel engine call.
+:meth:`~OracleProtocol.provenance` names what is being measured — a
+stable identity that exists only when the oracle's answers are a pure
+function of the request; oracles with randomized policies or noisy
+hardware return ``None``.  Inference batches its verification windows
+only against an oracle that reports one (see
+:meth:`repro.core.inference.PermutationInference._verify`).
 
 :class:`MissCountOracle` keeps the scalar ``count_misses`` as the
 measurement *primitive* for adaptive algorithms (inference decides each
 request from the previous answer); its default ``query`` loops over it,
-and subclasses override ``query`` with real batch paths.  The legacy
-``count_misses_many`` shape survives as a thin deprecated wrapper over
-``query``.
+and subclasses override ``query`` with real batch paths.
 
 Implementations:
 
@@ -40,8 +39,7 @@ Implementations:
 * :class:`VotingOracle` — repeats measurements and takes a per-sequence
   majority vote, the paper's defence against counter noise.
 * :class:`CachingOracle` — memoizes identical ``(setup, probe)``
-  measurements against a deterministic inner oracle (per-process; the
-  cross-process sibling is :class:`repro.measuredb.MeasurementDBOracle`).
+  measurements against a deterministic inner oracle.
 
 Simulated measurements additionally route through the compiled kernel
 (:mod:`repro.kernels`) when it is enabled and no active tracer wants
@@ -53,7 +51,6 @@ identical on both paths.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from abc import ABC, abstractmethod
 from collections import Counter
 from collections.abc import Sequence
@@ -69,9 +66,9 @@ from repro import kernels
 def policy_provenance(policy: ReplacementPolicy) -> str | None:
     """Stable identity of a *deterministic* policy, or None.
 
-    The provenance string keys the persistent measurement database, so
-    it must (a) uniquely determine the policy's measurable behaviour and
-    (b) exist only when that behaviour is reproducible:
+    The provenance string must (a) uniquely determine the policy's
+    measurable behaviour and (b) exist only when that behaviour is
+    reproducible:
 
     * registry-built instances carry a ``_registry_key`` provenance
       stamp (name + sorted params, see
@@ -100,11 +97,10 @@ class OracleProtocol(ABC):
     """The unified oracle surface: batched queries plus provenance.
 
     ``query`` is the canonical call shape every oracle implements; the
-    scalar/legacy shapes (``count_misses``, ``count_misses_many``) are
-    wrappers layered on top by :class:`MissCountOracle`.  Results are
-    returned in request order and are bit-identical to issuing the
-    requests one at a time — batching is an execution strategy, never a
-    semantic change.
+    scalar ``count_misses`` is layered on top by :class:`MissCountOracle`.
+    Results are returned in request order and are bit-identical to
+    issuing the requests one at a time — batching is an execution
+    strategy, never a semantic change.
     """
 
     #: Associativity if known to the experimenter, else None (must be inferred).
@@ -120,7 +116,7 @@ class OracleProtocol(ABC):
         """Stable identity of the measured substrate, or None.
 
         None means the oracle's answers are not a reproducible function
-        of the request (noise, randomness) and must not be persisted.
+        of the request (noise, randomness).
         """
         return None
 
@@ -142,21 +138,6 @@ class MissCountOracle(OracleProtocol):
         self, requests: Sequence[tuple[Sequence[int], Sequence[int]]]
     ) -> list[int]:
         return [self.count_misses(setup, probe) for setup, probe in requests]
-
-    def count_misses_many(
-        self, queries: Sequence[tuple[Sequence[int], Sequence[int]]]
-    ) -> list[int]:
-        """Deprecated alias for :meth:`query` (the pre-protocol batch shape).
-
-        Kept as a thin warning wrapper for external call sites; all
-        internal callers use ``query`` directly.
-        """
-        warnings.warn(
-            "count_misses_many() is deprecated; use OracleProtocol.query()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(queries)
 
     #: Number of measurements performed (for the cost evaluation).
     measurements: int = 0
@@ -456,9 +437,6 @@ class CachingOracle(MissCountOracle):
     cached on the exact sequence pair and served back for free — cached
     answers perform no inner measurement and therefore do not advance the
     ``measurements``/``accesses`` cost counters, which is the point.
-    (:class:`repro.measuredb.MeasurementDBOracle` is the persistent
-    sibling with the opposite accounting choice: it keeps the logical
-    cost model intact so cold and warm inference results compare equal.)
 
     Do **not** wrap a noisy oracle directly: caching freezes the first
     noisy sample.  Put the :class:`VotingOracle` *inside* the cache
@@ -489,9 +467,7 @@ class CachingOracle(MissCountOracle):
         different misses, so the key must never flatten the pair into one
         sequence (or join it with any in-band separator an id could
         collide with).  Every cache path keys through here so the
-        invariant lives in one place (the measurement DB's
-        :func:`repro.measuredb.request_digest` hashes the same nested
-        shape).
+        invariant lives in one place.
         """
         return (tuple(setup), tuple(probe))
 

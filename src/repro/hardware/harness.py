@@ -188,15 +188,15 @@ class HardwareSetOracle(MissCountOracle):
         self.accesses = 0
 
     def provenance(self) -> str | None:
-        """Identity for the measurement DB — replayable platforms only.
+        """Identity of the measured set — replayable platforms only.
 
         With any noise rate active, or a level whose policy draws
         randomness (DIP's bimodal insertion, random replacement),
         repeated identical measurements may legitimately disagree (the
         whole reason :class:`VotingOracle` exists), so there is no
-        reproducible value to persist and the oracle reports no
-        provenance.  A replayable platform is a pure function of
-        ``(spec, seed, level, set)`` and caches cleanly.
+        reproducible value and the oracle reports no provenance.  A
+        replayable platform is a pure function of
+        ``(spec, seed, level, set)``.
         """
         if not self.platform.replayable:
             return None

@@ -4,14 +4,13 @@ A run ledger (:class:`~repro.obs.ledger.RunLedger`) makes one run
 observable, but each run is an island: ``report --diff`` compares
 exactly two ledgers by hand.  This module is the across-run plane: a
 WAL-mode sqlite **run-history store** (``history-v<schema>.sqlite``,
-beside the automaton store and the measurement DB) that ingests run
-ledgers — one ``runs`` row per ledger, keyed by experiment name, git
-sha and timestamp and carrying the ledger's ``data``, plus one
-``counters`` row per counter — and answers the questions single ledgers
-cannot: *how has E3's wall time moved over the last ten runs?  which
-commit did the query budget jump at?  is the kernel speedup trajectory
-flat?*  The regression detector
-(:mod:`repro.obs.regress`) and the HTML dashboard
+beside the automaton store) that ingests run ledgers — one ``runs``
+row per ledger, keyed by experiment name, git sha and timestamp and
+carrying the ledger's ``data``, plus one ``counters`` row per counter —
+and answers the questions single ledgers cannot: *how has E3's wall
+time moved over the last ten runs?  which commit did the query budget
+jump at?  is the kernel speedup trajectory flat?*  The regression
+detector (:mod:`repro.obs.regress`) and the HTML dashboard
 (:mod:`repro.obs.dash`) are pure consumers of this store.
 
 Rows arrive three ways:
@@ -28,11 +27,11 @@ Ingestion is idempotent: every row carries a content fingerprint
 (blake2s of the canonical JSON) with a UNIQUE constraint, so
 re-ingesting a directory records nothing twice.
 
-Discipline mirrors :mod:`repro.measuredb.db`:
+Discipline:
 
 * **Location** — the database (:func:`history_path`) lives in the
   automaton store's directory, :func:`repro.kernels.store.cache_dir`,
-  so one ``--cache-dir`` governs all three persistent stores.  The file name
+  so one ``--cache-dir`` governs both persistent stores.  The file name
   embeds :data:`SCHEMA_VERSION`; bumping it orphans old databases, never
   misreads them.
 * **Durability** — WAL journal mode, ``synchronous=NORMAL``, one

@@ -295,10 +295,6 @@ KEY_COUNTERS = (
     "oracle.measurements",
     "oracle.accesses",
     "oracle.cache_hits",
-    "db.hit",
-    "db.miss",
-    "db.write",
-    "db.dropped",
     "history.dropped",
     "history.read_errors",
     "hw.flush.sets",

@@ -88,7 +88,6 @@ CHECK_COUNTERS = (
     "oracle.measurements",
     "oracle.accesses",
     "kernel.accesses",
-    "db.miss",
     "runner.chunk_retries",
     "runner.pool.restarted",
     "runner.shm.fallbacks",

@@ -126,7 +126,7 @@ def _run_chunk(fn, indexed_tasks, capture=None):
 
     Persistent workers outlive any parent-side context manager, so the
     spec also pins the kernel and vector switches and the cache
-    directory (and with it the measurement DB) for the duration of the
+    directory (and with it the automaton store) for the duration of the
     chunk, and restores them after: a worker spawned during one test or
     experiment must not leak its settings into the next.
     """
@@ -169,10 +169,9 @@ def _apply_kernel_spec(spec) -> Callable[[], None]:
     A persistent worker may have been spawned under a different cache
     directory (tests isolate per-test) or while the kernel was disabled
     (reference benchmarks), so each chunk carries the parent's current
-    settings instead of trusting fork-time state.  The measurement DB
-    lives in the cache directory, so pinning it also makes every worker
-    share the parent's database file (WAL mode handles the concurrent
-    writers).
+    settings instead of trusting fork-time state.  The automaton store
+    lives in the cache directory, so pinning it makes every worker load
+    the artifacts the parent compiled instead of compiling its own.
     """
     if spec is None:
         return lambda: None

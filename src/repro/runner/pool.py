@@ -257,7 +257,7 @@ class WorkerPool:
             if tag == _TAG_SHM:
                 name, size = pickle.loads(body)
                 payload = runner_shm.read_blob(name, size)
-                if payload is None:  # pragma: no cover - segment vanished
+                if payload is None:  # the segment vanished
                     worker.job = None
                     outcomes.append(("failed", meta, "shm result segment lost"))
                     continue

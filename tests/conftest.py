@@ -45,23 +45,19 @@ def vector_switch(setting: str):
 def _isolated_automaton_store(tmp_path_factory):
     """Route the on-disk stores to a per-test temp directory.
 
-    The cache directory (holding the automaton store, the measurement
-    DB and the run-history DB) defaults to a repo-local
-    ``.repro-cache/``; tests must neither read a developer's warm cache
-    (hiding cold-path bugs) nor litter the working tree.  Each store's
-    handle and memos are dropped on both sides so no state crosses
-    tests.
+    The cache directory (holding the automaton store and the run-history
+    DB) defaults to a repo-local ``.repro-cache/``; tests must neither
+    read a developer's warm cache (hiding cold-path bugs) nor litter the
+    working tree.  Each store's handle and memos are dropped on both
+    sides so no state crosses tests.
     """
-    from repro import measuredb
     from repro.kernels import store
     from repro.obs import history
 
     store.set_cache_dir(tmp_path_factory.mktemp("repro-cache"))
-    measuredb.reset()
     history.reset()
     yield
     store.set_cache_dir(None)
-    measuredb.reset()
     history.reset()
 
 

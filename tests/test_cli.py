@@ -278,54 +278,17 @@ class TestLedgerAndReport:
 
 
 class TestDbCommand:
-    def _populate(self, directory):
-        from repro.measuredb import db as mdb
-
-        database = mdb.MeasurementDB(directory / mdb.DB_FILENAME)
-        database.put_many(
-            "scope-a", [(mdb.request_digest([], [0]), 0, 1, 1, None)]
-        )
-        database.put_many(
-            "scope-b", [(mdb.request_digest([], [1]), 0, 1, 0, b"\x01")]
-        )
-        database.close()
-
-    def test_db_stats(self, tmp_path, capsys):
-        self._populate(tmp_path)
-        assert main(["db", "stats", "--dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "scope-a" in out and "scope-b" in out
-        assert "rows: 2 in 2 scope(s)" in out
-
-    def test_db_export_and_clear_scope(self, tmp_path, capsys):
-        self._populate(tmp_path)
-        output = tmp_path / "rows.jsonl"
-        assert main(["db", "export", "--dir", str(tmp_path),
-                     "--output", str(output)]) == 0
-        rows = [json.loads(line) for line in output.read_text().splitlines()]
-        assert {row["scope"] for row in rows} == {"scope-a", "scope-b"}
-        capsys.readouterr()
-        assert main(["db", "clear", "--dir", str(tmp_path),
-                     "--scope", "scope-a"]) == 0
-        assert "removed 1 row(s)" in capsys.readouterr().out
-        assert main(["db", "export", "--dir", str(tmp_path)]) == 0
-        remaining = capsys.readouterr().out.splitlines()
-        assert len(remaining) == 1 and json.loads(remaining[0])["scope"] == "scope-b"
-
-    def test_db_stats_on_missing_database(self, tmp_path, capsys):
-        assert main(["db", "stats", "--dir", str(tmp_path / "nope")]) == 0
-        assert "rows: 0 in 0 scope(s)" in capsys.readouterr().out
+    """``--dir`` on the store subcommands is one cache directory, restored after."""
 
     @pytest.mark.parametrize(
         "argv, landed, printed",
         [
             (["cache", "warm", "--policies", "lru", "--ways", "2"],
              "v1/lru-*.autom", "persisted 1/1"),
-            (["db", "stats"], "measurements-v1.sqlite", "rows: 0 "),
             (["history", "stats"], "history-v2.sqlite", "runs: 1 "),
             (["dash", "-o", "{tmp}/dash"], "history-v2.sqlite", "(1 run(s)"),
         ],
-        ids=["cache", "db", "history", "dash"],
+        ids=["cache", "history", "dash"],
     )
     def test_db_dir_override_is_restored(self, tmp_path, capsys, argv, landed, printed):
         from tests.test_obs_history import make_ledger
@@ -343,40 +306,6 @@ class TestDbCommand:
         assert printed in capsys.readouterr().out
         assert list(elsewhere.glob(landed))
         assert store.cache_dir() == before
-
-    def test_db_action_required(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["db"])
-
-
-class TestInferWithDb:
-    def test_warm_rerun_hits_only_the_db(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "stores")
-        cold_metrics = tmp_path / "cold.ledger.json"
-        warm_metrics = tmp_path / "warm.ledger.json"
-        base = ["infer", "--processor", "atom-d525-like", "--level", "L1",
-                "--check", "--db", "--cache-dir", cache_dir]
-        assert main(base + ["--metrics", str(cold_metrics)]) == 0
-        cold_out = capsys.readouterr().out
-        assert main(base + ["--metrics", str(warm_metrics)]) == 0
-        warm_out = capsys.readouterr().out
-        # Identical finding AND identical logical cost line.
-        assert warm_out == cold_out
-        cold = obs_ledger.read_ledger(cold_metrics)
-        warm = obs_ledger.read_ledger(warm_metrics)
-        assert cold.counters.get("db.miss", 0) > 0
-        assert cold.counters.get("db.write", 0) == cold.counters["db.miss"]
-        assert warm.counters.get("db.miss", 0) == 0
-        assert warm.counters.get("oracle.measurements", 0) == 0
-        assert warm.counters["db.hit"] == cold.counters["db.miss"]
-
-    def test_noisy_platform_reports_unwrapped(self, tmp_path, capsys):
-        code = main(["infer", "--processor", "atom-d525-like", "--noise", "0.01",
-                     "--repetitions", "3", "--db",
-                     "--cache-dir", str(tmp_path / "stores")])
-        captured = capsys.readouterr()
-        assert code in (0, 1)  # noise may defeat inference; not under test
-        assert "no provenance" in captured.err
 
 
 class TestReportGracefulFailure:

@@ -2,9 +2,8 @@
 
 Covers the API-redesign contract: ``query`` is the canonical batched
 entry point on every oracle, results are bit-identical to the scalar
-``count_misses`` loop, the legacy ``count_misses_many`` shape is a thin
-wrapper, and ``provenance`` exists exactly when answers are a pure
-function of the request.
+``count_misses`` loop, and ``provenance`` exists exactly when answers
+are a pure function of the request.
 """
 
 from __future__ import annotations
@@ -74,11 +73,6 @@ class TestProtocolShape:
         hw = HardwareSetOracle(platform, "L1", max_blocks=16)
         assert isinstance(hw, OracleProtocol)
         assert isinstance(hw, MissCountOracle)
-
-    def test_count_misses_many_is_a_deprecated_query_wrapper(self):
-        with pytest.deprecated_call(match="count_misses_many"):
-            legacy = lru_oracle().count_misses_many(REQUESTS)
-        assert legacy == lru_oracle().query(REQUESTS)
 
     def test_query_empty_batch(self):
         assert lru_oracle().query([]) == []

@@ -177,6 +177,27 @@ class TestPoolLifecycle:
         assert sources[0] == sources[1] == sources[3] == "parallel"
         assert _runner_counters()["runner.pool.restarted"] >= 2
 
+    def test_workers_follow_the_parent_cache_directory(self, tmp_path):
+        """Each chunk pins a worker to the parent's current cache directory.
+
+        The workers start under one directory and the parent moves to
+        another; they must load the automaton the parent persisted there
+        instead of compiling their own.
+        """
+        from repro.kernels import clear_compile_cache, store
+
+        cells = [SimCell.make(trace, CONFIG, "plru") for trace in _big_traces()]
+        clear_compile_cache()
+        runner_pool.get_pool(2)  # workers start with an empty compile cache
+        store.set_cache_dir(tmp_path / "moved")
+        serial = run_sim_cells(cells, jobs=0, memoize=False)
+        obs_metrics.DEFAULT.reset()
+        parallel = run_sim_cells(cells, jobs=2, memoize=False)
+        assert parallel == serial
+        counters = obs_metrics.DEFAULT.snapshot()["counters"]
+        assert counters.get("kernel.compile.load", 0) > 0
+        assert counters.get("kernel.compile.miss", 0) == 0
+
 
 #: Two grid rounds on two pools; the first pool is forked before the
 #: first shm broadcast exists, the second after.
@@ -295,6 +316,24 @@ class TestSharedMemoryTransport:
         out = runner.map(_payload, [size, size + 1, 8])
         assert [len(blob) for blob in out] == [size, size + 1, 8]
         assert _runner_counters()["runner.shm.bytes"] >= 2 * size
+
+    def test_lost_result_segment_retries_the_chunk(self, monkeypatch):
+        size = runner_pool.RESULT_SHM_MIN_BYTES
+        tasks = [size, size + 1, 8]
+        serial = ExperimentRunner().map(_payload, tasks)
+        read_blob = runner_shm.read_blob
+        calls = []
+
+        def lose_first(name, nbytes):
+            calls.append(name)
+            payload = read_blob(name, nbytes)  # consumes the real segment
+            return None if len(calls) == 1 else payload
+
+        monkeypatch.setattr(runner_shm, "read_blob", lose_first)
+        obs_metrics.DEFAULT.reset()
+        out = ExperimentRunner(jobs=2, chunk_size=1).map(_payload, tasks)
+        assert out == serial
+        assert _runner_counters()["runner.chunk_retries"] == 1
 
 
 class TestAdaptiveChunking:
