@@ -62,11 +62,10 @@ class Cache:
             policy = PolicyFactory(policy)
         self.policy_factory = policy
         self._rng = rng if rng is not None else SeededRng(0)
-        self.shared = policy.create_shared(config.num_sets, self._rng.fork("shared"))
-        self.sets = [
-            CacheSet(config.ways, policy.build(config.ways, index, self.shared, self._rng))
-            for index in range(config.num_sets)
-        ]
+        self.shared, policies = policy.build_cache(
+            config.num_sets, config.ways, self._rng
+        )
+        self.sets = [CacheSet(config.ways, set_policy) for set_policy in policies]
         self.filled: set[int] = set()
         self.stats = CacheStats()
         # The statistics at the last flush, the base of a checkpoint's deltas.

@@ -15,7 +15,9 @@ One engine per simulation shape:
   run of consecutive equal setups from one post-setup snapshot;
 * whole-cache traces run all sets lock-step on the numpy engine
   (:mod:`repro.kernels.vector`) when numpy is installed, and on the
-  scalar trace loop otherwise.
+  scalar trace loop otherwise; ``random`` and ``dip``, which have no
+  automaton, step lock-step there too, and run in direct mode
+  otherwise.
 
 Routing rules (:func:`kernel_allowed`, enforced by the callers in
 :mod:`repro.core.oracle`, :mod:`repro.core.inference`,

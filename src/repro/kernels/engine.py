@@ -22,13 +22,15 @@ Two granularities, matching the two shapes of simulation in the library:
   :func:`simulate_trace_direct` covers non-compilable (randomized /
   set-dueling) policies with the real policy objects driven by an
   inlined loop that skips the interpreter's per-access dataclass and
-  tracer overhead.  :func:`try_simulate_trace` picks the right one and
-  returns ``None`` when the kernel must stay off (disabled globally, or
-  an active tracer wants per-access ``cache.*`` events).  Every engine
-  call flushes its aggregate hit/miss/evict work into the metrics store
-  (``kernel.*`` counters), and the whole-trace engines additionally
-  report per-state visit counts and a ``kernel.run`` event when a
-  (cold-event) tracer is watching.
+  tracer overhead (``random`` and ``dip`` step lock-step on the vector
+  engine instead whenever it may run).  :func:`try_simulate_trace`
+  picks the right one and returns ``None`` when the kernel must stay
+  off (disabled globally, or an active tracer wants per-access
+  ``cache.*`` events).  Every engine call flushes its aggregate
+  hit/miss/evict work into the metrics store (``kernel.*`` counters),
+  and the whole-trace engines additionally report per-state visit
+  counts and a ``kernel.run`` event when a (cold-event) tracer is
+  watching.
 
 Bit-identity argument, in one place: per set the interpreter's state is
 (tag→way map, policy state).  The kernel mirrors the tag→way map
@@ -548,9 +550,10 @@ def simulate_trace_direct(
     """Inlined whole-cache run with real policy objects (direct mode).
 
     Covers policies the automaton cannot (randomized, set-dueling): the
-    policies, their shared context and the rng are constructed exactly
-    as :class:`~repro.cache.cache.Cache` constructs them, and driven in
-    the same call order, so every rng draw and shared-state update lands
+    policies and their shared context are built by
+    :meth:`~repro.policies.PolicyFactory.build_cache` from the same rng
+    as :class:`~repro.cache.cache.Cache` builds them, and driven in the
+    same call order, so every rng draw and shared-state update lands
     identically — only the interpreter's per-access object overhead is
     gone.
     """
@@ -559,11 +562,7 @@ def simulate_trace_direct(
     num_sets = config.num_sets
     ways = config.ways
     tag_shift = offset_bits + index_bits
-    rng = SeededRng(seed)
-    shared = factory.create_shared(num_sets, rng.fork("shared"))
-    policies = [
-        factory.build(ways, set_index, shared, rng) for set_index in range(num_sets)
-    ]
+    _, policies = factory.build_cache(num_sets, ways, SeededRng(seed))
     way_ofs: list[dict[int, int]] = [{} for _ in range(num_sets)]
     tag_ofs: list[list[int]] = [[0] * ways for _ in range(num_sets)]
     hits = misses = evictions = 0
@@ -653,4 +652,13 @@ def try_simulate_trace(
         except KernelUnsupported:
             # Budget blown mid-run: remember, and re-run in direct mode.
             automaton.mark_factory_unsupported(factory.name, params, config.ways)
+    elif obs_trace.ACTIVE is None:
+        # random and dip step lock-step on the vector engine when it may
+        # run; the flush is direct mode's, so counters stay engine-invariant.
+        stats = vector.simulate_trace_randomized(trace, config, factory, seed)
+        if stats is not None:
+            _note_kernel_call(
+                "direct", stats.accesses, stats.hits, stats.misses, stats.evictions
+            )
+            return stats
     return simulate_trace_direct(trace, config, factory, seed)

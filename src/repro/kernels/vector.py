@@ -10,9 +10,11 @@ gather per access step::
 :func:`simulate_trace_lockstep` partitions a trace per set and runs all
 ``num_sets`` automata lock-step, bit-identical to the scalar trace
 engine and the interpreter (behind ``simulate_trace_kernel`` /
-``try_simulate_trace``).  Single-set query batches do not come here:
-they run on the scalar kernel (:mod:`repro.kernels.engine`), which
-expands an automaton lazily, only as far as the queries reach.
+``try_simulate_trace``).  :func:`simulate_trace_randomized` does the
+same for ``random`` and ``dip``, which have no automaton, on the same
+layout, bit-identical to direct mode.  Single-set query batches do not
+come here: they run on the scalar kernel (:mod:`repro.kernels.engine`),
+which expands an automaton lazily, only as far as the queries reach.
 
 The stepper's layout is chosen so per-step Python/numpy dispatch
 overhead amortizes over as many lanes as possible:
@@ -42,9 +44,15 @@ from __future__ import annotations
 
 import weakref
 from contextlib import contextmanager
+from typing import NamedTuple
 
+from repro.cache.set import CacheSet
+from repro.cache.stats import CacheStats
 from repro.errors import KernelUnsupported
 from repro.obs import metrics as obs_metrics
+from repro.policies import DipPolicy, RandomPolicy
+from repro.policies.registry import get_entry
+from repro.util.rng import SeededRng
 
 try:  # numpy is an optional extra (pip install repro[vector])
     import numpy as _np
@@ -58,6 +66,7 @@ __all__ = [
     "numpy_available",
     "set_vector_enabled",
     "simulate_trace_lockstep",
+    "simulate_trace_randomized",
     "vector_allowed",
     "vector_disabled",
     "vector_enabled",
@@ -323,27 +332,31 @@ def simulate_trace_lockstep(trace, config, compiled):
         if available() and vector_enabled():
             _note_fallback()
         return None
-    from repro.cache.stats import CacheStats
-
     total = len(trace)
     if not total:
-        return CacheStats(accesses=0, hits=0, misses=0, evictions=0, fills=0)
+        return _stats(0, 0, 0)
     layout = _trace_layout(trace, config)
     if layout is None:
         _note_fallback()
         return None
     np = _np
-    blocks, lengths_sorted = layout
     num_sets = config.num_sets
     ways = tables.ways
     states = np.zeros(num_sets, dtype=np.int32)
     tags = np.full((num_sets, ways), -1, dtype=np.int64)
     filled = np.zeros(num_sets, dtype=np.int32)
-    hits, evictions = _run_lanes(tables, states, tags, filled, blocks, lengths_sorted)
-    misses = total - hits
+    hits, evictions = _run_lanes(
+        tables, states, tags, filled, layout.blocks, layout.lengths
+    )
     _note_vector_call(num_sets, total)
+    return _stats(total, hits, evictions)
+
+
+def _stats(accesses: int, hits: int, evictions: int) -> CacheStats:
+    """Whole-trace statistics of a read trace: every miss fills."""
+    misses = accesses - hits
     return CacheStats(
-        accesses=total,
+        accesses=accesses,
         hits=hits,
         misses=misses,
         evictions=evictions,
@@ -351,9 +364,224 @@ def simulate_trace_lockstep(trace, config, compiled):
     )
 
 
+# -- randomized policies lock-step -------------------------------------------
+
+def simulate_trace_randomized(trace, config, factory, seed: int = 0):
+    """Run ``random`` or ``dip`` over a whole read trace lock-step.
+
+    Neither policy has an automaton, but each set's behaviour depends
+    only on its own accesses and its own rng stream, with one exception:
+    DIP's followers read the duel's PSEL, which only leader-set
+    evictions move.  So the per-set policies and their shared context
+    are built as direct mode builds them
+    (:meth:`~repro.policies.PolicyFactory.build_cache`), every stream is
+    drawn by the set's own policy object in the set's own access order,
+    and the statistics are bit-identical to direct mode and the
+    interpreter.  Returns None for any other policy (no refusal
+    counted) and, like :func:`simulate_trace_lockstep`, when the engine
+    may not run or refuses the layout.
+    """
+    policy_cls = get_entry(factory.name).cls
+    if policy_cls is not RandomPolicy and policy_cls is not DipPolicy:
+        return None
+    if not vector_allowed() or config.num_sets < MIN_TRACE_LANES:
+        return None
+    total = len(trace)
+    if not total:
+        return _stats(0, 0, 0)
+    layout = _trace_layout(trace, config)
+    if layout is None:
+        _note_fallback()
+        return None
+    shared, policies = factory.build_cache(
+        config.num_sets, config.ways, SeededRng(seed)
+    )
+    if policy_cls is RandomPolicy:
+        hits, evictions = _run_random(layout, config.ways, policies)
+    else:
+        hits, evictions = _run_dip(layout, config.ways, shared.controller, policies)
+    return _stats(total, hits, evictions)
+
+
+def _run_random(layout, ways, policies):
+    """Random replacement: lanes keep only their tags.
+
+    A hit and a cold fill change no policy state; an evicting miss asks
+    that set's :class:`~repro.policies.RandomPolicy` for its victim, so
+    each set's stream is drawn once per eviction, in order.
+    """
+    np = _np
+    blocks, lengths = layout.blocks, layout.lengths
+    evicts = [policies[set_index].evict for set_index in layout.sets.tolist()]
+    lanes = len(evicts)
+    width = blocks.shape[0]
+    tags = np.full((lanes, ways), -1, dtype=np.int64)
+    filled = np.zeros(lanes, dtype=np.int64)
+    ended_by = np.cumsum(np.bincount(lengths, minlength=width + 1))
+    total = misses = 0
+    for column in range(width):
+        active = lanes - int(ended_by[column])
+        if not active:
+            break
+        total += active
+        b = blocks[column, :active]
+        miss_rows = (tags[:active] != b[:, None]).all(axis=1).nonzero()[0]
+        if not miss_rows.size:
+            continue
+        misses += miss_rows.size
+        way = filled[miss_rows]
+        full = (way == ways).nonzero()[0]
+        if full.size:
+            way[full] = [evicts[row]() for row in miss_rows[full].tolist()]
+        tags[miss_rows, way] = b[miss_rows]
+        filled[miss_rows] = np.minimum(filled[miss_rows] + 1, ways)
+    _note_vector_call(lanes, total)
+    return total - misses, misses - int(filled.sum())
+
+
+def _run_dip(layout, ways, controller, policies):
+    """DIP: a scalar leader pre-pass, then the followers lock-step.
+
+    Only leader-set evictions move PSEL, and a leader's own insertions
+    never read it, so the leaders run first, in trace order, as real
+    interpreted sets; PSEL is recorded after each of their evictions.
+    A follower's fill at trace position ``p`` then sees the PSEL of the
+    last leader eviction before ``p`` -- its fill goes to MRU when that
+    favours LRU, and otherwise the set's own BIP draw
+    (:meth:`~repro.policies.DipPolicy.bip_inserts_mru`) decides.
+    """
+    np = _np
+    lane_sets = layout.sets
+    leader = np.array(
+        [
+            controller.is_primary_leader(set_index)
+            or controller.is_secondary_leader(set_index)
+            for set_index in range(len(policies))
+        ],
+        dtype=bool,
+    )[lane_sets]
+    # Leader pre-pass: the leader lanes' accesses (every duel has one),
+    # merged back into trace order.
+    lengths = layout.lengths
+    lead = leader.nonzero()[0]
+    positions = np.concatenate(
+        [layout.positions[: lengths[lane], lane] for lane in lead]
+    )
+    order = np.argsort(positions)
+    lead_tags = np.concatenate([layout.blocks[: lengths[lane], lane] for lane in lead])
+    lead_sets = np.repeat(lane_sets[lead], lengths[lead])
+    sets = {
+        set_index: CacheSet(ways, policies[set_index])
+        for set_index in lane_sets[lead].tolist()
+    }
+    initial = controller.psel
+    event_positions: list[int] = []
+    event_psel: list[int] = []
+    hits = evictions = 0
+    for position, set_index, tag in zip(
+        positions[order].tolist(),
+        lead_sets[order].tolist(),
+        lead_tags[order].tolist(),
+    ):
+        result = sets[set_index].access(tag)
+        if result.hit:
+            hits += 1
+        elif result.evicted_tag is not None:
+            evictions += 1
+            event_positions.append(position)
+            event_psel.append(controller.psel)
+    # PSEL as followers see it: one flag per trace position, "favours
+    # LRU" from just after each leader eviction until the next one.
+    favours_lru = np.array([initial] + event_psel) < controller.psel_mid
+    segments = np.diff(
+        [0] + [position + 1 for position in event_positions] + [layout.total]
+    )
+    lru_at = np.repeat(favours_lru, segments)
+    follow = (~leader).nonzero()[0]
+    draws = [
+        policies[set_index].bip_inserts_mru for set_index in lane_sets[follow].tolist()
+    ]
+    follower_hits, follower_evictions = _run_dip_lanes(
+        ways, layout, follow, lru_at, draws
+    )
+    return hits + follower_hits, evictions + follower_evictions
+
+
+def _run_dip_lanes(ways, layout, follow, lru_at, draws):
+    """Step DIP's follower lanes ``follow``; return ``(hits, evictions)``.
+
+    Mirrors :class:`~repro.policies.DipPolicy` on a recency-rank vector
+    per lane: a hit moves its way to rank 0, the victim is the way at
+    rank ``ways - 1``, and a fill goes to rank 0 (MRU) or ``ways - 1``
+    (LRU), shifting the ways between by one.  ``lru_at[p]`` says whether
+    PSEL favours LRU at trace position ``p``.
+    """
+    np = _np
+    lanes = follow.size
+    lengths = layout.lengths[follow]
+    width = int(lengths[0]) if lanes else 0
+    ranks = np.tile(np.arange(ways, dtype=np.int64), (lanes, 1))
+    tags = np.full((lanes, ways), -1, dtype=np.int64)
+    filled = np.zeros(lanes, dtype=np.int64)
+    ended_by = np.cumsum(np.bincount(lengths, minlength=width + 1))
+    arange = np.arange(lanes)
+    bottom = ways - 1
+    total = hits = 0
+    for column in range(width):
+        active = lanes - int(ended_by[column])
+        if not active:
+            break
+        total += active
+        cells = follow[:active]
+        rows = arange[:active]
+        r = ranks[:active]
+        t = tags[:active]
+        f = filled[:active]
+        b = layout.blocks[column, cells]
+        eq = t == b[:, None]
+        way = eq.argmax(axis=1)
+        hit = eq[rows, way]
+        way = np.where(hit, way, np.where(f == ways, r.argmax(axis=1), f))
+        mru = hit | lru_at[layout.positions[column, cells]]
+        bip = (~mru).nonzero()[0]
+        if bip.size:
+            mru[bip] = [draws[row]() for row in bip.tolist()]
+        old = r[rows, way][:, None]
+        lru = ~mru
+        r += (r < old) & mru[:, None]
+        r -= (r > old) & lru[:, None]
+        r[rows, way] = np.where(mru, 0, bottom)
+        miss = (~hit).nonzero()[0]
+        t[miss, way[miss]] = b[miss]
+        f[miss] = np.minimum(f[miss] + 1, ways)
+        hits += int(np.count_nonzero(hit))
+    _note_vector_call(lanes, total)
+    return hits, (total - hits) - int(filled.sum())
+
+
+class _Layout(NamedTuple):
+    """One trace's accesses partitioned into lanes, one lane per set.
+
+    Lanes are ordered busiest set first; the two matrices are
+    column-major ``(width, num_sets)`` and padded with -1.  All fields
+    are treated as read-only by the steppers.
+    """
+
+    #: Tag of each (step, lane) cell.
+    blocks: object
+    #: Accesses of each lane, non-increasing.
+    lengths: object
+    #: Set index of each lane.
+    sets: object
+    #: Trace position of each (step, lane) cell.
+    positions: object
+    #: Accesses in the trace.
+    total: int
+
+
 #: One-slot memo for the last trace's lock-step layout.  The layout
-#: (block matrix + per-lane lengths) depends only on the trace and the
-#: cache geometry — not the policy — and
+#: depends only on the trace and the cache geometry — not the policy —
+#: and
 #: :func:`repro.runner.cells.run_sim_cells` runs one trace's cells back
 #: to back, so a grid builds one layout per trace and geometry.  Keyed
 #: by trace *identity* (a weak reference, traces are immutable) so it
@@ -364,9 +592,9 @@ _TRACE_LAYOUT: tuple | None = None
 def _trace_layout(trace, config):
     """Decompose + partition ``trace`` for ``config``, memoized.
 
-    Returns ``(blocks, lengths_sorted)`` — both treated as read-only by
-    the stepper — or None when the trace cannot run lock-step (address
-    or tag beyond the int64 lane range, or a matrix-size gate tripped).
+    Returns a :class:`_Layout`, or None when the trace cannot run
+    lock-step (address or tag beyond the int64 lane range, or a
+    matrix-size gate tripped).
     The None is memoized too: the gates are deterministic per layout.
     """
     global _TRACE_LAYOUT
@@ -432,6 +660,10 @@ def _build_trace_layout(trace, config):
     inverse = np.empty(num_sets, dtype=np.int64)
     inverse[lane_order] = np.arange(num_sets)
     step_of = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], counts)
+    cells = step_of * num_sets + inverse[sorted_sets]
     blocks = np.full((width, num_sets), -1, dtype=np.int64)
-    blocks[step_of, inverse[sorted_sets]] = sorted_tags
-    return blocks, counts[lane_order]
+    blocks.reshape(-1)[cells] = sorted_tags
+    # int32 suffices: the MAX_MATRIX_CELLS gate bounds the trace length.
+    positions = np.full((width, num_sets), -1, dtype=np.int32)
+    positions.reshape(-1)[cells] = access_order
+    return _Layout(blocks, counts[lane_order], lane_order, positions, total)

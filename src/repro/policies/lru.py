@@ -166,6 +166,15 @@ class DipPolicy(ReplacementPolicy):
         self._rng = self._shared.rng.fork(f"bip-{self._set_index}")
         return self._rng
 
+    def bip_inserts_mru(self) -> bool:
+        """Draw BIP's insertion for one fill: True puts it at the front.
+
+        The one place BIP's stream is drawn: :meth:`fill` calls it when
+        the set runs BIP, and so does the vector engine's DIP stepper
+        (:mod:`repro.kernels.vector`), in the set's own fill order.
+        """
+        return (self._rng or self._fork_bip()).random() < self.epsilon
+
     @classmethod
     def create_shared(cls, num_sets: int, rng: SeededRng | None = None) -> DipSharedContext:
         return DipSharedContext(num_sets, rng)
@@ -184,10 +193,7 @@ class DipPolicy(ReplacementPolicy):
         if not 0 <= way < self.ways:
             self._check_way(way)
         self._stack.remove(way)
-        if (
-            self._shared.controller.use_primary(self._set_index)
-            or (self._rng or self._fork_bip()).random() < self.epsilon
-        ):
+        if self._shared.controller.use_primary(self._set_index) or self.bip_inserts_mru():
             self._stack.insert(0, way)
         else:
             self._stack.append(way)

@@ -19,13 +19,15 @@ class RandomPolicy(ReplacementPolicy):
         self._rng = rng if rng is not None else SeededRng(0)
 
     def touch(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
 
     def evict(self) -> int:
         return self._rng.randrange(self.ways)
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
 
     def reset(self) -> None:
         """Random replacement is stateless; nothing to reset."""

@@ -210,6 +210,22 @@ class PolicyFactory:
             pass
         return policy
 
+    def build_cache(
+        self, num_sets: int, ways: int, rng: SeededRng
+    ) -> tuple[SharedContext, list[ReplacementPolicy]]:
+        """The shared context and every set's policy, as a cache builds them.
+
+        The shared context draws from ``rng.fork("shared")`` and set ``i``
+        is ``build(ways, i, shared, rng)``.  The interpreter's
+        :class:`~repro.cache.cache.Cache` and both whole-trace fast paths
+        build through here, so every rng stream they draw is the same.
+        """
+        shared = self.create_shared(num_sets, rng.fork("shared"))
+        policies = [
+            self.build(ways, set_index, shared, rng) for set_index in range(num_sets)
+        ]
+        return shared, policies
+
     @property
     def deterministic(self) -> bool:
         """True if the policy draws no randomness."""

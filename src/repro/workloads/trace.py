@@ -32,7 +32,7 @@ class Trace:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if any(address < 0 for address in self.addresses):
+        if self.addresses and min(self.addresses) < 0:
             raise TraceFormatError("trace contains a negative address")
 
     def __len__(self) -> int:

@@ -44,7 +44,7 @@ from repro.kernels import (
     vector_disabled,
 )
 from repro.obs import metrics as obs_metrics
-from repro.policies import LruPolicy, make_policy
+from repro.policies import LruPolicy, PolicyFactory, make_policy
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
 from tests.conftest import VECTOR_SWITCH, all_deterministic_policies, vector_switch
@@ -231,6 +231,143 @@ def test_trace_scalar_path_when_tracer_active():
     assert [e for e in tracer.events if e["kind"] == "kernel.run"]
     counters = obs_metrics.DEFAULT.snapshot()["counters"]
     assert "kernel.vector.calls" not in counters
+
+
+# -- equivalence: random and dip lock-step -----------------------------------
+
+#: (name, params) of the policies that step lock-step without an automaton.
+RANDOMIZED_LOCKSTEP = [("random", {}), ("dip", {}), ("dip", {"epsilon": 0.25})]
+
+#: 64 sets: DIP's duel gets its full 4 + 4 leader sets among them.
+LOCKSTEP_SETS = 64
+
+
+def _randomized_config(ways, index_hash="bits"):
+    return CacheConfig("t", LOCKSTEP_SETS * ways * 64, ways, index_hash=index_hash)
+
+
+def _interpreted(trace, config, factory, seed):
+    cache = Cache(config, factory, rng=SeededRng(seed))
+    for address in trace:
+        cache.access(address)
+    return cache
+
+
+def _psel_swing_trace(ways):
+    """A thrashing loop, then A-B-A reuse per set, then the loop again.
+
+    The loop makes LRU's leaders miss more (PSEL rises, BIP wins); the
+    reuse phase makes BIP's leaders lose A to B (PSEL falls, LRU wins).
+    """
+    lines = LOCKSTEP_SETS * ways
+    loop = [line * 64 for line in range(lines + lines // 2)] * 2
+    reuse = []
+    for round_ in range(12):
+        for set_index in range(LOCKSTEP_SETS):
+            a = (10 * lines + 2 * round_) * LOCKSTEP_SETS + set_index
+            b = a + LOCKSTEP_SETS
+            reuse += [a * 64, b * 64, a * 64]
+    return Trace("psel-swing", tuple(loop + reuse + loop))
+
+
+@numpy_only
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("index_hash", ["bits", "xor-fold"])
+@pytest.mark.parametrize("ways", [4, 8, 16])
+@pytest.mark.parametrize("name,params", RANDOMIZED_LOCKSTEP)
+def test_randomized_lockstep_bit_identical(
+    name, params, ways, index_hash, seed, tiny_lanes
+):
+    config = _randomized_config(ways, index_hash)
+    trace = _random_trace(lines=3 * LOCKSTEP_SETS * ways, length=4000, seed=seed)
+    factory = PolicyFactory(name, **params)
+    stats = vector.simulate_trace_randomized(trace, config, factory, seed)
+    assert stats is not None
+    assert stats == _interpreted(trace, config, factory, seed).stats
+
+
+@numpy_only
+@pytest.mark.parametrize("params", [{}, {"epsilon": 0.25}])
+def test_dip_lockstep_follows_psel_both_ways(params, tiny_lanes):
+    config = _randomized_config(8)
+    trace = _psel_swing_trace(8)
+    factory = PolicyFactory("dip", **params)
+    cache = Cache(config, factory, rng=SeededRng(0))
+    controller = cache.shared.controller
+    favours_lru = []
+    for address in trace:
+        cache.access(address)
+        side = controller.psel < controller.psel_mid
+        if not favours_lru or favours_lru[-1] != side:
+            favours_lru.append(side)
+    # PSEL crossed its midpoint upwards and downwards during the trace.
+    assert favours_lru[:4] == [False, True, False, True]
+    stats = vector.simulate_trace_randomized(trace, config, factory, 0)
+    assert stats == cache.stats
+
+
+@numpy_only
+@pytest.mark.parametrize("name,params", RANDOMIZED_LOCKSTEP)
+def test_randomized_lockstep_empty_trace(name, params, tiny_lanes):
+    config = _randomized_config(8)
+    trace = Trace("empty", ())
+    factory = PolicyFactory(name, **params)
+    stats = vector.simulate_trace_randomized(trace, config, factory, 0)
+    assert stats == _interpreted(trace, config, factory, 0).stats
+    assert stats.accesses == 0
+
+
+@numpy_only
+@pytest.mark.parametrize("name", ["random", "dip"])
+def test_randomized_routing_engages_vector(name):
+    config = _randomized_config(8)
+    trace = _random_trace(lines=3 * LOCKSTEP_SETS * 8, length=3000, seed=1)
+    obs_metrics.DEFAULT.reset()
+    stats = try_simulate_trace(trace, config, name, 1)
+    counters = _counters()
+    assert stats == _interpreted(trace, config, name, 1).stats
+    assert counters["kernel.vector.calls"] == 1
+    assert counters["kernel.calls.direct"] == 1
+    assert counters["kernel.accesses"] == stats.accesses
+    assert counters["kernel.evictions"] == stats.evictions
+    assert "kernel.calls.trace" not in counters
+
+
+def _skewed_trace(config):
+    """Nearly every access in set 0: the layout's fill-ratio gate refuses."""
+    stride = config.num_sets * 64
+    hot = [(line % 40) * stride for line in range(2000)]
+    return Trace("skewed", tuple(hot + [set_index * 64 for set_index in range(1, 8)]))
+
+
+@numpy_only
+@pytest.mark.parametrize("name", ["random", "dip"])
+@pytest.mark.parametrize("route", ["tracer", "disabled", "few-sets", "refused"])
+def test_randomized_routing_falls_back_to_direct(name, route):
+    from repro.obs import tracing
+
+    config = _randomized_config(8)
+    trace = _random_trace(lines=3 * LOCKSTEP_SETS * 8, length=3000, seed=1)
+    if route == "few-sets":
+        config = CacheConfig("t", (vector.MIN_TRACE_LANES // 2) * 8 * 64, 8)
+    elif route == "refused":
+        trace = _skewed_trace(config)
+    obs_metrics.DEFAULT.reset()
+    if route == "tracer":
+        with tracing(include=("kernel.",)) as tracer:
+            stats = try_simulate_trace(trace, config, name, 1)
+        runs = [e for e in tracer.events if e["kind"] == "kernel.run"]
+        assert [run["mode"] for run in runs] == ["direct"]
+    elif route == "disabled":
+        with vector_disabled():
+            stats = try_simulate_trace(trace, config, name, 1)
+    else:
+        stats = try_simulate_trace(trace, config, name, 1)
+    counters = _counters()
+    assert stats == _interpreted(trace, config, name, 1).stats
+    assert counters["kernel.calls.direct"] == 1
+    assert "kernel.vector.calls" not in counters
+    assert counters.get("kernel.vector.fallbacks", 0) == (route == "refused")
 
 
 # -- counter accounting ------------------------------------------------------

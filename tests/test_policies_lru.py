@@ -7,6 +7,7 @@ import pytest
 
 from repro.cache import Cache, CacheConfig
 from repro.cache.set import CacheSet
+from repro.kernels import vector
 from repro.kernels.engine import simulate_trace_direct
 from repro.policies import BipPolicy, DipPolicy, LipPolicy, LruPolicy, PolicyFactory
 from repro.util.rng import SeededRng
@@ -212,6 +213,15 @@ class TestDipRecorded:
         assert hasher.hexdigest() == digest
         direct = simulate_trace_direct(trace, config, PolicyFactory("dip"), seed)
         assert (direct.accesses, direct.hits, direct.misses, direct.evictions) == stats
+
+    @pytest.mark.skipif(not vector.available(), reason="numpy not installed")
+    @pytest.mark.parametrize("ways,seed", sorted(RECORDED_DIP))
+    def test_vector_stepper_matches_the_recording(self, ways, seed):
+        stats = RECORDED_DIP[(ways, seed)][0]
+        config = CacheConfig("dip", DIP_SETS * ways * 64, ways)
+        trace = Trace("dip-mix", _dip_stream(ways))
+        stepped = vector.simulate_trace_randomized(trace, config, PolicyFactory("dip"), seed)
+        assert (stepped.accesses, stepped.hits, stepped.misses, stepped.evictions) == stats
 
     def test_clone_shares_the_bip_stream(self):
         shared = DipPolicy.create_shared(DIP_SETS, SeededRng(0))

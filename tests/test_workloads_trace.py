@@ -17,6 +17,11 @@ class TestTrace:
         with pytest.raises(TraceFormatError):
             Trace("bad", (0, -64))
 
+    def test_accepts_empty_trace(self):
+        trace = Trace("empty", ())
+        assert len(trace) == 0
+        assert trace.footprint_lines == 0
+
     def test_concat(self):
         combined = Trace("a", (0,)).concat(Trace("b", (64,)))
         assert combined.addresses == (0, 64)
