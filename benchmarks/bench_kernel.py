@@ -13,25 +13,16 @@ a cold store too; the compile time is recorded as ``compile_seconds``.
 
 A second, much smaller grid provides the CI perf smoke check with a
 deliberately loose bar (>= 1.5x) so runner noise cannot fail the build.
-
-The cold-path tracer installed by ``--obs-trace`` does *not* disengage
-the kernel (only a tracer wanting per-access ``cache.*`` events does;
-see OBSERVABILITY.md), so both tests run under it — they only skip when
-a full-fidelity tracer forces the interpreter, because then there would
-be nothing to compare.
 """
 
 from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.cache import CacheConfig
 from repro.eval import miss_ratio_matrix
 from repro.kernels import clear_compile_cache, compiled_for_factory, kernel_disabled
 from repro.kernels import store
-from repro.obs import trace as obs_trace
 from repro.runner import clear_memo
 from repro.util.tables import format_table
 from repro.workloads import workload_suite
@@ -42,12 +33,6 @@ POLICIES = ["lru", "fifo", "plru", "bitplru", "nru", "srrip", "lip", "dip", "ran
 CONFIG = CacheConfig("L2", 64 * 1024, 8)  # 1024 lines
 
 SMOKE_POLICIES = ["lru", "plru", "srrip"]
-
-
-def _skip_if_tracing():
-    tracer = obs_trace.ACTIVE
-    if tracer is not None and tracer.wants_cache:
-        pytest.skip("a tracer wanting cache.* events forces the interpreter")
 
 
 def _warm_store(policies) -> float:
@@ -98,7 +83,6 @@ def _policy_modes(policies, ways):
 
 def test_bench_kernel_e3_speedup(save_result):
     """Acceptance: the kernel runs the serial E3 grid >= 5x faster."""
-    _skip_if_tracing()
     traces = workload_suite(cache_lines=CONFIG.num_sets * CONFIG.ways, seed=0)
     compile_seconds = _warm_store(POLICIES)
 
@@ -141,7 +125,6 @@ def test_bench_kernel_e3_speedup(save_result):
 
 def test_bench_kernel_smoke(save_result):
     """CI perf smoke: the kernel beats the interpreter on a small grid."""
-    _skip_if_tracing()
     traces = workload_suite(cache_lines=CONFIG.num_sets * CONFIG.ways, seed=0)[:3]
     compile_seconds = _warm_store(SMOKE_POLICIES)
 

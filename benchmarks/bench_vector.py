@@ -29,7 +29,6 @@ from repro.kernels import (
     vector,
     vector_disabled,
 )
-from repro.obs import trace as obs_trace
 from repro.util.tables import format_table
 from repro.workloads.trace import Trace
 
@@ -46,12 +45,6 @@ TRACE_POLICIES = ["plru", "lru"]
 #: Smoke-scale: 512 lanes, a few hundred thousand accesses.
 SMOKE_CONFIG = CacheConfig("L2", 256 * 1024, 8)
 SMOKE_ACCESSES = 300_000
-
-
-def _skip_if_tracing():
-    tracer = obs_trace.ACTIVE
-    if tracer is not None:
-        pytest.skip("an active tracer routes traces through the scalar engine")
 
 
 def _random_trace(name, accesses, lines, seed):
@@ -100,7 +93,6 @@ def _trace_rows(config, accesses, policies, seed):
 
 def test_bench_vector_speedup(save_result):
     """Acceptance: lock-step traces >= 3x."""
-    _skip_if_tracing()
     clear_compile_cache()
 
     trace_rows = _trace_rows(TRACE_CONFIG, TRACE_ACCESSES, TRACE_POLICIES, seed=1)
@@ -138,7 +130,6 @@ def test_bench_vector_speedup(save_result):
 
 def test_bench_vector_smoke(save_result):
     """CI perf smoke: a small lock-step trace still clears 3x."""
-    _skip_if_tracing()
     clear_compile_cache()
 
     rows = _trace_rows(SMOKE_CONFIG, SMOKE_ACCESSES, ["plru"], seed=3)

@@ -9,13 +9,6 @@ into EXPERIMENTS.md, and its one run record,
 structured ``data`` next to its git revision, environment, wall time,
 counters and observations, which ``repro-cache report`` can summarize
 and diff across runs.
-
-Pass ``--obs-trace`` to additionally record structured events
-(``runner.*``, ``span.*``, ``kernel.*``, ``oracle.*``, ``infer.*``,
-``identify.*`` — the cold-path kinds; per-access ``cache.*`` events are
-excluded so tracing neither distorts the timed sections nor disengages
-the compiled kernel) and write them to
-``<experiment>.trace.jsonl`` next to the other artifacts.
 """
 
 from __future__ import annotations
@@ -28,14 +21,9 @@ import pytest
 from repro.obs import history as obs_history
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
-from repro.obs import spans as obs_spans
-from repro.obs import trace as obs_trace
 from repro.kernels import kernel_enabled
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Event-kind prefixes recorded under --obs-trace.
-TRACE_INCLUDE = ("runner.", "span.", "kernel.", "oracle.", "infer.", "identify.")
 
 #: Wall-clock start of the current test, for the ledger (set by _observe).
 _CLOCK: dict[str, float] = {}
@@ -50,13 +38,6 @@ def pytest_addoption(parser):
         help="worker processes for experiment grids (0 = serial); results "
         "are bit-identical in both modes (see repro.runner)",
     )
-    parser.addoption(
-        "--obs-trace",
-        action="store_true",
-        default=False,
-        help="record structured events per experiment and write them to "
-        "benchmarks/results/<experiment>.trace.jsonl",
-    )
 
 
 @pytest.fixture(scope="session")
@@ -66,23 +47,14 @@ def jobs(request) -> int:
 
 
 @pytest.fixture(autouse=True)
-def _observe(request):
-    """Reset metrics and span state per test; trace under --obs-trace.
+def _observe():
+    """Reset the metrics store per test and start the ledger's clock.
 
     Each benchmark therefore sees only its own counters in its ledger —
-    nothing bleeds across benches — and the tracer's events
-    are available to ``save_result`` through
-    :data:`repro.obs.trace.ACTIVE`.  The wall clock recorded here feeds
-    the run ledger.
+    nothing bleeds across benches.
     """
     obs_metrics.DEFAULT.reset()
-    obs_spans.reset()
     _CLOCK["start"] = time.perf_counter()
-    if request.config.getoption("--obs-trace"):
-        with obs_trace.tracing(include=TRACE_INCLUDE):
-            yield
-    else:
-        yield
 
 
 @pytest.fixture(scope="session")
@@ -91,9 +63,8 @@ def save_result(request):
 
     ``data`` and ``params`` go into ``<name>.ledger.json`` next to the
     run's metrics snapshot; anything JSON-unfriendly inside them is
-    stringified.  When a tracer is active its events are drained to
-    ``<name>.trace.jsonl``.  Two runs of the same experiment can be
-    compared with ``repro-cache report --diff``.
+    stringified.  Two runs of the same experiment can be compared with
+    ``repro-cache report --diff``.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
 
@@ -101,13 +72,6 @@ def save_result(request):
         params = params or {}
         path = RESULTS_DIR / f"{name}.txt"
         path.write_text(text + "\n")
-        tracer = obs_trace.ACTIVE
-        if tracer is not None and tracer.events:
-            trace_path = obs_trace.write_jsonl(
-                tracer.events, RESULTS_DIR / f"{name}.trace.jsonl"
-            )
-            tracer.events.clear()
-            print(f"[trace saved to {trace_path}]")
         wall_seconds = time.perf_counter() - _CLOCK.get("start", time.perf_counter())
         jobs = params.get("jobs", request.config.getoption("--jobs"))
         ledger = obs_ledger.build_ledger(

@@ -23,7 +23,7 @@ Package map:
 * :mod:`repro.workloads` — trace generators and app models;
 * :mod:`repro.eval` — performance and predictability evaluation;
 * :mod:`repro.runner` — deterministic parallel experiment runner;
-* :mod:`repro.obs` — tracing, metrics and the run ledger.
+* :mod:`repro.obs` — metrics, timed spans and the run ledger.
 """
 
 from repro.cache import Cache, CacheConfig, CacheHierarchy
@@ -55,7 +55,7 @@ from repro.hardware import (
     get_processor,
 )
 from repro.errors import ResultSchemaError
-from repro.obs import Metrics, RunLedger, Tracer, tracing, validate_ledger
+from repro.obs import Metrics, RunLedger, validate_ledger
 from repro.policies import (
     PermutationPolicy,
     PermutationSpec,
@@ -101,8 +101,6 @@ __all__ = [
     "register",
     "Metrics",
     "RunLedger",
-    "Tracer",
-    "tracing",
     "validate_ledger",
     "Trace",
     "APP_MODELS",

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.obs import trace as obs_trace
 from repro.policies.base import ReplacementPolicy
 
 
@@ -69,16 +68,11 @@ class CacheSet:
         path, not implicitly by the lookup.
         """
         way = self._way_of.get(tag)
-        tracer = obs_trace.ACTIVE
         if way is None:
-            if tracer is not None and tracer.wants_cache:
-                tracer.emit("cache.miss", tag=tag, filled=False)
             return None
         self.policy.touch(way)
         if write:
             self._dirty[way] = True
-        if tracer is not None and tracer.wants_cache:
-            tracer.emit("cache.hit", tag=tag, way=way)
         return way
 
     def mark_dirty(self, tag: int) -> bool:
@@ -91,20 +85,12 @@ class CacheSet:
 
     def access(self, tag: int, write: bool = False) -> SetAccessResult:
         """Perform one access; fill on miss; return what happened."""
-        # Read the tracer global once: the hit path is the hottest line
-        # in whole-trace simulation and paid for the module-attribute
-        # load twice before returning.
-        tracer = obs_trace.ACTIVE
         way = self.lookup(tag)
         if way is not None:
             self.policy.touch(way)
             if write:
                 self._dirty[way] = True
-            if tracer is not None and tracer.wants_cache:
-                tracer.emit("cache.hit", tag=tag, way=way)
             return SetAccessResult(hit=True, way=way, evicted_tag=None)
-        if tracer is not None and tracer.wants_cache:
-            tracer.emit("cache.miss", tag=tag, filled=True)
         return self.fill(tag, write=write)
 
     def fill(self, tag: int, write: bool = False) -> SetAccessResult:
@@ -138,13 +124,6 @@ class CacheSet:
         self._dirty[way] = write
         way_of[tag] = way
         self.policy.fill(way)
-        tracer = obs_trace.ACTIVE
-        if tracer is not None and tracer.wants_cache:
-            if evicted_tag is not None:
-                tracer.emit(
-                    "cache.evict", tag=evicted_tag, way=way, dirty=evicted_dirty
-                )
-            tracer.emit("cache.fill", tag=tag, way=way)
         return way, evicted_tag, evicted_dirty
 
     def invalidate(self, tag: int) -> bool:

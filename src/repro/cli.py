@@ -8,7 +8,6 @@ Subcommands mirror the library's two halves:
 * ``bench`` — the same grid as a timed throughput benchmark (``--jobs``);
 * ``predictability`` — evict/fill metrics table;
 * ``query`` — run one CacheQuery-notation access sequence;
-* ``trace`` — replay/filter a JSONL trace file written by ``--trace``;
 * ``cache`` — inspect/warm/clear the on-disk automaton store;
 * ``report`` — summarize or diff ``*.ledger.json`` run manifests;
 * ``history`` — ingest/check/inspect the run-history database
@@ -16,12 +15,9 @@ Subcommands mirror the library's two halves:
   is the perf-regression exit-code gate);
 * ``dash`` — render the static HTML observability dashboard.
 
-The measurement-driving subcommands accept ``--trace FILE`` (stream
-structured events to a JSONL file) and ``--metrics FILE`` (write the
-run's ledger, its one run record, to FILE); see OBSERVABILITY.md.
-``--metrics`` composes with the compiled kernel — only ``--trace``
-(which wants per-access events) routes simulation through the
-interpreter.  ``--cache-dir DIR`` (spelled ``--dir`` on
+The measurement-driving subcommands accept ``--metrics FILE`` (write
+the run's ledger, its one run record, to FILE); see OBSERVABILITY.md.
+``--cache-dir DIR`` (spelled ``--dir`` on
 ``cache``/``history``/``dash``) points both persistent stores — compiled
 automata and the run history — at one directory.
 """
@@ -37,7 +33,7 @@ from pathlib import Path
 from repro.cache import CacheConfig
 from repro.core import SimulatedSetOracle, VotingOracle, reverse_engineer, run_query
 from repro.core.query import QueryResult
-from repro.errors import ReproError, TraceFormatError
+from repro.errors import ReproError
 from repro.eval.missratio import miss_ratio_matrix
 from repro.eval.predictability import predictability_of_policy
 from repro.hardware import (
@@ -53,18 +49,8 @@ from repro.kernels import (
     set_vector_enabled,
     vector_enabled,
 )
-from repro.obs import (
-    DEFAULT,
-    JsonlWriter,
-    Tracer,
-    filter_events,
-    format_event,
-    install,
-    read_jsonl,
-    uninstall,
-)
+from repro.obs import DEFAULT
 from repro.obs import ledger as obs_ledger
-from repro.obs import spans as obs_spans
 from repro.policies import available, default_policies, get
 from repro.runner import ExperimentRunner, clear_memo
 from repro.util.tables import format_table
@@ -210,37 +196,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Replay a JSONL trace file: filter, print, summarise."""
-    try:
-        events = read_jsonl(args.file)
-    except OSError as error:
-        raise TraceFormatError(f"cannot read trace file: {error}") from error
-    where = {}
-    for clause in args.where:
-        if "=" not in clause:
-            raise TraceFormatError(
-                f"bad --where clause {clause!r}; expected field=value"
-            )
-        key, value = clause.split("=", 1)
-        where[key] = value
-    selected = filter_events(
-        events, kinds=args.kind or None, where=where or None, limit=args.limit
-    )
-    if args.summary:
-        counts: dict[str, int] = {}
-        for event in selected:
-            kind = str(event.get("kind", "?"))
-            counts[kind] = counts.get(kind, 0) + 1
-        rows = [[kind, counts[kind]] for kind in sorted(counts)]
-        rows.append(["total", len(selected)])
-        print(format_table(["kind", "events"], rows, title=f"trace {args.file}"))
-    else:
-        for event in selected:
-            print(format_event(event))
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     """Summarize or diff run ledgers."""
     ledgers = []
@@ -284,11 +239,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _add_obs_options(command: argparse.ArgumentParser) -> None:
-    """Attach the shared observability options to one subcommand."""
-    command.add_argument(
-        "--trace", metavar="FILE", default=None, dest="trace_file",
-        help="stream structured events to a JSONL trace file",
-    )
+    """Attach the shared observability option to one subcommand."""
     command.add_argument(
         "--metrics", metavar="FILE", default=None, dest="metrics_file",
         help="write the run's ledger (JSON) to FILE",
@@ -461,11 +412,7 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     """Render the static HTML observability dashboard."""
     from repro.obs import dash as obs_dash
 
-    results_dir = args.results
-    if results_dir is None:
-        default = Path("benchmarks") / "results"
-        results_dir = default if default.is_dir() else None
-    report = obs_dash.render_dashboard(args.output, results_dir=results_dir)
+    report = obs_dash.render_dashboard(args.output)
     print(
         f"dashboard: {len(report['pages'])} page(s) -> {args.output} "
         f"({report['runs']} run(s), {report['experiments']} experiment(s), "
@@ -564,21 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_options(query)
     _add_cache_options(query)
 
-    trace = sub.add_parser(
-        "trace",
-        help="replay/filter a JSONL trace written by --trace",
-        description="Example: repro-cache trace run.jsonl --kind oracle. --limit 20",
-    )
-    trace.add_argument("file", help="JSONL trace file")
-    trace.add_argument("--kind", action="append", default=[],
-                       help="kind prefix filter (repeatable), e.g. 'oracle.'")
-    trace.add_argument("--where", action="append", default=[], metavar="FIELD=VALUE",
-                       help="field equality filter (repeatable)")
-    trace.add_argument("--limit", type=int, default=None,
-                       help="print at most this many events")
-    trace.add_argument("--summary", action="store_true",
-                       help="print per-kind event counts instead of events")
-
     cache = sub.add_parser(
         "cache",
         help="manage the on-disk compiled-automaton store (.repro-cache/)",
@@ -660,14 +592,11 @@ def build_parser() -> argparse.ArgumentParser:
         "dash",
         help="render the static HTML observability dashboard",
         description="Example: repro-cache dash -o dash/ — renders a fleet "
-        "summary, per-experiment trend pages with data-series sparklines "
-        "and span flame views from the run-history database.",
+        "summary and per-experiment trend pages with data-series "
+        "sparklines from the run-history database.",
     )
     dash.add_argument("-o", "--output", default="dash",
                       help="output directory (default: dash/)")
-    dash.add_argument("--results", default=None, metavar="DIR",
-                      help="results directory for *.trace.jsonl flame views "
-                      "(default: benchmarks/results/ when present)")
     _add_cache_options(dash, "--dir")
 
     return parser
@@ -681,7 +610,6 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "predictability": _cmd_predictability,
     "query": _cmd_query,
-    "trace": _cmd_trace,
     "cache": _cmd_cache,
     "report": _cmd_report,
     "history": _cmd_history,
@@ -697,27 +625,23 @@ def _ledger_params(args: argparse.Namespace) -> dict:
     return {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in ("command", "trace_file", "metrics_file")
+        if key not in ("command", "metrics_file")
         and isinstance(value, _LEDGER_PARAM_TYPES)
     }
 
 
 def _run_with_observability(args: argparse.Namespace) -> int:
-    """Dispatch one subcommand under the requested tracing/metrics setup.
+    """Dispatch one subcommand under the requested metrics setup.
 
     Every invocation starts from a clean slate — the module-wide metrics
-    store and span state are reset up front, so back-to-back commands in
-    one process (tests, notebooks) never bleed counters into each other.
+    store is reset up front, so back-to-back commands in one process
+    (tests, notebooks) never bleed counters into each other.
 
-    Only ``--trace`` installs a tracer; with ``--metrics`` alone the
-    compiled kernel stays eligible (its counters flush into the metrics
-    store directly), so ``--metrics`` composes with ``--kernel``.  The
-    ``--metrics`` file is the run's ledger, for ``repro-cache report``,
+    The ``--metrics`` file is the run's ledger, for ``repro-cache report``,
     and the ledger is auto-recorded into the run-history database (with
     the runner's per-map breakdowns attached).  Without ``--metrics`` no
     history code runs at all — no sqlite file is created.
     """
-    trace_file = getattr(args, "trace_file", None)
     metrics_file = getattr(args, "metrics_file", None)
     command = _COMMANDS[args.command]
     kernel_before = kernel_enabled()
@@ -734,7 +658,6 @@ def _run_with_observability(args: argparse.Namespace) -> int:
         cache_dir_before = store.cache_dir()
         store.set_cache_dir(cache_dir)
     DEFAULT.reset()
-    obs_spans.reset()
     maps: list[dict] = []
     if metrics_file is not None:
         from repro.runner import core as runner_core
@@ -742,15 +665,7 @@ def _run_with_observability(args: argparse.Namespace) -> int:
         runner_core.add_map_hook(maps.append)
     start = time.perf_counter()
     try:
-        if trace_file is not None:
-            with JsonlWriter(trace_file) as sink:
-                install(Tracer(keep_events=False, sink=sink))
-                try:
-                    status = command(args)
-                finally:
-                    uninstall()
-        else:
-            status = command(args)
+        status = command(args)
         wall_seconds = time.perf_counter() - start
         if metrics_file is not None:
             # The ledger is written (and history recorded) while the

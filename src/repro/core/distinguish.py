@@ -22,7 +22,6 @@ from collections.abc import Callable, Sequence
 
 from repro.cache.set import CacheSet
 from repro.errors import KernelUnsupported
-from repro.obs import trace as obs_trace
 from repro.policies import ReplacementPolicy
 from repro import kernels
 
@@ -50,11 +49,10 @@ def established_set(policy: ReplacementPolicy, thrash_factor: int = 2) -> CacheS
 
 def response(policy: ReplacementPolicy, probe: Sequence[int], thrash_factor: int = 2) -> tuple[bool, ...]:
     """Hit/miss outcome of each probe access from the established state."""
-    # Compiled fast path (deterministic policies, kernel on, no tracer
-    # wanting cache.* events): identification replays thousands of
-    # candidate responses, and the established state is just thrash +
-    # establishment from reset.
-    if kernels.kernel_allowed():
+    # Compiled fast path (deterministic policies, kernel on):
+    # identification replays thousands of candidate responses, and the
+    # established state is just thrash + establishment from reset.
+    if kernels.kernel_enabled():
         compiled = kernels.compiled_for(policy)
         if compiled is not None:
             setup = [10_000 + i for i in range(thrash_factor * policy.ways)]
@@ -80,7 +78,7 @@ def responses(
     re-simulated per probe.  Bit-identical to mapping :func:`response`.
     """
     probes = list(probes)
-    if kernels.kernel_allowed():
+    if kernels.kernel_enabled():
         compiled = kernels.compiled_for(policy)
         if compiled is not None:
             setup = [10_000 + i for i in range(thrash_factor * policy.ways)]

@@ -26,7 +26,6 @@ from repro.core.distinguish import miss_count, random_distinguishing_sequence
 from repro.core.oracle import MissCountOracle
 from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.policies import (
     PermutationPolicy,
     PermutationSpec,
@@ -118,15 +117,6 @@ class CandidateIdentification:
         return [rng.choice(pool) for _ in range(length)]
 
     # -- the elimination loop -----------------------------------------------
-    @staticmethod
-    def _reject(name: str, stage: str) -> None:
-        obs_metrics.DEFAULT.incr("identify.rejected")
-        tracer = obs_trace.ACTIVE
-        if tracer is not None:
-            tracer.emit(
-                "identify.candidate", name=name, accepted=False, stage=stage
-            )
-
     def identify(self) -> IdentificationResult:
         """Run screening, targeted elimination and validation."""
         self.oracle.reset_cost()
@@ -134,11 +124,6 @@ class CandidateIdentification:
         rng = random.Random(self.config.seed)
         alive = dict(self.candidates)
         eliminated: dict[str, str] = {}
-        tracer = obs_trace.ACTIVE
-        if tracer is not None:
-            tracer.emit(
-                "identify.start", ways=self.ways, candidates=sorted(alive)
-            )
 
         # Stage 1: random screening.
         for _ in range(self.config.screening_sequences):
@@ -149,7 +134,7 @@ class CandidateIdentification:
             for name in list(alive):
                 if not self._predicts(alive[name], probe, measured):
                     eliminated[name] = "screening"
-                    self._reject(name, "screening")
+                    obs_metrics.DEFAULT.incr("identify.rejected")
                     del alive[name]
 
         # Stage 2: targeted elimination of behaviourally close survivors.
@@ -180,7 +165,7 @@ class CandidateIdentification:
             for name in list(alive):
                 if not self._predicts(alive[name], probe, measured):
                     eliminated[name] = "targeted"
-                    self._reject(name, "targeted")
+                    obs_metrics.DEFAULT.incr("identify.rejected")
                     del alive[name]
 
         # Stage 3: validate the survivor(s).
@@ -198,25 +183,8 @@ class CandidateIdentification:
                     validated = False
                     break
             if not validated and winner is not None:
-                self._reject(winner, "validation")
+                obs_metrics.DEFAULT.incr("identify.rejected")
 
-        tracer = obs_trace.ACTIVE
-        if tracer is not None:
-            if winner is not None and validated:
-                tracer.emit(
-                    "identify.candidate",
-                    name=winner,
-                    accepted=True,
-                    stage="validation",
-                )
-            tracer.emit(
-                "identify.end",
-                name=winner if validated else None,
-                survivors=sorted(alive),
-                validated=validated,
-                measurements=self.oracle.measurements,
-                accesses=self.oracle.accesses,
-            )
         return IdentificationResult(
             name=winner if validated else None,
             survivors=sorted(alive),

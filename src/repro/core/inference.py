@@ -29,37 +29,20 @@ candidate-set identification (:mod:`repro.core.identify`).
 from __future__ import annotations
 
 import random
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.oracle import MissCountOracle
 from repro.core.permutation import standard_miss_perm
 from repro.errors import InferenceError, KernelUnsupported
 from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.policies import PermutationPolicy, PermutationSpec
 from repro.cache.set import CacheSet
 from repro import kernels
 
 
-@contextmanager
 def _phase(name: str):
-    """Bracket one inference stage with trace events and a phase timer."""
-    tracer = obs_trace.ACTIVE
-    if tracer is not None:
-        tracer.emit("infer.phase", phase=name, status="start")
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        seconds = time.perf_counter() - start
-        obs_metrics.DEFAULT.observe(f"infer.phase_seconds.{name}", seconds)
-        tracer = obs_trace.ACTIVE
-        if tracer is not None:
-            tracer.emit(
-                "infer.phase", phase=name, status="end", seconds=round(seconds, 6)
-            )
+    """Time one inference stage as ``infer.phase_seconds.<name>``."""
+    return obs_metrics.DEFAULT.timer(f"infer.phase_seconds.{name}")
 
 
 @dataclass
@@ -207,14 +190,6 @@ class PermutationInference:
         """Run all stages and return the (possibly failed) result."""
         self.oracle.reset_cost()
         obs_metrics.DEFAULT.incr("inference.runs")
-        tracer = obs_trace.ACTIVE
-        if tracer is not None:
-            tracer.emit(
-                "infer.start",
-                oracle=type(self.oracle).__name__,
-                ways=self._ways,
-                strategy=self.config.strategy,
-            )
         if self._ways is not None:
             ways = self._ways
         else:
@@ -226,16 +201,6 @@ class PermutationInference:
             obs_metrics.DEFAULT.incr(
                 "inference.succeeded" if succeeded else "inference.failed"
             )
-            tracer = obs_trace.ACTIVE
-            if tracer is not None:
-                tracer.emit(
-                    "infer.end",
-                    ways=ways,
-                    succeeded=succeeded,
-                    reason=reason,
-                    measurements=self.oracle.measurements,
-                    accesses=self.oracle.accesses,
-                )
             return InferenceResult(
                 ways=ways,
                 spec=spec,
@@ -278,9 +243,6 @@ class PermutationInference:
         spec = PermutationSpec(ways, tuple(hit_perms), standard_miss_perm(ways))
         with _phase("verify"):
             verified = self._verify(ways, spec)
-        tracer = obs_trace.ACTIVE
-        if tracer is not None:
-            tracer.emit("infer.verify", passed=verified)
         if not verified:
             return result(spec, False, "random-sequence verification failed", tables)
         return result(spec, True, None, tables)
@@ -363,7 +325,7 @@ class PermutationInference:
         """Simulate the spec from the established state; count probe misses."""
         # The established state: way p holds establishment[A-1-p] at position p.
         preload = [establishment[ways - 1 - p] for p in range(ways)]
-        if kernels.kernel_allowed():
+        if kernels.kernel_enabled():
             compiled = kernels.compiled_for_spec(spec)
             if compiled is not None:
                 try:
@@ -391,7 +353,7 @@ class PermutationInference:
         """
         preload = [establishment[ways - 1 - p] for p in range(ways)]
         flags: tuple[bool, ...] | None = None
-        if kernels.kernel_allowed():
+        if kernels.kernel_enabled():
             compiled = kernels.compiled_for_spec(spec)
             if compiled is not None:
                 try:
@@ -427,7 +389,7 @@ class PermutationInference:
         """
         preload = [establishment[ways - 1 - p] for p in range(ways)]
         flags_list: list[tuple[bool, ...]] | None = None
-        if len(probes) > 1 and kernels.kernel_allowed():
+        if len(probes) > 1 and kernels.kernel_enabled():
             compiled = kernels.compiled_for_spec(spec)
             if compiled is not None:
                 try:

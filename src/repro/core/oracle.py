@@ -42,10 +42,9 @@ Implementations:
   measurements against a deterministic inner oracle.
 
 Simulated measurements additionally route through the compiled kernel
-(:mod:`repro.kernels`) when it is enabled and no active tracer wants
-per-access ``cache.*`` events; the interpreted loop stays the
-instrumented reference path, and ``oracle.query`` events/metrics are
-identical on both paths.
+(:mod:`repro.kernels`) when it is enabled; the interpreted loop stays
+the reference path, and the ``oracle.*`` metrics are identical on both
+paths.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from collections.abc import Sequence
 
 from repro.errors import KernelUnsupported, MeasurementError
 from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.policies import PermutationPolicy, ReplacementPolicy
 from repro.cache.set import CacheSet
 from repro import kernels
@@ -150,7 +148,7 @@ class MissCountOracle(OracleProtocol):
         self.accesses = 0
 
     def _note_measurement(self, setup_len: int, probe_len: int, misses: int) -> None:
-        """Account one measurement: cost counters, metrics, trace event.
+        """Account one measurement: cost counters and metrics.
 
         Implementations call this once per :meth:`count_misses`; the
         rate is per measurement (not per simulated access), so the
@@ -162,15 +160,6 @@ class MissCountOracle(OracleProtocol):
         metrics.incr("oracle.measurements")
         metrics.incr("oracle.accesses", setup_len + probe_len)
         metrics.observe("oracle.probe_misses", misses)
-        tracer = obs_trace.ACTIVE
-        if tracer is not None:
-            tracer.emit(
-                "oracle.query",
-                oracle=type(self).__name__,
-                setup=setup_len,
-                probe=probe_len,
-                misses=misses,
-            )
 
 
 class SimulatedSetOracle(MissCountOracle):
@@ -193,8 +182,8 @@ class SimulatedSetOracle(MissCountOracle):
     def count_misses(self, setup: Sequence[int], probe: Sequence[int]) -> int:
         # Compiled fast path: same measurement as the interpreted loop
         # below (bit-identical by the kernel's equivalence suite), taken
-        # whenever the kernel is on and no tracer wants per-access events.
-        if kernels.kernel_allowed():
+        # whenever the kernel is on.
+        if kernels.kernel_enabled():
             compiled = kernels.compiled_for(self._prototype)
             if compiled is not None:
                 try:
@@ -228,13 +217,13 @@ class SimulatedSetOracle(MissCountOracle):
         one automaton in a single engine call
         (:func:`repro.kernels.count_misses_batch`).  Measurement
         results and per-measurement cost accounting (``measurements``,
-        ``accesses``, ``oracle.*`` metrics and events) are bit-identical
+        ``accesses``, ``oracle.*`` metrics) are bit-identical
         to looping over :meth:`count_misses` — every *logical*
         measurement is accounted, duplicates included; only the executed
         ``kernel.*`` work shrinks.
         """
         requests = list(requests)
-        if len(requests) > 1 and kernels.kernel_allowed():
+        if len(requests) > 1 and kernels.kernel_enabled():
             compiled = kernels.compiled_for(self._prototype)
             if compiled is not None:
                 keys = [
@@ -302,15 +291,6 @@ class VotingOracle(MissCountOracle):
         disagreements = sum(1 for count in counts if count != result)
         if disagreements:
             obs_metrics.DEFAULT.incr("oracle.vote_disagreements", disagreements)
-        tracer = obs_trace.ACTIVE
-        if tracer is not None:
-            tracer.emit(
-                "oracle.vote",
-                aggregate=self.aggregate,
-                repetitions=self.repetitions,
-                counts=counts,
-                result=result,
-            )
 
     def count_misses(self, setup: Sequence[int], probe: Sequence[int]) -> int:
         if self.aggregate == "majority":

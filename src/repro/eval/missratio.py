@@ -35,9 +35,8 @@ def simulate_trace(
     """Run a trace through a fresh cache; return its statistics.
 
     Routed through the compiled kernel (:mod:`repro.kernels`) whenever
-    it is enabled and no active tracer wants per-access ``cache.*``
-    events; the interpreted path below is the reference behaviour, and
-    the kernel is bit-identical to it.
+    it is enabled; the interpreted path below is the reference
+    behaviour, and the kernel is bit-identical to it.
     """
     stats = try_simulate_trace(trace, config, policy, seed)
     if stats is not None:

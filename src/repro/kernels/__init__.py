@@ -19,26 +19,22 @@ One engine per simulation shape:
   automaton, step lock-step there too, and run in direct mode
   otherwise.
 
-Routing rules (:func:`kernel_allowed`, enforced by the callers in
+Routing rules (:func:`kernel_enabled`, enforced by the callers in
 :mod:`repro.core.oracle`, :mod:`repro.core.inference`,
 :mod:`repro.core.distinguish`, :mod:`repro.eval.missratio` and
 :mod:`repro.runner.cells`):
 
 * the kernel is used automatically when it is enabled (the default; see
-  :func:`set_kernel_enabled` and the CLI's ``--no-kernel``) **and** no
-  active :mod:`repro.obs.trace` tracer wants per-access ``cache.*``
-  events — full event tracing keeps the instrumented interpreter so
-  per-access event streams are unchanged, but metrics collection and
-  cold-event tracers (``oracle.*``/``runner.*``/... include filters)
-  compose with the kernel, whose engines flush aggregate ``kernel.*``
-  counters per call;
+  :func:`set_kernel_enabled` and the CLI's ``--no-kernel``); its engines
+  flush aggregate ``kernel.*`` counters into the metrics store per call;
 * randomized/adaptive policies raise
   :class:`~repro.errors.KernelUnsupported` at compile time and fall back
   to the interpreter (whole-cache trace simulation additionally has a
   "direct mode" that drives the real policy objects through an inlined
   loop, still bit-identical);
 * a policy whose reachable state space exceeds the compile budget falls
-  back the same way, even if that is only discovered mid-run.
+  back the same way, even if that is only discovered mid-run; each
+  such mid-run blow counts ``kernel.budget_fallbacks``.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.errors import KernelUnsupported
-from repro.obs import trace as _obs_trace
 from repro.kernels.automaton import (
     DEFAULT_BUDGET,
     CompiledPolicy,
@@ -105,7 +100,6 @@ __all__ = [
     "simulate_trace_direct",
     "simulate_trace_kernel",
     "try_simulate_trace",
-    "kernel_allowed",
     "kernel_enabled",
     "set_kernel_enabled",
     "kernel_disabled",
@@ -125,21 +119,6 @@ _ENABLED = True
 def kernel_enabled() -> bool:
     """True when the compiled fast path may be used."""
     return _ENABLED
-
-
-def kernel_allowed() -> bool:
-    """True when the compiled fast path may run *right now*.
-
-    The kernel must be enabled, and any active tracer must not want
-    per-access ``cache.*`` events (the one stream only the interpreter
-    can produce).  Metrics-only observers and cold-event tracers keep
-    the fast path; the engines report their work through the aggregate
-    ``kernel.*`` counters and ``kernel.run`` events instead.
-    """
-    if not _ENABLED:
-        return False
-    tracer = _obs_trace.ACTIVE
-    return tracer is None or not tracer.wants_cache
 
 
 def set_kernel_enabled(enabled: bool) -> None:

@@ -32,7 +32,6 @@ which the kernel is bit-identical to by construction.
 
 from __future__ import annotations
 
-import time
 import weakref
 
 from repro.errors import KernelUnsupported
@@ -443,34 +442,28 @@ _INSTANCE_UNSUPPORTED: "weakref.WeakSet[ReplacementPolicy]" = weakref.WeakSet()
 _FACTORY_CACHE: dict[tuple, CompiledPolicy | None] = {}
 
 
-def _note_compile(source: str, kind: str, label: str, ways: int,
-                  compiled: "CompiledPolicy | None", seconds: float) -> None:
-    """Account one cache resolution: counters always, an event when cold.
+def _note_compile(source: str) -> None:
+    """Count one cache resolution as ``kernel.compile.<source>``.
 
     ``source`` is ``"hit"`` (answered from the in-process cache),
     ``"load"`` (deserialized from the on-disk artifact store), ``"miss"``
     (BFS-compiled) or ``"unsupported"`` (the policy has no automaton).
-    Memory hits are counter-only — they run on the per-measurement hot
-    path; disk loads and fresh compiles additionally emit a
-    ``kernel.compile`` trace event when a (cold-event) tracer is active.
     """
     from repro.obs import metrics as obs_metrics
-    from repro.obs import trace as obs_trace
 
     obs_metrics.DEFAULT.incr(f"kernel.compile.{source}")
-    if source == "hit":
-        return
-    tracer = obs_trace.ACTIVE
-    if tracer is not None:
-        tracer.emit(
-            "kernel.compile",
-            source=source,
-            target=kind,
-            policy=label,
-            ways=ways,
-            states=compiled.num_states if compiled is not None else 0,
-            seconds=round(seconds, 6),
-        )
+
+
+def _note_budget_fallback() -> None:
+    """Count one automaton that blew its state budget mid-run.
+
+    The caller re-runs the work on the interpreter or in direct mode,
+    and the automaton is not offered again, so without this count a
+    compilable policy would leave the kernel silently.
+    """
+    from repro.obs import metrics as obs_metrics
+
+    obs_metrics.DEFAULT.incr("kernel.budget_fallbacks")
 
 
 def compiled_for(policy: ReplacementPolicy) -> CompiledPolicy | None:
@@ -485,10 +478,10 @@ def compiled_for(policy: ReplacementPolicy) -> CompiledPolicy | None:
     """
     cached = _INSTANCE_CACHE.get(policy)
     if cached is not None:
-        _note_compile("hit", "instance", type(policy).__name__, policy.ways, cached, 0.0)
+        _note_compile("hit")
         return cached
     if policy in _INSTANCE_UNSUPPORTED:
-        _note_compile("hit", "instance", type(policy).__name__, policy.ways, None, 0.0)
+        _note_compile("hit")
         return None
     # Canonical identities route through the shared (and disk-backed)
     # caches so equivalent instances share one automaton per process.
@@ -501,20 +494,13 @@ def compiled_for(policy: ReplacementPolicy) -> CompiledPolicy | None:
             name, params = provenance
             compiled = compiled_for_factory(name, params, policy.ways)
         else:
-            start = time.perf_counter()
             try:
                 compiled = compile_policy(policy)
             except KernelUnsupported:
                 _INSTANCE_UNSUPPORTED.add(policy)
-                _note_compile(
-                    "unsupported", "instance", type(policy).__name__,
-                    policy.ways, None, time.perf_counter() - start,
-                )
+                _note_compile("unsupported")
                 return None
-            _note_compile(
-                "miss", "instance", type(policy).__name__, policy.ways,
-                compiled, time.perf_counter() - start,
-            )
+            _note_compile("miss")
     if compiled is None:
         _INSTANCE_UNSUPPORTED.add(policy)
         return None
@@ -536,7 +522,7 @@ def compiled_for_factory(
 
     key = (name, params, ways)
     if key in _FACTORY_CACHE:
-        _note_compile("hit", "factory", name, ways, _FACTORY_CACHE[key], 0.0)
+        _note_compile("hit")
         return _FACTORY_CACHE[key]
     factory = PolicyFactory(name, **dict(params))
     compiled: CompiledPolicy | None
@@ -545,15 +531,11 @@ def compiled_for_factory(
         # them apart from misses so "no compile missed the warm cache"
         # assertions hold on grids that include them.
         compiled = None
-        _note_compile("unsupported", "factory", name, ways, None, 0.0)
+        _note_compile("unsupported")
     else:
-        start = time.perf_counter()
         compiled = store.load(store.factory_key(name, params, ways))
         if compiled is not None:
-            _note_compile(
-                "load", "factory", name, ways, compiled,
-                time.perf_counter() - start,
-            )
+            _note_compile("load")
         else:
             try:
                 compiled = compile_policy(
@@ -561,15 +543,9 @@ def compiled_for_factory(
                 )
             except KernelUnsupported:
                 compiled = None
-                _note_compile(
-                    "unsupported", "factory", name, ways, None,
-                    time.perf_counter() - start,
-                )
+                _note_compile("unsupported")
             else:
-                _note_compile(
-                    "miss", "factory", name, ways, compiled,
-                    time.perf_counter() - start,
-                )
+                _note_compile("miss")
     _FACTORY_CACHE[key] = compiled
     return compiled
 
@@ -589,38 +565,34 @@ def compiled_for_spec(spec: PermutationSpec) -> CompiledPolicy | None:
     from repro.kernels import store
 
     if spec in _SPEC_CACHE:
-        _note_compile("hit", "spec", "permutation-spec", spec.ways, _SPEC_CACHE[spec], 0.0)
+        _note_compile("hit")
         return _SPEC_CACHE[spec]
-    start = time.perf_counter()
     compiled = store.load(store.spec_key(spec))
     if compiled is not None:
-        _note_compile(
-            "load", "spec", "permutation-spec", spec.ways, compiled,
-            time.perf_counter() - start,
-        )
+        _note_compile("load")
     else:
         compiled = compile_policy(spec)
-        _note_compile(
-            "miss", "spec", "permutation-spec", spec.ways, compiled,
-            time.perf_counter() - start,
-        )
+        _note_compile("miss")
     _SPEC_CACHE[spec] = compiled
     return compiled
 
 
 def mark_unsupported(policy: ReplacementPolicy) -> None:
     """Record that a policy blew the budget mid-run; stop retrying it."""
+    _note_budget_fallback()
     _INSTANCE_CACHE.pop(policy, None)
     _INSTANCE_UNSUPPORTED.add(policy)
 
 
 def mark_factory_unsupported(name: str, params: tuple, ways: int) -> None:
     """Record that a named policy blew the budget mid-run."""
+    _note_budget_fallback()
     _FACTORY_CACHE[(name, params, ways)] = None
 
 
 def mark_spec_unsupported(spec: PermutationSpec) -> None:
     """Record that a spec blew the budget mid-run."""
+    _note_budget_fallback()
     _SPEC_CACHE[spec] = None
 
 

@@ -21,16 +21,12 @@ Two granularities, matching the two shapes of simulation in the library:
   sets lock-step in :mod:`repro.kernels.vector` when numpy is present);
   :func:`simulate_trace_direct` covers non-compilable (randomized /
   set-dueling) policies with the real policy objects driven by an
-  inlined loop that skips the interpreter's per-access dataclass and
-  tracer overhead (``random`` and ``dip`` step lock-step on the vector
-  engine instead whenever it may run).  :func:`try_simulate_trace`
-  picks the right one and returns ``None`` when the kernel must stay
-  off (disabled globally, or an active tracer wants per-access
-  ``cache.*`` events).  Every engine call flushes its aggregate
-  hit/miss/evict work into the metrics store (``kernel.*`` counters),
-  and the whole-trace engines additionally report per-state visit
-  counts and a ``kernel.run`` event when a (cold-event) tracer is
-  watching.
+  inlined loop that skips the interpreter's per-access dataclass
+  overhead (``random`` and ``dip`` step lock-step on the vector engine
+  instead whenever it may run).  :func:`try_simulate_trace` picks the
+  right one and returns ``None`` when the kernel is disabled.  Every
+  engine call flushes its aggregate hit/miss/evict work into the
+  metrics store (``kernel.*`` counters).
 
 Bit-identity argument, in one place: per set the interpreter's state is
 (tag→way map, policy state).  The kernel mirrors the tag→way map
@@ -56,7 +52,6 @@ from repro.errors import KernelUnsupported
 from repro.kernels import automaton, vector
 from repro.kernels.automaton import CompiledPolicy, compiled_for_factory
 from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.policies import PolicyFactory
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
@@ -430,25 +425,23 @@ def simulate_trace_kernel(
             f"{config.ways} ways"
         )
     try:
-        return _simulate_trace_compiled(trace, config, compiled, factory.name)
+        return _simulate_trace_compiled(trace, config, compiled)
     except KernelUnsupported:
         automaton.mark_factory_unsupported(factory.name, params, config.ways)
         raise
 
 
 def _simulate_trace_compiled(
-    trace: Trace, config: CacheConfig, compiled: CompiledPolicy, policy: str = "?"
+    trace: Trace, config: CacheConfig, compiled: CompiledPolicy
 ) -> CacheStats:
-    if obs_trace.ACTIVE is None:
-        # No tracer wants kernel.run / per-state detail: the lock-step
-        # vector engine may take the whole trace.  Counters stay
-        # mode-invariant — the same "trace" flush either way.
-        stats = vector.simulate_trace_lockstep(trace, config, compiled)
-        if stats is not None:
-            _note_kernel_call(
-                "trace", stats.accesses, stats.hits, stats.misses, stats.evictions
-            )
-            return stats
+    # The lock-step vector engine takes the whole trace when it may run.
+    # Counters stay mode-invariant: the same "trace" flush either way.
+    stats = vector.simulate_trace_lockstep(trace, config, compiled)
+    if stats is not None:
+        _note_kernel_call(
+            "trace", stats.accesses, stats.hits, stats.misses, stats.evictions
+        )
+        return stats
     offset_bits, index_bits, hashed, set_mask = _decompose_params(config)
     num_sets = config.num_sets
     ways = config.ways
@@ -464,12 +457,6 @@ def _simulate_trace_compiled(
     expand_fill = compiled.expand_fill
     expand_miss = compiled.expand_miss
     hits = misses = evictions = 0
-    # Per-state visit counts (flat array indexed by state id), collected
-    # only when a (cold-event) tracer is watching: the extra list write
-    # per access is measurable, and without a tracer the aggregates above
-    # are all a metrics snapshot reports anyway.
-    tracer = obs_trace.ACTIVE
-    visits: list[int] | None = [] if tracer is not None else None
     addresses = trace.addresses
     for address in addresses:
         if hashed:
@@ -485,10 +472,6 @@ def _simulate_trace_compiled(
             tag = address >> tag_shift
         way_of = way_ofs[set_index]
         state = states[set_index]
-        if visits is not None:
-            if state >= len(visits):
-                visits.extend([0] * (state + 1 - len(visits)))
-            visits[state] += 1
         way = way_of.get(tag)
         if way is not None:
             hits += 1
@@ -515,23 +498,6 @@ def _simulate_trace_compiled(
             way_of[tag] = victim
             states[set_index] = nxt
     _note_kernel_call("trace", len(addresses), hits, misses, evictions)
-    if tracer is not None and visits is not None:
-        states_visited = sum(1 for count in visits if count)
-        metrics = obs_metrics.DEFAULT
-        metrics.incr("kernel.states_visited", states_visited)
-        for count in visits:
-            if count:
-                metrics.observe("kernel.state_visits", count)
-        tracer.emit(
-            "kernel.run",
-            mode="trace",
-            policy=policy,
-            accesses=len(addresses),
-            hits=hits,
-            misses=misses,
-            evictions=evictions,
-            states=states_visited,
-        )
     return CacheStats(
         accesses=len(addresses),
         hits=hits,
@@ -601,17 +567,6 @@ def simulate_trace_direct(
             way_of[tag] = victim
             set_policy.fill(victim)
     _note_kernel_call("direct", len(addresses), hits, misses, evictions)
-    tracer = obs_trace.ACTIVE
-    if tracer is not None:
-        tracer.emit(
-            "kernel.run",
-            mode="direct",
-            policy=factory.name,
-            accesses=len(addresses),
-            hits=hits,
-            misses=misses,
-            evictions=evictions,
-        )
     return CacheStats(
         accesses=len(addresses),
         hits=hits,
@@ -629,30 +584,25 @@ def try_simulate_trace(
 ) -> CacheStats | None:
     """Fast-path a whole-trace simulation if the kernel may run.
 
-    Returns ``None`` when the caller must use the interpreter: the
-    kernel is globally disabled, or an active tracer wants per-access
-    ``cache.*`` events (the interpreter is the instrumented path; see
-    OBSERVABILITY.md).  Metrics-only observers and cold-event tracers
-    keep the fast path — the engines flush aggregate ``kernel.*``
-    counters per call and emit ``kernel.run`` summaries under a tracer.
-    Otherwise returns statistics bit-identical to the interpreter's,
-    choosing the compiled automaton when the policy supports it and
-    direct mode when it does not.
+    Returns ``None`` when the kernel is globally disabled and the caller
+    must use the interpreter.  Otherwise returns statistics
+    bit-identical to the interpreter's, choosing the compiled automaton
+    when the policy supports it and direct mode when it does not.
     """
-    from repro.kernels import kernel_allowed
+    from repro.kernels import kernel_enabled
 
-    if not kernel_allowed():
+    if not kernel_enabled():
         return None
     factory = policy if isinstance(policy, PolicyFactory) else PolicyFactory(policy)
     params = tuple(sorted(factory.params.items()))
     compiled = compiled_for_factory(factory.name, params, config.ways)
     if compiled is not None:
         try:
-            return _simulate_trace_compiled(trace, config, compiled, factory.name)
+            return _simulate_trace_compiled(trace, config, compiled)
         except KernelUnsupported:
             # Budget blown mid-run: remember, and re-run in direct mode.
             automaton.mark_factory_unsupported(factory.name, params, config.ways)
-    elif obs_trace.ACTIVE is None:
+    else:
         # random and dip step lock-step on the vector engine when it may
         # run; the flush is direct mode's, so counters stay engine-invariant.
         stats = vector.simulate_trace_randomized(trace, config, factory, seed)

@@ -100,7 +100,7 @@ class StoreKey:
     """Canonical identity of one artifact: what was compiled, and how."""
 
     kind: str  #: "factory" or "spec"
-    label: str  #: human-readable policy name for stats/events
+    label: str  #: human-readable policy name for stats
     canonical: str  #: full canonical key string (embedded in the header)
 
     @property

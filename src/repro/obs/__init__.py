@@ -1,39 +1,28 @@
-"""Observability: structured events, metrics and the run record.
+"""Observability: metrics, timed spans and the run record.
 
 The paper's method is measurement, and ``repro.obs`` makes the
 reproduction's own measurement loops observable the same way nanoBench
-and CacheQuery are: every hot layer emits structured events through a
-zero-cost-when-disabled :class:`~repro.obs.trace.Tracer`, cheap counters
-and timers aggregate into the module-wide :data:`~repro.obs.metrics.DEFAULT`
-:class:`~repro.obs.metrics.Metrics` store, and every run leaves one
-schema-versioned :class:`~repro.obs.ledger.RunLedger`.
+reports them, as aggregate counts around the measured work: cheap
+counters and timers aggregate into the module-wide
+:data:`~repro.obs.metrics.DEFAULT` :class:`~repro.obs.metrics.Metrics`
+store, and every run leaves one schema-versioned
+:class:`~repro.obs.ledger.RunLedger`.
 
-Four layers describe one run:
+Three layers describe one run:
 
-* :mod:`repro.obs.trace` — the event bus.  ``install(Tracer(...))`` (or
-  the ``tracing(...)`` context manager) turns on event emission from
-  :class:`~repro.cache.set.CacheSet` (hit/miss/evict/fill),
-  :class:`~repro.core.oracle.MissCountOracle` (queries),
-  :class:`~repro.core.inference.PermutationInference` (phases, verify),
-  :class:`~repro.core.identify.CandidateIdentification` (candidates
-  accepted/rejected) and :class:`~repro.runner.core.ExperimentRunner`
-  (cells scheduled/retried/completed).  With no tracer installed the
-  instrumentation is a single global ``is None`` check.
 * :mod:`repro.obs.metrics` — counters, timers and histograms,
   snapshot-able to JSON, printable as a summary table, and mergeable
   across processes (the runner folds worker stores back into the
   parent's :data:`~repro.obs.metrics.DEFAULT`).
-* :mod:`repro.obs.spans` — hierarchical timed spans (context manager and
-  decorator) emitting ``span.start``/``span.end`` events and feeding the
-  metrics timers; span context propagates into runner worker processes
-  so a cell's spans nest under the run that scheduled it.
+* :mod:`repro.obs.spans` — named wall-time spans (context manager and
+  decorator) observed as ``span.seconds.<name>`` timers.
 * :mod:`repro.obs.ledger` — the schema-versioned ``*.ledger.json`` run
   record (the experiment's ``data``, git SHA, params, seeds,
   environment, wall time, counters and observations) that the CLI's
   ``--metrics`` and every benchmark write, compared by the
   ``repro-cache report`` subcommand.
 
-Three more layers build the *across-run* plane on top of those four:
+Three more layers build the *across-run* plane on top of those three:
 
 * :mod:`repro.obs.history` — the WAL-mode sqlite run-history store
   (``history-v<schema>.sqlite``) that every ledger is recorded into
@@ -44,8 +33,8 @@ Three more layers build the *across-run* plane on top of those four:
 * :mod:`repro.obs.dash` — the static HTML dashboard renderer behind
   ``repro-cache dash``.
 
-The event schema, ledger schema and run-history plane are documented in
-OBSERVABILITY.md.
+The counter names, the ledger schema and the run-history plane are
+documented in OBSERVABILITY.md.
 """
 
 from repro.obs.ledger import (
@@ -59,18 +48,7 @@ from repro.obs.ledger import (
     write_ledger,
 )
 from repro.obs.metrics import DEFAULT, Metrics, MetricSummary
-from repro.obs.spans import adopt, current_span, span, traced
-from repro.obs.trace import (
-    JsonlWriter,
-    Tracer,
-    filter_events,
-    format_event,
-    install,
-    read_jsonl,
-    tracing,
-    uninstall,
-    write_jsonl,
-)
+from repro.obs.spans import span, traced
 
 __all__ = [
     "DEFAULT",
@@ -84,17 +62,6 @@ __all__ = [
     "read_ledger",
     "validate_ledger",
     "write_ledger",
-    "JsonlWriter",
-    "Tracer",
-    "adopt",
-    "current_span",
     "span",
     "traced",
-    "filter_events",
-    "format_event",
-    "install",
-    "read_jsonl",
-    "tracing",
-    "uninstall",
-    "write_jsonl",
 ]

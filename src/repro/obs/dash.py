@@ -1,8 +1,7 @@
 """Static HTML observability dashboard, rendered from run history.
 
 ``repro-cache dash -o dash/`` turns the run-history database
-(:mod:`repro.obs.history`) plus an optional results directory into a
-self-contained static site — no server, no javascript, stdlib-only
+(:mod:`repro.obs.history`) into a self-contained static site — no server, no javascript, stdlib-only
 templating — in the AnICA ``html_report.py`` idiom:
 
 * ``index.html`` — the fleet summary: stat tiles, one row per
@@ -12,10 +11,7 @@ templating — in the AnICA ``html_report.py`` idiom:
   chart over every recorded run, key-counter sparklines, sparklines of
   the top-level numeric ``data`` series (an acceptance bench's speedups
   and seconds), and the full run table (git sha, jobs, kernel, wall
-  time, verdict) linking each run's provenance;
-* ``flame-<name>.html`` — span-tree flame views parsed from the
-  ``*.trace.jsonl`` event shards in the results directory (span.start /
-  span.end pairs nest by id, widths proportional to seconds).
+  time, verdict) linking each run's provenance.
 
 Regression verdicts come from :mod:`repro.obs.regress`; a run whose
 group failed its check renders with an explicit ``REGRESSED`` label
@@ -27,7 +23,6 @@ uploads it as a workflow artifact).
 from __future__ import annotations
 
 import html
-import json
 import re
 from pathlib import Path
 
@@ -44,8 +39,7 @@ _CSS = """
   --page: #f9f9f7; --surface: #fcfcfb;
   --ink: #0b0b0b; --ink-2: #52514e; --muted: #898781;
   --grid: #e1e0d9; --axis: #c3c2b7; --border: rgba(11,11,11,0.10);
-  --series-1: #2a78d6; --seq-250: #86b6ef; --seq-350: #5598e7;
-  --seq-450: #2a78d6; --seq-550: #1c5cab; --seq-650: #104281;
+  --series-1: #2a78d6;
   --good: #0ca30c; --warning: #fab219; --critical: #d03b3b;
 }
 @media (prefers-color-scheme: dark) {
@@ -54,8 +48,7 @@ _CSS = """
     --page: #0d0d0d; --surface: #1a1a19;
     --ink: #ffffff; --ink-2: #c3c2b7; --muted: #898781;
     --grid: #2c2c2a; --axis: #383835; --border: rgba(255,255,255,0.10);
-    --series-1: #3987e5; --seq-250: #184f95; --seq-350: #1c5cab;
-    --seq-450: #256abf; --seq-550: #3987e5; --seq-650: #6da7ec;
+    --series-1: #3987e5;
   }
 }
 * { box-sizing: border-box; }
@@ -95,16 +88,6 @@ td.num { font-variant-numeric: tabular-nums; text-align: right; }
 .chart polyline { fill: none; stroke: var(--series-1); stroke-width: 2; }
 .chart circle { fill: var(--series-1); }
 .chart circle.flagged { fill: var(--critical); }
-.flame { font-size: 11px; }
-.flame .node { min-width: 2px; overflow: hidden; border-radius: 3px;
-  margin: 1px; padding: 1px 4px; color: #fff; white-space: nowrap; }
-.flame .row { display: flex; align-items: stretch; }
-.flame .d0 .node { background: var(--seq-650); }
-.flame .d1 > .node { background: var(--seq-550); }
-.flame .d2 > .node { background: var(--seq-450); }
-.flame .d3 > .node { background: var(--seq-350); }
-.flame .d4 > .node { background: var(--seq-250); color: var(--ink); }
-.flame .d5 > .node { background: var(--seq-250); color: var(--ink); }
 footer { color: var(--muted); font-size: 12px; margin-top: 40px; }
 """
 
@@ -252,93 +235,6 @@ def _verdict_pill(status: str | None) -> str:
     return '<span class="pill skip">– no baseline</span>'
 
 
-# -- flame views -------------------------------------------------------------
-def _parse_spans(path: Path) -> list[dict]:
-    """Span tree roots from one JSONL trace (span.start/span.end pairs)."""
-    nodes: dict[str, dict] = {}
-    roots: list[dict] = []
-    try:
-        with open(path, encoding="utf-8") as stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue
-                kind = event.get("kind")
-                if kind == "span.start":
-                    node = {
-                        "id": event.get("id"),
-                        "name": event.get("span", "?"),
-                        "label": event.get("label"),
-                        "seconds": 0.0,
-                        "children": [],
-                    }
-                    nodes[node["id"]] = node
-                    parent = nodes.get(event.get("parent"))
-                    if parent is not None:
-                        parent["children"].append(node)
-                    else:
-                        roots.append(node)
-                elif kind == "span.end":
-                    node = nodes.get(event.get("id"))
-                    if node is not None:
-                        node["seconds"] = float(event.get("seconds") or 0.0)
-    except OSError:
-        return []
-    return roots
-
-
-#: Cap on rendered children per span level: a 10k-cell grid's flame page
-#: must stay loadable; the remainder folds into one "(+N more)" block.
-_FLAME_MAX_CHILDREN = 120
-
-
-def _render_flame(node: dict, depth: int = 0) -> str:
-    seconds = node["seconds"]
-    label = node["name"] + (f" {node['label']}" or "" if node.get("label") else "")
-    title = f"{label} — {seconds:.4f}s"
-    children = sorted(node["children"], key=lambda c: -c["seconds"])
-    shown = children[:_FLAME_MAX_CHILDREN]
-    folded = len(children) - len(shown)
-    inner = ""
-    if shown:
-        blocks = "".join(_render_flame(child, depth + 1) for child in shown)
-        if folded > 0:
-            rest = sum(child["seconds"] for child in children[_FLAME_MAX_CHILDREN:])
-            blocks += (
-                f'<div class="d{min(depth + 1, 5)}" style="flex-grow:{max(rest, 1e-6):.6f}">'
-                f'<div class="node" title="{folded} more spans — {rest:.4f}s">'
-                f"(+{folded} more)</div></div>"
-            )
-        inner = f'<div class="row">{blocks}</div>'
-    return (
-        f'<div class="d{min(depth, 5)}" style="flex-grow:{max(seconds, 1e-6):.6f}">'
-        f'<div class="node" title="{_esc(title)}">{_esc(label)} · {seconds:.3f}s</div>'
-        f"{inner}</div>"
-    )
-
-
-def _flame_page(name: str, path: Path) -> str | None:
-    roots = _parse_spans(path)
-    if not roots:
-        return None
-    sections = []
-    for root in roots:
-        sections.append(
-            f"<h2>{_esc(root['name'])} — {root['seconds']:.3f}s</h2>"
-            f'<div class="flame"><div class="row">{_render_flame(root)}</div></div>'
-        )
-    body = (
-        f'<p class="sub">span tree from <code>{_esc(path.name)}</code>; '
-        "block width is proportional to wall seconds, hover a block for "
-        "the exact timing</p>" + "".join(sections)
-    )
-    return _page(f"flame · {name}", body, crumb="flame")
-
-
 # -- page renderers ----------------------------------------------------------
 def _numeric_series(runs: list[dict]) -> dict[str, list[float]]:
     """The top-level numeric fields of the runs' ``data``, in run order."""
@@ -430,14 +326,12 @@ def _experiment_page(
 def render_dashboard(
     out_dir: str | Path,
     db: "obs_history.HistoryDB | None" = None,
-    results_dir: str | Path | None = None,
     verdicts: list | None = None,
 ) -> dict:
     """Render the full static dashboard into ``out_dir``.
 
     Returns ``{"pages": [paths], "runs": N, "experiments": N,
-    "flagged": N}``.  ``results_dir`` (optional)
-    contributes ``*.trace.jsonl`` files for the flame pages.
+    "flagged": N}``.
     """
     db = db or obs_history.get_history()
     out = Path(out_dir)
@@ -479,25 +373,11 @@ def render_dashboard(
         )
         pages.append(path)
 
-    # Flame pages from trace shards.
-    flame_links: dict[str, str] = {}
-    if results_dir is not None:
-        for trace_path in sorted(Path(results_dir).glob("*.trace.jsonl")):
-            name = trace_path.name[: -len(".trace.jsonl")]
-            rendered = _flame_page(name, trace_path)
-            if rendered is None:
-                continue
-            page_name = f"flame-{_slug(name)}.html"
-            path = out / page_name
-            path.write_text(rendered, encoding="utf-8")
-            pages.append(path)
-            flame_links[name] = page_name
-
     # Fleet summary (index).
     flagged_groups = sum(1 for status in group_status.values() if status == "fail")
     body = [
         '<p class="sub">across-run observability for the reproduction: '
-        "run history, perf-regression verdicts and span flame views</p>"
+        "run history and perf-regression verdicts</p>"
     ]
     body.append('<div class="tiles">')
     for value, label in (
@@ -549,14 +429,6 @@ def render_dashboard(
             "<code>repro-cache history ingest benchmarks/results/</code> or "
             "any CLI command with <code>--metrics</code></p>"
         )
-
-    if flame_links:
-        body.append("<h2>span flame views</h2><ul>")
-        for name in sorted(flame_links):
-            body.append(
-                f'<li><a href="{flame_links[name]}">{_esc(name)}</a></li>'
-            )
-        body.append("</ul>")
 
     index = out / "index.html"
     index.write_text(

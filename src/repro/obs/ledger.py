@@ -304,6 +304,7 @@ KEY_COUNTERS = (
     "kernel.compile.hit",
     "kernel.compile.load",
     "kernel.compile.miss",
+    "kernel.budget_fallbacks",
     "kernel.store.errors",
     "runner.chunk_retries",
     "runner.pool.spawned",

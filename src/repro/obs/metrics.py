@@ -12,9 +12,9 @@ A :class:`Metrics` store aggregates three kinds of measurements:
 The module-wide :data:`DEFAULT` store is always on; the cold layers
 (oracles, the experiment runner, the inference drivers) write to it
 unconditionally because their event rate is per *measurement* or per
-*cell*, not per simulated access.  Per-access cache events only flow when
-a tracer is installed (see :mod:`repro.obs.trace`), which keeps the
-simulation hot path free of metric bookkeeping.
+*cell*, not per simulated access; the simulation engines flush their
+per-access work as aggregate ``kernel.*`` counters once per call, which
+keeps the simulation hot path free of metric bookkeeping.
 
 Snapshots (:meth:`Metrics.snapshot`) are plain JSON-able dictionaries;
 their ``counters`` and ``observations`` become the fields of the same

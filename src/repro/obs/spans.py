@@ -1,162 +1,48 @@
-"""Hierarchical timed spans over the event bus and metrics store.
+"""Named wall-time spans over the metrics store.
 
-A *span* brackets one logical unit of work — a CLI invocation, an
-inference run, a runner grid, a single experiment cell — with a start
-and end event plus a wall-time observation:
+A *span* times one logical unit of work — an experiment, a runner grid,
+a single experiment cell — as the ``span.seconds.<name>`` observation
+in :data:`repro.obs.metrics.DEFAULT`, which every run's ledger records:
 
 .. code-block:: python
 
     from repro.obs import span, traced
 
-    with span("infer", processor="atom-d525-like"):
+    with span("e1.infer"):
         finding = reverse_engineer(oracle)
 
     @traced("eval.matrix")
     def compute_matrix(...):
         ...
 
-Each span emits ``span.start`` / ``span.end`` events through the active
-:class:`~repro.obs.trace.Tracer` (nothing when none is installed) and
-always observes ``span.seconds.<name>`` in
-:data:`repro.obs.metrics.DEFAULT` — spans live on the cold layers, so
-the per-span cost is irrelevant next to the work they bracket.
-
-Span identities are hierarchical dotted paths assigned from a per-process
-stack: the first top-level span is ``"1"``, its children ``"1.1"``,
-``"1.2"``, and so on.  ``span.start`` carries both the span's ``id`` and
-its ``parent`` id (``None`` at the root), so a trace consumer can rebuild
-the tree without tracking state.
-
-**Cross-process propagation.**  The experiment runner forwards the
-current span id to its worker processes, and each worker brackets its
-chunk with :func:`adopt`: top-level spans opened inside the worker get
-ids under a chunk-unique prefix (``"<parent>.w<chunk>"``) and report the
-parent process's span as their ``parent``.  Merged back into the parent
-trace (see :meth:`repro.obs.trace.Tracer.ingest`), a cell's spans
-therefore nest under the run that scheduled them, exactly as in a serial
-run.
+Spans live on the cold layers, so the per-span cost is irrelevant next
+to the work they bracket.  A runner worker times its cells into its own
+store, which the runner merges back into the parent's.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable
-from contextlib import contextmanager
 from functools import wraps
 
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 
-__all__ = ["span", "traced", "adopt", "current_span", "reset"]
-
-#: Stack of open spans in this process: ``[path, children_opened]`` frames.
-_STACK: list[list] = []
-#: Prefix for top-level span ids (adopted from a parent process, or "").
-_ROOT_PREFIX = ""
-#: Parent id reported by top-level spans (a span in another process, or None).
-_ROOT_PARENT: str | None = None
-#: Number of top-level spans opened under the current root.
-_ROOT_CHILDREN = 0
+__all__ = ["span", "traced"]
 
 
-def current_span() -> str | None:
-    """Id of the innermost open span (or the adopted parent, or None)."""
-    if _STACK:
-        return _STACK[-1][0]
-    return _ROOT_PARENT
+def span(name: str):
+    """Time the enclosed block as ``span.seconds.<name>``."""
+    return _metrics.DEFAULT.timer(f"span.seconds.{name}")
 
 
-def reset() -> None:
-    """Drop all span state (open frames, counters, adopted root)."""
-    global _ROOT_PREFIX, _ROOT_PARENT, _ROOT_CHILDREN
-    _STACK.clear()
-    _ROOT_PREFIX = ""
-    _ROOT_PARENT = None
-    _ROOT_CHILDREN = 0
-
-
-def _open() -> tuple[str, str | None]:
-    """Allocate the next span id; returns (id, parent id)."""
-    global _ROOT_CHILDREN
-    if _STACK:
-        frame = _STACK[-1]
-        frame[1] += 1
-        path = f"{frame[0]}.{frame[1]}"
-        parent = frame[0]
-    else:
-        _ROOT_CHILDREN += 1
-        path = f"{_ROOT_PREFIX}{_ROOT_CHILDREN}"
-        parent = _ROOT_PARENT
-    _STACK.append([path, 0])
-    return path, parent
-
-
-@contextmanager
-def span(name: str, **fields):
-    """Bracket the enclosed block as one timed span.
-
-    Yields the span's id.  ``fields`` are attached to the ``span.start``
-    event; ``span.end`` carries the elapsed ``seconds``.  The wall time
-    is also observed as ``span.seconds.<name>`` whether or not a tracer
-    is installed.
-    """
-    path, parent = _open()
-    tracer = _trace.ACTIVE
-    if tracer is not None:
-        tracer.emit("span.start", span=name, id=path, parent=parent, **fields)
-    start = time.perf_counter()
-    try:
-        yield path
-    finally:
-        seconds = time.perf_counter() - start
-        _STACK.pop()
-        _metrics.DEFAULT.observe(f"span.seconds.{name}", seconds)
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            tracer.emit("span.end", span=name, id=path, seconds=round(seconds, 6))
-
-
-def traced(name: str | Callable | None = None):
-    """Decorator form of :func:`span`; defaults to the function's name.
-
-    Usable bare (``@traced``) or with a name (``@traced("eval.matrix")``).
-    """
-    if callable(name):  # bare @traced
-        return traced(name.__name__)(name)
+def traced(name: str):
+    """Decorator form of :func:`span`: ``@traced("eval.matrix")``."""
 
     def decorator(fn):
-        span_name = name or fn.__name__
-
         @wraps(fn)
         def wrapper(*args, **kwargs):
-            with span(span_name):
+            with span(name):
                 return fn(*args, **kwargs)
 
         return wrapper
 
     return decorator
-
-
-@contextmanager
-def adopt(parent: str | None, prefix: str):
-    """Nest this process's top-level spans under a span of another process.
-
-    Worker entry points wrap their chunk in ``adopt(parent_id, base)``:
-    spans opened at the top level get ids ``"<parent>.<base>.1"``,
-    ``"<parent>.<base>.2"``, ... (unique across workers as long as
-    ``base`` is chunk-unique) and report ``parent`` as their parent id.
-    Restores the previous root on exit, so pool processes can be reused.
-    """
-    global _ROOT_PREFIX, _ROOT_PARENT, _ROOT_CHILDREN
-    saved = (_ROOT_PREFIX, _ROOT_PARENT, _ROOT_CHILDREN, list(_STACK))
-    _STACK.clear()
-    base = f"{parent}.{prefix}" if parent else prefix
-    _ROOT_PREFIX = f"{base}." if base else ""
-    _ROOT_PARENT = parent
-    _ROOT_CHILDREN = 0
-    try:
-        yield
-    finally:
-        _ROOT_PREFIX, _ROOT_PARENT, _ROOT_CHILDREN, stack = saved
-        _STACK.clear()
-        _STACK.extend(stack)

@@ -123,13 +123,11 @@ class CellResult:
 def simulate_cell(cell: SimCell) -> CellResult:
     """Run one cell in the current process (worker entry point).
 
-    Fast-pathed through the compiled kernel when it is enabled and no
-    active tracer wants per-access ``cache.*`` events; the interpreted
-    loop below is the bit-identical reference.  The whole cell runs
-    inside a ``cell`` span, which in a worker process nests under the
-    parent's ``runner.map`` span via the runner's forwarded context.
+    Fast-pathed through the compiled kernel when it is enabled; the
+    interpreted loop below is the bit-identical reference.  The whole
+    cell is timed as the ``cell`` span.
     """
-    with obs_spans.span("cell", label=cell.label):
+    with obs_spans.span("cell"):
         factory = PolicyFactory(cell.policy, **dict(cell.params))
         stats = try_simulate_trace(cell.trace, cell.config, factory, cell.seed)
         if stats is None:
@@ -150,17 +148,17 @@ def _prewarm_automata(cells: Sequence[SimCell]) -> None:
     in-memory cache and spawned/later workers hit the warm disk cache —
     every unique automaton of a ``--jobs N`` grid is BFS-compiled at
     most once machine-wide (``kernel.compile.miss`` stays 0 in warm
-    runs).  Skipped when the kernel may not run; a store that cannot
+    runs).  Skipped when the kernel is disabled; a store that cannot
     write degrades to fork-inherited memory warmth only.
     """
     from repro import kernels
     from repro.kernels import store
 
-    if not kernels.kernel_allowed():
+    if not kernels.kernel_enabled():
         return
     entries = {(cell.policy, cell.params, cell.config.ways) for cell in cells}
     ordered = sorted(entries, key=lambda entry: (entry[0], repr(entry[1]), entry[2]))
-    with obs_spans.span("prewarm", label=f"{len(ordered)} automata"):
+    with obs_spans.span("prewarm"):
         store.warm(ordered)
 
 

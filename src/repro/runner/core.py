@@ -16,7 +16,7 @@ chunked scheduling while guaranteeing that the result list is
   randomization), so a worker derives exactly the streams the parent
   would;
 * results are collected by cell index, not completion order, and worker
-  metric/event shards merge in deterministic first-cell-index order.
+  metric shards merge in deterministic first-cell-index order.
 
 Scheduling is adaptive: the first wave uses small probe chunks, then
 chunk sizes follow an EWMA of observed per-cell seconds targeting
@@ -30,17 +30,12 @@ whatever still fails after ``retries`` attempts is re-executed serially
 in the parent process, where a genuine task error surfaces with its
 original traceback.
 
-Observability crosses the process boundary.  Each dispatched chunk runs
-against a *worker-local* :class:`~repro.obs.metrics.Metrics` store and
-(when the parent has a tracer installed) a worker-local
-:class:`~repro.obs.trace.Tracer` with the parent's include filter; the
-chunk result carries the store's snapshot and the collected events back,
-the parent merges the snapshots and interleaves the event shards — in
-deterministic cell order, seq numbers rebased — into its own tracer.
-Span context (:mod:`repro.obs.spans`) is forwarded too, so a cell's
-spans nest under the ``runner.map`` span that scheduled it.  A parallel
-run therefore produces the same *logical* counters and event mix as
-``jobs=0``; the exceptions are the runner's own scheduling metrics
+Metrics cross the process boundary.  Each dispatched chunk runs
+against a *worker-local* :class:`~repro.obs.metrics.Metrics` store; the
+chunk result carries the store's snapshot back, and the parent merges
+the snapshots in deterministic cell order.  A parallel run therefore
+produces the same *logical* counters and timers as ``jobs=0``; the
+exceptions are the runner's own scheduling metrics
 (``runner.*`` — per-source cell splits, pool lifecycle, shm transport,
 adaptive chunk sizes) and cache-warmth splits (``kernel.compile.hit``
 vs ``.load`` vs ``.miss``), because a persistent worker's in-memory
@@ -58,7 +53,6 @@ from dataclasses import dataclass
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
-from repro.obs import trace as obs_trace
 
 #: Adaptive chunking aims for chunks of about this much work, so pipe
 #: traffic stays negligible without letting one chunk become a straggler.
@@ -112,58 +106,37 @@ def remove_map_hook(hook: MapHook) -> None:
         _MAP_HOOKS.remove(hook)
 
 
-def _run_chunk(fn, indexed_tasks, capture=None):
+def _run_chunk(fn, indexed_tasks, spec):
     """Worker entry point: run one chunk of (index, task) pairs.
 
-    Returns ``(rows, metrics_snapshot, events)``.  With ``capture`` set
-    (a spec built by :meth:`ExperimentRunner._capture_spec`), the chunk
-    runs against a fresh worker-local metrics store — and, when the
-    parent traces, a worker-local tracer — whose contents travel back in
-    the return value for the parent to merge.  Span context nests the
-    chunk's spans under the parent's ``runner.map`` span via a
-    deterministic ``w<first-cell-index>`` prefix, so ids are unique
-    across chunks without any process-dependent state.
+    Returns ``(rows, metrics_snapshot)``.  The chunk runs against a fresh
+    worker-local metrics store whose snapshot travels back in the return
+    value for the parent to merge.
 
-    Persistent workers outlive any parent-side context manager, so the
-    spec also pins the kernel and vector switches and the cache
-    directory (and with it the automaton store) for the duration of the
-    chunk, and restores them after: a worker spawned during one test or
-    experiment must not leak its settings into the next.
+    Persistent workers outlive any parent-side context manager, so
+    ``spec`` (built by :meth:`ExperimentRunner._kernel_spec`) pins the
+    kernel and vector switches and the cache directory (and with it the
+    automaton store) for the duration of the chunk, and the pin is
+    undone after: a worker spawned during one test or experiment must
+    not leak its settings into the next.
     """
-    if capture is None:
+    restore_kernel = _apply_kernel_spec(spec)
+    local = obs_metrics.Metrics()
+    previous_metrics = obs_metrics.DEFAULT
+    obs_metrics.DEFAULT = local
+    try:
         rows = []
         for index, task in indexed_tasks:
             start = time.perf_counter()
             value = fn(task)
             rows.append((index, value, time.perf_counter() - start))
-        return rows, None, None
-
-    restore_kernel = _apply_kernel_spec(capture.get("kernel"))
-    local = obs_metrics.Metrics()
-    tracer = None
-    if capture.get("trace"):
-        tracer = obs_trace.Tracer(keep_events=True, include=capture.get("include"))
-    previous_metrics = obs_metrics.DEFAULT
-    previous_tracer = obs_trace.ACTIVE
-    obs_metrics.DEFAULT = local
-    obs_trace.ACTIVE = tracer
-    first = indexed_tasks[0][0] if indexed_tasks else 0
-    try:
-        with obs_spans.adopt(capture.get("span_parent"), f"w{first}"):
-            rows = []
-            for index, task in indexed_tasks:
-                start = time.perf_counter()
-                value = fn(task)
-                rows.append((index, value, time.perf_counter() - start))
     finally:
         obs_metrics.DEFAULT = previous_metrics
-        obs_trace.ACTIVE = previous_tracer
         restore_kernel()
-    events = tracer.events if tracer is not None else None
-    return rows, local.snapshot(), events
+    return rows, local.snapshot()
 
 
-def _apply_kernel_spec(spec) -> Callable[[], None]:
+def _apply_kernel_spec(spec: dict) -> Callable[[], None]:
     """Pin this process's switches and cache directory to the parent's; undo.
 
     A persistent worker may have been spawned under a different cache
@@ -173,8 +146,6 @@ def _apply_kernel_spec(spec) -> Callable[[], None]:
     lives in the cache directory, so pinning it makes every worker load
     the artifacts the parent compiled instead of compiling its own.
     """
-    if spec is None:
-        return lambda: None
     from repro import kernels
     from repro.kernels import store
 
@@ -320,28 +291,16 @@ class ExperimentRunner:
 
     def _map(self, fn: Callable, indexed: list, labels: Sequence[str]) -> list:
         tasks = [task for _, task in indexed]
-        with obs_spans.span(
-            "runner.map",
-            cells=len(tasks),
-            jobs=self.jobs if self.parallel else 1,
-        ):
-            tracer = obs_trace.ACTIVE
-            if tracer is not None:
-                tracer.emit(
-                    "runner.scheduled",
-                    cells=len(tasks),
-                    jobs=self.jobs if self.parallel else 1,
-                )
+        with obs_spans.span("runner.map"):
             if not self.parallel or len(tasks) <= 1:
                 return self._run_serially(fn, indexed, labels, source="serial")
 
             results: dict[int, object] = {}
-            shards: dict[int, list] = {}
             metric_shards: dict[int, dict] = {}
-            capture = self._capture_spec()
+            spec = self._kernel_spec()
             try:
                 unfinished = self._run_pooled(
-                    fn, indexed, labels, results, capture, shards, metric_shards
+                    fn, indexed, labels, results, spec, metric_shards
                 )
             except Exception:
                 # The pool plane itself failed (cannot spawn processes,
@@ -361,61 +320,36 @@ class ExperimentRunner:
                 ):
                     results[index] = value
             self._merge_metric_shards(metric_shards)
-            self._ingest_shards(shards)
             return [results[index] for index in range(len(tasks))]
 
     # -- internals ---------------------------------------------------------
-    def _capture_spec(self) -> dict:
-        """Describe to workers what process state to capture and pin.
+    @staticmethod
+    def _kernel_spec() -> dict:
+        """The parent's kernel and vector switches and cache directory.
 
-        The spec is pickled with every chunk; it carries the parent's
-        span path (so worker spans nest under ``runner.map``), the
-        kernel and vector switches and the cache directory (persistent
-        workers outlive any parent-side context), and, when a tracer is
-        installed, its include filter.  Metrics capture is unconditional
-        — merging a worker's store into the parent's is what keeps
-        ``--jobs N`` counters identical to a serial run.
+        Pickled with every chunk, because persistent workers outlive any
+        parent-side context (see :func:`_apply_kernel_spec`).
         """
         from repro import kernels
         from repro.kernels import store
 
-        spec: dict = {"span_parent": obs_spans.current_span()}
-        spec["kernel"] = {
+        return {
             "enabled": kernels.kernel_enabled(),
             "vector": kernels.vector_enabled(),
             "store_dir": str(store.cache_dir()),
         }
-        tracer = obs_trace.ACTIVE
-        if tracer is not None:
-            spec["trace"] = True
-            spec["include"] = tracer.include
-        return spec
 
     def _merge_metric_shards(self, metric_shards: dict[int, dict]) -> None:
-        """Merge worker metric snapshots in deterministic cell order."""
+        """Merge worker metric snapshots in deterministic cell order.
+
+        Merging a worker's store into the parent's is what keeps
+        ``--jobs N`` counters identical to a serial run.
+        """
         for first in sorted(metric_shards):
             obs_metrics.DEFAULT.merge(metric_shards[first])
 
-    def _ingest_shards(self, shards: dict[int, list]) -> None:
-        """Re-sequence buffered worker events into the parent tracer.
-
-        Shards are interleaved in deterministic first-cell-index order,
-        so the merged trace does not depend on chunk completion order.
-        """
-        tracer = obs_trace.ACTIVE
-        if tracer is None or not shards:
-            return
-        for first in sorted(shards):
-            tracer.ingest(shards[first])
-
-    def _note_chunk_retry(self, chunk: list) -> None:
-        obs_metrics.DEFAULT.incr("runner.chunk_retries")
-        tracer = obs_trace.ACTIVE
-        if tracer is not None:
-            tracer.emit("runner.retry", cells=len(chunk))
-
     def _run_pooled(
-        self, fn, indexed, labels, results, capture, shards, metric_shards
+        self, fn, indexed, labels, results, spec, metric_shards
     ) -> list[list]:
         """Dispatch every (index, task) pair through the worker pool.
 
@@ -440,7 +374,7 @@ class ExperimentRunner:
         attempts: dict[int, int] = {}
 
         def give_up(chunk: list) -> None:
-            self._note_chunk_retry(chunk)
+            obs_metrics.DEFAULT.incr("runner.chunk_retries")
             first = chunk[0][0]
             attempts[first] = attempts.get(first, 0) + 1
             if attempts[first] <= max(0, self.retries):
@@ -459,7 +393,7 @@ class ExperimentRunner:
                     else:
                         break
                     try:
-                        pool.submit(worker, _run_chunk, (fn, chunk, capture), chunk)
+                        pool.submit(worker, _run_chunk, (fn, chunk, spec), chunk)
                     except (OSError, EOFError):
                         # The worker died under us; restart it and let
                         # the chunk take a retry slot.
@@ -469,7 +403,7 @@ class ExperimentRunner:
                         # fn or a task does not pickle — deterministic,
                         # straight to the serial fallback (still noted
                         # as a chunk retry, like any failed chunk).
-                        self._note_chunk_retry(chunk)
+                        obs_metrics.DEFAULT.incr("runner.chunk_retries")
                         fallback.append(chunk)
                 if not pool.busy_count():
                     if queue or retry:
@@ -477,12 +411,8 @@ class ExperimentRunner:
                     break
                 for kind, chunk, payload in pool.collect(_COLLECT_INTERVAL):
                     if kind == "done":
-                        rows, worker_metrics, worker_events = payload
-                        first = chunk[0][0]
-                        if worker_metrics:
-                            metric_shards[first] = worker_metrics
-                        if worker_events:
-                            shards[first] = worker_events
+                        rows, worker_metrics = payload
+                        metric_shards[chunk[0][0]] = worker_metrics
                         for index, value, seconds in rows:
                             results[index] = value
                             chunker.observe(seconds)
@@ -508,24 +438,14 @@ class ExperimentRunner:
 
         This is the single choke point every execution path (serial,
         parallel, fallback, memo) goes through, so it also carries the
-        observability bookkeeping: per-source cell counters, a wall-time
-        histogram, and a ``runner.cell`` trace event.
+        observability bookkeeping: per-source cell counters and a
+        wall-time histogram.
         """
         timing = CellTiming(index=index, label=label, seconds=seconds, source=source)
         self.timings.append(timing)
         metrics = obs_metrics.DEFAULT
         metrics.incr(f"runner.cells.{source}")
         metrics.observe("runner.cell_seconds", seconds)
-        tracer = obs_trace.ACTIVE
-        if tracer is not None:
-            tracer.emit(
-                "runner.cell",
-                index=index,
-                label=label,
-                seconds=round(seconds, 6),
-                source=source,
-                memo=source == "memo",
-            )
         if self.progress is not None:
             self.progress(timing)
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import ledger as obs_ledger
-from repro.obs import read_jsonl
 
 
 class TestParser:
@@ -87,18 +86,14 @@ class TestQueryCommand:
 
 
 class TestObservability:
-    def test_query_writes_trace_and_metrics(self, tmp_path, capsys):
-        trace_file = tmp_path / "run.jsonl"
+    def test_query_writes_metrics(self, tmp_path, capsys):
         metrics_file = tmp_path / "run.ledger.json"
         code = main(
             ["query", "--policy", "lru", "--ways", "2",
-             "--trace", str(trace_file), "--metrics", str(metrics_file),
-             "a b a?"]
+             "--metrics", str(metrics_file), "a b a?"]
         )
         assert code == 0
         assert capsys.readouterr().out.strip() == "a=hit"
-        events = read_jsonl(trace_file)
-        assert any(e["kind"] == "oracle.query" for e in events)
         ledger = obs_ledger.read_ledger(metrics_file)
         assert ledger.name == "cli-query"
         assert ledger.params["policy"] == "lru"
@@ -118,47 +113,6 @@ class TestObservability:
             if name.startswith("runner.cells.")
         )
         assert cells > 0
-
-    def test_trace_subcommand_filters(self, tmp_path, capsys):
-        trace_file = tmp_path / "run.jsonl"
-        assert main(
-            ["query", "--policy", "lru", "--ways", "2",
-             "--trace", str(trace_file), "a b a? c?"]
-        ) == 0
-        capsys.readouterr()
-        assert main(["trace", str(trace_file), "--kind", "oracle."]) == 0
-        out = capsys.readouterr().out
-        assert "oracle.query" in out
-        assert main(["trace", str(trace_file), "--summary"]) == 0
-        out = capsys.readouterr().out
-        assert "oracle.query" in out
-        assert "total" in out
-
-    def test_trace_subcommand_where_and_limit(self, tmp_path, capsys):
-        trace_file = tmp_path / "run.jsonl"
-        events = [
-            {"seq": 1, "kind": "oracle.query", "misses": 0},
-            {"seq": 2, "kind": "oracle.query", "misses": 2},
-            {"seq": 3, "kind": "runner.cell", "source": "serial"},
-        ]
-        trace_file.write_text(
-            "\n".join(json.dumps(event) for event in events) + "\n"
-        )
-        assert main(["trace", str(trace_file), "--where", "misses=2"]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        assert len(out) == 1 and "misses=2" in out[0]
-        assert main(["trace", str(trace_file), "--limit", "1"]) == 0
-        assert len(capsys.readouterr().out.strip().splitlines()) == 1
-
-    def test_trace_subcommand_bad_where(self, tmp_path, capsys):
-        trace_file = tmp_path / "run.jsonl"
-        trace_file.write_text("")
-        assert main(["trace", str(trace_file), "--where", "nope"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_trace_subcommand_missing_file(self, tmp_path, capsys):
-        assert main(["trace", str(tmp_path / "absent.jsonl")]) == 2
-        assert "error" in capsys.readouterr().err
 
     def test_metrics_keeps_the_kernel_engaged(self, tmp_path, capsys):
         """--metrics alone must not disable the compiled fast path."""
@@ -419,8 +373,7 @@ class TestDashCommand:
         assert main(["history", "--dir", hist, "ingest", str(results)]) == 0
         capsys.readouterr()
         out_dir = tmp_path / "dash"
-        assert main(["dash", "--dir", hist, "-o", str(out_dir),
-                     "--results", str(results)]) == 0
+        assert main(["dash", "--dir", hist, "-o", str(out_dir)]) == 0
         assert (out_dir / "index.html").exists()
         assert (out_dir / "exp-e_dash.html").exists()
         assert "1 run(s)" in capsys.readouterr().out

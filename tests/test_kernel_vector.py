@@ -218,21 +218,6 @@ def test_trace_lockstep_respects_disable():
         assert vector.simulate_trace_lockstep(trace, config, compiled) is None
 
 
-def test_trace_scalar_path_when_tracer_active():
-    """A tracer keeps the scalar trace engine (per-state detail source)."""
-    from repro.obs import tracing
-
-    config = CacheConfig("t", 4 * 1024, 4)
-    trace = _random_trace(lines=64, length=400, seed=5)
-    obs_metrics.DEFAULT.reset()
-    with tracing(include=("kernel.",)) as tracer:
-        stats = try_simulate_trace(trace, config, "lru")
-    assert stats is not None
-    assert [e for e in tracer.events if e["kind"] == "kernel.run"]
-    counters = obs_metrics.DEFAULT.snapshot()["counters"]
-    assert "kernel.vector.calls" not in counters
-
-
 # -- equivalence: random and dip lock-step -----------------------------------
 
 #: (name, params) of the policies that step lock-step without an automaton.
@@ -342,10 +327,8 @@ def _skewed_trace(config):
 
 @numpy_only
 @pytest.mark.parametrize("name", ["random", "dip"])
-@pytest.mark.parametrize("route", ["tracer", "disabled", "few-sets", "refused"])
+@pytest.mark.parametrize("route", ["disabled", "few-sets", "refused"])
 def test_randomized_routing_falls_back_to_direct(name, route):
-    from repro.obs import tracing
-
     config = _randomized_config(8)
     trace = _random_trace(lines=3 * LOCKSTEP_SETS * 8, length=3000, seed=1)
     if route == "few-sets":
@@ -353,12 +336,7 @@ def test_randomized_routing_falls_back_to_direct(name, route):
     elif route == "refused":
         trace = _skewed_trace(config)
     obs_metrics.DEFAULT.reset()
-    if route == "tracer":
-        with tracing(include=("kernel.",)) as tracer:
-            stats = try_simulate_trace(trace, config, name, 1)
-        runs = [e for e in tracer.events if e["kind"] == "kernel.run"]
-        assert [run["mode"] for run in runs] == ["direct"]
-    elif route == "disabled":
+    if route == "disabled":
         with vector_disabled():
             stats = try_simulate_trace(trace, config, name, 1)
     else:

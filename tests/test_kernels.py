@@ -19,7 +19,6 @@ from repro.kernels import (
     compiled_for_spec,
     count_misses_kernel,
     count_misses_preloaded,
-    kernel_allowed,
     kernel_disabled,
     kernel_enabled,
     mark_factory_unsupported,
@@ -30,8 +29,8 @@ from repro.kernels import (
     simulate_sequence,
     try_simulate_trace,
 )
+from repro.kernels import automaton
 from repro.obs import metrics as obs_metrics
-from repro.obs import tracing
 from repro.policies import (
     LruPolicy,
     PlruPolicy,
@@ -335,10 +334,6 @@ class TestRouting:
         with kernel_disabled():
             assert try_simulate_trace(self._trace(), self.CONFIG, "lru") is None
 
-    def test_try_simulate_trace_respects_active_tracer(self):
-        with tracing():
-            assert try_simulate_trace(self._trace(), self.CONFIG, "lru") is None
-
     def test_try_simulate_trace_matches_interpreter(self):
         trace = self._trace()
         stats = try_simulate_trace(trace, self.CONFIG, "lru")
@@ -378,17 +373,6 @@ class TestKernelCounters:
     def _trace(self):
         return Trace("t", tuple((i % 96) * 64 for i in range(300)))
 
-    def test_kernel_allowed_with_cold_path_tracer(self):
-        """A tracer that does not want cache.* events leaves the kernel
-        engaged; only per-access fidelity forces the interpreter."""
-        assert kernel_allowed()
-        with tracing(include=("runner.", "kernel.")):
-            assert kernel_allowed()
-        with tracing():  # full fidelity wants cache.*
-            assert not kernel_allowed()
-        with kernel_disabled():
-            assert not kernel_allowed()
-
     def test_trace_mode_flushes_counters(self):
         obs_metrics.DEFAULT.reset()
         stats = try_simulate_trace(self._trace(), self.CONFIG, "lru")
@@ -410,27 +394,46 @@ class TestKernelCounters:
         assert counters["kernel.calls.direct"] == 1
         assert counters["kernel.accesses"] == stats.accesses
 
-    def test_kernel_run_event_under_cold_path_tracer(self):
+    def test_budget_blown_mid_measurement_is_counted(self):
+        """An automaton that outgrows its budget during a measurement
+        sends the oracle to the interpreter and counts the fallback."""
+        policy = make_policy("plru", 4)
+        automaton._INSTANCE_CACHE[policy] = compile_policy(policy, budget=3)
         obs_metrics.DEFAULT.reset()
-        with tracing(include=("kernel.",)) as tracer:
-            stats = try_simulate_trace(self._trace(), self.CONFIG, "lru")
-        assert stats is not None
-        (event,) = [e for e in tracer.events if e["kind"] == "kernel.run"]
-        assert event["mode"] == "trace"
-        assert event["policy"] == "lru"
-        assert event["hits"] == stats.hits
-        assert event["misses"] == stats.misses
-        assert event["states"] >= 1
-        # Per-state visit detail rides along only when a tracer asked.
-        observations = obs_metrics.DEFAULT.snapshot()["observations"]
-        assert observations["kernel.state_visits"]["count"] == event["states"]
+        setup, probe = [0, 1, 2, 3], [4, 0, 5, 1]
+        misses = SimulatedSetOracle(policy).count_misses(setup, probe)
+        counters = obs_metrics.DEFAULT.snapshot()["counters"]
+        assert counters["kernel.budget_fallbacks"] == 1
+        with kernel_disabled():
+            reference = SimulatedSetOracle(make_policy("plru", 4))
+            assert reference.count_misses(setup, probe) == misses
+        # The blown automaton is not offered again.
+        assert compiled_for(policy) is None
 
-    def test_state_visit_detail_skipped_without_tracer(self):
+    def test_budget_blown_mid_trace_is_counted(self):
+        """A whole-trace run whose automaton outgrows its budget re-runs
+        in direct mode, bit-identically, and counts the fallback."""
+        automaton._FACTORY_CACHE[("plru", (), 4)] = compile_policy(
+            "plru", 4, budget=3
+        )
         obs_metrics.DEFAULT.reset()
-        assert try_simulate_trace(self._trace(), self.CONFIG, "lru") is not None
-        snapshot = obs_metrics.DEFAULT.snapshot()
-        assert "kernel.state_visits" not in snapshot["observations"]
-        assert "kernel.states_visited" not in snapshot["counters"]
+        trace = self._trace()
+        stats = try_simulate_trace(trace, self.CONFIG, "plru")
+        counters = obs_metrics.DEFAULT.snapshot()["counters"]
+        assert counters["kernel.budget_fallbacks"] == 1
+        assert counters["kernel.calls.direct"] == 1
+        cache = Cache(self.CONFIG, "plru")
+        for address in trace:
+            cache.access(address)
+        assert stats == cache.stats
+        assert compiled_for_factory("plru", (), 4) is None
+
+    def test_no_budget_fallback_on_a_fitting_automaton(self):
+        obs_metrics.DEFAULT.reset()
+        assert try_simulate_trace(self._trace(), self.CONFIG, "plru") is not None
+        assert SimulatedSetOracle(make_policy("plru", 4)).count_misses([0, 1], [2, 0]) == 1
+        counters = obs_metrics.DEFAULT.snapshot()["counters"]
+        assert "kernel.budget_fallbacks" not in counters
 
 
 class TestCliFlag:

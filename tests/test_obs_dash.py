@@ -4,12 +4,10 @@ The renderer is stdlib-only and file-based, so the tests drive it from
 a throwaway history database and assert on the written pages: the fleet
 index links every experiment, trend pages exist per experiment, flagged
 runs carry an explicit REGRESSED label (text, not color alone), the
-runs' numeric data series render as sparklines, flame pages parse span
-trees from trace JSONL, and every page is well-formed enough to
-tag-balance.
+runs' numeric data series render as sparklines, and every page is
+well-formed enough to tag-balance.
 """
 
-import json
 from html.parser import HTMLParser
 
 import pytest
@@ -121,43 +119,6 @@ class TestRenderDashboard:
         assert series.count("<svg") == 2
         assert_well_formed(page)
         assert str(page) in report["pages"]
-
-    def test_flame_pages_from_trace_jsonl(self, tmp_path, db):
-        record_series(db, [1.0], name="e3_missratio")
-        results = tmp_path / "results"
-        results.mkdir()
-        events = [
-            {"kind": "span.start", "id": "1", "span": "runner.map",
-             "parent": None},
-            {"kind": "span.start", "id": "1.1", "span": "cell", "parent": "1"},
-            {"kind": "span.end", "id": "1.1", "span": "cell", "seconds": 0.25},
-            {"kind": "span.end", "id": "1", "span": "runner.map",
-             "seconds": 1.0},
-        ]
-        (results / "e3_missratio.trace.jsonl").write_text(
-            "\n".join(json.dumps(event) for event in events) + "\n"
-        )
-        obs_dash.render_dashboard(
-            tmp_path / "dash", db=db, results_dir=results
-        )
-        flame = tmp_path / "dash" / "flame-e3_missratio.html"
-        assert flame.exists()
-        text = flame.read_text()
-        assert "runner.map" in text
-        assert "cell" in text
-        assert_well_formed(flame)
-        assert "flame-e3_missratio.html" in (
-            tmp_path / "dash" / "index.html"
-        ).read_text()
-
-    def test_unreadable_trace_is_skipped(self, tmp_path, db):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "junk.trace.jsonl").write_text("not json at all\n")
-        obs_dash.render_dashboard(
-            tmp_path / "dash", db=db, results_dir=results
-        )
-        assert not (tmp_path / "dash" / "flame-junk.html").exists()
 
     def test_every_page_is_well_formed(self, tmp_path, db):
         record_series(db, [1.0, 1.0, 3.0], name="e3_missratio")

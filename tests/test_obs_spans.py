@@ -1,157 +1,63 @@
-"""Tests for repro.obs.spans: ids, nesting, adoption, and metrics."""
-
-import random
+"""Tests for repro.obs.spans: named wall-time spans over the metrics store."""
 
 import pytest
 
+from repro.core import InferenceConfig, PermutationInference, SimulatedSetOracle
 from repro.obs import metrics as obs_metrics
-from repro.obs import spans as obs_spans
-from repro.obs import trace as obs_trace
-from repro.obs.spans import adopt, current_span, span, traced
+from repro.obs.spans import span, traced
+from repro.policies import get
 
 
 @pytest.fixture(autouse=True)
-def _clean_state():
-    obs_spans.reset()
+def _clean_metrics():
     obs_metrics.DEFAULT.reset()
-    obs_trace.uninstall()
     yield
-    obs_spans.reset()
-    obs_trace.uninstall()
+    obs_metrics.DEFAULT.reset()
 
 
-class TestSpanIds:
-    def test_top_level_spans_number_from_one(self):
-        with span("a") as first:
-            assert first == "1"
-        with span("b") as second:
-            assert second == "2"
-
-    def test_children_extend_the_parent_path(self):
-        with span("outer") as outer:
-            with span("inner") as inner:
-                assert inner == f"{outer}.1"
-            with span("inner") as again:
-                assert again == f"{outer}.2"
-
-    def test_current_span_tracks_the_innermost(self):
-        assert current_span() is None
-        with span("a") as a:
-            assert current_span() == a
-            with span("b") as b:
-                assert current_span() == b
-            assert current_span() == a
-        assert current_span() is None
-
-    def test_reset_restarts_numbering(self):
-        with span("a"):
-            pass
-        obs_spans.reset()
-        with span("a") as path:
-            assert path == "1"
+def _observations() -> dict:
+    return obs_metrics.DEFAULT.snapshot()["observations"]
 
 
-class TestSpanEventsAndMetrics:
-    def test_events_carry_id_parent_and_seconds(self):
-        with obs_trace.tracing() as tracer:
-            with span("work", flavor="unit"):
-                with span("step"):
-                    pass
-        kinds = [e["kind"] for e in tracer.events]
-        assert kinds == ["span.start", "span.start", "span.end", "span.end"]
-        outer_start, inner_start, inner_end, outer_end = tracer.events
-        assert outer_start["span"] == "work"
-        assert outer_start["parent"] is None
-        assert outer_start["flavor"] == "unit"
-        assert inner_start["parent"] == outer_start["id"]
-        assert inner_end["id"] == inner_start["id"]
-        assert inner_end["seconds"] >= 0
-        assert outer_end["seconds"] >= inner_end["seconds"]
-
-    def test_seconds_observed_without_a_tracer(self):
-        with span("quiet"):
-            pass
-        snapshot = obs_metrics.DEFAULT.snapshot()
-        assert snapshot["observations"]["span.seconds.quiet"]["count"] == 1
+class TestSpanTimers:
+    def test_span_observes_its_seconds(self):
+        with span("outer"):
+            with span("inner"):
+                pass
+        observations = _observations()
+        outer, inner = observations["span.seconds.outer"], observations["span.seconds.inner"]
+        assert outer["count"] == inner["count"] == 1
+        assert outer["total"] >= inner["total"] >= 0
 
     def test_span_closes_on_exception(self):
         with pytest.raises(RuntimeError):
             with span("doomed"):
                 raise RuntimeError("boom")
-        assert current_span() is None
-        snapshot = obs_metrics.DEFAULT.snapshot()
-        assert snapshot["observations"]["span.seconds.doomed"]["count"] == 1
+        assert _observations()["span.seconds.doomed"]["count"] == 1
 
-    def test_traced_decorator_bare_and_named(self):
-        @traced
-        def plain():
-            return current_span()
-
+    def test_traced_decorator(self):
         @traced("custom.name")
-        def named():
-            return current_span()
+        def doubled(value):
+            return 2 * value
 
-        assert plain() == "1"
-        assert named() == "2"
-        observations = obs_metrics.DEFAULT.snapshot()["observations"]
-        assert observations["span.seconds.plain"]["count"] == 1
-        assert observations["span.seconds.custom.name"]["count"] == 1
+        assert doubled(3) == 6
+        assert doubled.__name__ == "doubled"
+        assert _observations()["span.seconds.custom.name"]["count"] == 1
 
-
-class TestNestingProperty:
-    def test_random_nesting_is_well_formed(self):
-        """Property: start/end events form a balanced tree with correct
-        parent pointers, whatever the nesting pattern."""
-        rng = random.Random(7)
-
-        with obs_trace.tracing() as tracer:
-
-            def grow(depth):
-                for _ in range(rng.randint(1, 3)):
-                    with span(f"n{depth}"):
-                        if depth < 4 and rng.random() < 0.6:
-                            grow(depth + 1)
-
-            grow(0)
-
-        stack = []
-        seen_ids = set()
-        for event in tracer.events:
-            if event["kind"] == "span.start":
-                expected_parent = stack[-1] if stack else None
-                assert event["parent"] == expected_parent
-                assert event["id"] not in seen_ids
-                seen_ids.add(event["id"])
-                if expected_parent is not None:
-                    assert event["id"].startswith(expected_parent + ".")
-                stack.append(event["id"])
-            elif event["kind"] == "span.end":
-                assert stack and stack[-1] == event["id"]
-                stack.pop()
-        assert stack == []
-
-
-class TestAdopt:
-    def test_adopted_spans_nest_under_the_foreign_parent(self):
-        with obs_trace.tracing() as tracer:
-            with adopt("9.9", "w3"):
-                with span("cell") as path:
-                    assert path == "9.9.w3.1"
-                with span("cell") as path:
-                    assert path == "9.9.w3.2"
-        starts = [e for e in tracer.events if e["kind"] == "span.start"]
-        assert all(e["parent"] == "9.9" for e in starts)
-
-    def test_adopt_restores_previous_root(self):
-        with span("outer") as outer:
-            with adopt("7", "w0"):
-                with span("borrowed") as borrowed:
-                    assert borrowed == "7.w0.1"
-            with span("back") as back:
-                assert back == f"{outer}.1"
-
-    def test_adopt_without_parent_uses_bare_prefix(self):
-        with adopt(None, "w5"):
-            with span("cell") as path:
-                assert path == "w5.1"
-            assert current_span() is None
+    def test_inference_times_each_phase(self):
+        """The phase timers the repository benchmark reads."""
+        result = PermutationInference(
+            SimulatedSetOracle(get("lru", 2)),
+            config=InferenceConfig(verify_sequences=2),
+        ).infer()
+        assert result.succeeded
+        phases = {
+            name: summary["count"]
+            for name, summary in _observations().items()
+            if name.startswith("infer.phase_seconds.")
+        }
+        assert phases == {
+            "infer.phase_seconds.baseline": 1,
+            "infer.phase_seconds.hit-perms": 1,
+            "infer.phase_seconds.verify": 1,
+        }

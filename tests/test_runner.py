@@ -7,8 +7,6 @@ import pytest
 from repro.cache import CacheConfig
 from repro.eval import cache_size_sweep, miss_ratio_matrix
 from repro.obs import metrics as obs_metrics
-from repro.obs import spans as obs_spans
-from repro.obs import trace as obs_trace
 from repro.runner import (
     ExperimentRunner,
     SimCell,
@@ -252,7 +250,7 @@ class TestParallelBitIdentical:
 
 
 class TestObservabilityMerge:
-    """Worker metrics/events are merged back into the parent process."""
+    """Worker metrics are merged back into the parent process."""
 
     CONFIG = CacheConfig("L2", 16 * 1024, 8)
 
@@ -266,24 +264,15 @@ class TestObservabilityMerge:
             for trace in traces
         ]
 
-    def _run(self, jobs, tracer_include=None):
+    def _run(self, jobs):
         obs_metrics.DEFAULT.reset()
-        obs_spans.reset()
         clear_memo()
         cells = self._cells()
         labels = [cell.label for cell in cells]
-        if tracer_include is not None:
-            with obs_trace.tracing(include=tracer_include) as tracer:
-                ExperimentRunner(jobs=jobs, chunk_size=2).map(
-                    simulate_cell, cells, labels=labels
-                )
-            events = list(tracer.events)
-        else:
-            ExperimentRunner(jobs=jobs, chunk_size=2).map(
-                simulate_cell, cells, labels=labels
-            )
-            events = []
-        return obs_metrics.DEFAULT.snapshot(), events
+        ExperimentRunner(jobs=jobs, chunk_size=2).map(
+            simulate_cell, cells, labels=labels
+        )
+        return obs_metrics.DEFAULT.snapshot()
 
     def test_parallel_metrics_equal_serial_modulo_timers(self):
         """The acceptance property: --jobs N counters == jobs=0 counters,
@@ -292,8 +281,8 @@ class TestObservabilityMerge:
         — persistent workers keep their in-memory automaton caches
         across maps, so hit/load/miss may split differently than in the
         parent while their total stays exact."""
-        serial, _ = self._run(jobs=0)
-        parallel, _ = self._run(jobs=3)
+        serial = self._run(jobs=0)
+        parallel = self._run(jobs=3)
 
         def comparable(snapshot):
             counters = {}
@@ -323,36 +312,6 @@ class TestObservabilityMerge:
         cells = len(self._cells())
         assert serial["observations"]["runner.cell_seconds"]["count"] == cells
         assert parallel["observations"]["runner.cell_seconds"]["count"] == cells
-
-    def test_parallel_trace_matches_serial_event_mix(self):
-        # kernel.* events are cache-warmth dependent (a persistent
-        # worker's warm automaton cache skips the load/miss events the
-        # parent's cold one would emit), so the mix parity covers the
-        # logical event families only.
-        include = ("runner.", "span.", "oracle.")
-        _, serial_events = self._run(jobs=0, tracer_include=include)
-        _, parallel_events = self._run(jobs=3, tracer_include=include)
-
-        def mix(events):
-            counts = {}
-            for event in events:
-                counts[event["kind"]] = counts.get(event["kind"], 0) + 1
-            return counts
-
-        assert mix(serial_events) == mix(parallel_events)
-        seqs = [event["seq"] for event in parallel_events]
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == len(seqs)
-
-    def test_worker_spans_nest_under_the_parent_map_span(self):
-        _, events = self._run(jobs=3, tracer_include=("span.",))
-        starts = [e for e in events if e["kind"] == "span.start"]
-        map_span = next(e for e in starts if e["span"] == "runner.map")
-        cell_spans = [e for e in starts if e["span"] == "cell"]
-        assert len(cell_spans) == len(self._cells())
-        assert all(e["parent"] == map_span["id"] for e in cell_spans)
-        assert all(e["id"].startswith(map_span["id"] + ".w") for e in cell_spans)
-        assert len({e["id"] for e in cell_spans}) == len(cell_spans)
 
     def test_fallback_path_still_counts_every_cell(self):
         obs_metrics.DEFAULT.reset()
