@@ -39,13 +39,16 @@ class Cache:
             resets only those, and a set changed directly
             (``sets[i].access(...)``, ``sets[i].preload(...)``) bypasses
             that record and would keep its state across a flush.
-            :meth:`restore` installs new set objects, so keep an index
-            rather than a set.
+            :meth:`restore` installs new set objects in this list, so
+            keep the list or an index rather than a set.
         filled: indices of the sets filled since the last flush.  Only a
             fill makes a set leave its reset state (hits and
             invalidations need a resident line), so every other set is
             still in it.  The hierarchy walk, which fills ``sets[i]``
             through :meth:`CacheSet.fill_way`, adds ``i`` here itself.
+            One set object for the cache's life: :meth:`flush` and
+            :meth:`restore` change it in place, because the walk holds it
+            (and ``sets`` and ``stats``) from the hierarchy's construction.
     """
 
     def __init__(
@@ -185,7 +188,7 @@ class Cache:
         for set_index in self.filled:
             sets[set_index].flush()
         reset = len(self.filled)
-        self.filled = set()
+        self.filled.clear()
         self.shared.reset()
         self._stats_at_flush = self.stats.snapshot()
         return reset
@@ -220,7 +223,7 @@ class Cache:
         sets = self.sets
         for set_index, cache_set in filled.items():
             sets[set_index] = cache_set.clone()
-        self.filled = set(filled)
+        self.filled.update(filled)
         self.stats.advance(added)
 
     def reset(self) -> None:

@@ -24,11 +24,16 @@ the core):
 Writes are write-allocate/write-back: a store dirties the line in L1 and
 dirty victims are written back to the next level that holds the line (or
 to memory).
+
+:meth:`CacheHierarchy.access_all` walks a whole sequence of accesses in
+one call, reading each level's address split, sets and statistics from a
+table built at construction; :meth:`CacheHierarchy.access` is its
+one-address case, so there is one walk.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from repro.cache.cache import Cache
@@ -86,6 +91,36 @@ class CacheHierarchy:
         self._exclusive = [mode == "exclusive" for mode in inclusion]
         self._inclusive = [mode == "inclusive" for mode in inclusion]
         self._exclusive_below = self._exclusive[1:] + [False]
+        # What the walk reads of each level, built once: a cache changes
+        # its sets, stats and filled record in place and never rebinds
+        # them.  The lookup step of each level, L1 first:
+        self._lookups = tuple(
+            (cache.locate, cache.sets, cache.stats) for cache in self.levels
+        )
+        # and, for a hit at level index h (len(levels) for memory), the
+        # fill step of each level above h that demand misses fill, lowest
+        # first: (index, sets, stats, filled, compose, victims go down to
+        # an exclusive level, inclusive).
+        fill_steps = [
+            (
+                index,
+                cache.sets,
+                cache.stats,
+                cache.filled,
+                cache.codec.compose,
+                self._exclusive_below[index],
+                self._inclusive[index],
+            )
+            for index, cache in enumerate(self.levels)
+        ]
+        self._fills = [
+            tuple(
+                fill_steps[upper]
+                for upper in range(hit - 1, -1, -1)
+                if not self._exclusive[upper]  # populated by victims only
+            )
+            for hit in range(len(self.levels) + 1)
+        ]
         # The result of a hit at each level index; index len(levels) is a
         # memory access.
         names = self.level_names
@@ -116,70 +151,82 @@ class CacheHierarchy:
     ) -> HierarchyAccessResult:
         """Perform one load (or store) and propagate fills and victims.
 
-        Prefetchers pass ``demand=False``: the access moves cache state
-        exactly like a load, but no demand counter changes — hardware
+        The one-address case of :meth:`access_all`.
+        """
+        return self.access_all((address,), write, demand)
+
+    def access_all(
+        self, addresses: Iterable[int], write: bool = False, demand: bool = True
+    ) -> HierarchyAccessResult | None:
+        """Perform a sequence of loads (or stores), in order.
+
+        Each access walks the levels down to the first hit, then fills
+        the levels above it and routes their victims.  Prefetchers pass
+        ``demand=False``: the access moves cache state exactly like a
+        load, but no demand counter changes — hardware
         ``MEM_LOAD_RETIRED``-style events count retired demand loads only.
 
         The walk touches and fills each level's sets directly and keeps
-        the level's statistics and filled-set record itself.
+        the level's statistics and filled-set record itself.  Returns the
+        last access's result (None for an empty sequence).
         """
         levels = self.levels
+        lookups = self._lookups
+        fills = self._fills
+        exclusive = self._exclusive
+        hierarchy_stats = self.stats
         # The (set index, tag) of each level missed, located once and
         # reused by the fill.
-        located: list[tuple[int, int]] = []
-        for index, cache in enumerate(levels):
-            set_index, tag = place = cache.locate(address)
-            if cache.sets[set_index].touch_tag(tag, write and index == 0) is not None:
+        located: list[tuple[int, int]] = [(0, 0)] * len(levels)
+        index = -1
+        for address in addresses:
+            index = 0
+            for locate, sets, stats in lookups:
+                set_index, tag = place = locate(address)
+                if sets[set_index].touch_tag(tag, write and not index) is not None:
+                    if demand:
+                        stats.accesses += 1
+                        stats.hits += 1
+                    if exclusive[index]:
+                        # Exclusive hit: the line migrates upward.
+                        levels[index].invalidate(address)
+                    break
                 if demand:
-                    stats = cache.stats
                     stats.accesses += 1
-                    stats.hits += 1
-                if self._exclusive[index]:
-                    # Exclusive hit: the line migrates upward.
-                    cache.invalidate(address)
-                break
-            if demand:
-                stats = cache.stats
-                stats.accesses += 1
-                stats.misses += 1
-            located.append(place)
-        else:
-            index = len(levels)
-            if demand:
-                self.stats.memory_accesses += 1
-        # Fill the levels above the hit, lowest first.  None of them
-        # gained the line since the walk missed it there: fills and
-        # victims only move lines downwards.
-        exclusive = self._exclusive
-        for upper in range(index - 1, -1, -1):
-            if exclusive[upper]:
-                continue  # populated by victims only
-            cache = levels[upper]
-            set_index, tag = located[upper]
-            _, evicted_tag, dirty = cache.sets[set_index].fill_way(
-                tag, write and upper == 0
-            )
-            cache.filled.add(set_index)
-            if demand:
-                stats = cache.stats
-                stats.fills += 1
-                if evicted_tag is not None:
-                    stats.evictions += 1
-                    if dirty:
-                        stats.writebacks += 1
-            if evicted_tag is None:
-                continue
-            # A clean victim above a non-exclusive level just leaves; its
-            # address is needed only to back-invalidate it above an
-            # inclusive level.
-            routed = dirty or self._exclusive_below[upper]
-            if routed or self._inclusive[upper]:
-                victim = cache.codec.compose(evicted_tag, set_index)
-                if routed:
-                    self._handle_victim(upper, victim, dirty)
-                if self._inclusive[upper]:
-                    self._back_invalidate(upper, victim)
-        return self._results[index]
+                    stats.misses += 1
+                located[index] = place
+                index += 1
+            else:
+                if demand:
+                    hierarchy_stats.memory_accesses += 1
+            # Fill the levels above the hit, lowest first.  None of them
+            # gained the line since the walk missed it there: fills and
+            # victims only move lines downwards.
+            for upper, sets, stats, filled, compose, down, inclusive in fills[index]:
+                set_index, tag = located[upper]
+                _, evicted_tag, dirty = sets[set_index].fill_way(
+                    tag, write and not upper
+                )
+                filled.add(set_index)
+                if demand:
+                    stats.fills += 1
+                    if evicted_tag is not None:
+                        stats.evictions += 1
+                        if dirty:
+                            stats.writebacks += 1
+                if evicted_tag is None:
+                    continue
+                # A clean victim above a non-exclusive level just leaves;
+                # its address is needed only to back-invalidate it above
+                # an inclusive level.
+                routed = dirty or down
+                if routed or inclusive:
+                    victim = compose(evicted_tag, set_index)
+                    if routed:
+                        self._handle_victim(upper, victim, dirty)
+                    if inclusive:
+                        self._back_invalidate(upper, victim)
+        return None if index < 0 else self._results[index]
 
     def _handle_victim(self, level_index: int, victim: int, dirty: bool) -> None:
         """Route a victim evicted from ``level_index`` downwards."""

@@ -5,7 +5,9 @@ Modern sliced LLCs break that: the set/slice is a hash of many address
 bits (``CacheConfig.index_hash = "xor-fold"`` in this library), so
 conflicting addresses must be *discovered*, not computed.  This module
 implements the classic group-testing reduction (Vila et al.) on top of
-the platform's load/counter interface:
+the platform's load/counter interface (one eviction test is two load
+sequences: the victim and every candidate pass, then the victim again
+between two counter reads):
 
 1. start from a large candidate pool that evicts the victim as a whole;
 2. while the set is larger than the target size, partition it into
@@ -59,10 +61,10 @@ class PlatformEvictionTester(EvictionTester):
         self.tests += 1
         platform = self.platform
         platform.wbinvd()
-        platform.load(victim)
+        loads = [victim]
         for _ in range(self.passes):
-            for address in candidates:
-                platform.load(address)
+            loads += candidates
+        platform.load_all(loads)
         before = platform.counters.snapshot()
         platform.load(victim)
         return platform.counters.delta(self.level, "miss", before) > 0

@@ -62,13 +62,13 @@ class PlatformAddressOracle(AddressOracle):
         self._buffer = platform.allocate(buffer_size)
 
     def count_misses(self, setup: Sequence[int], probe: Sequence[int]) -> int:
-        self.platform.wbinvd()
-        for offset in setup:
-            self.platform.load(self._buffer.base + offset)
-        before = self.platform.counters.snapshot()
-        for offset in probe:
-            self.platform.load(self._buffer.base + offset)
-        return self.platform.counters.delta(self.level, "miss", before)
+        platform = self.platform
+        base = self._buffer.base
+        platform.wbinvd()
+        platform.load_all([base + offset for offset in setup])
+        before = platform.counters.snapshot()
+        platform.load_all([base + offset for offset in probe])
+        return platform.counters.delta(self.level, "miss", before)
 
 
 @dataclass(frozen=True)

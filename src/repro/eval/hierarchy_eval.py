@@ -65,8 +65,7 @@ def evaluate_hierarchy(
     if "memory" not in latencies:
         raise ConfigurationError("no latency given for 'memory'")
     hierarchy = CacheHierarchy(configs, policies, rng=SeededRng(seed))
-    for address in trace:
-        hierarchy.access(address)
+    hierarchy.access_all(trace)
 
     total_accesses = len(trace)
     level_miss_ratios = {}

@@ -18,7 +18,11 @@ This module reproduces the experimental technique of the paper:
 
 The result is :class:`HardwareSetOracle`, a drop-in
 :class:`~repro.core.oracle.MissCountOracle`: the inference algorithms
-run unchanged against simulated hardware.
+run unchanged against simulated hardware.  A measurement issues its
+loads as two sequences, like a generated loop between two counter reads:
+the conflict warm-up and the setup (each logical access followed by the
+conflict pool) in one :meth:`~repro.hardware.platform.HardwarePlatform.
+load_all`, the probe in a second one after the counter snapshot.
 """
 
 from __future__ import annotations
@@ -216,12 +220,6 @@ class HardwareSetOracle(MissCountOracle):
         return self._block_to_address[block]
 
     # -- the measurement primitive ---------------------------------------------
-    def _wrapped_load(self, block: int) -> None:
-        """One logical access: load, then defeat all upper levels."""
-        self.platform.load(self._address(block))
-        for conflict in self._conflicts:
-            self.platform.load(conflict)
-
     def _restore_longest_prefix(self, setup: tuple[int, ...]) -> int | None:
         """Restore the longest checkpointed prefix of ``setup``; its length.
 
@@ -240,6 +238,16 @@ class HardwareSetOracle(MissCountOracle):
             obs_metrics.DEFAULT.incr("hw.setup_reused", len(best))
         return len(best)
 
+    def _wrapped_loads(self, blocks: Sequence[int], loads: list[int]) -> list[int]:
+        """Append each block's logical access to ``loads``: the block's
+        address, then the conflict pool that defeats all upper levels."""
+        address = self._address
+        conflicts = self._conflicts
+        for block in blocks:
+            loads.append(address(block))
+            loads += conflicts
+        return loads
+
     def count_misses(self, setup: Sequence[int], probe: Sequence[int]) -> int:
         platform = self.platform
         platform.wbinvd()
@@ -248,19 +256,17 @@ class HardwareSetOracle(MissCountOracle):
         if done is None:
             # Warm the conflict pool so its probe-phase accesses hit the
             # probed level and do not pollute the miss counter.
-            for _ in range(2):
-                for conflict in self._conflicts:
-                    platform.load(conflict)
+            warm_up = self._conflicts * 2
             done = 0
-        for block in setup[done:]:
-            self._wrapped_load(block)
+        else:
+            warm_up = []
+        platform.load_all(self._wrapped_loads(setup[done:], warm_up))
         if platform.replayable and setup not in self._checkpoints:
             self._checkpoints[setup] = platform.checkpoint()
             if len(self._checkpoints) > SETUP_CHECKPOINTS:
                 self._checkpoints.popitem(last=False)
         before = platform.counters.snapshot()
-        for block in probe:
-            self._wrapped_load(block)
+        platform.load_all(self._wrapped_loads(probe, []))
         misses = platform.counters.delta(self.level, "miss", before)
         self._note_measurement(len(setup), len(probe), misses)
         return misses

@@ -14,10 +14,16 @@ page mapping:
 * small pages (e.g. 4 KiB) — a shuffled physical page assignment, so the
   harness must *search* a buffer for lines that map to a wanted set,
   exactly as on hardware without huge pages.
+
+Frames are only ever claimed, never freed, so neither mode keeps a list
+of free frames: huge pages take the next frames after the last claim,
+and small pages draw a lazy shuffle that hands out the same frames, in
+the same order, as shuffling every frame number up front.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, MeasurementError
@@ -59,8 +65,11 @@ class VirtualMemory:
         self._rng = rng if rng is not None else SeededRng(0)
         self._next_virtual = page_size  # keep 0 unmapped, like a real process
         self._page_table: dict[int, int] = {}  # virtual page number -> physical
-        self._free_frames = list(range(physical_size // page_size))
-        self._rng.shuffle(self._free_frames)
+        self._frames = physical_size // page_size
+        self._claimed = 0  # frames handed out so far
+        # Small pages: the slots of a lazy Fisher-Yates shuffle of the
+        # frame numbers whose frame moved; every other slot j holds frame j.
+        self._displaced: dict[int, int] = {}
 
     @property
     def huge_pages(self) -> bool:
@@ -72,47 +81,61 @@ class VirtualMemory:
         if size <= 0:
             raise MeasurementError("allocation size must be positive")
         pages = -(-size // self.page_size)
+        if pages > self._frames - self._claimed:
+            raise MeasurementError("out of simulated physical memory")
         base = self._next_virtual
+        first_page = base // self.page_size
         if self.huge_pages:
-            # Contiguous physical backing: reserve a run of frames.
-            start = self._claim_contiguous(pages)
-            for i in range(pages):
-                self._page_table[(base // self.page_size) + i] = start + i
+            # Contiguous physical backing.  Nothing is ever freed, so the
+            # lowest free run starts right after the last claim.
+            frames = range(self._claimed, self._claimed + pages)
+            self._claimed += pages
         else:
-            if pages > len(self._free_frames):
-                raise MeasurementError("out of simulated physical memory")
-            for i in range(pages):
-                self._page_table[(base // self.page_size) + i] = self._free_frames.pop()
+            frames = [self._pop_frame() for _ in range(pages)]
+        for i, frame in enumerate(frames):
+            self._page_table[first_page + i] = frame
         self._next_virtual = base + pages * self.page_size
         return VirtualBuffer(base=base, size=pages * self.page_size)
 
-    def _claim_contiguous(self, pages: int) -> int:
-        frames = sorted(self._free_frames)
-        if len(frames) < pages:
-            raise MeasurementError("out of simulated physical memory")
-        run_start, run_length = frames[0], 1
-        if run_length >= pages:
-            self._free_frames.remove(run_start)
-            return run_start
-        for previous, current in zip(frames, frames[1:]):
-            if current == previous + 1:
-                run_length += 1
-            else:
-                run_start, run_length = current, 1
-            if run_length >= pages:
-                start = current - pages + 1
-                claimed = set(range(start, start + pages))
-                self._free_frames = [f for f in self._free_frames if f not in claimed]
-                return start
-        if pages == 1 and frames:
-            frame = frames[0]
-            self._free_frames.remove(frame)
-            return frame
-        raise MeasurementError("no contiguous physical range available")
+    def _pop_frame(self) -> int:
+        """The next small-page frame, as ``shuffle`` then ``pop()`` gives it.
+
+        ``shuffle`` swaps slot ``i`` with slot ``randrange(i + 1)`` for
+        ``i`` from the last slot down to 1, and ``pop()`` takes the slots
+        from the end, each of which is final once its swap is done.  So
+        the k-th pop makes the k-th swap: the same draws, the same frame.
+        """
+        last = self._frames - 1 - self._claimed
+        pick = self._rng.randrange(last + 1) if last else 0
+        displaced = self._displaced
+        tail = displaced.pop(last, last)
+        if pick == last:
+            frame = tail
+        else:
+            frame = displaced.get(pick, pick)
+            displaced[pick] = tail
+        self._claimed += 1
+        return frame
 
     def translate(self, virtual: int) -> int:
         """Translate a virtual address to its physical address."""
-        frame = self._page_table.get(virtual >> self._page_shift)
-        if frame is None:
-            raise MeasurementError(f"access to unmapped virtual address {virtual:#x}")
-        return (frame << self._page_shift) | (virtual & self._offset_mask)
+        return self.translate_all((virtual,))[0]
+
+    def translate_all(self, virtuals: Sequence[int]) -> list[int]:
+        """Translate a sequence of virtual addresses, in order.
+
+        Raises:
+            MeasurementError: naming the first unmapped address.
+        """
+        page_table = self._page_table
+        shift, mask = self._page_shift, self._offset_mask
+        try:
+            return [
+                (page_table[virtual >> shift] << shift) | (virtual & mask)
+                for virtual in virtuals
+            ]
+        except KeyError:
+            unmapped = next(v for v in virtuals if v >> shift not in page_table)
+            raise MeasurementError(
+                f"access to unmapped virtual address {unmapped:#x}"
+            ) from None

@@ -7,8 +7,10 @@ performance counters, and the platform's noise model.  The experimenter
 API mirrors what the paper's tooling had:
 
 * :meth:`HardwarePlatform.allocate` — map a measurement buffer;
-* :meth:`HardwarePlatform.load` — perform one load from a virtual
-  address (the only way to touch the caches);
+* :meth:`HardwarePlatform.load_all` — perform a sequence of loads from
+  virtual addresses, in order, as one generated loop between two counter
+  reads would (nanoBench-style); :meth:`HardwarePlatform.load` is the
+  one-address case.  Loads are the only way to touch the caches;
 * :attr:`HardwarePlatform.counters` — read performance counters;
 * :meth:`HardwarePlatform.wbinvd` — privileged whole-hierarchy flush
   (the kernel-module luxury; the harness uses it to make measurements
@@ -24,6 +26,8 @@ opaque), so the inference code cannot cheat.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import CacheHierarchy
@@ -85,31 +89,50 @@ class HardwarePlatform:
         return self.memory.translate(virtual)
 
     def load(self, virtual: int) -> None:
-        """Perform one load; updates caches, counters and noise."""
-        self.hierarchy.access(self.memory.translate(virtual))
-        self.loads_performed += 1
+        """Perform one load: :meth:`load_all` of one address."""
+        self.load_all((virtual,))
+
+    def load_all(self, virtuals: Sequence[int]) -> None:
+        """Perform a sequence of loads, in order; updates caches, counters
+        and noise exactly as one :meth:`load` per address would.
+
+        The sequence is translated first, so an unmapped address raises
+        before any load.  A silent platform then walks the hierarchy over
+        the whole sequence at once; a noisy one runs each load's noise
+        block (counter noise per level, background, prefetch, in that
+        draw order) right after the load.
+        """
+        physical = self.memory.translate_all(virtuals)
+        hierarchy = self.hierarchy
         if self._silent:
+            hierarchy.access_all(physical)
+            self.loads_performed += len(physical)
             return
         noise = self.spec.noise
-        if noise.counter_noise_rate > 0.0:
-            for level_name in self._level_names:
-                if self._noise_rng.random() < noise.counter_noise_rate:
-                    self.counters.inject_spurious(level_name, "miss")
-        if noise.background_rate > 0.0 and self._noise_rng.random() < noise.background_rate:
-            # Interrupt / other-process traffic: a random line in a fixed
-            # physical window, issued as a demand access of another agent
-            # (it moves replacement state but not *our* retired-load
-            # counters, which are per-logical-core on real hardware).
-            background = self._noise_rng.randrange(1 << 24) * self._line_size
-            self.hierarchy.access(background, demand=False)
-        if noise.prefetch_rate > 0.0 and self._noise_rng.random() < noise.prefetch_rate:
-            try:
-                neighbour = self.memory.translate(virtual + self._line_size)
-            except MeasurementError:  # next line crosses into unmapped space
-                return
-            # Prefetches disturb cache state but are not demand loads, so
-            # they do not move the MEM_LOAD_RETIRED-style counters.
-            self.hierarchy.access(neighbour, demand=False)
+        rng = self._noise_rng
+        for virtual, address in zip(virtuals, physical):
+            hierarchy.access(address)
+            self.loads_performed += 1
+            if noise.counter_noise_rate > 0.0:
+                for level_name in self._level_names:
+                    if rng.random() < noise.counter_noise_rate:
+                        self.counters.inject_spurious(level_name, "miss")
+            if noise.background_rate > 0.0 and rng.random() < noise.background_rate:
+                # Interrupt / other-process traffic: a random line in a
+                # fixed physical window, issued as a demand access of
+                # another agent (it moves replacement state but not *our*
+                # retired-load counters, which are per-logical-core on
+                # real hardware).
+                background = rng.randrange(1 << 24) * self._line_size
+                hierarchy.access(background, demand=False)
+            if noise.prefetch_rate > 0.0 and rng.random() < noise.prefetch_rate:
+                try:
+                    neighbour = self.memory.translate(virtual + self._line_size)
+                except MeasurementError:  # next line crosses into unmapped space
+                    continue
+                # Prefetches disturb cache state but are not demand loads,
+                # so they do not move the MEM_LOAD_RETIRED-style counters.
+                hierarchy.access(neighbour, demand=False)
 
     def wbinvd(self) -> None:
         """Flush the whole hierarchy (privileged, as from a kernel module).

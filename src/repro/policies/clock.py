@@ -30,7 +30,8 @@ class ClockPolicy(ReplacementPolicy):
         self._hand = 0
 
     def touch(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._referenced[way] = 1
 
     def evict(self) -> int:
@@ -44,7 +45,8 @@ class ClockPolicy(ReplacementPolicy):
         raise AssertionError("CLOCK sweep failed to find a victim")
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._referenced[way] = 1
         if way == self._hand:
             self._hand = (self._hand + 1) % self.ways

@@ -184,7 +184,8 @@ class PermutationPolicy(ReplacementPolicy):
 
     def position_of(self, way: int) -> int:
         """Return the current position of ``way`` (0 = most protected side)."""
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         return self._position[way]
 
     def _permute(self, perm: Sequence[int]) -> None:
@@ -198,14 +199,16 @@ class PermutationPolicy(ReplacementPolicy):
         self._order = new_order
 
     def touch(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._permute(self.spec.hit_perms[self._position[way]])
 
     def evict(self) -> int:
         return self._order[self.spec.eviction_position]
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         position = self._position[way]
         evict_pos = self.spec.eviction_position
         if position != evict_pos:

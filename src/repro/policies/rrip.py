@@ -45,7 +45,8 @@ class SrripPolicy(ReplacementPolicy):
         self._rrpv = [self.rrpv_max] * ways
 
     def touch(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._rrpv[way] = 0
 
     def evict(self) -> int:
@@ -59,7 +60,8 @@ class SrripPolicy(ReplacementPolicy):
         return self.rrpv_max - 1
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._rrpv[way] = self._insertion_rrpv()
 
     def reset(self) -> None:
@@ -152,7 +154,8 @@ class DrripPolicy(ReplacementPolicy):
         return DrripSharedContext(num_sets, rng)
 
     def touch(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._rrpv[way] = 0
 
     def evict(self) -> int:
@@ -164,7 +167,8 @@ class DrripPolicy(ReplacementPolicy):
             self._rrpv = [value + 1 for value in self._rrpv]
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         if self._shared.controller.use_primary(self._set_index):
             self._rrpv[way] = self.rrpv_max - 1
         elif self._rng.random() < self.epsilon:

@@ -54,7 +54,8 @@ class SlruPolicy(ReplacementPolicy):
             self._probationary.insert(0, demoted)
 
     def touch(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         self._promote(way)
 
     def evict(self) -> int:
@@ -63,7 +64,8 @@ class SlruPolicy(ReplacementPolicy):
         return self._protected[-1]
 
     def fill(self, way: int) -> None:
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            self._check_way(way)
         if way in self._protected:
             self._protected.remove(way)
         else:

@@ -1,5 +1,7 @@
 """Tests for simulated virtual memory."""
 
+import itertools
+
 import pytest
 
 from repro.errors import ConfigurationError, MeasurementError
@@ -72,3 +74,61 @@ class TestAllocation:
         lines = list(buffer.line_addresses(64))
         assert len(lines) == 4096 // 64
         assert lines[0] == buffer.base
+
+
+class TestFrameOrder:
+    """Frames come out as from the list the memory used to build: every
+    frame number, shuffled once at boot, popped from the end."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_small_pages_follow_a_shuffled_list_to_exhaustion(self, seed):
+        frames = 600
+        memory = VirtualMemory(
+            page_size=4096, physical_size=4096 * frames, rng=SeededRng(seed)
+        )
+        reference = list(range(frames))
+        SeededRng(seed).shuffle(reference)
+
+        def allocate(pages):
+            buffer = memory.allocate(pages * 4096)
+            got = [memory.translate(buffer.base + i * 4096) // 4096 for i in range(pages)]
+            assert got == [reference.pop() for _ in range(pages)]
+
+        sizes = itertools.cycle([1, 3, 2, 7])
+        pages = next(sizes)
+        while pages <= len(reference):
+            allocate(pages)
+            pages = next(sizes)
+        with pytest.raises(MeasurementError, match="out of simulated physical memory"):
+            memory.allocate(pages * 4096)
+        allocate(len(reference))  # what is left still fits
+        with pytest.raises(MeasurementError, match="out of simulated physical memory"):
+            memory.allocate(4096)
+
+    def test_huge_pages_take_the_lowest_free_run(self):
+        memory = VirtualMemory(physical_size=HUGE_PAGE_SIZE * 13)
+        starts = []
+        for pages in (1, 3, 5, 1, 2):
+            buffer = memory.allocate(pages * HUGE_PAGE_SIZE)
+            starts.append(memory.translate(buffer.base) // HUGE_PAGE_SIZE)
+        assert starts == [0, 1, 4, 9, 10]
+        with pytest.raises(MeasurementError, match="out of simulated physical memory"):
+            memory.allocate(2 * HUGE_PAGE_SIZE)
+        memory.allocate(HUGE_PAGE_SIZE)  # the last frame
+        with pytest.raises(MeasurementError, match="out of simulated physical memory"):
+            memory.allocate(1)
+
+
+class TestTranslateAll:
+    def test_matches_one_translation_at_a_time(self):
+        memory = VirtualMemory(page_size=4096, rng=SeededRng(3))
+        buffer = memory.allocate(16 * 4096)
+        virtuals = [buffer.base + offset for offset in range(0, buffer.size, 1000)]
+        assert memory.translate_all(virtuals) == [memory.translate(v) for v in virtuals]
+
+    def test_names_the_first_unmapped_address(self):
+        memory = VirtualMemory(page_size=4096)
+        buffer = memory.allocate(4096)
+        end = buffer.base + buffer.size
+        with pytest.raises(MeasurementError, match=hex(end)):
+            memory.translate_all([buffer.base, end, end + 4096])
