@@ -2,11 +2,11 @@
 
 The acceptance benchmark for :mod:`repro.kernels.store`: every
 deterministic E3 policy is resolved at 8 ways twice against a fresh
-store directory — once cold (BFS compile + ``expand_all`` + persist) and
-once warm (memory caches dropped, automaton deserialized from disk).
+store directory — once cold (compile, close with ``expand_all``, persist)
+and once warm (memory caches dropped, automaton deserialized from disk).
 The warm pass must be at least 5x faster in total, every warm
 resolution must be a disk load (``kernel.compile.miss == 0``), and every
-loaded automaton's four tables must equal the BFS-built one's.  Results
+loaded automaton's four tables must equal the freshly closed one's.  Results
 land in ``benchmarks/results/bench_compile_cache.txt`` and the
 ``bench_compile_cache.ledger.json`` run record.
 
@@ -48,7 +48,7 @@ def test_bench_compile_cache_cold_vs_warm(save_result, tmp_path):
         obs_metrics.DEFAULT.reset()
         cold_report, cold_seconds = _resolve_all(POLICIES)
         cold_counters = obs_metrics.DEFAULT.snapshot()["counters"]
-        # The BFS-built automata, kept past the warm pass's cache clear.
+        # The freshly closed automata, kept past the warm pass's cache clear.
         cold_automata = [compiled_for_factory(name, (), WAYS) for name in POLICIES]
 
         obs_metrics.DEFAULT.reset()
@@ -56,7 +56,7 @@ def test_bench_compile_cache_cold_vs_warm(save_result, tmp_path):
         warm_counters = obs_metrics.DEFAULT.snapshot()["counters"]
 
         # Warm resolutions must all be disk loads, and frozen automata
-        # must agree with their BFS-built originals state for state.
+        # must agree with their freshly closed originals state for state.
         assert warm_counters.get("kernel.compile.miss", 0) == 0
         assert warm_counters.get("kernel.compile.load", 0) == len(POLICIES)
         for name, cold, warm, original in zip(
@@ -91,7 +91,7 @@ def test_bench_compile_cache_cold_vs_warm(save_result, tmp_path):
     table = format_table(
         ["policy", "states", "cold s", "warm s", "speedup"],
         rows,
-        title=f"BENCH compile cache: cold BFS vs warm disk load @ {WAYS} ways",
+        title=f"BENCH compile cache: cold closure vs warm disk load @ {WAYS} ways",
     )
 
     data = {

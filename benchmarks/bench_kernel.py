@@ -38,7 +38,7 @@ SMOKE_POLICIES = ["lru", "plru", "srrip"]
 def _warm_store(policies) -> float:
     """Compile and persist every automaton the grid needs; wall seconds.
 
-    Called before either timed leg, so a cold store's BFS compiles land
+    Called before either timed leg, so a cold store's compiles land
     here and not in the kernel leg.
     """
     start = time.perf_counter()

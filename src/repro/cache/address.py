@@ -58,10 +58,20 @@ class AddressCodec:
         return (address >> self._offset_bits) & self._set_mask, address >> self._tag_shift
 
     def _locate_hashed(self, address: int) -> tuple[int, int]:
+        # _hash_index inlined: every lookup of a hashed level comes here.
         if address < 0:
             raise ValueError(f"addresses must be non-negative, got {address}")
         line_number = address >> self._offset_bits
-        return self._hash_index(line_number), line_number
+        index_bits = self._index_bits
+        if not index_bits:
+            return 0, line_number
+        mask = self._set_mask
+        folded = 0
+        remaining = line_number
+        while remaining:
+            folded ^= remaining & mask
+            remaining >>= index_bits
+        return folded, line_number
 
     def decompose(self, address: int) -> DecomposedAddress:
         """Split ``address`` into (tag, set index, offset)."""

@@ -105,26 +105,6 @@ class Cache:
             evicted_dirty=result.evicted_dirty,
         )
 
-    def lookup_touch(self, address: int, write: bool = False, demand: bool = True) -> bool:
-        """Hit path only: touch and count, but never fill on a miss.
-
-        One level's step of a hierarchy walk, which
-        :class:`~repro.cache.hierarchy.CacheHierarchy` runs inline before
-        it decides which levels the line is filled into.  Non-demand
-        accesses (prefetches) update replacement state but not the demand
-        counters, mirroring ``MEM_LOAD_RETIRED``-style events.
-        """
-        set_index, tag = self.locate(address)
-        hit = self.sets[set_index].touch_tag(tag, write) is not None
-        if demand:
-            stats = self.stats
-            stats.accesses += 1
-            if hit:
-                stats.hits += 1
-            else:
-                stats.misses += 1
-        return hit
-
     def mark_dirty(self, address: int) -> bool:
         """Absorb a writeback from an upper level; True if line present."""
         set_index, tag = self.locate(address)

@@ -19,8 +19,13 @@ computed by loading the source key into the scratch policy
 Enumeration is *lazy*: a transition is computed the first time the
 simulation engine needs it and memoized in the flat tables forever after,
 so compiling never costs more than the states a workload actually visits.
-:meth:`CompiledPolicy.expand_all` forces the classic eager BFS when the
-full automaton is wanted (tests, state-space reports, the artifact store).
+:meth:`CompiledPolicy.expand_all` closes the automaton eagerly when the
+whole of it is wanted (the artifact store, the vector engine, tests):
+it closes over the ``(state, valid ways)`` pairs a set can reach,
+expanding only the events a set in that pair can take — hits on
+its valid ways, a cold fill into its next invalid way, or, when full,
+the evicting miss.  A fill into any other way never happens in a set
+that is only ever accessed, so those entries stay unexpanded (``-1``).
 
 Policies outside the automaton class — randomized (``state_key() is
 None``), adaptive ones whose behaviour depends on cache-global shared
@@ -56,9 +61,10 @@ __all__ = [
 ]
 
 #: Default bound on interned states.  Large enough for every registered
-#: policy at 8 ways that a workload can realistically drive (full LRU is
-#: 8! = 40_320 states); small enough that a pathological policy cannot
-#: consume unbounded memory before the interpreter fallback kicks in.
+#: policy at 8 ways that a workload can realistically drive (closed, full
+#: LRU is 8! = 40_320 states and SRRIP 43_818); small enough that a
+#: pathological policy cannot consume unbounded memory before the
+#: interpreter fallback kicks in.
 DEFAULT_BUDGET = 150_000
 
 
@@ -149,26 +155,19 @@ class CompiledPolicy:
         """True for automata rebuilt from serialized tables.
 
         A frozen automaton carries no scratch policy, so it cannot expand
-        further — which is fine, because only *complete* automata (every
-        transition filled in) are ever serialized.
+        further — which is fine, because only *closed* automata (see
+        :meth:`expand_all`) are ever serialized: every event an engine
+        can issue is expanded, and the ``-1`` entries left are events no
+        set takes.
         """
         return self._scratch is None
-
-    def is_complete(self) -> bool:
-        """True when every interned state's transitions are expanded."""
-        return (
-            min(self.hit_next, default=-1) >= 0
-            and min(self.fill_next, default=-1) >= 0
-            and min(self.miss_victim, default=-1) >= 0
-            and min(self.miss_next, default=-1) >= 0
-        )
 
     def to_tables(self) -> dict:
         """Flat ``array('i')`` buffers of the transition tables.
 
-        Only meaningful for complete automata (see
-        :meth:`repro.kernels.store.save`); ``-1`` placeholders would
-        deserialize into an automaton that cannot expand them.
+        Only meaningful for closed automata (see
+        :meth:`repro.kernels.store.save`): the frozen automaton they
+        deserialize into cannot expand a ``-1`` an engine reaches.
         """
         from array import array
 
@@ -183,11 +182,11 @@ class CompiledPolicy:
     def from_tables(
         cls, ways: int, budget: int, num_states: int, tables: dict
     ) -> "CompiledPolicy":
-        """Rebuild a complete automaton from its serialized flat tables.
+        """Rebuild a closed automaton from its serialized flat tables.
 
         The result is *frozen*: it has no scratch policy to expand new
-        states with, and never needs one — completeness means the engine
-        never sees a ``-1`` entry.
+        states with, and never needs one — the engines never reach the
+        ``-1`` entries a closed automaton keeps.
         """
         compiled = cls.__new__(cls)
         compiled.ways = ways
@@ -197,7 +196,7 @@ class CompiledPolicy:
         compiled._scratch = None
         compiled._num_states = num_states
         compiled.vector_tables = None
-        # Plain lists: exactly what the BFS path builds, so the engine's
+        # Plain lists: exactly what compiling builds, so the engine's
         # inner loops are byte-for-byte the same on both origins.
         compiled.hit_next = list(tables["hit_next"])
         compiled.fill_next = list(tables["fill_next"])
@@ -209,7 +208,7 @@ class CompiledPolicy:
     def from_mapped(
         cls, ways: int, budget: int, num_states: int, buffers: dict, keep_alive=None
     ) -> "CompiledPolicy":
-        """Rebuild a complete automaton over zero-copy mapped buffers.
+        """Rebuild a closed automaton over zero-copy mapped buffers.
 
         ``buffers`` holds int-typed buffer views (``memoryview.cast('i')``)
         of the four tables, typically backed by an ``mmap`` of the on-disk
@@ -258,7 +257,7 @@ class CompiledPolicy:
         if scratch is None:
             raise KernelUnsupported(
                 "frozen automaton hit an unexpanded transition; the "
-                "serialized artifact was not complete"
+                "serialized artifact was not closed"
             )
         scratch.load_state(self._keys[state])
         return scratch
@@ -297,16 +296,27 @@ class CompiledPolicy:
 
     # -- eager enumeration -------------------------------------------------
     def expand_all(self) -> int:
-        """Classic eager BFS: close the automaton under every event.
+        """Close the automaton over the ``(state, valid ways)`` pairs a set reaches.
 
-        States are interned in discovery order, so walking ids upwards
-        *is* the BFS queue.  The loop inlines ``expand_*`` (same events,
-        same order) for speed.  Returns the total state count.  Raises
-        :class:`~repro.errors.KernelUnsupported` if the reachable space
-        exceeds the budget.
+        A set holding ``k < ways`` valid lines can hit ways ``0..k-1`` or
+        cold-fill way ``k``; a full set can hit any way or take the
+        evicting miss.  Those are the only events the engines issue —
+        they fill into the fill count because they never invalidate — so
+        the closure starts from the reset state with an empty set and
+        with a full set (where the preloaded engines start) and expands
+        exactly those events.  Entries no set reaches stay ``-1``.
+
+        The valid count never falls, so the closure runs one layer per
+        count: the states a set with ``k`` valid ways reaches, closed
+        under its hits (and, when full, its evicting miss); the layer's
+        cold fills seed layer ``k + 1``.  States are interned in
+        discovery order.  The loop inlines ``expand_*`` for speed and
+        reuses every transition already expanded.  Returns the total
+        state count.  Raises :class:`~repro.errors.KernelUnsupported` if
+        the reachable space exceeds the budget.
         """
         scratch = self._scratch
-        if scratch is None:  # frozen: complete by construction
+        if scratch is None:  # frozen: closed by construction
             return self._num_states
         ways = self.ways
         keys = self._keys
@@ -316,38 +326,56 @@ class CompiledPolicy:
         miss_victim, miss_next = self.miss_victim, self.miss_next
         load, state_key = scratch.load_state, scratch.state_key
         touch, fill, evict = scratch.touch, scratch.fill, scratch.evict
-        state = 0
-        while state < self._num_states:
-            key = keys[state]
-            base = state * ways
-            for way in range(ways):
-                if hit_next[base + way] < 0:
+        layer = [0]
+        for valid in range(ways + 1):
+            if valid == ways:
+                layer.append(0)  # a preloaded full set in the reset state
+            layer = list(dict.fromkeys(layer))
+            seen = set(layer)
+            fills = []
+            for state in layer:  # the list grows as the loop walks it
+                key = keys[state]
+                base = state * ways
+                for way in range(valid):
+                    next_state = hit_next[base + way]
+                    if next_state < 0:
+                        load(key)
+                        touch(way)
+                        successor = state_key()
+                        next_state = known(successor)
+                        if next_state is None:
+                            next_state = intern(successor)
+                        hit_next[base + way] = next_state
+                    if next_state not in seen:
+                        seen.add(next_state)
+                        layer.append(next_state)
+                if valid < ways:
+                    next_state = fill_next[base + valid]
+                    if next_state < 0:
+                        load(key)
+                        fill(valid)
+                        successor = state_key()
+                        next_state = known(successor)
+                        if next_state is None:
+                            next_state = intern(successor)
+                        fill_next[base + valid] = next_state
+                    fills.append(next_state)
+                    continue
+                next_state = miss_next[state]
+                if miss_victim[state] < 0:
                     load(key)
-                    touch(way)
+                    victim = evict()
+                    fill(victim)
                     successor = state_key()
                     next_state = known(successor)
                     if next_state is None:
                         next_state = intern(successor)
-                    hit_next[base + way] = next_state
-                if fill_next[base + way] < 0:
-                    load(key)
-                    fill(way)
-                    successor = state_key()
-                    next_state = known(successor)
-                    if next_state is None:
-                        next_state = intern(successor)
-                    fill_next[base + way] = next_state
-            if miss_victim[state] < 0:
-                load(key)
-                victim = evict()
-                fill(victim)
-                successor = state_key()
-                next_state = known(successor)
-                if next_state is None:
-                    next_state = intern(successor)
-                miss_next[state] = next_state
-                miss_victim[state] = victim
-            state += 1
+                    miss_next[state] = next_state
+                    miss_victim[state] = victim
+                if next_state not in seen:
+                    seen.add(next_state)
+                    layer.append(next_state)
+            layer = fills
         return self._num_states
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -447,7 +475,8 @@ def _note_compile(source: str) -> None:
 
     ``source`` is ``"hit"`` (answered from the in-process cache),
     ``"load"`` (deserialized from the on-disk artifact store), ``"miss"``
-    (BFS-compiled) or ``"unsupported"`` (the policy has no automaton).
+    (compiled in-process) or ``"unsupported"`` (the policy has no
+    automaton).
     """
     from repro.obs import metrics as obs_metrics
 
@@ -469,7 +498,7 @@ def _note_budget_fallback() -> None:
 def compiled_for(policy: ReplacementPolicy) -> CompiledPolicy | None:
     """The (cached) automaton of a policy instance, or None if unsupported.
 
-    Resolution order is memory -> disk -> BFS: a registry-built instance
+    Resolution order is memory -> disk -> compile: a registry-built instance
     (stamped with its ``(name, params)`` provenance by
     :class:`~repro.policies.registry.PolicyFactory`) and a
     :class:`PermutationPolicy` (keyed by its spec) both reach the on-disk
@@ -516,7 +545,7 @@ def compiled_for_factory(
     ``params`` is the sorted item tuple a :class:`SimCell` carries; a
     spec-parameterised permutation policy hashes through its frozen spec.
     Consults the in-process cache, then the on-disk artifact store
-    (:mod:`repro.kernels.store`), then BFS-compiles.
+    (:mod:`repro.kernels.store`), then compiles.
     """
     from repro.kernels import store
 
@@ -559,7 +588,7 @@ _SPEC_CACHE: dict[PermutationSpec, CompiledPolicy | None] = {}
 def compiled_for_spec(spec: PermutationSpec) -> CompiledPolicy | None:
     """The (cached) automaton of a permutation spec, or None if unsupported.
 
-    Memory -> disk -> BFS, like :func:`compiled_for_factory`; the disk
+    Memory -> disk -> compile, like :func:`compiled_for_factory`; the disk
     key is a content digest of the spec's permutation vectors.
     """
     from repro.kernels import store

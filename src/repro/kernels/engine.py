@@ -36,7 +36,11 @@ order the interpreter calls them (hit → ``touch(way)``; cold miss →
 ``fill(first invalid way)``; full miss → ``evict()`` then
 ``fill(victim)``).  The fill-ascending invariant holds because these
 loops only ever access (never invalidate), so the number of valid lines
-*is* the first invalid way.  Statistics are counted by the same rules as
+*is* the first invalid way.  Those events, from an empty or a preloaded
+full set in the reset state, are exactly the ones
+:meth:`~repro.kernels.automaton.CompiledPolicy.expand_all` closes over,
+so a frozen automaton from the store answers every run these loops
+make.  Statistics are counted by the same rules as
 :meth:`repro.cache.cache.Cache.access`; traces carry only reads, so
 dirty bits and writebacks cannot occur on the fast path.
 """

@@ -1,12 +1,14 @@
 """On-disk artifact store for compiled policy automata.
 
-BFS-compiling an automaton is the kernel's dominant fixed cost — full
-8-way LRU interns 40 320 states and steps a policy through 17 events
-from each — and the in-memory caches in :mod:`repro.kernels.automaton`
+Closing an automaton is the kernel's dominant fixed cost — full 8-way
+LRU interns 40 320 states and steps a policy through 368 794
+transitions — and the in-memory caches in :mod:`repro.kernels.automaton`
 are per-process, so every CLI invocation, bench, and ``--jobs N`` worker
-used to pay it again.  This module persists *complete* automata (every
-transition expanded) to a repo-local ``.repro-cache/`` directory so the
-cost is paid once per machine instead of once per process:
+used to pay it again.  This module persists *closed* automata (every
+event a set can take from every ``(state, valid ways)`` pair it reaches
+is expanded; see :meth:`~repro.kernels.automaton.CompiledPolicy.expand_all`)
+to a repo-local ``.repro-cache/`` directory so the cost is paid once per
+machine instead of once per process:
 
 * **Keys** — :class:`StoreKey` canonicalizes ``(kind, identity, ways,
   budget, schema_version)`` into a stable string; the file name is a
@@ -20,15 +22,15 @@ cost is paid once per machine instead of once per process:
   so readers never observe a partial artifact.
 * **Validation** — :func:`load` verifies magic, schema, key, lengths, a
   blake2s payload checksum, and that every transition is in range for a
-  complete automaton.  Anything wrong means *recompile*: the corrupt
-  file is unlinked and ``None`` returned; the store never raises into
-  the kernel's compile path.  Every such failure — a corrupt or
-  unreadable artifact, a save that could not write — counts as
-  ``kernel.store.errors``; a missing artifact or another key's file
-  does not.
+  closed automaton (``-1`` marks an event no set takes).  Anything
+  wrong means *recompile*: the corrupt file is unlinked and ``None``
+  returned; the store never raises into the kernel's compile path.
+  Every such failure — a corrupt or unreadable artifact, a save that
+  could not write — counts as ``kernel.store.errors``; a missing
+  artifact or another key's file does not.
 
 The store is consulted by ``compiled_for_factory`` / ``compiled_for_spec``
-(memory -> disk -> BFS) and populated at explicit warm points — the
+(memory -> disk -> compile) and populated at explicit warm points — the
 parallel runner's pre-resolve step, the ``repro cache warm`` CLI, and
 the compile-cache bench — never on the lazy compile path, so one-shot
 CLI latency is unchanged.
@@ -68,9 +70,12 @@ __all__ = [
     "clear",
 ]
 
-#: Bump on any change to the key canonicalization or file layout.  Old
-#: artifacts become invisible (different subdirectory), never misread.
-SCHEMA_VERSION = 1
+#: Bump on any change to the key canonicalization, the file layout or
+#: what the tables hold.  Old artifacts become invisible (different
+#: subdirectory), never misread.  v2: tables are closed over ``(state,
+#: valid ways)`` pairs, so unreached entries stay ``-1`` and state ids
+#: follow that closure's discovery order.
+SCHEMA_VERSION = 2
 
 #: First bytes of every artifact file.
 MAGIC = b"RPRAUTO1"
@@ -167,12 +172,12 @@ def artifact_path(key: StoreKey) -> Path:
 
 # -- serialization -----------------------------------------------------------
 def save(key: StoreKey, compiled) -> bool:
-    """Persist a *complete* automaton atomically; True on success.
+    """Persist a *closed* automaton atomically; True on success.
 
-    The automaton is closed with ``expand_all()`` first — only complete
-    tables round-trip (a ``-1`` placeholder could never be expanded by
-    the frozen automaton :func:`load` rebuilds).  A policy that blows
-    its budget or a read-only cache directory returns False;
+    The automaton is closed with ``expand_all()`` first — only closed
+    tables round-trip (a ``-1`` an engine reaches could never be
+    expanded by the frozen automaton :func:`load` rebuilds).  A policy
+    that blows its budget or a read-only cache directory returns False;
     persistence is an optimization, never a requirement.  A write that
     fails counts as ``kernel.store.errors``.
     """
@@ -351,25 +356,32 @@ def load(key: StoreKey):
 
 
 def _tables_in_range(buffers: dict, num_states: int, ways: int) -> bool:
-    """Complete-automaton invariants: every transition targets a real
-    state, every victim a real way.  Vectorized when numpy is present —
-    this is the hot half of artifact validation."""
+    """Closed-automaton invariants: every transition targets a real state
+    or is ``-1`` (unexpanded), every victim a real way, and a miss's
+    victim is unexpanded exactly where its next state is.  Vectorized
+    when numpy is present — this is the hot half of artifact validation."""
     if _vector.available():
         np = _vector._np
         for name in ("hit_next", "fill_next", "miss_next"):
             table = np.frombuffer(buffers[name], dtype=np.int32)
             if table.size and (
-                int(table.min()) < 0 or int(table.max()) >= num_states
+                int(table.min()) < -1 or int(table.max()) >= num_states
             ):
                 return False
         victims = np.frombuffer(buffers["miss_victim"], dtype=np.int32)
+        successors = np.frombuffer(buffers["miss_next"], dtype=np.int32)
         return not victims.size or (
-            int(victims.min()) >= 0 and int(victims.max()) < ways
+            int(victims.min()) >= -1
+            and int(victims.max()) < ways
+            and bool(np.array_equal(victims < 0, successors < 0))
         )
     for name in ("hit_next", "fill_next", "miss_next"):
-        if any(entry < 0 or entry >= num_states for entry in buffers[name]):
+        if any(entry < -1 or entry >= num_states for entry in buffers[name]):
             return False
-    return all(0 <= way < ways for way in buffers["miss_victim"])
+    return all(
+        -1 <= way < ways and (way < 0) == (successor < 0)
+        for way, successor in zip(buffers["miss_victim"], buffers["miss_next"])
+    )
 
 
 def ensure_persisted(key: StoreKey, compiled) -> bool:

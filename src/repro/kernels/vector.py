@@ -30,10 +30,13 @@ Ground rules:
 * **numpy is optional.**  When it is absent the entry point returns
   ``None`` and callers keep the scalar engine; nothing in the library
   imports numpy unconditionally.
-* **Only complete automata run vectorized.**  The stepper has no lazy
-  expansion hook — a ``-1`` table entry would be gathered as a state id
-  — so :func:`ensure_tables` forces ``expand_all()`` first and memoizes
-  a budget blow as "scalar only" on the automaton.
+* **Only closed automata run vectorized.**  The stepper has no lazy
+  expansion hook, so :func:`ensure_tables` closes the automaton with
+  ``expand_all()`` first and memoizes a budget blow as "scalar only" on
+  the automaton.  The ``-1`` entries a closed automaton keeps are events
+  no set takes; :meth:`VectorTables.fused` routes them to an absorbing
+  trap row, so a lane that reaches one anyway (a tampered artifact)
+  makes the call fall back instead of gathering ``-1`` as a state id.
 * **Fallback is always legal.**  Every ``None`` return means "use the
   scalar engine"; the vector path is an optimization, never a
   capability.  Engagement and fallbacks are visible as
@@ -128,7 +131,7 @@ def vector_allowed() -> bool:
 
 
 class VectorTables:
-    """Numpy mirror of one complete automaton's transition tables.
+    """Numpy mirror of one closed automaton's transition tables.
 
     Flat int32 arrays in the same layout as the scalar lists —
     ``hit_next``/``fill_next`` indexed ``state * ways + way``,
@@ -169,26 +172,34 @@ class VectorTables:
         every lane — hit or miss — with a single gather, and
         ``fused_way`` yields the way each missing lane writes (-1 for
         hits, which write nothing).
+
+        Row ``num_states`` is the trap: every unexpanded (``-1``) event
+        leads to it and every event from it stays there, so a lane that
+        ever takes such an event ends in the trap (see :func:`_run_lanes`).
         """
         if self.fused_next is None:
             np = _np
             states, ways = self.num_states, self.ways
             span = 2 * ways + 1
-            nxt = np.empty((states, span), dtype=np.int32)
-            nxt[:, :ways] = self.hit_next.reshape(states, ways)
-            nxt[:, ways : 2 * ways] = self.fill_next.reshape(states, ways)
-            nxt[:, 2 * ways] = self.miss_next
-            way = np.empty((states, span), dtype=np.int32)
+            nxt = np.full((states + 1, span), -1, dtype=np.int32)
+            nxt[:states, :ways] = self.hit_next.reshape(states, ways)
+            nxt[:states, ways : 2 * ways] = self.fill_next.reshape(states, ways)
+            nxt[:states, 2 * ways] = self.miss_next
+            nxt[nxt < 0] = states
+            way = np.empty((states + 1, span), dtype=np.int32)
             way[:, :ways] = -1
             way[:, ways : 2 * ways] = np.arange(ways, dtype=np.int32)
-            way[:, 2 * ways] = self.miss_victim
+            # An unexpanded miss (victim -1) writes way 0; its lane is
+            # trapped, so the write is never read.
+            way[:states, 2 * ways] = np.maximum(self.miss_victim, 0)
+            way[states, 2 * ways] = 0
             self.fused_next = nxt.reshape(-1)
             self.fused_way = way.reshape(-1)
         return self.fused_next, self.fused_way
 
     @classmethod
     def from_lists(cls, compiled) -> "VectorTables":
-        """Copy a complete automaton's list tables into numpy arrays."""
+        """Copy a closed automaton's list tables into numpy arrays."""
         return cls(
             compiled.ways,
             compiled.num_states,
@@ -214,7 +225,7 @@ class VectorTables:
 def ensure_tables(compiled) -> VectorTables | None:
     """The automaton's numpy tables, or None when it must stay scalar.
 
-    Forces full expansion first (the stepper cannot expand lazily) and
+    Closes the automaton first (the stepper cannot expand lazily) and
     memoizes the outcome on the automaton: a successful build is cached
     as the tables themselves, a budget blow or missing numpy as a
     ``False`` tombstone so the probe runs once.
@@ -245,7 +256,9 @@ def _run_lanes(tables, states, tags, filled, blocks, lengths):
     ``(width, Q)``, padded with -1) so each step reads one contiguous
     row.  ``states`` / ``filled`` are int32 ``(Q,)`` vectors, ``tags``
     an int64 ``(Q, ways)`` matrix (-1 = invalid way); all are mutated in
-    place.  Returns ``(total_hits, total_evictions)``.
+    place.  Returns ``(total_hits, total_evictions)``, or None when a
+    lane ended in the fused tables' trap row: it took an event the
+    automaton never expanded, and the whole run must fall back.
 
     Each step mirrors the scalar engine's per-access rules exactly: a
     matching tag is a hit at that way, a miss in a partly-filled lane
@@ -294,6 +307,10 @@ def _run_lanes(tables, states, tags, filled, blocks, lengths):
             t[miss_rows, fused_way[index[miss_rows]]] = b[miss_rows]
             f += miss & (f < ways)
         total_hits += int(np.count_nonzero(hit))
+    # The trap row is absorbing, so the final states show every lane
+    # that ever fell into it.
+    if int(states.max()) == tables.num_states:
+        return None
     # Every miss either cold-filled a way (visible as filled growth) or
     # evicted; no per-step counting needed.
     cold_fills = int(filled.sum()) - filled_before
@@ -322,8 +339,9 @@ def simulate_trace_lockstep(trace, config, compiled):
     then every set advances one access per stepper column.  Returns a
     :class:`~repro.cache.stats.CacheStats` bit-identical to the scalar
     trace engine / interpreter, or ``None`` for scalar fallback (numpy
-    absent/disabled, too few sets, automaton not fully expandable, a
-    pathologically skewed trace, or tags beyond the int64 lane range).
+    absent/disabled, too few sets, automaton not closable within its
+    budget, a pathologically skewed trace, tags beyond the int64 lane
+    range, or a lane that reached an unexpanded transition).
     """
     if not vector_allowed() or config.num_sets < MIN_TRACE_LANES:
         return None
@@ -345,9 +363,11 @@ def simulate_trace_lockstep(trace, config, compiled):
     states = np.zeros(num_sets, dtype=np.int32)
     tags = np.full((num_sets, ways), -1, dtype=np.int64)
     filled = np.zeros(num_sets, dtype=np.int32)
-    hits, evictions = _run_lanes(
-        tables, states, tags, filled, layout.blocks, layout.lengths
-    )
+    counts = _run_lanes(tables, states, tags, filled, layout.blocks, layout.lengths)
+    if counts is None:
+        _note_fallback()
+        return None
+    hits, evictions = counts
     _note_vector_call(num_sets, total)
     return _stats(total, hits, evictions)
 

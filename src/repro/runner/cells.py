@@ -146,7 +146,7 @@ def _prewarm_automata(cells: Sequence[SimCell]) -> None:
     ``(policy, params, ways)`` is compiled (or disk-loaded) here and
     persisted to the artifact store, so forked workers inherit the warm
     in-memory cache and spawned/later workers hit the warm disk cache —
-    every unique automaton of a ``--jobs N`` grid is BFS-compiled at
+    every unique automaton of a ``--jobs N`` grid is compiled at
     most once machine-wide (``kernel.compile.miss`` stays 0 in warm
     runs).  Skipped when the kernel is disabled; a store that cannot
     write degrades to fork-inherited memory warmth only.

@@ -1,5 +1,7 @@
 """Tests for address decomposition."""
 
+import random
+
 import pytest
 
 from repro.cache import AddressCodec, CacheConfig
@@ -45,3 +47,26 @@ class TestHelpers:
         addresses = [codec.same_set_address(17, k) for k in range(10)]
         assert len(set(addresses)) == 10
         assert all(codec.decompose(a).set_index == 17 for a in addresses)
+
+
+class TestHashedLocate:
+    @pytest.mark.parametrize("index_bits", [0, 1, 6, 10])
+    def test_locate_folds_like_hash_index(self, index_bits):
+        codec = AddressCodec(
+            CacheConfig("llc", (4 << index_bits) * 64, 4, index_hash="xor-fold")
+        )
+        assert codec.config.index_bits == index_bits
+        rng = random.Random(index_bits)
+        lines = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 12345]
+        lines += [rng.getrandbits(40) for _ in range(300)]
+        lines += [rng.getrandbits(100) for _ in range(100)]
+        for line_number in lines:
+            address = (line_number << 6) | rng.randrange(64)
+            assert codec.locate(address) == (codec._hash_index(line_number), line_number)
+            set_index, tag = codec.locate(address)
+            assert codec.compose(tag, set_index) == address & ~63
+
+    def test_locate_rejects_negative(self):
+        codec = AddressCodec(CacheConfig("llc", 256 * 64, 4, index_hash="xor-fold"))
+        with pytest.raises(ValueError):
+            codec.locate(-1)

@@ -53,20 +53,6 @@ class TestAccessPath:
         assert cache.stats.writebacks == 1
 
 
-class TestLookupTouch:
-    def test_miss_does_not_fill(self):
-        cache = small_cache()
-        assert cache.lookup_touch(0x200) is False
-        assert cache.probe(0x200) is False
-        assert cache.stats.misses == 1
-
-    def test_hit_counts(self):
-        cache = small_cache()
-        cache.access(0x200)
-        assert cache.lookup_touch(0x200) is True
-        assert cache.stats.hits == 1
-
-
 class TestMaintenance:
     def test_probe_no_side_effects(self):
         cache = small_cache()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.kernels.store import SCHEMA_VERSION
 from repro.obs import ledger as obs_ledger
 
 
@@ -238,7 +239,7 @@ class TestDbCommand:
         "argv, landed, printed",
         [
             (["cache", "warm", "--policies", "lru", "--ways", "2"],
-             "v1/lru-*.autom", "persisted 1/1"),
+             f"v{SCHEMA_VERSION}/lru-*.autom", "persisted 1/1"),
             (["history", "stats"], "history-v2.sqlite", "runs: 1 "),
             (["dash", "-o", "{tmp}/dash"], "history-v2.sqlite", "(1 run(s)"),
         ],

@@ -20,13 +20,28 @@ from repro.core.permutation import standard_miss_perm
 from repro.kernels import (
     clear_compile_cache,
     compile_policy,
+    count_misses_batch,
     count_misses_kernel,
     kernel_disabled,
+    sequence_hits_batch,
+    sequence_hits_preloaded_batch,
     simulate_sequence,
     simulate_trace_direct,
+    store,
     try_simulate_trace,
+    vector,
+    vector_disabled,
 )
-from repro.policies import PermutationPolicy, PermutationSpec, available, make_policy
+from repro.kernels.engine import _simulate_trace_compiled
+from repro.obs import metrics as obs_metrics
+from repro.policies import (
+    PermutationPolicy,
+    PermutationSpec,
+    PolicyFactory,
+    available,
+    lru_spec,
+    make_policy,
+)
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
 from tests.conftest import RANDOMIZED, all_deterministic_policies
@@ -154,3 +169,87 @@ def test_inference_identical_with_and_without_kernel(spec):
     assert fast.spec == slow.spec
     assert fast.measurements == slow.measurements
     assert fast.accesses == slow.accesses
+
+
+# -- closed automata, frozen through the store -------------------------------
+
+@st.composite
+def closure_targets(draw):
+    """``(factory, ways)``: a deterministic registry policy or a random
+    standard-miss spec, at 2 to 4 ways."""
+    ways = draw(st.integers(min_value=2, max_value=4))
+    if draw(st.booleans()):
+        return PolicyFactory("permutation", spec=draw(random_specs(ways))), ways
+    name = draw(st.sampled_from([name for name, _ in all_deterministic_policies(ways)]))
+    if name == "permutation":
+        return PolicyFactory(name, spec=lru_spec(ways)), ways
+    return PolicyFactory(name), ways
+
+
+def _frozen_closure(factory, ways):
+    """The closed automaton of ``factory`` at ``ways``, saved and reloaded."""
+    key = store.factory_key(factory.name, tuple(sorted(factory.params.items())), ways)
+    assert store.save(key, compile_policy(factory.build(ways)))
+    frozen = store.load(key)
+    assert frozen is not None and frozen.frozen
+    return frozen
+
+
+def _interpreted_hits(factory, ways, setup, probe, preload=None):
+    cache_set = CacheSet(ways, factory.build(ways))
+    if preload is not None:
+        cache_set.preload(preload)
+    for block in setup:
+        cache_set.access(block)
+    return tuple(cache_set.access(block).hit for block in probe)
+
+
+small_blocks = st.lists(st.integers(min_value=0, max_value=9), max_size=16)
+
+
+@given(
+    target=closure_targets(),
+    queries=st.lists(st.tuples(small_blocks, small_blocks), min_size=1, max_size=8),
+    probes=st.lists(small_blocks, min_size=1, max_size=6),
+    blocks=block_sequences,
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_closed_automaton_answers_like_the_interpreter(
+    target, queries, probes, blocks, seed
+):
+    """A closed automaton, frozen through a store round trip, answers
+    every engine's runs exactly as the interpreter does.
+
+    A frozen automaton cannot expand: the scalar engines raise if they
+    reach an unexpanded (-1) entry and lock-step falls back, so equal
+    answers from both show that the closure covers every event the
+    engines issue — from an empty set, from a preloaded full set and
+    from every set of a whole-cache trace.
+    """
+    factory, ways = target
+    frozen = _frozen_closure(factory, ways)
+    expected = [_interpreted_hits(factory, ways, setup, probe) for setup, probe in queries]
+    assert sequence_hits_batch(frozen, queries) == expected
+    assert count_misses_batch(frozen, queries) == [
+        len(hits) - sum(hits) for hits in expected
+    ]
+    cache_set = CacheSet(ways, factory.build(ways))
+    assert simulate_sequence(frozen, blocks) == [cache_set.access(b) for b in blocks]
+    tags = list(range(100, 100 + ways))
+    assert sequence_hits_preloaded_batch(frozen, tags, probes) == [
+        _interpreted_hits(factory, ways, [], probe, preload=tags) for probe in probes
+    ]
+
+    config = CacheConfig("t", 64 * ways * 64, ways)  # 64 sets: lock-step runs
+    trace = _random_trace(lines=64 * (ways + 2), length=64 * 12, seed=seed)
+    cache = Cache(config, factory)
+    for address in trace:
+        cache.access(address)
+    with vector_disabled():
+        assert _simulate_trace_compiled(trace, config, frozen) == cache.stats
+    if vector.available():
+        obs_metrics.DEFAULT.reset()
+        assert vector.simulate_trace_lockstep(trace, config, frozen) == cache.stats
+        counters = obs_metrics.DEFAULT.snapshot()["counters"]
+        assert counters.get("kernel.vector.fallbacks", 0) == 0

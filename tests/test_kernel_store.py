@@ -66,7 +66,7 @@ class TestRoundTrip:
         assert store.save(key, compiled)  # expand_all happens inside
         loaded = store.load(key)
         assert loaded is not None
-        assert loaded.frozen and loaded.is_complete()
+        assert loaded.frozen
         assert loaded.ways == compiled.ways
         assert loaded.num_states == compiled.num_states
         assert loaded.hit_next == compiled.hit_next
@@ -96,7 +96,7 @@ class TestRoundTrip:
         assert store.save(key, compiled)
         loaded = store.load(key)
         assert loaded.frozen
-        # Complete tables mean the engine never reaches expand_*; calling
+        # Closed tables mean the engine never reaches expand_*; calling
         # them directly is the defensive error path.
         from repro.errors import KernelUnsupported
 
@@ -147,6 +147,30 @@ class TestCorruptionFallback:
         path.write_bytes(bytes(blob))
         assert store.load(key) is None
         assert not path.exists()
+        assert self._errors() == 1
+
+    @pytest.mark.parametrize("with_numpy", [True, False])
+    def test_half_expanded_miss_is_corrupt(self, monkeypatch, with_numpy):
+        """Unexpanded entries are -1, but a miss is expanded whole: a
+        victim without a next state would send the scalar engine to
+        state -1.  Both validation branches refuse it."""
+        from repro.kernels import vector
+
+        if with_numpy and not vector.available():
+            pytest.skip("numpy not installed")
+        if not with_numpy:
+            monkeypatch.setattr(vector, "_np", None)
+        compiled = compile_policy("lru", WAYS)
+        compiled.expand_all()
+        tables = compiled.to_tables()
+        tables["miss_next"][0] = -1
+        tampered = type(compiled).from_tables(
+            WAYS, compiled.budget, compiled.num_states, tables
+        )
+        key = store.factory_key("lru", (), WAYS)
+        assert store.save(key, tampered)
+        obs_metrics.DEFAULT.reset()
+        assert store.load(key) is None
         assert self._errors() == 1
 
     def test_bad_magic_recompiles(self):

@@ -218,6 +218,58 @@ def test_trace_lockstep_respects_disable():
         assert vector.simulate_trace_lockstep(trace, config, compiled) is None
 
 
+def _planted(compiled, table):
+    """A frozen copy of closed ``compiled`` with one reachable entry unexpanded.
+
+    ``"fill_next"`` unexpands the reset state's first cold fill, which
+    every set that is accessed takes; ``"miss"`` unexpands the evicting
+    miss of the state in-order fills leave a full set in.
+    """
+    compiled.expand_all()
+    tables = compiled.to_tables()
+    ways = compiled.ways
+    if table == "fill_next":
+        tables["fill_next"][0] = -1
+    else:
+        state = 0
+        for way in range(ways):
+            state = compiled.fill_next[state * ways + way]
+        tables["miss_victim"][state] = tables["miss_next"][state] = -1
+    return type(compiled).from_tables(
+        ways, compiled.budget, compiled.num_states, tables
+    )
+
+
+@numpy_only
+@pytest.mark.parametrize("table", ["fill_next", "miss"])
+def test_lockstep_falls_back_on_an_unexpanded_entry(table):
+    """A lane that reaches a -1 lands in the trap row: lock-step falls
+    back, counted, and the caller still gets the interpreter's answer."""
+    from repro.kernels import automaton
+
+    config = CacheConfig("t", 64 * WAYS * 64, WAYS)  # 64 sets
+    trace = _random_trace(lines=64 * (WAYS + 2), length=64 * 12, seed=4)
+    frozen = _planted(compile_policy("lru", WAYS), table)
+    obs_metrics.DEFAULT.reset()
+    assert vector.simulate_trace_lockstep(trace, config, frozen) is None
+    assert _counters()["kernel.vector.fallbacks"] == 1
+    assert "kernel.vector.calls" not in _counters()
+
+    automaton._FACTORY_CACHE[("lru", (), WAYS)] = frozen
+    obs_metrics.DEFAULT.reset()
+    stats = try_simulate_trace(trace, config, "lru")
+    counters = _counters()
+    assert counters["kernel.vector.fallbacks"] == 1
+    # The scalar loop meets the same -1 and cannot expand it, so the
+    # run ends in direct mode.
+    assert counters["kernel.budget_fallbacks"] == 1
+    assert counters["kernel.calls.direct"] == 1
+    cache = Cache(config, "lru")
+    for address in trace:
+        cache.access(address)
+    assert stats == cache.stats
+
+
 # -- equivalence: random and dip lock-step -----------------------------------
 
 #: (name, params) of the policies that step lock-step without an automaton.

@@ -80,17 +80,31 @@ class TestCompilePolicy:
             compile_policy("dip", 4)
 
     def test_expand_all_closes_the_automaton(self):
-        # Small closed-form state spaces: LRU reaches every permutation
-        # of its recency stack, tree PLRU every setting of ways-1 bits.
+        # Closed-form state spaces: LRU reaches every permutation of its
+        # recency stack, tree PLRU every setting of ways-1 bits, and FIFO
+        # only the rotations of its queue that in-order fills and
+        # evicting misses make.
         assert compile_policy("lru", 3).expand_all() == 6
         assert compile_policy("plru", 4).expand_all() == 8
-        compiled = compile_policy("fifo", 3)
-        total = compiled.expand_all()
-        assert total == compiled.num_states
-        assert all(entry >= 0 for entry in compiled.hit_next)
-        assert all(entry >= 0 for entry in compiled.fill_next)
-        assert all(entry >= 0 for entry in compiled.miss_victim)
-        assert all(entry >= 0 for entry in compiled.miss_next)
+        for ways in range(2, 9):
+            assert compile_policy("fifo", ways).expand_all() == ways
+        for name, ways in (("lru", 3), ("fifo", 4), ("plru", 4), ("srrip", 4)):
+            compiled = compile_policy(name, ways)
+            total = compiled.expand_all()
+            assert total == compiled.num_states
+            events = _reachable_events(compiled)
+            # Exactly the events a set takes from either root are
+            # expanded; every other entry is left -1.
+            expanded = {
+                (table, index)
+                for table in ("hit_next", "fill_next", "miss_next")
+                for index, entry in enumerate(getattr(compiled, table))
+                if entry >= 0
+            }
+            assert expanded == events, name
+            assert [v >= 0 for v in compiled.miss_victim] == [
+                n >= 0 for n in compiled.miss_next
+            ]
 
     def test_budget_exceeded_raises(self):
         compiled = compile_policy(LruPolicy(4), budget=3)
@@ -100,6 +114,34 @@ class TestCompilePolicy:
     def test_default_budget_bounds_lazy_growth(self):
         compiled = compile_policy(LruPolicy(4))
         assert compiled.budget == DEFAULT_BUDGET
+
+
+def _reachable_events(compiled):
+    """``(table, index)`` of every event a set takes, walked on the tables.
+
+    Starts from the reset state with an empty and with a full set, and
+    asserts on the way that each event it needs is expanded.
+    """
+    ways = compiled.ways
+    todo = [(0, 0), (0, ways)]
+    seen = set(todo)
+    events = set()
+    while todo:
+        state, valid = todo.pop()
+        steps = [("hit_next", state * ways + way, valid) for way in range(valid)]
+        if valid < ways:
+            steps.append(("fill_next", state * ways + valid, valid + 1))
+        else:
+            assert compiled.miss_victim[state] >= 0, (state, valid)
+            steps.append(("miss_next", state, ways))
+        for table, index, after in steps:
+            successor = getattr(compiled, table)[index]
+            assert successor >= 0, (table, state, valid)
+            events.add((table, index))
+            if (successor, after) not in seen:
+                seen.add((successor, after))
+                todo.append((successor, after))
+    return events
 
 
 def _fingerprint_cases():
@@ -114,18 +156,19 @@ def _fingerprint_cases():
 def test_expanded_automaton_fingerprint():
     """State ids and tables are pinned, lazy-then-eager expansion included.
 
-    Each automaton first expands a few cold fills of the reset state out
-    of BFS order (as a running engine would), then closes under
-    ``expand_all()``.  The digest covers the state count and all four
-    tables of every case, so any change to how states are discovered,
-    numbered or stepped shows up here; the store's artifacts are these
-    tables byte for byte.
+    Each automaton first expands the first cold fills of an empty set
+    out of closure order, as a running engine would (fill way 0, then
+    way 1 from there, then way 2), then closes under ``expand_all()``.
+    The digest covers the state count and all four tables of every case,
+    so any change to how states are discovered, numbered or stepped
+    shows up here; the store's artifacts are these tables byte for byte.
     """
     digest = hashlib.sha256()
     for label, target in _fingerprint_cases():
         compiled = compile_policy(target)
+        state = 0
         for way in range(min(3, compiled.ways)):
-            compiled.expand_fill(0, way)
+            state = compiled.expand_fill(state, way)
         compiled.expand_all()
         digest.update(f"{label}:{compiled.num_states};".encode())
         for table in (
@@ -136,7 +179,7 @@ def test_expanded_automaton_fingerprint():
         ):
             digest.update(array("i", table).tobytes())
     assert digest.hexdigest() == (
-        "49edfe952bf37534bdffced6b28547e6acbf4ef344197db2f6053876f6e2129c"
+        "94bc8a0eee3903088c009b4610660fbf10cfdd425d9533930817f6cd3e58d8dc"
     )
 
 
