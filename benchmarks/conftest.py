@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import history as obs_history
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.kernels import kernel_enabled
@@ -87,16 +86,6 @@ def save_result(request):
         ledger_path = obs_ledger.write_ledger(
             ledger, RESULTS_DIR / f"{name}.ledger.json"
         )
-        # Auto-record into the run-history database so `repro-cache
-        # history check` and the dashboard see every bench run without a
-        # separate ingest step.  Recording never fails the benchmark.
-        try:
-            recorded = obs_history.record_ledger(ledger, source="bench")
-        except Exception:
-            recorded = None
-        history_note = (
-            f"; history run {recorded}" if recorded is not None else ""
-        )
-        print(f"\n{text}\n[saved to {path}; ledger {ledger_path}{history_note}]")
+        print(f"\n{text}\n[saved to {path}; ledger {ledger_path}]")
 
     return _save

@@ -9,17 +9,14 @@ Subcommands mirror the library's two halves:
 * ``predictability`` — evict/fill metrics table;
 * ``query`` — run one CacheQuery-notation access sequence;
 * ``cache`` — inspect/warm/clear the on-disk automaton store;
-* ``report`` — summarize or diff ``*.ledger.json`` run manifests;
-* ``history`` — ingest/check/inspect the run-history database
-  (``history ingest benchmarks/results/`` backfills, ``history check``
-  is the perf-regression exit-code gate);
-* ``dash`` — render the static HTML observability dashboard.
+* ``report`` — summarize or diff ``*.ledger.json`` run manifests, or
+  (``--gate``) hold fresh ledgers to the committed ones;
+* ``dash`` — render the static HTML observability dashboard from ledgers.
 
 The measurement-driving subcommands accept ``--metrics FILE`` (write
 the run's ledger, its one run record, to FILE); see OBSERVABILITY.md.
-``--cache-dir DIR`` (spelled ``--dir`` on
-``cache``/``history``/``dash``) points both persistent stores — compiled
-automata and the run history — at one directory.
+``--cache-dir DIR`` (spelled ``--dir`` on ``cache``) points the compiled
+automaton store at DIR.
 """
 
 from __future__ import annotations
@@ -197,7 +194,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    """Summarize or diff run ledgers."""
+    """Summarize, diff or gate run ledgers."""
+    if args.gate is not None:
+        passed, lines = obs_ledger.gate(args.gate, args.files)
+        print("\n".join(lines))
+        return 0 if passed else 1
     ledgers = []
     for path in args.files:
         # Every malformed input degrades to a one-line error + exit 2
@@ -218,24 +219,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise ReproError("--diff needs exactly two ledger files")
         print(obs_ledger.diff_ledgers(ledgers[0], ledgers[1]))
         return 0
-    status = 0
     for index, ledger in enumerate(ledgers):
         if index:
             print()
         print(obs_ledger.format_ledger(ledger))
-        if args.against_history:
-            from repro.obs import regress as obs_regress
-
-            verdicts = obs_regress.check_run(
-                ledger, baseline_ref=args.baseline
-            )
-            print()
-            print(obs_regress.format_verdicts(
-                verdicts, title=f"{ledger.name} vs history"
-            ))
-            if any(verdict.status == "fail" for verdict in verdicts):
-                status = 1
-    return status
+    return 0
 
 
 def _add_obs_options(command: argparse.ArgumentParser) -> None:
@@ -269,8 +257,8 @@ def _add_cache_options(
     """Attach the one persistent-store directory option."""
     command.add_argument(
         flag, metavar="DIR", default=None, dest="cache_dir",
-        help="directory of both persistent stores — compiled automata "
-        "and the run history (default: $REPRO_CACHE_DIR or ./.repro-cache)",
+        help="directory of the compiled-automaton store "
+        "(default: $REPRO_CACHE_DIR or ./.repro-cache)",
     )
 
 
@@ -335,88 +323,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_history(args: argparse.Namespace) -> int:
-    """Manage the run-history database (ingest/check/stats/clear)."""
-    from repro.obs import history as obs_history
-    from repro.obs import regress as obs_regress
-
-    if args.action == "ingest":
-        report = obs_history.ingest_paths(args.paths)
-        for path, status in report["files"]:
-            print(f"{status:9s} {path}")
-        for path, reason in report["errors"]:
-            print(f"error: {path}: {reason}", file=sys.stderr)
-        print(
-            f"ingested {report['recorded']} new, "
-            f"{report['duplicates']} duplicate(s), "
-            f"{report['dropped']} dropped, "
-            f"{len(report['errors'])} error(s) "
-            f"into {obs_history.history_path()}"
-        )
-        return 0 if not report["errors"] and not report["dropped"] else 1
-    if args.action == "check":
-        defaults = {
-            "window": obs_regress.DEFAULT_WINDOW,
-            "min_samples": obs_regress.DEFAULT_MIN_SAMPLES,
-            "wall_threshold": obs_regress.DEFAULT_WALL_THRESHOLD,
-            "counter_threshold": obs_regress.DEFAULT_COUNTER_THRESHOLD,
-        }
-        knobs = {
-            name: getattr(args, name) if getattr(args, name) is not None
-            else value
-            for name, value in defaults.items()
-        }
-        verdicts = obs_regress.check_history(
-            experiments=args.experiment or None,
-            baseline_ref=args.baseline,
-            **knobs,
-        )
-        print(obs_regress.format_verdicts(verdicts))
-        failed = sum(1 for verdict in verdicts if verdict.status == "fail")
-        skipped = sum(1 for verdict in verdicts if verdict.status == "skip")
-        print(
-            f"checked {len(verdicts)} metric(s): "
-            f"{failed} regression(s), {skipped} skipped"
-        )
-        if failed and args.warn_only:
-            print("warn-only: regressions reported, exit suppressed",
-                  file=sys.stderr)
-            return 0
-        return 1 if failed else 0
-    if args.action == "stats":
-        info = obs_history.stats()
-        rows = [
-            [entry["name"], entry["runs"], entry["first"], entry["latest"]]
-            for entry in info["experiments"]
-        ]
-        print(format_table(
-            ["experiment", "runs", "first", "latest"],
-            rows,
-            title=f"run history @ {info['path']}",
-        ))
-        print(
-            f"runs: {info['total_runs']} across "
-            f"{len(info['experiments'])} experiment(s), "
-            f"total {info['total_bytes']} bytes, "
-            f"schema v{info['schema_version']}, "
-            f"{'enabled' if info['enabled'] else 'disabled'}"
-        )
-        return 0
-    # clear
-    removed = obs_history.clear()
-    print(f"removed {removed} row(s) from {obs_history.history_path()}")
-    return 0
-
-
 def _cmd_dash(args: argparse.Namespace) -> int:
     """Render the static HTML observability dashboard."""
     from repro.obs import dash as obs_dash
 
-    report = obs_dash.render_dashboard(args.output)
+    report = obs_dash.render_dashboard(args.output, args.paths)
     print(
         f"dashboard: {len(report['pages'])} page(s) -> {args.output} "
-        f"({report['runs']} run(s), {report['experiments']} experiment(s), "
-        f"{report['flagged']} flagged group(s))"
+        f"({report['runs']} run(s), {report['experiments']} experiment(s))"
     )
     print(f"open {Path(args.output) / 'index.html'}")
     return 0
@@ -530,74 +444,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="summarize or diff *.ledger.json run manifests",
+        help="summarize, diff or gate *.ledger.json run manifests",
         description="Example: repro-cache report --diff serial.ledger.json "
         "parallel.ledger.json",
     )
     report.add_argument("files", nargs="+", help="ledger file(s) to read")
-    report.add_argument("--diff", action="store_true",
-                        help="compare exactly two ledgers side by side")
-    report.add_argument("--against-history", action="store_true",
-                        help="also judge each ledger against its baseline "
-                        "group in the run-history database (exit 1 on "
-                        "regression)")
-    report.add_argument("--baseline", default=None, metavar="REF",
-                        help="with --against-history: pin the baseline to "
-                        "runs recorded at this git revision (sha prefix)")
-
-    history = sub.add_parser(
-        "history",
-        help="manage the run-history database (ingest/check/stats/clear)",
-        description="Example: repro-cache history ingest benchmarks/results/ "
-        "&& repro-cache history check",
-    )
-    _add_cache_options(history, "--dir")
-    history_sub = history.add_subparsers(dest="action", required=True)
-    ingest = history_sub.add_parser(
-        "ingest",
-        help="backfill history from run ledgers",
-        description="Directories are scanned for *.ledger.json; "
-        "re-ingesting is idempotent (content fingerprints).",
-    )
-    ingest.add_argument("paths", nargs="+",
-                        help="ledger files or directories of them")
-    check = history_sub.add_parser(
-        "check",
-        help="regression-check the latest run of every baseline group",
-        description="Exit 1 when any group's newest run regressed against "
-        "its baseline window (median + MAD rule); groups with too little "
-        "history are skipped, so a cold database passes.",
-    )
-    check.add_argument("--experiment", action="append", default=[],
-                       metavar="NAME",
-                       help="restrict to this experiment (repeatable)")
-    check.add_argument("--window", type=int, default=None,
-                       help="baseline window length (prior runs per group)")
-    check.add_argument("--min-samples", type=int, default=None,
-                       help="baseline runs required before judging")
-    check.add_argument("--wall-threshold", type=float, default=None,
-                       help="wall-time ratio that fails (default 1.5)")
-    check.add_argument("--counter-threshold", type=float, default=None,
-                       help="counter ratio that fails (default 2.0)")
-    check.add_argument("--baseline", default=None, metavar="REF",
-                       help="pin the baseline to runs recorded at this git "
-                       "revision (sha prefix) instead of the sliding window")
-    check.add_argument("--warn-only", action="store_true",
-                       help="report regressions but always exit 0 (cold-"
-                       "cache CI gates)")
-    history_sub.add_parser("stats", help="inventory of the history database")
-    history_sub.add_parser("clear", help="delete all recorded history")
+    report_mode = report.add_mutually_exclusive_group()
+    report_mode.add_argument("--diff", action="store_true",
+                             help="compare exactly two ledgers side by side")
+    report_mode.add_argument("--gate", metavar="DIR", default=None,
+                             help="hold each ledger to DIR/<name>.ledger.json "
+                             "by the committed-results rules (exit 1 on any "
+                             "failed check)")
 
     dash = sub.add_parser(
         "dash",
         help="render the static HTML observability dashboard",
-        description="Example: repro-cache dash -o dash/ — renders a fleet "
-        "summary and per-experiment trend pages with data-series "
-        "sparklines from the run-history database.",
+        description="Example: repro-cache dash benchmarks/results/ -o dash/ "
+        "— renders a fleet summary and per-experiment trend pages with "
+        "data-series sparklines from the ledgers named.",
     )
+    dash.add_argument("paths", nargs="+",
+                      help="ledger files, or directories of *.ledger.json")
     dash.add_argument("-o", "--output", default="dash",
                       help="output directory (default: dash/)")
-    _add_cache_options(dash, "--dir")
 
     return parser
 
@@ -612,7 +482,6 @@ _COMMANDS = {
     "query": _cmd_query,
     "cache": _cmd_cache,
     "report": _cmd_report,
-    "history": _cmd_history,
     "dash": _cmd_dash,
 }
 
@@ -637,10 +506,7 @@ def _run_with_observability(args: argparse.Namespace) -> int:
     store is reset up front, so back-to-back commands in one process
     (tests, notebooks) never bleed counters into each other.
 
-    The ``--metrics`` file is the run's ledger, for ``repro-cache report``,
-    and the ledger is auto-recorded into the run-history database (with
-    the runner's per-map breakdowns attached).  Without ``--metrics`` no
-    history code runs at all — no sqlite file is created.
+    The ``--metrics`` file is the run's ledger, for ``repro-cache report``.
     """
     metrics_file = getattr(args, "metrics_file", None)
     command = _COMMANDS[args.command]
@@ -651,26 +517,16 @@ def _run_with_observability(args: argparse.Namespace) -> int:
     cache_dir = getattr(args, "cache_dir", None)
     cache_dir_before = None
     if cache_dir is not None:
-        # One directory holds both persistent stores: the run history
-        # lives beside the automata.
         from repro.kernels import store
 
         cache_dir_before = store.cache_dir()
         store.set_cache_dir(cache_dir)
     DEFAULT.reset()
-    maps: list[dict] = []
-    if metrics_file is not None:
-        from repro.runner import core as runner_core
-
-        runner_core.add_map_hook(maps.append)
     start = time.perf_counter()
     try:
         status = command(args)
         wall_seconds = time.perf_counter() - start
         if metrics_file is not None:
-            # The ledger is written (and history recorded) while the
-            # --cache-dir override is still in force, so the history row
-            # lands in the same directory tree as the other stores.
             ledger = obs_ledger.build_ledger(
                 name=f"cli-{args.command}",
                 params=_ledger_params(args),
@@ -682,24 +538,13 @@ def _run_with_observability(args: argparse.Namespace) -> int:
                 data={"exit_status": status},
             )
             obs_ledger.write_ledger(ledger, metrics_file)
-            from repro.obs import history as obs_history
-
-            obs_history.record_ledger(
-                ledger, source="cli", maps=maps or None
-            )
     finally:
-        if metrics_file is not None:
-            from repro.runner import core as runner_core
-
-            runner_core.remove_map_hook(maps.append)
         set_kernel_enabled(kernel_before)
         set_vector_enabled(vector_before)
         if cache_dir is not None:
             from repro.kernels import store
-            from repro.obs import history as obs_history
 
             store.set_cache_dir(cache_dir_before)
-            obs_history.reset()
     return status
 
 

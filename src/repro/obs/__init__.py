@@ -20,21 +20,13 @@ Three layers describe one run:
   record (the experiment's ``data``, git SHA, params, seeds,
   environment, wall time, counters and observations) that the CLI's
   ``--metrics`` and every benchmark write, compared by the
-  ``repro-cache report`` subcommand.
+  ``repro-cache report`` subcommand, and the committed-results gate
+  (``repro-cache report --gate``) that holds fresh ledgers to the
+  committed ones.
 
-Three more layers build the *across-run* plane on top of those three:
-
-* :mod:`repro.obs.history` — the WAL-mode sqlite run-history store
-  (``history-v<schema>.sqlite``) that every ledger is recorded into
-  (auto-recorded by the CLI under ``--metrics`` and by the benchmarks,
-  backfilled by ``repro-cache history ingest``);
-* :mod:`repro.obs.regress` — the perf-regression detector (median + MAD
-  baselines per experiment group) behind ``repro-cache history check``;
-* :mod:`repro.obs.dash` — the static HTML dashboard renderer behind
-  ``repro-cache dash``.
-
-The counter names, the ledger schema and the run-history plane are
-documented in OBSERVABILITY.md.
+:mod:`repro.obs.dash` renders ledgers from many runs as a static HTML
+dashboard (``repro-cache dash``).  The counter names, the ledger schema
+and the gate's rules are documented in OBSERVABILITY.md.
 """
 
 from repro.obs.ledger import (

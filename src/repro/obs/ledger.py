@@ -41,6 +41,10 @@ Field contract (checked by :func:`validate_ledger`):
 ``oracle.accesses``), kernel usage — and the ``repro-cache report``
 subcommand renders exactly that comparison.
 
+CI holds the ledgers a fresh benchmark run writes to the committed ones
+with :func:`gate` (``repro-cache report --gate COMMITTED_DIR FRESH...``),
+by the per-experiment rules of :data:`GATE`.
+
 ``python -m repro.obs.ledger FILE...`` validates ledger files (used by
 CI): exit 0 when all are valid, 1 on an invalid file, 2 on no argument.
 """
@@ -53,6 +57,7 @@ import platform as _platform
 import subprocess
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,12 +65,15 @@ from repro.errors import ResultSchemaError
 from repro.util.tables import format_table
 
 __all__ = [
+    "GATE",
     "LEDGER_SCHEMA_VERSION",
+    "GateRule",
     "RunLedger",
     "build_ledger",
     "collect_env",
     "diff_ledgers",
     "format_ledger",
+    "gate",
     "git_revision",
     "read_ledger",
     "validate_ledger",
@@ -295,8 +303,6 @@ KEY_COUNTERS = (
     "oracle.measurements",
     "oracle.accesses",
     "oracle.cache_hits",
-    "history.dropped",
-    "history.read_errors",
     "hw.flush.sets",
     "hw.setup_reused",
     "kernel.calls",
@@ -382,6 +388,149 @@ def diff_ledgers(a: RunLedger, b: RunLedger) -> str:
     return header + format_table(
         ["metric", "a", "b", "delta", "ratio"], rows, title="ledger diff"
     )
+
+
+# -- the committed-results gate ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class GateRule:
+    """What one experiment's fresh ledger must share with its committed one.
+
+    The ``data`` sections must be equal.  The counters in ``equal`` must
+    be equal too, those in ``positive`` above zero in the fresh run, and
+    with ``wall_ratio`` set the fresh ``wall_seconds`` may be at most that
+    multiple of the committed one; the wall bound applies only when both
+    runs have the same ``jobs``.
+    """
+
+    equal: tuple[str, ...] = ()
+    positive: tuple[str, ...] = ()
+    wall_ratio: float | None = None
+
+
+#: What CI holds each regenerated experiment to, by ledger name.  Every
+#: ``data`` section is a seeded, host-independent table, and every equal
+#: counter counts logical work (measurements issued, accesses simulated)
+#: that no host or engine changes.  The wall bound is the one
+#: host-dependent rule, loose enough for a shared CI runner.
+GATE: dict[str, GateRule] = {
+    "e1_inferred_policies": GateRule(
+        equal=("oracle.measurements",),
+        positive=("hw.setup_reused",),
+        wall_ratio=2.0,
+    ),
+    "e2_inference_cost": GateRule(equal=("oracle.measurements",)),
+    "e3_missratio": GateRule(equal=("kernel.accesses",), wall_ratio=2.0),
+    "e4_relative_lru": GateRule(),
+    "e6_noise": GateRule(equal=("oracle.measurements",)),
+    "e7_strategy_ablation": GateRule(equal=("oracle.measurements",)),
+    "e7_thrash_ablation": GateRule(equal=("oracle.measurements",)),
+    "e8_agreement": GateRule(equal=("kernel.accesses",), wall_ratio=2.0),
+    "e8_distinguishers": GateRule(),
+    "e9_adaptive": GateRule(equal=("oracle.measurements",)),
+    "e10_geometry": GateRule(),
+    "e11_wcet": GateRule(),
+    "e12_evictionsets": GateRule(),
+}
+
+
+def _differing_rows(label: str, old: object, new: object) -> list[str]:
+    """The rows of two ``data`` sections that differ, one line per side."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [
+            row
+            for key in sorted(set(old) | set(new))
+            for row in _differing_rows(f"{label}.{key}", old.get(key), new.get(key))
+        ]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [
+            row
+            for index, (row_old, row_new) in enumerate(zip(old, new))
+            for row in _differing_rows(f"{label}[{index}]", row_old, row_new)
+        ]
+    if old == new:
+        return []
+    return [f"{label} committed: {old}", f"{label} fresh:     {new}"]
+
+
+def gate(
+    committed_dir: str | Path, fresh_paths: Sequence[str | Path]
+) -> tuple[bool, list[str]]:
+    """Hold fresh ledgers to the committed ones by their :data:`GATE` rules.
+
+    Each fresh file is matched to ``<committed_dir>/<name>.ledger.json``
+    by its ledger ``name``; a name without a rule is reported as not
+    gated.  A fresh file that is not a valid ledger, a gated one with no
+    committed ledger, and a rule with no fresh ledger among
+    ``fresh_paths`` all fail.
+
+    Returns ``(passed, lines)``: one line per check, with the differing
+    rows under a failed ``data`` check.
+    """
+    lines: list[str] = []
+    failures = 0
+
+    def check(ok: bool, text: str) -> None:
+        nonlocal failures
+        failures += not ok
+        lines.append(f"{'ok  ' if ok else 'FAIL'} {text}")
+
+    unreadable = (OSError, ValueError, ResultSchemaError)
+    gated: set[str] = set()
+    for path in fresh_paths:
+        try:
+            fresh = read_ledger(path)
+        except unreadable as error:
+            check(False, f"{path}: not a ledger: {error}")
+            continue
+        label = f"{fresh.name} ({path})"
+        rule = GATE.get(fresh.name)
+        if rule is None:
+            lines.append(f"--   {label}: not gated")
+            continue
+        gated.add(fresh.name)
+        committed_path = Path(committed_dir) / f"{fresh.name}.ledger.json"
+        try:
+            committed = read_ledger(committed_path)
+        except unreadable as error:
+            check(False, f"{label}: no committed ledger {committed_path}: {error}")
+            continue
+        same = committed.data == fresh.data
+        verdict = "equals" if same else "differs from"
+        check(same, f"{label}: data {verdict} the committed run")
+        lines.extend(
+            f"       {row}"
+            for row in _differing_rows("data", committed.data, fresh.data)
+        )
+        for name in rule.equal:
+            old, new = committed.counters.get(name), fresh.counters.get(name)
+            check(
+                old is not None and old == new,
+                f"{label}: {name} committed {old}, fresh {new}",
+            )
+        for name in rule.positive:
+            value = fresh.counters.get(name, 0)
+            check(value > 0, f"{label}: {name} {value}, must be above 0")
+        if rule.wall_ratio is not None:
+            walls = (
+                f"wall_seconds committed {committed.wall_seconds:.3f}, "
+                f"fresh {fresh.wall_seconds:.3f}"
+            )
+            if committed.jobs != fresh.jobs:
+                lines.append(
+                    f"--   {label}: {walls}; not compared, jobs {fresh.jobs} "
+                    f"vs committed {committed.jobs}"
+                )
+            else:
+                check(
+                    fresh.wall_seconds <= rule.wall_ratio * committed.wall_seconds,
+                    f"{label}: {walls}, at most {rule.wall_ratio:g}x",
+                )
+    for name in sorted(set(GATE) - gated):
+        check(False, f"{name}: no fresh ledger among the arguments")
+    lines.append(f"gate: {failures} failed check(s)")
+    return failures == 0, lines
 
 
 def main(argv: list[str] | None = None) -> int:

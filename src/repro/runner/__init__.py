@@ -19,10 +19,7 @@ from repro.runner.cells import (
 from repro.runner.core import (
     CellTiming,
     ExperimentRunner,
-    MapHook,
     ProgressHook,
-    add_map_hook,
-    remove_map_hook,
 )
 from repro.runner.pool import WorkerPool, get_pool, pool_stats, shutdown_pool
 from repro.runner.shm import SharedTrace, share_trace
@@ -31,10 +28,7 @@ __all__ = [
     "CellResult",
     "CellTiming",
     "ExperimentRunner",
-    "MapHook",
     "ProgressHook",
-    "add_map_hook",
-    "remove_map_hook",
     "SharedTrace",
     "SimCell",
     "WorkerPool",

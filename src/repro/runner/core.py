@@ -45,7 +45,6 @@ warm/cold split is process-local.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -83,28 +82,6 @@ class CellTiming:
 
 #: Hook called once per finished cell with its :class:`CellTiming`.
 ProgressHook = Callable[[CellTiming], None]
-
-#: Hook called once per completed :meth:`ExperimentRunner.map` with a
-#: summary record (cells, jobs, seconds, per-source counts).  The run
-#: history layer registers one to attach per-map breakdowns to the run
-#: row; hooks must never raise (exceptions are swallowed — a broken
-#: observer cannot fail the experiment it observes).
-MapHook = Callable[[dict], None]
-
-_MAP_HOOKS: list[MapHook] = []
-
-
-def add_map_hook(hook: MapHook) -> None:
-    """Register a hook invoked after every completed ``map()``."""
-    if hook not in _MAP_HOOKS:
-        _MAP_HOOKS.append(hook)
-
-
-def remove_map_hook(hook: MapHook) -> None:
-    """Unregister a previously added map hook (missing is a no-op)."""
-    with contextlib.suppress(ValueError):
-        _MAP_HOOKS.remove(hook)
-
 
 def _run_chunk(fn, indexed_tasks, spec):
     """Worker entry point: run one chunk of (index, task) pairs.
@@ -270,27 +247,6 @@ class ExperimentRunner:
         if len(labels) != len(tasks):
             raise ValueError(f"{len(tasks)} tasks but {len(labels)} labels")
         indexed = list(enumerate(tasks))
-        start = time.perf_counter()
-        timings_before = len(self.timings)
-        try:
-            return self._map(fn, indexed, labels)
-        finally:
-            if _MAP_HOOKS:
-                sources: dict[str, int] = {}
-                for timing in self.timings[timings_before:]:
-                    sources[timing.source] = sources.get(timing.source, 0) + 1
-                record = {
-                    "cells": len(tasks),
-                    "jobs": self.jobs if self.parallel else 1,
-                    "seconds": round(time.perf_counter() - start, 6),
-                    "sources": sources,
-                }
-                for hook in list(_MAP_HOOKS):
-                    with contextlib.suppress(Exception):
-                        hook(record)
-
-    def _map(self, fn: Callable, indexed: list, labels: Sequence[str]) -> list:
-        tasks = [task for _, task in indexed]
         with obs_spans.span("runner.map"):
             if not self.parallel or len(tasks) <= 1:
                 return self._run_serially(fn, indexed, labels, source="serial")

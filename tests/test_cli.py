@@ -1,6 +1,7 @@
 """Tests for the repro-cache command line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -233,34 +234,48 @@ class TestLedgerAndReport:
 
 
 class TestDbCommand:
-    """``--dir`` on the store subcommands is one cache directory, restored after."""
+    """``--dir`` on the store subcommand is one cache directory, restored after."""
 
     @pytest.mark.parametrize(
         "argv, landed, printed",
         [
             (["cache", "warm", "--policies", "lru", "--ways", "2"],
              f"v{SCHEMA_VERSION}/lru-*.autom", "persisted 1/1"),
-            (["history", "stats"], "history-v2.sqlite", "runs: 1 "),
-            (["dash", "-o", "{tmp}/dash"], "history-v2.sqlite", "(1 run(s)"),
         ],
-        ids=["cache", "history", "dash"],
+        ids=["cache"],
     )
     def test_db_dir_override_is_restored(self, tmp_path, capsys, argv, landed, printed):
-        from tests.test_obs_history import make_ledger
         from repro.kernels import store
-        from repro.obs import history as obs_history
 
         elsewhere = tmp_path / "elsewhere"
-        seeded = obs_history.HistoryDB(elsewhere / obs_history.HISTORY_FILENAME)
-        seeded.record_ledger(make_ledger())
-        seeded.close()
         before = store.cache_dir()
-        argv = [arg.format(tmp=tmp_path) for arg in argv]
         # --dir belongs to the subcommand itself, ahead of any action.
         assert main(argv[:1] + ["--dir", str(elsewhere)] + argv[1:]) == 0
         assert printed in capsys.readouterr().out
         assert list(elsewhere.glob(landed))
         assert store.cache_dir() == before
+
+
+class TestReportGate:
+    RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+    def test_committed_ledgers_pass_against_themselves(self, capsys):
+        # Every gated experiment needs a committed ledger, so this also
+        # proves the committed results cover the whole gate table.
+        committed = sorted(str(path) for path in self.RESULTS.glob("*.ledger.json"))
+        assert main(["report", "--gate", str(self.RESULTS), *committed]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "e1_inferred_policies" in out and "not gated" in out
+
+    def test_failed_check_exits_one(self, capsys):
+        one = str(self.RESULTS / "e1_inferred_policies.ledger.json")
+        assert main(["report", "--gate", str(self.RESULTS), one]) == 1
+        assert "FAIL e12_evictionsets: no fresh ledger" in capsys.readouterr().out
+
+    def test_gate_and_diff_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "--gate", "d", "--diff", "a", "b"])
 
 
 class TestReportGracefulFailure:
@@ -294,158 +309,27 @@ class TestReportGracefulFailure:
         assert capsys.readouterr().err.startswith("error:")
 
 
-class TestHistoryCommand:
-    def _write_ledger(self, directory, name="e_hist", wall=1.0,
-                      created="2026-08-01T00:00:00Z"):
-        from tests.test_obs_history import make_ledger
-
-        directory.mkdir(parents=True, exist_ok=True)
-        return obs_ledger.write_ledger(
-            make_ledger(name=name, wall=wall, created=created),
-            directory / f"{name}-{created[:10]}.ledger.json",
-        )
-
-    def test_ingest_check_stats_clear_cycle(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        hist = str(tmp_path / "hist")
-        self._write_ledger(results, wall=1.0, created="2026-08-01T00:00:00Z")
-        self._write_ledger(results, wall=1.1, created="2026-08-02T00:00:00Z")
-        assert main(["history", "--dir", hist, "ingest", str(results)]) == 0
-        out = capsys.readouterr().out
-        assert "ingested 2 new" in out
-        # Idempotent re-ingest.
-        assert main(["history", "--dir", hist, "ingest", str(results)]) == 0
-        assert "2 duplicate(s)" in capsys.readouterr().out
-        # Steady series: check passes.
-        assert main(["history", "--dir", hist, "check"]) == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-        assert main(["history", "--dir", hist, "stats"]) == 0
-        assert "runs: 2" in capsys.readouterr().out
-        assert main(["history", "--dir", hist, "clear"]) == 0
-        assert "removed 2 row(s)" in capsys.readouterr().out
-
-    def test_check_flags_synthetic_outlier(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        hist = str(tmp_path / "hist")
-        self._write_ledger(results, wall=1.0, created="2026-08-01T00:00:00Z")
-        self._write_ledger(results, wall=3.0, created="2026-08-09T00:00:00Z")
-        assert main(["history", "--dir", hist, "ingest", str(results)]) == 0
-        capsys.readouterr()
-        assert main(["history", "--dir", hist, "check"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-        assert "3.00x" in out
-
-    def test_check_warn_only_suppresses_the_exit_code(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        hist = str(tmp_path / "hist")
-        self._write_ledger(results, wall=1.0, created="2026-08-01T00:00:00Z")
-        self._write_ledger(results, wall=3.0, created="2026-08-09T00:00:00Z")
-        main(["history", "--dir", hist, "ingest", str(results)])
-        capsys.readouterr()
-        assert main(["history", "--dir", hist, "check", "--warn-only"]) == 0
-        assert "warn-only" in capsys.readouterr().err
-
-    def test_ingest_reports_broken_files(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "bad.ledger.json").write_text('{"half')
-        assert main(["history", "--dir", str(tmp_path / "hist"),
-                     "ingest", str(results)]) == 1
-        captured = capsys.readouterr()
-        assert "error" in captured.err
-        assert "1 error(s)" in captured.out
-
-    def test_history_action_required(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["history"])
-
-
 class TestDashCommand:
-    def test_renders_from_ingested_history(self, tmp_path, capsys):
-        from tests.test_obs_history import make_ledger
-
+    def test_renders_from_ledger_files_and_directories(self, tmp_path, capsys):
         results = tmp_path / "results"
         results.mkdir()
         obs_ledger.write_ledger(
-            make_ledger(name="e_dash"), results / "e_dash.ledger.json"
+            obs_ledger.build_ledger("e_dash", wall_seconds=1.0),
+            results / "e_dash.ledger.json",
         )
-        hist = str(tmp_path / "hist")
-        assert main(["history", "--dir", hist, "ingest", str(results)]) == 0
-        capsys.readouterr()
+        serial = obs_ledger.write_ledger(
+            obs_ledger.build_ledger("e_dash", wall_seconds=2.0),
+            tmp_path / "serial.ledger.json",
+        )
         out_dir = tmp_path / "dash"
-        assert main(["dash", "--dir", hist, "-o", str(out_dir)]) == 0
+        assert main(["dash", str(results), str(serial), "-o", str(out_dir)]) == 0
         assert (out_dir / "index.html").exists()
         assert (out_dir / "exp-e_dash.html").exists()
-        assert "1 run(s)" in capsys.readouterr().out
+        assert "2 run(s), 1 experiment(s)" in capsys.readouterr().out
 
-    def test_empty_history_renders_empty_dashboard(self, tmp_path, capsys):
-        out_dir = tmp_path / "dash"
-        assert main(["dash", "--dir", str(tmp_path / "hist"),
-                     "-o", str(out_dir)]) == 0
-        assert (out_dir / "index.html").exists()
-
-
-class TestHistoryAutoRecord:
-    def test_metrics_run_records_into_history(self, tmp_path):
-        from repro.obs import history as obs_history
-
-        cache_dir = tmp_path / "stores"
-        metrics_file = tmp_path / "q.ledger.json"
-        assert main(["query", "--policy", "lru", "--ways", "2",
-                     "--cache-dir", str(cache_dir),
-                     "--metrics", str(metrics_file), "a b a?"]) == 0
-        assert (cache_dir / obs_history.HISTORY_FILENAME).exists()
-        db = obs_history.HistoryDB(cache_dir / obs_history.HISTORY_FILENAME)
-        try:
-            (run,) = db.runs(with_counters=True)
-            assert run["name"] == "cli-query"
-            assert run["source"] == "cli"
-            assert run["counters"].get("oracle.measurements", 0) >= 1
-        finally:
-            db.close()
-
-    def test_no_metrics_means_no_history_file(self, tmp_path):
-        from repro.obs import history as obs_history
-
-        cache_dir = tmp_path / "stores"
-        assert main(["query", "--policy", "lru", "--ways", "2",
-                     "--cache-dir", str(cache_dir), "a b a?"]) == 0
-        assert not (cache_dir / obs_history.HISTORY_FILENAME).exists()
-
-    def test_runner_maps_attached_to_the_recorded_run(self, tmp_path):
-        from repro.obs import history as obs_history
-
-        cache_dir = tmp_path / "stores"
-        metrics_file = tmp_path / "e.ledger.json"
-        assert main(["evaluate", "--policies", "lru,fifo",
-                     "--size", "1024", "--ways", "2",
-                     "--cache-dir", str(cache_dir),
-                     "--metrics", str(metrics_file)]) == 0
-        db = obs_history.HistoryDB(cache_dir / obs_history.HISTORY_FILENAME)
-        try:
-            (run,) = db.runs()
-            assert run["maps"], "runner map records should be attached"
-            assert run["maps"][0]["cells"] > 0
-            assert "sources" in run["maps"][0]
-        finally:
-            db.close()
-
-    def test_report_against_history_flags_regression(self, tmp_path, capsys):
-        from tests.test_obs_history import make_ledger
-        from repro.kernels import store
-        from repro.obs import history as obs_history
-
-        hist_dir = tmp_path / "hist"
-        db = obs_history.HistoryDB(hist_dir / obs_history.HISTORY_FILENAME)
-        db.record_ledger(make_ledger(wall=1.0, created="2026-08-01T00:00:00Z"))
-        db.close()
-        slow = obs_ledger.write_ledger(
-            make_ledger(wall=3.0, created="2026-08-09T00:00:00Z"),
-            tmp_path / "slow.ledger.json",
-        )
-        store.set_cache_dir(hist_dir)
-        assert main(["report", "--against-history", str(slow)]) == 1
-        out = capsys.readouterr().out
-        assert "vs history" in out
-        assert "FAIL" in out
+    def test_unreadable_ledger_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ledger.json"
+        bad.write_text('{"half')
+        assert main(["dash", str(bad), "-o", str(tmp_path / "dash")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.ledger.json" in err

@@ -1,6 +1,8 @@
 """Tests for repro.obs.ledger: schema, round trips, reporting, diffing,
-and the committed benchmark results, which are one ledger each."""
+the committed-results gate, and the committed benchmark results, which
+are one ledger each."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,11 +11,13 @@ import pytest
 from repro.errors import ResultSchemaError
 from repro.obs import ledger as obs_ledger
 from repro.obs.ledger import (
+    GATE,
     LEDGER_SCHEMA_VERSION,
     RunLedger,
     build_ledger,
     diff_ledgers,
     format_ledger,
+    gate,
     read_ledger,
     validate_ledger,
     write_ledger,
@@ -213,6 +217,112 @@ class TestValidatorCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "ok" in proc.stdout
+
+
+def _with_counter(ledger, name, value):
+    return dataclasses.replace(ledger, counters={**ledger.counters, name: value})
+
+
+def _changed_row(ledger):
+    return dataclasses.replace(
+        ledger, data={**ledger.data, "rows": [["lru", 0.25], ["fifo", 0.75]]}
+    )
+
+
+class TestGate:
+    """The committed-results gate on synthetic committed and fresh ledgers."""
+
+    @pytest.fixture
+    def runs(self, tmp_path):
+        """Committed ledgers for every gated experiment, and a gate runner.
+
+        ``run(changes)`` writes one fresh ledger per gated experiment,
+        each equal to its committed one unless ``changes`` maps its name
+        to a function of the ledger (returning None leaves it out), and
+        returns the gate's ``(passed, text)``.
+        """
+        committed_dir = tmp_path / "committed"
+        fresh_dir = tmp_path / "fresh"
+        committed_dir.mkdir()
+        fresh_dir.mkdir()
+        committed = {}
+        for name, rule in GATE.items():
+            committed[name] = make_ledger(
+                name=name,
+                counters={counter: 100 for counter in rule.equal + rule.positive},
+                data={"rows": [["lru", 0.25], ["fifo", 0.5]]},
+            )
+            write_ledger(committed[name], committed_dir / f"{name}.ledger.json")
+
+        def run(changes=None, extra=()):
+            paths = []
+            for name, ledger in committed.items():
+                ledger = (changes or {}).get(name, lambda same: same)(ledger)
+                if ledger is not None:
+                    paths.append(write_ledger(ledger, fresh_dir / f"{name}.ledger.json"))
+            passed, lines = gate(committed_dir, paths + list(extra))
+            return passed, "\n".join(lines)
+
+        run.committed_dir = committed_dir
+        run.fresh_dir = fresh_dir
+        return run
+
+    def test_equal_runs_pass(self, runs):
+        passed, text = runs()
+        assert passed, text
+        assert "FAIL" not in text
+        assert text.endswith("gate: 0 failed check(s)")
+
+    @pytest.mark.parametrize("name, change, expected", [
+        ("e6_noise", _changed_row,
+         "data.rows[1][1] committed: 0.5\n       data.rows[1][1] fresh:     0.75"),
+        ("e8_agreement", lambda run: _with_counter(run, "kernel.accesses", 101),
+         "kernel.accesses committed 100, fresh 101"),
+        ("e1_inferred_policies",
+         lambda run: _with_counter(run, "oracle.measurements", 99),
+         "oracle.measurements committed 100, fresh 99"),
+        ("e1_inferred_policies",
+         lambda run: dataclasses.replace(run, wall_seconds=run.wall_seconds * 2.1),
+         "wall_seconds committed 1.250, fresh 2.625"),
+        ("e1_inferred_policies",
+         lambda run: _with_counter(run, "hw.setup_reused", 0),
+         "hw.setup_reused 0, must be above 0"),
+        ("e12_evictionsets", lambda run: None,
+         "FAIL e12_evictionsets: no fresh ledger among the arguments"),
+    ], ids=["data-row", "counter-plus-one", "counter-minus-one", "wall-2.1x",
+            "setup-not-reused", "fresh-left-out"])
+    def test_each_change_fails_naming_its_row(self, runs, name, change, expected):
+        passed, text = runs({name: change})
+        assert not passed
+        assert expected in text
+        assert text.endswith("gate: 1 failed check(s)"), text
+
+    def test_fresh_ledger_without_committed_one_fails(self, runs):
+        (runs.committed_dir / "e10_geometry.ledger.json").unlink()
+        passed, text = runs()
+        assert not passed
+        assert "FAIL e10_geometry" in text and "no committed ledger" in text
+
+    def test_truncated_fresh_file_fails_naming_it(self, runs):
+        truncated = runs.fresh_dir / "cut.ledger.json"
+        truncated.write_text('{"name": "e2_inference_cost", "wall')
+        passed, text = runs(extra=[truncated])
+        assert not passed
+        assert f"FAIL {truncated}: not a ledger" in text
+
+    def test_wall_time_of_another_jobs_count_is_not_compared(self, runs):
+        passed, text = runs({"e3_missratio": lambda run: dataclasses.replace(
+            run, wall_seconds=run.wall_seconds * 3, jobs=0)})
+        assert passed, text
+        assert "not compared, jobs 0 vs committed 2" in text
+
+    def test_ungated_name_passes(self, runs):
+        extra = write_ledger(
+            make_ledger(name="bench_kernel"), runs.fresh_dir / "bench_kernel.ledger.json"
+        )
+        passed, text = runs(extra=[extra])
+        assert passed, text
+        assert "bench_kernel" in text and "not gated" in text
 
 
 class TestCommittedResults:
