@@ -21,7 +21,6 @@ class CacheAccessResult:
     set_index: int
     way: int
     evicted_address: int | None
-    evicted_dirty: bool = False
 
 
 class Cache:
@@ -80,10 +79,10 @@ class Cache:
         return self.config.name
 
     # -- access path -------------------------------------------------------
-    def access(self, address: int, write: bool = False) -> CacheAccessResult:
+    def access(self, address: int) -> CacheAccessResult:
         """Access ``address``; fill on miss; update statistics."""
         set_index, tag = self.locate(address)
-        result = self.sets[set_index].access(tag, write=write)
+        result = self.sets[set_index].access(tag)
         self.stats.accesses += 1
         evicted_address: int | None = None
         if result.hit:
@@ -94,43 +93,12 @@ class Cache:
             self.stats.fills += 1
             if result.evicted_tag is not None:
                 self.stats.evictions += 1
-                if result.evicted_dirty:
-                    self.stats.writebacks += 1
                 evicted_address = self.codec.compose(result.evicted_tag, set_index)
         return CacheAccessResult(
             hit=result.hit,
             set_index=set_index,
             way=result.way,
             evicted_address=evicted_address,
-            evicted_dirty=result.evicted_dirty,
-        )
-
-    def mark_dirty(self, address: int) -> bool:
-        """Absorb a writeback from an upper level; True if line present."""
-        set_index, tag = self.locate(address)
-        return self.sets[set_index].mark_dirty(tag)
-
-    def fill(self, address: int, write: bool = False, demand: bool = True) -> CacheAccessResult:
-        """Install a line known to be absent (hierarchy fill path)."""
-        set_index, tag = self.locate(address)
-        way, evicted_tag, evicted_dirty = self.sets[set_index].fill_way(tag, write)
-        self.filled.add(set_index)
-        if demand:
-            stats = self.stats
-            stats.fills += 1
-            if evicted_tag is not None:
-                stats.evictions += 1
-                if evicted_dirty:
-                    stats.writebacks += 1
-        evicted_address: int | None = None
-        if evicted_tag is not None:
-            evicted_address = self.codec.compose(evicted_tag, set_index)
-        return CacheAccessResult(
-            hit=False,
-            set_index=set_index,
-            way=way,
-            evicted_address=evicted_address,
-            evicted_dirty=evicted_dirty,
         )
 
     # -- non-disturbing queries ---------------------------------------------

@@ -24,8 +24,10 @@ class CacheConfig:
         size: total capacity in bytes.
         ways: associativity.
         line_size: cache line size in bytes.
-        inclusion: relation to the level above: ``"inclusive"``,
-            ``"exclusive"`` or ``"nine"`` (non-inclusive non-exclusive).
+        inclusion: relation to the levels above: ``"inclusive"`` (its
+            evictions back-invalidate them) or ``"nine"`` (non-inclusive
+            non-exclusive), the two kinds of level in the Intel
+            hierarchies the paper probes.
     """
 
     name: str
@@ -60,7 +62,7 @@ class CacheConfig:
             raise ConfigurationError(
                 f"number of sets must be a power of two, got {num_sets}"
             )
-        if self.inclusion not in ("inclusive", "exclusive", "nine"):
+        if self.inclusion not in ("inclusive", "nine"):
             raise ConfigurationError(f"unknown inclusion policy {self.inclusion!r}")
         if self.index_hash not in ("bits", "xor-fold"):
             raise ConfigurationError(f"unknown index_hash {self.index_hash!r}")

@@ -16,16 +16,12 @@ the core):
   (Intel L3 before Skylake-SP).
 * ``"nine"`` — non-inclusive non-exclusive: filled on demand misses, no
   back-invalidation (typical Intel L2).
-* ``"exclusive"`` — demand misses bypass the level; it is populated only
-  by victims evicted from the level directly above, and a hit migrates
-  the line upward, removing it locally (AMD-style victim cache; included
-  for completeness of the evaluation).
 
-Writes are write-allocate/write-back: a store dirties the line in L1 and
-dirty victims are written back to the next level that holds the line (or
-to memory).
+Every access is a load, as the paper's measurements are: a miss fills
+each level above the one that hit, and a victim simply leaves its level
+(back-invalidating the levels above an inclusive one).
 
-:meth:`CacheHierarchy.access_all` walks a whole sequence of accesses in
+:meth:`CacheHierarchy.access_all` walks a whole sequence of loads in
 one call, reading each level's address split, sets and statistics from a
 table built at construction; :meth:`CacheHierarchy.access` is its
 one-address case, so there is one walk.
@@ -74,8 +70,6 @@ class CacheHierarchy:
             raise ConfigurationError("hierarchy needs at least one level")
         if len(configs) != len(policies):
             raise ConfigurationError("one policy per level is required")
-        if configs[0].inclusion == "exclusive":
-            raise ConfigurationError("the first level cannot be exclusive")
         names = [config.name for config in configs]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate level names: {names}")
@@ -87,10 +81,6 @@ class CacheHierarchy:
         self.stats = HierarchyStats(
             levels={cache.name: cache.stats for cache in self.levels}
         )
-        inclusion = [cache.config.inclusion for cache in self.levels]
-        self._exclusive = [mode == "exclusive" for mode in inclusion]
-        self._inclusive = [mode == "inclusive" for mode in inclusion]
-        self._exclusive_below = self._exclusive[1:] + [False]
         # What the walk reads of each level, built once: a cache changes
         # its sets, stats and filled record in place and never rebinds
         # them.  The lookup step of each level, L1 first:
@@ -98,9 +88,8 @@ class CacheHierarchy:
             (cache.locate, cache.sets, cache.stats) for cache in self.levels
         )
         # and, for a hit at level index h (len(levels) for memory), the
-        # fill step of each level above h that demand misses fill, lowest
-        # first: (index, sets, stats, filled, compose, victims go down to
-        # an exclusive level, inclusive).
+        # fill step of each level above h, lowest first: (index, sets,
+        # stats, filled, compose, inclusive).
         fill_steps = [
             (
                 index,
@@ -108,18 +97,12 @@ class CacheHierarchy:
                 cache.stats,
                 cache.filled,
                 cache.codec.compose,
-                self._exclusive_below[index],
-                self._inclusive[index],
+                cache.config.inclusion == "inclusive",
             )
             for index, cache in enumerate(self.levels)
         ]
         self._fills = [
-            tuple(
-                fill_steps[upper]
-                for upper in range(hit - 1, -1, -1)
-                if not self._exclusive[upper]  # populated by victims only
-            )
-            for hit in range(len(self.levels) + 1)
+            tuple(reversed(fill_steps[:hit])) for hit in range(len(self.levels) + 1)
         ]
         # The result of a hit at each level index; index len(levels) is a
         # memory access.
@@ -146,50 +129,44 @@ class CacheHierarchy:
         raise KeyError(f"no cache level named {name!r}")
 
     # -- the access path ----------------------------------------------------
-    def access(
-        self, address: int, write: bool = False, demand: bool = True
-    ) -> HierarchyAccessResult:
-        """Perform one load (or store) and propagate fills and victims.
+    def access(self, address: int, demand: bool = True) -> HierarchyAccessResult:
+        """Perform one load and propagate fills and back-invalidations.
 
         The one-address case of :meth:`access_all`.
         """
-        return self.access_all((address,), write, demand)
+        return self.access_all((address,), demand)
 
     def access_all(
-        self, addresses: Iterable[int], write: bool = False, demand: bool = True
+        self, addresses: Iterable[int], demand: bool = True
     ) -> HierarchyAccessResult | None:
-        """Perform a sequence of loads (or stores), in order.
+        """Perform a sequence of loads, in order.
 
-        Each access walks the levels down to the first hit, then fills
-        the levels above it and routes their victims.  Prefetchers pass
-        ``demand=False``: the access moves cache state exactly like a
-        load, but no demand counter changes — hardware
+        Each load walks the levels down to the first hit, then fills the
+        levels above it; a victim evicted from an inclusive level is
+        back-invalidated above it, any other victim just leaves.
+        Prefetchers pass ``demand=False``: the access moves cache state
+        exactly like a load, but no demand counter changes — hardware
         ``MEM_LOAD_RETIRED``-style events count retired demand loads only.
 
         The walk touches and fills each level's sets directly and keeps
         the level's statistics and filled-set record itself.  Returns the
         last access's result (None for an empty sequence).
         """
-        levels = self.levels
         lookups = self._lookups
         fills = self._fills
-        exclusive = self._exclusive
         hierarchy_stats = self.stats
         # The (set index, tag) of each level missed, located once and
         # reused by the fill.
-        located: list[tuple[int, int]] = [(0, 0)] * len(levels)
+        located: list[tuple[int, int]] = [(0, 0)] * len(self.levels)
         index = -1
         for address in addresses:
             index = 0
             for locate, sets, stats in lookups:
                 set_index, tag = place = locate(address)
-                if sets[set_index].touch_tag(tag, write and not index) is not None:
+                if sets[set_index].touch_tag(tag) is not None:
                     if demand:
                         stats.accesses += 1
                         stats.hits += 1
-                    if exclusive[index]:
-                        # Exclusive hit: the line migrates upward.
-                        levels[index].invalidate(address)
                     break
                 if demand:
                     stats.accesses += 1
@@ -200,60 +177,23 @@ class CacheHierarchy:
                 if demand:
                     hierarchy_stats.memory_accesses += 1
             # Fill the levels above the hit, lowest first.  None of them
-            # gained the line since the walk missed it there: fills and
-            # victims only move lines downwards.
-            for upper, sets, stats, filled, compose, down, inclusive in fills[index]:
+            # gained the line since the walk missed it there: fills only
+            # add the line being loaded, and back-invalidations only remove.
+            for upper, sets, stats, filled, compose, inclusive in fills[index]:
                 set_index, tag = located[upper]
-                _, evicted_tag, dirty = sets[set_index].fill_way(
-                    tag, write and not upper
-                )
+                _, evicted_tag = sets[set_index].fill_way(tag)
                 filled.add(set_index)
                 if demand:
                     stats.fills += 1
                     if evicted_tag is not None:
                         stats.evictions += 1
-                        if dirty:
-                            stats.writebacks += 1
-                if evicted_tag is None:
-                    continue
-                # A clean victim above a non-exclusive level just leaves;
-                # its address is needed only to back-invalidate it above
-                # an inclusive level.
-                routed = dirty or down
-                if routed or inclusive:
+                # A victim's address is needed only to back-invalidate it
+                # above an inclusive level; any other victim just leaves.
+                if inclusive and evicted_tag is not None:
                     victim = compose(evicted_tag, set_index)
-                    if routed:
-                        self._handle_victim(upper, victim, dirty)
-                    if inclusive:
-                        self._back_invalidate(upper, victim)
+                    for above in self.levels[:upper]:
+                        above.invalidate(victim)
         return None if index < 0 else self._results[index]
-
-    def _handle_victim(self, level_index: int, victim: int, dirty: bool) -> None:
-        """Route a victim evicted from ``level_index`` downwards."""
-        next_index = level_index + 1
-        if self._exclusive_below[level_index]:
-            next_cache = self.levels[next_index]
-            if not next_cache.probe(victim):
-                result = next_cache.fill(victim, write=dirty)
-                if result.evicted_address is not None:
-                    self._handle_victim(next_index, result.evicted_address, result.evicted_dirty)
-            elif dirty:
-                next_cache.mark_dirty(victim)
-            return
-        if dirty:
-            self._writeback(next_index, victim)
-
-    def _writeback(self, start_index: int, victim: int) -> None:
-        """Write a dirty victim into the first lower level holding it."""
-        for index in range(start_index, len(self.levels)):
-            if self.levels[index].mark_dirty(victim):
-                return
-        self.stats.memory_accesses += 1
-
-    def _back_invalidate(self, level_index: int, address: int) -> None:
-        """Inclusive eviction: remove the line from all upper levels."""
-        for index in range(level_index - 1, -1, -1):
-            self.levels[index].invalidate(address)
 
     # -- maintenance ----------------------------------------------------------
     def flush(self) -> int:
@@ -292,12 +232,8 @@ class CacheHierarchy:
     def check_inclusion_invariants(self) -> list[str]:
         """Return a list of inclusion violations (empty = consistent).
 
-        Used by tests and by :mod:`repro.hardware` self-checks:
-
-        * every line in a level above an *inclusive* level must also be in
-          the inclusive level;
-        * a line may never be resident both in an *exclusive* level and in
-          any level above it.
+        The tests' oracle: every line in a level above an *inclusive*
+        level must also be in the inclusive level.
         """
         violations = []
         for index, cache in enumerate(self.levels):
@@ -309,12 +245,4 @@ class CacheHierarchy:
                             violations.append(
                                 f"{upper.name} holds {address:#x} not in inclusive {cache.name}"
                             )
-            if cache.config.inclusion == "exclusive":
-                resident = cache.resident_addresses()
-                for upper in self.levels[:index]:
-                    overlap = resident & upper.resident_addresses()
-                    for address in sorted(overlap):
-                        violations.append(
-                            f"{address:#x} resident in exclusive {cache.name} and in {upper.name}"
-                        )
         return violations

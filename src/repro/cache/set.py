@@ -15,7 +15,6 @@ class SetAccessResult:
     hit: bool
     way: int
     evicted_tag: int | None
-    evicted_dirty: bool = False
 
 
 class CacheSet:
@@ -32,7 +31,6 @@ class CacheSet:
         self.ways = ways
         self.policy = policy
         self._tags: list[int | None] = [None] * ways
-        self._dirty: list[bool] = [False] * ways
         # Inverse index of _tags; every access starts with a lookup, so the
         # O(ways) scan here used to dominate whole-trace simulation time.
         self._way_of: dict[int, int] = {}
@@ -46,10 +44,6 @@ class CacheSet:
         """Return the tag in each way (None = invalid)."""
         return list(self._tags)
 
-    def dirty_bits(self) -> list[bool]:
-        """Return the dirty bit of each way (False for an invalid way)."""
-        return list(self._dirty)
-
     def resident_tags(self) -> set[int]:
         """Return the set of valid tags."""
         return set(self._way_of)
@@ -60,7 +54,7 @@ class CacheSet:
         return len(self._way_of) == self.ways
 
     # -- state-changing operations ----------------------------------------
-    def touch_tag(self, tag: int, write: bool = False) -> int | None:
+    def touch_tag(self, tag: int) -> int | None:
         """Touch ``tag`` if resident (hit path only); return its way.
 
         Unlike :meth:`access` this never fills, which is what a hierarchy
@@ -71,60 +65,43 @@ class CacheSet:
         if way is None:
             return None
         self.policy.touch(way)
-        if write:
-            self._dirty[way] = True
         return way
 
-    def mark_dirty(self, tag: int) -> bool:
-        """Set the dirty bit of a resident line (writeback absorption)."""
-        way = self.lookup(tag)
-        if way is None:
-            return False
-        self._dirty[way] = True
-        return True
-
-    def access(self, tag: int, write: bool = False) -> SetAccessResult:
+    def access(self, tag: int) -> SetAccessResult:
         """Perform one access; fill on miss; return what happened."""
         way = self.lookup(tag)
         if way is not None:
             self.policy.touch(way)
-            if write:
-                self._dirty[way] = True
             return SetAccessResult(hit=True, way=way, evicted_tag=None)
-        return self.fill(tag, write=write)
+        return self.fill(tag)
 
-    def fill(self, tag: int, write: bool = False) -> SetAccessResult:
+    def fill(self, tag: int) -> SetAccessResult:
         """Install ``tag`` without a prior lookup (miss path)."""
-        way, evicted_tag, evicted_dirty = self.fill_way(tag, write)
-        return SetAccessResult(
-            hit=False, way=way, evicted_tag=evicted_tag, evicted_dirty=evicted_dirty
-        )
+        way, evicted_tag = self.fill_way(tag)
+        return SetAccessResult(hit=False, way=way, evicted_tag=evicted_tag)
 
-    def fill_way(self, tag: int, write: bool = False) -> tuple[int, int | None, bool]:
+    def fill_way(self, tag: int) -> tuple[int, int | None]:
         """:meth:`fill` without the result object.
 
-        Returns ``(way, evicted tag or None, evicted dirty)``; the
-        hierarchy walk fills through here.  A set with an invalid way
-        fills the lowest one; only a full set asks the policy for a victim.
+        Returns ``(way, evicted tag or None)``; the hierarchy walk fills
+        through here.  A set with an invalid way fills the lowest one;
+        only a full set asks the policy for a victim.
         """
         way_of = self._way_of
         if tag in way_of:
             raise SimulationError(f"fill of tag {tag} that is already resident")
         tags = self._tags
         evicted_tag: int | None = None
-        evicted_dirty = False
         if len(way_of) == self.ways:
             way = self.policy.evict()
             evicted_tag = tags[way]
-            evicted_dirty = self._dirty[way]
             del way_of[evicted_tag]
         else:
             way = tags.index(None)
         tags[way] = tag
-        self._dirty[way] = write
         way_of[tag] = way
         self.policy.fill(way)
-        return way, evicted_tag, evicted_dirty
+        return way, evicted_tag
 
     def invalidate(self, tag: int) -> bool:
         """Drop ``tag`` if present; replacement bits are left untouched.
@@ -136,14 +113,12 @@ class CacheSet:
         if way is None:
             return False
         self._tags[way] = None
-        self._dirty[way] = False
         del self._way_of[tag]
         return True
 
     def flush(self) -> None:
         """Invalidate every line and reset the replacement state."""
         self._tags = [None] * self.ways
-        self._dirty = [False] * self.ways
         self._way_of = {}
         self.policy.reset()
 
@@ -159,14 +134,12 @@ class CacheSet:
         if len(set(valid)) != len(valid):
             raise SimulationError("duplicate tags in preload")
         self._tags = list(tags)
-        self._dirty = [False] * self.ways
         self._way_of = {tag: way for way, tag in enumerate(tags) if tag is not None}
 
     def clone(self) -> "CacheSet":
-        """Deep copy: cloned policy, copied tag and dirty arrays."""
+        """Deep copy: cloned policy, copied tags."""
         copy = CacheSet(self.ways, self.policy.clone())
         copy._tags = list(self._tags)
-        copy._dirty = list(self._dirty)
         copy._way_of = dict(self._way_of)
         return copy
 

@@ -15,7 +15,6 @@ class CacheStats:
     evictions: int = 0
     fills: int = 0
     invalidations: int = 0
-    writebacks: int = 0
 
     @property
     def miss_ratio(self) -> float:
@@ -39,7 +38,6 @@ class CacheStats:
         self.evictions = 0
         self.fills = 0
         self.invalidations = 0
-        self.writebacks = 0
 
     def snapshot(self) -> "CacheStats":
         """Return an independent copy of the current counters."""
@@ -50,7 +48,6 @@ class CacheStats:
             evictions=self.evictions,
             fills=self.fills,
             invalidations=self.invalidations,
-            writebacks=self.writebacks,
         )
 
     def delta(self, earlier: "CacheStats") -> "CacheStats":
@@ -62,7 +59,6 @@ class CacheStats:
             evictions=self.evictions - earlier.evictions,
             fills=self.fills - earlier.fills,
             invalidations=self.invalidations - earlier.invalidations,
-            writebacks=self.writebacks - earlier.writebacks,
         )
 
     def advance(self, delta: "CacheStats") -> None:
@@ -73,7 +69,6 @@ class CacheStats:
         self.evictions += delta.evictions
         self.fills += delta.fills
         self.invalidations += delta.invalidations
-        self.writebacks += delta.writebacks
 
 
 @dataclass

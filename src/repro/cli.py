@@ -22,6 +22,7 @@ automaton store at DIR.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections.abc import Sequence
@@ -548,15 +549,54 @@ def _run_with_observability(args: argparse.Namespace) -> int:
     return status
 
 
+class _Stdout:
+    """``sys.stdout`` for one command: notes a write into a closed pipe."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+        self.pipe_closed = False
+
+    def write(self, text: str) -> int:
+        return self._guard(self.stream.write, text)
+
+    def flush(self) -> None:
+        self._guard(self.stream.flush)
+
+    def _guard(self, operation, *args):
+        try:
+            return operation(*args)
+        except BrokenPipeError:
+            self.pipe_closed = True
+            raise
+
+    def __getattr__(self, name: str):
+        return getattr(self.stream, name)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for the ``repro-cache`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    stdout = sys.stdout = _Stdout(sys.stdout)
     try:
-        return _run_with_observability(args)
+        status = _run_with_observability(args)
+        stdout.flush()  # so a closed pipe shows up here, not at exit
+        return status
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Only stdout's reader going away (``report ... | head``) ends the
+        # command quietly.  Stdout then points at devnull, so the flush at
+        # exit cannot raise again, and the status is 128 + SIGPIPE, never
+        # 0: a gate cut off mid-report has not passed.
+        if not stdout.pipe_closed:
+            raise
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), stdout.fileno())
+        return 141
+    finally:
+        sys.stdout = stdout.stream
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from repro.core.distinguish import (
 from repro.core.evictionsets import (
     EvictionTester,
     PlatformEvictionTester,
-    conflict_partition,
     find_eviction_set,
 )
 from repro.core.geometry import (
@@ -55,8 +54,6 @@ from repro.core.oracle import (
     policy_provenance,
 )
 from repro.core.permutation import (
-    canonical_form,
-    conjugate_equivalent,
     derive_spec_from_policy,
     equivalent,
     specs_equivalent,
@@ -79,7 +76,6 @@ __all__ = [
     "detect_nondeterminism",
     "EvictionTester",
     "PlatformEvictionTester",
-    "conflict_partition",
     "find_eviction_set",
     "AddressOracle",
     "GeometryFinding",
@@ -100,9 +96,7 @@ __all__ = [
     "default_candidates",
     "derive_spec_from_policy",
     "specs_equivalent",
-    "conjugate_equivalent",
     "equivalent",
-    "canonical_form",
     "standard_miss_perm",
     "known_specs",
     "name_spec",

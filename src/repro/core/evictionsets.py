@@ -117,34 +117,3 @@ def find_eviction_set(
             "policy may need a larger eviction set than the associativity"
         )
     return working
-
-
-def conflict_partition(
-    tester: EvictionTester,
-    addresses: Sequence[int],
-    target_size: int,
-    max_groups: int = 64,
-) -> list[list[int]]:
-    """Partition addresses into conflict groups (same hashed set).
-
-    Repeatedly pick an unclassified address as victim, find its minimal
-    eviction set within the remaining pool, and claim every address the
-    found set also evicts... simplified here to: claim the found set
-    members plus the victim, then continue with the rest.  The number of
-    returned groups estimates how many distinct sets the pool touches.
-    """
-    remaining = list(addresses)
-    groups: list[list[int]] = []
-    while remaining and len(groups) < max_groups:
-        victim = remaining[0]
-        pool = remaining[1:]
-        try:
-            eviction_set = find_eviction_set(tester, victim, pool, target_size)
-        except MeasurementError:
-            remaining = remaining[1:]  # not enough partners in the pool
-            continue
-        group = [victim] + eviction_set
-        groups.append(group)
-        claimed = set(group)
-        remaining = [address for address in remaining if address not in claimed]
-    return groups

@@ -288,9 +288,9 @@ class PermutationInference:
         setup = self._prefix(ways) + establishment
         # One simulation pass per sequence predicts every window at
         # once: the prediction for window [start, end) is the difference
-        # of cumulative miss counts, identical (by determinism) to a
-        # pair of fresh _predict() runs per window but costing
-        # O(len(probe)) instead of O(len(probe)^2 / window) work.
+        # of cumulative miss counts, identical (by determinism) to
+        # simulating each window afresh from the established state but
+        # costing O(len(probe)) instead of O(len(probe)^2 / window) work.
         cumulatives = self._predict_cumulative_batch(
             ways, spec, establishment, probes
         )
@@ -319,28 +319,6 @@ class PermutationInference:
         return True
 
     @staticmethod
-    def _predict(
-        ways: int, spec: PermutationSpec, establishment: list[int], probe: list[int]
-    ) -> int:
-        """Simulate the spec from the established state; count probe misses."""
-        # The established state: way p holds establishment[A-1-p] at position p.
-        preload = [establishment[ways - 1 - p] for p in range(ways)]
-        if kernels.kernel_enabled():
-            compiled = kernels.compiled_for_spec(spec)
-            if compiled is not None:
-                try:
-                    return kernels.count_misses_preloaded(compiled, preload, probe)
-                except KernelUnsupported:
-                    kernels.mark_spec_unsupported(spec)
-        cache_set = CacheSet(ways, PermutationPolicy(ways, spec))
-        cache_set.preload(preload)
-        misses = 0
-        for block in probe:
-            if not cache_set.access(block).hit:
-                misses += 1
-        return misses
-
-    @staticmethod
     def _predict_cumulative(
         ways: int, spec: PermutationSpec, establishment: list[int], probe: list[int]
     ) -> list[int]:
@@ -348,8 +326,7 @@ class PermutationInference:
 
         One pass over the probe (kernel
         :func:`~repro.kernels.sequence_hits_preloaded` when allowed,
-        interpreted otherwise) replaces a pair of :meth:`_predict` runs
-        per verification window.
+        interpreted otherwise) predicts every verification window.
         """
         preload = [establishment[ways - 1 - p] for p in range(ways)]
         flags: tuple[bool, ...] | None = None

@@ -11,9 +11,7 @@ paper's formalism rests on:
 * :func:`equivalent` — decide observational equivalence exactly by
   comparing miss-cycle normal forms; inferred policies are named with it;
 * :func:`specs_equivalent` — decide observational equivalence of two
-  specs by an exhaustive product-state search;
-* :func:`canonical_form` — the lexicographically smallest representative
-  under position relabeling.
+  specs by an exhaustive product-state search.
 
 "Standard miss" means the miss behaviour assumed by the paper's
 measurement algorithms: the block in the last position is evicted, the
@@ -24,7 +22,6 @@ towards eviction.
 from __future__ import annotations
 
 from collections import deque
-from itertools import permutations as iter_permutations
 
 from repro.policies import ReplacementPolicy, PermutationPolicy, PermutationSpec
 from repro.cache.set import CacheSet
@@ -264,43 +261,3 @@ def equivalent(first: PermutationSpec, second: PermutationSpec) -> bool:
     if first_form is not None and second_form is not None:
         return first_form == second_form
     return specs_equivalent(first, second)
-
-
-def conjugate_equivalent(first: PermutationSpec, second: PermutationSpec) -> bool:
-    """Sufficient equivalence check: is one spec a position relabeling of
-    the other?
-
-    Sound but not complete.
-    """
-    if first.ways != second.ways:
-        return False
-    ways = first.ways
-    for relabel in iter_permutations(range(ways - 1)):
-        full = tuple(relabel) + (ways - 1,)
-        if first.conjugate(full) == second:
-            return True
-    return False
-
-
-def canonical_form(spec: PermutationSpec) -> PermutationSpec:
-    """Return the lexicographically smallest conjugate of ``spec``.
-
-    Two specs with equal canonical forms are observationally equivalent;
-    the converse holds for specs whose every position is reachable, which
-    is the case for all specs produced by derivation or inference.
-    For associativities above 8 the exact canonicalisation is too
-    expensive ((A-1)! relabelings), so the spec itself is returned.
-    """
-    ways = spec.ways
-    if ways > 8:
-        return spec
-    best: PermutationSpec | None = None
-    best_key = None
-    for relabel in iter_permutations(range(ways - 1)):
-        full = tuple(relabel) + (ways - 1,)
-        candidate = spec.conjugate(full)
-        candidate_key = (candidate.hit_perms, candidate.miss_perm)
-        if best_key is None or candidate_key < best_key:
-            best, best_key = candidate, candidate_key
-    assert best is not None
-    return best

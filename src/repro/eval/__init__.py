@@ -1,7 +1,6 @@
 """Evaluation of replacement policies: performance and predictability."""
 
 from repro.eval.comparison import AgreementMatrix, agreement_matrix
-from repro.eval.competitiveness import CompetitivenessResult, relative_competitiveness
 from repro.eval.hierarchy_eval import (
     DEFAULT_LATENCIES,
     HierarchyEvaluation,
@@ -35,8 +34,6 @@ __all__ = [
     "evaluate_hierarchy",
     "AgreementMatrix",
     "agreement_matrix",
-    "CompetitivenessResult",
-    "relative_competitiveness",
     "MissRatioCell",
     "MissRatioMatrix",
     "SweepPoint",

@@ -117,40 +117,6 @@ class MissRatioMatrix:
             result.append(row)
         return result
 
-    def relative_to(self, baseline: str) -> "MissRatioMatrix":
-        """Divide every cell by the baseline policy's cell per trace.
-
-        Traces on which the baseline has zero misses keep an absolute 1.0
-        for the baseline and report ``inf``-free ratios by treating the
-        baseline as one miss (conservative, documented in EXPERIMENTS.md).
-        The raw ``misses``/``accesses`` counts are carried through from
-        the source cells, so the conservative denominator stays correct
-        even when applied to an already-relative matrix.
-        """
-        cells = []
-        for trace in self.traces():
-            base_cell = self.cell(baseline, trace)
-            base = base_cell.miss_ratio
-            # "One miss" on this trace, in miss-ratio units.
-            one_miss = 1.0 / max(1, base_cell.accesses)
-            denominator = base if base > 0 else one_miss
-            for policy in self.policies():
-                source = self.cell(policy, trace)
-                if policy == baseline:
-                    relative = 1.0
-                else:
-                    relative = source.miss_ratio / denominator
-                cells.append(
-                    MissRatioCell(
-                        policy=policy,
-                        trace=trace,
-                        miss_ratio=relative,
-                        misses=source.misses,
-                        accesses=source.accesses,
-                    )
-                )
-        return MissRatioMatrix(config=self.config, cells=tuple(cells))
-
 
 def miss_ratio_matrix(
     traces: Sequence[Trace],

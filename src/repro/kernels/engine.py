@@ -41,8 +41,7 @@ full set in the reset state, are exactly the ones
 :meth:`~repro.kernels.automaton.CompiledPolicy.expand_all` closes over,
 so a frozen automaton from the store answers every run these loops
 make.  Statistics are counted by the same rules as
-:meth:`repro.cache.cache.Cache.access`; traces carry only reads, so
-dirty bits and writebacks cannot occur on the fast path.
+:meth:`repro.cache.cache.Cache.access`.
 """
 
 from __future__ import annotations

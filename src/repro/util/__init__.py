@@ -1,9 +1,8 @@
-"""Small shared utilities: bit manipulation, RNG, statistics, tables."""
+"""Small shared utilities: bit manipulation, RNG, tables."""
 
 from repro.util.bits import is_power_of_two, ilog2, mask, extract_bits
 from repro.util.rng import SeededRng, derive_seed
-from repro.util.stats import mean, geomean, median, stdev, summarize, Summary
-from repro.util.tables import format_table, format_markdown_table
+from repro.util.tables import format_table
 
 __all__ = [
     "is_power_of_two",
@@ -12,12 +11,5 @@ __all__ = [
     "extract_bits",
     "SeededRng",
     "derive_seed",
-    "mean",
-    "geomean",
-    "median",
-    "stdev",
-    "summarize",
-    "Summary",
     "format_table",
-    "format_markdown_table",
 ]

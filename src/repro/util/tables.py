@@ -40,14 +40,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]], title
     for row in str_rows:
         lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Render a GitHub-flavoured markdown table (used by EXPERIMENTS.md)."""
-    str_rows = [[_stringify(cell) for cell in row] for row in rows]
-    lines = ["| " + " | ".join(headers) + " |", "|" + "|".join("---" for _ in headers) + "|"]
-    for row in str_rows:
-        if len(row) != len(headers):
-            raise ValueError("row width does not match header width")
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)

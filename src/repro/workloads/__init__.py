@@ -1,4 +1,4 @@
-"""Workload traces: generators, stack-distance tools, app models."""
+"""Workload traces: generators, a stack-distance model, app models."""
 
 from repro.workloads.generators import (
     cyclic_loop,
@@ -12,9 +12,6 @@ from repro.workloads.generators import (
 from repro.workloads.stackdist import (
     INFINITE,
     StackDistanceModel,
-    lru_miss_ratio_from_histogram,
-    stack_distance_histogram,
-    stack_distances,
 )
 from repro.workloads.synthetic import APP_MODELS, AppModel, workload_suite
 from repro.workloads.trace import Trace
@@ -28,9 +25,6 @@ __all__ = [
     "strided",
     "pointer_chase",
     "hot_cold",
-    "stack_distances",
-    "stack_distance_histogram",
-    "lru_miss_ratio_from_histogram",
     "StackDistanceModel",
     "INFINITE",
     "APP_MODELS",

@@ -1,70 +1,23 @@
-"""Stack-distance tools: analysis of traces and model-driven generation.
+"""Model-driven trace generation by stack distance.
 
 The *stack distance* (LRU reuse distance) of an access is the number of
 distinct lines touched since the previous access to the same line (∞ for
 first touches).  The histogram of stack distances fully determines the
-LRU miss ratio at every cache size, which makes it both a compact
-workload characterisation and a knob for generating traces with a wanted
-locality profile — our replacement for proprietary benchmark traces.
+LRU miss ratio at every cache size, which makes it a knob for generating
+traces with a wanted locality profile — our replacement for proprietary
+benchmark traces.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Sequence
 
 from repro.errors import ConfigurationError
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
 
-INFINITE = -1  # histogram key for first touches
-
-
-def stack_distances(trace: Trace, line_size: int = 64) -> list[int]:
-    """Per-access stack distances (INFINITE for first touches).
-
-    O(n * footprint) worst case but fast in practice: the LRU stack is a
-    list ordered by recency and most workloads have short distances.
-    """
-    stack: list[int] = []
-    distances: list[int] = []
-    for address in trace:
-        line = address // line_size
-        try:
-            depth = stack.index(line)
-        except ValueError:
-            distances.append(INFINITE)
-            stack.insert(0, line)
-        else:
-            distances.append(depth)
-            del stack[depth]
-            stack.insert(0, line)
-    return distances
-
-
-def stack_distance_histogram(trace: Trace, line_size: int = 64) -> dict[int, int]:
-    """Histogram of stack distances (key INFINITE = first touches)."""
-    return dict(Counter(stack_distances(trace, line_size)))
-
-
-def lru_miss_ratio_from_histogram(histogram: dict[int, int], capacity_lines: int) -> float:
-    """LRU miss ratio of a fully associative cache of ``capacity_lines``.
-
-    An access misses iff its stack distance is >= the capacity; this is
-    the classic single-pass Mattson result.
-    """
-    if capacity_lines < 1:
-        raise ConfigurationError("capacity_lines must be >= 1")
-    total = sum(histogram.values())
-    if total == 0:
-        return 0.0
-    misses = sum(
-        count
-        for distance, count in histogram.items()
-        if distance == INFINITE or distance >= capacity_lines
-    )
-    return misses / total
+INFINITE = -1  # the stack distance of a first touch
 
 
 class StackDistanceModel:

@@ -44,14 +44,6 @@ class TestAccessPath:
         assert cache.stats.misses == 3
         assert cache.stats.fills == 3
 
-    def test_write_and_writeback(self):
-        cache = small_cache()
-        stride = cache.config.way_size
-        cache.access(0, write=True)
-        cache.access(stride)
-        cache.access(2 * stride)  # evicts dirty line 0
-        assert cache.stats.writebacks == 1
-
 
 class TestMaintenance:
     def test_probe_no_side_effects(self):

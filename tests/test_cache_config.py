@@ -36,8 +36,9 @@ class TestValidation:
             CacheConfig("bad", 32 * 1024, 0)
 
     def test_rejects_unknown_inclusion(self):
-        with pytest.raises(ConfigurationError):
-            CacheConfig("bad", 32 * 1024, 8, inclusion="mostly")
+        for inclusion in ("mostly", "exclusive"):
+            with pytest.raises(ConfigurationError):
+                CacheConfig("bad", 32 * 1024, 8, inclusion=inclusion)
 
     def test_describe(self):
         text = CacheConfig("L2", 256 * 1024, 8, inclusion="nine").describe()

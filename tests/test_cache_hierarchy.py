@@ -10,11 +10,11 @@ from repro.cache import CacheConfig, CacheHierarchy
 from repro.errors import ConfigurationError
 
 
-def two_level(l2_inclusion="nine"):
+def two_level():
     return CacheHierarchy(
         [
             CacheConfig("L1", 512, 2),  # 4 sets
-            CacheConfig("L2", 2048, 4, inclusion=l2_inclusion),  # 8 sets
+            CacheConfig("L2", 2048, 4),  # 8 sets
         ],
         ["lru", "lru"],
     )
@@ -115,55 +115,6 @@ class TestInclusive:
         assert hierarchy.check_inclusion_invariants() == []
 
 
-class TestExclusive:
-    def test_demand_miss_bypasses_exclusive_level(self):
-        hierarchy = two_level(l2_inclusion="exclusive")
-        hierarchy.access(0x100)
-        assert hierarchy.level("L1").probe(0x100)
-        assert not hierarchy.level("L2").probe(0x100)
-
-    def test_l1_victim_lands_in_exclusive_l2(self):
-        hierarchy = two_level(l2_inclusion="exclusive")
-        stride = hierarchy.level("L1").config.way_size
-        hierarchy.access(0)
-        hierarchy.access(stride)
-        hierarchy.access(2 * stride)  # evicts 0 from L1 into L2
-        assert not hierarchy.level("L1").probe(0)
-        assert hierarchy.level("L2").probe(0)
-
-    def test_exclusive_hit_migrates_up(self):
-        hierarchy = two_level(l2_inclusion="exclusive")
-        stride = hierarchy.level("L1").config.way_size
-        hierarchy.access(0)
-        hierarchy.access(stride)
-        hierarchy.access(2 * stride)  # 0 now only in L2
-        result = hierarchy.access(0)
-        assert result.hit_level == "L2"
-        assert hierarchy.level("L1").probe(0)
-        assert not hierarchy.level("L2").probe(0)
-
-    def test_exclusive_invariant_holds_under_random_traffic(self):
-        import random
-
-        rng = random.Random(1)
-        hierarchy = two_level(l2_inclusion="exclusive")
-        for _ in range(5000):
-            hierarchy.access(rng.randrange(1 << 14) & ~0x3F)
-        assert hierarchy.check_inclusion_invariants() == []
-
-
-class TestWrites:
-    def test_dirty_victim_written_back_to_lower_level(self):
-        hierarchy = two_level()
-        stride = hierarchy.level("L1").config.way_size
-        hierarchy.access(0, write=True)
-        hierarchy.access(stride)
-        hierarchy.access(2 * stride)  # evicts dirty 0 from L1; L2 holds it
-        assert hierarchy.level("L1").stats.writebacks == 1
-        # No memory traffic beyond the three demand fetches.
-        assert hierarchy.stats.memory_accesses == 3
-
-
 class TestMaintenance:
     def test_reset(self):
         hierarchy = two_level()
@@ -215,15 +166,15 @@ class TestHashedLastLevel:
         assert not hierarchy.level("L1").probe(victim)
 
 
-# The walk pinned to recorded results: an inclusive pair, a stack with an
-# exclusive middle level and a single hashed level, driven by loads,
-# stores and non-demand accesses across a checkpoint, a restore and a
-# flush.  Each digest covers every access's outcome and each level's
-# final statistics and contents.
+# The walk pinned to recorded results: an inclusive pair, a stack with a
+# NINE middle level above an inclusive one and a single hashed level,
+# driven by demand and non-demand loads across a checkpoint, a restore
+# and a flush.  Each digest covers every access's outcome and each
+# level's final statistics and contents.
 RECORDED_WALKS = {
-    "nine-inclusive": "47d0e58d8aed3a6e441e8df92e0b7d2b6617b59a8a9eacd100c1320ad728e907",
-    "nine-exclusive-inclusive": "a20afe1aadd1e2150a016e588d845ebb3d4aab5e3fba462231cb57fe7ab822d8",
-    "xor-fold": "9cb64458c6aa88b728dbf80d9dec1a0ab6ba76bfc7bb31e93ccf0ef2b52b694e",
+    "nine-inclusive": "81b1888b25432b2eac06113f801f00196fa0441ec99519fe835654a625ca5d48",
+    "nine-nine-inclusive": "fc5b33f8b582fd8f579f86b302ca81cc5101e15a96755ead5f9c740c045b09b3",
+    "xor-fold": "c0b7b6e9da13606ec4b06c9194546720f50b50fcb8b65b10912f95cda7ef8355",
 }
 
 
@@ -236,11 +187,11 @@ def _recorded_hierarchy(name):
             ],
             ["plru", "lru"],
         )
-    if name == "nine-exclusive-inclusive":
+    if name == "nine-nine-inclusive":
         return CacheHierarchy(
             [
                 CacheConfig("L1", 512, 2),
-                CacheConfig("L2", 1024, 4, inclusion="exclusive"),
+                CacheConfig("L2", 1024, 4, inclusion="nine"),
                 CacheConfig("L3", 4096, 8, inclusion="inclusive"),
             ],
             ["lru", "fifo", "plru"],
@@ -260,9 +211,8 @@ def _walk_digest(hierarchy, seed):
             # lines that hit above age out of an inclusive level below.
             span = 1 << rng.choice((10, 10, 12, 12, 16))
             address = rng.randrange(span) & ~0x3F
-            write = rng.random() < 0.25
             demand = rng.random() >= 0.15
-            result = hierarchy.access(address, write=write, demand=demand)
+            result = hierarchy.access(address, demand=demand)
             hasher.update(repr((result.hit_level, result.level_hits)).encode())
 
     run(400)

@@ -51,16 +51,6 @@ class TestAccess:
         with pytest.raises(SimulationError):
             cache_set.fill(1)
 
-    def test_write_sets_dirty(self):
-        cache_set = make_set()
-        cache_set.access(1, write=True)
-        for tag in (2, 3, 4, 5, 6, 7):
-            result = cache_set.access(tag)
-            if result.evicted_tag == 1:
-                assert result.evicted_dirty
-                return
-        pytest.fail("tag 1 was never evicted")
-
 
 class TestTouchTag:
     def test_touch_miss_does_not_fill(self):

@@ -1,10 +1,13 @@
 """Tests for the repro-cache command line interface."""
 
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.kernels.store import SCHEMA_VERSION
 from repro.obs import ledger as obs_ledger
@@ -276,6 +279,38 @@ class TestReportGate:
     def test_gate_and_diff_are_exclusive(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "--gate", "d", "--diff", "a", "b"])
+
+
+class TestClosedPipe:
+    """``repro-cache report ... | head``: the reader of stdout goes away."""
+
+    # Line-buffered, a write raises; block-buffered, the output is small
+    # enough that only the flush before main returns reaches the pipe.
+    @pytest.mark.parametrize("buffering", [1, -1], ids=["on-write", "on-flush"])
+    def test_closed_stdout_ends_quietly_and_never_passes(self, monkeypatch, buffering):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stream = open(write_end, "w", buffering=buffering)
+        monkeypatch.setattr(sys, "stdout", stream)
+        results = TestReportGate.RESULTS
+        committed = sorted(str(path) for path in results.glob("*.ledger.json"))
+        try:
+            # The same gate passes with exit 0 on a readable stdout.
+            assert main(["report", "--gate", str(results), *committed]) == 141
+            assert sys.stdout is stream
+            stream.write("the exit flush goes to devnull\n")
+        finally:
+            stream.close()
+
+    def test_other_broken_pipes_propagate(self, monkeypatch, capsys):
+        def broken_worker_pipe(args):
+            raise BrokenPipeError("worker pipe")
+
+        monkeypatch.setitem(cli._COMMANDS, "list-policies", broken_worker_pipe)
+        stdout = sys.stdout
+        with pytest.raises(BrokenPipeError, match="worker pipe"):
+            main(["list-policies"])
+        assert sys.stdout is stdout
 
 
 class TestReportGracefulFailure:

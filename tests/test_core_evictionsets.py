@@ -6,7 +6,6 @@ from repro.cache import AddressCodec, Cache, CacheConfig
 from repro.core.evictionsets import (
     EvictionTester,
     PlatformEvictionTester,
-    conflict_partition,
     find_eviction_set,
 )
 from repro.errors import ConfigurationError, MeasurementError
@@ -131,21 +130,6 @@ class TestFindEvictionSet:
     def test_bad_target_rejected(self):
         with pytest.raises(MeasurementError):
             find_eviction_set(self.tester, self.victim, self.pool, target_size=0)
-
-
-class TestConflictPartition:
-    def test_partitions_into_same_set_groups(self):
-        codec = AddressCodec(hashed_config())
-        tester = _FakeTester(codec, ways=4)
-        # 5 addresses in each of 3 sets.
-        addresses = []
-        for set_index in (0, 5, 9):
-            addresses += [codec.same_set_address(set_index, k) for k in range(5)]
-        groups = conflict_partition(tester, addresses, target_size=4)
-        assert len(groups) == 3
-        for group in groups:
-            sets = {codec.decompose(a).set_index for a in group}
-            assert len(sets) == 1
 
 
 class TestPlatformTester:

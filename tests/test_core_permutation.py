@@ -1,10 +1,8 @@
-"""Tests for spec derivation, equivalence and canonicalisation."""
+"""Tests for spec derivation and equivalence."""
 
 import pytest
 
 from repro.core.permutation import (
-    canonical_form,
-    conjugate_equivalent,
     derive_spec_from_policy,
     equivalent,
     specs_equivalent,
@@ -78,7 +76,6 @@ class TestEquivalence:
         spec = lru_spec(4)
         relabeled = spec.conjugate((2, 0, 1, 3))
         assert specs_equivalent(spec, relabeled)
-        assert conjugate_equivalent(spec, relabeled)
 
     def test_different_ways_not_equivalent(self):
         assert not specs_equivalent(lru_spec(2), lru_spec(4))
@@ -93,24 +90,6 @@ class TestEquivalence:
         spec = lru_spec(16)
         relabeled = spec.conjugate(tuple(list(range(14, -1, -1)) + [15]))
         assert equivalent(spec, relabeled)
-
-
-class TestCanonicalForm:
-    def test_idempotent(self):
-        spec = lru_spec(4)
-        assert canonical_form(canonical_form(spec)) == canonical_form(spec)
-
-    def test_conjugates_share_canonical_form(self):
-        spec = derive_spec_from_policy(PlruPolicy(4))
-        relabeled = spec.conjugate((1, 2, 0, 3))
-        assert canonical_form(spec) == canonical_form(relabeled)
-
-    def test_distinct_policies_distinct_canonical_forms(self):
-        assert canonical_form(lru_spec(4)) != canonical_form(fifo_spec(4))
-
-    def test_large_ways_passthrough(self):
-        spec = lru_spec(16)
-        assert canonical_form(spec) == spec
 
 
 class TestStandardMissPerm:

@@ -53,48 +53,6 @@ class TestMatrix:
         with pytest.raises(KeyError):
             matrix.ratio("fifo", "loop-65w")
 
-    def test_relative_to(self):
-        matrix = self.make()
-        relative = matrix.relative_to("lru")
-        assert relative.ratio("lru", "loop-65w") == 1.0
-        assert relative.ratio("lip", "loop-65w") < 1.0
-
-    def test_relative_to_zero_miss_baseline_keeps_one(self):
-        # Regression: the baseline cell must keep 1.0 (its documented
-        # contract) even when the baseline records zero misses, and the
-        # other policies divide by "one miss" instead of by zero.
-        config = CacheConfig("c", 4096, 64)
-        trace = cyclic_loop(32, 3)  # fits: warm passes are all hits
-        matrix = miss_ratio_matrix([trace], config, ["lip", "lru"])
-        assert matrix.ratio("lru", trace.name) < 1.0
-        relative = matrix.relative_to("lru")
-        baseline = matrix.cell("lru", trace.name)
-        assert baseline.misses > 0  # cold pass
-        # Synthesize a true zero-miss baseline to hit the guarded branch.
-        from repro.eval.missratio import MissRatioCell, MissRatioMatrix
-
-        cells = (
-            MissRatioCell("base", "t", 0.0, 0, 96),
-            MissRatioCell("other", "t", 0.5, 48, 96),
-        )
-        synthetic = MissRatioMatrix(config=config, cells=cells).relative_to("base")
-        assert synthetic.ratio("base", "t") == 1.0  # contract: keeps 1.0
-        # other / (one miss = 1/96) = 0.5 * 96
-        assert synthetic.ratio("other", "t") == pytest.approx(48.0)
-
-    def test_relative_to_of_relative_matrix_is_finite(self):
-        # Regression: the conservative denominator used to read
-        # ``accesses`` from an already-zeroed relative cell, collapsing
-        # "one miss" to 1.0; counts are now carried through.
-        matrix = self.make()
-        relative = matrix.relative_to("lru")
-        for cell in relative.cells:
-            assert cell.accesses > 0  # counts survive the normalisation
-        again = relative.relative_to("lru")
-        assert again.ratio("lru", "loop-65w") == 1.0
-        assert all(ratio == ratio and ratio != float("inf")
-                   for row in again.rows() for ratio in row[1:])
-
     def test_cell_index_matches_linear_search(self):
         matrix = self.make()
         for cell in matrix.cells:

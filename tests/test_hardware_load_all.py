@@ -24,16 +24,6 @@ from repro.hardware import (
 )
 from repro.hardware.harness import MeasurementHarness
 
-EXCLUSIVE_L2 = ProcessorSpec(
-    name="exclusive-l2",
-    description="test-only: exclusive L2 between a PLRU L1 and an inclusive L3",
-    levels=(
-        LevelSpec(CacheConfig("L1", 512, 2), "plru"),
-        LevelSpec(CacheConfig("L2", 1024, 4, inclusion="exclusive"), "fifo"),
-        LevelSpec(CacheConfig("L3", 4096, 8, inclusion="inclusive"), "lru"),
-    ),
-)
-
 NOISY = ProcessorSpec(
     name="noisy-small-pages",
     description="test-only: every noise class on 4 KiB pages",
@@ -51,7 +41,7 @@ HASHED_LLC = ProcessorSpec(
     levels=(LevelSpec(CacheConfig("LLC", 8 * 1024, 4, index_hash="xor-fold"), "lru"),),
 )
 
-SPECS = [*PROCESSORS.values(), EXCLUSIVE_L2, NOISY, HASHED_LLC]
+SPECS = [*PROCESSORS.values(), NOISY, HASHED_LLC]
 
 
 def _twins(spec, seed=2):
@@ -85,9 +75,8 @@ def _assert_same(batched, single):
         assert ours.resident_addresses() == theirs.resident_addresses()
         stats = ours.stats
         assert stats.accesses == stats.hits + stats.misses
-        if ours.config.inclusion != "exclusive":
-            # Every demand miss fills a level that demand misses fill.
-            assert stats.fills == stats.misses
+        # Every demand miss fills the level it missed.
+        assert stats.fills == stats.misses
     assert batched.hierarchy.check_inclusion_invariants() == []
 
 
@@ -124,7 +113,7 @@ def test_load_all_matches_one_load_at_a_time(spec):
 
 
 def test_unmapped_address_raises_before_any_load():
-    platform = HardwarePlatform(EXCLUSIVE_L2)
+    platform = HardwarePlatform(HASHED_LLC)
     buffer = platform.allocate(1 << 16)
     before = platform.counters.snapshot()
     with pytest.raises(MeasurementError, match=hex(buffer.base + buffer.size)):

@@ -93,24 +93,6 @@ def test_equivalent_agrees_with_the_exhaustive_search(pair):
     assert equivalent(first, second) == specs_equivalent(first, second)
 
 
-@given(spec=random_specs())
-@settings(max_examples=30, deadline=None)
-def test_canonical_form_is_equivalent_and_stable(spec):
-    from repro.core.permutation import canonical_form
-
-    canon = canonical_form(spec)
-    assert specs_equivalent(spec, canon)
-    assert canonical_form(canon) == canon
-
-
-@given(spec=random_specs(), relabel=eviction_fixing_relabels())
-@settings(max_examples=25, deadline=None)
-def test_canonical_form_identifies_conjugates(spec, relabel):
-    from repro.core.permutation import canonical_form
-
-    assert canonical_form(spec) == canonical_form(spec.conjugate(relabel))
-
-
 @given(
     tags=st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=100)
 )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import format_markdown_table, format_table
+from repro.util.tables import format_table
 
 
 class TestFormatTable:
@@ -23,16 +23,3 @@ class TestFormatTable:
     def test_width_mismatch_raises(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [[1]])
-
-
-class TestFormatMarkdownTable:
-    def test_structure(self):
-        text = format_markdown_table(["x", "y"], [[1, 2]])
-        lines = text.splitlines()
-        assert lines[0] == "| x | y |"
-        assert lines[1] == "|---|---|"
-        assert lines[2] == "| 1 | 2 |"
-
-    def test_width_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            format_markdown_table(["a"], [[1, 2]])

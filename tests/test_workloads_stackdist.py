@@ -1,69 +1,15 @@
-"""Tests for stack-distance analysis and generation."""
+"""Tests for stack-distance trace generation."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheConfig
 from repro.errors import ConfigurationError
-from repro.eval.missratio import miss_ratio
 from repro.util.rng import SeededRng
-from repro.workloads import (
-    INFINITE,
-    StackDistanceModel,
-    Trace,
-    lru_miss_ratio_from_histogram,
-    sequential_scan,
-    stack_distance_histogram,
-    stack_distances,
-)
-
-
-class TestStackDistances:
-    def test_known_sequence(self):
-        trace = Trace.from_lines("t", [1, 2, 1, 3, 2, 1])
-        assert stack_distances(trace) == [INFINITE, INFINITE, 1, INFINITE, 2, 2]
-
-    def test_scan_all_infinite_first_pass(self):
-        trace = sequential_scan(5)
-        assert stack_distances(trace) == [INFINITE] * 5
-
-    def test_second_pass_distance_equals_footprint(self):
-        trace = sequential_scan(5, passes=2)
-        assert stack_distances(trace)[5:] == [4] * 5
-
-    def test_histogram(self):
-        trace = Trace.from_lines("t", [1, 1, 1])
-        assert stack_distance_histogram(trace) == {INFINITE: 1, 0: 2}
-
-
-class TestMattson:
-    def test_matches_fully_associative_lru_simulation(self):
-        # The single-pass Mattson computation must agree with an actual
-        # fully associative LRU cache at every capacity.
-        from repro.workloads import zipf
-
-        trace = zipf(60, 3000, alpha=1.0, seed=3)
-        histogram = stack_distance_histogram(trace)
-        for capacity in (4, 16, 64):
-            config = CacheConfig("fa", capacity * 64, capacity)  # 1 set
-            simulated = miss_ratio(trace, config, "lru")
-            analytic = lru_miss_ratio_from_histogram(histogram, capacity)
-            assert simulated == pytest.approx(analytic)
-
-    def test_capacity_validated(self):
-        with pytest.raises(ConfigurationError):
-            lru_miss_ratio_from_histogram({0: 1}, 0)
+from repro.workloads import INFINITE, StackDistanceModel
 
 
 class TestStackDistanceModel:
-    def test_generates_requested_profile(self):
-        model = StackDistanceModel([(0, 5.0), (3, 1.0)], new_line_weight=1.0, seed=0)
-        trace = model.generate(5000)
-        histogram = stack_distance_histogram(trace)
-        # Distance 0 should dominate distance 3 roughly 5:1.
-        assert histogram[0] > 3 * histogram.get(3, 1)
-
     def test_deterministic(self):
         a = StackDistanceModel([(1, 1.0)], 0.5, seed=4).generate(100)
         b = StackDistanceModel([(1, 1.0)], 0.5, seed=4).generate(100)
