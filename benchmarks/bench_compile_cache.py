@@ -68,9 +68,8 @@ def test_bench_compile_cache_cold_vs_warm(save_result, tmp_path):
             assert compiled is not None and compiled.frozen
             assert not original.frozen, name
             for table in store.TABLE_NAMES:
-                assert getattr(compiled, table) == getattr(original, table), (
-                    name, table,
-                )
+                loaded, closed = getattr(compiled, table), getattr(original, table)
+                assert list(loaded) == list(closed), (name, table)
     finally:
         store.set_cache_dir(None)
         clear_compile_cache()

@@ -34,7 +34,9 @@ Routing rules (:func:`kernel_enabled`, enforced by the callers in
   loop, still bit-identical);
 * a policy whose reachable state space exceeds the compile budget falls
   back the same way, even if that is only discovered mid-run; each
-  such mid-run blow counts ``kernel.budget_fallbacks``.
+  such mid-run blow counts ``kernel.budget_fallbacks``, and a frozen
+  store artifact that meets an unexpanded entry mid-run counts
+  ``kernel.store.errors`` instead.
 """
 
 from __future__ import annotations

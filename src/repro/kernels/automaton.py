@@ -11,7 +11,7 @@ over per-set replacement states.  The observable events are
 
 :func:`compile_policy` enumerates reachable states by breadth-first
 search from the reset state and interns them as dense integer ids, so
-whole access sequences become flat list lookups instead of object method
+whole access sequences become flat table lookups instead of object method
 dispatch.  A state *is* its interned ``state_key()``: the automaton keeps
 the keys and one scratch policy, and a ``(state, event)`` transition is
 computed by loading the source key into the scratch policy
@@ -87,11 +87,12 @@ class CompiledPolicy:
     """Flat transition tables of one deterministic policy at one ways count.
 
     States are dense ids; id 0 is the reset state.  The tables are flat
-    lists indexed ``state * ways + way`` (hits and cold fills) or
+    int sequences indexed ``state * ways + way`` (hits and cold fills) or
     ``state`` (full-set misses); ``-1`` marks a transition that has not
-    been expanded yet.  The engine reads the tables directly — attribute
-    access is hoisted out of its inner loops — and calls the ``expand_*``
-    methods only on a ``-1``.
+    been expanded yet.  An automaton compiled in-process grows them as
+    lists; a frozen one indexes the store's int buffers in place.  The
+    engine reads the tables directly — attribute access is hoisted out of
+    its inner loops — and calls the ``expand_*`` methods only on a ``-1``.
     """
 
     __slots__ = (
@@ -152,13 +153,13 @@ class CompiledPolicy:
 
     @property
     def frozen(self) -> bool:
-        """True for automata rebuilt from serialized tables.
+        """True for automata rebuilt from the store's tables.
 
         A frozen automaton carries no scratch policy, so it cannot expand
         further — which is fine, because only *closed* automata (see
         :meth:`expand_all`) are ever serialized: every event an engine
         can issue is expanded, and the ``-1`` entries left are events no
-        set takes.
+        set takes.  Its tables are the store's int buffers.
         """
         return self._scratch is None
 
@@ -179,14 +180,19 @@ class CompiledPolicy:
         }
 
     @classmethod
-    def from_tables(
-        cls, ways: int, budget: int, num_states: int, tables: dict
+    def from_mapped(
+        cls, ways: int, budget: int, num_states: int, buffers: dict
     ) -> "CompiledPolicy":
-        """Rebuild a closed automaton from its serialized flat tables.
+        """Rebuild a closed automaton over the store's int buffers.
 
-        The result is *frozen*: it has no scratch policy to expand new
-        states with, and never needs one — the engines never reach the
-        ``-1`` entries a closed automaton keeps.
+        ``buffers`` holds the four tables as int buffers the engines
+        index in place: ``memoryview.cast('i')`` views over an ``mmap``
+        of the on-disk artifact, so every worker process shares one
+        page-cache copy (a view keeps its map open), or ``array('i')``
+        tables when the OS refused the mapping.  The result is *frozen*:
+        it has no scratch policy to expand new states with, and never
+        needs one — the engines never reach the ``-1`` entries a closed
+        automaton keeps.
         """
         compiled = cls.__new__(cls)
         compiled.ways = ways
@@ -196,39 +202,10 @@ class CompiledPolicy:
         compiled._scratch = None
         compiled._num_states = num_states
         compiled.vector_tables = None
-        # Plain lists: exactly what compiling builds, so the engine's
-        # inner loops are byte-for-byte the same on both origins.
-        compiled.hit_next = list(tables["hit_next"])
-        compiled.fill_next = list(tables["fill_next"])
-        compiled.miss_victim = list(tables["miss_victim"])
-        compiled.miss_next = list(tables["miss_next"])
-        return compiled
-
-    @classmethod
-    def from_mapped(
-        cls, ways: int, budget: int, num_states: int, buffers: dict, keep_alive=None
-    ) -> "CompiledPolicy":
-        """Rebuild a closed automaton over zero-copy mapped buffers.
-
-        ``buffers`` holds int-typed buffer views (``memoryview.cast('i')``)
-        of the four tables, typically backed by an ``mmap`` of the on-disk
-        artifact so every worker process shares one page-cache copy.  The
-        scalar engines want plain lists for their inner loops, so the list
-        tables are materialized *lazily*, on first attribute access — a
-        worker that only ever runs the vector engine (whose numpy views
-        the store attaches separately) never deserializes them at all.
-        ``keep_alive`` pins the underlying map for the automaton's lifetime.
-        """
-        compiled = _MappedCompiledPolicy.__new__(_MappedCompiledPolicy)
-        compiled.ways = ways
-        compiled.budget = budget
-        compiled._ids = {}
-        compiled._keys = []
-        compiled._scratch = None
-        compiled._num_states = num_states
-        compiled.vector_tables = None
-        compiled._buffers = dict(buffers)
-        compiled._keep_alive = keep_alive
+        compiled.hit_next = buffers["hit_next"]
+        compiled.fill_next = buffers["fill_next"]
+        compiled.miss_victim = buffers["miss_victim"]
+        compiled.miss_next = buffers["miss_next"]
         return compiled
 
     def _intern(self, key) -> int:
@@ -388,38 +365,6 @@ class CompiledPolicy:
         )
 
 
-class _MappedCompiledPolicy(CompiledPolicy):
-    """Frozen automaton whose list tables materialize on first use.
-
-    Built only by :meth:`CompiledPolicy.from_mapped`.  The table names
-    are shadowed by properties that copy the mapped buffer into a plain
-    list the first time a scalar engine touches it, then write the list
-    through the parent's slot descriptor so every later access is a
-    plain slot read again.
-    """
-
-    __slots__ = ("_buffers", "_keep_alive")
-
-
-def _lazy_table(name: str):
-    slot = getattr(CompiledPolicy, name)  # the parent's member descriptor
-
-    def fget(self):
-        try:
-            return slot.__get__(self, type(self))
-        except AttributeError:
-            value = list(self._buffers[name])
-            slot.__set__(self, value)
-            return value
-
-    return property(fget, slot.__set__)
-
-
-for _name in ("hit_next", "fill_next", "miss_victim", "miss_next"):
-    setattr(_MappedCompiledPolicy, _name, _lazy_table(_name))
-del _name
-
-
 def compile_policy(
     policy_or_spec: ReplacementPolicy | PermutationSpec | str,
     ways: int | None = None,
@@ -483,16 +428,23 @@ def _note_compile(source: str) -> None:
     obs_metrics.DEFAULT.incr(f"kernel.compile.{source}")
 
 
-def _note_budget_fallback() -> None:
-    """Count one automaton that blew its state budget mid-run.
+def _note_unsupported(compiled: CompiledPolicy | None) -> None:
+    """Count one automaton that could not finish a run.
 
-    The caller re-runs the work on the interpreter or in direct mode,
-    and the automaton is not offered again, so without this count a
+    An automaton compiled in-process stops only when it blows its state
+    budget (``kernel.budget_fallbacks``).  A frozen one from the store
+    never expands, so it stops only on an unexpanded entry: the artifact
+    could not answer the run (``kernel.store.errors``).  Either way the
+    caller re-runs the work on the interpreter or in direct mode, and
+    the automaton is not offered again, so without this count a
     compilable policy would leave the kernel silently.
     """
     from repro.obs import metrics as obs_metrics
 
-    obs_metrics.DEFAULT.incr("kernel.budget_fallbacks")
+    frozen = compiled is not None and compiled.frozen
+    obs_metrics.DEFAULT.incr(
+        "kernel.store.errors" if frozen else "kernel.budget_fallbacks"
+    )
 
 
 def compiled_for(policy: ReplacementPolicy) -> CompiledPolicy | None:
@@ -581,7 +533,7 @@ def compiled_for_factory(
 
 #: Per-spec cache for inference verification, which simulates the same
 #: freshly inferred spec against hundreds of probe prefixes.  None marks
-#: a spec whose reachable space blew the budget mid-run.
+#: a spec whose automaton failed mid-run.
 _SPEC_CACHE: dict[PermutationSpec, CompiledPolicy | None] = {}
 
 
@@ -607,21 +559,21 @@ def compiled_for_spec(spec: PermutationSpec) -> CompiledPolicy | None:
 
 
 def mark_unsupported(policy: ReplacementPolicy) -> None:
-    """Record that a policy blew the budget mid-run; stop retrying it."""
-    _note_budget_fallback()
-    _INSTANCE_CACHE.pop(policy, None)
+    """Record that a policy's automaton failed mid-run; stop retrying it."""
+    _note_unsupported(_INSTANCE_CACHE.pop(policy, None))
     _INSTANCE_UNSUPPORTED.add(policy)
 
 
 def mark_factory_unsupported(name: str, params: tuple, ways: int) -> None:
-    """Record that a named policy blew the budget mid-run."""
-    _note_budget_fallback()
-    _FACTORY_CACHE[(name, params, ways)] = None
+    """Record that a named policy's automaton failed mid-run."""
+    key = (name, params, ways)
+    _note_unsupported(_FACTORY_CACHE.get(key))
+    _FACTORY_CACHE[key] = None
 
 
 def mark_spec_unsupported(spec: PermutationSpec) -> None:
-    """Record that a spec blew the budget mid-run."""
-    _note_budget_fallback()
+    """Record that a spec's automaton failed mid-run."""
+    _note_unsupported(_SPEC_CACHE.get(spec))
     _SPEC_CACHE[spec] = None
 
 
@@ -629,7 +581,7 @@ def clear_compile_cache() -> None:
     """Fully reset in-process kernel compilation state (test hygiene).
 
     Drops every cached automaton *and* every unsupported marker —
-    including the "blew the budget mid-run" ``mark_*_unsupported``
+    including the "failed mid-run" ``mark_*_unsupported``
     tombstones, so a policy that was marked off can compile again — and
     forgets which artifacts this session already persisted to the
     on-disk store (the store's files themselves are untouched; use

@@ -26,8 +26,9 @@ machine instead of once per process:
   wrong means *recompile*: the corrupt file is unlinked and ``None``
   returned; the store never raises into the kernel's compile path.
   Every such failure — a corrupt or unreadable artifact, a save that
-  could not write — counts as ``kernel.store.errors``; a missing
-  artifact or another key's file does not.
+  could not write, a loaded artifact that meets an unexpanded entry
+  mid-run — counts as ``kernel.store.errors``; a missing artifact or
+  another key's file does not.
 
 The store is consulted by ``compiled_for_factory`` / ``compiled_for_spec``
 (memory -> disk -> compile) and populated at explicit warm points — the
@@ -236,10 +237,10 @@ def load(key: StoreKey):
     missing file each count as ``kernel.store.errors``.
 
     The file is mapped read-only and the automaton's tables become
-    zero-copy views over the mapping — concurrent ``--jobs N`` workers
-    then share one page-cache copy of the bytes instead of each
-    deserializing a private one, and the vector engine's numpy tables
-    alias the mapping directly.  When the OS refuses the mapping
+    zero-copy views over the mapping, which every engine (scalar and
+    vector) indexes in place — concurrent ``--jobs N`` workers then
+    share one page-cache copy of the bytes instead of each
+    deserializing a private one.  When the OS refuses the mapping
     (counted as ``kernel.mmap.fallbacks``), the bytes are read and
     copied into ``array('i')`` tables instead.
 
@@ -337,20 +338,13 @@ def load(key: StoreKey):
             buffers[name] = table
     if not _tables_in_range(buffers, num_states, ways):
         return corrupt()
-    budget = header.get("budget", num_states)
+    compiled = CompiledPolicy.from_mapped(
+        ways, header.get("budget", num_states), num_states, buffers
+    )
     if mapped is not None:
-        compiled = CompiledPolicy.from_mapped(
-            ways, budget, num_states, buffers, keep_alive=mapped
-        )
-        if _vector.available():
-            compiled.vector_tables = _vector.VectorTables.from_buffers(
-                ways, num_states, buffers
-            )
         metrics = obs_metrics.DEFAULT
         metrics.incr("kernel.mmap.loads")
         metrics.incr("kernel.mmap.bytes", len(blob))
-    else:
-        compiled = CompiledPolicy.from_tables(ways, budget, num_states, buffers)
     _PERSISTED.add(key.canonical)
     return compiled
 

@@ -133,12 +133,13 @@ def vector_allowed() -> bool:
 class VectorTables:
     """Numpy mirror of one closed automaton's transition tables.
 
-    Flat int32 arrays in the same layout as the scalar lists —
+    Flat int32 arrays in the same layout as the scalar tables —
     ``hit_next``/``fill_next`` indexed ``state * ways + way``,
     ``miss_victim``/``miss_next`` indexed ``state``.  Instances are
     attached to their :class:`~repro.kernels.automaton.CompiledPolicy`
-    (``vector_tables`` slot) by :func:`ensure_tables`, or zero-copy by
-    the artifact store over an mmap of the on-disk tables.
+    (``vector_tables`` slot) by :func:`ensure_tables`: copies of an
+    in-process automaton's lists, zero-copy views of a frozen one's
+    store buffers.
     """
 
     __slots__ = (
@@ -198,8 +199,9 @@ class VectorTables:
         return self.fused_next, self.fused_way
 
     @classmethod
-    def from_lists(cls, compiled) -> "VectorTables":
-        """Copy a closed automaton's list tables into numpy arrays."""
+    def from_compiled(cls, compiled) -> "VectorTables":
+        """A closed automaton's tables as numpy arrays: copies of lists,
+        views of int buffers."""
         return cls(
             compiled.ways,
             compiled.num_states,
@@ -207,18 +209,6 @@ class VectorTables:
             _np.asarray(compiled.fill_next, dtype=_np.int32),
             _np.asarray(compiled.miss_victim, dtype=_np.int32),
             _np.asarray(compiled.miss_next, dtype=_np.int32),
-        )
-
-    @classmethod
-    def from_buffers(cls, ways, num_states, buffers) -> "VectorTables":
-        """Zero-copy views over int32 buffers (the store's mmap payload)."""
-        return cls(
-            ways,
-            num_states,
-            _np.frombuffer(buffers["hit_next"], dtype=_np.int32),
-            _np.frombuffer(buffers["fill_next"], dtype=_np.int32),
-            _np.frombuffer(buffers["miss_victim"], dtype=_np.int32),
-            _np.frombuffer(buffers["miss_next"], dtype=_np.int32),
         )
 
 
@@ -241,7 +231,7 @@ def ensure_tables(compiled) -> VectorTables | None:
     except KernelUnsupported:
         compiled.vector_tables = False
         return None
-    tables = VectorTables.from_lists(compiled)
+    tables = VectorTables.from_compiled(compiled)
     compiled.vector_tables = tables
     return tables
 

@@ -85,11 +85,3 @@ class SeededRng:
         order = list(range(size))
         self._random.shuffle(order)
         return tuple(order)
-
-    def expovariate(self, rate: float) -> float:
-        """Return an exponentially distributed float with the given rate."""
-        return self._random.expovariate(rate)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Return a normally distributed float."""
-        return self._random.gauss(mu, sigma)

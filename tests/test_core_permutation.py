@@ -1,7 +1,5 @@
 """Tests for spec derivation and equivalence."""
 
-import pytest
-
 from repro.core.permutation import (
     derive_spec_from_policy,
     equivalent,
@@ -14,7 +12,6 @@ from repro.policies import (
     LruPolicy,
     NruPolicy,
     PlruPolicy,
-    RandomPolicy,
     SrripPolicy,
     fifo_spec,
     lru_spec,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache import CacheConfig
 from repro.eval import cache_size_sweep, miss_ratio, miss_ratio_matrix, simulate_trace
-from repro.workloads import Trace, cyclic_loop, sequential_scan
+from repro.workloads import cyclic_loop, sequential_scan
 
 
 class TestSimulateTrace:

@@ -1,9 +1,13 @@
 """Tests for the on-disk automaton artifact store and batched engines."""
 
+import random
 import struct
+import tracemalloc
+from array import array
 
 import pytest
 
+from repro.cache import Cache
 from repro.cache.set import CacheSet
 from repro.core import SimulatedSetOracle
 from repro.core.distinguish import response, responses
@@ -24,7 +28,10 @@ from repro.kernels import (
     sequence_hits_batch,
     sequence_hits_preloaded,
     store,
+    try_simulate_trace,
+    vector_disabled,
 )
+from repro.kernels.engine import _simulate_trace_compiled
 from repro.obs import metrics as obs_metrics
 from repro.policies import LruPolicy, lru_spec, make_policy
 from repro.runner import ExperimentRunner, clear_memo, run_sim_cells
@@ -69,10 +76,10 @@ class TestRoundTrip:
         assert loaded.frozen
         assert loaded.ways == compiled.ways
         assert loaded.num_states == compiled.num_states
-        assert loaded.hit_next == compiled.hit_next
-        assert loaded.fill_next == compiled.fill_next
-        assert loaded.miss_victim == compiled.miss_victim
-        assert loaded.miss_next == compiled.miss_next
+        assert list(loaded.hit_next) == list(compiled.hit_next)
+        assert list(loaded.fill_next) == list(compiled.fill_next)
+        assert list(loaded.miss_victim) == list(compiled.miss_victim)
+        assert list(loaded.miss_next) == list(compiled.miss_next)
         for setup, probe in PROBE_QUERIES:
             assert count_misses_kernel(loaded, setup, probe) == count_misses_kernel(
                 compiled, setup, probe
@@ -164,7 +171,7 @@ class TestCorruptionFallback:
         compiled.expand_all()
         tables = compiled.to_tables()
         tables["miss_next"][0] = -1
-        tampered = type(compiled).from_tables(
+        tampered = type(compiled).from_mapped(
             WAYS, compiled.budget, compiled.num_states, tables
         )
         key = store.factory_key("lru", (), WAYS)
@@ -235,6 +242,108 @@ class TestCorruptionFallback:
         assert store.load(other) is None
         assert store.artifact_path(other).exists()
         assert self._errors() == 0
+
+
+def _refuse_mmap(*args, **kwargs):
+    raise OSError("mapping refused")
+
+
+class TestTablesReadInPlace:
+    """A store-loaded automaton's tables are the store's buffers, and the
+    scalar engines index them where they lie: no run copies them."""
+
+    MAPPED_TYPES = {"mmap": memoryview, "mmap-refused": array}
+
+    @pytest.mark.parametrize("load_path", sorted(MAPPED_TYPES))
+    def test_scalar_runs_allocate_no_table_copy(self, monkeypatch, load_path):
+        ways = 8
+        original = compile_policy("lru", ways)
+        key = store.factory_key("lru", (), ways)
+        assert store.save(key, original)
+        if load_path == "mmap-refused":
+            monkeypatch.setattr(store.mmap, "mmap", _refuse_mmap)
+        loaded = store.load(key)
+        assert loaded is not None and loaded.frozen
+        for name in store.TABLE_NAMES:
+            assert type(getattr(loaded, name)) is self.MAPPED_TYPES[load_path]
+
+        rng = random.Random(7)
+        queries = [
+            (
+                [rng.randrange(2 * ways) for _ in range(rng.randrange(3 * ways))],
+                [rng.randrange(2 * ways) for _ in range(3 * ways)],
+            )
+            for _ in range(50)
+        ]
+        config = CacheConfig("t", 16 * ways * 64, ways)  # 16 sets
+        lines = 16 * (ways + 4)
+        trace = Trace("t", tuple(rng.randrange(lines) * 64 for _ in range(2000)))
+        with vector_disabled():
+            tracemalloc.start()
+            try:
+                answers = [count_misses_kernel(loaded, s, p) for s, p in queries]
+                stats = _simulate_trace_compiled(trace, config, loaded)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # A copy of lru@8's tables into lists takes more than 20 MiB.
+            assert peak < 1 << 20
+            assert answers == [count_misses_kernel(original, s, p) for s, p in queries]
+            assert stats == _simulate_trace_compiled(trace, config, original)
+
+
+class TestUnexpandedEntryInAnArtifact:
+    """An artifact whose reachable entry is ``-1`` passes validation
+    (``-1`` marks an event no set takes) but cannot answer a run that
+    takes it.  The scalar engines fall back to the interpreter and count
+    a failed artifact, not a blown budget."""
+
+    CONFIG = CacheConfig("t", 4 * WAYS * 64, WAYS)  # 4 sets
+
+    @staticmethod
+    def _plant():
+        """Persist lru with the reset state's first cold fill unexpanded:
+        the file holds the ``-1`` under a matching checksum."""
+        compiled = compile_policy("lru", WAYS)
+        compiled.expand_all()
+        tables = compiled.to_tables()
+        tables["fill_next"][0] = -1  # every set that is accessed takes it
+        planted = type(compiled).from_mapped(
+            WAYS, compiled.budget, compiled.num_states, tables
+        )
+        assert store.save(store.factory_key("lru", (), WAYS), planted)
+        clear_compile_cache()
+        obs_metrics.DEFAULT.reset()
+
+    def _assert_counted(self):
+        counters = _counters()
+        assert counters["kernel.compile.load"] == 1
+        assert counters["kernel.store.errors"] == 1
+        assert "kernel.budget_fallbacks" not in counters
+
+    def test_measurement_falls_back_to_the_interpreter(self):
+        self._plant()
+        policy = make_policy("lru", WAYS)
+        setup, probe = PROBE_QUERIES[1]
+        misses = SimulatedSetOracle(policy).count_misses(setup, probe)
+        self._assert_counted()
+        with kernel_disabled():
+            reference = SimulatedSetOracle(make_policy("lru", WAYS))
+            assert reference.count_misses(setup, probe) == misses
+        assert compiled_for(policy) is None  # not offered again
+
+    def test_scalar_trace_falls_back_to_direct_mode(self):
+        self._plant()
+        trace = Trace("t", tuple((i * 7 % 40) * 64 for i in range(200)))
+        with vector_disabled():
+            stats = try_simulate_trace(trace, self.CONFIG, "lru")
+        self._assert_counted()
+        assert _counters()["kernel.calls.direct"] == 1
+        cache = Cache(self.CONFIG, "lru")
+        for address in trace:
+            cache.access(address)
+        assert stats == cache.stats
+        assert compiled_for_factory("lru", (), WAYS) is None  # not offered again
 
 
 class TestStoreConsultation:
