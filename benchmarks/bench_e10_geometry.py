@@ -39,7 +39,7 @@ def _geometry_cell(name: str) -> list[object]:
 def measure_all(jobs: int = 0):
     names = sorted(PROCESSORS)
     runner = ExperimentRunner(jobs=jobs)
-    return runner.map(_geometry_cell, names, labels=names)
+    return runner.map(_geometry_cell, names)
 
 
 def test_e10_geometry(benchmark, save_result, jobs):

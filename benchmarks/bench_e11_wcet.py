@@ -64,7 +64,7 @@ def _policy_cell(name: str):
 @traced("e11.wcet")
 def compute_rows(jobs: int = 0):
     runner = ExperimentRunner(jobs=jobs)
-    cells = runner.map(_policy_cell, POLICIES, labels=list(POLICIES))
+    cells = runner.map(_policy_cell, POLICIES)
     rows = [row for row, _fraction in cells]
     fractions = {name: fraction for name, (_row, fraction) in zip(POLICIES, cells)}
     return rows, fractions

@@ -59,9 +59,7 @@ def discover(task: tuple[int, int]):
 @traced("e12.evictionsets")
 def run_all(jobs: int = 0):
     runner = ExperimentRunner(jobs=jobs)
-    return runner.map(
-        discover, CASES, labels=[f"{size // 1024}KiB/{ways}w" for size, ways in CASES]
-    )
+    return runner.map(discover, CASES)
 
 
 def test_e12_eviction_set_discovery(benchmark, save_result, jobs):

@@ -63,9 +63,7 @@ def infer_all(jobs: int = 0) -> list[list[object]]:
         for level_spec in PROCESSORS[name].levels
     ]
     runner = ExperimentRunner(jobs=jobs)
-    return runner.map(
-        _infer_cell, cells, labels=[f"{name}/{level}" for name, level in cells]
-    )
+    return runner.map(_infer_cell, cells)
 
 
 def test_e1_inferred_policies(benchmark, save_result, jobs):

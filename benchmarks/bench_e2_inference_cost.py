@@ -35,9 +35,7 @@ def _cost_cell(task: tuple[str, int]) -> list[object]:
 def measure_costs(jobs: int = 0) -> list[list[object]]:
     cells = [(policy, ways) for ways in WAYS for policy in POLICIES]
     runner = ExperimentRunner(jobs=jobs)
-    return runner.map(
-        _cost_cell, cells, labels=[f"{policy}/{ways}w" for policy, ways in cells]
-    )
+    return runner.map(_cost_cell, cells)
 
 
 def test_e2_inference_cost(benchmark, save_result, jobs):

@@ -22,7 +22,6 @@ import pytest
 from repro.cache import CacheConfig
 from repro.eval import miss_ratio_matrix
 from repro.kernels import kernel_disabled
-from repro.runner import clear_memo
 from repro.util.tables import format_table
 from repro.workloads import workload_suite
 from repro.obs.spans import traced
@@ -32,10 +31,9 @@ CONFIG = CacheConfig("L2", 64 * 1024, 8)  # 1024 lines
 
 
 @traced("e3.grid")
-def compute_matrix(jobs: int = 0, memoize: bool = True):
+def compute_matrix(jobs: int = 0):
     traces = workload_suite(cache_lines=CONFIG.num_sets * CONFIG.ways, seed=0)
-    return miss_ratio_matrix(traces, CONFIG, POLICIES, seed=0, jobs=jobs,
-                             memoize=memoize)
+    return miss_ratio_matrix(traces, CONFIG, POLICIES, seed=0, jobs=jobs)
 
 
 def test_e3_missratio_matrix(benchmark, save_result, jobs):
@@ -96,14 +94,12 @@ def test_e3_runner_speedup(save_result, jobs):
     # bench_kernel.py) would shrink per-cell work until pool startup
     # noise dominates the ratio.
     with kernel_disabled():
-        clear_memo()
         start = time.perf_counter()
-        serial_matrix = compute_matrix(jobs=0, memoize=False)
+        serial_matrix = compute_matrix(jobs=0)
         serial_seconds = time.perf_counter() - start
 
-        clear_memo()
         start = time.perf_counter()
-        parallel_matrix = compute_matrix(jobs=workers, memoize=False)
+        parallel_matrix = compute_matrix(jobs=workers)
         parallel_seconds = time.perf_counter() - start
 
     speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0

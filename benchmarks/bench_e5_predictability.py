@@ -31,9 +31,7 @@ def _metric_cell(task: tuple[str, int]):
 def compute_metrics(jobs: int = 0):
     cells = [(name, ways) for ways in WAYS for name in POLICIES]
     runner = ExperimentRunner(jobs=jobs)
-    return runner.map(
-        _metric_cell, cells, labels=[f"{name}/{ways}w" for name, ways in cells]
-    )
+    return runner.map(_metric_cell, cells)
 
 
 def test_e5_predictability(benchmark, save_result, jobs):

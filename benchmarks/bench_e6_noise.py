@@ -57,9 +57,7 @@ def run_sweep(jobs: int = 0):
         for seed in SEEDS
     ]
     runner = ExperimentRunner(jobs=jobs)
-    verdicts = dict(zip(cells, runner.map(
-        attempt, cells, labels=[f"r{rate:g}/x{reps}/s{seed}" for rate, reps, seed in cells]
-    )))
+    verdicts = dict(zip(cells, runner.map(attempt, cells)))
     rows = []
     for rate in RATES:
         single = sum(verdicts[(rate, 1, seed)] for seed in SEEDS)

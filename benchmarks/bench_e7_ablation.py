@@ -52,9 +52,7 @@ def strategy_rows(jobs: int = 0):
     cells = [(ways, strategy) for ways in (4, 8, 16)
              for strategy in ("linear", "binary")]
     runner = ExperimentRunner(jobs=jobs)
-    return runner.map(
-        _strategy_cell, cells, labels=[f"{ways}w/{s}" for ways, s in cells]
-    )
+    return runner.map(_strategy_cell, cells)
 
 
 def test_e7_strategy_ablation(benchmark, save_result, jobs):
@@ -100,9 +98,7 @@ def _thrash_cell(factor: int) -> list[object]:
 def thrash_rows(jobs: int = 0):
     factors = (0, 1, 2)
     runner = ExperimentRunner(jobs=jobs)
-    return runner.map(
-        _thrash_cell, factors, labels=[f"thrash-{f}" for f in factors]
-    )
+    return runner.map(_thrash_cell, factors)
 
 
 def test_e7_thrash_prefix_ablation(benchmark, save_result, jobs):

@@ -70,9 +70,7 @@ def shortest_distinguishers(jobs: int = 0):
         for second in POLICIES[i + 1 :]
     ]
     runner = ExperimentRunner(jobs=jobs)
-    return runner.map(
-        _distinguisher_cell, pairs, labels=[f"{a}-vs-{b}" for a, b in pairs]
-    )
+    return runner.map(_distinguisher_cell, pairs)
 
 
 def test_e8_shortest_distinguishing_probes(benchmark, save_result, jobs):

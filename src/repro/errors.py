@@ -63,7 +63,7 @@ class KernelUnsupported(ReproError):
 
 
 class TraceFormatError(ReproError):
-    """A trace file is malformed and cannot be parsed."""
+    """A trace is malformed: it holds a negative address."""
 
 
 class ResultSchemaError(ReproError):

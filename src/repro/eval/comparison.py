@@ -85,9 +85,7 @@ def agreement_matrix(
     if runner is None:
         runner = ExperimentRunner(jobs=jobs)
     replayed = runner.map(
-        _replay_stream,
-        [(policies[name], stream) for name in names],
-        labels=[f"replay:{name}" for name in names],
+        _replay_stream, [(policies[name], stream) for name in names]
     )
     outcomes = dict(zip(names, replayed))
     matrix = []

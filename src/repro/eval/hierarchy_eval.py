@@ -125,6 +125,4 @@ def compare_policy_assignments(
         (trace, tuple(configs), tuple(policies), latencies, label, seed)
         for label, policies in assignments.items()
     ]
-    return runner.map(
-        _evaluate_assignment, tasks, labels=[task[4] for task in tasks]
-    )
+    return runner.map(_evaluate_assignment, tasks)

@@ -125,7 +125,6 @@ def miss_ratio_matrix(
     seed: int = 0,
     jobs: int | None = None,
     runner: ExperimentRunner | None = None,
-    memoize: bool = True,
 ) -> MissRatioMatrix:
     """Evaluate every policy on every trace at one cache configuration.
 
@@ -137,7 +136,7 @@ def miss_ratio_matrix(
         for policy in policies
         for trace in traces
     ]
-    results = run_sim_cells(cells, runner=runner, jobs=jobs, memoize=memoize)
+    results = run_sim_cells(cells, runner=runner, jobs=jobs)
     return MissRatioMatrix(
         config=config,
         cells=tuple(
@@ -171,7 +170,6 @@ def cache_size_sweep(
     seed: int = 0,
     jobs: int | None = None,
     runner: ExperimentRunner | None = None,
-    memoize: bool = True,
 ) -> list[SweepPoint]:
     """Miss ratio of each policy at several cache sizes (experiment E4)."""
     cells = [
@@ -179,7 +177,7 @@ def cache_size_sweep(
         for size in sizes
         for policy in policies
     ]
-    results = run_sim_cells(cells, runner=runner, jobs=jobs, memoize=memoize)
+    results = run_sim_cells(cells, runner=runner, jobs=jobs)
     return [
         SweepPoint(
             policy=result.policy,

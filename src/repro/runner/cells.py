@@ -4,20 +4,11 @@ A :class:`SimCell` is one (trace x cache configuration x policy x seed)
 simulation — the atom of the paper's evaluation grids.  Cells are
 frozen, picklable and carry everything a worker process needs to rebuild
 the cache from scratch, so a cell's result depends on nothing but the
-cell itself.  That purity is what makes the memoization cache sound: two
-cells with the same key *must* produce the same statistics, whether they
-run serially, in a worker, or not at all.
-
-The memo key is (trace fingerprint, config, policy name + params, seed).
-The trace fingerprint is a content hash of the address sequence, not the
-trace name, so two differently-named but identical traces share an
-entry and a renamed-but-changed trace does not poison the cache.
+cell itself, whether it runs serially or in a worker.
 """
 
 from __future__ import annotations
 
-import hashlib
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -31,31 +22,10 @@ from repro.workloads.trace import Trace
 __all__ = [
     "SimCell",
     "CellResult",
-    "trace_fingerprint",
     "derive_cell_seed",
     "run_sim_cells",
     "clear_memo",
-    "memo_size",
 ]
-
-
-def trace_fingerprint(trace: Trace) -> str:
-    """Content hash of a trace's address sequence (hex digest).
-
-    Cached on the trace's metadata dict (which is excluded from trace
-    equality), so repeated grid builds hash each trace once.
-    """
-    cached = trace.metadata.get("_fingerprint")
-    if cached is not None:
-        return cached
-    hasher = hashlib.blake2s(digest_size=16)
-    try:
-        hasher.update(array("Q", trace.addresses).tobytes())
-    except OverflowError:  # addresses beyond 64 bits: rare, still sound
-        hasher.update(repr(trace.addresses).encode())
-    digest = hasher.hexdigest()
-    trace.metadata["_fingerprint"] = digest
-    return digest
 
 
 def derive_cell_seed(base_seed: int, *labels: object) -> int:
@@ -94,21 +64,6 @@ class SimCell:
         else:
             name, params = policy, ()
         return cls(trace=trace, config=config, policy=name, params=params, seed=seed)
-
-    @property
-    def label(self) -> str:
-        """Short human-readable cell identity for progress reporting."""
-        return f"{self.policy}/{self.trace.name}@{self.config.name}:{self.seed}"
-
-    def memo_key(self) -> tuple:
-        """Hashable identity of the cell's *result* (content-addressed)."""
-        return (
-            trace_fingerprint(self.trace),
-            self.config,
-            self.policy,
-            self.params,
-            self.seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -170,7 +125,7 @@ def _share_cell_traces(cells: Sequence[SimCell]) -> list[SimCell]:
     tiny handles instead of megabyte address tuples.  Cells whose trace
     is small — or when shm is unavailable — pass through unchanged, and
     results are unaffected either way: a :class:`SharedTrace` has the
-    same name, addresses and fingerprint as the original.
+    same name and addresses as the original.
     """
     from repro.runner import shm as runner_shm
 
@@ -187,33 +142,24 @@ def _share_cell_traces(cells: Sequence[SimCell]) -> list[SimCell]:
     return out
 
 
-#: Process-wide memoization cache: memo_key -> CellResult.
-_MEMO: dict[tuple, CellResult] = {}
-
-
 def clear_memo() -> None:
-    """Drop every memoized cell result."""
-    _MEMO.clear()
+    """Do nothing: there is no cell-result memo.
 
-
-def memo_size() -> int:
-    """Number of memoized cell results."""
-    return len(_MEMO)
+    Kept only because the repository benchmark (``perfbench/bench.py``)
+    calls it between passes; it goes when that call does.
+    """
 
 
 def run_sim_cells(
     cells: Sequence[SimCell],
     runner=None,
     jobs: int | None = None,
-    memoize: bool = True,
 ) -> list[CellResult]:
     """Execute a grid of cells; return results in cell order.
 
-    Already-memoized cells are served from the cache (and reported to
-    the runner's progress hook with source ``"memo"``); the rest go
-    through ``runner.map`` — serial by default, parallel when the runner
-    or ``jobs`` says so.  When memoizing, duplicate cells within one
-    call run once.  The cells that run are grouped by trace, so the
+    Every cell goes through ``runner.map`` — serial by default, parallel
+    when the runner or ``jobs`` says so.  The cells run grouped by trace
+    (traces in first-seen order, cells stable within a trace), so the
     vector engine's one-slot layout memo serves every policy of a trace
     and a pool gets one trace's cells together.
     """
@@ -222,29 +168,15 @@ def run_sim_cells(
     if runner is None:
         runner = ExperimentRunner(jobs=jobs)
     cells = list(cells)
-    results: dict[int, CellResult] = {}
-    waiters: dict[object, list[int]] = {}
-    for index, cell in enumerate(cells):
-        key = cell.memo_key() if memoize else index
-        if memoize and key in _MEMO:
-            results[index] = _MEMO[key]
-            runner.record(index, cell.label, 0.0, "memo")
-        else:
-            waiters.setdefault(key, []).append(index)
-    # Traces in first-seen order; the sort is stable within a trace.
     rank: dict[int, int] = {}
-    for indices in waiters.values():
-        rank.setdefault(id(cells[indices[0]].trace), len(rank))
-    keys = sorted(waiters, key=lambda key: rank[id(cells[waiters[key][0]].trace)])
-    fresh = [cells[waiters[key][0]] for key in keys]
-    fresh_labels = [cell.label for cell in fresh]
-    if runner.parallel and fresh:
-        _prewarm_automata(fresh)
-        fresh = _share_cell_traces(fresh)
-    computed = runner.map(simulate_cell, fresh, labels=fresh_labels)
-    for key, result in zip(keys, computed):
-        if memoize:
-            _MEMO[key] = result
-        for index in waiters[key]:
-            results[index] = result
-    return [results[index] for index in range(len(cells))]
+    for cell in cells:
+        rank.setdefault(id(cell.trace), len(rank))
+    order = sorted(range(len(cells)), key=lambda index: rank[id(cells[index].trace)])
+    tasks = [cells[index] for index in order]
+    if runner.parallel and tasks:
+        _prewarm_automata(tasks)
+        tasks = _share_cell_traces(tasks)
+    results: list = [None] * len(cells)
+    for index, result in zip(order, runner.map(simulate_cell, tasks)):
+        results[index] = result
+    return results

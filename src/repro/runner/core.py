@@ -26,9 +26,9 @@ still spreads over every worker (stragglers stay bounded).
 Failures degrade, never abort: a chunk whose worker dies is retried on
 the surviving workers (the dead one is restarted individually — the
 pool survives), a chunk that cannot be pickled falls straight back, and
-whatever still fails after ``retries`` attempts is re-executed serially
-in the parent process, where a genuine task error surfaces with its
-original traceback.
+whatever still fails after :data:`RETRIES` retries is re-executed
+serially in the parent process, where a genuine task error surfaces
+with its original traceback.
 
 Metrics cross the process boundary.  Each dispatched chunk runs
 against a *worker-local* :class:`~repro.obs.metrics.Metrics` store; the
@@ -36,19 +36,18 @@ chunk result carries the store's snapshot back, and the parent merges
 the snapshots in deterministic cell order.  A parallel run therefore
 produces the same *logical* counters and timers as ``jobs=0``; the
 exceptions are the runner's own scheduling metrics
-(``runner.*`` — per-source cell splits, pool lifecycle, shm transport,
-adaptive chunk sizes) and cache-warmth splits (``kernel.compile.hit``
-vs ``.load`` vs ``.miss``), because a persistent worker's in-memory
-caches outlive the fork point — the *totals* still match, only the
-warm/cold split is process-local.
+(``runner.*`` — per-source cell splits, pool lifecycle, trace
+broadcasts, adaptive chunk sizes) and cache-warmth splits
+(``kernel.compile.hit`` vs ``.load`` vs ``.miss``), because a
+persistent worker's in-memory caches outlive the fork point — the
+*totals* still match, only the warm/cold split is process-local.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
@@ -60,28 +59,13 @@ TARGET_CHUNK_SECONDS = 0.2
 #: Cells per probe chunk while no timing has been observed yet.
 PROBE_CHUNK_CELLS = 2
 
+#: How many times a failed chunk is resubmitted to the surviving workers
+#: before the serial fallback runs it in the parent.
+RETRIES = 1
+
 #: How long one collect() pass waits before re-checking worker health.
 _COLLECT_INTERVAL = 0.1
 
-
-@dataclass(frozen=True)
-class CellTiming:
-    """Timing record of one executed cell, reported to progress hooks.
-
-    ``source`` says how the cell was executed: ``"serial"`` (runner in
-    serial mode), ``"parallel"`` (worker process), ``"fallback"`` (serial
-    re-execution after worker failure) or ``"memo"`` (result served from
-    the memoization cache without running anything).
-    """
-
-    index: int
-    label: str
-    seconds: float
-    source: str
-
-
-#: Hook called once per finished cell with its :class:`CellTiming`.
-ProgressHook = Callable[[CellTiming], None]
 
 def _run_chunk(fn, indexed_tasks, spec):
     """Worker entry point: run one chunk of (index, task) pairs.
@@ -155,11 +139,10 @@ class _AdaptiveChunker:
     timings flow in, the size targets :data:`TARGET_CHUNK_SECONDS` of
     work per chunk, capped at ``ceil(remaining / (2 * jobs))`` so the
     tail of the grid still spreads across every worker — the straggler
-    bound.  An explicit ``chunk_size`` disables adaptation entirely.
+    bound.
     """
 
-    def __init__(self, fixed: int | None, jobs: int) -> None:
-        self.fixed = fixed
+    def __init__(self, jobs: int) -> None:
         self.jobs = max(1, jobs or 1)
         self._ewma: float | None = None
 
@@ -170,8 +153,6 @@ class _AdaptiveChunker:
             self._ewma = 0.7 * self._ewma + 0.3 * seconds
 
     def next_size(self, remaining: int) -> int:
-        if self.fixed is not None:
-            return max(1, min(self.fixed, remaining))
         if self._ewma is None:
             size = PROBE_CHUNK_CELLS
         else:
@@ -189,51 +170,30 @@ class ExperimentRunner:
         jobs: worker process count; ``None``, 0 or 1 run serially in the
             parent process (the default, so existing entry points keep
             their exact behaviour unless a caller opts in).
-        chunk_size: cells per worker task; default adapts chunk sizes to
-            observed cell timings (see :class:`_AdaptiveChunker`).
-        retries: how many times a failed chunk is resubmitted to the
-            surviving workers before the serial fallback runs it in the
-            parent.
-        progress: optional per-cell :data:`ProgressHook`.
         start_method: multiprocessing start method for the pool
             (``"fork"``/``"spawn"``/``"forkserver"``; default: the
             platform's).
         reuse_pool: use the process-wide persistent pool (the default);
             ``False`` spawns a private pool per ``map()`` call, which is
             the old per-round behaviour the benchmarks use as baseline.
-
-    Every completed cell is also appended to :attr:`timings`, which the
-    benchmarks use for their throughput tables.
     """
 
     def __init__(
         self,
         jobs: int | None = None,
-        chunk_size: int | None = None,
-        retries: int = 1,
-        progress: ProgressHook | None = None,
         start_method: str | None = None,
         reuse_pool: bool = True,
     ) -> None:
         self.jobs = jobs
-        self.chunk_size = chunk_size
-        self.retries = retries
-        self.progress = progress
         self.start_method = start_method
         self.reuse_pool = reuse_pool
-        self.timings: list[CellTiming] = []
 
     @property
     def parallel(self) -> bool:
         """True when cells will be dispatched to worker processes."""
         return self.jobs is not None and self.jobs > 1
 
-    def map(
-        self,
-        fn: Callable,
-        tasks: Iterable,
-        labels: Sequence[str] | None = None,
-    ) -> list:
+    def map(self, fn: Callable, tasks: Iterable) -> list:
         """Apply ``fn`` to every task; return results in task order.
 
         ``fn`` must be picklable (a module-level function) for the
@@ -242,21 +202,17 @@ class ExperimentRunner:
         ladder is exhausted, so error behaviour matches a plain loop.
         """
         tasks = list(tasks)
-        if labels is None:
-            labels = [f"cell-{index}" for index in range(len(tasks))]
-        if len(labels) != len(tasks):
-            raise ValueError(f"{len(tasks)} tasks but {len(labels)} labels")
-        indexed = list(enumerate(tasks))
         with obs_spans.span("runner.map"):
             if not self.parallel or len(tasks) <= 1:
-                return self._run_serially(fn, indexed, labels, source="serial")
+                return self._run_serially(fn, tasks, source="serial")
 
+            indexed = list(enumerate(tasks))
             results: dict[int, object] = {}
             metric_shards: dict[int, dict] = {}
             spec = self._kernel_spec()
             try:
                 unfinished = self._run_pooled(
-                    fn, indexed, labels, results, spec, metric_shards
+                    fn, indexed, results, spec, metric_shards
                 )
             except Exception:
                 # The pool plane itself failed (cannot spawn processes,
@@ -270,10 +226,10 @@ class ExperimentRunner:
                 # Last resort: run the survivors in-process.  Deterministic
                 # task errors propagate here with their original traceback.
                 pending.sort(key=lambda pair: pair[0])
-                for index, value in zip(
-                    (pair[0] for pair in pending),
-                    self._run_serially(fn, pending, labels, source="fallback"),
-                ):
+                values = self._run_serially(
+                    fn, [task for _index, task in pending], source="fallback"
+                )
+                for (index, _task), value in zip(pending, values):
                     results[index] = value
             self._merge_metric_shards(metric_shards)
             return [results[index] for index in range(len(tasks))]
@@ -304,9 +260,7 @@ class ExperimentRunner:
         for first in sorted(metric_shards):
             obs_metrics.DEFAULT.merge(metric_shards[first])
 
-    def _run_pooled(
-        self, fn, indexed, labels, results, spec, metric_shards
-    ) -> list[list]:
+    def _run_pooled(self, fn, indexed, results, spec, metric_shards) -> list[list]:
         """Dispatch every (index, task) pair through the worker pool.
 
         Returns the chunks that exhausted their retries (or could not be
@@ -323,7 +277,7 @@ class ExperimentRunner:
             pool = runner_pool.get_pool(self.jobs, self.start_method)
         else:
             pool = runner_pool.fresh_pool(self.jobs, self.start_method)
-        chunker = _AdaptiveChunker(self.chunk_size, self.jobs)
+        chunker = _AdaptiveChunker(self.jobs)
         queue: deque = deque(indexed)
         retry: deque = deque()
         fallback: list[list] = []
@@ -333,7 +287,7 @@ class ExperimentRunner:
             obs_metrics.DEFAULT.incr("runner.chunk_retries")
             first = chunk[0][0]
             attempts[first] = attempts.get(first, 0) + 1
-            if attempts[first] <= max(0, self.retries):
+            if attempts[first] <= RETRIES:
                 retry.append(chunk)
             else:
                 fallback.append(chunk)
@@ -372,7 +326,7 @@ class ExperimentRunner:
                         for index, value, seconds in rows:
                             results[index] = value
                             chunker.observe(seconds)
-                            self.record(index, labels[index], seconds, "parallel")
+                            self.record(seconds, "parallel")
                     else:  # "failed" (task raised) or "lost" (worker died)
                         give_up(chunk)
         finally:
@@ -380,31 +334,26 @@ class ExperimentRunner:
                 pool.shutdown()
         return fallback
 
-    def _run_serially(self, fn, indexed_tasks, labels, source: str) -> list:
+    def _run_serially(self, fn, tasks, source: str) -> list:
         values = []
-        for index, task in indexed_tasks:
+        for task in tasks:
             start = time.perf_counter()
-            value = fn(task)
-            self.record(index, labels[index], time.perf_counter() - start, source)
-            values.append(value)
+            values.append(fn(task))
+            self.record(time.perf_counter() - start, source)
         return values
 
-    def record(self, index: int, label: str, seconds: float, source: str) -> None:
-        """Append one timing record and notify the progress hook.
+    def record(self, seconds: float, source: str) -> None:
+        """Count one finished cell under its execution ``source``.
 
-        This is the single choke point every execution path (serial,
-        parallel, fallback, memo) goes through, so it also carries the
-        observability bookkeeping: per-source cell counters and a
-        wall-time histogram.
+        Every execution path (``"serial"``, ``"parallel"`` in a worker,
+        ``"fallback"`` after worker failure) goes through here: it
+        counts ``runner.cells.<source>`` and observes the cell's wall
+        time as ``runner.cell_seconds``.
         """
-        timing = CellTiming(index=index, label=label, seconds=seconds, source=source)
-        self.timings.append(timing)
         metrics = obs_metrics.DEFAULT
         metrics.incr(f"runner.cells.{source}")
         metrics.observe("runner.cell_seconds", seconds)
-        if self.progress is not None:
-            self.progress(timing)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = f"jobs={self.jobs}" if self.parallel else "serial"
-        return f"<ExperimentRunner {mode} retries={self.retries}>"
+        return f"<ExperimentRunner {mode}>"

@@ -13,18 +13,16 @@ Design points:
 * **Per-worker pipes, one task in flight each.**  Every worker owns a
   task pipe and a result pipe; the scheduler only submits to idle
   workers, so a ``send`` can never deadlock against an unread result.
-  ``multiprocessing.connection.wait`` multiplexes the result pipes.
+  ``multiprocessing.connection.wait`` multiplexes the result pipes, and
+  every chunk result travels back pickled over its worker's pipe.
 * **Per-worker restart, not per-pool.**  A dead worker is detected by
   EOF on its result pipe (or a failed health check between rounds) and
   replaced individually; healthy workers keep their warm caches.  The
   chunk the dead worker held is reported ``lost`` for the scheduler to
   retry elsewhere.
-* **Shared-memory result transport.**  A worker whose chunk result
-  pickles to ≥ :data:`RESULT_SHM_MIN_BYTES` writes the payload to a
-  fresh shm segment and sends only the handle; the parent reads and
-  unlinks it.  Failures fall back to inline pickle bytes and count
-  ``runner.shm.fallbacks``.  Workers share the parent's resource tracker,
-  so every segment is registered and unlinked exactly once.
+* **One resource tracker.**  Workers share the parent's resource
+  tracker, so every trace broadcast segment (:mod:`repro.runner.shm`)
+  is registered and unlinked exactly once.
 * **Lifecycle metrics.**  ``runner.pool.spawned`` / ``.reused`` /
   ``.restarted`` flow into the ledger's KEY_COUNTERS, so a warm bench
   run can assert it spawned at most one pool.
@@ -34,7 +32,6 @@ from __future__ import annotations
 
 import atexit
 import itertools
-import pickle
 from multiprocessing import connection, get_context, resource_tracker
 from multiprocessing import get_start_method as _default_start_method
 
@@ -42,39 +39,11 @@ from repro.obs import metrics as obs_metrics
 from repro.runner import shm as runner_shm
 
 __all__ = [
-    "RESULT_SHM_MIN_BYTES",
     "WorkerPool",
     "get_pool",
     "pool_stats",
     "shutdown_pool",
 ]
-
-#: Chunk results whose pickle is at least this big return via a
-#: shared-memory segment instead of the result pipe.
-RESULT_SHM_MIN_BYTES = 256 * 1024
-
-#: Result-pipe payload tags: inline pickle, shm handle, shm fallback.
-_TAG_INLINE = b"I"
-_TAG_SHM = b"S"
-_TAG_FALLBACK = b"F"
-
-
-def _send_result(result_send, outcome) -> None:
-    """Worker side: ship ``outcome`` inline or through a shm segment."""
-    payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) >= RESULT_SHM_MIN_BYTES and runner_shm.shm_available():
-        segment = runner_shm.create_blob(payload)
-        if segment is not None:
-            try:
-                handle = pickle.dumps((segment.name, len(payload)))
-                result_send.send_bytes(_TAG_SHM + handle)
-            finally:
-                segment.close()
-            return
-        result_send.send_bytes(_TAG_FALLBACK + payload)
-        return
-    result_send.send_bytes(_TAG_INLINE + payload)
-
 
 def _worker_main(task_recv, result_send) -> None:
     """Worker loop: recv (job_id, target, args), run, send the outcome.
@@ -97,13 +66,11 @@ def _worker_main(task_recv, result_send) -> None:
         except BaseException as exc:  # noqa: BLE001 - report, don't die
             outcome = (job_id, False, None, f"{type(exc).__name__}: {exc}")
         try:
-            _send_result(result_send, outcome)
+            result_send.send(outcome)
         except Exception:
             # The value itself would not pickle; report that instead.
             try:
-                _send_result(
-                    result_send, (job_id, False, None, "result not picklable")
-                )
+                result_send.send((job_id, False, None, "result not picklable"))
             except Exception:
                 return
 
@@ -248,25 +215,11 @@ class WorkerPool:
             worker = pending[conn]
             job_id, meta = worker.job
             try:
-                data = conn.recv_bytes()
+                outcome = conn.recv()
             except (EOFError, OSError):
                 self._replace(worker)
                 outcomes.append(("lost", meta, None))
                 continue
-            tag, body = data[:1], data[1:]
-            if tag == _TAG_SHM:
-                name, size = pickle.loads(body)
-                payload = runner_shm.read_blob(name, size)
-                if payload is None:  # the segment vanished
-                    worker.job = None
-                    outcomes.append(("failed", meta, "shm result segment lost"))
-                    continue
-                obs_metrics.DEFAULT.incr("runner.shm.bytes", size)
-                outcome = pickle.loads(payload)
-            else:
-                if tag == _TAG_FALLBACK:
-                    obs_metrics.DEFAULT.incr("runner.shm.fallbacks")
-                outcome = pickle.loads(body)
             worker.job = None
             got_id, ok, value, error = outcome
             if got_id != job_id:  # pragma: no cover - protocol guard

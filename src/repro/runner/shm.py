@@ -7,11 +7,8 @@ small handle (:class:`SharedTrace` pickles to its segment name).  A
 worker attaches the segment on first use, builds a zero-copy numpy view
 for the vector engine, and keeps the attachment for the life of the
 process — so a pool that runs ten experiment rounds over the same
-workload suite ships each trace's addresses exactly once.
-
-The same blob plane carries oversized chunk *results*, which workers
-write to a fresh segment and return by handle instead of pushing
-megabytes through a pipe.
+workload suite ships each trace's addresses exactly once.  Only traces
+travel this way; chunk results return over the worker's pipe.
 
 Everything degrades gracefully: when shared memory is unavailable, a
 segment cannot be created, or a payload will not pack, callers fall
@@ -36,7 +33,6 @@ __all__ = [
     "MIN_TRACE_ADDRESSES",
     "SharedTrace",
     "create_blob",
-    "read_blob",
     "release_broadcasts",
     "share_blob",
     "share_trace",
@@ -61,9 +57,8 @@ def shm_available() -> bool:
 def create_blob(payload: bytes):
     """Copy ``payload`` into a fresh shm segment; None on any failure.
 
-    The caller owns the returned ``SharedMemory`` handle: result senders
-    ``close()`` after handing the name over (the receiver unlinks);
-    broadcasters keep it registered until :func:`release_broadcasts`.
+    The caller owns the returned ``SharedMemory`` handle and keeps it
+    registered until :func:`release_broadcasts`.
     """
     if not shm_available():
         return None
@@ -75,25 +70,6 @@ def create_blob(payload: bytes):
     except Exception:
         return None
     return segment
-
-
-def read_blob(name: str, size: int) -> bytes | None:
-    """Read and unlink segment ``name`` (``size`` bytes); None if gone.
-
-    The one-shot result transport: the reader consumes the segment.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except Exception:
-        return None
-    try:
-        return bytes(segment.buf[:size])
-    finally:
-        segment.close()
-        with contextlib.suppress(Exception):
-            segment.unlink()
 
 
 # -- parent-side broadcast registry ------------------------------------------
@@ -137,17 +113,12 @@ def release_broadcasts() -> None:
     _BROADCASTS.clear()
 
 
-def broadcast_count() -> int:
-    """Number of live parent-side broadcast segments (introspection)."""
-    return len(_BROADCASTS)
-
-
 # -- shared traces -----------------------------------------------------------
 class SharedTrace(Trace):
     """A :class:`Trace` whose address payload lives in shared memory.
 
-    Behaves exactly like the trace it wraps — same name, addresses,
-    metadata, fingerprint — but pickles to a tiny handle
+    Behaves exactly like the trace it wraps — same name, addresses and
+    metadata — but pickles to a tiny handle
     ``(segment name, count, trace name, fingerprint)`` instead of the
     address tuple.  On the worker side the addresses materialize lazily:
     ``address_array()`` is a zero-copy numpy view over the segment, and
@@ -227,8 +198,7 @@ def share_trace(trace: Trace) -> SharedTrace | None:
         return None
     fingerprint = trace.metadata.get("_fingerprint")
     if fingerprint is None:
-        # Same recipe as repro.runner.cells.trace_fingerprint, so the
-        # memo layer and the transport share the cached digest.
+        # A content digest: traces with equal addresses share a segment.
         fingerprint = hashlib.blake2s(payload, digest_size=16).hexdigest()
         trace.metadata["_fingerprint"] = fingerprint
     shared = share_blob(f"trace:{fingerprint}", payload)
@@ -239,11 +209,13 @@ def share_trace(trace: Trace) -> SharedTrace | None:
     return SharedTrace._wrap(trace, ref)
 
 
-#: Worker-side cache: fingerprint -> resolved SharedTrace.  One live
-#: object per trace per worker process keeps the numpy view, the
-#: vector engine's per-trace layout memo and the segment attachment all
-#: stable across chunks and across map() rounds.
-_RESOLVED: dict[str, SharedTrace] = {}
+#: Worker-side cache: (fingerprint, trace name) -> resolved SharedTrace.
+#: One live object per trace per worker process keeps the numpy view,
+#: the vector engine's per-trace layout memo and the segment attachment
+#: all stable across chunks and across map() rounds.  The name is part
+#: of the key because traces with equal addresses share one segment but
+#: keep their own names.
+_RESOLVED: dict[tuple[str, str], SharedTrace] = {}
 
 
 def _resolve_shared_trace(ref: tuple) -> Trace:
@@ -254,7 +226,7 @@ def _resolve_shared_trace(ref: tuple) -> Trace:
     plain traces, so correctness never depends on the broadcast.
     """
     segment_name, count, trace_name, fingerprint = ref
-    cached = _RESOLVED.get(fingerprint)
+    cached = _RESOLVED.get((fingerprint, trace_name))
     if cached is not None:
         return cached
     from multiprocessing import shared_memory
@@ -266,7 +238,7 @@ def _resolve_shared_trace(ref: tuple) -> Trace:
     object.__setattr__(self, "_ref", ref)
     object.__setattr__(self, "_count", count)
     object.__setattr__(self, "_segment", segment)
-    _RESOLVED[fingerprint] = self
+    _RESOLVED[(fingerprint, trace_name)] = self
     return self
 
 

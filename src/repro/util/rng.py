@@ -79,9 +79,3 @@ class SeededRng:
     def sample(self, items: Sequence[T], count: int) -> list[T]:
         """Return ``count`` distinct items sampled without replacement."""
         return self._random.sample(items, count)
-
-    def permutation(self, size: int) -> tuple[int, ...]:
-        """Return a uniformly random permutation of range(size)."""
-        order = list(range(size))
-        self._random.shuffle(order)
-        return tuple(order)

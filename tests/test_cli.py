@@ -57,6 +57,24 @@ class TestCommands:
         assert "workload" in out
         assert "loop-friendly" in out
 
+    def test_bench_repeats_the_evaluate_grid(self, capsys):
+        grid = ["--policies", "lru,fifo", "--size", "4096", "--ways", "4"]
+        assert main(["evaluate", *grid]) == 0
+        evaluated = capsys.readouterr().out.splitlines()
+        code = main(["bench", *grid, "--jobs", "2", "--repeat", "2", "--show-matrix"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        runs = [
+            [cell.strip() for cell in line.split("|")]
+            for line in out
+            if line[:1].isdigit()
+        ]
+        assert [run[:2] for run in runs] == [["1", "jobs=2"], ["2", "jobs=2"]]
+        assert runs[0][2] == runs[1][2] == "18"  # 2 policies x 9 workloads
+        # The same table as evaluate's, below a shorter title.
+        matrix = out[out.index("miss ratios") + 1:]
+        assert matrix == evaluated[1:]
+
     def test_predictability_prints_metrics(self, capsys):
         code = main(["predictability", "--policies", "lru,fifo", "--ways", "4"])
         out = capsys.readouterr().out
@@ -121,9 +139,6 @@ class TestObservability:
 
     def test_metrics_keeps_the_kernel_engaged(self, tmp_path, capsys):
         """--metrics alone must not disable the compiled fast path."""
-        from repro.runner import clear_memo
-
-        clear_memo()  # memoized cells would bypass the kernel entirely
         metrics_file = tmp_path / "eval.ledger.json"
         code = main(
             ["evaluate", "--policies", "lru", "--size", "4096",

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache import CacheConfig
 from repro.eval import cache_size_sweep, miss_ratio, miss_ratio_matrix, simulate_trace
-from repro.workloads import cyclic_loop, sequential_scan
+from repro.workloads import Trace, cyclic_loop, sequential_scan
 
 
 class TestSimulateTrace:
@@ -59,6 +59,36 @@ class TestMatrix:
             assert matrix.cell(cell.policy, cell.trace) is cell
         with pytest.raises(KeyError):
             matrix.cell("nope", "loop-65w")
+
+
+
+class TestTraceNames:
+    """Each cell is reported under the trace it ran, whatever its addresses.
+
+    Long enough that a pooled run broadcasts the addresses, so traces
+    with equal addresses share one shared-memory segment there.
+    """
+
+    CONFIG = CacheConfig("t", 4096, 4)
+    ADDRESSES = tuple((i % 96) * 64 for i in range(4096))
+    POLICIES = ["lru", "fifo"]
+
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_equal_addresses_keep_both_names(self, jobs):
+        traces = [Trace("first", self.ADDRESSES), Trace("second", self.ADDRESSES)]
+        matrix = miss_ratio_matrix(traces, self.CONFIG, self.POLICIES, jobs=jobs)
+        assert [(cell.policy, cell.trace) for cell in matrix.cells] == [
+            (policy, trace) for policy in self.POLICIES for trace in ("first", "second")
+        ]
+        assert [row[0] for row in matrix.rows()] == ["first", "second"]
+
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_a_later_call_reports_its_own_trace(self, jobs):
+        first = Trace("first", self.ADDRESSES)
+        miss_ratio_matrix([first], self.CONFIG, self.POLICIES, jobs=jobs)
+        second = Trace("second", self.ADDRESSES)
+        later = miss_ratio_matrix([second], self.CONFIG, self.POLICIES, jobs=jobs)
+        assert later.traces() == ["second"]
 
 
 class TestSweep:

@@ -34,7 +34,7 @@ from repro.kernels import (
 from repro.kernels.engine import _simulate_trace_compiled
 from repro.obs import metrics as obs_metrics
 from repro.policies import LruPolicy, lru_spec, make_policy
-from repro.runner import ExperimentRunner, clear_memo, run_sim_cells
+from repro.runner import ExperimentRunner, run_sim_cells
 from repro.runner.cells import SimCell
 from repro.cache import CacheConfig
 from repro.workloads.trace import Trace
@@ -564,9 +564,7 @@ class TestRunnerPrewarm:
         ]
 
     def test_parallel_prewarm_populates_store_and_matches_serial(self):
-        clear_memo()
         serial = run_sim_cells(self._cells(), runner=ExperimentRunner())
-        clear_memo()
         clear_compile_cache()
         obs_metrics.DEFAULT.reset()
         parallel = run_sim_cells(self._cells(), runner=ExperimentRunner(jobs=2))
@@ -575,7 +573,6 @@ class TestRunnerPrewarm:
         for name in ("lru", "fifo", "plru"):
             assert store.load(store.factory_key(name, (), 4)) is not None
         # ...and a warm re-run compiles nothing.
-        clear_memo()
         clear_compile_cache()
         obs_metrics.DEFAULT.reset()
         rerun = run_sim_cells(self._cells(), runner=ExperimentRunner(jobs=2))

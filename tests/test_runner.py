@@ -9,14 +9,14 @@ from repro.eval import cache_size_sweep, miss_ratio_matrix
 from repro.obs import metrics as obs_metrics
 from repro.runner import (
     ExperimentRunner,
+    SharedTrace,
     SimCell,
-    clear_memo,
     derive_cell_seed,
-    memo_size,
     run_sim_cells,
     simulate_cell,
-    trace_fingerprint,
 )
+from repro.runner import shm as runner_shm
+from repro.runner.cells import _share_cell_traces
 from repro.util.rng import derive_seed
 from repro.workloads import (
     Trace,
@@ -48,11 +48,20 @@ def _always_fails(task):
     raise ValueError(f"bad cell {task}")
 
 
+def _cell_sources():
+    """The ``runner.cells.<source>`` counters, keyed by source."""
+    counters = obs_metrics.DEFAULT.snapshot()["counters"]
+    prefix = "runner.cells."
+    return {
+        key[len(prefix):]: value
+        for key, value in counters.items()
+        if key.startswith(prefix)
+    }
+
+
 @pytest.fixture(autouse=True)
-def _fresh_memo():
-    clear_memo()
-    yield
-    clear_memo()
+def _fresh_metrics():
+    obs_metrics.DEFAULT.reset()
 
 
 class TestRunnerMap:
@@ -60,44 +69,32 @@ class TestRunnerMap:
         runner = ExperimentRunner()
         assert runner.map(_double, [3, 1, 2]) == [6, 2, 4]
         assert not runner.parallel
-        assert [t.source for t in runner.timings] == ["serial"] * 3
+        assert _cell_sources() == {"serial": 3}
 
     def test_parallel_preserves_order(self):
-        runner = ExperimentRunner(jobs=2, chunk_size=2)
+        runner = ExperimentRunner(jobs=2)
         tasks = list(range(11))
         assert runner.map(_square, tasks) == [t * t for t in tasks]
-        assert {t.source for t in runner.timings} == {"parallel"}
-        assert sorted(t.index for t in runner.timings) == tasks
+        assert _cell_sources() == {"parallel": len(tasks)}
 
     def test_single_task_runs_serially_even_with_jobs(self):
         runner = ExperimentRunner(jobs=4)
         assert runner.map(_double, [21]) == [42]
-        assert runner.timings[0].source == "serial"
-
-    def test_labels_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentRunner().map(_double, [1, 2], labels=["only-one"])
-
-    def test_progress_hook_sees_every_cell(self):
-        seen = []
-        runner = ExperimentRunner(progress=seen.append)
-        runner.map(_double, [1, 2, 3], labels=["a", "b", "c"])
-        assert [t.label for t in seen] == ["a", "b", "c"]
+        assert _cell_sources() == {"serial": 1}
 
     def test_poisoned_worker_retries_then_falls_back_serially(self):
-        runner = ExperimentRunner(jobs=2, chunk_size=1, retries=1)
+        runner = ExperimentRunner(jobs=2)
         assert runner.map(_poisoned_in_worker, [1, 2, 3]) == [101, 102, 103]
         # Every produced value must come from the serial fallback.
-        sources = {t.index: t.source for t in runner.timings}
-        assert sources == {0: "fallback", 1: "fallback", 2: "fallback"}
+        assert _cell_sources() == {"fallback": 3}
 
     def test_deterministic_task_error_propagates(self):
-        runner = ExperimentRunner(jobs=2, retries=0)
+        runner = ExperimentRunner(jobs=2)
         with pytest.raises(ValueError, match="bad cell"):
             runner.map(_always_fails, [1, 2])
 
     def test_unpicklable_fn_falls_back_serially(self):
-        runner = ExperimentRunner(jobs=2, retries=0)
+        runner = ExperimentRunner(jobs=2)
         parent_pid = os.getpid()
         values = runner.map(lambda task: (task, os.getpid()), [1, 2, 3])
         assert [task for task, _pid in values] == [1, 2, 3]
@@ -124,32 +121,25 @@ class TestSimCells:
     CONFIG = CacheConfig("c", 4096, 4)
 
     def test_trace_fingerprint_is_content_addressed(self):
-        same_a = Trace("a", (64, 128, 192))
-        same_b = Trace("b", (64, 128, 192))
-        other = Trace("a", (64, 128, 256))
-        assert trace_fingerprint(same_a) == trace_fingerprint(same_b)
-        assert trace_fingerprint(same_a) != trace_fingerprint(other)
-
-    def test_memoization_hits_on_second_run(self):
-        cells = [SimCell.make(cyclic_loop(16, 2), self.CONFIG, "lru")]
-        first = run_sim_cells(cells)
-        assert memo_size() == 1
-        runner = ExperimentRunner()
-        second = run_sim_cells(cells, runner=runner)
-        assert first == second
-        assert [t.source for t in runner.timings] == ["memo"]
-
-    def test_duplicate_cells_run_once(self):
-        cell = SimCell.make(cyclic_loop(16, 2), self.CONFIG, "lru")
-        runner = ExperimentRunner()
-        results = run_sim_cells([cell, cell, cell], runner=runner)
-        assert results[0] == results[1] == results[2]
-        assert sum(1 for t in runner.timings if t.source == "serial") == 1
-
-    def test_memoize_false_bypasses_cache(self):
-        cells = [SimCell.make(cyclic_loop(16, 2), self.CONFIG, "lru")]
-        run_sim_cells(cells, memoize=False)
-        assert memo_size() == 0
+        """Equal addresses share one broadcast segment; names stay apart."""
+        if not runner_shm.shm_available():
+            pytest.skip("no shared memory")
+        addresses = tuple(64 * i for i in range(runner_shm.MIN_TRACE_ADDRESSES))
+        traces = [
+            Trace("a", addresses),
+            Trace("b", addresses),
+            Trace("a", addresses[::-1]),
+        ]
+        cells = [SimCell.make(trace, self.CONFIG, "lru") for trace in traces]
+        runner_shm.release_broadcasts()
+        try:
+            shared = [cell.trace for cell in _share_cell_traces(cells)]
+        finally:
+            runner_shm.release_broadcasts()
+        assert all(isinstance(trace, SharedTrace) for trace in shared)
+        segments = [trace._ref[0] for trace in shared]
+        assert segments[0] == segments[1] != segments[2]
+        assert [trace.name for trace in shared] == ["a", "b", "a"]
 
     def test_simulate_cell_matches_direct_simulation(self):
         from repro.eval import simulate_trace
@@ -162,7 +152,7 @@ class TestSimCells:
 
 
 class TestTraceMajorOrder:
-    """Fresh cells run one trace at a time; results keep cell order."""
+    """Cells run one trace at a time; results keep cell order."""
 
     CONFIG = CacheConfig("L1", 64 * 4 * 64, 4)  # 64 sets: vector lanes
     POLICIES = ("lru", "plru", "fifo")
@@ -182,19 +172,24 @@ class TestTraceMajorOrder:
 
     def test_fresh_cells_run_grouped_by_trace(self):
         traces, cells = self._grid()
-        runner = ExperimentRunner()
-        run_sim_cells(cells, runner=runner)
-        assert [t.label for t in runner.timings] == [
-            cell.label for trace in traces for cell in cells if cell.trace is trace
+        mapped = []
+
+        class RecordingRunner(ExperimentRunner):
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                mapped.extend(tasks)
+                return super().map(fn, tasks)
+
+        run_sim_cells(cells, runner=RecordingRunner())
+        assert mapped == [
+            cell for trace in traces for cell in cells if cell.trace is trace
         ]
 
-    @pytest.mark.parametrize("memoize", [True, False])
-    def test_results_come_back_in_cell_order(self, memoize):
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_results_come_back_in_cell_order(self, parallel):
         _traces, cells = self._grid()
         expected = [simulate_cell(cell) for cell in cells]
-        if memoize:
-            run_sim_cells(cells[::2])  # memo hits between fresh cells
-        assert run_sim_cells(cells, memoize=memoize) == expected
+        assert run_sim_cells(cells, jobs=2 if parallel else 0) == expected
 
     def test_a_grid_builds_one_layout_per_trace(self, monkeypatch):
         from repro.kernels import vector
@@ -234,18 +229,14 @@ class TestParallelBitIdentical:
     ])
     def test_matrix_identical_serial_vs_parallel(self, policies):
         traces = self._traces()
-        clear_memo()
         serial = miss_ratio_matrix(traces, self.CONFIG, policies, seed=3)
-        clear_memo()
         parallel = miss_ratio_matrix(traces, self.CONFIG, policies, seed=3, jobs=2)
         assert serial == parallel
 
     def test_sweep_identical_serial_vs_parallel(self):
         trace = cyclic_loop(96, 3)
-        serial = cache_size_sweep(trace, [1024, 4096], ["lru", "random"], memoize=False)
-        parallel = cache_size_sweep(
-            trace, [1024, 4096], ["lru", "random"], jobs=2, memoize=False
-        )
+        serial = cache_size_sweep(trace, [1024, 4096], ["lru", "random"])
+        parallel = cache_size_sweep(trace, [1024, 4096], ["lru", "random"], jobs=2)
         assert serial == parallel
 
 
@@ -266,18 +257,13 @@ class TestObservabilityMerge:
 
     def _run(self, jobs):
         obs_metrics.DEFAULT.reset()
-        clear_memo()
-        cells = self._cells()
-        labels = [cell.label for cell in cells]
-        ExperimentRunner(jobs=jobs, chunk_size=2).map(
-            simulate_cell, cells, labels=labels
-        )
+        ExperimentRunner(jobs=jobs).map(simulate_cell, self._cells())
         return obs_metrics.DEFAULT.snapshot()
 
     def test_parallel_metrics_equal_serial_modulo_timers(self):
         """The acceptance property: --jobs N counters == jobs=0 counters,
         modulo the runner's own scheduling metrics (cell-source splits,
-        pool lifecycle, shm transport) and the kernel cache-warmth split
+        pool lifecycle, trace broadcasts) and the kernel cache-warmth split
         — persistent workers keep their in-memory automaton caches
         across maps, so hit/load/miss may split differently than in the
         parent while their total stays exact."""
@@ -315,7 +301,7 @@ class TestObservabilityMerge:
 
     def test_fallback_path_still_counts_every_cell(self):
         obs_metrics.DEFAULT.reset()
-        runner = ExperimentRunner(jobs=2, chunk_size=1, retries=1)
+        runner = ExperimentRunner(jobs=2)
         assert runner.map(_poisoned_in_worker, [1, 2, 3]) == [101, 102, 103]
         counters = obs_metrics.DEFAULT.snapshot()["counters"]
         assert counters["runner.cells.fallback"] == 3

@@ -1,11 +1,11 @@
-"""Tests for the persistent worker pool, shm transport and scheduler.
+"""Tests for the persistent worker pool, trace broadcasts and scheduler.
 
-Covers the runner's PR-8 surface: pool lifecycle (lazy spawn, reuse
-across ``map()`` calls, per-worker restart on death, ``shutdown_pool``),
-the shared-memory transport plane (trace broadcasts, large result
-segments, graceful pickle fallback), adaptive chunking determinism, and
-hypothesis property tests asserting parallel == serial under pool reuse
-and both start methods.
+Covers pool lifecycle (lazy spawn, reuse across ``map()`` calls,
+per-worker restart on death, ``shutdown_pool``), the shared-memory
+trace broadcasts (zero-copy attach, graceful pickle fallback, a lost
+segment), inline results, adaptive chunking, and hypothesis property
+tests asserting parallel == serial under pool reuse and both start
+methods.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from repro.runner import (
     ExperimentRunner,
     SharedTrace,
     SimCell,
-    clear_memo,
     pool_stats,
     run_sim_cells,
     share_trace,
     shutdown_pool,
+    simulate_cell,
 )
 from repro.runner import pool as runner_pool
 from repro.runner import shm as runner_shm
@@ -106,7 +106,6 @@ def _fresh_pool_and_metrics():
     """Each test here reasons about pool lifecycle counters from zero."""
     shutdown_pool()
     obs_metrics.DEFAULT.reset()
-    clear_memo()
     yield
     shutdown_pool()
 
@@ -158,7 +157,7 @@ class TestPoolLifecycle:
         marker = str(tmp_path / "died-once")
         tasks = [(index, None) for index in range(6)]
         tasks[3] = (3, marker)
-        runner = ExperimentRunner(jobs=2, chunk_size=1, retries=1)
+        runner = ExperimentRunner(jobs=2)
         assert runner.map(_die_once, tasks) == [v * 5 for v in range(6)]
         counters = _runner_counters()
         # The killed chunk was retried on a live worker, not run in the
@@ -170,12 +169,14 @@ class TestPoolLifecycle:
         assert pool_stats()["workers_alive"] == 2
 
     def test_persistent_worker_death_falls_back_serially(self):
-        runner = ExperimentRunner(jobs=2, chunk_size=1, retries=1)
+        runner = ExperimentRunner(jobs=2)
         assert runner.map(_die_on_seven, [1, 2, 7, 4]) == [11, 22, 77, 44]
-        sources = {t.index: t.source for t in runner.timings}
-        assert sources[2] == "fallback"
-        assert sources[0] == sources[1] == sources[3] == "parallel"
-        assert _runner_counters()["runner.pool.restarted"] >= 2
+        counters = _runner_counters()
+        # Only the chunk holding 7 ran in the parent, after its retry.
+        assert counters["runner.cells.fallback"] == 1
+        assert counters["runner.cells.parallel"] == 3
+        assert counters["runner.chunk_retries"] >= 2
+        assert counters["runner.pool.restarted"] >= 2
 
     def test_workers_follow_the_parent_cache_directory(self, tmp_path):
         """Each chunk pins a worker to the parent's current cache directory.
@@ -190,9 +191,9 @@ class TestPoolLifecycle:
         clear_compile_cache()
         runner_pool.get_pool(2)  # workers start with an empty compile cache
         store.set_cache_dir(tmp_path / "moved")
-        serial = run_sim_cells(cells, jobs=0, memoize=False)
+        serial = run_sim_cells(cells, jobs=0)
         obs_metrics.DEFAULT.reset()
-        parallel = run_sim_cells(cells, jobs=2, memoize=False)
+        parallel = run_sim_cells(cells, jobs=2)
         assert parallel == serial
         counters = obs_metrics.DEFAULT.snapshot()["counters"]
         assert counters.get("kernel.compile.load", 0) > 0
@@ -204,7 +205,7 @@ class TestPoolLifecycle:
 _POOL_ROUNDS_SCRIPT = """
 from repro.cache import CacheConfig
 from repro.eval import miss_ratio_matrix
-from repro.runner import clear_memo, get_pool, shutdown_pool
+from repro.runner import get_pool, shutdown_pool
 from repro.workloads import workload_suite
 
 config = CacheConfig("L2", 8 * 1024, 8)
@@ -215,7 +216,6 @@ for round_ in range(2):
     if round_:
         shutdown_pool()
         get_pool(2)
-    clear_memo()
     miss_ratio_matrix(traces, config, ["lru", "fifo"], jobs=2)
 """
 
@@ -279,7 +279,7 @@ class TestSharedMemoryTransport:
         cells = [SimCell.make(trace, CONFIG, "lru") for trace in traces]
         shared_cells = _share_cell_traces(cells)
         assert all(isinstance(cell.trace, SharedTrace) for cell in shared_cells)
-        runner = ExperimentRunner(jobs=2, chunk_size=1)
+        runner = ExperimentRunner(jobs=2)
         described = runner.map(_describe_trace, shared_cells)
         for trace, (kind, count, head, first) in zip(traces, described):
             assert kind == "SharedTrace"
@@ -295,45 +295,42 @@ class TestSharedMemoryTransport:
             for policy in ("lru", "plru")
             for trace in traces
         ]
-        serial = run_sim_cells(cells, jobs=0, memoize=False)
-        clear_memo()
+        serial = run_sim_cells(cells, jobs=0)
         runner_shm.release_broadcasts()
         with monkeypatch.context() as patch:
             patch.setattr(runner_shm, "create_blob", _no_segment)
-            plain = run_sim_cells(
-                cells, runner=ExperimentRunner(jobs=2), memoize=False
-            )
+            plain = run_sim_cells(cells, runner=ExperimentRunner(jobs=2))
         assert _runner_counters()["runner.shm.fallbacks"] == len(traces)
-        clear_memo()
-        shared = run_sim_cells(cells, runner=ExperimentRunner(jobs=2), memoize=False)
+        shared = run_sim_cells(cells, runner=ExperimentRunner(jobs=2))
         assert plain == serial
         assert shared == serial
         assert _runner_counters()["runner.shm.broadcasts"] == len(traces)
 
-    def test_large_results_return_through_shm_segments(self):
-        size = runner_pool.RESULT_SHM_MIN_BYTES
-        runner = ExperimentRunner(jobs=2, chunk_size=1)
-        out = runner.map(_payload, [size, size + 1, 8])
+    def test_large_results_return_inline(self):
+        size = 256 * 1024
+        out = ExperimentRunner(jobs=2).map(_payload, [size, size + 1, 8])
         assert [len(blob) for blob in out] == [size, size + 1, 8]
-        assert _runner_counters()["runner.shm.bytes"] >= 2 * size
+        counters = _runner_counters()
+        assert counters["runner.cells.parallel"] == 3
+        assert "runner.shm.bytes" not in counters
 
-    def test_lost_result_segment_retries_the_chunk(self, monkeypatch):
-        size = runner_pool.RESULT_SHM_MIN_BYTES
-        tasks = [size, size + 1, 8]
-        serial = ExperimentRunner().map(_payload, tasks)
-        read_blob = runner_shm.read_blob
-        calls = []
-
-        def lose_first(name, nbytes):
-            calls.append(name)
-            payload = read_blob(name, nbytes)  # consumes the real segment
-            return None if len(calls) == 1 else payload
-
-        monkeypatch.setattr(runner_shm, "read_blob", lose_first)
+    def test_lost_broadcast_segment_retries_the_chunk(self, monkeypatch):
+        """Cells whose broadcast vanished before any worker attached it
+        fail in the workers and rerun from the parent's traces."""
+        # Forked workers must not inherit a resolved copy of the trace.
+        monkeypatch.setattr(runner_shm, "_RESOLVED", {})
+        cells = [SimCell.make(trace, CONFIG, "lru") for trace in _big_traces()]
+        serial = [simulate_cell(cell) for cell in cells]
+        runner_shm.release_broadcasts()
+        shared_cells = _share_cell_traces(cells)
+        assert all(isinstance(cell.trace, SharedTrace) for cell in shared_cells)
+        runner_shm.release_broadcasts()  # unlinks every segment
         obs_metrics.DEFAULT.reset()
-        out = ExperimentRunner(jobs=2, chunk_size=1).map(_payload, tasks)
+        out = ExperimentRunner(jobs=2).map(simulate_cell, shared_cells)
         assert out == serial
-        assert _runner_counters()["runner.chunk_retries"] == 1
+        counters = _runner_counters()
+        assert counters["runner.cells.fallback"] == len(cells)
+        assert counters["runner.chunk_retries"] >= 2 * len(cells)
 
 
 class TestAdaptiveChunking:
@@ -345,12 +342,6 @@ class TestAdaptiveChunking:
         sizes = snapshot.get("runner.chunk.adaptive")
         assert sizes is not None and sizes["count"] >= 2
         assert 1 <= sizes["min"] and sizes["max"] <= len(tasks)
-
-    def test_fixed_chunk_size_disables_adaptation(self):
-        runner = ExperimentRunner(jobs=2, chunk_size=3)
-        runner.map(_double, list(range(12)))
-        snapshot = obs_metrics.DEFAULT.snapshot()["observations"]
-        assert "runner.chunk.adaptive" not in snapshot
 
     @settings(
         max_examples=6,
@@ -386,10 +377,9 @@ class TestStartMethods:
             for policy in ("lru", "fifo")
             for trace in _big_traces()
         ]
-        serial = run_sim_cells(cells, jobs=0, memoize=False)
-        clear_memo()
+        serial = run_sim_cells(cells, jobs=0)
         runner = ExperimentRunner(jobs=2, start_method=method)
-        parallel = run_sim_cells(cells, runner=runner, memoize=False)
+        parallel = run_sim_cells(cells, runner=runner)
         assert parallel == serial
         assert pool_stats()["start_method"] == method
 

@@ -48,12 +48,6 @@ class TestFork:
 
 
 class TestHelpers:
-    def test_permutation_is_permutation(self):
-        rng = SeededRng(3)
-        for size in (1, 2, 5, 16):
-            perm = rng.permutation(size)
-            assert sorted(perm) == list(range(size))
-
     def test_sample_distinct(self):
         rng = SeededRng(3)
         sample = rng.sample(range(100), 10)

@@ -1,4 +1,4 @@
-"""Tests for the Trace type and its file format."""
+"""Tests for the Trace type."""
 
 import pytest
 
@@ -26,40 +26,3 @@ class TestTrace:
         combined = Trace("a", (0,)).concat(Trace("b", (64,)))
         assert combined.addresses == (0, 64)
         assert combined.name == "a+b"
-
-    def test_repeat(self):
-        repeated = Trace("a", (0, 64)).repeat(3)
-        assert repeated.addresses == (0, 64) * 3
-        with pytest.raises(ValueError):
-            Trace("a", (0,)).repeat(0)
-
-    def test_from_lines(self):
-        trace = Trace.from_lines("t", [0, 1, 5])
-        assert trace.addresses == (0, 64, 5 * 64)
-
-
-class TestFileFormat:
-    def test_round_trip(self, tmp_path):
-        original = Trace("roundtrip", (0x100, 0x200, 0x100))
-        path = tmp_path / "trace.txt"
-        original.save(path)
-        loaded = Trace.load(path)
-        assert loaded == original
-        assert loaded.name == "roundtrip"
-
-    def test_comments_and_blank_lines_ignored(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("# a comment\n\n0x40\n# another\n64\n")
-        trace = Trace.load(path)
-        assert trace.addresses == (0x40, 64)
-
-    def test_name_defaults_to_stem(self, tmp_path):
-        path = tmp_path / "mytrace.txt"
-        path.write_text("0x40\n")
-        assert Trace.load(path).name == "mytrace"
-
-    def test_malformed_line_reported_with_location(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0x40\nnot-an-address\n")
-        with pytest.raises(TraceFormatError, match="bad.txt:2"):
-            Trace.load(path)
