@@ -316,9 +316,6 @@ KEY_COUNTERS = (
     "runner.pool.spawned",
     "runner.pool.reused",
     "runner.pool.restarted",
-    "runner.shm.broadcasts",
-    "runner.shm.bytes",
-    "runner.shm.fallbacks",
 )
 
 
@@ -423,6 +420,7 @@ GATE: dict[str, GateRule] = {
     "e2_inference_cost": GateRule(equal=("oracle.measurements",)),
     "e3_missratio": GateRule(equal=("kernel.accesses",), wall_ratio=2.0),
     "e4_relative_lru": GateRule(),
+    "e5_predictability": GateRule(),
     "e6_noise": GateRule(equal=("oracle.measurements",)),
     "e7_strategy_ablation": GateRule(equal=("oracle.measurements",)),
     "e7_thrash_ablation": GateRule(equal=("oracle.measurements",)),

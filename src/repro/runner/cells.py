@@ -10,7 +10,7 @@ cell itself, whether it runs serially or in a worker.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.cache import Cache, CacheConfig, CacheStats
 from repro.kernels import try_simulate_trace
@@ -117,31 +117,6 @@ def _prewarm_automata(cells: Sequence[SimCell]) -> None:
         store.warm(ordered)
 
 
-def _share_cell_traces(cells: Sequence[SimCell]) -> list[SimCell]:
-    """Swap large traces for shared-memory twins before a parallel map.
-
-    Each distinct trace's address payload is broadcast once per pool
-    (:func:`repro.runner.shm.share_trace`); the cells then pickle as
-    tiny handles instead of megabyte address tuples.  Cells whose trace
-    is small — or when shm is unavailable — pass through unchanged, and
-    results are unaffected either way: a :class:`SharedTrace` has the
-    same name and addresses as the original.
-    """
-    from repro.runner import shm as runner_shm
-
-    if not runner_shm.shm_available():
-        return list(cells)
-    shared_of: dict[int, Trace | None] = {}
-    out = []
-    for cell in cells:
-        key = id(cell.trace)
-        if key not in shared_of:
-            shared_of[key] = runner_shm.share_trace(cell.trace)
-        shared = shared_of[key]
-        out.append(replace(cell, trace=shared) if shared is not None else cell)
-    return out
-
-
 def clear_memo() -> None:
     """Do nothing: there is no cell-result memo.
 
@@ -161,7 +136,8 @@ def run_sim_cells(
     when the runner or ``jobs`` says so.  The cells run grouped by trace
     (traces in first-seen order, cells stable within a trace), so the
     vector engine's one-slot layout memo serves every policy of a trace
-    and a pool gets one trace's cells together.
+    and a pool gets one trace's cells together: pickle's memo then ships
+    the trace once per chunk, however many of the chunk's cells share it.
     """
     from repro.runner.core import ExperimentRunner
 
@@ -175,7 +151,6 @@ def run_sim_cells(
     tasks = [cells[index] for index in order]
     if runner.parallel and tasks:
         _prewarm_automata(tasks)
-        tasks = _share_cell_traces(tasks)
     results: list = [None] * len(cells)
     for index, result in zip(order, runner.map(simulate_cell, tasks)):
         results[index] = result

@@ -9,8 +9,7 @@ chunked scheduling while guaranteeing that the result list is
 *bit-identical* to running the cells serially in submission order:
 
 * cells are pure functions of their task value — workers receive the
-  task by pickling (or by shared-memory handle, see
-  :mod:`repro.runner.shm`), never by shared mutable state;
+  task pickled over their pipe, never by shared mutable state;
 * all seeded randomness flows through :class:`repro.util.rng.SeededRng`,
   whose stream derivation is process-stable (no ``hash()``
   randomization), so a worker derives exactly the streams the parent
@@ -36,8 +35,8 @@ chunk result carries the store's snapshot back, and the parent merges
 the snapshots in deterministic cell order.  A parallel run therefore
 produces the same *logical* counters and timers as ``jobs=0``; the
 exceptions are the runner's own scheduling metrics
-(``runner.*`` — per-source cell splits, pool lifecycle, trace
-broadcasts, adaptive chunk sizes) and cache-warmth splits
+(``runner.*`` — per-source cell splits, pool lifecycle, chunk
+retries, adaptive chunk sizes) and cache-warmth splits
 (``kernel.compile.hit`` vs ``.load`` vs ``.miss``), because a
 persistent worker's in-memory caches outlive the fork point — the
 *totals* still match, only the warm/cold split is process-local.

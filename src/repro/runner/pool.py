@@ -2,27 +2,24 @@
 
 Every :meth:`ExperimentRunner.map` round used to build (and tear down) a
 fresh ``ProcessPoolExecutor`` — a bench running a dozen experiments paid
-pool spawn, artifact re-warm and trace re-pickling a dozen times.  This
-module keeps one :class:`WorkerPool` alive for the whole process:
-created lazily by :func:`get_pool`, reused across ``map()`` calls,
-experiments and CLI subcommands, health-checked on reuse, and shut down
-at interpreter exit (or explicitly via :func:`shutdown_pool`).
+pool spawn and artifact re-warm a dozen times.  This module keeps one
+:class:`WorkerPool` alive for the whole process: created lazily by
+:func:`get_pool`, reused across ``map()`` calls, experiments and CLI
+subcommands, health-checked on reuse, and shut down at interpreter exit
+(or explicitly via :func:`shutdown_pool`).
 
 Design points:
 
 * **Per-worker pipes, one task in flight each.**  Every worker owns a
   task pipe and a result pipe; the scheduler only submits to idle
   workers, so a ``send`` can never deadlock against an unread result.
-  ``multiprocessing.connection.wait`` multiplexes the result pipes, and
-  every chunk result travels back pickled over its worker's pipe.
+  ``multiprocessing.connection.wait`` multiplexes the result pipes.
+  Every task and every result travels pickled over its worker's pipe.
 * **Per-worker restart, not per-pool.**  A dead worker is detected by
   EOF on its result pipe (or a failed health check between rounds) and
   replaced individually; healthy workers keep their warm caches.  The
   chunk the dead worker held is reported ``lost`` for the scheduler to
   retry elsewhere.
-* **One resource tracker.**  Workers share the parent's resource
-  tracker, so every trace broadcast segment (:mod:`repro.runner.shm`)
-  is registered and unlinked exactly once.
 * **Lifecycle metrics.**  ``runner.pool.spawned`` / ``.reused`` /
   ``.restarted`` flow into the ledger's KEY_COUNTERS, so a warm bench
   run can assert it spawned at most one pool.
@@ -32,11 +29,11 @@ from __future__ import annotations
 
 import atexit
 import itertools
-from multiprocessing import connection, get_context, resource_tracker
+import pickle
+from multiprocessing import connection, get_context
 from multiprocessing import get_start_method as _default_start_method
 
 from repro.obs import metrics as obs_metrics
-from repro.runner import shm as runner_shm
 
 __all__ = [
     "WorkerPool",
@@ -48,29 +45,38 @@ __all__ = [
 def _worker_main(task_recv, result_send) -> None:
     """Worker loop: recv (job_id, target, args), run, send the outcome.
 
-    Exceptions raised by the target are reported as failures rather
-    than killing the worker — only real process death (signal, exit)
-    costs a restart.  ``None`` is the shutdown sentinel.
+    A task that will not unpickle, or a target that raises, is reported
+    as a failure rather than killing the worker — only real process
+    death (signal, exit) or a closed pipe ends the loop.  An unpickling
+    failure carries job id None, since the id is inside the message; the
+    parent pairs it with the worker's one task in flight.  ``None`` is
+    the shutdown sentinel.
     """
     while True:
         try:
-            item = task_recv.recv()
+            message = task_recv.recv_bytes()
         except (EOFError, OSError):
             return
-        if item is None:
-            return
-        job_id, target, args = item
         try:
-            value = target(*args)
-            outcome = (job_id, True, value, None)
-        except BaseException as exc:  # noqa: BLE001 - report, don't die
-            outcome = (job_id, False, None, f"{type(exc).__name__}: {exc}")
+            item = pickle.loads(message)
+        except Exception as exc:  # noqa: BLE001 - report, don't die
+            error = f"task could not be unpickled: {type(exc).__name__}: {exc}"
+            outcome = (None, False, None, error)
+        else:
+            if item is None:
+                return
+            job_id, target, args = item
+            try:
+                value = target(*args)
+                outcome = (job_id, True, value, None)
+            except BaseException as exc:  # noqa: BLE001 - report, don't die
+                outcome = (job_id, False, None, f"{type(exc).__name__}: {exc}")
         try:
             result_send.send(outcome)
         except Exception:
             # The value itself would not pickle; report that instead.
             try:
-                result_send.send((job_id, False, None, "result not picklable"))
+                result_send.send((outcome[0], False, None, "result not picklable"))
             except Exception:
                 return
 
@@ -97,12 +103,6 @@ class WorkerPool:
         self.closed = False
         self._ctx = get_context(self.start_method)
         self._job_ids = itertools.count()
-        if self.start_method == "fork":
-            # A forked worker shares the parent's resource tracker only
-            # if it runs before the fork.  Otherwise the worker's first
-            # shm attach starts a private tracker, which unlinks the
-            # parent's segments a second time when the worker exits.
-            resource_tracker.ensure_running()
         self._workers: list[_Worker] = [self._spawn() for _ in range(self.jobs)]
 
     # -- lifecycle ---------------------------------------------------------
@@ -146,7 +146,7 @@ class WorkerPool:
                 self._replace(worker)
 
     def shutdown(self) -> None:
-        """Stop every worker and release the shm broadcast plane."""
+        """Stop every worker and close its pipes."""
         if self.closed:
             return
         self.closed = True
@@ -166,7 +166,6 @@ class WorkerPool:
                 except Exception:
                     pass
         self._workers.clear()
-        runner_shm.release_broadcasts()
 
     # -- scheduling --------------------------------------------------------
     def idle_workers(self) -> list[_Worker]:
@@ -222,7 +221,7 @@ class WorkerPool:
                 continue
             worker.job = None
             got_id, ok, value, error = outcome
-            if got_id != job_id:  # pragma: no cover - protocol guard
+            if got_id not in (job_id, None):  # pragma: no cover - protocol guard
                 outcomes.append(("failed", meta, "out-of-order result"))
             elif ok:
                 outcomes.append(("done", meta, value))

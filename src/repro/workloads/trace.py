@@ -9,7 +9,6 @@ DESIGN.md).
 
 from __future__ import annotations
 
-from array import array as _array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -65,19 +64,6 @@ class Trace:
                 array.setflags(write=False)
         object.__setattr__(self, "_address_array", array)
         return array
-
-    def address_bytes(self) -> bytes | None:
-        """The addresses packed as native-endian uint64 bytes.
-
-        Returns None when an address does not fit in 64 bits.  This is
-        the wire format of the runner's shared-memory trace broadcasts
-        (:mod:`repro.runner.shm`) — the same packing the broadcast key and
-        ``address_array`` use, so one layout serves all three.
-        """
-        try:
-            return _array("Q", self.addresses).tobytes()
-        except OverflowError:
-            return None
 
     def concat(self, other: "Trace", name: str | None = None) -> "Trace":
         """Concatenate two traces (phases of an application)."""

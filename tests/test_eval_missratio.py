@@ -65,8 +65,8 @@ class TestMatrix:
 class TestTraceNames:
     """Each cell is reported under the trace it ran, whatever its addresses.
 
-    Long enough that a pooled run broadcasts the addresses, so traces
-    with equal addresses share one shared-memory segment there.
+    Serially and through the pool, traces with equal addresses keep
+    their own names, in one matrix and across calls.
     """
 
     CONFIG = CacheConfig("t", 4096, 4)

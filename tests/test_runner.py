@@ -9,17 +9,13 @@ from repro.eval import cache_size_sweep, miss_ratio_matrix
 from repro.obs import metrics as obs_metrics
 from repro.runner import (
     ExperimentRunner,
-    SharedTrace,
     SimCell,
     derive_cell_seed,
     run_sim_cells,
     simulate_cell,
 )
-from repro.runner import shm as runner_shm
-from repro.runner.cells import _share_cell_traces
 from repro.util.rng import derive_seed
 from repro.workloads import (
-    Trace,
     cyclic_loop,
     random_uniform,
     sequential_scan,
@@ -119,27 +115,6 @@ class TestSeedDerivation:
 
 class TestSimCells:
     CONFIG = CacheConfig("c", 4096, 4)
-
-    def test_trace_fingerprint_is_content_addressed(self):
-        """Equal addresses share one broadcast segment; names stay apart."""
-        if not runner_shm.shm_available():
-            pytest.skip("no shared memory")
-        addresses = tuple(64 * i for i in range(runner_shm.MIN_TRACE_ADDRESSES))
-        traces = [
-            Trace("a", addresses),
-            Trace("b", addresses),
-            Trace("a", addresses[::-1]),
-        ]
-        cells = [SimCell.make(trace, self.CONFIG, "lru") for trace in traces]
-        runner_shm.release_broadcasts()
-        try:
-            shared = [cell.trace for cell in _share_cell_traces(cells)]
-        finally:
-            runner_shm.release_broadcasts()
-        assert all(isinstance(trace, SharedTrace) for trace in shared)
-        segments = [trace._ref[0] for trace in shared]
-        assert segments[0] == segments[1] != segments[2]
-        assert [trace.name for trace in shared] == ["a", "b", "a"]
 
     def test_simulate_cell_matches_direct_simulation(self):
         from repro.eval import simulate_trace
@@ -263,7 +238,7 @@ class TestObservabilityMerge:
     def test_parallel_metrics_equal_serial_modulo_timers(self):
         """The acceptance property: --jobs N counters == jobs=0 counters,
         modulo the runner's own scheduling metrics (cell-source splits,
-        pool lifecycle, trace broadcasts) and the kernel cache-warmth split
+        pool lifecycle, chunk retries) and the kernel cache-warmth split
         — persistent workers keep their in-memory automaton caches
         across maps, so hit/load/miss may split differently than in the
         parent while their total stays exact."""

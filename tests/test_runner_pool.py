@@ -1,19 +1,19 @@
-"""Tests for the persistent worker pool, trace broadcasts and scheduler.
+"""Tests for the persistent worker pool, its pipe transport and scheduler.
 
 Covers pool lifecycle (lazy spawn, reuse across ``map()`` calls,
-per-worker restart on death, ``shutdown_pool``), the shared-memory
-trace broadcasts (zero-copy attach, graceful pickle fallback, a lost
-segment), inline results, adaptive chunking, and hypothesis property
-tests asserting parallel == serial under pool reuse and both start
-methods.
+per-worker restart on death, ``shutdown_pool``), the pipe transport
+(each chunk pickles a shared trace once, results return inline, a task
+that will not unpickle fails its chunk without killing the worker),
+adaptive chunking, and hypothesis property tests asserting parallel ==
+serial under pool reuse and both start methods.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import subprocess
 import sys
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import pytest
@@ -25,18 +25,13 @@ from repro.cache import CacheConfig
 from repro.obs import metrics as obs_metrics
 from repro.runner import (
     ExperimentRunner,
-    SharedTrace,
     SimCell,
     pool_stats,
     run_sim_cells,
-    share_trace,
     shutdown_pool,
-    simulate_cell,
 )
 from repro.runner import pool as runner_pool
-from repro.runner import shm as runner_shm
-from repro.runner.cells import _share_cell_traces
-from repro.workloads import sequential_scan, workload_suite
+from repro.workloads import Trace, workload_suite
 
 _PARENT_PID = os.getpid()
 
@@ -45,7 +40,7 @@ CONFIG = CacheConfig("L2", 8 * 1024, 8)
 
 def _big_traces():
     suite = workload_suite(cache_lines=CONFIG.num_sets * CONFIG.ways, seed=0)
-    big = [t for t in suite if len(t) >= runner_shm.MIN_TRACE_ADDRESSES]
+    big = [t for t in suite if len(t) >= 2048]
     assert len(big) >= 2
     return big[:2]
 
@@ -85,20 +80,24 @@ def _payload(task):
     return bytes(task)
 
 
-def _no_segment(payload):
-    """A ``create_blob`` whose segment creation always fails."""
-    return None
+class _RebuiltInParentOnly:
+    """A task that pickles anywhere but unpickles only in the parent."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        return (_rebuild_in_parent_only, (self.value,))
 
 
-def _describe_trace(cell):
-    trace = cell.trace
-    array = trace.address_array()
-    return (
-        type(trace).__name__,
-        len(trace),
-        tuple(trace.addresses[:4]),
-        None if array is None else int(array[0]),
-    )
+def _rebuild_in_parent_only(value):
+    if os.getpid() != _PARENT_PID:
+        raise ValueError("rebuilt outside the parent")
+    return _RebuiltInParentOnly(value)
+
+
+def _triple_value(task):
+    return task.value * 3
 
 
 @pytest.fixture(autouse=True)
@@ -200,8 +199,8 @@ class TestPoolLifecycle:
         assert counters.get("kernel.compile.miss", 0) == 0
 
 
-#: Two grid rounds on two pools; the first pool is forked before the
-#: first shm broadcast exists, the second after.
+#: Two grid rounds on two pools, the second spawned after the first
+#: shut down.
 _POOL_ROUNDS_SCRIPT = """
 from repro.cache import CacheConfig
 from repro.eval import miss_ratio_matrix
@@ -221,9 +220,11 @@ for round_ in range(2):
 
 
 class TestSharedMemoryTransport:
+    """No shared memory: every task and result is pickled over a pipe."""
+
     def test_pool_rounds_leave_no_resource_tracker_warnings(self, tmp_path):
-        """Workers share the parent's resource tracker, so no broadcast
-        segment is reported leaked or unlinked twice at exit."""
+        """Pools that start, run grids and shut down print no
+        ``resource_tracker`` lines at exit."""
         src = str(Path(repro.__file__).resolve().parent.parent)
         env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
         env["PYTHONPATH"] = os.pathsep.join(
@@ -236,101 +237,80 @@ class TestSharedMemoryTransport:
         assert done.returncode == 0, done.stderr
         assert "resource_tracker" not in done.stderr, done.stderr
 
-    def test_share_trace_roundtrips_through_pickle(self):
+    def test_a_chunk_pickles_its_trace_once(self, monkeypatch):
+        """Cells of one trace share it in their chunk's pickle: a chunk
+        of several cells weighs about one trace, not one per cell."""
         trace = _big_traces()[0]
-        assert len(trace) >= runner_shm.MIN_TRACE_ADDRESSES
-        shared = share_trace(trace)
-        assert isinstance(shared, SharedTrace)
-        payload = pickle.dumps(shared)
-        assert len(payload) < 1024, "handle pickled, not the addresses"
-        clone = pickle.loads(payload)
-        assert clone.name == trace.name
-        assert len(clone) == len(trace)
-        assert tuple(clone.addresses) == trace.addresses
-        array = clone.address_array()
-        if array is not None:
-            assert tuple(int(a) for a in array[:8]) == trace.addresses[:8]
-        counters = _runner_counters()
-        assert counters["runner.shm.broadcasts"] == 1
-        assert counters["runner.shm.bytes"] == 8 * len(trace)
-        # Re-sharing the same trace reuses the segment.
-        assert share_trace(trace)._ref == shared._ref
-        assert _runner_counters()["runner.shm.broadcasts"] == 1
+        policies = ("lru", "fifo", "plru", "bitplru", "nru", "random")
+        cells = [SimCell.make(trace, CONFIG, policy) for policy in policies]
+        chunks = []
+        submit = runner_pool.WorkerPool.submit
 
-    def test_small_traces_are_not_shared(self):
-        assert share_trace(sequential_scan(64)) is None
-        assert "runner.shm.broadcasts" not in _runner_counters()
+        def measured_submit(pool, worker, target, args, meta):
+            chunk_bytes = len(ForkingPickler.dumps((0, target, args)))
+            chunks.append((len(meta), chunk_bytes))
+            return submit(pool, worker, target, args, meta)
 
-    def test_failed_segment_falls_back_to_plain_pickle(self, monkeypatch):
-        # Segments are keyed by content: an earlier test's broadcast of
-        # the same trace would be reused and the fallback never run.
-        runner_shm.release_broadcasts()
-        monkeypatch.setattr(runner_shm, "create_blob", _no_segment)
-        trace = _big_traces()[0]
-        assert share_trace(trace) is None
-        cells = [SimCell.make(trace, CONFIG, policy) for policy in ("lru", "fifo")]
-        assert _share_cell_traces(cells) == cells
-        counters = _runner_counters()
-        assert "runner.shm.broadcasts" not in counters
-        assert counters["runner.shm.fallbacks"] == 2
-
-    def test_workers_see_shared_traces_with_zero_copy_arrays(self):
-        traces = _big_traces()
-        cells = [SimCell.make(trace, CONFIG, "lru") for trace in traces]
-        shared_cells = _share_cell_traces(cells)
-        assert all(isinstance(cell.trace, SharedTrace) for cell in shared_cells)
-        runner = ExperimentRunner(jobs=2)
-        described = runner.map(_describe_trace, shared_cells)
-        for trace, (kind, count, head, first) in zip(traces, described):
-            assert kind == "SharedTrace"
-            assert count == len(trace)
-            assert head == trace.addresses[:4]
-            if first is not None:
-                assert first == trace.addresses[0]
-
-    def test_shared_and_plain_cells_simulate_identically(self, monkeypatch):
-        traces = _big_traces()
-        cells = [
-            SimCell.make(trace, CONFIG, policy, seed=3)
-            for policy in ("lru", "plru")
-            for trace in traces
-        ]
+        monkeypatch.setattr(runner_pool.WorkerPool, "submit", measured_submit)
         serial = run_sim_cells(cells, jobs=0)
-        runner_shm.release_broadcasts()
-        with monkeypatch.context() as patch:
-            patch.setattr(runner_shm, "create_blob", _no_segment)
-            plain = run_sim_cells(cells, runner=ExperimentRunner(jobs=2))
-        assert _runner_counters()["runner.shm.fallbacks"] == len(traces)
-        shared = run_sim_cells(cells, runner=ExperimentRunner(jobs=2))
-        assert plain == serial
-        assert shared == serial
-        assert _runner_counters()["runner.shm.broadcasts"] == len(traces)
+        assert run_sim_cells(cells, jobs=2) == serial
+        one_trace = len(ForkingPickler.dumps(trace))
+        assert max(count for count, _bytes in chunks) >= 2
+        for count, chunk_bytes in chunks:
+            assert chunk_bytes < 1.2 * one_trace, (count, chunk_bytes, one_trace)
+
+    def test_shared_and_plain_cells_simulate_identically(self):
+        """Cells sharing one trace object arrive in a worker sharing one
+        copy; they answer as cells with a trace object each."""
+        traces = _big_traces()
+        policies = ("lru", "plru")
+        shared = [
+            SimCell.make(trace, CONFIG, policy, seed=3)
+            for trace in traces
+            for policy in policies
+        ]
+        plain = [
+            SimCell.make(Trace(trace.name, trace.addresses), CONFIG, policy, seed=3)
+            for trace in traces
+            for policy in policies
+        ]
+        serial = run_sim_cells(shared, jobs=0)
+        runner = ExperimentRunner(jobs=2)
+        assert run_sim_cells(shared, runner=runner) == serial
+        assert run_sim_cells(plain, runner=runner) == serial
 
     def test_large_results_return_inline(self):
         size = 256 * 1024
         out = ExperimentRunner(jobs=2).map(_payload, [size, size + 1, 8])
         assert [len(blob) for blob in out] == [size, size + 1, 8]
-        counters = _runner_counters()
-        assert counters["runner.cells.parallel"] == 3
-        assert "runner.shm.bytes" not in counters
+        assert _runner_counters()["runner.cells.parallel"] == 3
 
-    def test_lost_broadcast_segment_retries_the_chunk(self, monkeypatch):
-        """Cells whose broadcast vanished before any worker attached it
-        fail in the workers and rerun from the parent's traces."""
-        # Forked workers must not inherit a resolved copy of the trace.
-        monkeypatch.setattr(runner_shm, "_RESOLVED", {})
-        cells = [SimCell.make(trace, CONFIG, "lru") for trace in _big_traces()]
-        serial = [simulate_cell(cell) for cell in cells]
-        runner_shm.release_broadcasts()
-        shared_cells = _share_cell_traces(cells)
-        assert all(isinstance(cell.trace, SharedTrace) for cell in shared_cells)
-        runner_shm.release_broadcasts()  # unlinks every segment
+    def test_unpickling_failure_keeps_the_worker(self):
+        """The worker reports the unpickling error for its task in flight
+        and stays up; the chunk takes the retry ladder to the serial
+        fallback, where the task never crosses a pipe."""
+        tasks = [_RebuiltInParentOnly(value) for value in (1, 2, 3)]
+        pool = runner_pool.get_pool(2)
+        pool.submit(pool.idle_workers()[0], _triple_value, (tasks[0],), "meta")
+        outcomes = []
+        for _ in range(100):
+            outcomes = pool.collect(0.1)
+            if outcomes:
+                break
+        assert outcomes == [(
+            "failed",
+            "meta",
+            "task could not be unpickled: ValueError: rebuilt outside the parent",
+        )]
+
         obs_metrics.DEFAULT.reset()
-        out = ExperimentRunner(jobs=2).map(simulate_cell, shared_cells)
-        assert out == serial
+        out = ExperimentRunner(jobs=2).map(_triple_value, tasks)
+        assert out == ExperimentRunner().map(_triple_value, tasks)
         counters = _runner_counters()
-        assert counters["runner.cells.fallback"] == len(cells)
-        assert counters["runner.chunk_retries"] >= 2 * len(cells)
+        assert counters.get("runner.pool.restarted", 0) == 0
+        # One chunk per task, each failing once, retried, and failing again.
+        assert counters["runner.chunk_retries"] == 2 * len(tasks)
+        assert counters["runner.cells.fallback"] == len(tasks)
 
 
 class TestAdaptiveChunking:
