@@ -13,7 +13,7 @@ import pytest
 from repro.analysis import analyze, check_soundness, generic_analysis, simple_loop
 from repro.analysis.generic import mls_metric_policy
 from repro.cache import Cache, CacheConfig
-from repro.policies import make_policy
+from repro.policies import get
 from repro.runner import ExperimentRunner
 from repro.util.tables import format_table
 from repro.obs.spans import traced
@@ -43,7 +43,7 @@ def observed_hit_ratio(program, policy_name: str, paths: int = 30) -> float:
 def _policy_cell(name: str):
     """Analyse + soundness-check one policy on the loop nest (runner cell)."""
     program = build_program()
-    policy = make_policy(name, CONFIG.ways)
+    policy = get(name, CONFIG.ways)
     mls = mls_metric_policy(policy)
     result = (
         analyze(program, CONFIG)

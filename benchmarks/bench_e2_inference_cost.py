@@ -11,7 +11,7 @@ Every cell measures against a fresh simulated oracle.
 import pytest
 
 from repro.core import InferenceConfig, PermutationInference, SimulatedSetOracle
-from repro.policies import make_policy
+from repro.policies import get
 from repro.runner import ExperimentRunner
 from repro.util.tables import format_table
 from repro.obs.spans import traced
@@ -23,7 +23,7 @@ POLICIES = ["lru", "fifo", "plru"]
 def _cost_cell(task: tuple[str, int]) -> list[object]:
     """One (policy, ways) inference-cost measurement (runner cell)."""
     policy_name, ways = task
-    oracle = SimulatedSetOracle(make_policy(policy_name, ways))
+    oracle = SimulatedSetOracle(get(policy_name, ways))
     result = PermutationInference(
         oracle, config=InferenceConfig(verify_sequences=10)
     ).infer()
@@ -61,7 +61,7 @@ def test_e2_single_inference_timing(benchmark):
     """Timing kernel: one full 8-way PLRU inference."""
 
     def run():
-        oracle = SimulatedSetOracle(make_policy("plru", 8))
+        oracle = SimulatedSetOracle(get("plru", 8))
         return PermutationInference(
             oracle, config=InferenceConfig(verify_sequences=5)
         ).infer()

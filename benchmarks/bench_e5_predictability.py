@@ -12,7 +12,7 @@ import math
 import pytest
 
 from repro.eval import predictability_of_policy
-from repro.policies import make_policy
+from repro.policies import get
 from repro.runner import ExperimentRunner
 from repro.util.tables import format_table
 from repro.obs.spans import traced
@@ -24,7 +24,7 @@ WAYS = [2, 4, 8]
 def _metric_cell(task: tuple[str, int]):
     """One (policy, ways) predictability computation (runner cell)."""
     name, ways = task
-    return predictability_of_policy(name, make_policy(name, ways))
+    return predictability_of_policy(name, get(name, ways))
 
 
 @traced("e5.metrics")
@@ -36,16 +36,7 @@ def compute_metrics(jobs: int = 0):
 
 def test_e5_predictability(benchmark, save_result, jobs):
     results = benchmark.pedantic(compute_metrics, args=(jobs,), rounds=1, iterations=1)
-    rows = [
-        [
-            r.policy,
-            r.ways,
-            r.evict if r.evict is not None else "-",
-            r.fill if r.fill is not None else "-",
-            r.note,
-        ]
-        for r in results
-    ]
+    rows = [result.row() for result in results]
     table = format_table(
         ["policy", "ways", "evict", "fill", "note"],
         rows,

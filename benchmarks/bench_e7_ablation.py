@@ -19,7 +19,7 @@ from repro.core import (
     PermutationInference,
     SimulatedSetOracle,
 )
-from repro.policies import make_policy
+from repro.policies import get
 from repro.runner import ExperimentRunner
 from repro.util.tables import format_table
 from repro.obs.spans import traced
@@ -38,7 +38,7 @@ def _strategy_cell(task: tuple[int, str]) -> list[object]:
     """
     ways, strategy = task
     config = InferenceConfig(strategy=strategy, verify_sequences=10)
-    oracle = CachingOracle(SimulatedSetOracle(make_policy("plru", ways)))
+    oracle = CachingOracle(SimulatedSetOracle(get("plru", ways)))
     result = PermutationInference(oracle, config=config).infer()
     assert result.succeeded
     replay = PermutationInference(oracle, config=config).infer()
@@ -82,7 +82,7 @@ def test_e7_strategy_ablation(benchmark, save_result, jobs):
 
 def _thrash_cell(factor: int) -> list[object]:
     """One thrash-prefix ablation inference (runner cell)."""
-    oracle = CachingOracle(SimulatedSetOracle(make_policy("plru", 8)))
+    oracle = CachingOracle(SimulatedSetOracle(get("plru", 8)))
     result = PermutationInference(
         oracle,
         config=InferenceConfig(thrash_factor=factor, verify_sequences=10),

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.distinguish import bfs_distinguishing_sequence
 from repro.eval import agreement_matrix
-from repro.policies import make_policy
+from repro.policies import get
 from repro.runner import ExperimentRunner
 from repro.util.tables import format_table
 from repro.obs.spans import traced
@@ -22,7 +22,7 @@ POLICIES = ["lru", "fifo", "plru", "bitplru", "nru", "srrip"]
 
 @traced("e8.agreement")
 def compute_agreement(jobs: int = 0):
-    policies = {name: make_policy(name, 8) for name in POLICIES}
+    policies = {name: get(name, 8) for name in POLICIES}
     return agreement_matrix(policies, accesses=30_000, seed=0, jobs=jobs)
 
 
@@ -57,7 +57,7 @@ def _distinguisher_cell(task: tuple[str, str]) -> list[object]:
     """Shortest distinguishing probe for one policy pair (runner cell)."""
     first, second = task
     probe = bfs_distinguishing_sequence(
-        make_policy(first, 4), make_policy(second, 4), max_depth=10
+        get(first, 4), get(second, 4), max_depth=10
     )
     return [first, second, len(probe) if probe else "> 10", probe or ""]
 

@@ -11,7 +11,7 @@ agreement matrix that motivates crafted distinguishing sequences.
 """
 
 from repro.eval import agreement_matrix, predictability_of_policy
-from repro.policies import make_policy
+from repro.policies import get
 from repro.util.tables import format_table
 
 POLICIES = ["lru", "fifo", "plru", "bitplru", "nru", "srrip", "random"]
@@ -21,17 +21,7 @@ def metrics_section() -> None:
     rows = []
     for ways in (4, 8):
         for name in POLICIES:
-            policy = make_policy(name, ways)
-            result = predictability_of_policy(name, policy)
-            rows.append(
-                [
-                    name,
-                    ways,
-                    result.evict if result.evict is not None else "-",
-                    result.fill if result.fill is not None else "-",
-                    result.note,
-                ]
-            )
+            rows.append(predictability_of_policy(name, get(name, ways)).row())
     print(
         format_table(
             ["policy", "ways", "evict", "fill", "note"],
@@ -42,7 +32,7 @@ def metrics_section() -> None:
 
 
 def agreement_section() -> None:
-    policies = {name: make_policy(name, 8) for name in ("lru", "fifo", "plru", "bitplru", "srrip")}
+    policies = {name: get(name, 8) for name in ("lru", "fifo", "plru", "bitplru", "srrip")}
     matrix = agreement_matrix(policies, accesses=30_000, seed=0)
     print()
     print(

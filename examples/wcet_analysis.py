@@ -15,7 +15,7 @@ an unpredictable policy.
 from repro.analysis import analyze, check_soundness, generic_analysis, simple_loop
 from repro.analysis.generic import mls_metric_policy
 from repro.cache import Cache, CacheConfig
-from repro.policies import make_policy
+from repro.policies import get
 from repro.util.tables import format_table
 
 CONFIG = CacheConfig("L1", 1024, 4)  # 4 sets, 4-way
@@ -46,7 +46,7 @@ def main() -> None:
     program = build_program()
     rows = []
     for name in POLICIES:
-        policy = make_policy(name, CONFIG.ways)
+        policy = get(name, CONFIG.ways)
         mls = mls_metric_policy(policy)
         if name == "lru":
             result = analyze(program, CONFIG)

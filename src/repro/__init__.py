@@ -61,10 +61,8 @@ from repro.policies import (
     PermutationSpec,
     PolicyFactory,
     available,
-    available_policies,
     default_policies,
     get,
-    make_policy,
     register,
 )
 from repro.runner import ExperimentRunner, SimCell, run_sim_cells
@@ -94,10 +92,8 @@ __all__ = [
     "PermutationSpec",
     "PolicyFactory",
     "available",
-    "available_policies",
     "default_policies",
     "get",
-    "make_policy",
     "register",
     "Metrics",
     "RunLedger",

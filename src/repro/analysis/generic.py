@@ -32,8 +32,9 @@ from collections import deque
 from repro.analysis.classify import AnalysisResult, analyze
 from repro.analysis.program import Program
 from repro.cache.config import CacheConfig
+from repro.core.permutation import derive_spec_from_policy
 from repro.errors import ConfigurationError
-from repro.eval.predictability import evict_metric_policy, reachable_full_states
+from repro.eval.predictability import evict_metric, full_set_states
 from repro.policies import ReplacementPolicy
 
 OLD = "O"  # unclaimed non-target block (may absorb one adversary hit)
@@ -97,76 +98,44 @@ def mls_metric_policy(policy: ReplacementPolicy, max_states: int = 300_000) -> i
     """Exact minimum life span of a deterministic policy.
 
     Permutation policies are analysed in position space (cheap at any
-    relevant associativity); others fall back to a way-level search,
-    which stays shallow because their minimum life spans are small.
+    relevant associativity); others in way space on their automaton,
+    where the search stays shallow because their life spans are small.
     Returns None for randomized policies (no guarantee exists).
     """
     if not policy.DETERMINISTIC:
         return None
-    ways = policy.ways
-    if ways == 1:
-        return 1  # the only way is the next victim by definition
-    from repro.core.permutation import derive_spec_from_policy
-
     spec = derive_spec_from_policy(policy)
     if spec is not None:
         return mls_metric_spec(spec)
-
-    # Initial states: every reachable full state, after the target way
-    # was just touched, and after the target was just filled on a miss.
-    prototypes: dict = {}
-    start_states = []
-    for state in reachable_full_states(policy):
-        for way in range(ways):
-            touched = state.clone()
-            touched.touch(way)
-            start_states.append((touched, way))
-        missed = state.clone()
-        victim = missed.evict()
-        missed.fill(victim)
-        start_states.append((missed, victim))
-
-    def register(policy_state: ReplacementPolicy):
-        key = policy_state.state_key()
-        if key not in prototypes:
-            prototypes[key] = policy_state
-        return key
-
+    # In way space a node is (automaton state id, target way, mask of the
+    # unclaimed non-target ways).  The target was just touched, or just
+    # filled on a miss, in any reachable full-set state.
+    compiled, states = full_set_states(policy)
+    ways, hit_next = compiled.ways, compiled.hit_next
+    miss_victim, miss_next = compiled.miss_victim, compiled.miss_next
     queue: deque = deque()
     seen = set()
-    for policy_state, target_way in start_states:
-        labels = tuple(
-            TARGET if way == target_way else OLD for way in range(ways)
-        )
-        node = (register(policy_state), labels)
-        if node not in seen:
-            seen.add(node)
-            queue.append((node, 0))
-
+    for state in states:
+        starts = [(hit_next[state * ways + way], way) for way in range(ways)]
+        starts.append((miss_next[state], miss_victim[state]))
+        for start, target in starts:
+            node = (start, target, (1 << ways) - 1 & ~(1 << target))
+            if node not in seen:
+                seen.add(node)
+                queue.append((node, 0))
     while queue:
-        (policy_key, labels), depth = queue.popleft()
-        base = prototypes[policy_key]
-        successors = []
-        # Adversary move 1: a miss with a fresh block.
-        missed = base.clone()
-        victim = missed.evict()
-        missed.fill(victim)
-        if labels[victim] == TARGET:
+        (state, target, unclaimed), depth = queue.popleft()
+        # Adversary move 1: a miss with a fresh block, which is claimed.
+        victim = miss_victim[state]
+        if victim == target:
             # Breadth-first order makes the first eviction the minimum.
             return depth + 1
-        miss_labels = list(labels)
-        miss_labels[victim] = CLAIMED
-        successors.append((missed, tuple(miss_labels)))
+        successors = [(miss_next[state], target, unclaimed & ~(1 << victim))]
         # Adversary move 2: a hit on any unclaimed non-target block.
-        for way, label in enumerate(labels):
-            if label == OLD:
-                claimed = base.clone()
-                claimed.touch(way)
-                hit_labels = list(labels)
-                hit_labels[way] = CLAIMED
-                successors.append((claimed, tuple(hit_labels)))
-        for policy_state, new_labels in successors:
-            node = (register(policy_state), new_labels)
+        for way in range(ways):
+            if unclaimed >> way & 1:
+                successors.append((hit_next[state * ways + way], target, unclaimed & ~(1 << way)))
+        for node in successors:
             if node not in seen:
                 if len(seen) >= max_states:
                     raise ConfigurationError(
@@ -193,7 +162,7 @@ def generic_analysis(
             f"policy is {policy.ways}-way but the cache has {config.ways} ways"
         )
     mls = mls_metric_policy(policy)
-    evict = evict_metric_policy(policy) if policy.DETERMINISTIC else None
+    evict = evict_metric(policy)
     must_capacity = mls if mls is not None else 1
     # The may bound must cover the worst case; an unbounded evict metric
     # means absence can never be concluded, approximated by a bound the

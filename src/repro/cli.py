@@ -154,19 +154,9 @@ def _cmd_predictability(args: argparse.Namespace) -> int:
     for name in args.policies.split(","):
         policy = get(name, args.ways)
         try:
-            result = predictability_of_policy(name, policy)
+            rows.append(predictability_of_policy(name, policy).row())
         except ReproError as error:
             rows.append([name, args.ways, "-", "-", str(error)])
-            continue
-        rows.append(
-            [
-                name,
-                args.ways,
-                result.evict if result.evict is not None else "unbounded",
-                result.fill if result.fill is not None else "unbounded",
-                "",
-            ]
-        )
     print(format_table(["policy", "ways", "evict", "fill", "note"], rows))
     return 0
 

@@ -24,7 +24,6 @@ from repro.eval.predictability import (
     evict_metric_spec,
     predictability_of_policy,
     predictability_of_spec,
-    reachable_full_states,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "evict_metric_spec",
     "collapse_depth_policy",
     "collapse_depth_spec",
-    "reachable_full_states",
 ]

@@ -21,15 +21,18 @@ analyst picks the number of accesses, an adversary picks the initial
 state and which accesses alias still-cached old blocks (each old block
 can be claimed at most once because accesses are pairwise distinct).  A
 reachable cycle that still contains old blocks means the metric is
-unbounded (reported as ``None``), which is the correct verdict for
-random replacement.
+unbounded (reported as ``None``).  A permutation policy plays over its
+spec's positions, which factor out way symmetry; any other deterministic
+policy plays in way space on its closed automaton (:mod:`repro.kernels`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.core.permutation import derive_spec_from_policy
+from repro.errors import ConfigurationError, KernelUnsupported
+from repro.kernels import CompiledPolicy, compiled_for
 from repro.policies import PermutationSpec, ReplacementPolicy
 from repro.policies.permutation import apply_permutation
 
@@ -107,88 +110,67 @@ def evict_metric_spec(spec: PermutationSpec, max_states: int = 300_000) -> int |
     return _search([tuple([OLD_FRESH] * ways)], moves_of, max_states)
 
 
-def reachable_full_states(policy: ReplacementPolicy, max_states: int = 100_000) -> list:
-    """All policy states reachable once the set has filled up.
+def full_set_states(policy: ReplacementPolicy) -> tuple[CompiledPolicy, list[int]]:
+    """The policy's closed automaton and the ids of the states a full set reaches.
 
-    Starts from the state after the cold fill of all ways (in ascending
-    way order, matching :class:`~repro.cache.set.CacheSet`) and closes
-    under hits on any way and miss/fill cycles.
+    The states close the one after the cold fill of all ways (ascending,
+    as :class:`~repro.cache.set.CacheSet` fills) under every hit and the
+    evicting miss.  The kernel switch does not apply: a game has no
+    interpreted twin.  No automaton raises ConfigurationError.
     """
-    start = policy.clone()
-    start.reset()
-    for way in range(policy.ways):
-        start.fill(way)
-    frontier = [start]
-    seen = {start.state_key()}
-    states = [start]
-    while frontier:
-        current = frontier.pop()
-        successors = []
-        for way in range(policy.ways):
-            touched = current.clone()
-            touched.touch(way)
-            successors.append(touched)
-        missed = current.clone()
-        victim = missed.evict()
-        missed.fill(victim)
-        successors.append(missed)
-        for successor in successors:
-            key = successor.state_key()
-            if key not in seen:
-                if len(seen) >= max_states:
-                    raise ConfigurationError(
-                        f"policy has more than {max_states} reachable states"
-                    )
-                seen.add(key)
+    compiled = compiled_for(policy)
+    try:
+        if compiled is None:
+            raise KernelUnsupported(f"policy {type(policy).__name__} has no automaton")
+        compiled.expand_all()
+    except KernelUnsupported as error:
+        raise ConfigurationError(str(error)) from error
+    ways, hit_next, miss_next = compiled.ways, compiled.hit_next, compiled.miss_next
+    start = 0
+    for way in range(ways):
+        start = compiled.fill_next[start * ways + way]
+    states, seen = [start], {start}
+    for state in states:  # the list grows as the loop walks it
+        for successor in (*hit_next[state * ways : (state + 1) * ways], miss_next[state]):
+            if successor not in seen:
+                seen.add(successor)
                 states.append(successor)
-                frontier.append(successor)
-    return states
+    return compiled, states
 
 
 def evict_metric_policy(policy: ReplacementPolicy, max_states: int = 300_000) -> int | None:
-    """Exact evict metric of an arbitrary deterministic policy.
+    """Exact evict metric of an arbitrary deterministic policy, in way space.
 
-    The game state pairs the policy state with a per-way label; the
-    adversary additionally chooses the initial policy state among all
-    reachable full-set states.
+    A game state is ``(automaton state id, mask of the ways still holding
+    old blocks)``, and the adversary also picks the initial full-set state.
     """
     if not policy.DETERMINISTIC:
         return None  # e.g. random replacement: eviction can never be forced
-    ways = policy.ways
-    reachable = reachable_full_states(policy)
-    # Keep concrete policy objects out of the memo key but reachable for
-    # transition computation: rebuild successors with clones on the fly.
-    prototypes = {state.state_key(): state for state in reachable}
+    compiled, states = full_set_states(policy)
+    ways, hit_next = compiled.ways, compiled.hit_next
+    miss_victim, miss_next = compiled.miss_victim, compiled.miss_next
 
-    def moves_of(state):
-        policy_key, labels = state
-        if OLD_FRESH not in labels:
-            return
-        base = prototypes[policy_key]
-        missed = base.clone()
-        victim = missed.evict()
-        missed.fill(victim)
-        miss_labels = list(labels)
-        miss_labels[victim] = NEW
-        yield _register(missed, tuple(miss_labels))
-        for way, label in enumerate(labels):
-            if label == OLD_FRESH:
-                claimed = base.clone()
-                claimed.touch(way)
-                hit_labels = list(labels)
-                hit_labels[way] = NEW
-                yield _register(claimed, tuple(hit_labels))
+    def moves_of(node):
+        state, old = node
+        if old:
+            yield miss_next[state], old & ~(1 << miss_victim[state])
+            for way in range(ways):
+                if old >> way & 1:
+                    yield hit_next[state * ways + way], old & ~(1 << way)
 
-    def _register(policy_state: ReplacementPolicy, labels):
-        key = policy_state.state_key()
-        if key not in prototypes:
-            prototypes[key] = policy_state
-        return (key, labels)
+    return _search([(state, (1 << ways) - 1) for state in states], moves_of, max_states)
 
-    initial_states = [
-        (key, tuple([OLD_FRESH] * ways)) for key in prototypes
-    ]
-    return _search(initial_states, moves_of, max_states)
+
+def evict_metric(policy: ReplacementPolicy) -> int | None:
+    """The evict metric of any policy, on the cheapest exact game.
+
+    A permutation policy plays its spec's game, any other deterministic
+    policy the way-space game.  None for a randomized policy.
+    """
+    if not policy.DETERMINISTIC:
+        return None
+    spec = derive_spec_from_policy(policy)
+    return evict_metric_policy(policy) if spec is None else evict_metric_spec(spec)
 
 
 def collapse_depth_spec(spec: PermutationSpec) -> int:
@@ -215,25 +197,22 @@ def collapse_depth_spec(spec: PermutationSpec) -> int:
 def collapse_depth_policy(policy: ReplacementPolicy, horizon_factor: int = 4) -> int | None:
     """Misses after which all reachable policy states coincide.
 
-    Simulates ``m`` consecutive miss/fill cycles from every reachable
+    Follows ``m`` consecutive evicting misses from every reachable
     full-set state and finds the smallest ``m`` (up to ``horizon_factor
-    * ways``) where both the policy states and the orders in which the
-    last ``ways`` fills happened agree; returns None if never.
+    * ways``) where both the states and the orders in which the last
+    ``ways`` fills happened agree; returns None if never.
     """
     if not policy.DETERMINISTIC:
         return None
-    states = reachable_full_states(policy)
-    horizon = horizon_factor * policy.ways
-    current = [(state.clone(), ()) for state in states]
-    for step in range(1, horizon + 1):
-        advanced = []
-        for state, fills in current:
-            victim = state.evict()
-            state.fill(victim)
-            advanced.append((state, (fills + (victim,))[-policy.ways :]))
-        current = advanced
-        signatures = {(state.state_key(), fills) for state, fills in current}
-        if len(signatures) == 1 and step >= policy.ways:
+    compiled, states = full_set_states(policy)
+    ways, miss_victim, miss_next = compiled.ways, compiled.miss_victim, compiled.miss_next
+    signatures = {(state, ()) for state in states}
+    for step in range(1, horizon_factor * ways + 1):
+        signatures = {
+            (miss_next[state], (fills + (miss_victim[state],))[-ways:])
+            for state, fills in signatures
+        }
+        if len(signatures) == 1 and step >= ways:
             return step
     return None
 
@@ -249,14 +228,14 @@ class PredictabilityResult:
 
     policy: str
     ways: int
-    evict: int | None
-    fill: int | None
+    evict: int | None = None
+    fill: int | None = None
     note: str = ""
 
-    @staticmethod
-    def na(policy: str, ways: int, note: str = "randomized") -> "PredictabilityResult":
-        """A not-analysable result (e.g. random replacement)."""
-        return PredictabilityResult(policy=policy, ways=ways, evict=None, fill=None, note=note)
+    def row(self) -> list:
+        """The table row ``[policy, ways, evict, fill, note]``, "-" for a missing metric."""
+        metrics = ["-" if value is None else value for value in (self.evict, self.fill)]
+        return [self.policy, self.ways, *metrics, self.note]
 
 
 def predictability_of_spec(name: str, spec: PermutationSpec) -> PredictabilityResult:
@@ -278,9 +257,7 @@ def predictability_of_policy(name: str, policy: ReplacementPolicy) -> Predictabi
     genuinely depends on way indices.
     """
     if not policy.DETERMINISTIC:
-        return PredictabilityResult.na(name, policy.ways)
-    from repro.core.permutation import derive_spec_from_policy
-
+        return PredictabilityResult(name, policy.ways, note="randomized")
     spec = derive_spec_from_policy(policy)
     if spec is not None:
         return predictability_of_spec(name, spec)
@@ -288,11 +265,7 @@ def predictability_of_policy(name: str, policy: ReplacementPolicy) -> Predictabi
         evict = evict_metric_policy(policy)
         collapse = collapse_depth_policy(policy)
     except ConfigurationError:
-        return PredictabilityResult.na(name, policy.ways, note="state budget exceeded")
+        return PredictabilityResult(name, policy.ways, note="state budget exceeded")
     fill = None if evict is None or collapse is None else evict + collapse
-    note = ""
-    if evict is None:
-        note = "unbounded"
-    elif fill is None:
-        note = "fill unbounded"
+    note = "unbounded" if evict is None else "fill unbounded" if fill is None else ""
     return PredictabilityResult(policy=name, ways=policy.ways, evict=evict, fill=fill, note=note)

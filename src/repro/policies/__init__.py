@@ -10,8 +10,7 @@ the import order below therefore fixes the registration order that
 Use :func:`get` for a standalone per-set instance, :class:`PolicyFactory`
 when building a whole cache (it threads the cache-global shared context
 needed by set-dueling policies), and :func:`available` to enumerate
-names.  :func:`make_policy` and :func:`available_policies` are thin
-deprecated aliases kept for one release.
+names.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from repro.policies.permutation import (
     lru_spec,
 )
 from repro.policies.dueling import DuelController
-from repro.util.rng import SeededRng
 
 __all__ = [
     "ReplacementPolicy",
@@ -84,18 +82,4 @@ __all__ = [
     "default_policies",
     "get",
     "get_entry",
-    "make_policy",
-    "available_policies",
 ]
-
-
-def make_policy(
-    name: str, ways: int, rng: SeededRng | None = None, **params
-) -> ReplacementPolicy:
-    """Deprecated alias of :func:`repro.policies.get`."""
-    return get(name, ways, rng=rng, **params)
-
-
-def available_policies() -> list[str]:
-    """Deprecated alias of :func:`repro.policies.available`."""
-    return available()

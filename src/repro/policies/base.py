@@ -16,15 +16,17 @@ share a context object created once per cache via
 private context so a policy is always usable on its own.
 
 Determinism contract: policies that do not draw randomness must expose
-their full state through :meth:`ReplacementPolicy.state_key` so that the
-predictability analyses in :mod:`repro.eval.predictability` can enumerate
-the reachable state space.  Randomized policies return ``None`` there.
+their full state through :meth:`ReplacementPolicy.state_key` so that
+their reachable state space can be enumerated.  Randomized policies
+return ``None`` there.
 :meth:`ReplacementPolicy.load_state` is the inverse: it puts a policy into
 the state a key describes, so ``p.load_state(q.state_key())`` makes ``p``
 behave exactly like ``q`` from then on.  The compiled kernel
 (:mod:`repro.kernels.automaton`) enumerates a policy's automaton through
 one scratch instance and these two methods alone; a policy without
-``load_state`` runs on the interpreter.
+``load_state`` runs on the interpreter, and the predictability games of
+:mod:`repro.eval.predictability`, which play on that automaton, report
+it as over budget.
 """
 
 from __future__ import annotations

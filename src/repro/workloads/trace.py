@@ -65,6 +65,12 @@ class Trace:
         object.__setattr__(self, "_address_array", array)
         return array
 
+    def __getstate__(self) -> dict:
+        """Pickle without the memoized array; a copy rebuilds its own."""
+        state = dict(self.__dict__)
+        state.pop("_address_array", None)
+        return state
+
     def concat(self, other: "Trace", name: str | None = None) -> "Trace":
         """Concatenate two traces (phases of an application)."""
         return Trace(

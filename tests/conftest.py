@@ -7,12 +7,12 @@ from contextlib import contextmanager
 import pytest
 
 from repro.cache import CacheConfig
-from repro.policies import available_policies, make_policy
+from repro.policies import available, get
 
 #: Registry names of deterministic policies usable at any associativity.
 DETERMINISTIC_ANY_WAYS = [
     name
-    for name in available_policies()
+    for name in available()
     if name not in ("permutation", "plru", "random", "bip", "dip", "brrip", "drrip")
 ]
 
@@ -74,4 +74,4 @@ def all_deterministic_policies(ways: int):
     names = list(DETERMINISTIC_ANY_WAYS)
     if ways & (ways - 1) == 0:
         names += DETERMINISTIC_POW2_ONLY
-    return [(name, make_policy(name, ways)) for name in sorted(names)]
+    return [(name, get(name, ways)) for name in sorted(names)]

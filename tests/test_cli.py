@@ -84,6 +84,19 @@ class TestCommands:
         lines = [line for line in out.splitlines() if line.startswith("lru")]
         assert lines and "| 4" in lines[0].replace("  ", " ")
 
+    def test_predictability_prints_the_note_column(self, capsys):
+        code = main(["predictability", "--policies", "random,nru", "--ways", "4"])
+        rows = {
+            cells[0]: cells
+            for cells in (
+                [cell.strip() for cell in line.split("|")]
+                for line in capsys.readouterr().out.splitlines()
+            )
+        }
+        assert code == 0
+        assert rows["random"] == ["random", "4", "-", "-", "randomized"]
+        assert rows["nru"] == ["nru", "4", "7", "-", "fill unbounded"]
+
 
 class TestQueryCommand:
     def test_query_simulated_policy(self, capsys):

@@ -11,18 +11,18 @@ from repro.core.adaptive import (
     detect_nondeterminism,
 )
 from repro.hardware import HardwarePlatform, HardwareSetOracle, LevelSpec, ProcessorSpec
-from repro.policies import BipPolicy, LruPolicy, PlruPolicy, make_policy
+from repro.policies import BipPolicy, LruPolicy, PlruPolicy, get
 from repro.util.rng import SeededRng
 
 
 class TestDetectNondeterminism:
     def test_deterministic_policies_pass(self):
         for name in ("lru", "fifo", "plru", "bitplru", "srrip"):
-            oracle = SimulatedSetOracle(make_policy(name, 4))
+            oracle = SimulatedSetOracle(get(name, 4))
             assert detect_nondeterminism(oracle, ways=4) is False
 
     def test_random_policy_flagged(self):
-        oracle = SimulatedSetOracle(make_policy("random", 4, rng=SeededRng(0)))
+        oracle = SimulatedSetOracle(get("random", 4, rng=SeededRng(0)))
         assert detect_nondeterminism(oracle, ways=4) is True
 
     def test_bip_flagged(self):

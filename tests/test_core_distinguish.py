@@ -15,7 +15,7 @@ from repro.policies import (
     LruPolicy,
     NruPolicy,
     PlruPolicy,
-    make_policy,
+    get,
 )
 
 
@@ -74,11 +74,11 @@ class TestRandomSearch:
     )
     def test_finds_discriminator(self, first, second):
         probe = random_distinguishing_sequence(
-            make_policy(first, 4), make_policy(second, 4)
+            get(first, 4), get(second, 4)
         )
         assert probe is not None
-        assert miss_count(make_policy(first, 4), probe) != miss_count(
-            make_policy(second, 4), probe
+        assert miss_count(get(first, 4), probe) != miss_count(
+            get(second, 4), probe
         )
 
     def test_identical_policies_yield_none(self):

@@ -8,7 +8,7 @@ from repro.core import (
     SimulatedSetOracle,
     default_candidates,
 )
-from repro.policies import LruPolicy, make_policy
+from repro.policies import LruPolicy, get
 
 
 class TestDefaultCandidates:
@@ -33,7 +33,7 @@ class TestIdentification:
         "name", ["lru", "fifo", "plru", "bitplru", "nru", "qlru_h00_m1", "qlru_h11_m2"]
     )
     def test_identifies_registry_policies(self, name):
-        oracle = SimulatedSetOracle(make_policy(name, 4))
+        oracle = SimulatedSetOracle(get(name, 4))
         result = CandidateIdentification(oracle, ways=4).identify()
         assert result.succeeded
         # Behaviourally identical aliases may win the name tie-break, but
@@ -42,7 +42,7 @@ class TestIdentification:
 
     def test_srrip_alias_reported_in_survivors(self):
         # SRRIP == qlru_h00_m2 by construction; both must survive.
-        oracle = SimulatedSetOracle(make_policy("srrip", 4))
+        oracle = SimulatedSetOracle(get("srrip", 4))
         result = CandidateIdentification(oracle, ways=4).identify()
         assert result.succeeded
         assert "srrip" in result.survivors
@@ -73,7 +73,7 @@ class TestIdentification:
         # behaviourally consistent alias, like the paper's methodology
         # would.  What must NOT happen is a validated answer that
         # disagrees with the target on the validation set itself.
-        target = make_policy("qlru_h00_m1", 4, victim_rule="rightmost")
+        target = get("qlru_h00_m1", 4, victim_rule="rightmost")
         oracle = SimulatedSetOracle(target)
         result = CandidateIdentification(oracle, ways=4).identify()
         if result.succeeded:

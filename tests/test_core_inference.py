@@ -18,8 +18,8 @@ from repro.policies import (
     PermutationPolicy,
     PlruPolicy,
     RandomPolicy,
+    get,
     lru_spec,
-    make_policy,
 )
 
 
@@ -31,7 +31,7 @@ class TestAssociativityInference:
 
     @pytest.mark.parametrize("policy_name", ["fifo", "plru", "bitplru", "srrip"])
     def test_other_policies(self, policy_name):
-        oracle = SimulatedSetOracle(make_policy(policy_name, 8), expose_ways=False)
+        oracle = SimulatedSetOracle(get(policy_name, 8), expose_ways=False)
         assert PermutationInference(oracle).infer_associativity() == 8
 
 
@@ -78,7 +78,7 @@ class TestInferenceNegative:
         assert result.failure_reason
 
     def test_qlru_rejected_by_verification(self):
-        oracle = SimulatedSetOracle(make_policy("qlru_h00_m1", 4))
+        oracle = SimulatedSetOracle(get("qlru_h00_m1", 4))
         result = PermutationInference(oracle).infer()
         assert not result.succeeded
 

@@ -14,8 +14,8 @@ from repro.policies import (
     PlruPolicy,
     SrripPolicy,
     fifo_spec,
+    get,
     lru_spec,
-    make_policy,
 )
 
 
@@ -38,7 +38,7 @@ class TestDerivation:
 
     def test_age_policies_are_not_standard_miss(self):
         for policy in (BitPlruPolicy(4), NruPolicy(4), SrripPolicy(4),
-                       make_policy("qlru_h00_m1", 4)):
+                       get("qlru_h00_m1", 4)):
             assert derive_spec_from_policy(policy) is None
 
     def test_plru_spec_predicts_plru(self):

@@ -5,7 +5,7 @@ import pytest
 from repro.core import SimulatedSetOracle, reverse_engineer
 from repro.core.identify import IdentificationConfig
 from repro.core.inference import InferenceConfig
-from repro.policies import LruPolicy, PlruPolicy, RandomPolicy, make_policy
+from repro.policies import LruPolicy, PlruPolicy, RandomPolicy, get
 
 
 class TestReverseEngineer:
@@ -18,7 +18,7 @@ class TestReverseEngineer:
         assert "plru" in finding.summary()
 
     def test_candidate_route(self):
-        finding = reverse_engineer(SimulatedSetOracle(make_policy("bitplru", 4)))
+        finding = reverse_engineer(SimulatedSetOracle(get("bitplru", 4)))
         assert finding.method == "candidate"
         assert finding.policy_name == "bitplru"
         assert finding.spec is None
@@ -32,7 +32,7 @@ class TestReverseEngineer:
 
     def test_cost_accumulates_over_both_stages(self):
         permutation_only = reverse_engineer(SimulatedSetOracle(LruPolicy(4)))
-        fallback = reverse_engineer(SimulatedSetOracle(make_policy("nru", 4)))
+        fallback = reverse_engineer(SimulatedSetOracle(get("nru", 4)))
         assert fallback.measurements > 0
         assert permutation_only.measurements > 0
 

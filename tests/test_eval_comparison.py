@@ -5,7 +5,7 @@ import pytest
 from repro.eval import agreement_matrix
 from repro.kernels import kernel_disabled
 from repro.obs import metrics as obs_metrics
-from repro.policies import FifoPolicy, LruPolicy, PlruPolicy, get, make_policy
+from repro.policies import FifoPolicy, LruPolicy, PlruPolicy, get
 
 
 class TestAgreementMatrix:

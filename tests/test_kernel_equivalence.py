@@ -39,8 +39,8 @@ from repro.policies import (
     PermutationSpec,
     PolicyFactory,
     available,
+    get,
     lru_spec,
-    make_policy,
 )
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
@@ -67,8 +67,8 @@ def build(name, ways=WAYS):
     if name == "permutation":
         from repro.policies import lru_spec
 
-        return make_policy(name, ways, spec=lru_spec(ways))
-    return make_policy(name, ways)
+        return get(name, ways, spec=lru_spec(ways))
+    return get(name, ways)
 
 
 @given(name=policy_names, blocks=block_sequences)

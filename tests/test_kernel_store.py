@@ -33,7 +33,7 @@ from repro.kernels import (
 )
 from repro.kernels.engine import _simulate_trace_compiled
 from repro.obs import metrics as obs_metrics
-from repro.policies import LruPolicy, lru_spec, make_policy
+from repro.policies import LruPolicy, get, lru_spec
 from repro.runner import ExperimentRunner, run_sim_cells
 from repro.runner.cells import SimCell
 from repro.cache import CacheConfig
@@ -323,12 +323,12 @@ class TestUnexpandedEntryInAnArtifact:
 
     def test_measurement_falls_back_to_the_interpreter(self):
         self._plant()
-        policy = make_policy("lru", WAYS)
+        policy = get("lru", WAYS)
         setup, probe = PROBE_QUERIES[1]
         misses = SimulatedSetOracle(policy).count_misses(setup, probe)
         self._assert_counted()
         with kernel_disabled():
-            reference = SimulatedSetOracle(make_policy("lru", WAYS))
+            reference = SimulatedSetOracle(get("lru", WAYS))
             assert reference.count_misses(setup, probe) == misses
         assert compiled_for(policy) is None  # not offered again
 
@@ -372,9 +372,9 @@ class TestStoreConsultation:
         assert _counters()["kernel.compile.load"] == 1
 
     def test_loaded_automaton_measures_identically(self):
-        policy = make_policy("srrip", WAYS)
+        policy = get("srrip", WAYS)
         with kernel_disabled():
-            reference = SimulatedSetOracle(make_policy("srrip", WAYS))
+            reference = SimulatedSetOracle(get("srrip", WAYS))
             expected = [
                 reference.count_misses(setup, probe) for setup, probe in PROBE_QUERIES
             ]
@@ -389,10 +389,10 @@ class TestStoreConsultation:
         ] == expected
 
     def test_registry_instances_share_the_factory_automaton(self):
-        # make_policy stamps provenance, so equivalent instances resolve
+        # get() stamps provenance, so equivalent instances resolve
         # to one automaton per process (and through it, the disk store).
-        first = compiled_for(make_policy("fifo", WAYS))
-        second = compiled_for(make_policy("fifo", WAYS))
+        first = compiled_for(get("fifo", WAYS))
+        second = compiled_for(get("fifo", WAYS))
         assert first is second
         assert compiled_for_factory("fifo", (), WAYS) is first
 
@@ -478,7 +478,7 @@ class TestBatchEngines:
             for setup, probe in PROBE_QUERIES
         ]
         with kernel_disabled():
-            oracle = SimulatedSetOracle(make_policy(name, WAYS))
+            oracle = SimulatedSetOracle(get(name, WAYS))
             assert batch == [
                 oracle.count_misses(setup, probe) for setup, probe in PROBE_QUERIES
             ]
@@ -498,7 +498,7 @@ class TestBatchEngines:
         compiled = compiled_for_factory("srrip", (), 4)
         tags = [10, 11, 12, 13]
         probe = [14, 10, 15, 11, 12, 14]
-        cache_set = CacheSet(4, make_policy("srrip", 4))
+        cache_set = CacheSet(4, get("srrip", 4))
         cache_set.preload(tags)
         expected = tuple(cache_set.access(block).hit for block in probe)
         assert sequence_hits_preloaded(compiled, tags, probe) == expected
@@ -512,8 +512,8 @@ class TestBatchEngines:
         assert counters["kernel.calls.batch"] == 1
 
     def test_oracle_query_matches_loop(self):
-        batched = SimulatedSetOracle(make_policy("plru", 4))
-        looped = SimulatedSetOracle(make_policy("plru", 4))
+        batched = SimulatedSetOracle(get("plru", 4))
+        looped = SimulatedSetOracle(get("plru", 4))
         queries = [(list(range(4)), [5, 0, 6, 1]), ([], [1, 1, 2]), (list(range(4)), [5, 0, 6, 1])]
         assert batched.query(queries) == [
             looped.count_misses(setup, probe) for setup, probe in queries
@@ -522,7 +522,7 @@ class TestBatchEngines:
         assert batched.accesses == looped.accesses
 
     def test_caching_oracle_batch_dedup_and_accounting(self):
-        oracle = CachingOracle(SimulatedSetOracle(make_policy("lru", WAYS)))
+        oracle = CachingOracle(SimulatedSetOracle(get("lru", WAYS)))
         queries = [([], [1, 2, 3]), ([], [1, 2, 3]), ([1], [2, 3, 1])]
         results = oracle.query(queries)
         assert results[0] == results[1]
@@ -534,8 +534,8 @@ class TestBatchEngines:
         assert oracle.cache_hits == 4
 
     def test_caching_oracle_batch_matches_serial_counters(self):
-        serial = CachingOracle(SimulatedSetOracle(make_policy("fifo", WAYS)))
-        batched = CachingOracle(SimulatedSetOracle(make_policy("fifo", WAYS)))
+        serial = CachingOracle(SimulatedSetOracle(get("fifo", WAYS)))
+        batched = CachingOracle(SimulatedSetOracle(get("fifo", WAYS)))
         queries = PROBE_QUERIES + PROBE_QUERIES[:2]
         expected = [serial.count_misses(setup, probe) for setup, probe in queries]
         assert batched.query(queries) == expected
@@ -544,7 +544,7 @@ class TestBatchEngines:
         assert batched.accesses == serial.accesses
 
     def test_distinguish_responses_matches_per_probe(self):
-        policy = make_policy("plru", 4)
+        policy = get("plru", 4)
         probes = [probe for _, probe in PROBE_QUERIES]
         assert responses(policy, probes) == [response(policy, probe) for probe in probes]
         with kernel_disabled():

@@ -44,7 +44,7 @@ from repro.kernels import (
     vector_disabled,
 )
 from repro.obs import metrics as obs_metrics
-from repro.policies import LruPolicy, PolicyFactory, make_policy
+from repro.policies import LruPolicy, PolicyFactory, get
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
 from tests.conftest import VECTOR_SWITCH, all_deterministic_policies, vector_switch
@@ -78,8 +78,8 @@ def build(name, ways=WAYS):
     if name == "permutation":
         from repro.policies import lru_spec
 
-        return make_policy(name, ways, spec=lru_spec(ways))
-    return make_policy(name, ways)
+        return get(name, ways, spec=lru_spec(ways))
+    return get(name, ways)
 
 
 # -- equivalence: batched (setup, probe) queries -----------------------------
@@ -146,7 +146,7 @@ def test_batch_never_forces_full_expansion():
     queries = [
         (setup, [rng.randrange(16) for _ in range(8)]) for _ in range(256)
     ]
-    compiled = compiled_for(make_policy("qlru_h00_m2", 8))
+    compiled = compiled_for(get("qlru_h00_m2", 8))
     batched = sequence_hits_batch(compiled, queries)
     assert compiled.vector_tables is None
     assert batched == [

@@ -36,8 +36,8 @@ from repro.policies import (
     PlruPolicy,
     RandomPolicy,
     ReplacementPolicy,
+    get,
     lru_spec,
-    make_policy,
 )
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
@@ -149,7 +149,7 @@ def _fingerprint_cases():
         for name, policy in all_deterministic_policies(ways):
             yield f"{name}@{ways}", policy
     for name in ("plru", "bitplru", "nru", "clock", "lru"):
-        yield f"{name}@8", make_policy(name, 8)
+        yield f"{name}@8", get(name, 8)
     yield "derived-plru@4", derive_spec_from_policy(PlruPolicy(4))
 
 
@@ -336,7 +336,7 @@ class TestSingleSetEngine:
     def test_simulate_sequence_matches_cache_set(self):
         blocks = [1, 2, 3, 1, 4, 2, 1, 5, 3]
         compiled = compile_policy("plru", 4)
-        cache_set = CacheSet(4, make_policy("plru", 4))
+        cache_set = CacheSet(4, get("plru", 4))
         assert simulate_sequence(compiled, blocks) == [
             cache_set.access(block) for block in blocks
         ]
@@ -345,7 +345,7 @@ class TestSingleSetEngine:
         tags = [10, 11, 12, 13]
         probe = [14, 10, 15, 11, 12]
         compiled = compile_policy("srrip", 4)
-        cache_set = CacheSet(4, make_policy("srrip", 4))
+        cache_set = CacheSet(4, get("srrip", 4))
         cache_set.preload(tags)
         expected = sum(1 for block in probe if not cache_set.access(block).hit)
         assert count_misses_preloaded(compiled, tags, probe) == expected
@@ -400,10 +400,10 @@ class TestRouting:
     def test_oracle_routing_is_transparent(self):
         setup = list(range(4))
         probe = [5, 0, 6, 1, 2, 7]
-        fast = SimulatedSetOracle(make_policy("plru", 4))
+        fast = SimulatedSetOracle(get("plru", 4))
         fast_count = fast.count_misses(setup, probe)
         with kernel_disabled():
-            slow = SimulatedSetOracle(make_policy("plru", 4))
+            slow = SimulatedSetOracle(get("plru", 4))
             assert slow.count_misses(setup, probe) == fast_count
         # Cost metrics are identical in both paths.
         assert fast.measurements == 1
@@ -440,7 +440,7 @@ class TestKernelCounters:
     def test_budget_blown_mid_measurement_is_counted(self):
         """An automaton that outgrows its budget during a measurement
         sends the oracle to the interpreter and counts the fallback."""
-        policy = make_policy("plru", 4)
+        policy = get("plru", 4)
         automaton._INSTANCE_CACHE[policy] = compile_policy(policy, budget=3)
         obs_metrics.DEFAULT.reset()
         setup, probe = [0, 1, 2, 3], [4, 0, 5, 1]
@@ -448,7 +448,7 @@ class TestKernelCounters:
         counters = obs_metrics.DEFAULT.snapshot()["counters"]
         assert counters["kernel.budget_fallbacks"] == 1
         with kernel_disabled():
-            reference = SimulatedSetOracle(make_policy("plru", 4))
+            reference = SimulatedSetOracle(get("plru", 4))
             assert reference.count_misses(setup, probe) == misses
         # The blown automaton is not offered again.
         assert compiled_for(policy) is None
@@ -474,7 +474,7 @@ class TestKernelCounters:
     def test_no_budget_fallback_on_a_fitting_automaton(self):
         obs_metrics.DEFAULT.reset()
         assert try_simulate_trace(self._trace(), self.CONFIG, "plru") is not None
-        assert SimulatedSetOracle(make_policy("plru", 4)).count_misses([0, 1], [2, 0]) == 1
+        assert SimulatedSetOracle(get("plru", 4)).count_misses([0, 1], [2, 0]) == 1
         counters = obs_metrics.DEFAULT.snapshot()["counters"]
         assert "kernel.budget_fallbacks" not in counters
 

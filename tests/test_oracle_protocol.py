@@ -22,13 +22,13 @@ from repro.core.oracle import (
 )
 from repro.errors import MeasurementError
 from repro.hardware import HardwarePlatform, HardwareSetOracle, NoiseModel, get_processor
-from repro.policies import PermutationPolicy, make_policy
+from repro.policies import PermutationPolicy, get
 from repro.policies.permutation import lru_spec
 from repro.util.rng import SeededRng
 
 
 def lru_oracle(ways: int = 4) -> SimulatedSetOracle:
-    return SimulatedSetOracle(make_policy("lru", ways))
+    return SimulatedSetOracle(get("lru", ways))
 
 
 REQUESTS = [
@@ -91,8 +91,8 @@ class TestProtocolShape:
 class TestBatchScalarEquivalence:
     @pytest.mark.parametrize("name", ["lru", "fifo", "plru", "srrip"])
     def test_simulated(self, name):
-        batched = SimulatedSetOracle(make_policy(name, 4)).query(REQUESTS)
-        scalar_oracle = SimulatedSetOracle(make_policy(name, 4))
+        batched = SimulatedSetOracle(get(name, 4)).query(REQUESTS)
+        scalar_oracle = SimulatedSetOracle(get(name, 4))
         scalar = [scalar_oracle.count_misses(s, p) for s, p in REQUESTS]
         assert batched == scalar
 
@@ -159,15 +159,15 @@ class TestVotingBatchPath:
 
 class TestProvenance:
     def test_registry_policy(self):
-        assert policy_provenance(make_policy("lru", 4)) == "policy:lru|()|ways=4"
+        assert policy_provenance(get("lru", 4)) == "policy:lru|()|ways=4"
 
     def test_ways_distinguish(self):
-        assert policy_provenance(make_policy("lru", 4)) != policy_provenance(
-            make_policy("lru", 8)
+        assert policy_provenance(get("lru", 4)) != policy_provenance(
+            get("lru", 8)
         )
 
     def test_randomized_policy_has_none(self):
-        policy = make_policy("random", 4, rng=SeededRng(0))
+        policy = get("random", 4, rng=SeededRng(0))
         assert policy_provenance(policy) is None
 
     def test_permutation_policy_digest(self):
@@ -181,13 +181,13 @@ class TestProvenance:
 
     def test_simulated_oracle(self):
         assert lru_oracle().provenance() == "sim|policy:lru|()|ways=4"
-        random_policy = make_policy("random", 4, rng=SeededRng(0))
+        random_policy = get("random", 4, rng=SeededRng(0))
         assert SimulatedSetOracle(random_policy).provenance() is None
 
     def test_voting_oracle_wraps_inner(self):
         voter = VotingOracle(lru_oracle(), repetitions=3, aggregate="min")
         assert voter.provenance() == "vote[minx3]|sim|policy:lru|()|ways=4"
-        noisy = SimulatedSetOracle(make_policy("random", 4, rng=SeededRng(0)))
+        noisy = SimulatedSetOracle(get("random", 4, rng=SeededRng(0)))
         assert VotingOracle(noisy).provenance() is None
 
     def test_caching_oracle_passes_through(self):

@@ -8,12 +8,10 @@ from repro.policies import (
     LruPolicy,
     PolicyFactory,
     available,
-    available_policies,
     default_policies,
     get,
     get_entry,
     lru_spec,
-    make_policy,
     register,
     unregister,
 )
@@ -22,7 +20,7 @@ from repro.util.rng import SeededRng
 
 class TestRegistry:
     def test_expected_names_present(self):
-        names = available_policies()
+        names = available()
         for expected in ("lru", "fifo", "plru", "bitplru", "nru", "random",
                          "lip", "bip", "dip", "srrip", "brrip", "drrip",
                          "qlru_h00_m1", "permutation"):
@@ -30,29 +28,25 @@ class TestRegistry:
 
     def test_unknown_name_raises(self):
         with pytest.raises(UnknownPolicyError):
-            make_policy("clairvoyant", 4)
+            get("clairvoyant", 4)
 
     def test_error_message_lists_known(self):
         with pytest.raises(UnknownPolicyError, match="lru"):
             PolicyFactory("nope")
 
     def test_every_policy_constructible(self):
-        for name in available_policies():
+        for name in available():
             if name == "permutation":
-                policy = make_policy(name, 4, spec=lru_spec(4))
+                policy = get(name, 4, spec=lru_spec(4))
             elif name == "plru":
-                policy = make_policy(name, 4)
+                policy = get(name, 4)
             else:
-                policy = make_policy(name, 4, rng=SeededRng(0))
+                policy = get(name, 4, rng=SeededRng(0))
             assert policy.ways == 4
 
     def test_permutation_requires_spec(self):
         with pytest.raises(UnknownPolicyError, match="spec"):
-            make_policy("permutation", 4)
-
-    def test_deprecated_aliases_delegate(self):
-        assert available_policies() == available()
-        assert type(make_policy("lru", 4)) is type(get("lru", 4))
+            get("permutation", 4)
 
 
 class TestRegisterDecorator:

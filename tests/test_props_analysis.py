@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.analysis import BasicBlock, Program, analyze, check_soundness
 from repro.analysis.generic import generic_analysis
 from repro.cache import CacheConfig
-from repro.policies import make_policy
+from repro.policies import get
 
 CONFIG = CacheConfig("L1", 512, 4)  # 2 sets, 4-way: plenty of contention
 LINE_POOL = [k * 64 for k in range(10)]  # 10 lines over 2 sets
@@ -56,7 +56,7 @@ def test_lru_analysis_sound(program, seed):
 @settings(max_examples=15, deadline=None)
 def test_generic_analysis_sound_for_non_lru_policies(program):
     for policy_name in ("fifo", "plru", "bitplru"):
-        policy = make_policy(policy_name, CONFIG.ways)
+        policy = get(policy_name, CONFIG.ways)
         result = generic_analysis(program, CONFIG, policy)
         violations = check_soundness(
             program, CONFIG, result, policy=policy_name, paths=10
@@ -71,6 +71,6 @@ def test_lru_guarantees_dominate_generic_weaker_policies(program):
     analysis on the same program — mls(LRU) is maximal."""
     lru_hits = analyze(program, CONFIG).counts()["always-hit"]
     fifo_hits = generic_analysis(
-        program, CONFIG, make_policy("fifo", CONFIG.ways)
+        program, CONFIG, get("fifo", CONFIG.ways)
     ).counts()["always-hit"]
     assert lru_hits >= fifo_hits

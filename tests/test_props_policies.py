@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.cache.set import CacheSet
 from repro.core.permutation import derive_spec_from_policy
-from repro.policies import lru_spec, make_policy
+from repro.policies import get, lru_spec
 from tests.conftest import all_deterministic_policies
 
 WAYS = 4
@@ -21,8 +21,8 @@ tag_sequences = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_
 
 def build(name):
     if name == "permutation":
-        return make_policy(name, WAYS, spec=lru_spec(WAYS))
-    return make_policy(name, WAYS)
+        return get(name, WAYS, spec=lru_spec(WAYS))
+    return get(name, WAYS)
 
 
 @given(name=policy_names, tags=tag_sequences)
@@ -95,8 +95,8 @@ def test_lru_inclusion_property(tags):
 
     The classic stack property of LRU, on fully associative caches.
     """
-    small = CacheSet(4, make_policy("lru", 4))
-    large = CacheSet(8, make_policy("lru", 8))
+    small = CacheSet(4, get("lru", 4))
+    large = CacheSet(8, get("lru", 8))
     for tag in tags:
         small.access(tag)
         large.access(tag)
@@ -108,7 +108,7 @@ LOADABLE = {name: (name, {}) for name, _ in all_deterministic_policies(WAYS)}
 LOADABLE["permutation-lru"] = ("permutation", {"spec": lru_spec(WAYS)})
 LOADABLE["permutation-plru"] = (
     "permutation",
-    {"spec": derive_spec_from_policy(make_policy("plru", WAYS))},
+    {"spec": derive_spec_from_policy(get("plru", WAYS))},
 )
 
 policy_events = st.lists(
@@ -144,8 +144,8 @@ def test_load_state_round_trips(label, history, other, continuation):
     through one scratch policy.
     """
     name, params = LOADABLE[label]
-    source = make_policy(name, WAYS, **params)
-    loaded = make_policy(name, WAYS, **params)
+    source = get(name, WAYS, **params)
+    loaded = get(name, WAYS, **params)
     for event in history:
         _step(source, event)
     for event in other:

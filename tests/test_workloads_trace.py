@@ -1,5 +1,7 @@
 """Tests for the Trace type."""
 
+import pickle
+
 import pytest
 
 from repro.errors import TraceFormatError
@@ -26,3 +28,18 @@ class TestTrace:
         combined = Trace("a", (0,)).concat(Trace("b", (64,)))
         assert combined.addresses == (0, 64)
         assert combined.name == "a+b"
+
+    def test_pickle_leaves_the_address_array_behind(self):
+        trace = Trace("t", tuple(range(0, 64 * 1000, 64)))
+        before = pickle.dumps(trace)
+        memo = trace.address_array()
+        after = pickle.dumps(trace)
+        assert len(after) == len(before)
+        copy = pickle.loads(after)
+        assert copy == trace
+        rebuilt = copy.address_array()
+        if memo is None:  # numpy is not installed
+            assert rebuilt is None
+        else:
+            assert rebuilt is not memo
+            assert rebuilt.tolist() == list(trace.addresses)
