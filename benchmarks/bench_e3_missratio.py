@@ -8,20 +8,16 @@ policies thrash on loops just above the cache while insertion policies
 (LIP/DIP) survive them, and FIFO trails LRU on reuse-heavy workloads.
 
 The grid runs through :mod:`repro.runner`; pass ``--jobs N`` to fan the
-(policy x workload) cells over worker processes.  A companion test
-times the serial path against the parallel path and records the speedup
-in ``benchmarks/results/e3_runner_speedup.txt``.
+(policy x workload) cells over worker processes.  The serial and the
+``--jobs 2`` ledgers must hold equal ``data``.
 """
 
-import os
-import time
 from dataclasses import asdict
 
 import pytest
 
 from repro.cache import CacheConfig
 from repro.eval import miss_ratio_matrix
-from repro.kernels import kernel_disabled
 from repro.util.tables import format_table
 from repro.workloads import workload_suite
 from repro.obs.spans import traced
@@ -76,60 +72,3 @@ def test_e3_simulation_throughput(benchmark):
     stats = benchmark(lambda: simulate_trace(trace, CONFIG, "plru"))
     assert stats.accesses == len(trace)
 
-
-def test_e3_runner_speedup(save_result, jobs):
-    """Acceptance timing: the E3 grid, serial versus parallel.
-
-    Records wall-clock seconds for the serial path and for the parallel
-    runner (``--jobs`` when given, else one worker per core, capped at
-    4).  The >= 2x assertion only applies on machines with at least four
-    cores and four workers — on smaller runners the numbers are recorded
-    but not asserted, since the speedup cannot physically appear.
-    """
-    cores = os.cpu_count() or 1
-    workers = jobs if jobs and jobs > 1 else min(4, cores)
-
-    # Pin both sides to the interpreter: this test measures how the
-    # *runner* scales, and the compiled kernel (benchmarked separately in
-    # bench_kernel.py) would shrink per-cell work until pool startup
-    # noise dominates the ratio.
-    with kernel_disabled():
-        start = time.perf_counter()
-        serial_matrix = compute_matrix(jobs=0)
-        serial_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        parallel_matrix = compute_matrix(jobs=workers)
-        parallel_seconds = time.perf_counter() - start
-
-    speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0
-    table = format_table(
-        ["mode", "cells", "seconds", "speedup"],
-        [
-            ["serial", len(serial_matrix.cells), f"{serial_seconds:.3f}", "1.00x"],
-            [
-                f"jobs={workers}",
-                len(parallel_matrix.cells),
-                f"{parallel_seconds:.3f}",
-                f"{speedup:.2f}x",
-            ],
-        ],
-        title=f"E3 runner speedup ({cores} cores)",
-    )
-    save_result(
-        "e3_runner_speedup",
-        table,
-        data={
-            "cells": len(serial_matrix.cells),
-            "serial_seconds": serial_seconds,
-            "parallel_seconds": parallel_seconds,
-            "speedup": speedup,
-            "identical": serial_matrix == parallel_matrix,
-        },
-        params={"cores": cores, "workers": workers},
-    )
-
-    # Determinism is unconditional; the speedup bar needs the cores.
-    assert serial_matrix == parallel_matrix
-    if cores >= 4 and workers >= 4:
-        assert speedup >= 2.0, f"expected >= 2x with jobs={workers}, got {speedup:.2f}x"

@@ -1,11 +1,12 @@
 """BENCH — vector engine versus the scalar compiled kernel.
 
 The acceptance benchmark for :mod:`repro.kernels.vector`: the same
-compiled automata simulate the same traces twice, once with the vector
-engine disabled (the scalar kernel) and once enabled, interleaved in
-one process so CPU-clock drift cancels.  The workload is E3-scale
-whole-cache simulation (2048 sets, 1M accesses) where all sets advance
-lock-step; the ≥ 3x acceptance gate (measured ~5-10x) lives here.
+compiled automata simulate the same traces twice, once on the scalar
+trace loop and once through :func:`~repro.kernels.try_simulate_trace`,
+which steps all sets lock-step, interleaved in one process so CPU-clock
+drift cancels.  The workload is E3-scale whole-cache simulation (2048
+sets, 1M accesses) where all sets advance lock-step; the ≥ 3x
+acceptance gate (measured ~5-10x) lives here.
 
 Results are bit-compared cell for cell before any timing claim and land
 in ``benchmarks/results/bench_vector.txt`` and the ``data`` of the
@@ -25,10 +26,11 @@ import pytest
 from repro.cache import CacheConfig
 from repro.kernels import (
     clear_compile_cache,
+    compiled_for_factory,
     try_simulate_trace,
     vector,
-    vector_disabled,
 )
+from repro.kernels.engine import _simulate_trace_scalar
 from repro.util.tables import format_table
 from repro.workloads.trace import Trace
 
@@ -63,12 +65,11 @@ def _best(fn, repeats):
     return result, elapsed
 
 
-def _ab(fn, repeats=3):
+def _ab(scalar_run, vector_run, repeats=3):
     """Interleaved scalar/vector best-of-N; asserts identical results."""
-    fn()  # warm: automaton expansion, vector tables, trace layout
-    with vector_disabled():
-        scalar_result, scalar_seconds = _best(fn, repeats)
-    vector_result, vector_seconds = _best(fn, repeats)
+    vector_run()  # warm: automaton expansion, vector tables, trace layout
+    scalar_result, scalar_seconds = _best(scalar_run, repeats)
+    vector_result, vector_seconds = _best(vector_run, repeats)
     assert scalar_result == vector_result, "vector result diverged from scalar"
     speedup = scalar_seconds / vector_seconds if vector_seconds else 0.0
     return scalar_seconds, vector_seconds, speedup
@@ -80,8 +81,10 @@ def _trace_rows(config, accesses, policies, seed):
     )
     rows = {}
     for policy in policies:
+        compiled = compiled_for_factory(policy, (), config.ways)
         scalar_seconds, vector_seconds, speedup = _ab(
-            lambda: try_simulate_trace(trace, config, policy)
+            lambda: _simulate_trace_scalar(trace, config, compiled),
+            lambda: try_simulate_trace(trace, config, policy),
         )
         rows[policy] = {
             "scalar_seconds": scalar_seconds,

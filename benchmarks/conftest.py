@@ -20,7 +20,6 @@ import pytest
 
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
-from repro.kernels import kernel_enabled
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -79,7 +78,6 @@ def save_result(request):
             wall_seconds=wall_seconds,
             seed=params.get("seed"),
             jobs=int(jobs) if isinstance(jobs, (int, float, str)) and str(jobs).isdigit() else None,
-            kernel=kernel_enabled(),
             metrics=obs_metrics.DEFAULT.snapshot(),
             data=data if data is not None else {},
         )

@@ -34,7 +34,11 @@ from repro.analysis.program import Program
 from repro.cache.config import CacheConfig
 from repro.core.permutation import derive_spec_from_policy
 from repro.errors import ConfigurationError
-from repro.eval.predictability import evict_metric, full_set_states
+from repro.eval.predictability import (
+    evict_metric_policy,
+    evict_metric_spec,
+    full_set_states,
+)
 from repro.policies import ReplacementPolicy
 
 OLD = "O"  # unclaimed non-target block (may absorb one adversary hit)
@@ -107,9 +111,14 @@ def mls_metric_policy(policy: ReplacementPolicy, max_states: int = 300_000) -> i
     spec = derive_spec_from_policy(policy)
     if spec is not None:
         return mls_metric_spec(spec)
-    # In way space a node is (automaton state id, target way, mask of the
-    # unclaimed non-target ways).  The target was just touched, or just
-    # filled on a miss, in any reachable full-set state.
+    return _mls_way_space(policy, max_states)
+
+
+def _mls_way_space(policy: ReplacementPolicy, max_states: int = 300_000) -> int | None:
+    """Minimum life span of a deterministic policy, on its automaton."""
+    # A node is (automaton state id, target way, mask of the unclaimed
+    # non-target ways).  The target was just touched, or just filled on
+    # a miss, in any reachable full-set state.
     compiled, states = full_set_states(policy)
     ways, hit_next = compiled.ways, compiled.hit_next
     miss_victim, miss_next = compiled.miss_victim, compiled.miss_next
@@ -154,15 +163,22 @@ def generic_analysis(
     """Sound must/may classification of ``program`` under any policy.
 
     Uses the LRU domains with the policy's mls as the must bound and its
-    evict metric as the may bound.  Falls back to "no guarantees"
-    (capacity 1 / never-absent) when a metric is unbounded.
+    evict metric as the may bound, both played on the policy's
+    permutation spec when it has one (derived once) and in way space
+    otherwise.  Falls back to "no guarantees" (capacity 1 / never-absent)
+    when a metric is unbounded.
     """
     if policy.ways != config.ways:
         raise ConfigurationError(
             f"policy is {policy.ways}-way but the cache has {config.ways} ways"
         )
-    mls = mls_metric_policy(policy)
-    evict = evict_metric(policy)
+    mls = evict = None
+    if policy.DETERMINISTIC:
+        spec = derive_spec_from_policy(policy)
+        if spec is None:
+            mls, evict = _mls_way_space(policy), evict_metric_policy(policy)
+        else:
+            mls, evict = mls_metric_spec(spec), evict_metric_spec(spec)
     must_capacity = mls if mls is not None else 1
     # The may bound must cover the worst case; an unbounded evict metric
     # means absence can never be concluded, approximated by a bound the

@@ -41,12 +41,6 @@ from repro.hardware import (
     NoiseModel,
     get_processor,
 )
-from repro.kernels import (
-    kernel_enabled,
-    set_kernel_enabled,
-    set_vector_enabled,
-    vector_enabled,
-)
 from repro.obs import DEFAULT
 from repro.obs import ledger as obs_ledger
 from repro.policies import available, default_policies, get
@@ -220,23 +214,6 @@ def _add_obs_options(command: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_options(command: argparse.ArgumentParser) -> None:
-    """Attach the compiled-kernel switch to one simulation subcommand."""
-    group = command.add_mutually_exclusive_group()
-    group.add_argument(
-        "--kernel", dest="kernel", action="store_true", default=True,
-        help="use the compiled simulation kernel where possible (default)",
-    )
-    group.add_argument(
-        "--no-kernel", dest="kernel", action="store_false",
-        help="force the interpreted simulator (reference path)",
-    )
-    command.add_argument(
-        "--no-vector", dest="vector", action="store_false", default=True,
-        help="keep the scalar kernel engines even when numpy is available",
-    )
-
-
 def _add_cache_options(
     command: argparse.ArgumentParser, flag: str = "--cache-dir"
 ) -> None:
@@ -344,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--check", action="store_true",
                        help="compare against the catalog ground truth")
     _add_obs_options(infer)
-    _add_kernel_options(infer)
     _add_cache_options(infer)
 
     evaluate = sub.add_parser("evaluate", help="miss-ratio table over the workload suite")
@@ -356,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--jobs", type=int, default=0,
                           help="worker processes for the grid (0 = serial)")
     _add_obs_options(evaluate)
-    _add_kernel_options(evaluate)
     _add_cache_options(evaluate)
 
     bench = sub.add_parser(
@@ -377,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--show-matrix", action="store_true",
                        help="also print the resulting miss-ratio table")
     _add_obs_options(bench)
-    _add_kernel_options(bench)
     _add_cache_options(bench)
 
     predict = sub.add_parser("predictability", help="evict/fill metrics table")
@@ -400,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--level", default="L1")
     query.add_argument("--seed", type=int, default=0)
     _add_obs_options(query)
-    _add_kernel_options(query)
     _add_cache_options(query)
 
     cache = sub.add_parser(
@@ -488,10 +461,6 @@ def _run_with_observability(args: argparse.Namespace) -> int:
     """
     metrics_file = getattr(args, "metrics_file", None)
     command = _COMMANDS[args.command]
-    kernel_before = kernel_enabled()
-    set_kernel_enabled(getattr(args, "kernel", kernel_before))
-    vector_before = vector_enabled()
-    set_vector_enabled(getattr(args, "vector", vector_before))
     cache_dir = getattr(args, "cache_dir", None)
     cache_dir_before = None
     if cache_dir is not None:
@@ -511,14 +480,11 @@ def _run_with_observability(args: argparse.Namespace) -> int:
                 wall_seconds=wall_seconds,
                 seed=getattr(args, "seed", None),
                 jobs=getattr(args, "jobs", None),
-                kernel=getattr(args, "kernel", None),
                 metrics=DEFAULT.snapshot(),
                 data={"exit_status": status},
             )
             obs_ledger.write_ledger(ledger, metrics_file)
     finally:
-        set_kernel_enabled(kernel_before)
-        set_vector_enabled(vector_before)
         if cache_dir is not None:
             from repro.kernels import store
 

@@ -49,18 +49,17 @@ def established_set(policy: ReplacementPolicy, thrash_factor: int = 2) -> CacheS
 
 def response(policy: ReplacementPolicy, probe: Sequence[int], thrash_factor: int = 2) -> tuple[bool, ...]:
     """Hit/miss outcome of each probe access from the established state."""
-    # Compiled fast path (deterministic policies, kernel on):
-    # identification replays thousands of candidate responses, and the
-    # established state is just thrash + establishment from reset.
-    if kernels.kernel_enabled():
-        compiled = kernels.compiled_for(policy)
-        if compiled is not None:
-            setup = [10_000 + i for i in range(thrash_factor * policy.ways)]
-            setup += list(range(policy.ways))
-            try:
-                return kernels.sequence_hits(compiled, setup, probe)
-            except KernelUnsupported:
-                kernels.mark_unsupported(policy)
+    # Compiled fast path (policies with an automaton): identification
+    # replays thousands of candidate responses, and the established
+    # state is just thrash + establishment from reset.
+    compiled = kernels.compiled_for(policy)
+    if compiled is not None:
+        setup = [10_000 + i for i in range(thrash_factor * policy.ways)]
+        setup += list(range(policy.ways))
+        try:
+            return kernels.sequence_hits(compiled, setup, probe)
+        except KernelUnsupported:
+            kernels.mark_unsupported(policy)
     cache_set = established_set(policy, thrash_factor)
     return tuple(cache_set.access(block).hit for block in probe)
 
@@ -78,17 +77,16 @@ def responses(
     re-simulated per probe.  Bit-identical to mapping :func:`response`.
     """
     probes = list(probes)
-    if kernels.kernel_enabled():
-        compiled = kernels.compiled_for(policy)
-        if compiled is not None:
-            setup = [10_000 + i for i in range(thrash_factor * policy.ways)]
-            setup += list(range(policy.ways))
-            try:
-                return kernels.sequence_hits_batch(
-                    compiled, [(setup, probe) for probe in probes]
-                )
-            except KernelUnsupported:
-                kernels.mark_unsupported(policy)
+    compiled = kernels.compiled_for(policy)
+    if compiled is not None:
+        setup = [10_000 + i for i in range(thrash_factor * policy.ways)]
+        setup += list(range(policy.ways))
+        try:
+            return kernels.sequence_hits_batch(
+                compiled, [(setup, probe) for probe in probes]
+            )
+        except KernelUnsupported:
+            kernels.mark_unsupported(policy)
     return [response(policy, probe, thrash_factor) for probe in probes]
 
 

@@ -325,18 +325,18 @@ class PermutationInference:
         """Cumulative predicted misses: ``result[i]`` covers ``probe[:i]``.
 
         One pass over the probe (kernel
-        :func:`~repro.kernels.sequence_hits_preloaded` when allowed,
-        interpreted otherwise) predicts every verification window.
+        :func:`~repro.kernels.sequence_hits_preloaded`, interpreted when
+        the spec's automaton blew its budget) predicts every
+        verification window.
         """
         preload = [establishment[ways - 1 - p] for p in range(ways)]
         flags: tuple[bool, ...] | None = None
-        if kernels.kernel_enabled():
-            compiled = kernels.compiled_for_spec(spec)
-            if compiled is not None:
-                try:
-                    flags = kernels.sequence_hits_preloaded(compiled, preload, probe)
-                except KernelUnsupported:
-                    kernels.mark_spec_unsupported(spec)
+        compiled = kernels.compiled_for_spec(spec)
+        if compiled is not None:
+            try:
+                flags = kernels.sequence_hits_preloaded(compiled, preload, probe)
+            except KernelUnsupported:
+                kernels.mark_spec_unsupported(spec)
         if flags is None:
             cache_set = CacheSet(ways, PermutationPolicy(ways, spec))
             cache_set.preload(preload)
@@ -366,15 +366,14 @@ class PermutationInference:
         """
         preload = [establishment[ways - 1 - p] for p in range(ways)]
         flags_list: list[tuple[bool, ...]] | None = None
-        if len(probes) > 1 and kernels.kernel_enabled():
-            compiled = kernels.compiled_for_spec(spec)
-            if compiled is not None:
-                try:
-                    flags_list = kernels.sequence_hits_preloaded_batch(
-                        compiled, preload, probes
-                    )
-                except KernelUnsupported:
-                    kernels.mark_spec_unsupported(spec)
+        compiled = kernels.compiled_for_spec(spec) if len(probes) > 1 else None
+        if compiled is not None:
+            try:
+                flags_list = kernels.sequence_hits_preloaded_batch(
+                    compiled, preload, probes
+                )
+            except KernelUnsupported:
+                kernels.mark_spec_unsupported(spec)
         if flags_list is None:
             return [
                 cls._predict_cumulative(ways, spec, establishment, probe)

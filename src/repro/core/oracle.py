@@ -41,9 +41,9 @@ Implementations:
 * :class:`CachingOracle` — memoizes identical ``(setup, probe)``
   measurements against a deterministic inner oracle.
 
-Simulated measurements additionally route through the compiled kernel
-(:mod:`repro.kernels`) when it is enabled; the interpreted loop stays
-the reference path, and the ``oracle.*`` metrics are identical on both
+Simulated measurements of a policy with an automaton run on the
+compiled kernel (:mod:`repro.kernels`); a policy without one runs on the
+interpreted loop, and the ``oracle.*`` metrics are identical on both
 paths.
 """
 
@@ -182,17 +182,16 @@ class SimulatedSetOracle(MissCountOracle):
     def count_misses(self, setup: Sequence[int], probe: Sequence[int]) -> int:
         # Compiled fast path: same measurement as the interpreted loop
         # below (bit-identical by the kernel's equivalence suite), taken
-        # whenever the kernel is on.
-        if kernels.kernel_enabled():
-            compiled = kernels.compiled_for(self._prototype)
-            if compiled is not None:
-                try:
-                    misses = kernels.count_misses_kernel(compiled, setup, probe)
-                except KernelUnsupported:
-                    kernels.mark_unsupported(self._prototype)
-                else:
-                    self._note_measurement(len(setup), len(probe), misses)
-                    return misses
+        # whenever the policy has an automaton.
+        compiled = kernels.compiled_for(self._prototype)
+        if compiled is not None:
+            try:
+                misses = kernels.count_misses_kernel(compiled, setup, probe)
+            except KernelUnsupported:
+                kernels.mark_unsupported(self._prototype)
+            else:
+                self._note_measurement(len(setup), len(probe), misses)
+                return misses
         policy = self._prototype.clone()
         policy.reset()
         cache_set = CacheSet(policy.ways, policy)
@@ -223,28 +222,27 @@ class SimulatedSetOracle(MissCountOracle):
         ``kernel.*`` work shrinks.
         """
         requests = list(requests)
-        if len(requests) > 1 and kernels.kernel_enabled():
-            compiled = kernels.compiled_for(self._prototype)
-            if compiled is not None:
-                keys = [
-                    CachingOracle.memo_key(setup, probe)
-                    for setup, probe in requests
-                ]
-                position: dict[tuple, int] = {}
-                unique: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-                for key in keys:
-                    if key not in position:
-                        position[key] = len(unique)
-                        unique.append(key)
-                try:
-                    measured = kernels.count_misses_batch(compiled, unique)
-                except KernelUnsupported:
-                    kernels.mark_unsupported(self._prototype)
-                else:
-                    counts = [measured[position[key]] for key in keys]
-                    for (setup, probe), misses in zip(requests, counts):
-                        self._note_measurement(len(setup), len(probe), misses)
-                    return counts
+        compiled = kernels.compiled_for(self._prototype) if len(requests) > 1 else None
+        if compiled is not None:
+            keys = [
+                CachingOracle.memo_key(setup, probe)
+                for setup, probe in requests
+            ]
+            position: dict[tuple, int] = {}
+            unique: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+            for key in keys:
+                if key not in position:
+                    position[key] = len(unique)
+                    unique.append(key)
+            try:
+                measured = kernels.count_misses_batch(compiled, unique)
+            except KernelUnsupported:
+                kernels.mark_unsupported(self._prototype)
+            else:
+                counts = [measured[position[key]] for key in keys]
+                for (setup, probe), misses in zip(requests, counts):
+                    self._note_measurement(len(setup), len(probe), misses)
+                return counts
         return [self.count_misses(setup, probe) for setup, probe in requests]
 
 

@@ -18,11 +18,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.cache import Cache, CacheConfig, CacheStats
+from repro.cache import CacheConfig, CacheStats
 from repro.kernels import try_simulate_trace
 from repro.policies import PolicyFactory
 from repro.runner import ExperimentRunner, SimCell, run_sim_cells
-from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
 
 
@@ -34,17 +33,11 @@ def simulate_trace(
 ) -> CacheStats:
     """Run a trace through a fresh cache; return its statistics.
 
-    Routed through the compiled kernel (:mod:`repro.kernels`) whenever
-    it is enabled; the interpreted path below is the reference
-    behaviour, and the kernel is bit-identical to it.
+    Runs on the kernel's trace engines (:mod:`repro.kernels`), whose
+    statistics are bit-identical to an interpreted
+    :class:`~repro.cache.Cache` replay.
     """
-    stats = try_simulate_trace(trace, config, policy, seed)
-    if stats is not None:
-        return stats
-    cache = Cache(config, policy, rng=SeededRng(seed))
-    for address in trace:
-        cache.access(address)
-    return cache.stats.snapshot()
+    return try_simulate_trace(trace, config, policy, seed)
 
 
 def miss_ratio(

@@ -115,13 +115,13 @@ def full_set_states(policy: ReplacementPolicy) -> tuple[CompiledPolicy, list[int
 
     The states close the one after the cold fill of all ways (ascending,
     as :class:`~repro.cache.set.CacheSet` fills) under every hit and the
-    evicting miss.  The kernel switch does not apply: a game has no
-    interpreted twin.  No automaton raises ConfigurationError.
+    evicting miss.  A policy with no automaton raises KernelUnsupported;
+    a closure past the compile budget raises ConfigurationError.
     """
     compiled = compiled_for(policy)
+    if compiled is None:
+        raise KernelUnsupported(f"policy {type(policy).__name__} has no automaton")
     try:
-        if compiled is None:
-            raise KernelUnsupported(f"policy {type(policy).__name__} has no automaton")
         compiled.expand_all()
     except KernelUnsupported as error:
         raise ConfigurationError(str(error)) from error
@@ -159,18 +159,6 @@ def evict_metric_policy(policy: ReplacementPolicy, max_states: int = 300_000) ->
                     yield hit_next[state * ways + way], old & ~(1 << way)
 
     return _search([(state, (1 << ways) - 1) for state in states], moves_of, max_states)
-
-
-def evict_metric(policy: ReplacementPolicy) -> int | None:
-    """The evict metric of any policy, on the cheapest exact game.
-
-    A permutation policy plays its spec's game, any other deterministic
-    policy the way-space game.  None for a randomized policy.
-    """
-    if not policy.DETERMINISTIC:
-        return None
-    spec = derive_spec_from_policy(policy)
-    return evict_metric_policy(policy) if spec is None else evict_metric_spec(spec)
 
 
 def collapse_depth_spec(spec: PermutationSpec) -> int:
@@ -222,8 +210,10 @@ class PredictabilityResult:
     """The predictability metrics of one policy.
 
     ``evict``/``fill`` are None when the metric is unbounded (note
-    "unbounded"), when the policy is randomized (note "randomized"), or
-    when the exact game was too large (note "state budget exceeded").
+    "unbounded"), when the policy is randomized (note "randomized"),
+    when a deterministic policy has no automaton to play on (note "no
+    automaton"), or when the exact game was too large (note "state
+    budget exceeded").
     """
 
     policy: str
@@ -264,6 +254,8 @@ def predictability_of_policy(name: str, policy: ReplacementPolicy) -> Predictabi
     try:
         evict = evict_metric_policy(policy)
         collapse = collapse_depth_policy(policy)
+    except KernelUnsupported:
+        return PredictabilityResult(name, policy.ways, note="no automaton")
     except ConfigurationError:
         return PredictabilityResult(name, policy.ways, note="state budget exceeded")
     fill = None if evict is None or collapse is None else evict + collapse

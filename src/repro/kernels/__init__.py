@@ -19,19 +19,18 @@ One engine per simulation shape:
   automaton, step lock-step there too, and run in direct mode
   otherwise.
 
-Routing rules (:func:`kernel_enabled`, enforced by the callers in
-:mod:`repro.core.oracle`, :mod:`repro.core.inference`,
-:mod:`repro.core.distinguish`, :mod:`repro.eval.missratio` and
-:mod:`repro.runner.cells`):
+Routing rules (enforced by the callers in :mod:`repro.core.oracle`,
+:mod:`repro.core.inference`, :mod:`repro.core.distinguish`,
+:mod:`repro.eval.missratio` and :mod:`repro.runner.cells`):
 
-* the kernel is used automatically when it is enabled (the default; see
-  :func:`set_kernel_enabled` and the CLI's ``--no-kernel``); its engines
-  flush aggregate ``kernel.*`` counters into the metrics store per call;
+* every policy with an automaton runs compiled; there is no switch, and
+  the engines flush aggregate ``kernel.*`` counters into the metrics
+  store per call;
 * randomized/adaptive policies raise
   :class:`~repro.errors.KernelUnsupported` at compile time and fall back
-  to the interpreter (whole-cache trace simulation additionally has a
-  "direct mode" that drives the real policy objects through an inlined
-  loop, still bit-identical);
+  to the interpreter (whole-cache trace simulation instead runs them in
+  "direct mode", which drives the real policy objects through an
+  inlined loop, still bit-identical);
 * a policy whose reachable state space exceeds the compile budget falls
   back the same way, even if that is only discovered mid-run; each
   such mid-run blow counts ``kernel.budget_fallbacks``, and a frozen
@@ -40,8 +39,6 @@ Routing rules (:func:`kernel_enabled`, enforced by the callers in
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from repro.errors import KernelUnsupported
 from repro.kernels.automaton import (
@@ -70,12 +67,7 @@ from repro.kernels.engine import (
     try_simulate_trace,
 )
 from repro.kernels import store, vector
-from repro.kernels.vector import (
-    numpy_available,
-    set_vector_enabled,
-    vector_disabled,
-    vector_enabled,
-)
+from repro.kernels.vector import numpy_available
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -103,49 +95,25 @@ __all__ = [
     "simulate_trace_kernel",
     "try_simulate_trace",
     "kernel_enabled",
-    "set_kernel_enabled",
-    "kernel_disabled",
     "numpy_available",
     "vector_enabled",
-    "set_vector_enabled",
-    "vector_disabled",
     "trie_enabled",
 ]
 
-#: Process-wide switch.  Worker processes forked by the runner inherit
-#: the parent's setting, so ``--no-kernel`` disables the fast path in
-#: parallel grids too.
-_ENABLED = True
-
+# The three read-only names below are kept only because the repository
+# benchmark (``perfbench/bench.py``) stamps their values into its
+# environment record; they go when that stamp does.
 
 def kernel_enabled() -> bool:
-    """True when the compiled fast path may be used."""
-    return _ENABLED
+    """Always True: every policy with an automaton runs compiled."""
+    return True
 
 
-def set_kernel_enabled(enabled: bool) -> None:
-    """Globally enable or disable the compiled fast path."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-@contextmanager
-def kernel_disabled():
-    """Temporarily force the interpreted path (tests, A/B benchmarks)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
+#: True when numpy imports, so whole-trace runs of 64 or more sets may
+#: step lock-step on :mod:`repro.kernels.vector`.
+vector_enabled = numpy_available
 
 
 def trie_enabled() -> bool:
-    """Always False: there is no prefix-trie batch planner.
-
-    Kept only because the repository benchmark (``perfbench/bench.py``)
-    stamps this value into its environment record; it goes when that
-    stamp does.
-    """
+    """Always False: there is no prefix-trie batch planner."""
     return False

@@ -24,9 +24,8 @@ Two granularities, matching the two shapes of simulation in the library:
   inlined loop that skips the interpreter's per-access dataclass
   overhead (``random`` and ``dip`` step lock-step on the vector engine
   instead whenever it may run).  :func:`try_simulate_trace` picks the
-  right one and returns ``None`` when the kernel is disabled.  Every
-  engine call flushes its aggregate hit/miss/evict work into the
-  metrics store (``kernel.*`` counters).
+  right one.  Every engine call flushes its aggregate hit/miss/evict
+  work into the metrics store (``kernel.*`` counters).
 
 Bit-identity argument, in one place: per set the interpreter's state is
 (tag→way map, policy state).  The kernel mirrors the tag→way map
@@ -440,11 +439,18 @@ def _simulate_trace_compiled(
     # The lock-step vector engine takes the whole trace when it may run.
     # Counters stay mode-invariant: the same "trace" flush either way.
     stats = vector.simulate_trace_lockstep(trace, config, compiled)
-    if stats is not None:
-        _note_kernel_call(
-            "trace", stats.accesses, stats.hits, stats.misses, stats.evictions
-        )
-        return stats
+    if stats is None:
+        return _simulate_trace_scalar(trace, config, compiled)
+    _note_kernel_call(
+        "trace", stats.accesses, stats.hits, stats.misses, stats.evictions
+    )
+    return stats
+
+
+def _simulate_trace_scalar(
+    trace: Trace, config: CacheConfig, compiled: CompiledPolicy
+) -> CacheStats:
+    """The scalar trace loop: one set at a time, expanding lazily."""
     offset_bits, index_bits, hashed, set_mask = _decompose_params(config)
     num_sets = config.num_sets
     ways = config.ways
@@ -584,18 +590,13 @@ def try_simulate_trace(
     config: CacheConfig,
     policy: "str | PolicyFactory",
     seed: int = 0,
-) -> CacheStats | None:
-    """Fast-path a whole-trace simulation if the kernel may run.
+) -> CacheStats:
+    """Whole-trace simulation on the fastest engine the policy allows.
 
-    Returns ``None`` when the kernel is globally disabled and the caller
-    must use the interpreter.  Otherwise returns statistics
-    bit-identical to the interpreter's, choosing the compiled automaton
-    when the policy supports it and direct mode when it does not.
+    Returns statistics bit-identical to the interpreter's, choosing the
+    compiled automaton when the policy has one and direct mode when it
+    does not.
     """
-    from repro.kernels import kernel_enabled
-
-    if not kernel_enabled():
-        return None
     factory = policy if isinstance(policy, PolicyFactory) else PolicyFactory(policy)
     params = tuple(sorted(factory.params.items()))
     compiled = compiled_for_factory(factory.name, params, config.ways)

@@ -46,7 +46,6 @@ Ground rules:
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
 from typing import NamedTuple
 
 from repro.cache.set import CacheSet
@@ -67,12 +66,8 @@ __all__ = [
     "available",
     "ensure_tables",
     "numpy_available",
-    "set_vector_enabled",
     "simulate_trace_lockstep",
     "simulate_trace_randomized",
-    "vector_allowed",
-    "vector_disabled",
-    "vector_enabled",
 ]
 
 #: Whole-trace lock-step needs enough sets to fill the lanes; below
@@ -90,8 +85,6 @@ MIN_FILL_RATIO = 0.2
 #: Block ids / tags must fit comfortably in int64 lanes.
 _MAX_BLOCK = 1 << 62
 
-_ENABLED = True
-
 
 def available() -> bool:
     """True when numpy is importable in this process."""
@@ -100,34 +93,6 @@ def available() -> bool:
 
 #: Package-level alias: ``repro.kernels.numpy_available()``.
 numpy_available = available
-
-
-def vector_enabled() -> bool:
-    """True when the vector engine may be used (process-wide switch)."""
-    return _ENABLED
-
-
-def set_vector_enabled(enabled: bool) -> None:
-    """Globally enable or disable the vector engine (scalar kernel stays)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-@contextmanager
-def vector_disabled():
-    """Temporarily force the scalar engine (tests, A/B benchmarks)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
-def vector_allowed() -> bool:
-    """True when the vector engine may run right now."""
-    return _ENABLED and _np is not None
 
 
 class VectorTables:
@@ -329,16 +294,15 @@ def simulate_trace_lockstep(trace, config, compiled):
     then every set advances one access per stepper column.  Returns a
     :class:`~repro.cache.stats.CacheStats` bit-identical to the scalar
     trace engine / interpreter, or ``None`` for scalar fallback (numpy
-    absent/disabled, too few sets, automaton not closable within its
-    budget, a pathologically skewed trace, tags beyond the int64 lane
-    range, or a lane that reached an unexpanded transition).
+    absent, too few sets, automaton not closable within its budget, a
+    pathologically skewed trace, tags beyond the int64 lane range, or a
+    lane that reached an unexpanded transition).
     """
-    if not vector_allowed() or config.num_sets < MIN_TRACE_LANES:
+    if _np is None or config.num_sets < MIN_TRACE_LANES:
         return None
     tables = ensure_tables(compiled)
     if tables is None:
-        if available() and vector_enabled():
-            _note_fallback()
+        _note_fallback()
         return None
     total = len(trace)
     if not total:
@@ -388,13 +352,13 @@ def simulate_trace_randomized(trace, config, factory, seed: int = 0):
     drawn by the set's own policy object in the set's own access order,
     and the statistics are bit-identical to direct mode and the
     interpreter.  Returns None for any other policy (no refusal
-    counted) and, like :func:`simulate_trace_lockstep`, when the engine
-    may not run or refuses the layout.
+    counted) and, like :func:`simulate_trace_lockstep`, when numpy is
+    absent, the sets are too few or the layout is refused.
     """
     policy_cls = get_entry(factory.name).cls
     if policy_cls is not RandomPolicy and policy_cls is not DipPolicy:
         return None
-    if not vector_allowed() or config.num_sets < MIN_TRACE_LANES:
+    if _np is None or config.num_sets < MIN_TRACE_LANES:
         return None
     total = len(trace)
     if not total:

@@ -17,7 +17,7 @@ its provenance and cost:
       "params": {"policies": ["lru", "fifo"], "seed": 0},
       "seed": 0,
       "jobs": 4,
-      "kernel": true,
+      "kernel": null,
       "git": {"sha": "b557c57...", "dirty": false},
       "env": {"python": "3.11.9", "platform": "Linux-...", "cpu_count": 8},
       "counters": {"oracle.measurements": 1234, "kernel.calls": 99},
@@ -32,7 +32,8 @@ Field contract (checked by :func:`validate_ledger`):
 * ``name`` — non-empty string; ``created`` — UTC timestamp string;
 * ``wall_seconds`` — number; ``params`` / ``env`` / ``counters`` /
   ``observations`` — JSON objects; ``git`` — object or null;
-* ``seed`` / ``jobs`` — integer or null; ``kernel`` — boolean or null;
+* ``seed`` / ``jobs`` — integer or null; ``kernel`` — boolean or null
+  (:func:`build_ledger` writes null; older ledgers recorded the kernel switch);
 * ``data`` — the experiment's payload, any JSON value.
 
 ``counters`` and ``observations`` are the run's
@@ -250,7 +251,6 @@ def build_ledger(
     wall_seconds: float = 0.0,
     seed: int | None = None,
     jobs: int | None = None,
-    kernel: bool | None = None,
     metrics: dict | None = None,
     data: object = None,
     cwd: str | Path | None = None,
@@ -270,7 +270,6 @@ def build_ledger(
         params=_jsonable(params or {}),
         seed=seed,
         jobs=jobs,
-        kernel=kernel,
         git=git_revision(cwd),
         env=collect_env(),
         counters=dict(metrics.get("counters", {})),

@@ -12,11 +12,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.cache import Cache, CacheConfig, CacheStats
+from repro.cache import CacheConfig, CacheStats
 from repro.kernels import try_simulate_trace
 from repro.obs import spans as obs_spans
 from repro.policies import PolicyFactory
-from repro.util.rng import SeededRng, derive_seed
+from repro.util.rng import derive_seed
 from repro.workloads.trace import Trace
 
 __all__ = [
@@ -78,19 +78,13 @@ class CellResult:
 def simulate_cell(cell: SimCell) -> CellResult:
     """Run one cell in the current process (worker entry point).
 
-    Fast-pathed through the compiled kernel when it is enabled; the
-    interpreted loop below is the bit-identical reference.  The whole
-    cell is timed as the ``cell`` span.
+    Runs on the kernel's trace engines, bit-identical to an interpreted
+    :class:`~repro.cache.Cache` replay.  The whole cell is timed as the
+    ``cell`` span.
     """
     with obs_spans.span("cell"):
         factory = PolicyFactory(cell.policy, **dict(cell.params))
         stats = try_simulate_trace(cell.trace, cell.config, factory, cell.seed)
-        if stats is None:
-            cache = Cache(cell.config, factory, rng=SeededRng(cell.seed))
-            access = cache.access
-            for address in cell.trace.addresses:
-                access(address)
-            stats = cache.stats.snapshot()
     return CellResult(policy=cell.policy, trace=cell.trace.name, stats=stats)
 
 
@@ -103,14 +97,11 @@ def _prewarm_automata(cells: Sequence[SimCell]) -> None:
     in-memory cache and spawned/later workers hit the warm disk cache —
     every unique automaton of a ``--jobs N`` grid is compiled at
     most once machine-wide (``kernel.compile.miss`` stays 0 in warm
-    runs).  Skipped when the kernel is disabled; a store that cannot
-    write degrades to fork-inherited memory warmth only.
+    runs).  A store that cannot write degrades to fork-inherited memory
+    warmth only.
     """
-    from repro import kernels
     from repro.kernels import store
 
-    if not kernels.kernel_enabled():
-        return
     entries = {(cell.policy, cell.params, cell.config.ways) for cell in cells}
     ordered = sorted(entries, key=lambda entry: (entry[0], repr(entry[1]), entry[2]))
     with obs_spans.span("prewarm"):

@@ -66,7 +66,7 @@ RETRIES = 1
 _COLLECT_INTERVAL = 0.1
 
 
-def _run_chunk(fn, indexed_tasks, spec):
+def _run_chunk(fn, indexed_tasks, store_dir):
     """Worker entry point: run one chunk of (index, task) pairs.
 
     Returns ``(rows, metrics_snapshot)``.  The chunk runs against a fresh
@@ -74,13 +74,12 @@ def _run_chunk(fn, indexed_tasks, spec):
     value for the parent to merge.
 
     Persistent workers outlive any parent-side context manager, so
-    ``spec`` (built by :meth:`ExperimentRunner._kernel_spec`) pins the
-    kernel and vector switches and the cache directory (and with it the
-    automaton store) for the duration of the chunk, and the pin is
-    undone after: a worker spawned during one test or experiment must
-    not leak its settings into the next.
+    ``store_dir`` (the parent's cache directory, and with it the
+    automaton store) is pinned for the duration of the chunk, and the
+    pin is undone after: a worker spawned during one test or experiment
+    must not leak its directory into the next.
     """
-    restore_kernel = _apply_kernel_spec(spec)
+    restore_store = _pin_store_dir(store_dir)
     local = obs_metrics.Metrics()
     previous_metrics = obs_metrics.DEFAULT
     obs_metrics.DEFAULT = local
@@ -92,40 +91,31 @@ def _run_chunk(fn, indexed_tasks, spec):
             rows.append((index, value, time.perf_counter() - start))
     finally:
         obs_metrics.DEFAULT = previous_metrics
-        restore_kernel()
+        restore_store()
     return rows, local.snapshot()
 
 
-def _apply_kernel_spec(spec: dict) -> Callable[[], None]:
-    """Pin this process's switches and cache directory to the parent's; undo.
+def _pin_store_dir(store_dir: str) -> Callable[[], None]:
+    """Pin this process's cache directory to the parent's; undo.
 
     A persistent worker may have been spawned under a different cache
-    directory (tests isolate per-test) or while the kernel was disabled
-    (reference benchmarks), so each chunk carries the parent's current
-    settings instead of trusting fork-time state.  The automaton store
-    lives in the cache directory, so pinning it makes every worker load
-    the artifacts the parent compiled instead of compiling its own.
+    directory (tests isolate per-test), so each chunk carries the
+    parent's current directory instead of trusting fork-time state.
+    The automaton store lives in the cache directory, so pinning it
+    makes every worker load the artifacts the parent compiled instead
+    of compiling its own.
     """
-    from repro import kernels
     from repro.kernels import store
 
-    previous = (
-        kernels.kernel_enabled(),
-        kernels.vector_enabled(),
-        str(store.cache_dir()),
-    )
-    kernels.set_kernel_enabled(spec["enabled"])
-    kernels.set_vector_enabled(spec["vector"])
-    if str(store.cache_dir()) != spec["store_dir"]:
+    previous = str(store.cache_dir())
+    if previous != store_dir:
         # set_cache_dir drops the persisted-artifact memo, so only
         # re-point when the directory actually changed.
-        store.set_cache_dir(spec["store_dir"])
+        store.set_cache_dir(store_dir)
 
     def restore() -> None:
-        kernels.set_kernel_enabled(previous[0])
-        kernels.set_vector_enabled(previous[1])
-        if str(store.cache_dir()) != previous[2]:
-            store.set_cache_dir(previous[2])
+        if str(store.cache_dir()) != previous:
+            store.set_cache_dir(previous)
 
     return restore
 
@@ -208,10 +198,10 @@ class ExperimentRunner:
             indexed = list(enumerate(tasks))
             results: dict[int, object] = {}
             metric_shards: dict[int, dict] = {}
-            spec = self._kernel_spec()
+            store_dir = self._store_dir()
             try:
                 unfinished = self._run_pooled(
-                    fn, indexed, results, spec, metric_shards
+                    fn, indexed, results, store_dir, metric_shards
                 )
             except Exception:
                 # The pool plane itself failed (cannot spawn processes,
@@ -235,20 +225,15 @@ class ExperimentRunner:
 
     # -- internals ---------------------------------------------------------
     @staticmethod
-    def _kernel_spec() -> dict:
-        """The parent's kernel and vector switches and cache directory.
+    def _store_dir() -> str:
+        """The parent's cache directory.
 
         Pickled with every chunk, because persistent workers outlive any
-        parent-side context (see :func:`_apply_kernel_spec`).
+        parent-side context (see :func:`_pin_store_dir`).
         """
-        from repro import kernels
         from repro.kernels import store
 
-        return {
-            "enabled": kernels.kernel_enabled(),
-            "vector": kernels.vector_enabled(),
-            "store_dir": str(store.cache_dir()),
-        }
+        return str(store.cache_dir())
 
     def _merge_metric_shards(self, metric_shards: dict[int, dict]) -> None:
         """Merge worker metric snapshots in deterministic cell order.
@@ -259,7 +244,7 @@ class ExperimentRunner:
         for first in sorted(metric_shards):
             obs_metrics.DEFAULT.merge(metric_shards[first])
 
-    def _run_pooled(self, fn, indexed, results, spec, metric_shards) -> list[list]:
+    def _run_pooled(self, fn, indexed, results, store_dir, metric_shards) -> list[list]:
         """Dispatch every (index, task) pair through the worker pool.
 
         Returns the chunks that exhausted their retries (or could not be
@@ -302,7 +287,7 @@ class ExperimentRunner:
                     else:
                         break
                     try:
-                        pool.submit(worker, _run_chunk, (fn, chunk, spec), chunk)
+                        pool.submit(worker, _run_chunk, (fn, chunk, store_dir), chunk)
                     except (OSError, EOFError):
                         # The worker died under us; restart it and let
                         # the chunk take a retry slot.

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
 
 from repro.cache import CacheConfig
+from repro.cache.set import CacheSet
 from repro.policies import available, get
 
 #: Registry names of deterministic policies usable at any associativity.
@@ -21,24 +20,6 @@ DETERMINISTIC_POW2_ONLY = ["plru"]
 
 #: Randomized policies (no state_key, need an rng).
 RANDOMIZED = ["random", "bip", "dip", "brrip", "drrip"]
-
-#: Settings of the vector engine's process-wide switch, named by the
-#: engine it selects for whole-trace lock-step.  Single-set batches run
-#: on the scalar kernel under both; tests parametrised over these pin it.
-VECTOR_SWITCH = ["scalar", "vector"]
-
-
-@contextmanager
-def vector_switch(setting: str):
-    """Run the body with the vector switch off (``"scalar"``) or on (``"vector"``)."""
-    from repro.kernels import vector
-
-    previous = vector.vector_enabled()
-    vector.set_vector_enabled(setting == "vector")
-    try:
-        yield
-    finally:
-        vector.set_vector_enabled(previous)
 
 
 @pytest.fixture(autouse=True)
@@ -75,3 +56,15 @@ def all_deterministic_policies(ways: int):
     if ways & (ways - 1) == 0:
         names += DETERMINISTIC_POW2_ONLY
     return [(name, get(name, ways)) for name in sorted(names)]
+
+
+def interpreted_misses(policy, setup, probe) -> int:
+    """Probe misses after ``setup`` on a fresh interpreted set.
+
+    The reference every compiled single-set engine must equal; pass a
+    freshly built ``policy``, which the set drives.
+    """
+    cache_set = CacheSet(policy.ways, policy)
+    for block in setup:
+        cache_set.access(block)
+    return sum(1 for block in probe if not cache_set.access(block).hit)

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.analysis import generic_analysis, mls_metric_policy
+from repro.analysis import generic, generic_analysis, mls_metric_policy
 from repro.analysis.generic import mls_metric_spec
 from repro.analysis import ALWAYS_HIT, analyze, check_soundness, simple_loop, straight_line
 from repro.cache import CacheConfig
 from repro.core.permutation import derive_spec_from_policy
 from repro.errors import ConfigurationError
-from repro.policies import PlruPolicy, get, lru_spec
+from repro.eval import predictability
+from repro.policies import LruPolicy, PlruPolicy, get, lru_spec
 
 CONFIG = CacheConfig("L1", 1024, 4)  # 4 sets, 4-way
 
@@ -75,6 +76,20 @@ class TestGenericAnalysis:
             program, CONFIG, result, policy=policy_name, paths=40
         )
         assert violations == []
+
+    def test_derives_the_spec_once(self, monkeypatch):
+        # The verified derivation replays 2,000 accesses; the must and
+        # the may bound share one.
+        calls = []
+
+        def counting(policy, *args, **kwargs):
+            calls.append(policy)
+            return derive_spec_from_policy(policy, *args, **kwargs)
+
+        monkeypatch.setattr(generic, "derive_spec_from_policy", counting)
+        monkeypatch.setattr(predictability, "derive_spec_from_policy", counting)
+        generic_analysis(self.loop_program(), CONFIG, LruPolicy(4))
+        assert len(calls) == 1
 
     def test_ways_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):

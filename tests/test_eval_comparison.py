@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import kernels
 from repro.eval import agreement_matrix
-from repro.kernels import kernel_disabled
 from repro.obs import metrics as obs_metrics
 from repro.policies import FifoPolicy, LruPolicy, PlruPolicy, get
 
@@ -61,11 +61,13 @@ class TestKernelReplay:
         return agreement_matrix(policies, accesses=3000, seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_the_interpreter(self, seed):
+    def test_matches_the_interpreter(self, seed, monkeypatch):
         obs_metrics.DEFAULT.reset()
         compiled = self._matrix(seed)
         # One engine call per deterministic policy; random interprets.
         assert obs_metrics.DEFAULT.counter("kernel.calls") == 3
-        with kernel_disabled():
-            interpreted = self._matrix(seed)
-        assert compiled == interpreted
+        # With no automaton offered, every replay interprets.
+        monkeypatch.setattr(kernels, "compiled_for", lambda policy: None)
+        obs_metrics.DEFAULT.reset()
+        assert self._matrix(seed) == compiled
+        assert obs_metrics.DEFAULT.counter("kernel.calls") == 0

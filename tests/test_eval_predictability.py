@@ -8,14 +8,13 @@ from repro.errors import ConfigurationError
 from repro.eval.predictability import (
     collapse_depth_policy,
     collapse_depth_spec,
-    evict_metric,
     evict_metric_policy,
     evict_metric_spec,
     full_set_states,
     predictability_of_policy,
     predictability_of_spec,
 )
-from repro.kernels import clear_compile_cache, store
+from repro.kernels import automaton, clear_compile_cache, compile_policy, store
 from repro.policies import (
     BitPlruPolicy,
     FifoPolicy,
@@ -116,17 +115,21 @@ class TestPolicyPathDispatch:
     def test_evict_metric_takes_the_spec_game_first(self):
         # LRU's way-space game at 8 ways exceeds the state budget; its
         # spec game answers.
-        assert evict_metric(get("lru", 8)) == 8
-        assert evict_metric(get("nru", 4)) == evict_metric_policy(get("nru", 4))
-        assert evict_metric(RandomPolicy(4)) is None
+        assert predictability_of_policy("lru", get("lru", 8)).row() == ["lru", 8, 8, 16, ""]
 
-    def test_policy_without_automaton_reads_budget_exceeded(self):
+    def test_policy_without_automaton_names_the_cause(self):
         class Unloadable(CountdownZero):
             def state_key(self):  # no load_state of its own: no automaton
                 return ("unloadable", self.countdown)
 
         result = predictability_of_policy("unloadable", Unloadable(4))
-        assert result.row() == ["unloadable", 4, "-", "-", "state budget exceeded"]
+        assert result.row() == ["unloadable", 4, "-", "-", "no automaton"]
+
+    def test_closure_past_its_budget_reads_budget_exceeded(self):
+        policy = NruPolicy(4)
+        automaton._INSTANCE_CACHE[policy] = compile_policy(policy, budget=3)
+        result = predictability_of_policy("nru", policy)
+        assert result.row() == ["nru", 4, "-", "-", "state budget exceeded"]
 
 
 class TestReachableStates:

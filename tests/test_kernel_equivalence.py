@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.cache import Cache, CacheConfig
 from repro.cache.set import CacheSet
 from repro.core import PermutationInference, SimulatedSetOracle
@@ -22,7 +23,6 @@ from repro.kernels import (
     compile_policy,
     count_misses_batch,
     count_misses_kernel,
-    kernel_disabled,
     sequence_hits_batch,
     sequence_hits_preloaded_batch,
     simulate_sequence,
@@ -30,9 +30,8 @@ from repro.kernels import (
     store,
     try_simulate_trace,
     vector,
-    vector_disabled,
 )
-from repro.kernels.engine import _simulate_trace_compiled
+from repro.kernels.engine import _simulate_trace_scalar
 from repro.obs import metrics as obs_metrics
 from repro.policies import (
     PermutationPolicy,
@@ -44,7 +43,7 @@ from repro.policies import (
 )
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
-from tests.conftest import RANDOMIZED, all_deterministic_policies
+from tests.conftest import RANDOMIZED, all_deterministic_policies, interpreted_misses
 
 WAYS = 4
 
@@ -100,13 +99,11 @@ def test_random_specs_bit_identical(spec, blocks):
 )
 @settings(max_examples=100, deadline=None)
 def test_miss_counts_match_oracle(name, setup, probe):
-    """Kernel miss counts equal the interpreted oracle's."""
+    """Kernel miss counts equal the interpreter's."""
     compiled = compile_policy(build(name))
-    with kernel_disabled():
-        oracle = SimulatedSetOracle(build(name))
-        assert count_misses_kernel(compiled, setup, probe) == oracle.count_misses(
-            setup, probe
-        )
+    assert count_misses_kernel(compiled, setup, probe) == interpreted_misses(
+        build(name), setup, probe
+    )
 
 
 def _random_trace(lines: int, length: int, seed: int) -> Trace:
@@ -158,13 +155,22 @@ def test_direct_mode_seed_sensitivity(name):
 @given(spec=random_specs())
 @settings(max_examples=10, deadline=None)
 def test_inference_identical_with_and_without_kernel(spec):
-    """The end-to-end inference result does not depend on the path taken."""
+    """The end-to-end inference result does not depend on the path taken.
+
+    The slow run finds no automaton, so the oracle measures and the
+    inference predicts on the interpreter, as they do when a spec's
+    automaton is refused or blows its budget.
+    """
     clear_compile_cache()
     fast = PermutationInference(SimulatedSetOracle(PermutationPolicy(WAYS, spec))).infer()
-    with kernel_disabled():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "compiled_for", lambda policy: None)
+        patch.setattr(kernels, "compiled_for_spec", lambda spec: None)
+        obs_metrics.DEFAULT.reset()
         slow = PermutationInference(
             SimulatedSetOracle(PermutationPolicy(WAYS, spec))
         ).infer()
+        assert obs_metrics.DEFAULT.counter("kernel.calls") == 0
     assert fast.succeeded == slow.succeeded
     assert fast.spec == slow.spec
     assert fast.measurements == slow.measurements
@@ -246,8 +252,7 @@ def test_closed_automaton_answers_like_the_interpreter(
     cache = Cache(config, factory)
     for address in trace:
         cache.access(address)
-    with vector_disabled():
-        assert _simulate_trace_compiled(trace, config, frozen) == cache.stats
+    assert _simulate_trace_scalar(trace, config, frozen) == cache.stats
     if vector.available():
         obs_metrics.DEFAULT.reset()
         assert vector.simulate_trace_lockstep(trace, config, frozen) == cache.stats

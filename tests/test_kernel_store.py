@@ -7,6 +7,7 @@ from array import array
 
 import pytest
 
+from repro import kernels
 from repro.cache import Cache
 from repro.cache.set import CacheSet
 from repro.core import SimulatedSetOracle
@@ -20,7 +21,6 @@ from repro.kernels import (
     compiled_for_spec,
     count_misses_batch,
     count_misses_kernel,
-    kernel_disabled,
     mark_factory_unsupported,
     mark_spec_unsupported,
     mark_unsupported,
@@ -29,9 +29,8 @@ from repro.kernels import (
     sequence_hits_preloaded,
     store,
     try_simulate_trace,
-    vector_disabled,
 )
-from repro.kernels.engine import _simulate_trace_compiled
+from repro.kernels.engine import _simulate_trace_scalar
 from repro.obs import metrics as obs_metrics
 from repro.policies import LruPolicy, get, lru_spec
 from repro.runner import ExperimentRunner, run_sim_cells
@@ -39,7 +38,7 @@ from repro.runner.cells import SimCell
 from repro.cache import CacheConfig
 from repro.workloads.trace import Trace
 
-from tests.conftest import all_deterministic_policies
+from tests.conftest import all_deterministic_policies, interpreted_misses
 
 
 @pytest.fixture(autouse=True)
@@ -278,18 +277,17 @@ class TestTablesReadInPlace:
         config = CacheConfig("t", 16 * ways * 64, ways)  # 16 sets
         lines = 16 * (ways + 4)
         trace = Trace("t", tuple(rng.randrange(lines) * 64 for _ in range(2000)))
-        with vector_disabled():
-            tracemalloc.start()
-            try:
-                answers = [count_misses_kernel(loaded, s, p) for s, p in queries]
-                stats = _simulate_trace_compiled(trace, config, loaded)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # A copy of lru@8's tables into lists takes more than 20 MiB.
-            assert peak < 1 << 20
-            assert answers == [count_misses_kernel(original, s, p) for s, p in queries]
-            assert stats == _simulate_trace_compiled(trace, config, original)
+        tracemalloc.start()
+        try:
+            answers = [count_misses_kernel(loaded, s, p) for s, p in queries]
+            stats = _simulate_trace_scalar(trace, config, loaded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A copy of lru@8's tables into lists takes more than 20 MiB.
+        assert peak < 1 << 20
+        assert answers == [count_misses_kernel(original, s, p) for s, p in queries]
+        assert stats == _simulate_trace_scalar(trace, config, original)
 
 
 class TestUnexpandedEntryInAnArtifact:
@@ -327,16 +325,13 @@ class TestUnexpandedEntryInAnArtifact:
         setup, probe = PROBE_QUERIES[1]
         misses = SimulatedSetOracle(policy).count_misses(setup, probe)
         self._assert_counted()
-        with kernel_disabled():
-            reference = SimulatedSetOracle(get("lru", WAYS))
-            assert reference.count_misses(setup, probe) == misses
+        assert interpreted_misses(get("lru", WAYS), setup, probe) == misses
         assert compiled_for(policy) is None  # not offered again
 
     def test_scalar_trace_falls_back_to_direct_mode(self):
         self._plant()
         trace = Trace("t", tuple((i * 7 % 40) * 64 for i in range(200)))
-        with vector_disabled():
-            stats = try_simulate_trace(trace, self.CONFIG, "lru")
+        stats = try_simulate_trace(trace, self.CONFIG, "lru")
         self._assert_counted()
         assert _counters()["kernel.calls.direct"] == 1
         cache = Cache(self.CONFIG, "lru")
@@ -373,11 +368,10 @@ class TestStoreConsultation:
 
     def test_loaded_automaton_measures_identically(self):
         policy = get("srrip", WAYS)
-        with kernel_disabled():
-            reference = SimulatedSetOracle(get("srrip", WAYS))
-            expected = [
-                reference.count_misses(setup, probe) for setup, probe in PROBE_QUERIES
-            ]
+        expected = [
+            interpreted_misses(get("srrip", WAYS), setup, probe)
+            for setup, probe in PROBE_QUERIES
+        ]
         store.save(
             store.factory_key("srrip", (), WAYS),
             compiled_for_factory("srrip", (), WAYS),
@@ -477,11 +471,10 @@ class TestBatchEngines:
             count_misses_kernel(compiled, setup, probe)
             for setup, probe in PROBE_QUERIES
         ]
-        with kernel_disabled():
-            oracle = SimulatedSetOracle(get(name, WAYS))
-            assert batch == [
-                oracle.count_misses(setup, probe) for setup, probe in PROBE_QUERIES
-            ]
+        assert batch == [
+            interpreted_misses(get(name, WAYS), setup, probe)
+            for setup, probe in PROBE_QUERIES
+        ]
 
     @pytest.mark.parametrize(
         "name", [name for name, _ in all_deterministic_policies(WAYS)]
@@ -543,14 +536,13 @@ class TestBatchEngines:
         assert batched.cache_misses == serial.cache_misses
         assert batched.accesses == serial.accesses
 
-    def test_distinguish_responses_matches_per_probe(self):
+    def test_distinguish_responses_matches_per_probe(self, monkeypatch):
         policy = get("plru", 4)
         probes = [probe for _, probe in PROBE_QUERIES]
-        assert responses(policy, probes) == [response(policy, probe) for probe in probes]
-        with kernel_disabled():
-            assert responses(policy, probes) == [
-                response(policy, probe) for probe in probes
-            ]
+        batched = responses(policy, probes)
+        assert batched == [response(policy, probe) for probe in probes]
+        monkeypatch.setattr(kernels, "compiled_for", lambda policy: None)
+        assert responses(policy, probes) == batched  # every probe interpreted
 
 
 class TestRunnerPrewarm:

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.cache import Cache, CacheConfig
 from repro.cache.set import CacheSet
 from repro.core.oracle import CachingOracle, SimulatedSetOracle
@@ -33,7 +34,6 @@ from repro.kernels import (
     compiled_for,
     count_misses_batch,
     count_misses_kernel,
-    kernel_disabled,
     sequence_hits,
     sequence_hits_batch,
     sequence_hits_preloaded,
@@ -41,13 +41,12 @@ from repro.kernels import (
     store,
     try_simulate_trace,
     vector,
-    vector_disabled,
 )
 from repro.obs import metrics as obs_metrics
 from repro.policies import LruPolicy, PolicyFactory, get
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
-from tests.conftest import VECTOR_SWITCH, all_deterministic_policies, vector_switch
+from tests.conftest import all_deterministic_policies, interpreted_misses
 
 WAYS = 4
 
@@ -99,12 +98,9 @@ def test_batch_outcomes_bit_identical(name, queries):
 @settings(max_examples=60, deadline=None)
 def test_batch_miss_counts_match_interpreter(name, queries):
     compiled = compile_policy(build(name))
-    counts = count_misses_batch(compiled, queries)
-    with kernel_disabled():
-        oracle = SimulatedSetOracle(build(name))
-        assert counts == [
-            oracle.count_misses(setup, probe) for setup, probe in queries
-        ]
+    assert count_misses_batch(compiled, queries) == [
+        interpreted_misses(build(name), setup, probe) for setup, probe in queries
+    ]
 
 
 def test_batch_edge_shapes():
@@ -207,15 +203,6 @@ def test_trace_routing_engages_vector(tiny_lanes):
     assert counters["kernel.hits"] == stats.hits
     assert counters["kernel.misses"] == stats.misses
     assert counters["kernel.accesses"] == counters["kernel.hits"] + counters["kernel.misses"]
-
-
-@numpy_only
-def test_trace_lockstep_respects_disable():
-    config = CacheConfig("t", 4 * 1024, 4)
-    trace = _random_trace(lines=64, length=400, seed=5)
-    compiled = compile_policy(LruPolicy(4))
-    with vector_disabled():
-        assert vector.simulate_trace_lockstep(trace, config, compiled) is None
 
 
 def _planted(compiled, table):
@@ -381,19 +368,17 @@ def _skewed_trace(config):
 @numpy_only
 @pytest.mark.parametrize("name", ["random", "dip"])
 @pytest.mark.parametrize("route", ["disabled", "few-sets", "refused"])
-def test_randomized_routing_falls_back_to_direct(name, route):
+def test_randomized_routing_falls_back_to_direct(name, route, monkeypatch):
     config = _randomized_config(8)
     trace = _random_trace(lines=3 * LOCKSTEP_SETS * 8, length=3000, seed=1)
-    if route == "few-sets":
+    if route == "disabled":
+        monkeypatch.setattr(vector, "_np", None)  # lock-step needs numpy
+    elif route == "few-sets":
         config = CacheConfig("t", (vector.MIN_TRACE_LANES // 2) * 8 * 64, 8)
-    elif route == "refused":
+    else:
         trace = _skewed_trace(config)
     obs_metrics.DEFAULT.reset()
-    if route == "disabled":
-        with vector_disabled():
-            stats = try_simulate_trace(trace, config, name, 1)
-    else:
-        stats = try_simulate_trace(trace, config, name, 1)
+    stats = try_simulate_trace(trace, config, name, 1)
     counters = _counters()
     assert stats == _interpreted(trace, config, name, 1).stats
     assert counters["kernel.calls.direct"] == 1
@@ -414,13 +399,15 @@ def _counters():
     return obs_metrics.DEFAULT.snapshot()["counters"]
 
 
-@pytest.mark.parametrize("switch", VECTOR_SWITCH)
-def test_batch_counters_reconcile_with_per_query(switch, tiny_lanes):
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_batch_counters_reconcile_with_per_query(engine, tiny_lanes, monkeypatch):
     """accesses = hits + misses per mode; batch == per-query modulo reuse.
 
-    The batch runs on the scalar kernel even with the vector switch on
-    and its lane gate open.
+    The batch runs on the scalar kernel whether numpy is shadowed
+    (``"scalar"``) or present with the lane gate open (``"vector"``).
     """
+    if engine == "scalar":
+        monkeypatch.setattr(vector, "_np", None)
     compiled = compile_policy(LruPolicy(WAYS))
 
     obs_metrics.DEFAULT.reset()
@@ -430,8 +417,7 @@ def test_batch_counters_reconcile_with_per_query(switch, tiny_lanes):
     assert "kernel.setup_reused" not in single
 
     obs_metrics.DEFAULT.reset()
-    with vector_switch(switch):
-        batched = count_misses_batch(compiled, QUERIES)
+    batched = count_misses_batch(compiled, QUERIES)
     batch = _counters()
     assert batched == per_query
     assert not any(key.startswith("kernel.vector.") for key in batch)
@@ -444,27 +430,26 @@ def test_batch_counters_reconcile_with_per_query(switch, tiny_lanes):
     # Reconcile hits too: each reused setup would have replayed the same
     # hit pattern, so the skipped hits are per-setup hits times reuses.
     skipped_hits = 0
-    with kernel_disabled():
-        for setup, reuses in ((tuple(range(WAYS)), 4), ((7, 8), 2), ((), 0)):
-            cache_set = CacheSet(WAYS, LruPolicy(WAYS))
-            setup_hits = sum(1 for b in setup if cache_set.access(b).hit)
-            skipped_hits += setup_hits * reuses
+    for setup, reuses in ((tuple(range(WAYS)), 4), ((7, 8), 2), ((), 0)):
+        cache_set = CacheSet(WAYS, LruPolicy(WAYS))
+        setup_hits = sum(1 for b in setup if cache_set.access(b).hit)
+        skipped_hits += setup_hits * reuses
     assert batch["kernel.hits"] + skipped_hits == single["kernel.hits"]
 
 
-def test_oracle_batch_costs_identical_across_engines():
+def test_oracle_batch_costs_identical_across_engines(monkeypatch):
     """query(): oracle cost accounting is engine-invariant."""
     results = {}
     for mode in ("kernel", "interpreter"):
-        clear_compile_cache()
-        oracle = SimulatedSetOracle(LruPolicy(WAYS))
         if mode == "interpreter":
-            with kernel_disabled():
-                counts = oracle.query(QUERIES)
-        else:
-            counts = oracle.query(QUERIES)
+            monkeypatch.setattr(kernels, "compiled_for", lambda policy: None)
+        oracle = SimulatedSetOracle(LruPolicy(WAYS))
+        counts = oracle.query(QUERIES)
         results[mode] = (counts, oracle.measurements, oracle.accesses)
     assert results["kernel"] == results["interpreter"]
+    assert results["kernel"][0] == [
+        interpreted_misses(LruPolicy(WAYS), setup, probe) for setup, probe in QUERIES
+    ]
 
 
 # -- CachingOracle memo keys -------------------------------------------------
@@ -662,7 +647,6 @@ class TestNoNumpyFallback:
     def test_everything_returns_none(self):
         compiled = compile_policy(LruPolicy(WAYS))
         assert not vector.available()
-        assert not vector.vector_allowed()
         config = CacheConfig("t", 4 * 1024, 4)
         trace = _random_trace(lines=16, length=100, seed=1)
         assert vector.simulate_trace_lockstep(trace, config, compiled) is None
@@ -690,29 +674,3 @@ class TestNoNumpyFallback:
         assert loaded.vector_tables is None  # no numpy views attached
         assert list(loaded.hit_next) == original.hit_next
 
-
-# -- switches ----------------------------------------------------------------
-
-def test_vector_enable_disable_switch():
-    from repro.kernels import set_vector_enabled, vector_enabled
-
-    assert vector_enabled()
-    set_vector_enabled(False)
-    try:
-        assert not vector_enabled()
-        assert not vector.vector_allowed()
-    finally:
-        set_vector_enabled(True)
-    with vector_disabled():
-        assert not vector_enabled()
-    assert vector_enabled()
-
-
-def test_cli_vector_flag_parses():
-    from repro.cli import build_parser
-
-    parser = build_parser()
-    args = parser.parse_args(["evaluate", "--policies", "lru"])
-    assert args.vector is True
-    args = parser.parse_args(["evaluate", "--policies", "lru", "--no-vector"])
-    assert args.vector is False

@@ -19,13 +19,10 @@ from repro.kernels import (
     compiled_for_spec,
     count_misses_kernel,
     count_misses_preloaded,
-    kernel_disabled,
-    kernel_enabled,
     mark_factory_unsupported,
     mark_spec_unsupported,
     mark_unsupported,
     sequence_hits,
-    set_kernel_enabled,
     simulate_sequence,
     try_simulate_trace,
 )
@@ -41,7 +38,7 @@ from repro.policies import (
 )
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
-from tests.conftest import all_deterministic_policies
+from tests.conftest import all_deterministic_policies, interpreted_misses
 
 
 @pytest.fixture(autouse=True)
@@ -265,8 +262,9 @@ def test_policy_without_own_load_state_runs_on_interpreter(policy_class):
         ([], [0, 1, 2, 3, 4, 0, 1, 5, 2, 6]),
     ]
     answers = SimulatedSetOracle(policy_class(4)).query(requests)
-    with kernel_disabled():
-        assert SimulatedSetOracle(policy_class(4)).query(requests) == answers
+    assert answers == [
+        interpreted_misses(policy_class(4), setup, probe) for setup, probe in requests
+    ]
 
 
 class TestCompileCaches:
@@ -314,13 +312,9 @@ class TestCompileCaches:
 class TestSingleSetEngine:
     def test_count_misses_matches_oracle(self):
         compiled = compile_policy(LruPolicy(2))
-        with kernel_disabled():
-            oracle = SimulatedSetOracle(LruPolicy(2))
-            assert count_misses_kernel(compiled, [], [1, 2, 1]) == oracle.count_misses(
-                [], [1, 2, 1]
-            )
-            assert count_misses_kernel(compiled, [1, 2], [3, 1]) == oracle.count_misses(
-                [1, 2], [3, 1]
+        for setup, probe in (([], [1, 2, 1]), ([1, 2], [3, 1])):
+            assert count_misses_kernel(compiled, setup, probe) == interpreted_misses(
+                LruPolicy(2), setup, probe
             )
 
     def test_sequence_hits_detail(self):
@@ -362,21 +356,6 @@ class TestRouting:
     def _trace(self):
         return Trace("t", tuple((i % 96) * 64 for i in range(300)))
 
-    def test_enable_disable_switch(self):
-        assert kernel_enabled()
-        set_kernel_enabled(False)
-        try:
-            assert not kernel_enabled()
-        finally:
-            set_kernel_enabled(True)
-        with kernel_disabled():
-            assert not kernel_enabled()
-        assert kernel_enabled()
-
-    def test_try_simulate_trace_respects_disable(self):
-        with kernel_disabled():
-            assert try_simulate_trace(self._trace(), self.CONFIG, "lru") is None
-
     def test_try_simulate_trace_matches_interpreter(self):
         trace = self._trace()
         stats = try_simulate_trace(trace, self.CONFIG, "lru")
@@ -402,10 +381,8 @@ class TestRouting:
         probe = [5, 0, 6, 1, 2, 7]
         fast = SimulatedSetOracle(get("plru", 4))
         fast_count = fast.count_misses(setup, probe)
-        with kernel_disabled():
-            slow = SimulatedSetOracle(get("plru", 4))
-            assert slow.count_misses(setup, probe) == fast_count
-        # Cost metrics are identical in both paths.
+        assert interpreted_misses(get("plru", 4), setup, probe) == fast_count
+        # Cost metrics count the one measurement, as the interpreter's would.
         assert fast.measurements == 1
         assert fast.accesses == len(setup) + len(probe)
 
@@ -447,9 +424,7 @@ class TestKernelCounters:
         misses = SimulatedSetOracle(policy).count_misses(setup, probe)
         counters = obs_metrics.DEFAULT.snapshot()["counters"]
         assert counters["kernel.budget_fallbacks"] == 1
-        with kernel_disabled():
-            reference = SimulatedSetOracle(get("plru", 4))
-            assert reference.count_misses(setup, probe) == misses
+        assert interpreted_misses(get("plru", 4), setup, probe) == misses
         # The blown automaton is not offered again.
         assert compiled_for(policy) is None
 
@@ -478,15 +453,3 @@ class TestKernelCounters:
         counters = obs_metrics.DEFAULT.snapshot()["counters"]
         assert "kernel.budget_fallbacks" not in counters
 
-
-class TestCliFlag:
-    def test_kernel_flags_parse(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        assert parser.parse_args(["evaluate", "--policies", "lru"]).kernel is True
-        args = parser.parse_args(["evaluate", "--policies", "lru", "--no-kernel"])
-        assert args.kernel is False
-        infer = ["infer", "--processor", "ivybridge-like"]
-        assert parser.parse_args(infer + ["--kernel"]).kernel is True
-        assert parser.parse_args(infer + ["--no-kernel"]).kernel is False

@@ -108,7 +108,6 @@ class TestBuild:
             wall_seconds=0.5,
             seed=3,
             jobs=0,
-            kernel=True,
             metrics={
                 "counters": {"oracle.measurements": 1},
                 "observations": {"span.seconds.cell": {"count": 1}},
@@ -117,6 +116,7 @@ class TestBuild:
         )
         assert ledger.counters == {"oracle.measurements": 1}
         assert ledger.observations == {"span.seconds.cell": {"count": 1}}
+        assert ledger.kernel is None
         # data is stored as JSON would read it back.
         assert ledger.data["rows"] == [[1, 2]]
         assert isinstance(ledger.data["when"], str)

@@ -21,7 +21,6 @@ from repro.workloads import (
     sequential_scan,
     workload_suite,
 )
-from tests.conftest import vector_switch
 
 _PARENT_PID = os.getpid()
 
@@ -181,10 +180,9 @@ class TestTraceMajorOrder:
         monkeypatch.setattr(vector, "_build_trace_layout", counting_build)
         monkeypatch.setattr(vector, "_TRACE_LAYOUT", None)
         traces, cells = self._grid()
-        with vector_switch("vector"):
-            obs_metrics.DEFAULT.reset()
-            run_sim_cells(cells)
-            assert obs_metrics.DEFAULT.counter("kernel.vector.calls") == len(cells)
+        obs_metrics.DEFAULT.reset()
+        run_sim_cells(cells)
+        assert obs_metrics.DEFAULT.counter("kernel.vector.calls") == len(cells)
         assert built == [trace.name for trace in traces]
 
 
