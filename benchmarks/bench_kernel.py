@@ -19,12 +19,13 @@ deliberately loose bar (>= 1.5x) so runner noise cannot fail the build.
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 from repro.cache import Cache, CacheConfig
 from repro.eval import miss_ratio_matrix
 from repro.eval.missratio import MissRatioCell, MissRatioMatrix
 from repro.kernels import clear_compile_cache, compiled_for_factory
-from repro.kernels import store
+from repro.kernels import automaton, store
 from repro.util.rng import SeededRng
 from repro.util.tables import format_table
 from repro.workloads import workload_suite
@@ -49,11 +50,17 @@ def _warm_store(policies) -> float:
 
 
 def _interpreted_grid(policies, traces):
-    """The grid as one interpreted :class:`Cache` replay per cell."""
+    """The grid as one interpreted :class:`Cache` replay per cell.
+
+    Each cache is built with its level automaton refused, so its sets
+    hold policy objects rather than state ids of an automaton.
+    """
     cells = []
     for name in policies:
         for trace in traces:
-            cache = Cache(CONFIG, name, rng=SeededRng(0))
+            with mock.patch.object(automaton, "compiled_for_level", return_value=None):
+                cache = Cache(CONFIG, name, rng=SeededRng(0))
+            assert cache.automaton is None
             access = cache.access
             for address in trace.addresses:
                 access(address)

@@ -28,10 +28,25 @@ class Cache:
 
     Addresses are byte addresses; all accesses within one line are the
     same cache line.  The replacement policy is specified by name or
-    :class:`~repro.policies.PolicyFactory` and instantiated per set, with
-    a cache-global shared context for set-dueling policies.
+    :class:`~repro.policies.PolicyFactory`, and a cache-global shared
+    context (a duel's PSEL) is created for it.  A deterministic policy
+    that compiles runs on an automaton: every set holds an
+    :class:`~repro.kernels.automaton.AutomatonPolicy`, whose state is one
+    id into :attr:`automaton`.  Any other policy (DIP, random) is built
+    once per set by :meth:`~repro.policies.PolicyFactory.build_cache`.
+    Either way the shared context draws from ``rng.fork("shared")``, so
+    no stream depends on which way a cache went.
 
     Attributes:
+        automaton: the :class:`~repro.kernels.automaton.CompiledPolicy`
+            every set's policy indexes, or None when the sets hold policy
+            objects.  Shared with every other cache of the same policy
+            and associativity in the process
+            (:func:`~repro.kernels.automaton.compiled_for_level`) and
+            expanded lazily as their sets reach new states: not the
+            store's closed automaton, which has no transition for a fill
+            into the hole a back-invalidation leaves.  The hierarchy walk
+            reads its tables.
         sets: the :class:`~repro.cache.set.CacheSet` of each set index.
             Read-only from outside this class and the hierarchy walk:
             the cache records which sets are filled so that :meth:`flush`
@@ -44,10 +59,10 @@ class Cache:
             fill makes a set leave its reset state (hits and
             invalidations need a resident line), so every other set is
             still in it.  The hierarchy walk, which fills ``sets[i]``
-            through :meth:`CacheSet.fill_way`, adds ``i`` here itself.
-            One set object for the cache's life: :meth:`flush` and
-            :meth:`restore` change it in place, because the walk holds it
-            (and ``sets`` and ``stats``) from the hierarchy's construction.
+            itself, adds ``i`` here itself.  One set object for the
+            cache's life: :meth:`flush` and :meth:`restore` change it in
+            place, because the walk holds it (and ``sets`` and ``stats``)
+            from the hierarchy's construction.
     """
 
     def __init__(
@@ -64,9 +79,20 @@ class Cache:
             policy = PolicyFactory(policy)
         self.policy_factory = policy
         self._rng = rng if rng is not None else SeededRng(0)
-        self.shared, policies = policy.build_cache(
-            config.num_sets, config.ways, self._rng
-        )
+        # Imported here: repro.kernels imports this package.
+        from repro.kernels import automaton
+
+        self.automaton = automaton.compiled_for_level(policy, config.ways)
+        if self.automaton is None:
+            self.shared, policies = policy.build_cache(
+                config.num_sets, config.ways, self._rng
+            )
+        else:
+            self.shared = policy.create_shared(config.num_sets, self._rng.fork("shared"))
+            policies = [
+                automaton.AutomatonPolicy(self.automaton)
+                for _ in range(config.num_sets)
+            ]
         self.sets = [CacheSet(config.ways, set_policy) for set_policy in policies]
         self.filled: set[int] = set()
         self.stats = CacheStats()
@@ -161,7 +187,9 @@ class Cache:
 
         Installs clones of the recorded sets and advances the statistics
         by the recorded deltas: the cache ends up as if it had replayed
-        the accesses, and the checkpoint stays reusable.
+        the accesses, and the checkpoint stays reusable.  The checkpoint
+        must come from a cache of this one's configuration and policy:
+        its sets' state ids index :attr:`automaton`.
         """
         if self.filled:
             raise SimulationError(

@@ -24,7 +24,14 @@ each level above the one that hit, and a victim simply leaves its level
 :meth:`CacheHierarchy.access_all` walks a whole sequence of loads in
 one call, reading each level's address split, sets and statistics from a
 table built at construction; :meth:`CacheHierarchy.access` is its
-one-address case, so there is one walk.
+one-address case, so there is one walk.  The walk reads each set's tag
+map itself.  A level whose policy is deterministic runs on its automaton
+(:attr:`Cache.automaton <repro.cache.cache.Cache.automaton>`): there the
+walk advances each set's state id by table lookups and calls the set's
+:class:`~repro.kernels.automaton.AutomatonPolicy` only on an unexpanded
+``-1``.  A DIP or random level keeps one policy object per set, which
+the walk touches and fills through.  The branch follows the level's
+policy; there is no switch.
 """
 
 from __future__ import annotations
@@ -83,13 +90,24 @@ class CacheHierarchy:
         )
         # What the walk reads of each level, built once: a cache changes
         # its sets, stats and filled record in place and never rebinds
-        # them.  The lookup step of each level, L1 first:
+        # them, and an automaton grows its tables in place.  A level of
+        # policy objects has no tables (None).  The lookup step of each
+        # level, L1 first: (locate, sets, stats, ways, hit table);
+        automata = [cache.automaton for cache in self.levels]
         self._lookups = tuple(
-            (cache.locate, cache.sets, cache.stats) for cache in self.levels
+            (
+                cache.locate,
+                cache.sets,
+                cache.stats,
+                cache.config.ways,
+                None if automaton is None else automaton.hit_next,
+            )
+            for cache, automaton in zip(self.levels, automata)
         )
         # and, for a hit at level index h (len(levels) for memory), the
         # fill step of each level above h, lowest first: (index, sets,
-        # stats, filled, compose, inclusive).
+        # stats, filled, compose, inclusive, ways, (fill, miss victim,
+        # miss next) tables).
         fill_steps = [
             (
                 index,
@@ -98,8 +116,12 @@ class CacheHierarchy:
                 cache.filled,
                 cache.codec.compose,
                 cache.config.inclusion == "inclusive",
+                cache.config.ways,
+                None
+                if automaton is None
+                else (automaton.fill_next, automaton.miss_victim, automaton.miss_next),
             )
-            for index, cache in enumerate(self.levels)
+            for index, (cache, automaton) in enumerate(zip(self.levels, automata))
         ]
         self._fills = [
             tuple(reversed(fill_steps[:hit])) for hit in range(len(self.levels) + 1)
@@ -148,9 +170,10 @@ class CacheHierarchy:
         exactly like a load, but no demand counter changes — hardware
         ``MEM_LOAD_RETIRED``-style events count retired demand loads only.
 
-        The walk touches and fills each level's sets directly and keeps
-        the level's statistics and filled-set record itself.  Returns the
-        last access's result (None for an empty sequence).
+        The walk touches and fills each level's sets directly (on an
+        automaton level, by its tables) and keeps the level's statistics
+        and filled-set record itself.  Returns the last access's result
+        (None for an empty sequence).
         """
         lookups = self._lookups
         fills = self._fills
@@ -161,9 +184,20 @@ class CacheHierarchy:
         index = -1
         for address in addresses:
             index = 0
-            for locate, sets, stats in lookups:
+            for locate, sets, stats, ways, hit_next in lookups:
                 set_index, tag = place = locate(address)
-                if sets[set_index].touch_tag(tag) is not None:
+                cache_set = sets[set_index]
+                way = cache_set._way_of.get(tag)
+                if way is not None:
+                    policy = cache_set.policy
+                    if hit_next is None:
+                        policy.touch(way)
+                    else:
+                        state = hit_next[policy.state * ways + way]
+                        if state < 0:
+                            policy.touch(way)
+                        else:
+                            policy.state = state
                     if demand:
                         stats.accesses += 1
                         stats.hits += 1
@@ -179,9 +213,38 @@ class CacheHierarchy:
             # Fill the levels above the hit, lowest first.  None of them
             # gained the line since the walk missed it there: fills only
             # add the line being loaded, and back-invalidations only remove.
-            for upper, sets, stats, filled, compose, inclusive in fills[index]:
+            steps = fills[index]
+            for upper, sets, stats, filled, compose, inclusive, ways, tables in steps:
                 set_index, tag = located[upper]
-                _, evicted_tag = sets[set_index].fill_way(tag)
+                cache_set = sets[set_index]
+                if tables is None:
+                    _, evicted_tag = cache_set.fill_way(tag)
+                else:
+                    # CacheSet.fill_way on the automaton's tables.
+                    fill_next, miss_victim, miss_next = tables
+                    tags = cache_set._tags
+                    way_of = cache_set._way_of
+                    policy = cache_set.policy
+                    state = policy.state
+                    if len(way_of) == ways:
+                        way = miss_victim[state]
+                        if way < 0:
+                            way = policy.evict()
+                            policy.fill(way)
+                        else:
+                            policy.state = miss_next[state]
+                        evicted_tag = tags[way]
+                        del way_of[evicted_tag]
+                    else:
+                        evicted_tag = None
+                        way = tags.index(None)
+                        state = fill_next[state * ways + way]
+                        if state < 0:
+                            policy.fill(way)
+                        else:
+                            policy.state = state
+                    tags[way] = tag
+                    way_of[tag] = way
                 filled.add(set_index)
                 if demand:
                     stats.fills += 1

@@ -23,6 +23,11 @@ class CacheSet:
     Invalid ways are filled first, in ascending way order, matching the
     behaviour of the Intel caches the paper probes (and the assumption the
     inference algorithms rely on when they warm a set up from cold).
+
+    The hierarchy walk (:meth:`repro.cache.hierarchy.CacheHierarchy.access_all`)
+    reads ``_way_of`` and, on a level run by an automaton, updates
+    ``_tags``, ``_way_of`` and the policy's state id itself, by the same
+    rules as :meth:`access` and :meth:`fill_way`.
     """
 
     def __init__(self, ways: int, policy: ReplacementPolicy) -> None:
@@ -54,19 +59,6 @@ class CacheSet:
         return len(self._way_of) == self.ways
 
     # -- state-changing operations ----------------------------------------
-    def touch_tag(self, tag: int) -> int | None:
-        """Touch ``tag`` if resident (hit path only); return its way.
-
-        Unlike :meth:`access` this never fills, which is what a hierarchy
-        walk needs: lower levels are only filled along the chosen fill
-        path, not implicitly by the lookup.
-        """
-        way = self._way_of.get(tag)
-        if way is None:
-            return None
-        self.policy.touch(way)
-        return way
-
     def access(self, tag: int) -> SetAccessResult:
         """Perform one access; fill on miss; return what happened."""
         way = self.lookup(tag)
@@ -84,8 +76,8 @@ class CacheSet:
         """:meth:`fill` without the result object.
 
         Returns ``(way, evicted tag or None)``; the hierarchy walk fills
-        through here.  A set with an invalid way fills the lowest one;
-        only a full set asks the policy for a victim.
+        a set of policy objects through here.  A set with an invalid way
+        fills the lowest one; only a full set asks the policy for a victim.
         """
         way_of = self._way_of
         if tag in way_of:

@@ -17,7 +17,13 @@ One engine per simulation shape:
   (:mod:`repro.kernels.vector`) when numpy is installed, and on the
   scalar trace loop otherwise; ``random`` and ``dip``, which have no
   automaton, step lock-step there too, and run in direct mode
-  otherwise.
+  otherwise;
+* the simulated hardware's cache levels run their sets on
+  :class:`~repro.kernels.automaton.AutomatonPolicy` state ids of one
+  lazily grown automaton per policy and associativity in the process,
+  which the hierarchy walk
+  (:meth:`repro.cache.hierarchy.CacheHierarchy.access_all`) steps by
+  table lookups; ``dip`` and ``random`` levels keep policy objects.
 
 Routing rules (enforced by the callers in :mod:`repro.core.oracle`,
 :mod:`repro.core.inference`, :mod:`repro.core.distinguish`,
@@ -32,7 +38,8 @@ Routing rules (enforced by the callers in :mod:`repro.core.oracle`,
   "direct mode", which drives the real policy objects through an
   inlined loop, still bit-identical);
 * a policy whose reachable state space exceeds the compile budget falls
-  back the same way, even if that is only discovered mid-run; each
+  back the same way, even if that is only discovered mid-run (a cache
+  set goes on with a real policy loaded from its state key); each
   such mid-run blow counts ``kernel.budget_fallbacks``, and a frozen
   store artifact that meets an unexpanded entry mid-run counts
   ``kernel.store.errors`` instead.

@@ -33,6 +33,12 @@ state, or ones without ``load_state`` — raise
 :class:`~repro.errors.KernelUnsupported`, as does blowing the ``budget``
 on reachable states; callers fall back to the interpreted simulator,
 which the kernel is bit-identical to by construction.
+
+:class:`AutomatonPolicy` puts one set of a simulated cache level on an
+automaton: a :class:`~repro.policies.ReplacementPolicy` whose whole
+state is one id, so :class:`~repro.cache.set.CacheSet` stays the one set
+representation.  The levels of one policy and associativity share one
+lazily grown automaton per process (:func:`compiled_for_level`).
 """
 
 from __future__ import annotations
@@ -49,10 +55,12 @@ from repro.policies import (
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "AutomatonPolicy",
     "CompiledPolicy",
     "compile_policy",
     "compiled_for",
     "compiled_for_factory",
+    "compiled_for_level",
     "compiled_for_spec",
     "mark_unsupported",
     "mark_factory_unsupported",
@@ -106,6 +114,7 @@ class CompiledPolicy:
         "_keys",
         "_scratch",
         "_num_states",
+        "_trap",
         "vector_tables",
     )
 
@@ -136,6 +145,7 @@ class CompiledPolicy:
         self._keys: list = [key]
         self._scratch: ReplacementPolicy | None = scratch
         self._num_states = 1
+        self._trap = -1  # see trap()
         ways = self.ways
         self.hit_next: list[int] = [-1] * ways
         self.fill_next: list[int] = [-1] * ways
@@ -201,6 +211,7 @@ class CompiledPolicy:
         compiled._keys = []
         compiled._scratch = None
         compiled._num_states = num_states
+        compiled._trap = -1
         compiled.vector_tables = None
         compiled.hit_next = buffers["hit_next"]
         compiled.fill_next = buffers["fill_next"]
@@ -217,8 +228,13 @@ class CompiledPolicy:
                 f"policy {type(self._scratch).__name__} exceeds the kernel "
                 f"state budget of {self.budget} reachable states"
             )
-        sid = self._num_states
+        sid = self._add_row(key)
         self._ids[key] = sid
+        return sid
+
+    def _add_row(self, key) -> int:
+        """Append a row of ``-1`` entries for ``key``; return its id."""
+        sid = self._num_states
         self._keys.append(key)
         self._num_states += 1
         ways = self.ways
@@ -227,6 +243,20 @@ class CompiledPolicy:
         self.miss_victim.append(-1)
         self.miss_next.append(-1)
         return sid
+
+    def trap(self) -> int:
+        """The id of a row whose entries stay ``-1`` for good.
+
+        Added on first use after the states interned so far (it counts
+        in :attr:`num_states`), without a key, so no transition ever
+        enters it and none is ever expanded from it: every table read at
+        this id finds ``-1``.
+        :class:`AutomatonPolicy` parks a set here once it runs on a real
+        policy.
+        """
+        if self._trap < 0:
+            self._trap = self._add_row(None)
+        return self._trap
 
     def _load(self, state: int) -> ReplacementPolicy:
         """The scratch policy, put into ``state``."""
@@ -397,6 +427,129 @@ def compile_policy(
     return CompiledPolicy(prototype, budget=budget)
 
 
+class AutomatonPolicy(ReplacementPolicy):
+    """One set's replacement state as a state id of a shared automaton.
+
+    Every set of a simulated cache level whose policy compiles holds one
+    of these over the level's :class:`CompiledPolicy`
+    (:func:`compiled_for_level`), and ``state`` is the set's whole
+    replacement state.  Each event reads the automaton's
+    tables and expands a ``-1`` through its scratch policy, so the set
+    behaves exactly as the policy the automaton was compiled from;
+    :meth:`state_key` answers that policy's key.  The hierarchy walk
+    reads the tables itself and calls these methods only on a ``-1``.
+
+    A full-set miss is :meth:`evict` then :meth:`fill` of the victim, as
+    :class:`~repro.cache.set.CacheSet` issues it: the automaton's miss
+    transition covers both, so :meth:`evict` only answers the victim and
+    the fill of that victim takes the transition.
+
+    If an expansion blows the automaton's state budget, the set goes on
+    with a real policy loaded from its state key, counted as
+    ``kernel.budget_fallbacks``.  Its id parks on
+    :meth:`CompiledPolicy.trap`, so every later event reaches these
+    methods, which pass it to that policy; :meth:`reset` returns the set
+    to the automaton.
+    """
+
+    __slots__ = ("automaton", "state", "_victim", "_policy")
+
+    def __init__(self, automaton: CompiledPolicy, state: int = 0) -> None:
+        super().__init__(automaton.ways)
+        self.automaton = automaton
+        self.state = state
+        #: The victim :meth:`evict` answered, until :meth:`fill` takes it.
+        self._victim = -1
+        #: The real policy the set runs on after a budget blow, else None.
+        self._policy: ReplacementPolicy | None = None
+
+    def _fall_back(self, key) -> ReplacementPolicy:
+        """Move the set onto a real policy in state ``key``; return it."""
+        automaton = self.automaton
+        policy = automaton._scratch.clone()
+        policy.load_state(key)
+        self._policy = policy
+        self._victim = -1
+        self.state = automaton.trap()
+        _note_unsupported(automaton)
+        return policy
+
+    def touch(self, way: int) -> None:
+        policy = self._policy
+        if policy is None:
+            if not 0 <= way < self.ways:
+                self._check_way(way)
+            automaton, state = self.automaton, self.state
+            next_state = automaton.hit_next[state * self.ways + way]
+            try:
+                if next_state < 0:
+                    next_state = automaton.expand_hit(state, way)
+                self.state = next_state
+                return
+            except KernelUnsupported:
+                policy = self._fall_back(automaton._keys[state])
+        policy.touch(way)
+
+    def evict(self) -> int:
+        policy = self._policy
+        if policy is None:
+            automaton, state = self.automaton, self.state
+            victim = automaton.miss_victim[state]
+            try:
+                if victim < 0:
+                    victim = automaton.expand_miss(state)[0]
+                self._victim = victim
+                return victim
+            except KernelUnsupported:
+                policy = self._fall_back(automaton._keys[state])
+        return policy.evict()
+
+    def fill(self, way: int) -> None:
+        policy = self._policy
+        if policy is None:
+            if not 0 <= way < self.ways:
+                self._check_way(way)
+            automaton, state = self.automaton, self.state
+            if way == self._victim:  # the miss evict() began, expanded there
+                self._victim = -1
+                self.state = automaton.miss_next[state]
+                return
+            next_state = automaton.fill_next[state * self.ways + way]
+            try:
+                if next_state < 0:
+                    next_state = automaton.expand_fill(state, way)
+                self.state = next_state
+                return
+            except KernelUnsupported:
+                policy = self._fall_back(automaton._keys[state])
+        policy.fill(way)
+
+    def reset(self) -> None:
+        self.state = 0
+        self._victim = -1
+        self._policy = None
+
+    def state_key(self):
+        if self._policy is not None:
+            return self._policy.state_key()
+        return self.automaton._keys[self.state]
+
+    def load_state(self, key) -> None:
+        self._victim = -1
+        self._policy = None
+        try:
+            self.state = self.automaton._intern(key)
+        except KernelUnsupported:
+            self._fall_back(key)
+
+    def clone(self) -> "AutomatonPolicy":
+        copy = AutomatonPolicy(self.automaton, self.state)
+        copy._victim = self._victim
+        if self._policy is not None:
+            copy._policy = self._policy.clone()
+        return copy
+
+
 # -- compilation caches ------------------------------------------------------
 #: Per-instance cache: policy object -> its automaton.  Weak keys so
 #: caching a candidate pool does not pin the policies alive; identity
@@ -437,7 +590,9 @@ def _note_unsupported(compiled: CompiledPolicy | None) -> None:
     could not answer the run (``kernel.store.errors``).  Either way the
     caller re-runs the work on the interpreter or in direct mode, and
     the automaton is not offered again, so without this count a
-    compilable policy would leave the kernel silently.
+    compilable policy would leave the kernel silently.  A cache set's
+    :class:`AutomatonPolicy` counts each move onto a real policy here
+    too, once per set and blow.
     """
     from repro.obs import metrics as obs_metrics
 
@@ -486,6 +641,44 @@ def compiled_for(policy: ReplacementPolicy) -> CompiledPolicy | None:
         _INSTANCE_UNSUPPORTED.add(policy)
         return None
     _INSTANCE_CACHE[policy] = compiled
+    return compiled
+
+
+#: Per-level cache: (name, params, ways, budget) -> the automaton every
+#: simulated cache level of that policy runs its sets on (None when the
+#: policy does not compile).  Apart from _FACTORY_CACHE, whose entry may
+#: be the store's frozen closure: back-invalidation leaves holes in a
+#: level, and a fill into a hole is an event no closure expands.
+_LEVEL_CACHE: dict[tuple, CompiledPolicy | None] = {}
+
+
+def compiled_for_level(factory: PolicyFactory, ways: int) -> CompiledPolicy | None:
+    """The automaton a simulated cache level of ``factory`` runs on, or None.
+
+    Compiled in-process from a set-0 prototype on first use, under the
+    budget :data:`DEFAULT_BUDGET` holds at that call, and expanded lazily
+    by every later level of the same policy, params, ways and budget in
+    the process, so a fresh :class:`~repro.cache.cache.Cache` starts on
+    the tables its predecessors grew.  None for a randomized policy or
+    one that does not compile: such a level keeps policy objects.
+    """
+    budget = DEFAULT_BUDGET
+    key = (factory.name, tuple(sorted(factory.params.items())), ways, budget)
+    try:
+        return _LEVEL_CACHE[key]
+    except KeyError:
+        pass
+    except TypeError:  # unhashable params: this level's alone
+        key = None
+    compiled = None
+    if factory.deterministic:
+        prototype = factory.build(ways, shared=factory.create_shared(1))
+        try:
+            compiled = compile_policy(prototype, budget=budget)
+        except KernelUnsupported:
+            pass
+    if key is not None:
+        _LEVEL_CACHE[key] = compiled
     return compiled
 
 
@@ -592,5 +785,6 @@ def clear_compile_cache() -> None:
     _INSTANCE_CACHE.clear()
     _INSTANCE_UNSUPPORTED.clear()
     _FACTORY_CACHE.clear()
+    _LEVEL_CACHE.clear()
     _SPEC_CACHE.clear()
     store.forget_persisted()

@@ -1,6 +1,7 @@
 """Fast simulation loops over compiled policy automata.
 
-Two granularities, matching the two shapes of simulation in the library:
+Three granularities, matching the three shapes of simulation in the
+library; the first two live here:
 
 * **single set, block ids** — the oracle/inference substrate.
   :func:`count_misses_kernel`, :func:`count_misses_preloaded`,
@@ -26,6 +27,19 @@ Two granularities, matching the two shapes of simulation in the library:
   instead whenever it may run).  :func:`try_simulate_trace` picks the
   right one.  Every engine call flushes its aggregate hit/miss/evict
   work into the metrics store (``kernel.*`` counters).
+
+* **hierarchy levels, loads** — the simulated hardware's substrate, run
+  by :meth:`repro.cache.hierarchy.CacheHierarchy.access_all` itself.
+  Each set of a deterministic level holds an
+  :class:`~repro.kernels.automaton.AutomatonPolicy`, one state id of the
+  automaton the process keeps for that policy and associativity
+  (:func:`~repro.kernels.automaton.compiled_for_level`), and the walk
+  steps it by table lookups.  Back-invalidation leaves holes, and a
+  fill into a hole is an event the store's closed automata do not
+  expand, so that automaton is compiled in-process and grows lazily.
+  The walk flushes no ``kernel.*`` counters; a set whose automaton
+  blows its budget goes on with a real policy and counts
+  ``kernel.budget_fallbacks``.
 
 Bit-identity argument, in one place: per set the interpreter's state is
 (tag→way map, policy state).  The kernel mirrors the tag→way map

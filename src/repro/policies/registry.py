@@ -216,9 +216,10 @@ class PolicyFactory:
         """The shared context and every set's policy, as a cache builds them.
 
         The shared context draws from ``rng.fork("shared")`` and set ``i``
-        is ``build(ways, i, shared, rng)``.  The interpreter's
-        :class:`~repro.cache.cache.Cache` and both whole-trace fast paths
-        build through here, so every rng stream they draw is the same.
+        is ``build(ways, i, shared, rng)``.  A
+        :class:`~repro.cache.cache.Cache` whose sets hold policy objects
+        and both whole-trace fast paths build through here, so every rng
+        stream they draw is the same.
         """
         shared = self.create_shared(num_sets, rng.fork("shared"))
         policies = [

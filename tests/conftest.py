@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import pytest
 
-from repro.cache import CacheConfig
+from repro.cache import Cache, CacheConfig
 from repro.cache.set import CacheSet
+from repro.kernels import automaton
 from repro.policies import available, get
+from repro.util.rng import SeededRng
 
 #: Registry names of deterministic policies usable at any associativity.
 DETERMINISTIC_ANY_WAYS = [
@@ -68,3 +73,30 @@ def interpreted_misses(policy, setup, probe) -> int:
     for block in setup:
         cache_set.access(block)
     return sum(1 for block in probe if not cache_set.access(block).hit)
+
+
+@contextlib.contextmanager
+def policy_objects():
+    """Within the block, a new :class:`Cache` keeps one policy object per set.
+
+    A cache runs a compilable policy's sets on the automaton
+    :func:`repro.kernels.automaton.compiled_for_level` answers; refused
+    here, its sets hold the policy objects themselves, the interpreter
+    every compiled engine must equal.
+    """
+    with mock.patch.object(automaton, "compiled_for_level", return_value=None):
+        yield
+
+
+def interpreted_stats(trace, config, policy, seed=0):
+    """Statistics of ``trace`` replayed on a fresh interpreted cache.
+
+    The reference every whole-trace engine must equal: a :class:`Cache`
+    built under :func:`policy_objects` with ``SeededRng(seed)``.
+    """
+    with policy_objects():
+        cache = Cache(config, policy, rng=SeededRng(seed))
+    assert cache.automaton is None
+    for address in trace:
+        cache.access(address)
+    return cache.stats

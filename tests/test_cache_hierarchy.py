@@ -8,6 +8,8 @@ import pytest
 
 from repro.cache import CacheConfig, CacheHierarchy
 from repro.errors import ConfigurationError
+from repro.kernels import automaton
+from repro.policies import DipPolicy
 
 
 def two_level():
@@ -113,6 +115,39 @@ class TestInclusive:
         for _ in range(5000):
             hierarchy.access(rng.randrange(1 << 16) & ~0x3F)
         assert hierarchy.check_inclusion_invariants() == []
+
+
+class TestAutomatonLevels:
+    def test_hit_updates_recency(self):
+        # One 2-way LRU set: a hit on the older line makes the other the victim.
+        hierarchy = CacheHierarchy([CacheConfig("L1", 128, 2)], ["lru"])
+        l1 = hierarchy.level("L1")
+        assert l1.automaton is not None
+        hierarchy.access_all([0x000, 0x040, 0x000, 0x080])
+        assert l1.resident_addresses() == {0x000, 0x080}
+        assert l1.sets[0].state_key() == ((0, 2), (1, 0))
+
+    def test_randomized_levels_keep_policy_objects(self):
+        hierarchy = CacheHierarchy(
+            [CacheConfig("L1", 512, 2), CacheConfig("L2", 2048, 4)], ["plru", "dip"]
+        )
+        l1, l2 = hierarchy.levels
+        assert l1.automaton is not None and l2.automaton is None
+        assert {type(cache_set.policy) for cache_set in l2.sets} == {DipPolicy}
+
+    def test_levels_of_one_policy_and_ways_share_an_automaton(self, monkeypatch):
+        monkeypatch.setattr(automaton, "_LEVEL_CACHE", {})
+        first = CacheHierarchy(
+            [CacheConfig("L1", 512, 2), CacheConfig("L2", 2048, 4)], ["lru", "lru"]
+        )
+        second = CacheHierarchy([CacheConfig("L1", 1024, 2)], ["lru"])
+        assert second.levels[0].automaton is first.levels[0].automaton
+        assert first.levels[1].automaton is not first.levels[0].automaton
+        # A level under another budget grows its own.
+        monkeypatch.setattr(automaton, "DEFAULT_BUDGET", 4)
+        third = CacheHierarchy([CacheConfig("L1", 512, 2)], ["lru"])
+        assert third.levels[0].automaton is not first.levels[0].automaton
+        assert third.levels[0].automaton.budget == 4
 
 
 class TestMaintenance:

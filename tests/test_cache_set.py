@@ -52,20 +52,6 @@ class TestAccess:
             cache_set.fill(1)
 
 
-class TestTouchTag:
-    def test_touch_miss_does_not_fill(self):
-        cache_set = make_set()
-        assert cache_set.touch_tag(9) is None
-        assert cache_set.resident_tags() == set()
-
-    def test_touch_hit_updates_recency(self):
-        cache_set = make_set(2)
-        cache_set.access(1)
-        cache_set.access(2)
-        cache_set.touch_tag(1)
-        assert cache_set.access(3).evicted_tag == 2
-
-
 class TestMaintenance:
     def test_invalidate(self):
         cache_set = make_set()

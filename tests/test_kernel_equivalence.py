@@ -43,7 +43,12 @@ from repro.policies import (
 )
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
-from tests.conftest import RANDOMIZED, all_deterministic_policies, interpreted_misses
+from tests.conftest import (
+    RANDOMIZED,
+    all_deterministic_policies,
+    interpreted_misses,
+    interpreted_stats,
+)
 
 WAYS = 4
 
@@ -132,11 +137,7 @@ def test_whole_cache_stats_bit_identical(name, index_hash):
 
     stats = try_simulate_trace(trace, config, factory, seed=5)
     assert stats is not None
-
-    cache = Cache(config, factory, rng=SeededRng(5))
-    for address in trace:
-        cache.access(address)
-    assert stats == cache.stats
+    assert stats == interpreted_stats(trace, config, factory, seed=5)
 
 
 @pytest.mark.parametrize("name", sorted(RANDOMIZED))
@@ -249,12 +250,10 @@ def test_closed_automaton_answers_like_the_interpreter(
 
     config = CacheConfig("t", 64 * ways * 64, ways)  # 64 sets: lock-step runs
     trace = _random_trace(lines=64 * (ways + 2), length=64 * 12, seed=seed)
-    cache = Cache(config, factory)
-    for address in trace:
-        cache.access(address)
-    assert _simulate_trace_scalar(trace, config, frozen) == cache.stats
+    expected = interpreted_stats(trace, config, factory)
+    assert _simulate_trace_scalar(trace, config, frozen) == expected
     if vector.available():
         obs_metrics.DEFAULT.reset()
-        assert vector.simulate_trace_lockstep(trace, config, frozen) == cache.stats
+        assert vector.simulate_trace_lockstep(trace, config, frozen) == expected
         counters = obs_metrics.DEFAULT.snapshot()["counters"]
         assert counters.get("kernel.vector.fallbacks", 0) == 0

@@ -8,7 +8,6 @@ from array import array
 import pytest
 
 from repro import kernels
-from repro.cache import Cache
 from repro.cache.set import CacheSet
 from repro.core import SimulatedSetOracle
 from repro.core.distinguish import response, responses
@@ -38,7 +37,11 @@ from repro.runner.cells import SimCell
 from repro.cache import CacheConfig
 from repro.workloads.trace import Trace
 
-from tests.conftest import all_deterministic_policies, interpreted_misses
+from tests.conftest import (
+    all_deterministic_policies,
+    interpreted_misses,
+    interpreted_stats,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -334,10 +337,7 @@ class TestUnexpandedEntryInAnArtifact:
         stats = try_simulate_trace(trace, self.CONFIG, "lru")
         self._assert_counted()
         assert _counters()["kernel.calls.direct"] == 1
-        cache = Cache(self.CONFIG, "lru")
-        for address in trace:
-            cache.access(address)
-        assert stats == cache.stats
+        assert stats == interpreted_stats(trace, self.CONFIG, "lru")
         assert compiled_for_factory("lru", (), WAYS) is None  # not offered again
 
 

@@ -46,7 +46,11 @@ from repro.obs import metrics as obs_metrics
 from repro.policies import LruPolicy, PolicyFactory, get
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
-from tests.conftest import all_deterministic_policies, interpreted_misses
+from tests.conftest import (
+    all_deterministic_policies,
+    interpreted_misses,
+    interpreted_stats,
+)
 
 WAYS = 4
 
@@ -182,10 +186,7 @@ def test_trace_lockstep_bit_identical(name, index_hash, tiny_lanes):
     stats = vector.simulate_trace_lockstep(trace, config, compiled)
     assert stats is not None
     kwargs = {"spec": lru_spec(4)} if name == "permutation" else {}
-    cache = Cache(config, PolicyFactory(name, **kwargs))
-    for address in trace:
-        cache.access(address)
-    assert stats == cache.stats
+    assert stats == interpreted_stats(trace, config, PolicyFactory(name, **kwargs))
 
 
 @numpy_only
@@ -252,10 +253,7 @@ def test_lockstep_falls_back_on_an_unexpanded_entry(table):
     assert counters["kernel.store.errors"] == 1
     assert "kernel.budget_fallbacks" not in counters
     assert counters["kernel.calls.direct"] == 1
-    cache = Cache(config, "lru")
-    for address in trace:
-        cache.access(address)
-    assert stats == cache.stats
+    assert stats == interpreted_stats(trace, config, "lru")
 
 
 # -- equivalence: random and dip lock-step -----------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the compiled policy-automaton kernel (repro.kernels)."""
 
 import hashlib
+import random
 from array import array
 
 import pytest
@@ -38,7 +39,11 @@ from repro.policies import (
 )
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
-from tests.conftest import all_deterministic_policies, interpreted_misses
+from tests.conftest import (
+    all_deterministic_policies,
+    interpreted_misses,
+    interpreted_stats,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -350,6 +355,52 @@ class TestSingleSetEngine:
             count_misses_preloaded(compiled, [1, 2], [3])
 
 
+class TestAutomatonPolicy:
+    """One set's policy as a state id of a shared automaton, the way a
+    hierarchy level's sets run, against the policy it was compiled from."""
+
+    NAMES = [name for name, _ in all_deterministic_policies(4)]
+
+    @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 3])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_events_match_the_policy(self, name, budget):
+        rng = random.Random(name)
+        policy = get(name, 4)
+        compiled = compile_policy(get(name, 4), budget=budget)
+        ours = automaton.AutomatonPolicy(compiled)
+        copies = []
+        obs_metrics.DEFAULT.reset()
+        for _ in range(400):
+            event = rng.random()
+            way = rng.randrange(4)
+            if event < 0.4:
+                ours.touch(way)
+                policy.touch(way)
+            elif event < 0.7:
+                victim = policy.evict()
+                assert ours.evict() == victim
+                ours.fill(victim)
+                policy.fill(victim)
+            elif event < 0.9:
+                # Any way, as a fill into a hole an invalidation left.
+                ours.fill(way)
+                policy.fill(way)
+            elif event < 0.95:
+                copies.append((ours.clone(), policy.clone()))
+            else:
+                ours = automaton.AutomatonPolicy(compiled)
+                ours.load_state(policy.state_key())
+            assert ours.state_key() == policy.state_key()
+        for copy, reference in copies:  # untouched by what came after
+            assert copy.state_key() == reference.state_key()
+        counters = obs_metrics.DEFAULT.snapshot()["counters"]
+        blown = compiled.num_states > budget
+        assert ("kernel.budget_fallbacks" in counters) == blown
+        ours.reset()
+        policy.reset()
+        assert ours.state_key() == policy.state_key()
+
+
 class TestRouting:
     CONFIG = CacheConfig("tiny", 2 * 1024, 4)  # 8 sets
 
@@ -360,10 +411,7 @@ class TestRouting:
         trace = self._trace()
         stats = try_simulate_trace(trace, self.CONFIG, "lru")
         assert stats is not None
-        cache = Cache(self.CONFIG, "lru")
-        for address in trace:
-            cache.access(address)
-        assert stats == cache.stats
+        assert stats == interpreted_stats(trace, self.CONFIG, "lru")
 
     def test_try_simulate_trace_direct_mode_for_randomized(self):
         # Randomized policies cannot compile, but direct mode still
@@ -440,10 +488,7 @@ class TestKernelCounters:
         counters = obs_metrics.DEFAULT.snapshot()["counters"]
         assert counters["kernel.budget_fallbacks"] == 1
         assert counters["kernel.calls.direct"] == 1
-        cache = Cache(self.CONFIG, "plru")
-        for address in trace:
-            cache.access(address)
-        assert stats == cache.stats
+        assert stats == interpreted_stats(trace, self.CONFIG, "plru")
         assert compiled_for_factory("plru", (), 4) is None
 
     def test_no_budget_fallback_on_a_fitting_automaton(self):
