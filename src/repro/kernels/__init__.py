@@ -69,6 +69,7 @@ from repro.kernels.engine import (
     sequence_hits_preloaded,
     sequence_hits_preloaded_batch,
     simulate_sequence,
+    simulate_trace_automata,
     simulate_trace_direct,
     simulate_trace_kernel,
     try_simulate_trace,
@@ -98,6 +99,7 @@ __all__ = [
     "simulate_sequence",
     "store",
     "vector",
+    "simulate_trace_automata",
     "simulate_trace_direct",
     "simulate_trace_kernel",
     "try_simulate_trace",

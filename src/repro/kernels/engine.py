@@ -81,6 +81,7 @@ __all__ = [
     "sequence_hits_preloaded",
     "sequence_hits_preloaded_batch",
     "simulate_sequence",
+    "simulate_trace_automata",
     "simulate_trace_direct",
     "simulate_trace_kernel",
     "try_simulate_trace",
@@ -441,24 +442,57 @@ def simulate_trace_kernel(
             f"{config.ways} ways"
         )
     try:
-        return _simulate_trace_compiled(trace, config, compiled)
+        stats = vector.simulate_trace_lockstep(trace, config, compiled)
+        return _finish_compiled(trace, config, compiled, stats)
     except KernelUnsupported:
         automaton.mark_factory_unsupported(factory.name, params, config.ways)
         raise
 
 
-def _simulate_trace_compiled(
-    trace: Trace, config: CacheConfig, compiled: CompiledPolicy
+def _finish_compiled(
+    trace: Trace, config: CacheConfig, compiled: CompiledPolicy, stats
 ) -> CacheStats:
-    # The lock-step vector engine takes the whole trace when it may run.
-    # Counters stay mode-invariant: the same "trace" flush either way.
-    stats = vector.simulate_trace_lockstep(trace, config, compiled)
+    # The lock-step vector engine takes the whole trace when it may run
+    # (``stats``), the scalar loop when it refused (None).  Counters stay
+    # mode-invariant: the same "trace" flush either way.
     if stats is None:
         return _simulate_trace_scalar(trace, config, compiled)
     _note_kernel_call(
         "trace", stats.accesses, stats.hits, stats.misses, stats.evictions
     )
     return stats
+
+
+def simulate_trace_automata(
+    trace: Trace,
+    config: CacheConfig,
+    runs: Sequence[tuple[PolicyFactory, CompiledPolicy, int]],
+) -> list[CacheStats]:
+    """Whole-trace statistics of several policies with automata, in order.
+
+    ``runs`` holds ``(factory, compiled, seed)`` triples, ``compiled``
+    being the automaton :func:`compiled_for_factory` gives ``factory``
+    at ``config.ways``.  Every automaton steps the trace's one lock-step
+    layout together (:func:`vector.simulate_trace_lockstep_all`); one
+    the vector engine refuses runs the scalar loop alone, and one whose
+    budget blows mid-run is marked unsupported and re-runs in direct
+    mode with its ``seed``.  Statistics and ``kernel.*`` counters equal
+    one :func:`try_simulate_trace` call per triple, but for
+    ``kernel.vector.calls``, which counts the one lock-step run.
+    """
+    stepped = vector.simulate_trace_lockstep_all(
+        trace, config, [compiled for _factory, compiled, _seed in runs]
+    )
+    results = []
+    for (factory, compiled, seed), stats in zip(runs, stepped):
+        try:
+            results.append(_finish_compiled(trace, config, compiled, stats))
+        except KernelUnsupported:
+            # Budget blown mid-run: remember, and re-run in direct mode.
+            params = tuple(sorted(factory.params.items()))
+            automaton.mark_factory_unsupported(factory.name, params, config.ways)
+            results.append(simulate_trace_direct(trace, config, factory, seed))
+    return results
 
 
 def _simulate_trace_scalar(
@@ -615,18 +649,13 @@ def try_simulate_trace(
     params = tuple(sorted(factory.params.items()))
     compiled = compiled_for_factory(factory.name, params, config.ways)
     if compiled is not None:
-        try:
-            return _simulate_trace_compiled(trace, config, compiled)
-        except KernelUnsupported:
-            # Budget blown mid-run: remember, and re-run in direct mode.
-            automaton.mark_factory_unsupported(factory.name, params, config.ways)
-    else:
-        # random and dip step lock-step on the vector engine when it may
-        # run; the flush is direct mode's, so counters stay engine-invariant.
-        stats = vector.simulate_trace_randomized(trace, config, factory, seed)
-        if stats is not None:
-            _note_kernel_call(
-                "direct", stats.accesses, stats.hits, stats.misses, stats.evictions
-            )
-            return stats
+        return simulate_trace_automata(trace, config, [(factory, compiled, seed)])[0]
+    # random and dip step lock-step on the vector engine when it may run;
+    # the flush is direct mode's, so counters stay engine-invariant.
+    stats = vector.simulate_trace_randomized(trace, config, factory, seed)
+    if stats is not None:
+        _note_kernel_call(
+            "direct", stats.accesses, stats.hits, stats.misses, stats.evictions
+        )
+        return stats
     return simulate_trace_direct(trace, config, factory, seed)

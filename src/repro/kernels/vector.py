@@ -1,29 +1,38 @@
 """Vectorized whole-trace simulation of compiled policy automata.
 
 A whole-cache trace is just ``num_sets`` independent automata that never
-interact.  This module represents the state of every set as a *lane* of
-flat numpy vectors and advances all of them with one fancy-indexed
-gather per access step::
+interact, and a grid simulates one trace under several policies.  This
+module represents the state of every (set, automaton) pair as a *lane*
+of flat numpy arrays and advances all of them together, one access step
+at a time, with one fancy-indexed gather per automaton::
 
-    states = fused_next[states * span + event]
+    states[a] = fused_next[a][states[a] * span + event[a]]
 
-:func:`simulate_trace_lockstep` partitions a trace per set and runs all
-``num_sets`` automata lock-step, bit-identical to the scalar trace
-engine and the interpreter (behind ``simulate_trace_kernel`` /
-``try_simulate_trace``).  :func:`simulate_trace_randomized` does the
-same for ``random`` and ``dip``, which have no automaton, on the same
-layout, bit-identical to direct mode.  Single-set query batches do not
-come here: they run on the scalar kernel (:mod:`repro.kernels.engine`),
-which expands an automaton lazily, only as far as the queries reach.
+:func:`simulate_trace_lockstep_all` partitions a trace per set once and
+steps every automaton it is given over that one layout, each result
+bit-identical to the scalar trace engine and the interpreter (behind
+:func:`~repro.kernels.engine.simulate_trace_automata`, which a grid's
+group of cells and ``try_simulate_trace`` both call);
+:func:`simulate_trace_lockstep` is its one-automaton call.
+:func:`simulate_trace_randomized` steps ``random`` and ``dip``, which
+have no automaton, on the same layout, bit-identical to direct mode.
+Single-set query batches do not come here: they run on the scalar
+kernel (:mod:`repro.kernels.engine`), which expands an automaton lazily,
+only as far as the queries reach.
 
 The stepper's layout is chosen so per-step Python/numpy dispatch
 overhead amortizes over as many lanes as possible:
 
-* lanes are sorted by sequence length, longest first, so the active
-  lanes always form a prefix and each step operates on a contiguous
-  view that shrinks as lanes retire — no per-step boolean masking;
-* the block matrix is stored column-major (``(width, lanes)``) so each
-  step reads one contiguous row.
+* sets are sorted by sequence length, longest first, so the active
+  sets always form a prefix and each step operates on a contiguous
+  view that shrinks as sets retire — no per-step boolean masking;
+* the block matrix is stored column-major (``(width, sets)``) so each
+  step reads one contiguous row, and the tags way-major
+  (``(automata, ways, sets)``) so comparing a row against them runs
+  along the sets;
+* every automaton's lanes share one step: the tag compare, the event
+  ids and the tag writes are single operations over all of them, and
+  only the two table gathers (victim, next state) run per automaton.
 
 Ground rules:
 
@@ -34,9 +43,9 @@ Ground rules:
   expansion hook, so :func:`ensure_tables` closes the automaton with
   ``expand_all()`` first and memoizes a budget blow as "scalar only" on
   the automaton.  The ``-1`` entries a closed automaton keeps are events
-  no set takes; :meth:`VectorTables.fused` routes them to an absorbing
-  trap row, so a lane that reaches one anyway (a tampered artifact)
-  makes the call fall back instead of gathering ``-1`` as a state id.
+  no set takes; :meth:`VectorTables.stepper` routes them to an absorbing
+  trap row, so an automaton whose lane reaches one anyway (a tampered
+  artifact) falls back alone instead of gathering ``-1`` as a state id.
 * **Fallback is always legal.**  Every ``None`` return means "use the
   scalar engine"; the vector path is an optimization, never a
   capability.  Engagement and fallbacks are visible as
@@ -67,6 +76,7 @@ __all__ = [
     "ensure_tables",
     "numpy_available",
     "simulate_trace_lockstep",
+    "simulate_trace_lockstep_all",
     "simulate_trace_randomized",
 ]
 
@@ -114,8 +124,7 @@ class VectorTables:
         "fill_next",
         "miss_victim",
         "miss_next",
-        "fused_next",
-        "fused_way",
+        "_stepper",
     )
 
     def __init__(self, ways, num_states, hit_next, fill_next, miss_victim, miss_next):
@@ -125,25 +134,25 @@ class VectorTables:
         self.fill_next = fill_next
         self.miss_victim = miss_victim
         self.miss_next = miss_next
-        self.fused_next = None
-        self.fused_way = None
+        self._stepper = None
 
-    def fused(self):
-        """The stepper's fused ``(state, event)`` tables, built lazily.
+    def stepper(self):
+        """The stepper's ``(fused_next, victim)`` tables, built lazily.
 
         An access step has ``2 * ways + 1`` possible events per state:
         hit at way ``w`` (event ``w``), cold fill at way ``w`` (event
         ``ways + w``), and evicting miss (event ``2 * ways``).  Fusing
         the three transition tables into one lets the stepper advance
-        every lane — hit or miss — with a single gather, and
-        ``fused_way`` yields the way each missing lane writes (-1 for
-        hits, which write nothing).
+        every lane — hit or miss — with a single gather.
 
         Row ``num_states`` is the trap: every unexpanded (``-1``) event
         leads to it and every event from it stays there, so a lane that
         ever takes such an event ends in the trap (see :func:`_run_lanes`).
+        ``victim`` is ``miss_victim`` with an entry for the trap; an
+        unexpanded miss (victim -1) reads way 0, and as its lane is
+        trapped, what it writes there is never read.
         """
-        if self.fused_next is None:
+        if self._stepper is None:
             np = _np
             states, ways = self.num_states, self.ways
             span = 2 * ways + 1
@@ -152,16 +161,10 @@ class VectorTables:
             nxt[:states, ways : 2 * ways] = self.fill_next.reshape(states, ways)
             nxt[:states, 2 * ways] = self.miss_next
             nxt[nxt < 0] = states
-            way = np.empty((states + 1, span), dtype=np.int32)
-            way[:, :ways] = -1
-            way[:, ways : 2 * ways] = np.arange(ways, dtype=np.int32)
-            # An unexpanded miss (victim -1) writes way 0; its lane is
-            # trapped, so the write is never read.
-            way[:states, 2 * ways] = np.maximum(self.miss_victim, 0)
-            way[states, 2 * ways] = 0
-            self.fused_next = nxt.reshape(-1)
-            self.fused_way = way.reshape(-1)
-        return self.fused_next, self.fused_way
+            victim = np.zeros(states + 1, dtype=np.int32)
+            np.maximum(self.miss_victim, 0, out=victim[:states])
+            self._stepper = (nxt.reshape(-1), victim)
+        return self._stepper
 
     @classmethod
     def from_compiled(cls, compiled) -> "VectorTables":
@@ -203,74 +206,100 @@ def ensure_tables(compiled) -> VectorTables | None:
 
 # -- the lock-step stepper ---------------------------------------------------
 
-def _run_lanes(tables, states, tags, filled, blocks, lengths):
-    """Advance every lane over its block column, one access step at a time.
+def _run_lanes(automata, blocks, lengths):
+    """Advance every (set, automaton) lane over its set's block column.
 
-    Lanes MUST be ordered by non-increasing ``lengths`` so the active
-    lanes are always a prefix; ``blocks`` is column-major (shape
-    ``(width, Q)``, padded with -1) so each step reads one contiguous
-    row.  ``states`` / ``filled`` are int32 ``(Q,)`` vectors, ``tags``
-    an int64 ``(Q, ways)`` matrix (-1 = invalid way); all are mutated in
-    place.  Returns ``(total_hits, total_evictions)``, or None when a
-    lane ended in the fused tables' trap row: it took an event the
-    automaton never expanded, and the whole run must fall back.
+    ``automata`` holds the :class:`VectorTables` of automata with equal
+    ``ways``; every one of them steps every set of the layout, one
+    access step at a time.  Sets MUST be ordered by non-increasing
+    ``lengths`` so the active sets are always a prefix; ``blocks`` is
+    column-major (shape ``(width, sets)``, padded with -1) so each step
+    reads one contiguous row.  Returns one ``(hits, evictions)`` pair
+    per automaton, or None for an automaton whose lanes ended in its
+    trap row: it took an event the automaton never expanded, and that
+    automaton's run must fall back.
 
     Each step mirrors the scalar engine's per-access rules exactly: a
     matching tag is a hit at that way, a miss in a partly-filled lane
     cold-fills the first invalid way (== the fill count, because these
     runs never invalidate), a miss in a full lane evicts the automaton's
-    victim.  The three cases collapse into one event id per lane, so a
-    single gather through the fused tables advances every lane at once.
+    victim, read before its state advances.  The three cases collapse
+    into one event id per lane, so one gather per automaton through its
+    fused table advances all of its lanes at once.  Until a set is full
+    no automaton has evicted in it, so its lanes hold the same blocks in
+    the same ways and one fill count per set serves every automaton.
     """
     np = _np
-    ways = tables.ways
+    count = len(automata)
+    ways = automata[0].ways
     span = 2 * ways + 1
-    fused_next, fused_way = tables.fused()
-    width = blocks.shape[0]
-    lanes = states.shape[0]
-    if not width or not lanes:
-        return 0, 0
-    # ended_by[c] = lanes whose sequence is over by step c; the active
-    # lanes are always the remaining prefix, by the length ordering.
+    steppers = [tables.stepper() for tables in automata]
+    width, sets = blocks.shape
+    states = np.zeros((count, sets), dtype=np.int32)
+    # Way-major tags, (automaton, way, set): comparing a column's blocks
+    # against them runs along the sets, contiguous.
+    tags = np.full((count, ways, sets), -1, dtype=np.int64)
+    flat_tags = tags.reshape(-1)
+    # Flat index of way 0 of each (automaton, set) lane in ``tags``;
+    # its way ``w`` lies ``w * sets`` further on.
+    lane_base = (
+        np.arange(count, dtype=np.int64)[:, None] * (ways * sets)
+        + np.arange(sets, dtype=np.int64)
+    )
+    # A hit's way + 1 by way; the maximum over the ways is 0 on a miss.
+    way_codes = np.arange(1, ways + 1, dtype=np.min_scalar_type(span))[:, None]
+    filled = np.zeros(sets, dtype=np.int32)
+    victim = np.empty((count, sets), dtype=np.int32)
+    lane_hits = np.zeros((count, sets), dtype=np.int64)
+    # ended_by[c] = sets whose sequence is over by step c; the active
+    # sets are always the remaining prefix, by the length ordering.
     ended_by = np.cumsum(np.bincount(lengths, minlength=width + 1))
-    arange = np.arange(lanes)
-    filled_before = int(filled.sum())
+    full = False
     total = 0
-    total_hits = 0
     for column in range(width):
-        active = lanes - int(ended_by[column])
+        active = sets - int(ended_by[column])
         if not active:
             break
         total += active
-        s = states[:active]
-        t = tags[:active]
-        f = filled[:active]
+        s = states[:, :active]
+        v = victim[:, :active]
         b = blocks[column, :active]
-        eq = t == b[:, None]
-        # One scan finds the matching way; a gather of that way tells us
-        # whether it actually matched (argmax of an all-False row is 0).
-        way_all = eq.argmax(axis=1)
-        hit = eq[arange[:active], way_all]
-        # Event id: way (hit), ways + fill count (cold miss, capped at
-        # ways which IS the evicting-miss event when the lane is full).
-        event = np.where(hit, way_all, ways + np.minimum(f, ways))
+        code = ((tags[:, :, :active] == b) * way_codes).max(axis=1)
+        hit = code != 0
+        way = code - 1
+        for a, (_fused, victims) in enumerate(steppers):
+            victims.take(s[a], out=v[a], mode="clip")
+        if full:
+            event = np.where(hit, way, 2 * ways)
+            write = np.where(hit, way, v)
+        else:
+            f = filled[:active]
+            cold = f < ways
+            # Event id: way (hit), ways + fill count (a miss; the count
+            # is ways, the evicting-miss event, once the set is full).
+            event = np.where(hit, way, ways + f)
+            write = np.where(hit, way, np.where(cold, f, v))
+            f += cold & ~hit[0]
+            full = int(f.min()) == ways
         index = s * span + event
-        s[:] = fused_next[index]
-        miss = ~hit
-        miss_rows = miss.nonzero()[0]
-        if miss_rows.size:
-            t[miss_rows, fused_way[index[miss_rows]]] = b[miss_rows]
-            f += miss & (f < ways)
-        total_hits += int(np.count_nonzero(hit))
-    # The trap row is absorbing, so the final states show every lane
-    # that ever fell into it.
-    if int(states.max()) == tables.num_states:
-        return None
+        for a, (fused, _victims) in enumerate(steppers):
+            fused.take(index[a], out=s[a], mode="clip")
+        # A hit rewrites its own block in place: every lane writes.
+        flat_tags[lane_base[:, :active] + write * sets] = b
+        lane_hits[:, :active] += hit
     # Every miss either cold-filled a way (visible as filled growth) or
     # evicted; no per-step counting needed.
-    cold_fills = int(filled.sum()) - filled_before
-    evictions = (total - total_hits) - cold_fills
-    return total_hits, evictions
+    cold_fills = int(filled.sum())
+    results = []
+    for a, tables in enumerate(automata):
+        # The trap row is absorbing, so the final states show every lane
+        # that ever fell into it.
+        if int(states[a].max()) == tables.num_states:
+            results.append(None)
+            continue
+        hits = int(lane_hits[a].sum())
+        results.append((hits, (total - hits) - cold_fills))
+    return results
 
 
 def _note_vector_call(lanes: int, accesses: int) -> None:
@@ -280,50 +309,72 @@ def _note_vector_call(lanes: int, accesses: int) -> None:
     metrics.incr("kernel.vector.accesses", accesses)
 
 
-def _note_fallback() -> None:
-    obs_metrics.DEFAULT.incr("kernel.vector.fallbacks")
+def _note_fallback(count: int = 1) -> None:
+    obs_metrics.DEFAULT.incr("kernel.vector.fallbacks", count)
 
 
 # -- whole-trace lock-step ---------------------------------------------------
 
 def simulate_trace_lockstep(trace, config, compiled):
-    """Run a whole read trace with all ``num_sets`` automata lock-step.
+    """Run a whole read trace with all ``num_sets`` sets lock-step.
+
+    One automaton's :func:`simulate_trace_lockstep_all`: a
+    :class:`~repro.cache.stats.CacheStats`, or ``None`` for scalar
+    fallback.
+    """
+    return simulate_trace_lockstep_all(trace, config, [compiled])[0]
+
+
+def simulate_trace_lockstep_all(trace, config, automata):
+    """Run a whole read trace under several automata, all lock-step.
 
     The trace is decomposed into per-set tag subsequences (sets never
     interact, and a stable partition preserves each set's access order),
-    then every set advances one access per stepper column.  Returns a
-    :class:`~repro.cache.stats.CacheStats` bit-identical to the scalar
-    trace engine / interpreter, or ``None`` for scalar fallback (numpy
-    absent, too few sets, automaton not closable within its budget, a
-    pathologically skewed trace, tags beyond the int64 lane range, or a
-    lane that reached an unexpanded transition).
+    then every (set, automaton) lane advances one access per stepper
+    column.  ``automata`` are compiled automata of ``config.ways`` ways.
+    Returns, per automaton, a :class:`~repro.cache.stats.CacheStats`
+    bit-identical to the scalar trace engine / interpreter, or ``None``
+    for scalar fallback: numpy absent, too few sets, a pathologically
+    skewed trace or tags beyond the int64 lane range (every automaton),
+    or the automaton not closable within its budget or a lane of its
+    reaching an unexpanded transition (that automaton alone).  Each
+    automaton that falls back after the gates counts one
+    ``kernel.vector.fallbacks``; the lanes that ran count as one
+    ``kernel.vector.calls``.
     """
+    results = [None] * len(automata)
     if _np is None or config.num_sets < MIN_TRACE_LANES:
-        return None
-    tables = ensure_tables(compiled)
-    if tables is None:
-        _note_fallback()
-        return None
+        return results
+    stepped, steppable = [], []
+    for index, compiled in enumerate(automata):
+        tables = ensure_tables(compiled)
+        if tables is None:
+            _note_fallback()
+        else:
+            stepped.append(index)
+            steppable.append(tables)
     total = len(trace)
+    if not stepped:
+        return results
     if not total:
-        return _stats(0, 0, 0)
+        for index in stepped:
+            results[index] = _stats(0, 0, 0)
+        return results
     layout = _trace_layout(trace, config)
     if layout is None:
-        _note_fallback()
-        return None
-    np = _np
-    num_sets = config.num_sets
-    ways = tables.ways
-    states = np.zeros(num_sets, dtype=np.int32)
-    tags = np.full((num_sets, ways), -1, dtype=np.int64)
-    filled = np.zeros(num_sets, dtype=np.int32)
-    counts = _run_lanes(tables, states, tags, filled, layout.blocks, layout.lengths)
-    if counts is None:
-        _note_fallback()
-        return None
-    hits, evictions = counts
-    _note_vector_call(num_sets, total)
-    return _stats(total, hits, evictions)
+        _note_fallback(len(stepped))
+        return results
+    counts = _run_lanes(steppable, layout.blocks, layout.lengths)
+    ran = 0
+    for index, outcome in zip(stepped, counts):
+        if outcome is None:
+            _note_fallback()
+            continue
+        ran += 1
+        results[index] = _stats(total, *outcome)
+    if ran:
+        _note_vector_call(config.num_sets * ran, total * ran)
+    return results
 
 
 def _stats(accesses: int, hits: int, evictions: int) -> CacheStats:
@@ -555,11 +606,12 @@ class _Layout(NamedTuple):
 
 #: One-slot memo for the last trace's lock-step layout.  The layout
 #: depends only on the trace and the cache geometry — not the policy —
-#: and
-#: :func:`repro.runner.cells.run_sim_cells` runs one trace's cells back
-#: to back, so a grid builds one layout per trace and geometry.  Keyed
-#: by trace *identity* (a weak reference, traces are immutable) so it
-#: can never serve stale data for a different trace.
+#: and :func:`repro.runner.cells.simulate_group` runs all of a trace's
+#: cells at one geometry in one task: its automata step the layout
+#: together, then its ``random`` and ``dip`` cells find it here, so a
+#: grid builds one layout per trace and geometry, in whichever process
+#: runs the group.  Keyed by trace *identity* (a weak reference, traces
+#: are immutable) so it can never serve stale data for a different trace.
 _TRACE_LAYOUT: tuple | None = None
 
 

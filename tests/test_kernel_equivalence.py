@@ -232,7 +232,8 @@ def test_closed_automaton_answers_like_the_interpreter(
     reach an unexpanded (-1) entry and lock-step falls back, so equal
     answers from both show that the closure covers every event the
     engines issue — from an empty set, from a preloaded full set and
-    from every set of a whole-cache trace.
+    from every set of a whole-cache trace.  Lock-step also steps the
+    closure together with LRU's over one layout, as a grid's group does.
     """
     factory, ways = target
     frozen = _frozen_closure(factory, ways)
@@ -253,7 +254,12 @@ def test_closed_automaton_answers_like_the_interpreter(
     expected = interpreted_stats(trace, config, factory)
     assert _simulate_trace_scalar(trace, config, frozen) == expected
     if vector.available():
+        lru = PolicyFactory("lru")
         obs_metrics.DEFAULT.reset()
         assert vector.simulate_trace_lockstep(trace, config, frozen) == expected
+        assert vector.simulate_trace_lockstep_all(
+            trace, config, [_frozen_closure(lru, ways), frozen]
+        ) == [interpreted_stats(trace, config, lru), expected]
         counters = obs_metrics.DEFAULT.snapshot()["counters"]
         assert counters.get("kernel.vector.fallbacks", 0) == 0
+        assert counters["kernel.vector.calls"] == 2

@@ -18,7 +18,9 @@ Four concerns:
   and the scalar engines carry on, bit-identically.
 """
 
+import functools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,7 @@ from repro.kernels import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.policies import LruPolicy, PolicyFactory, get
+from repro.runner import SimCell, run_sim_cells
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
 from tests.conftest import (
@@ -174,19 +177,61 @@ def _random_trace(lines, length, seed):
     )
 
 
+def _factory(name, ways):
+    from repro.policies import lru_spec
+
+    kwargs = {"spec": lru_spec(ways)} if name == "permutation" else {}
+    return PolicyFactory(name, **kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _closed(name, ways):
+    """``name``'s closed automaton at ``ways``, frozen through the store.
+
+    Closing every deterministic policy at 8 ways takes seconds and their
+    lists hundreds of MiB, so the tests that only step them share one
+    mapped copy.
+    """
+    params = tuple(sorted(_factory(name, ways).params.items()))
+    key = store.factory_key(name, params, ways)
+    assert store.save(key, compile_policy(build(name, ways)))
+    return store.load(key)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _drop_closed():
+    """Release the shared closures, and their stepper tables, after the module."""
+    yield
+    _closed.cache_clear()
+
+
+#: Each deterministic policy at 4 ways alone, then every deterministic
+#: policy at 4 and at 8 ways stepped together over one layout.
+LOCKSTEP_CASES = [n for n, _ in all_deterministic_policies(4)] + ["all@4", "all@8"]
+
+
 @numpy_only
 @pytest.mark.parametrize("index_hash", ["bits", "xor-fold"])
-@pytest.mark.parametrize("name", [n for n, _ in all_deterministic_policies(4)])
+@pytest.mark.parametrize("name", LOCKSTEP_CASES)
 def test_trace_lockstep_bit_identical(name, index_hash, tiny_lanes):
-    from repro.policies import PolicyFactory, lru_spec
-
-    config = CacheConfig("t", 4 * 1024, 4, index_hash=index_hash)  # 16 sets
-    trace = _random_trace(lines=180, length=3000, seed=7)
-    compiled = compile_policy(build(name, 4))
-    stats = vector.simulate_trace_lockstep(trace, config, compiled)
-    assert stats is not None
-    kwargs = {"spec": lru_spec(4)} if name == "permutation" else {}
-    assert stats == interpreted_stats(trace, config, PolicyFactory(name, **kwargs))
+    if name.startswith("all@"):
+        ways = int(name[4:])
+        names = [n for n, _ in all_deterministic_policies(ways)]
+        automata = [_closed(n, ways) for n in names]
+    else:
+        ways, names = 4, [name]
+        automata = [compile_policy(build(name, 4))]
+    config = CacheConfig("t", 16 * ways * 64, ways, index_hash=index_hash)  # 16 sets
+    trace = _random_trace(lines=45 * ways, length=3000, seed=7)
+    obs_metrics.DEFAULT.reset()
+    together = vector.simulate_trace_lockstep_all(trace, config, automata)
+    counters = _counters()
+    assert counters["kernel.vector.calls"] == 1
+    assert counters["kernel.vector.lanes"] == len(names) * config.num_sets
+    for name, compiled, stats in zip(names, automata, together):
+        expected = interpreted_stats(trace, config, _factory(name, ways))
+        assert stats == expected, name
+        assert vector.simulate_trace_lockstep(trace, config, compiled) == expected
 
 
 @numpy_only
@@ -254,6 +299,49 @@ def test_lockstep_falls_back_on_an_unexpanded_entry(table):
     assert "kernel.budget_fallbacks" not in counters
     assert counters["kernel.calls.direct"] == 1
     assert stats == interpreted_stats(trace, config, "lru")
+
+    # In a grid, the tampered automaton's cell falls back alone: its
+    # group's other automata keep their lock-step answers.
+    automaton._FACTORY_CACHE[("lru", (), WAYS)] = frozen
+    policies = ("fifo", "lru", "plru")
+    cells = [SimCell.make(trace, config, name) for name in policies]
+    obs_metrics.DEFAULT.reset()
+    results = run_sim_cells(cells)
+    counters = _counters()
+    assert [result.stats for result in results] == [
+        interpreted_stats(trace, config, name) for name in policies
+    ]
+    assert counters["kernel.vector.fallbacks"] == 1
+    assert counters["kernel.store.errors"] == 1
+    assert counters["kernel.vector.calls"] == 1
+    assert counters["kernel.vector.lanes"] == 2 * config.num_sets
+    assert counters["kernel.calls.trace"] == 2
+    assert counters["kernel.calls.direct"] == 1
+
+
+@numpy_only
+def test_lockstep_keeps_one_fused_table(store_dir):
+    """A lock-step run over a store-loaded automaton keeps one
+    (states + 1) x (2 * ways + 1) int32 table: the stepper reads a
+    missing lane's way off its event and the victim table."""
+    ways = 8
+    key = store.factory_key("lru", (), ways)
+    assert store.save(key, compile_policy("lru", ways))
+    frozen = store.load(key)
+    table = (frozen.num_states + 1) * (2 * ways + 1) * 4
+    config = CacheConfig("t", 64 * ways * 64, ways)  # 64 sets
+    trace = _random_trace(lines=64 * (ways + 2), length=64 * 12, seed=4)
+    expected = interpreted_stats(trace, config, "lru")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stats = vector.simulate_trace_lockstep(trace, config, frozen)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats == expected
+    assert table <= kept - before < 1.5 * table
+    assert peak - before < 1.5 * table
 
 
 # -- equivalence: random and dip lock-step -----------------------------------

@@ -126,7 +126,8 @@ class TestSimCells:
 
 
 class TestTraceMajorOrder:
-    """Cells run one trace at a time; results keep cell order."""
+    """A grid runs as one task per (trace, configuration) group, trace
+    by trace; results keep cell order."""
 
     CONFIG = CacheConfig("L1", 64 * 4 * 64, 4)  # 64 sets: vector lanes
     POLICIES = ("lru", "plru", "fifo")
@@ -146,6 +147,8 @@ class TestTraceMajorOrder:
 
     def test_fresh_cells_run_grouped_by_trace(self):
         traces, cells = self._grid()
+        other = CacheConfig("L2", 128 * 4 * 64, 4)  # a second geometry
+        cells += [SimCell.make(trace, other, "lru", seed=1) for trace in traces]
         mapped = []
 
         class RecordingRunner(ExperimentRunner):
@@ -154,10 +157,17 @@ class TestTraceMajorOrder:
                 mapped.extend(tasks)
                 return super().map(fn, tasks)
 
-        run_sim_cells(cells, runner=RecordingRunner())
+        results = run_sim_cells(cells, runner=RecordingRunner())
         assert mapped == [
-            cell for trace in traces for cell in cells if cell.trace is trace
+            tuple(
+                cell
+                for cell in cells
+                if cell.trace is trace and cell.config == config
+            )
+            for trace in traces
+            for config in (self.CONFIG, other)
         ]
+        assert results == [simulate_cell(cell) for cell in cells]
 
     @pytest.mark.parametrize("parallel", [True, False])
     def test_results_come_back_in_cell_order(self, parallel):
@@ -182,7 +192,11 @@ class TestTraceMajorOrder:
         traces, cells = self._grid()
         obs_metrics.DEFAULT.reset()
         run_sim_cells(cells)
-        assert obs_metrics.DEFAULT.counter("kernel.vector.calls") == len(cells)
+        # One lock-step run steps all of a trace's automata together.
+        assert obs_metrics.DEFAULT.counter("kernel.vector.calls") == len(traces)
+        assert obs_metrics.DEFAULT.counter("kernel.vector.lanes") == (
+            len(cells) * self.CONFIG.num_sets
+        )
         assert built == [trace.name for trace in traces]
 
 

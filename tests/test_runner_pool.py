@@ -238,26 +238,69 @@ class TestSharedMemoryTransport:
         assert "resource_tracker" not in done.stderr, done.stderr
 
     def test_a_chunk_pickles_its_trace_once(self, monkeypatch):
-        """Cells of one trace share it in their chunk's pickle: a chunk
-        of several cells weighs about one trace, not one per cell."""
-        trace = _big_traces()[0]
+        """A trace's cells travel as one task that pickles the trace
+        once: its chunk weighs about one trace, not one per cell.  Six
+        policies on one trace are one task, which runs in the parent."""
+        traces = _big_traces()
         policies = ("lru", "fifo", "plru", "bitplru", "nru", "random")
-        cells = [SimCell.make(trace, CONFIG, policy) for policy in policies]
         chunks = []
         submit = runner_pool.WorkerPool.submit
 
         def measured_submit(pool, worker, target, args, meta):
             chunk_bytes = len(ForkingPickler.dumps((0, target, args)))
-            chunks.append((len(meta), chunk_bytes))
+            chunks.append((sum(len(group) for _index, group in meta), chunk_bytes))
             return submit(pool, worker, target, args, meta)
 
         monkeypatch.setattr(runner_pool.WorkerPool, "submit", measured_submit)
+        single = [SimCell.make(traces[0], CONFIG, policy) for policy in policies]
+        serial = run_sim_cells(single, jobs=0)
+        obs_metrics.DEFAULT.reset()
+        assert run_sim_cells(single, jobs=2) == serial
+        assert chunks == []
+        assert _runner_counters() == {"runner.cells.serial": 1}
+
+        cells = [
+            SimCell.make(trace, CONFIG, policy)
+            for trace in traces
+            for policy in policies
+        ]
         serial = run_sim_cells(cells, jobs=0)
         assert run_sim_cells(cells, jobs=2) == serial
-        one_trace = len(ForkingPickler.dumps(trace))
-        assert max(count for count, _bytes in chunks) >= 2
+        one_trace = max(len(ForkingPickler.dumps(trace)) for trace in traces)
+        assert sorted(count for count, _bytes in chunks) == [6, 6]
         for count, chunk_bytes in chunks:
             assert chunk_bytes < 1.2 * one_trace, (count, chunk_bytes, one_trace)
+
+    def test_each_trace_travels_in_one_chunk(self, monkeypatch):
+        """A pooled grid ships every trace once, in the chunk of its
+        group, whatever mix of policies the trace is simulated under."""
+        config = CacheConfig("L2", 64 * 8 * 64, 8)  # 64 sets: lock-step
+        traces = workload_suite(cache_lines=config.num_sets * config.ways, seed=0)[:4]
+        policies = ("lru", "plru", "srrip", "dip", "random")
+        cells = [
+            SimCell.make(trace, config, policy, seed=2)
+            for policy in policies
+            for trace in traces
+        ]
+        shipped = []
+        submit = runner_pool.WorkerPool.submit
+
+        def spying_submit(pool, worker, target, args, meta):
+            shipped.append(
+                {cell.trace.name for _index, group in meta for cell in group}
+            )
+            return submit(pool, worker, target, args, meta)
+
+        monkeypatch.setattr(runner_pool.WorkerPool, "submit", spying_submit)
+        serial = run_sim_cells(cells, jobs=0)
+        obs_metrics.DEFAULT.reset()
+        assert run_sim_cells(cells, jobs=2) == serial
+        assert sorted(name for names in shipped for name in names) == sorted(
+            trace.name for trace in traces
+        )
+        counters = _runner_counters()
+        assert counters["runner.cells.parallel"] == len(traces)
+        assert "runner.chunk_retries" not in counters
 
     def test_shared_and_plain_cells_simulate_identically(self):
         """Cells sharing one trace object arrive in a worker sharing one
